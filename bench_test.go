@@ -23,6 +23,7 @@ import (
 	"smartsock/internal/probe"
 	"smartsock/internal/proto"
 	"smartsock/internal/reqlang"
+	"smartsock/internal/reqlang/reqtest"
 	"smartsock/internal/status"
 	"smartsock/internal/store"
 	"smartsock/internal/sysinfo"
@@ -144,7 +145,7 @@ func BenchmarkReqlangEval(b *testing.B) {
 	params := s.Vars()
 	params["monitor_network_delay"] = 5
 	params["monitor_network_bw"] = 95
-	env := &reqlang.Env{Params: params}
+	env := reqtest.Env(prog, params)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := prog.Eval(env)

@@ -17,7 +17,7 @@ func TestExplainCoversEveryOutcome(t *testing.T) {
 	idleHost(db, "banned", 4771, 512)
 	s := newSelector(t, db, Config{})
 	prog := mustProg(t, "host_cpu_bogomips > 4000\nuser_denied_host1 = banned\n")
-	res, err := s.Select(prog, 1, proto.OptPartialOK)
+	res, err := s.Explain(prog, 1, proto.OptPartialOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestExplainShortfallAndErrors(t *testing.T) {
 	idleHost(db, "broken", 1000, 512)
 	s := newSelector(t, db, Config{})
 	prog := mustProg(t, "host_cpu_free / 0 > 1")
-	res, err := s.Select(prog, 2, proto.OptPartialOK)
+	res, err := s.Explain(prog, 2, proto.OptPartialOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestExplainPreferredAndScore(t *testing.T) {
 	s := newSelector(t, db, Config{})
 
 	prog := mustProg(t, "host_cpu_free > 0.5\nuser_preferred_host1 = fave\n")
-	res, err := s.Select(prog, 1, 0)
+	res, err := s.Explain(prog, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestExplainPreferredAndScore(t *testing.T) {
 	}
 
 	prog = mustProg(t, "host_cpu_free > 0.5\nhost_memory_free\n")
-	res, err = s.Select(prog, 1, proto.OptRankByExpr)
+	res, err = s.Explain(prog, 1, proto.OptRankByExpr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExplainMatchesPortSuffixedAddresses(t *testing.T) {
 	db.PutSys(sysinfo.Idle("srv", 1000, 128))
 	s := newSelector(t, db, Config{ServicePort: 9000})
 	prog := mustProg(t, "1 > 0")
-	res, err := s.Select(prog, 1, 0)
+	res, err := s.Explain(prog, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

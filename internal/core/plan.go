@@ -1,9 +1,7 @@
 package core
 
 import (
-	"sort"
-	"sync"
-	"time"
+	"slices"
 
 	"smartsock/internal/index"
 	"smartsock/internal/reqlang"
@@ -12,82 +10,91 @@ import (
 )
 
 // DefaultPlanThreshold is the table size at which Select starts
-// consulting the planner. Below it a full scan is already cheaper
-// than index maintenance, and — more importantly — the historical
-// semantics (a Decision for every live server) stay intact for the
-// small deployments the thesis' walkthroughs assume.
+// consulting the planner: below it, walking every record is already
+// cheaper than keeping the per-field indexes in step with the table.
 const DefaultPlanThreshold = 128
 
 // indexableVar reports whether the planner may extract constraints on
 // a variable: the numeric status-report fields plus the security
 // level. Network metrics are excluded — their value depends on the
 // requesting client's group, not on the server record alone — so
-// requirements leading with them simply fall back to the scan.
+// requirements leading with them are evaluated record by record.
 func indexableVar(name string) bool {
-	if name == index.SecurityField {
-		return true
-	}
-	var zero status.ServerStatus
-	_, ok := zero.Var(name)
-	return ok
+	return status.VarIndex(name) >= 0 || name == index.SecurityField
 }
 
-// planEntry caches the planner's verdict for one compiled program: a
-// nil plan records "not index-resolvable" so unindexable storms pay
-// one map hit, not one AST walk, per request.
-type planEntry struct {
+// progInfo is what the selector resolves once per compiled program:
+// where each variable slot's value comes from, and the planner's
+// verdict. A nil plan records "not index-resolvable", so unindexable
+// storms pay one map hit, not one AST walk, per request.
+type progInfo struct {
+	// statusVars binds program slots to status-report fields; the
+	// remaining slots hold the network metrics, the security level
+	// (-1 when the program does not mention them) or names no record
+	// defines.
+	statusVars                 []slotVar
+	delaySlot, bwSlot, secSlot int
+	needNet                    bool
+
 	plan   *reqlang.Plan
 	cons   []index.Constraint
+	consAt []int    // per constraint: its field's status.VarIndex, -1 for the security level
 	fields []string // unique constraint fields, for column bootstrap
 }
 
-// planCacheMax bounds the verdict cache; programs come from the
+// slotVar says that program slot `slot` reads status variable `id`
+// (a status.VarIndex).
+type slotVar struct{ slot, id int }
+
+// infoCacheMax bounds the per-program cache; programs come from the
 // wizard's bounded compile cache, so in practice this never fills.
-const planCacheMax = 1024
+const infoCacheMax = 1024
 
-type planCache struct {
-	mu      sync.RWMutex
-	entries map[*reqlang.Program]*planEntry
-}
-
-func (c *planCache) get(prog *reqlang.Program) (*planEntry, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.entries[prog]
-	return e, ok
-}
-
-func (c *planCache) put(prog *reqlang.Program, e *planEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[*reqlang.Program]*planEntry)
-	}
-	if len(c.entries) < planCacheMax {
-		c.entries[prog] = e
-	}
-}
-
-// planFor returns the cached planner verdict for prog, computing it
-// on first sight.
-func (s *Selector) planFor(prog *reqlang.Program) *planEntry {
-	if e, ok := s.plans.get(prog); ok {
+// infoFor returns the cached resolution of prog, computing it on first
+// sight.
+func (s *Selector) infoFor(prog *reqlang.Program) *progInfo {
+	s.infoMu.RLock()
+	e, ok := s.infos[prog]
+	s.infoMu.RUnlock()
+	if ok {
 		return e
 	}
-	e := &planEntry{}
+	e = s.resolve(prog)
+	s.infoMu.Lock()
+	defer s.infoMu.Unlock()
+	if len(s.infos) < infoCacheMax {
+		s.infos[prog] = e
+	}
+	return e
+}
+
+func (s *Selector) resolve(prog *reqlang.Program) *progInfo {
+	e := &progInfo{delaySlot: -1, bwSlot: -1, secSlot: -1}
+	for slot, name := range prog.MentionedVars() {
+		switch name {
+		case "monitor_network_delay":
+			e.delaySlot = slot
+		case "monitor_network_bw":
+			e.bwSlot = slot
+		case index.SecurityField:
+			e.secSlot = slot
+		default:
+			if id := status.VarIndex(name); id >= 0 {
+				e.statusVars = append(e.statusVars, slotVar{slot: slot, id: id})
+			}
+		}
+	}
+	e.needNet = s.cfg.GroupOf != nil && s.cfg.LocalMonitor != "" && (e.delaySlot >= 0 || e.bwSlot >= 0)
 	if plan := prog.Plan(indexableVar); plan != nil {
 		e.plan = plan
-		e.cons = make([]index.Constraint, len(plan.Cons))
-		seen := make(map[string]bool, len(plan.Cons))
-		for i, c := range plan.Cons {
-			e.cons[i] = index.Constraint{Field: c.Var, Op: cmpToIndex(c.Op), Val: c.Val}
-			if !seen[c.Var] {
-				seen[c.Var] = true
+		for _, c := range plan.Cons {
+			e.cons = append(e.cons, index.Constraint{Field: c.Var, Op: cmpToIndex(c.Op), Val: c.Val})
+			e.consAt = append(e.consAt, status.VarIndex(c.Var))
+			if !slices.Contains(e.fields, c.Var) {
 				e.fields = append(e.fields, c.Var)
 			}
 		}
 	}
-	s.plans.put(prog, e)
 	return e
 }
 
@@ -105,110 +112,21 @@ func cmpToIndex(op reqlang.CmpOp) index.Op {
 	return index.EQ
 }
 
-// selCtx bundles the per-selection evaluation context shared by the
-// scan and planner paths.
-type selCtx struct {
-	prog        *reqlang.Program
-	snap        *store.SysSnapshot
-	cutoff      time.Time
-	filterStale bool
-	env         *reqlang.Env
-	mentioned   []string
-	needNet     bool
-	needSec     bool
-	netMemo     map[string]netBinding
-}
-
-// plannedSelect runs the plan-semantics pipeline: candidates come
-// from the index (or, when the index cannot serve this snapshot, from
-// a constraint-filtering scan that returns byte-identical results),
-// and only survivors pay a residual evaluation. Constraint-failing
-// records are counted in Result.Pruned instead of receiving
-// Decisions.
-func (s *Selector) plannedSelect(ctx *selCtx, pe *planEntry) (Result, []scored) {
-	s.indexPlans.Add(1)
-	if !s.cfg.ForceScan && s.idx.SyncFor(ctx.snap, pe.fields) {
-		if hosts, ok := s.idx.Candidates(ctx.snap.Epoch, pe.cons, nil); ok {
-			return s.plannedEval(ctx, pe, hosts)
-		}
-	}
-	s.indexFallbacks.Add(1)
-	return s.constraintScan(ctx, pe)
-}
-
-// plannedEval joins the index's sorted candidate hosts back to the
-// snapshot and evaluates the residual program against each fresh one.
-func (s *Selector) plannedEval(ctx *selCtx, pe *planEntry, hosts []string) (Result, []scored) {
-	recs := ctx.snap.Records
-	result := Result{Decisions: make([]Decision, 0, len(hosts))}
-	var candidates []scored
-	for _, host := range hosts {
-		i := sort.Search(len(recs), func(j int) bool { return recs[j].Status.Host >= host })
-		if i >= len(recs) || recs[i].Status.Host != host {
-			// The index epoch matched the snapshot's, so membership
-			// agrees; an unmatched candidate cannot arise, but skipping
-			// is the safe reading if it ever did.
-			continue
-		}
-		rec := &recs[i]
-		if ctx.filterStale && rec.UpdatedAt.Before(ctx.cutoff) {
-			result.StaleDropped++
-			continue
-		}
-		s.residualEvals.Add(1)
-		candidates = s.evalRecord(ctx, pe.plan.Prefix, rec, i, &result, candidates)
-	}
-	result.Pruned = len(recs) - len(hosts)
-	s.rowsPruned.Add(uint64(result.Pruned))
-	return result, candidates
-}
-
-// constraintScan is the correctness-preserving fallback when the
-// index cannot serve (snapshot raced a writer, or Config.ForceScan
-// pins it for differential testing): the same constraints are tested
-// record by record against the snapshot, so the Result is
-// byte-identical to the index path's.
-func (s *Selector) constraintScan(ctx *selCtx, pe *planEntry) (Result, []scored) {
-	recs := ctx.snap.Records
-	result := Result{}
-	var candidates []scored
-	//lint:ignore scanfree the planner's fallback must visit every record when the index cannot serve the snapshot's epoch
-	for i := range recs {
-		rec := &recs[i]
-		if !s.passesConstraints(rec, pe.cons) {
-			result.Pruned++
-			continue
-		}
-		if ctx.filterStale && rec.UpdatedAt.Before(ctx.cutoff) {
-			result.StaleDropped++
-			continue
-		}
-		s.residualEvals.Add(1)
-		candidates = s.evalRecord(ctx, pe.plan.Prefix, rec, i, &result, candidates)
-	}
-	s.rowsPruned.Add(uint64(result.Pruned))
-	return result, candidates
-}
-
 // passesConstraints tests the extracted constraints directly against
-// one record, mirroring what the index answers from its columns: an
-// unreported field (or a host with no security record) fails, exactly
-// as the undefined variable would fail its logical statement.
-func (s *Selector) passesConstraints(rec *store.SysRecord, cons []index.Constraint) bool {
-	for _, c := range cons {
+// one record, mirroring what the index answers from its columns: a
+// host with no security record fails, exactly as the undefined
+// variable would fail its logical statement.
+func (s *Selector) passesConstraints(rec *store.SysRecord, info *progInfo) bool {
+	for i, c := range info.cons {
 		var v float64
-		if c.Field == index.SecurityField {
+		if at := info.consAt[i]; at >= 0 {
+			v = rec.Status.VarAt(at)
+		} else {
 			sec, ok := s.db.GetSec(rec.Status.Host)
 			if !ok {
 				return false
 			}
 			v = float64(sec.Level.Level)
-		} else {
-			val, ok := rec.Status.Var(c.Field)
-			if !ok {
-				return false
-			}
-			v = val
 		}
 		if !c.Match(v) {
 			return false

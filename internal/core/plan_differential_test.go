@@ -14,15 +14,20 @@ import (
 	"smartsock/internal/store"
 )
 
-// The planner's core invariant: for any table history — puts,
+// The selection's core invariant: for any table history — puts,
 // refreshes, expiries, tombstone churn, all shipped to the wizard's
-// mirror through real wire deltas — a planned Select answered from the
-// per-field indexes is byte-identical to the same Select answered by
-// the constraint-testing scan, and agrees with the pre-planner full
-// scan on the servers chosen. These tests drive that invariant with
-// seeded random histories and a requirement corpus covering the
-// planner's whole decision surface, shrinking failures to a minimal
-// op sequence.
+// mirror through real wire deltas — the one evaluation loop gives the
+// same answer whichever candidate source feeds it. A Select answered
+// from the per-field indexes is byte-identical to the same Select
+// answered by testing the constraints record by record, agrees with
+// the planner-less walk of every record on the servers chosen, and
+// all three agree with the retained pre-top-n reference
+// (reference_test.go: evaluate everything, append every qualifier,
+// stable-sort, take n), whose Decisions Explain must reproduce byte for
+// byte. These tests drive that invariant with seeded random histories
+// and a requirement corpus covering the planner's whole decision
+// surface and the reply order's (preferred and denied lists, score
+// ties, NaN scores), shrinking failures to a minimal op sequence.
 
 // diffCorpus exercises every planner verdict: selective and broad
 // index-resolvable prefixes, flips, conjunctions, equality, security
@@ -47,6 +52,16 @@ var diffCorpus = []string{
 	"host_system_load1 / 0 > 1\n",
 	"host_nonexistent_var < 2\n",
 	"host_system_load1 + 1 < 3\n",
+	// Reply order: several preferred slots (listed out of host order, one
+	// naming a host that may not qualify), denied and preferred together,
+	// scores that tie across the fleet, and scores that are NaN for some
+	// hosts (pow of a negative base) or for all of them.
+	"host_system_load1 < 4\nuser_preferred_host2 = \"diff-02\"\nuser_preferred_host1 = \"diff-09\"\nuser_denied_host1 = \"diff-04\"\n",
+	"user_preferred_host1 = \"diff-07\"\nuser_preferred_host2 = \"diff-01\"\nhost_system_load1 * 10\n",
+	"host_system_load1 < 4\nhost_memory_free > 1\nhost_system_load1 * 0\n",
+	"host_cpu_free >= 0\npow(1 - host_system_load1, 0.5)\n",
+	"host_system_load1 < 4\nexp(1000) - exp(1000)\n",
+	"host_system_load1 <= 3\nuser_preferred_host1 = \"diff-06\"\npow(2 - host_system_load1, 0.5) * host_bogomips\n",
 }
 
 const diffHosts = 12
@@ -141,7 +156,12 @@ type diffHarness struct {
 
 const diffStaleAge = 6 * time.Second
 
-func newDiffHarness(t testing.TB) *diffHarness {
+// newDiffHarness builds the harness with the freshness cutoff on;
+// newDiffHarnessAge(t, 0) turns it off, which also lets the epoch memo
+// answer the programs that read neither netdb nor secdb.
+func newDiffHarness(t testing.TB) *diffHarness { return newDiffHarnessAge(t, diffStaleAge) }
+
+func newDiffHarnessAge(t testing.TB, maxStatusAge time.Duration) *diffHarness {
 	h := &diffHarness{now: time.Unix(1_700_000_000, 0), reg: obs.NewRegistry()}
 	clock := func() time.Time { return h.now }
 	h.src = store.NewWithClock(clock)
@@ -153,7 +173,7 @@ func newDiffHarness(t testing.TB) *diffHarness {
 			return strings.Replace(host, "diff-", "group-", 1)
 		},
 		ServicePort:   9000,
-		MaxStatusAge:  diffStaleAge,
+		MaxStatusAge:  maxStatusAge,
 		PlanThreshold: 1,
 	}
 	var err error
@@ -262,39 +282,59 @@ func encodeResult(res Result, err error) string {
 	return b.String()
 }
 
-// compareAll runs the corpus through all three selectors and checks
-// the equivalences.
+// diffCounts are the reply sizes compared: one server, a typical
+// request, and the protocol's cap (more than the property fleet
+// holds, so shortfalls are exercised too).
+var diffCounts = [...]int{1, 8, proto.MaxServers}
+
+// compareAll runs the corpus through the three selectors and the
+// reference and checks the equivalences.
 func (h *diffHarness) compareAll(val int) error {
-	n := 1 + val%3*2 // 1, 3 or 5 servers
+	n := diffCounts[val%len(diffCounts)]
 	for pi, prog := range h.progs {
-		for _, opt := range []proto.Option{proto.OptPartialOK, proto.OptPartialOK | proto.OptRankByExpr} {
+		for _, opt := range []proto.Option{0, proto.OptPartialOK, proto.OptPartialOK | proto.OptRankByExpr} {
+			fail := func(format string, args ...any) error {
+				return fmt.Errorf("corpus[%d] %q n=%d opt=%d: %s", pi, diffCorpus[pi], n, opt, fmt.Sprintf(format, args...))
+			}
 			idxRes, idxErr := h.planner.Select(prog, n, opt)
 			scanRes, scanErr := h.forced.Select(prog, n, opt)
 			a, b := encodeResult(idxRes, idxErr), encodeResult(scanRes, scanErr)
 			if a != b {
-				return fmt.Errorf("corpus[%d] %q n=%d opt=%d: index path diverged from forced scan\nindex: %sscan:  %s",
-					pi, diffCorpus[pi], n, opt, a, b)
+				return fail("index path diverged from forced scan\nindex: %sscan:  %s", a, b)
+			}
+			if idxRes.Decisions != nil {
+				return fail("Select kept %d per-host decisions", len(idxRes.Decisions))
 			}
 			clRes, clErr := h.classic.Select(prog, n, opt)
-			if (clErr == nil) != (idxErr == nil) {
-				return fmt.Errorf("corpus[%d] %q n=%d opt=%d: classic err %v vs planner err %v",
-					pi, diffCorpus[pi], n, opt, clErr, idxErr)
+			refRes, refErr := referenceSelect(h.classic, prog, n, opt)
+			for name, got := range map[string]Result{"planner": idxRes, "classic": clRes} {
+				if fmt.Sprint(got.Servers) != fmt.Sprint(refRes.Servers) || got.Shortfall != refRes.Shortfall {
+					return fail("%s servers %v/%d vs reference %v/%d", name, got.Servers, got.Shortfall, refRes.Servers, refRes.Shortfall)
+				}
 			}
-			if fmt.Sprint(clRes.Servers) != fmt.Sprint(idxRes.Servers) || clRes.Shortfall != idxRes.Shortfall {
-				return fmt.Errorf("corpus[%d] %q n=%d opt=%d: classic servers %v/%d vs planner %v/%d",
-					pi, diffCorpus[pi], n, opt, clRes.Servers, clRes.Shortfall, idxRes.Servers, idxRes.Shortfall)
+			if fmt.Sprint(idxErr) != fmt.Sprint(refErr) || fmt.Sprint(clErr) != fmt.Sprint(refErr) {
+				return fail("errors: planner %v, classic %v, reference %v", idxErr, clErr, refErr)
+			}
+			// Explain owes the reference's whole account: every fresh
+			// host's Decision and the full stale count.
+			exRes, exErr := h.planner.Explain(prog, n, opt)
+			if a, b := encodeResult(exRes, exErr), encodeResult(refRes, refErr); a != b {
+				return fail("Explain diverged from the reference\nexplain:   %sreference: %s", a, b)
 			}
 		}
 	}
 	return nil
 }
 
-// runSelectionDiff replays one history through a fresh harness.
+// runSelectionDiff replays one history through two fresh harnesses,
+// with and without the freshness cutoff.
 func runSelectionDiff(ops []diffOp) error {
-	h := newDiffHarness(&testing.T{})
-	for i, op := range ops {
-		if err := h.apply(op); err != nil {
-			return fmt.Errorf("op %d %v: %w", i, op, err)
+	for _, age := range []time.Duration{diffStaleAge, 0} {
+		h := newDiffHarnessAge(&testing.T{}, age)
+		for i, op := range ops {
+			if err := h.apply(op); err != nil {
+				return fmt.Errorf("MaxStatusAge %v, op %d %v: %w", age, i, op, err)
+			}
 		}
 	}
 	return nil

@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,17 +46,14 @@ type Config struct {
 	// (core_selections, core_memo_hits, core_stale_dropped, the
 	// index_* planner metrics); nil detaches them.
 	Obs *obs.Registry
-	// PlanThreshold is the live-record count at which Select consults
-	// the selection planner instead of scanning every record. Zero
-	// means DefaultPlanThreshold; negative disables the planner
-	// entirely (the -compat wire mode pins this, preserving the thesis
-	// behaviour byte for byte). Below the threshold — and for any
-	// requirement the planner cannot resolve — the historical full
-	// scan runs and Decisions cover every live server. At or above it,
-	// index-resolvable requirements run under plan semantics:
-	// constraint-failing records are pruned without individual
-	// Decisions (counted in Result.Pruned) and only surviving
-	// candidates are evaluated.
+	// PlanThreshold is the live-record count at which Select takes its
+	// candidates from the selection planner instead of walking every
+	// record. Zero means DefaultPlanThreshold; negative disables the
+	// planner (the -compat wire mode pins this). It only picks the
+	// evaluation loop's candidate source: at or above it, records
+	// failing an index-resolvable requirement's leading constraints are
+	// pruned unevaluated (Result.Pruned) and survivors resume at the
+	// residual statements; the servers chosen are the same either way.
 	PlanThreshold int
 	// ForceScan makes planned selections test their extracted
 	// constraints record by record instead of querying the index. The
@@ -87,7 +83,9 @@ type Result struct {
 	// Servers are the chosen addresses, best first, capped at the
 	// requested count.
 	Servers []string
-	// Decisions covers every live server, in evaluation order.
+	// Decisions is the per-host account Explain produces: one entry
+	// for every fresh server, in snapshot order. Select leaves it nil —
+	// the serve path keeps only the n winners.
 	Decisions []Decision
 	// Shortfall is how many requested servers could not be found.
 	Shortfall int
@@ -95,8 +93,10 @@ type Result struct {
 	// Config.MaxStatusAge, before any requirement was evaluated.
 	StaleDropped int
 	// Pruned counts records the selection planner excluded through
-	// index constraints without evaluating them (and without
-	// Decisions). Always zero on the full-scan path.
+	// index constraints without evaluating them; zero when the planner
+	// was not consulted. A selection that stops early (see Select)
+	// visits a prefix of the snapshot, and StaleDropped and Pruned
+	// count that prefix.
 	Pruned int
 	// Epoch is the status-snapshot version the selection ran against;
 	// two selections with equal epochs saw identical server tables.
@@ -105,16 +105,17 @@ type Result struct {
 
 // Selector evaluates requirements against the status database. It is
 // safe for concurrent use: selections read an immutable copy-on-write
-// snapshot of the server table and draw their per-server variable
-// environments from an internal pool.
+// snapshot of the server table and draw their working storage from an
+// internal pool.
 type Selector struct {
 	cfg        Config
 	db         *store.DB
 	portSuffix string
-	envPool    sync.Pool // of *reqlang.Env with a reusable Params map
+	scratch    sync.Pool // of *scratch
 	memo       selMemo
 	idx        *index.Set
-	plans      planCache
+	infoMu     sync.RWMutex
+	infos      map[*reqlang.Program]*progInfo // see infoFor
 
 	selections     *obs.Counter // core_selections: Select calls
 	memoHits       *obs.Counter // core_memo_hits: served from the epoch memo
@@ -124,6 +125,13 @@ type Selector struct {
 	indexFallbacks *obs.Counter // index_fallbacks: planned selections served by constraint scan
 	rowsPruned     *obs.Counter // index_rows_pruned: records excluded without evaluation
 	residualEvals  *obs.Counter // index_residual_evals: survivors evaluated on the plan path
+}
+
+// scratch is one selection's reusable working storage.
+type scratch struct {
+	env  reqlang.Env
+	bits index.Bits  // index candidate positions
+	top  []candidate // the bounded winner list
 }
 
 // memoKey identifies one selection question. Programs come from the
@@ -149,7 +157,8 @@ const memoMaxEntries = 1024
 // neither netdb nor secdb and applies no freshness cutoff is a pure
 // function of its key — the repeat of a storm's requirement can skip
 // evaluation entirely. A mutation bumps the epoch and the next
-// selection drops the table.
+// selection drops the table. A memoised Result holds the n winners
+// and four counters, never per-host data.
 type selMemo struct {
 	mu      sync.RWMutex
 	epoch   uint64
@@ -187,6 +196,7 @@ func New(db *store.DB, cfg Config) (*Selector, error) {
 		cfg:            cfg,
 		db:             db,
 		idx:            index.New(db, cfg.Obs),
+		infos:          make(map[*reqlang.Program]*progInfo),
 		selections:     cfg.Obs.Counter("core_selections"),
 		memoHits:       cfg.Obs.Counter("core_memo_hits"),
 		staleDropped:   cfg.Obs.Counter("core_stale_dropped"),
@@ -196,11 +206,9 @@ func New(db *store.DB, cfg Config) (*Selector, error) {
 		rowsPruned:     cfg.Obs.Counter("index_rows_pruned"),
 		residualEvals:  cfg.Obs.Counter("index_residual_evals"),
 	}
+	s.scratch.New = func() any { return new(scratch) }
 	if cfg.ServicePort > 0 {
 		s.portSuffix = ":" + strconv.Itoa(cfg.ServicePort)
-	}
-	s.envPool.New = func() any {
-		return &reqlang.Env{Params: make(map[string]float64, 8)}
 	}
 	return s, nil
 }
@@ -217,7 +225,37 @@ type netBinding struct {
 // follow proto: OptPartialOK permits a short list, OptRankByExpr
 // ranks qualified servers by the requirement's score expression
 // (highest first) instead of first-found order.
+//
+// It costs one evaluation per candidate record and memory for the n
+// winners; no per-host outcome is kept. An unranked request whose
+// program assigns no user_preferred_host* stops at the n-th qualifier:
+// nothing could move a later record ahead of it.
 func (s *Selector) Select(prog *reqlang.Program, n int, opt proto.Option) (Result, error) {
+	return s.run(prog, n, opt, false)
+}
+
+// Explain answers the same question as Select and also accounts for
+// every fresh server in Result.Decisions, the data Result.Explain
+// renders. It evaluates the whole requirement against the whole table
+// (no pruning, early stop or memo), so its memory grows with the
+// table: it is for operators and tests, not the serve path.
+func (s *Selector) Explain(prog *reqlang.Program, n int, opt proto.Option) (Result, error) {
+	return s.run(prog, n, opt, true)
+}
+
+// query is one selection's fixed inputs.
+type query struct {
+	prog    *reqlang.Program
+	info    *progInfo
+	snap    *store.SysSnapshot
+	n       int
+	ranked  bool
+	explain bool
+	cutoff  time.Time // records last reported before it are stale; zero: no cutoff
+	netMemo map[string]netBinding
+}
+
+func (s *Selector) run(prog *reqlang.Program, n int, opt proto.Option, explain bool) (Result, error) {
 	if n <= 0 {
 		return Result{}, fmt.Errorf("core: requested %d servers", n)
 	}
@@ -227,104 +265,41 @@ func (s *Selector) Select(prog *reqlang.Program, n int, opt proto.Option) (Resul
 	}
 
 	// One immutable snapshot serves the whole selection: candidate
-	// scan, freshness filter and StaleDropped accounting all see the
-	// same table, so the count can never go negative or disagree with
-	// the records evaluated.
+	// walk, freshness filter and StaleDropped accounting see the same
+	// table, so the counts cannot disagree with the records evaluated.
 	snap := s.db.SysView()
-	recs := snap.Records
-	var cutoff time.Time
-	filterStale := s.cfg.MaxStatusAge > 0
-	if filterStale {
-		cutoff = s.db.Now().Add(-s.cfg.MaxStatusAge)
-	}
-
-	// Bind only the variables the compiled program mentions; the
-	// free-variable list was resolved at parse time, so unreferenced
-	// parameter groups (network, security) cost nothing per server.
-	mentioned := prog.MentionedVars()
-	needNet := s.cfg.GroupOf != nil && s.cfg.LocalMonitor != "" &&
-		(prog.References("monitor_network_delay") || prog.References("monitor_network_bw"))
-	needSec := prog.References("host_security_level")
-
-	// With no netdb/secdb reads and no wall-clock freshness cutoff,
-	// the outcome is a pure function of (program, n, options) for this
-	// table epoch: serve storm repeats from the memo.
-	pure := !needNet && !needSec && !filterStale
-	key := memoKey{prog: prog, n: n, opt: opt}
 	s.selections.Add(1)
-	if pure {
+
+	// With no netdb/secdb reads and no freshness cutoff the outcome is
+	// a pure function of (program, n, options) for this table epoch:
+	// only such outcomes are memoised, so a hit needs no further check.
+	key := memoKey{prog: prog, n: n, opt: opt}
+	if !explain {
 		if v, ok := s.memo.get(snap.Epoch, key); ok {
 			s.memoHits.Add(1)
 			return v.res, v.err
 		}
 	}
-
-	var netMemo map[string]netBinding
-	if needNet {
-		netMemo = make(map[string]netBinding, 4)
+	q := query{
+		prog:    prog,
+		info:    s.infoFor(prog),
+		snap:    snap,
+		n:       n,
+		ranked:  opt&proto.OptRankByExpr != 0,
+		explain: explain,
+	}
+	if s.cfg.MaxStatusAge > 0 {
+		q.cutoff = s.db.Now().Add(-s.cfg.MaxStatusAge)
+	}
+	pure := !q.info.needNet && q.info.secSlot < 0 && q.cutoff.IsZero() && !explain
+	if q.info.needNet {
+		q.netMemo = make(map[string]netBinding, 4)
 	}
 
-	env := s.envPool.Get().(*reqlang.Env)
-	defer s.envPool.Put(env)
-
-	ctx := selCtx{
-		prog:        prog,
-		snap:        snap,
-		cutoff:      cutoff,
-		filterStale: filterStale,
-		env:         env,
-		mentioned:   mentioned,
-		needNet:     needNet,
-		needSec:     needSec,
-		netMemo:     netMemo,
-	}
-
-	// Consult the planner only past the threshold: small tables scan
-	// faster than they index, and keep the thesis' full per-server
-	// Decisions.
-	threshold := s.cfg.PlanThreshold
-	if threshold == 0 {
-		threshold = DefaultPlanThreshold
-	}
-	var pe *planEntry
-	if threshold > 0 && len(recs) >= threshold {
-		if e := s.planFor(prog); e.plan != nil {
-			pe = e
-		}
-	}
-
-	var result Result
-	var candidates []scored
-	if pe != nil {
-		result, candidates = s.plannedSelect(&ctx, pe)
-	} else {
-		result, candidates = s.fullScan(&ctx)
-	}
+	sc := s.scratch.Get().(*scratch)
+	defer s.scratch.Put(sc)
+	result := s.evaluate(&q, sc)
 	result.Epoch = snap.Epoch
-
-	sort.SliceStable(candidates, func(i, j int) bool {
-		a, b := candidates[i], candidates[j]
-		// Preferred servers "will always be selected first when
-		// available" (§3.6.1), in the order the user listed them.
-		aPref, bPref := a.preferred >= 0, b.preferred >= 0
-		if aPref != bPref {
-			return aPref
-		}
-		if aPref && a.preferred != b.preferred {
-			return a.preferred < b.preferred
-		}
-		if opt&proto.OptRankByExpr != 0 && a.hasScore && b.hasScore && a.score != b.score {
-			return a.score > b.score
-		}
-		return a.order < b.order
-	})
-
-	for _, c := range candidates {
-		if len(result.Servers) == n {
-			break
-		}
-		result.Servers = append(result.Servers, c.addr)
-	}
 	result.Shortfall = n - len(result.Servers)
 	var selErr error
 	if result.Shortfall > 0 && opt&proto.OptPartialOK == 0 {
@@ -339,118 +314,225 @@ func (s *Selector) Select(prog *reqlang.Program, n int, opt proto.Option) (Resul
 	return result, selErr
 }
 
-// scored is one qualified candidate awaiting the preference/rank
-// sort.
-type scored struct {
-	addr      string
-	preferred int // index in the preferred list, -1 if not
-	score     float64
-	hasScore  bool
-	order     int // snapshot position, the first-found tiebreak
-}
+// evaluate is the selection's one loop. Positions come from one of
+// three sources — every snapshot position, those whose record passes
+// the plan's constraints, or the index's candidate bitset — and each
+// fresh candidate is bound, evaluated from the plan's residual
+// statement on, and offered to the bounded winner list.
+func (s *Selector) evaluate(q *query, sc *scratch) Result {
+	recs := q.snap.Records
+	info := q.info
+	var result Result
+	if q.explain {
+		result.Decisions = make([]Decision, 0, len(recs))
+	}
 
-// fullScan is the historical selection loop: every fresh record gets
-// a full evaluation and a Decision.
-func (s *Selector) fullScan(ctx *selCtx) (Result, []scored) {
-	recs := ctx.snap.Records
-	result := Result{Decisions: make([]Decision, 0, len(recs))}
-	var candidates []scored
-	//lint:ignore scanfree the pre-planner baseline loop for small tables and non-index-resolvable requirements
-	for i := range recs {
-		rec := &recs[i]
-		if ctx.filterStale && rec.UpdatedAt.Before(ctx.cutoff) {
+	// Pick the source: the planner only past the threshold (small
+	// tables walk faster than they index), never for Explain.
+	threshold := s.cfg.PlanThreshold
+	if threshold == 0 {
+		threshold = DefaultPlanThreshold
+	}
+	planned := info.plan != nil && threshold > 0 && len(recs) >= threshold && !q.explain
+	from, useIndex := 0, false
+	if planned {
+		s.indexPlans.Add(1)
+		from = info.plan.Prefix
+		if !s.cfg.ForceScan && s.idx.SyncFor(q.snap, info.fields) {
+			sc.bits, useIndex = s.idx.Positions(q.snap.Epoch, info.cons, sc.bits)
+		}
+		if !useIndex {
+			// The index cannot serve this snapshot (it raced a writer) or
+			// ForceScan pins ground truth: test the constraints per record.
+			s.indexFallbacks.Add(1)
+		}
+	}
+
+	sc.env.Bind(q.prog)
+	top := topN{items: sc.top[:0], n: q.n, ranked: q.ranked}
+	// Nothing can overtake the first n qualifiers in snapshot order
+	// unless a score ranks or a preferred list reorders them.
+	stopEarly := !q.explain && !q.ranked && !q.prog.SetsPreferred()
+	filterStale := !q.cutoff.IsZero()
+	evals, visited := 0, len(recs)
+	pos := -1
+	for {
+		pos++
+		if useIndex {
+			pos = sc.bits.Next(pos)
+		}
+		if pos < 0 || pos >= len(recs) {
+			break
+		}
+		rec := &recs[pos]
+		if planned && !useIndex && !s.passesConstraints(rec, info) {
+			continue
+		}
+		if filterStale && rec.UpdatedAt.Before(q.cutoff) {
 			result.StaleDropped++
 			continue
 		}
-		candidates = s.evalRecord(ctx, 0, rec, i, &result, candidates)
-	}
-	return result, candidates
-}
-
-// evalRecord evaluates one record from statement index from onward
-// (0 = the whole program), records its Decision, and appends it to
-// the candidate list when it qualifies.
-func (s *Selector) evalRecord(ctx *selCtx, from int, rec *store.SysRecord, order int, result *Result, candidates []scored) []scored {
-	host := rec.Status.Host
-	s.fillEnv(ctx.env, rec, ctx.mentioned, ctx.needNet, ctx.needSec, ctx.netMemo)
-	s.recordEvals.Add(1)
-	res := ctx.prog.EvalFrom(ctx.env, from)
-	d := Decision{
-		Host:       host,
-		Qualified:  res.Qualified,
-		FailedLine: res.FailedLine,
-		Score:      res.Score,
-		HasScore:   res.HasScore,
-		Err:        res.Err,
-	}
-	if denyIdx := matchHost(host, res.Denied); denyIdx >= 0 {
-		d.Denied = true
-		d.Qualified = false
-	}
-	prefIdx := matchHost(host, res.Preferred)
-	d.Preferred = prefIdx >= 0
-	result.Decisions = append(result.Decisions, d)
-	if !d.Qualified {
-		return candidates
-	}
-	return append(candidates, scored{
-		addr:      s.dialAddr(host),
-		preferred: prefIdx,
-		score:     res.Score,
-		hasScore:  res.HasScore,
-		order:     order,
-	})
-}
-
-// fillEnv rebinds the pooled environment for one candidate server:
-// the mentioned status-report variables, plus the network metrics of
-// the server's group and its security level when the program asks for
-// them.
-func (s *Selector) fillEnv(env *reqlang.Env, rec *store.SysRecord, mentioned []string, needNet, needSec bool, netMemo map[string]netBinding) {
-	params := env.Params
-	clear(params)
-	for _, name := range mentioned {
-		if v, ok := rec.Status.Var(name); ok {
-			params[name] = v
+		evals++
+		s.bind(q, &sc.env, rec)
+		res := q.prog.EvalFrom(&sc.env, from)
+		host := rec.Status.Host
+		denied := matchHost(host, res.Denied) >= 0
+		preferred := matchHost(host, res.Preferred)
+		qualified := res.Qualified && !denied
+		if q.explain {
+			result.Decisions = append(result.Decisions, Decision{
+				Host: host, Qualified: qualified, Preferred: preferred >= 0, Denied: denied,
+				FailedLine: res.FailedLine, Score: res.Score, HasScore: res.HasScore, Err: res.Err,
+			})
+		}
+		if !qualified {
+			continue
+		}
+		top.offer(candidate{pos: pos, preferred: preferred, score: res.Score, hasScore: res.HasScore})
+		if stopEarly && len(top.items) == q.n {
+			visited = pos + 1
+			break
 		}
 	}
-	if needNet {
-		group := s.cfg.GroupOf(rec.Status.Host)
-		if group == s.cfg.LocalMonitor {
-			// Same group: the thesis assumes LAN metrics are always
-			// sufficient (§3.3.3); expose zero delay and a very large
-			// bandwidth so network constraints never reject local
-			// servers.
-			params["monitor_network_delay"] = 0
-			params["monitor_network_bw"] = 1e5 // Mbps; effectively infinite
-		} else if group != "" {
-			b, seen := netMemo[group]
-			if !seen {
-				if nr, ok := s.db.GetNet(s.cfg.LocalMonitor, group); ok {
-					// Delay in milliseconds, bandwidth in Mbps: the units
-					// the thesis requirements use ("delay < 20",
-					// "monitor_network_bw > 6").
-					b = netBinding{
-						delay: float64(nr.Metric.Delay.Milliseconds()),
-						bw:    nr.Metric.Bandwidth / 1e6,
-						ok:    true,
-					}
-				}
-				netMemo[group] = b
-			}
-			if b.ok {
-				params["monitor_network_delay"] = b.delay
-				params["monitor_network_bw"] = b.bw
-			}
-			// No record: the variables stay undefined, so requirements
-			// referencing them reject the server — safe default.
+	sc.top = top.items[:0]
+
+	// Every visited record was pruned, dropped as stale or evaluated.
+	s.recordEvals.Add(uint64(evals))
+	if planned {
+		result.Pruned = visited - evals - result.StaleDropped
+		s.rowsPruned.Add(uint64(result.Pruned))
+		s.residualEvals.Add(uint64(evals))
+	}
+	// Only the winners become dialable addresses.
+	if len(top.items) > 0 {
+		result.Servers = make([]string, len(top.items))
+		for i, c := range top.items {
+			result.Servers[i] = s.dialAddr(recs[c.pos].Status.Host)
 		}
 	}
-	if needSec {
+	return result
+}
+
+// candidate is one qualified server competing for the reply.
+type candidate struct {
+	pos       int // snapshot position, the first-found tiebreak
+	preferred int // index in the preferred list, -1 if not
+	score     float64
+	hasScore  bool
+}
+
+// ranks reports whether the candidate has a score to rank by. A NaN
+// score (pow(-1, 0.5), exp(1000) - exp(1000)) orders against nothing,
+// so it is no score: this is the one place that says so.
+func (c *candidate) ranks() bool { return c.hasScore && c.score == c.score }
+
+// before is the reply order, a strict total order over candidates.
+// Preferred servers "will always be selected first when available"
+// (§3.6.1), in the order the user listed them; then, when ranking by
+// expression, scored servers by descending score ahead of unscored
+// ones; then snapshot order.
+func (c *candidate) before(d *candidate, ranked bool) bool {
+	cPref, dPref := c.preferred >= 0, d.preferred >= 0
+	if cPref != dPref {
+		return cPref
+	}
+	if cPref && c.preferred != d.preferred {
+		return c.preferred < d.preferred
+	}
+	if ranked {
+		cRanks, dRanks := c.ranks(), d.ranks()
+		if cRanks != dRanks {
+			return cRanks
+		}
+		if cRanks && c.score != d.score {
+			return c.score > d.score
+		}
+	}
+	return c.pos < d.pos
+}
+
+// topN keeps the best n candidates offered so far, best first: the
+// reply is capped at proto.MaxServers, so insertion into a short
+// sorted array replaces sorting every qualifier.
+type topN struct {
+	items  []candidate
+	n      int
+	ranked bool
+}
+
+func (t *topN) offer(c candidate) {
+	i := len(t.items)
+	if i == t.n {
+		if !c.before(&t.items[i-1], t.ranked) {
+			return
+		}
+		i--
+	} else {
+		t.items = append(t.items, c)
+	}
+	for ; i > 0 && c.before(&t.items[i-1], t.ranked); i-- {
+		t.items[i] = t.items[i-1]
+	}
+	t.items[i] = c
+}
+
+// bind rebinds the environment for one candidate server: the status
+// variables the program mentions, plus its group's network metrics
+// and its security level when the program asks for them.
+func (s *Selector) bind(q *query, env *reqlang.Env, rec *store.SysRecord) {
+	info := q.info
+	env.Reset()
+	for _, v := range info.statusVars {
+		env.Set(v.slot, rec.Status.VarAt(v.id))
+	}
+	if info.needNet {
+		// The server's own group: the thesis assumes LAN metrics are
+		// always sufficient (§3.3.3), so zero delay and a very large
+		// bandwidth (Mbps; effectively infinite) never reject local
+		// servers. Another group: the measured metrics — or, with no
+		// record, nothing: the variables stay undefined and requirements
+		// referencing them reject the server, the safe default.
+		b := netBinding{bw: 1e5, ok: true}
+		if group := s.cfg.GroupOf(rec.Status.Host); group != s.cfg.LocalMonitor {
+			b = s.netBinding(q, group)
+		}
+		if b.ok {
+			if info.delaySlot >= 0 {
+				env.Set(info.delaySlot, b.delay)
+			}
+			if info.bwSlot >= 0 {
+				env.Set(info.bwSlot, b.bw)
+			}
+		}
+	}
+	if info.secSlot >= 0 {
 		if sec, ok := s.db.GetSec(rec.Status.Host); ok {
-			params["host_security_level"] = float64(sec.Level.Level)
+			env.Set(info.secSlot, float64(sec.Level.Level))
 		}
 	}
+}
+
+// netBinding reads the metrics from the local monitor to a group, once
+// per selection.
+func (s *Selector) netBinding(q *query, group string) netBinding {
+	if group == "" {
+		return netBinding{}
+	}
+	b, seen := q.netMemo[group]
+	if !seen {
+		if nr, ok := s.db.GetNet(s.cfg.LocalMonitor, group); ok {
+			// Delay in milliseconds, bandwidth in Mbps: the units the
+			// thesis requirements use ("delay < 20",
+			// "monitor_network_bw > 6").
+			b = netBinding{
+				delay: float64(nr.Metric.Delay.Milliseconds()),
+				bw:    nr.Metric.Bandwidth / 1e6,
+				ok:    true,
+			}
+		}
+		q.netMemo[group] = b
+	}
+	return b
 }
 
 // dialAddr renders a host as a dialable address.

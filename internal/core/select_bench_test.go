@@ -128,7 +128,9 @@ func TestSelectMemoInvalidatedByWrites(t *testing.T) {
 // and a second for the fresh set, so a probe report landing in
 // between skewed StaleDropped. A single snapshot must make the
 // accounting exact: every record is either evaluated or counted
-// stale.
+// stale. Explain is the entry point that visits every record; a
+// Select that fills its reply early counts only the prefix it walked
+// (TestSelectStopsAtTheNthQualifier).
 func TestStaleDroppedSingleSnapshot(t *testing.T) {
 	now := time.Date(2004, 6, 1, 12, 0, 0, 0, time.UTC)
 	var mu sync.Mutex
@@ -149,7 +151,7 @@ func TestStaleDroppedSingleSnapshot(t *testing.T) {
 	}
 
 	sel := newSelector(t, db, Config{MaxStatusAge: 30 * time.Second})
-	res, err := sel.Select(mustProg(t, "host_cpu_free > 0.5\n"), 2, proto.OptPartialOK)
+	res, err := sel.Explain(mustProg(t, "host_cpu_free > 0.5\n"), 2, proto.OptPartialOK)
 	if err != nil {
 		t.Fatal(err)
 	}

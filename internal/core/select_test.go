@@ -54,7 +54,16 @@ func TestSelectByCPUAndMemory(t *testing.T) {
 	if !reflect.DeepEqual(res.Servers, []string{"fast1", "fast2"}) {
 		t.Errorf("Servers = %v", res.Servers)
 	}
-	// The decisions explain every host.
+	if res.Decisions != nil {
+		t.Errorf("Select kept %d per-host decisions; only Explain does", len(res.Decisions))
+	}
+	// Explain's decisions account for every host.
+	if res, err = s.Explain(prog, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Servers, []string{"fast1", "fast2"}) || len(res.Decisions) != 4 {
+		t.Errorf("Explain: servers %v, %d decisions", res.Servers, len(res.Decisions))
+	}
 	byHost := map[string]Decision{}
 	for _, d := range res.Decisions {
 		byHost[d.Host] = d
@@ -98,6 +107,9 @@ func TestDeniedHostsAreNeverSelected(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Servers, []string{"c1"}) {
 		t.Errorf("Servers = %v, want [c1]", res.Servers)
+	}
+	if res, err = s.Explain(prog, 2, proto.OptPartialOK); err != nil || len(res.Decisions) != 2 {
+		t.Fatalf("Explain: %d decisions, err %v", len(res.Decisions), err)
 	}
 	for _, d := range res.Decisions {
 		if d.Host == "c2" && (!d.Denied || d.Qualified) {
@@ -291,6 +303,9 @@ func TestEvalErrorDisqualifies(t *testing.T) {
 	}
 	if len(res.Servers) != 0 {
 		t.Error("server selected despite evaluation error")
+	}
+	if res, err = s.Explain(prog, 1, proto.OptPartialOK); err != nil || len(res.Decisions) != 1 {
+		t.Fatalf("Explain: %d decisions, err %v", len(res.Decisions), err)
 	}
 	if res.Decisions[0].Err == nil {
 		t.Error("decision carries no error")

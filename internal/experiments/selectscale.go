@@ -105,8 +105,8 @@ func selectScale(o Options) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"scan = PlanThreshold -1 (thesis behaviour), plan = indexed selection planner",
-		"unindexable requirements fall back to the constraint scan; their planner row measures that overhead",
+		"scan = PlanThreshold -1 (every record visited, the thesis behaviour), plan = candidates from the indexed selection planner; one evaluation loop serves both",
+		"unindexable requirements have no plan and visit every record; their planner row measures the planner's overhead",
 		"scripts/bench.sh runs the same matrix through go test -bench into BENCH_select.json",
 	)
 	return t, nil

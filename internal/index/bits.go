@@ -61,3 +61,21 @@ func (b Bits) ForEach(fn func(i int)) {
 		}
 	}
 }
+
+// Next returns the lowest set bit at or above i, or -1 when there is
+// none: the cursor form of ForEach, for loops that may stop early.
+func (b Bits) Next(i int) int {
+	w := i >> 6
+	if w >= len(b) {
+		return -1
+	}
+	if word := b[w] >> (uint(i) & 63); word != 0 {
+		return i + bits.TrailingZeros64(word)
+	}
+	for w++; w < len(b); w++ {
+		if b[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(b[w])
+		}
+	}
+	return -1
+}

@@ -2,7 +2,7 @@ package index
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,6 +39,13 @@ type Set struct {
 	idOf  map[string]int
 	live  Bits
 	cols  map[string]*column
+	// pos maps a live id to its host's position in the sorted snapshot
+	// of the current epoch. Positions move only when membership does,
+	// so a content change leaves the table standing; posOK is cleared
+	// by a join, a departure or a resync, and SyncFor rebuilds the
+	// table from the caller's snapshot.
+	pos   []int32
+	posOK bool
 
 	// Reusable delta scratch for the sync path.
 	sysD status.SysDelta
@@ -71,7 +78,7 @@ func (s *Set) SyncFor(snap *store.SysSnapshot, fields []string) bool {
 	// sys epoch: security-level changes advance ver while leaving the
 	// sys epoch alone, and the security column must still see them.
 	s.mu.RLock()
-	if s.synced && s.epoch == snap.Epoch && s.ver == s.db.Ver() && s.hasColumns(fields) {
+	if s.synced && s.posOK && s.epoch == snap.Epoch && s.ver == s.db.Ver() && s.hasColumns(fields) {
 		s.mu.RUnlock()
 		return true
 	}
@@ -100,18 +107,30 @@ func (s *Set) SyncFor(snap *store.SysSnapshot, fields []string) bool {
 		// head, so a mismatch means the caller's snapshot is stale.
 		return false
 	}
-	return s.ensureColumnsLocked(fields, snap)
+	s.ensureColumnsLocked(fields, snap)
+	if !s.posOK {
+		// Entries of ids no longer live go stale; no candidate set holds them.
+		s.pos = slices.Grow(s.pos[:0], len(s.hosts))[:len(s.hosts)]
+		for i := range snap.Records {
+			s.pos[s.idOf[snap.Records[i].Status.Host]] = int32(i)
+		}
+		s.posOK = true
+	}
+	return true
 }
 
-// Candidates appends to dst the hosts that satisfy every constraint,
-// sorted by name, provided the indexes still match the queried epoch.
+// Positions sets in dst (reset and grown to fit) the bit of every
+// position in the epoch's sorted snapshot whose host satisfies every
+// constraint, provided the indexes still match the queried epoch.
 // Candidate generation walks the sorted range of the most selective
-// constraint and filters the survivors against the remaining
-// constraints' dense arrays in O(1) each.
-func (s *Set) Candidates(epoch uint64, cons []Constraint, dst []string) ([]string, bool) {
+// constraint, filters the survivors against the remaining
+// constraints' dense arrays in O(1) each, and joins them to snapshot
+// positions through the id→position table — no host name is
+// materialised or searched for.
+func (s *Set) Positions(epoch uint64, cons []Constraint, dst Bits) (Bits, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if !s.synced || s.epoch != epoch || len(cons) == 0 {
+	if !s.synced || !s.posOK || s.epoch != epoch || len(cons) == 0 {
 		return dst, false
 	}
 	driver := -1
@@ -132,8 +151,7 @@ func (s *Set) Candidates(epoch uint64, cons []Constraint, dst []string) ([]strin
 			continue
 		}
 		col := s.cols[c.Field]
-		for w := range cand {
-			word := cand[w]
+		for w, word := range cand {
 			for word != 0 {
 				id := w<<6 + bits.TrailingZeros64(word)
 				if !col.test(id, c) {
@@ -143,8 +161,9 @@ func (s *Set) Candidates(epoch uint64, cons []Constraint, dst []string) ([]strin
 			}
 		}
 	}
-	cand.ForEach(func(id int) { dst = append(dst, s.hosts[id]) })
-	sort.Strings(dst)
+	// Snapshot positions never outnumber the ids ever assigned.
+	dst = dst[:0].grow(len(s.hosts))
+	cand.ForEach(func(id int) { dst.Set(int(s.pos[id])) })
 	return dst, true
 }
 
@@ -188,7 +207,10 @@ func (s *Set) applyDeltasLocked() {
 	for i := range s.sysD.Changed {
 		st := &s.sysD.Changed[i]
 		id := s.ensureIDLocked(st.Host)
-		s.live.Set(id)
+		if !s.live.Test(id) {
+			s.live.Set(id)
+			s.posOK = false
+		}
 		for field, col := range s.cols {
 			if field == SecurityField {
 				continue
@@ -201,8 +223,9 @@ func (s *Set) applyDeltasLocked() {
 		}
 	}
 	for _, host := range s.sysD.Deleted {
-		if id, ok := s.idOf[host]; ok {
+		if id, ok := s.idOf[host]; ok && s.live.Test(id) {
 			s.live.Clear(id)
+			s.posOK = false
 		}
 	}
 	// Refreshes re-stamp timestamps only; values, and therefore every
@@ -244,14 +267,14 @@ func (s *Set) resyncLocked() {
 		s.live = s.live.grow(id + 1)
 		s.live.Set(id)
 	}
-	s.ver, s.epoch, s.synced = ver, epoch, true
+	s.ver, s.epoch, s.synced, s.posOK = ver, epoch, true, false
 }
 
 // ensureColumnsLocked creates any missing columns. Sys-table columns
 // fill from the caller's epoch-matched snapshot; the security column
 // fills from the live sec table, which the delta stream keeps
 // convergent with our version.
-func (s *Set) ensureColumnsLocked(fields []string, snap *store.SysSnapshot) bool {
+func (s *Set) ensureColumnsLocked(fields []string, snap *store.SysSnapshot) {
 	for _, f := range fields {
 		if s.cols[f] != nil {
 			continue
@@ -264,17 +287,17 @@ func (s *Set) ensureColumnsLocked(fields []string, snap *store.SysSnapshot) bool
 		}
 		s.cols[f] = col
 	}
-	return true
 }
 
 func (s *Set) fillSysColumnLocked(field string, col *column, snap *store.SysSnapshot) {
 	col.ensure(len(s.hosts))
+	vi := status.VarIndex(field)
 	for i := range snap.Records {
 		rec := &snap.Records[i]
 		id := s.ensureIDLocked(rec.Status.Host)
 		col.ensure(id + 1)
-		if v, ok := rec.Status.Var(field); ok {
-			col.set(id, v)
+		if vi >= 0 {
+			col.set(id, rec.Status.VarAt(vi))
 		} else {
 			col.unset(id)
 		}

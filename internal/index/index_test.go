@@ -63,10 +63,13 @@ func query(t *testing.T, db *store.DB, s *Set, cons []Constraint) []string {
 	if !s.SyncFor(snap, fields) {
 		t.Fatalf("SyncFor declined a fresh snapshot (epoch %d)", snap.Epoch)
 	}
-	hosts, ok := s.Candidates(snap.Epoch, cons, nil)
+	positions, ok := s.Positions(snap.Epoch, cons, nil)
 	if !ok {
-		t.Fatalf("Candidates declined epoch %d after successful SyncFor", snap.Epoch)
+		t.Fatalf("Positions declined epoch %d after successful SyncFor", snap.Epoch)
 	}
+	// Positions index the snapshot, which is sorted by host.
+	var hosts []string
+	positions.ForEach(func(i int) { hosts = append(hosts, snap.Records[i].Status.Host) })
 	want := expectHosts(db, snap, cons)
 	if !reflect.DeepEqual(hosts, want) && !(len(hosts) == 0 && len(want) == 0) {
 		t.Fatalf("candidates mismatch for %v:\n got %v\nwant %v", cons, hosts, want)
@@ -226,8 +229,8 @@ func TestIndexStaleSnapshotRefused(t *testing.T) {
 	if s.SyncFor(stale, []string{"host_system_load1"}) {
 		t.Fatal("SyncFor accepted a stale snapshot")
 	}
-	if _, ok := s.Candidates(stale.Epoch, []Constraint{{Field: "host_system_load1", Op: GT, Val: 0}}, nil); ok {
-		t.Fatal("Candidates served a stale epoch")
+	if _, ok := s.Positions(stale.Epoch, []Constraint{{Field: "host_system_load1", Op: GT, Val: 0}}, nil); ok {
+		t.Fatal("Positions served a stale epoch")
 	}
 	// The fresh snapshot must work.
 	query(t, db, s, []Constraint{{Field: "host_system_load1", Op: GT, Val: 0}})

@@ -30,9 +30,10 @@
 //     nothing;
 //   - scanfree: no range over sys-record tables ([]store.SysRecord)
 //     in internal/core or internal/wizard non-test code — per-request
-//     selection goes through the index planner, and the sanctioned
-//     scans (planner fallback, pre-planner baseline) must justify
-//     themselves with a //lint:ignore rationale;
+//     selection visits records only through the selector's one
+//     evaluation loop, which draws positions from a candidate source,
+//     and any other walk of the table must justify itself with a
+//     //lint:ignore rationale;
 //   - dgramloop: no per-datagram net.UDPConn read (ReadFromUDP and
 //     kin) in internal/wizard, internal/monitor or internal/netbatch
 //     non-test code — serve loops pull batches through

@@ -8,10 +8,11 @@ import (
 // scanFreeScope lists the packages on the wizard's request serve path.
 // With the selection planner in place, a range over a sys-table
 // snapshot there reintroduces the O(table) cost per request that the
-// per-field indexes exist to kill. The two sanctioned scan loops — the
-// pre-planner baseline in Select's fullScan and the planner's
-// constraint-testing fallback — carry //lint:ignore directives with
-// their rationale; any new one must justify itself the same way.
+// per-field indexes exist to kill. The selector visits records in one
+// place only — its evaluation loop, which asks a candidate source for
+// the next snapshot position and so ranges over no table — and nothing
+// on the serve path carries a //lint:ignore for this analyzer today;
+// a new walk of the table must justify itself with one.
 var scanFreeScope = map[string]bool{
 	"smartsock/internal/core":   true,
 	"smartsock/internal/wizard": true,
@@ -43,7 +44,7 @@ func isSysRecordSlice(t types.Type) bool {
 // wizard/core serve path.
 var ScanFree = &Analyzer{
 	Name: "scanfree",
-	Doc:  "serve-path code must not range over sys-table snapshots; selection goes through the index planner, and sanctioned scans (planner fallback, pre-planner baseline) need a //lint:ignore rationale",
+	Doc:  "serve-path code must not range over sys-table snapshots; selection visits records through the selector's one evaluation loop, and any other walk needs a //lint:ignore rationale",
 	Run: func(pass *Pass) {
 		if !scanFreeScope[pass.Pkg.Path] {
 			return
@@ -58,7 +59,7 @@ var ScanFree = &Analyzer{
 					return true
 				}
 				if isSysRecordSlice(pass.Pkg.Info.TypeOf(rng.X)) {
-					pass.Reportf(rng.Pos(), "range over a sys-record table on the serve path; query the selection planner's index instead, or justify the scan with //lint:ignore scanfree <reason>")
+					pass.Reportf(rng.Pos(), "range over a sys-record table on the serve path; go through the selector's evaluation loop instead, or justify the scan with //lint:ignore scanfree <reason>")
 				}
 				return true
 			})

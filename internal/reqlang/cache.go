@@ -35,10 +35,16 @@ type Cache struct {
 	misses *obs.Counter // reqlang_cache_misses
 }
 
+// cacheEntry is one resident text. It is inserted before its text
+// is compiled, so every caller racing the compile finds it and waits
+// on ready instead of compiling again: one text costs one Parse — and
+// one miss — however many requests arrive together.
 type cacheEntry struct {
-	src  string
-	prog *Program
-	err  error
+	src   string
+	prog  *Program
+	err   error
+	done  bool          // prog/err are set; guarded by Cache.mu
+	ready chan struct{} // closed once done
 }
 
 // NewCache builds a cache bounded to max compiled programs with
@@ -65,11 +71,12 @@ func NewCacheObs(max int, reg *obs.Registry) *Cache {
 	return c
 }
 
-// Get returns the compiled program for src, parsing it at most once
-// while it stays resident. The parse itself runs outside the cache
-// lock so a storm of distinct texts does not serialise on it. Get
-// never retains src itself (inserted keys are cloned), so src may
-// alias a buffer the caller reuses.
+// Get returns the compiled program for src, parsing it exactly once
+// while it stays resident: the first caller compiles, outside the
+// cache lock so a storm of distinct texts does not serialise on it,
+// and callers that arrive meanwhile wait for that compile and count
+// as hits. Get never retains src itself (inserted keys are cloned),
+// so src may alias a buffer the caller reuses.
 func (c *Cache) Get(src string) (*Program, error) {
 	if c == nil || c.max <= 0 {
 		if c != nil {
@@ -81,32 +88,33 @@ func (c *Cache) Get(src string) (*Program, error) {
 	if el, ok := c.entries[src]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
+		prog, err, done := e.prog, e.err, e.done
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return e.prog, e.err
-	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	prog, err := Parse(src)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[src]; ok {
-		// Another goroutine compiled the same text while we parsed;
-		// keep its entry so all callers share one Program.
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		return e.prog, e.err
+		if !done {
+			// The close orders the compiler's writes before these reads.
+			<-e.ready
+			prog, err = e.prog, e.err
+		}
+		return prog, err
 	}
 	// Clone before inserting: callers may pass a src that aliases a
 	// reusable receive buffer (the wizard's zero-alloc serve path
 	// does), and the map key outlives the call.
-	src = strings.Clone(src)
-	c.entries[src] = c.ll.PushFront(&cacheEntry{src: src, prog: prog, err: err})
+	e := &cacheEntry{src: strings.Clone(src), ready: make(chan struct{})}
+	c.entries[e.src] = c.ll.PushFront(e)
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).src)
 	}
+	c.mu.Unlock()
+	c.misses.Add(1)
+	prog, err := Parse(e.src)
+	c.mu.Lock()
+	e.prog, e.err, e.done = prog, err, true
+	c.mu.Unlock()
+	close(e.ready)
 	return prog, err
 }
 

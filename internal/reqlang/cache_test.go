@@ -140,3 +140,40 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Errorf("cache grew to %d entries, max 16", c.Len())
 	}
 }
+
+// TestCacheColdRaceCompilesOnce pins the in-flight dedup: however many
+// goroutines meet a cold cache together, each distinct text is
+// compiled — and counted as a miss — exactly once, every other call
+// is a hit, and all callers of one text share one Program.
+func TestCacheColdRaceCompilesOnce(t *testing.T) {
+	const goroutines, texts, rounds = 16, 4, 50
+	for round := 0; round < rounds; round++ {
+		c := NewCache(16)
+		progs := make([]*Program, goroutines)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				p, err := c.Get(fmt.Sprintf("host_cpu_free > 0.%d\n", g%texts))
+				if err != nil {
+					t.Error(err)
+				}
+				progs[g] = p
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		hits, misses := c.Stats()
+		if misses != texts || hits+misses != goroutines {
+			t.Fatalf("round %d: %d hits / %d misses, want %d / %d", round, hits, misses, goroutines-texts, texts)
+		}
+		for g := texts; g < goroutines; g++ {
+			if progs[g] != progs[g%texts] {
+				t.Fatalf("round %d: goroutines %d and %d got different programs for one text", round, g, g%texts)
+			}
+		}
+	}
+}

@@ -3,9 +3,7 @@ package reqlang
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Value is the tagged union the evaluator computes: every expression
@@ -39,14 +37,74 @@ func (v Value) String() string {
 	return fmt.Sprintf("%g", v.Num)
 }
 
-// Env supplies the server-side parameter bindings for one candidate
-// server: the 22 numeric variables extracted from its status report
-// plus the network and security parameters merged in by the wizard.
-// StrParams carries the Chapter 6 string-attribute extension
-// (machine_type and friends).
+// Env holds the variable bindings of one Program for one candidate
+// server. Every identifier was resolved to a slot at Parse, so an Env
+// is a value array plus defined-bitmasks: binding a server's status
+// variables is one indexed store each, and the evaluator reads them
+// back by index — no map is cleared, assigned or probed per record.
+// Slot i binds Program.MentionedVars()[i].
+//
+// An Env also carries the evaluator's scratch (temporaries, user
+// parameters, the host lists a Result returns), so a caller that
+// reuses one Env across a whole selection allocates nothing per
+// record. An Env serves one goroutine at a time.
 type Env struct {
-	Params    map[string]float64
-	StrParams map[string]string
+	prog *Program
+	// vals holds one Value per variable slot: the server-side binding
+	// when the slot's bound bit is set, else the temporary assigned
+	// during the current evaluation when its temp bit is set.
+	vals  []Value
+	bound mask
+	temp  mask
+	// uvals/uset are the user-parameter slots, in name order.
+	uvals []Value
+	uset  mask
+
+	denied, preferred []string
+}
+
+// mask is a small bitset over slots.
+type mask []uint64
+
+func (m mask) has(i int) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (m mask) set(i int)      { m[i>>6] |= 1 << (uint(i) & 63) }
+
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// NewEnv returns an environment sized for the program, every slot
+// unbound.
+func (p *Program) NewEnv() *Env {
+	e := &Env{}
+	e.Bind(p)
+	return e
+}
+
+// Bind re-targets the environment at a program, reusing its storage,
+// and leaves every slot unbound. A pooled environment is bound once
+// per selection.
+func (e *Env) Bind(p *Program) {
+	words := (len(p.vars) + 63) / 64
+	e.prog = p
+	e.vals = resize(e.vals, len(p.vars))
+	e.bound = resize(e.bound, words)
+	e.temp = resize(e.temp, words)
+	e.uvals = resize(e.uvals, len(p.uparams))
+	e.uset = resize(e.uset, (len(p.uparams)+63)/64)
+	e.Reset()
+}
+
+// Reset unbinds every server-side slot, ready for the next record.
+func (e *Env) Reset() { clear(e.bound) }
+
+// Set binds a numeric server-side variable by slot.
+func (e *Env) Set(slot int, v float64) {
+	e.vals[slot] = Value{Num: v}
+	e.bound.set(slot)
 }
 
 // EvalError is a runtime evaluation failure (division by zero, type
@@ -78,7 +136,9 @@ type Result struct {
 	// Qualified is true when every logical statement evaluated true.
 	Qualified bool
 	// Denied and Preferred collect the user-side host parameters
-	// (user_denied_hostN / user_preferred_hostN assignments).
+	// (user_denied_hostN / user_preferred_hostN assignments), in slot
+	// (name) order. They alias the Env's scratch and are valid until
+	// the next evaluation against that Env.
 	Denied    []string
 	Preferred []string
 	// Score is the value of the last non-logical, non-assignment
@@ -104,31 +164,12 @@ func IsUserParam(name string) bool {
 	return strings.HasPrefix(name, deniedPrefix) || strings.HasPrefix(name, preferredPrefix)
 }
 
-// evalState carries per-evaluation mutable bindings. States are
-// pooled: the wizard evaluates one program against every candidate
-// server, and allocating two maps per server per request dominated
-// the selection profile. The maps are created lazily (most
-// requirements assign nothing) and cleared on release.
-type evalState struct {
-	env     *Env
-	temps   map[string]Value
-	uparams map[string]Value
-}
-
-var statePool = sync.Pool{New: func() any { return new(evalState) }}
-
-func (st *evalState) release() {
-	st.env = nil
-	clear(st.temps)
-	clear(st.uparams)
-	statePool.Put(st)
-}
-
 // Eval runs the program against one server's environment, following
 // the Fig 4.2 semantics: statements run top to bottom; each logical
 // statement must be true for the server to qualify; assignments to
 // user-side parameters record denied/preferred hosts; temporary
-// variables persist across lines within one evaluation.
+// variables persist across lines within one evaluation. A nil env
+// evaluates with every server-side variable undefined.
 func (p *Program) Eval(env *Env) Result { return p.EvalFrom(env, 0) }
 
 // EvalFrom evaluates the program starting at statement index from,
@@ -142,13 +183,19 @@ func (p *Program) EvalFrom(env *Env, from int) Result {
 	if from < 0 {
 		from = 0
 	}
-	st := statePool.Get().(*evalState)
-	st.env = env
-	defer st.release()
+	if env == nil {
+		env = p.NewEnv()
+	} else if env.prog != p {
+		// Slots are per program; bindings made for another one mean
+		// nothing here.
+		env.Bind(p)
+	}
+	clear(env.temp)
+	clear(env.uset)
 	res := Result{Qualified: true}
 	for i := from; i < len(p.Stmts); i++ {
 		stmt := &p.Stmts[i]
-		v, err := st.eval(stmt.Expr)
+		v, err := env.eval(stmt.Expr)
 		if err != nil {
 			if _, undef := err.(*undefinedError); undef && stmt.Logical {
 				// Thesis rule: an uninitialized variable inside a
@@ -170,15 +217,7 @@ func (p *Program) EvalFrom(env *Env, from int) Result {
 			}
 			continue
 		}
-		expr := stmt.Expr
-		for {
-			p, ok := expr.(*parenNode)
-			if !ok {
-				break
-			}
-			expr = p.x
-		}
-		if _, isAssign := expr.(*assignNode); !isAssign && !v.IsStr {
+		if stmt.scores && !v.IsStr {
 			res.Score = v.Num
 			res.HasScore = true
 		}
@@ -186,37 +225,41 @@ func (p *Program) EvalFrom(env *Env, from int) Result {
 	// Collect user parameters in slot order (user_preferred_host1
 	// before host2, …): the preference ranking the wizard applies
 	// follows the order the user numbered the slots.
-	names := make([]string, 0, len(st.uparams))
-	for name := range st.uparams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := st.uparams[name]
-		if !v.IsStr || v.Str == "" {
+	env.denied, env.preferred = env.denied[:0], env.preferred[:0]
+	for slot := range p.uparams {
+		if !env.uset.has(slot) || env.uvals[slot].Str == "" {
 			continue
 		}
-		if strings.HasPrefix(name, deniedPrefix) {
-			res.Denied = append(res.Denied, v.Str)
+		if p.uparams[slot].denied {
+			env.denied = append(env.denied, env.uvals[slot].Str)
 		} else {
-			res.Preferred = append(res.Preferred, v.Str)
+			env.preferred = append(env.preferred, env.uvals[slot].Str)
 		}
+	}
+	if len(env.denied) > 0 {
+		res.Denied = env.denied
+	}
+	if len(env.preferred) > 0 {
+		res.Preferred = env.preferred
 	}
 	return res
 }
 
-func (st *evalState) eval(n node) (Value, error) {
+// eval walks one AST node. It is the only evaluator: identifiers
+// carry the slots Parse resolved them to, so the walk touches arrays,
+// never names.
+func (e *Env) eval(n node) (Value, error) {
 	switch v := n.(type) {
 	case *numNode:
 		return NumValue(v.val), nil
 	case *strNode:
 		return StrValue(v.val), nil
 	case *parenNode:
-		return st.eval(v.x)
+		return e.eval(v.x)
 	case *varNode:
-		return st.lookup(v.name)
+		return e.lookup(v)
 	case *unaryNode:
-		x, err := st.eval(v.x)
+		x, err := e.eval(v.x)
 		if err != nil {
 			return Value{}, err
 		}
@@ -225,100 +268,97 @@ func (st *evalState) eval(n node) (Value, error) {
 		}
 		return NumValue(-x.Num), nil
 	case *assignNode:
-		return st.assign(v)
+		return e.assign(v)
 	case *callNode:
-		return st.call(v)
+		return e.call(v)
 	case *binNode:
-		return st.binary(v)
+		return e.binary(v)
 	}
 	return Value{}, fmt.Errorf("internal: unknown node %T", n)
 }
 
-func (st *evalState) lookup(name string) (Value, error) {
-	if IsUserParam(name) {
-		if v, ok := st.uparams[name]; ok {
-			return v, nil
+func (e *Env) lookup(v *varNode) (Value, error) {
+	switch v.ref.kind {
+	case refUser:
+		if e.uset.has(v.ref.slot) {
+			return e.uvals[v.ref.slot], nil
 		}
 		return StrValue(""), nil // unset user param reads as empty
+	case refConst:
+		return NumValue(v.ref.val), nil
 	}
-	if st.env != nil {
-		if v, ok := st.env.Params[name]; ok {
-			return NumValue(v), nil
-		}
-		if s, ok := st.env.StrParams[name]; ok {
-			return StrValue(s), nil
-		}
+	// A server-side binding shadows a temporary of the same name; a
+	// slot with neither is the thesis' uninitialized variable.
+	if e.bound.has(v.ref.slot) || e.temp.has(v.ref.slot) {
+		return e.vals[v.ref.slot], nil
 	}
-	if c, ok := constants[name]; ok {
-		return NumValue(c), nil
-	}
-	if v, ok := st.temps[name]; ok {
-		return v, nil
-	}
-	return Value{}, &undefinedError{name: name}
+	return Value{}, v.undef
 }
 
-func (st *evalState) assign(a *assignNode) (Value, error) {
-	if st.env != nil {
-		if _, isParam := st.env.Params[a.name]; isParam {
-			return Value{}, fmt.Errorf("cannot assign to server-side parameter %q", a.name)
-		}
+func (e *Env) assign(a *assignNode) (Value, error) {
+	// Only a record that defines the variable makes it a server-side
+	// parameter; on any other record the same statement creates a
+	// temporary.
+	serverNum := a.ref.kind == refVar && e.bound.has(a.ref.slot) && !e.vals[a.ref.slot].IsStr
+	if serverNum {
+		return Value{}, fmt.Errorf("cannot assign to server-side parameter %q", a.name)
 	}
-	if _, isConst := constants[a.name]; isConst {
+	if a.ref.kind == refConst {
 		return Value{}, fmt.Errorf("cannot assign to constant %q", a.name)
 	}
-	v, err := st.eval(a.rhs)
+	v, err := e.eval(a.rhs)
 	if err != nil {
 		// Thesis convenience: "user_denied_host1 = telesto" names a
 		// host with a bare word. An undefined variable on the RHS of
 		// a user-parameter assignment is taken as a host string.
-		if undef, ok := err.(*undefinedError); ok && IsUserParam(a.name) {
+		if undef, ok := err.(*undefinedError); ok && a.ref.kind == refUser {
 			v = StrValue(undef.name)
 		} else {
 			return Value{}, err
 		}
 	}
-	if IsUserParam(a.name) {
+	if a.ref.kind == refUser {
 		if !v.IsStr {
 			return Value{}, fmt.Errorf("user parameter %q needs a host name or address, got %s", a.name, v)
 		}
-		if st.uparams == nil {
-			st.uparams = make(map[string]Value, 4)
-		}
-		st.uparams[a.name] = v
+		e.uvals[a.ref.slot] = v
+		e.uset.set(a.ref.slot)
 		return v, nil
 	}
-	if st.temps == nil {
-		st.temps = make(map[string]Value, 4)
+	// A bound string attribute keeps shadowing the name, so the
+	// temporary would never be read: only an unbound slot stores it.
+	if !e.bound.has(a.ref.slot) {
+		e.vals[a.ref.slot] = v
+		e.temp.set(a.ref.slot)
 	}
-	st.temps[a.name] = v
 	return v, nil
 }
 
-func (st *evalState) binary(b *binNode) (Value, error) {
-	l, err := st.eval(b.l)
+func boolValue(ok bool) Value {
+	if ok {
+		return Value{Num: 1}
+	}
+	return Value{}
+}
+
+func (e *Env) binary(b *binNode) (Value, error) {
+	l, err := e.eval(b.l)
 	if err != nil {
 		return Value{}, err
 	}
-	r, err := st.eval(b.r)
+	r, err := e.eval(b.r)
 	if err != nil {
 		return Value{}, err
-	}
-	boolVal := func(ok bool) Value {
-		if ok {
-			return NumValue(1)
-		}
-		return NumValue(0)
 	}
 	switch b.op {
 	case tokAnd:
-		return boolVal(l.Truthy() && r.Truthy()), nil
+		return boolValue(l.Truthy() && r.Truthy()), nil
 	case tokOr:
-		return boolVal(l.Truthy() || r.Truthy()), nil
+		return boolValue(l.Truthy() || r.Truthy()), nil
 	case tokEQ:
-		return boolVal(valueEqual(l, r)), nil
+		return boolValue(valueEqual(l, r)), nil
 	case tokNE:
-		return boolVal(!valueEqual(l, r)), nil
+		return boolValue(!valueEqual(l, r)), nil
 	}
 	// Remaining operators are numeric-only.
 	if l.IsStr || r.IsStr {
@@ -326,13 +366,13 @@ func (st *evalState) binary(b *binNode) (Value, error) {
 	}
 	switch b.op {
 	case tokLT:
-		return boolVal(l.Num < r.Num), nil
+		return boolValue(l.Num < r.Num), nil
 	case tokLE:
-		return boolVal(l.Num <= r.Num), nil
+		return boolValue(l.Num <= r.Num), nil
 	case tokGT:
-		return boolVal(l.Num > r.Num), nil
+		return boolValue(l.Num > r.Num), nil
 	case tokGE:
-		return boolVal(l.Num >= r.Num), nil
+		return boolValue(l.Num >= r.Num), nil
 	case tokPlus:
 		return NumValue(l.Num + r.Num), nil
 	case tokMinus:
@@ -370,47 +410,54 @@ var constants = map[string]float64{
 	"false": 0,
 }
 
-// builtin is a predefined math function (Appendix B.4).
+// maxArity is the widest built-in; call evaluates arguments into a
+// fixed array of this size so a function call allocates nothing.
+const maxArity = 2
+
+// builtin is a predefined math function (Appendix B.4). fn reads
+// a[:arity].
 type builtin struct {
 	arity int
-	fn    func(args []float64) (float64, error)
+	fn    func(a [maxArity]float64) (float64, error)
 }
 
-func unary(f func(float64) float64) builtin {
-	return builtin{arity: 1, fn: func(a []float64) (float64, error) { return f(a[0]), nil }}
+func unary(f func(float64) float64) *builtin {
+	return &builtin{arity: 1, fn: func(a [maxArity]float64) (float64, error) { return f(a[0]), nil }}
 }
 
-var builtins = map[string]builtin{
-	"sin":  unary(math.Sin),
-	"cos":  unary(math.Cos),
-	"tan":  unary(math.Tan),
-	"atan": unary(math.Atan),
-	"exp":  unary(math.Exp),
-	"sqrt": {arity: 1, fn: func(a []float64) (float64, error) {
-		if a[0] < 0 {
-			return 0, fmt.Errorf("sqrt of negative number %g", a[0])
+func binaryFn(f func(x, y float64) float64) *builtin {
+	return &builtin{arity: 2, fn: func(a [maxArity]float64) (float64, error) { return f(a[0], a[1]), nil }}
+}
+
+func positive(name string, strict bool, f func(float64) float64) *builtin {
+	return &builtin{arity: 1, fn: func(a [maxArity]float64) (float64, error) {
+		if a[0] < 0 || strict && a[0] == 0 {
+			kind := "negative"
+			if strict {
+				kind = "non-positive"
+			}
+			return 0, fmt.Errorf("%s of %s number %g", name, kind, a[0])
 		}
-		return math.Sqrt(a[0]), nil
-	}},
+		return f(a[0]), nil
+	}}
+}
+
+var builtins = map[string]*builtin{
+	"sin":   unary(math.Sin),
+	"cos":   unary(math.Cos),
+	"tan":   unary(math.Tan),
+	"atan":  unary(math.Atan),
+	"exp":   unary(math.Exp),
+	"sqrt":  positive("sqrt", false, math.Sqrt),
 	"abs":   unary(math.Abs),
 	"floor": unary(math.Floor),
 	"ceil":  unary(math.Ceil),
 	"int":   unary(math.Trunc),
-	"log": {arity: 1, fn: func(a []float64) (float64, error) {
-		if a[0] <= 0 {
-			return 0, fmt.Errorf("log of non-positive number %g", a[0])
-		}
-		return math.Log(a[0]), nil
-	}},
-	"log10": {arity: 1, fn: func(a []float64) (float64, error) {
-		if a[0] <= 0 {
-			return 0, fmt.Errorf("log10 of non-positive number %g", a[0])
-		}
-		return math.Log10(a[0]), nil
-	}},
-	"pow": {arity: 2, fn: func(a []float64) (float64, error) { return math.Pow(a[0], a[1]), nil }},
-	"min": {arity: 2, fn: func(a []float64) (float64, error) { return math.Min(a[0], a[1]), nil }},
-	"max": {arity: 2, fn: func(a []float64) (float64, error) { return math.Max(a[0], a[1]), nil }},
+	"log":   positive("log", true, math.Log),
+	"log10": positive("log10", true, math.Log10),
+	"pow":   binaryFn(math.Pow),
+	"min":   binaryFn(math.Min),
+	"max":   binaryFn(math.Max),
 }
 
 // Builtins lists the available function names, for documentation and
@@ -423,17 +470,17 @@ func Builtins() []string {
 	return names
 }
 
-func (st *evalState) call(c *callNode) (Value, error) {
-	b, ok := builtins[c.fn]
-	if !ok {
+func (e *Env) call(c *callNode) (Value, error) {
+	b := c.builtin
+	if b == nil {
 		return Value{}, fmt.Errorf("unknown function %q", c.fn)
 	}
 	if len(c.args) != b.arity {
 		return Value{}, fmt.Errorf("%s takes %d argument(s), got %d", c.fn, b.arity, len(c.args))
 	}
-	args := make([]float64, len(c.args))
+	var args [maxArity]float64
 	for i, a := range c.args {
-		v, err := st.eval(a)
+		v, err := e.eval(a)
 		if err != nil {
 			return Value{}, err
 		}

@@ -127,8 +127,8 @@ func TestPropertyFormatPreservesEvaluation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r1 := p1.Eval(envp)
-		r2 := p2.Eval(envp)
+		r1 := evalWith(p1, envp)
+		r2 := evalWith(p2, envp)
 		if (r1.Err == nil) != (r2.Err == nil) {
 			return false
 		}

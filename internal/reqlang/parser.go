@@ -24,13 +24,33 @@ type strNode struct {
 	line, col int
 }
 
+// refKind says which table an identifier resolved to at Parse.
+type refKind uint8
+
+const (
+	refVar   refKind = iota // server-side variable or temporary: Env.vals[slot]
+	refUser                 // user_denied_host*/user_preferred_host*: Env.uvals[slot]
+	refConst                // predefined constant: val
+)
+
+// ref is a resolved identifier: the evaluator reads and writes slots,
+// never names.
+type ref struct {
+	kind refKind
+	slot int
+	val  float64
+}
+
 type varNode struct {
 	name      string
+	ref       ref
+	undef     *undefinedError // what reading the slot while unset returns
 	line, col int
 }
 
 type assignNode struct {
 	name      string
+	ref       ref
 	rhs       node
 	line, col int
 }
@@ -48,6 +68,7 @@ type binNode struct {
 
 type callNode struct {
 	fn        string
+	builtin   *builtin // nil for an unknown function, an evaluation error
 	args      []node
 	line, col int
 }
@@ -91,6 +112,9 @@ type Statement struct {
 	Logical bool
 	Line    int
 	Src     string // the raw source line, for diagnostics
+	// scores marks a non-logical statement that is not an assignment:
+	// its numeric value is the program's score so far.
+	scores bool
 }
 
 // Program is a parsed requirement, ready to evaluate against many
@@ -104,6 +128,19 @@ type Program struct {
 	free      []string        // free variables, sorted
 	mentioned []string        // read or assigned identifiers, sorted
 	refs      map[string]bool // set view of mentioned
+	// Slot tables: every identifier in the AST carries an index into
+	// one of these. vars is mentioned followed by the bare host words
+	// of user-parameter assignments (slots nobody binds); uparams is
+	// the user-side parameters in name order, the order their hosts
+	// are reported in.
+	vars    []string
+	uparams []uparam
+}
+
+// uparam is one user-side parameter slot.
+type uparam struct {
+	name   string
+	denied bool // user_denied_host*, else user_preferred_host*
 }
 
 // Source returns the original requirement text.
@@ -174,11 +211,14 @@ func Parse(src string) (*Program, error) {
 		if start.line-1 < len(lines) {
 			raw = strings.TrimSpace(lines[start.line-1])
 		}
+		logical := isLogical(expr)
+		_, assigns := stripParens(expr).(*assignNode)
 		prog.Stmts = append(prog.Stmts, Statement{
 			Expr:    expr,
-			Logical: isLogical(expr),
+			Logical: logical,
 			Line:    start.line,
 			Src:     raw,
+			scores:  !logical && !assigns,
 		})
 	}
 	prog.resolveVars()
@@ -284,7 +324,7 @@ func (p *parser) parsePrimary() (node, error) {
 			if _, err := p.expect(tokRParen); err != nil {
 				return nil, err
 			}
-			return &callNode{fn: t.text, args: args, line: t.line, col: t.col}, nil
+			return &callNode{fn: t.text, builtin: builtins[t.text], args: args, line: t.line, col: t.col}, nil
 		case tokAssign:
 			p.advance()
 			rhs, err := p.parseExpr(0)

@@ -80,8 +80,12 @@ func probeEnv(plan *Plan, override string, v float64) map[string]float64 {
 
 func checkProbe(t *testing.T, src string, prog *Program, plan *Plan, params map[string]float64) {
 	t.Helper()
-	env := &Env{Params: params}
-	full := prog.Eval(env)
+	full := prog.Eval(prog.MapEnv(params, nil))
+	// The slot evaluator agrees with the map-backed reference on every
+	// probe, before the planner's own contracts are checked.
+	if err := sameResult(full, refEvalFrom(prog, &refEnv{Params: params}, 0)); err != nil {
+		t.Fatalf("source %q env %v: slot evaluation diverged from the map reference:\n%v", src, params, err)
+	}
 	pass := true
 	for _, c := range plan.Cons {
 		v, ok := params[c.Var]
@@ -91,7 +95,7 @@ func checkProbe(t *testing.T, src string, prog *Program, plan *Plan, params map[
 		}
 	}
 	if pass {
-		resid := prog.EvalFrom(env, plan.Prefix)
+		resid := prog.EvalFrom(prog.MapEnv(params, nil), plan.Prefix)
 		if !reflect.DeepEqual(resid, full) {
 			t.Fatalf("source %q env %v:\nresidual from %d: %+v\nfull:            %+v",
 				src, params, plan.Prefix, resid, full)

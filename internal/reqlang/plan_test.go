@@ -159,8 +159,7 @@ func TestPlanResidualEquivalence(t *testing.T) {
 		{"host_cpu_free": 0.5, "host_system_load1": 2},
 	}
 	for _, params := range envs {
-		env := &Env{Params: params}
-		full := prog.Eval(env)
+		full := prog.Eval(prog.MapEnv(params, nil))
 		pass := true
 		for _, c := range plan.Cons {
 			v, ok := params[c.Var]
@@ -169,7 +168,7 @@ func TestPlanResidualEquivalence(t *testing.T) {
 			}
 		}
 		if pass {
-			resid := prog.EvalFrom(env, plan.Prefix)
+			resid := prog.EvalFrom(prog.MapEnv(params, nil), plan.Prefix)
 			if !reflect.DeepEqual(resid, full) {
 				t.Errorf("env %v: residual %+v != full %+v", params, resid, full)
 			}

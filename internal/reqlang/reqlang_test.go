@@ -7,8 +7,12 @@ import (
 	"testing/quick"
 )
 
-func env(params map[string]float64) *Env {
-	return &Env{Params: params}
+// env is the name-keyed binding set a test writes by hand; evalWith
+// adapts it to the program's slots.
+func env(params map[string]float64) map[string]float64 { return params }
+
+func evalWith(p *Program, params map[string]float64) Result {
+	return p.Eval(p.MapEnv(params, nil))
 }
 
 func mustParse(t *testing.T, src string) *Program {
@@ -40,7 +44,7 @@ user_preferred_host1 = sagit.ddns.comp.nus.edu.sg
 	if got := p.NumLogical(); got != 4 {
 		t.Errorf("NumLogical = %d, want 4", got)
 	}
-	res := p.Eval(env(map[string]float64{
+	res := evalWith(p, env(map[string]float64{
 		"host_system_load1":     0.3,
 		"host_memory_used":      100 * 1024 * 1024,
 		"host_cpu_free":         0.95,
@@ -62,7 +66,7 @@ user_preferred_host1 = sagit.ddns.comp.nus.edu.sg
 
 func TestEvalDisqualifiesOnFailedStatement(t *testing.T) {
 	p := mustParse(t, "host_cpu_free >= 0.9\nhost_memory_free > 5\n")
-	res := p.Eval(env(map[string]float64{
+	res := evalWith(p, env(map[string]float64{
 		"host_cpu_free":    0.95,
 		"host_memory_free": 2,
 	}))
@@ -109,10 +113,10 @@ half = limit / 2
 host_memory_used <= half
 `
 	p := mustParse(t, src)
-	if ok := p.Eval(env(map[string]float64{"host_memory_used": 1000})).Qualified; !ok {
+	if ok := evalWith(p, env(map[string]float64{"host_memory_used": 1000})).Qualified; !ok {
 		t.Error("1000 <= 128000 should qualify")
 	}
-	if ok := p.Eval(env(map[string]float64{"host_memory_used": 1e9})).Qualified; ok {
+	if ok := evalWith(p, env(map[string]float64{"host_memory_used": 1e9})).Qualified; ok {
 		t.Error("1e9 <= 128000 should not qualify")
 	}
 }
@@ -122,7 +126,7 @@ func TestUndefinedVariableInLogicalStatementIsFalse(t *testing.T) {
 	// logical statement, the whole statement will be considered as a
 	// false statement."
 	p := mustParse(t, "no_such_var < 10")
-	res := p.Eval(env(nil))
+	res := evalWith(p, env(nil))
 	if res.Qualified {
 		t.Error("statement with undefined variable should be false")
 	}
@@ -133,7 +137,7 @@ func TestUndefinedVariableInLogicalStatementIsFalse(t *testing.T) {
 
 func TestUndefinedVariableInNonLogicalStatementIsHardError(t *testing.T) {
 	p := mustParse(t, "x = no_such_var + 1")
-	res := p.Eval(env(nil))
+	res := evalWith(p, env(nil))
 	if res.Err == nil {
 		t.Error("expected hard error for undefined var in non-logical statement")
 	}
@@ -144,7 +148,7 @@ func TestUndefinedVariableInNonLogicalStatementIsHardError(t *testing.T) {
 
 func TestDivisionByZeroIsHardError(t *testing.T) {
 	p := mustParse(t, "1 / 0 < 5")
-	res := p.Eval(env(nil))
+	res := evalWith(p, env(nil))
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "division by 0") {
 		t.Errorf("Err = %v, want division by 0", res.Err)
 	}
@@ -172,8 +176,7 @@ func TestOperatorPrecedence(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := mustParse(t, c.src)
-		st := &evalState{env: env(nil), temps: map[string]Value{}, uparams: map[string]Value{}}
-		v, err := st.eval(p.Stmts[0].Expr)
+		v, err := p.NewEnv().eval(p.Stmts[0].Expr)
 		if err != nil {
 			t.Errorf("%q: eval error %v", c.src, err)
 			continue
@@ -203,8 +206,7 @@ func TestBuiltinFunctions(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := mustParse(t, "v = "+c.src)
-		st := &evalState{env: env(nil), temps: map[string]Value{}, uparams: map[string]Value{}}
-		v, err := st.eval(p.Stmts[0].Expr)
+		v, err := p.NewEnv().eval(p.Stmts[0].Expr)
 		if err != nil {
 			t.Errorf("%q: %v", c.src, err)
 			continue
@@ -225,7 +227,7 @@ func TestBuiltinErrors(t *testing.T) {
 		"v = pow(2)",
 	} {
 		p := mustParse(t, src)
-		if res := p.Eval(env(nil)); res.Err == nil {
+		if res := evalWith(p, env(nil)); res.Err == nil {
 			t.Errorf("%q: expected evaluation error", src)
 		}
 	}
@@ -236,7 +238,7 @@ func TestNetAddrTokens(t *testing.T) {
 user_denied_host2 = bad.example.org
 user_preferred_host1 = "titan-x"
 `)
-	res := p.Eval(env(nil))
+	res := evalWith(p, env(nil))
 	if res.Err != nil {
 		t.Fatalf("Eval: %v", res.Err)
 	}
@@ -252,7 +254,7 @@ user_preferred_host1 = "titan-x"
 func TestBareWordHostInUserParamAssignment(t *testing.T) {
 	// Table 5.5 writes user_denied_host1 = telesto with a bare word.
 	p := mustParse(t, "user_denied_host1 = telesto")
-	res := p.Eval(env(nil))
+	res := evalWith(p, env(nil))
 	if res.Err != nil {
 		t.Fatalf("Eval: %v", res.Err)
 	}
@@ -266,7 +268,7 @@ func TestUserParamAssignmentInsideConjunction(t *testing.T) {
 	// logical statement.
 	src := `(host_cpu_free > 0.9) && (user_denied_host1 = telesto) && (user_denied_host2 = mimas)`
 	p := mustParse(t, src)
-	res := p.Eval(env(map[string]float64{"host_cpu_free": 0.95}))
+	res := evalWith(p, env(map[string]float64{"host_cpu_free": 0.95}))
 	if res.Err != nil {
 		t.Fatalf("Eval: %v", res.Err)
 	}
@@ -280,7 +282,7 @@ func TestUserParamAssignmentInsideConjunction(t *testing.T) {
 
 func TestAssignToServerParamRejected(t *testing.T) {
 	p := mustParse(t, "host_cpu_free = 1")
-	res := p.Eval(env(map[string]float64{"host_cpu_free": 0.2}))
+	res := evalWith(p, env(map[string]float64{"host_cpu_free": 0.2}))
 	if res.Err == nil {
 		t.Error("assigning to a server-side parameter should fail")
 	}
@@ -288,7 +290,7 @@ func TestAssignToServerParamRejected(t *testing.T) {
 
 func TestAssignToConstantRejected(t *testing.T) {
 	p := mustParse(t, "pi = 3")
-	if res := p.Eval(env(nil)); res.Err == nil {
+	if res := evalWith(p, env(nil)); res.Err == nil {
 		t.Error("assigning to a constant should fail")
 	}
 }
@@ -296,19 +298,17 @@ func TestAssignToConstantRejected(t *testing.T) {
 func TestStringAttributeExtension(t *testing.T) {
 	// Chapter 6: statements like machine_type == "i386".
 	p := mustParse(t, `machine_type == "i386"`)
-	e := &Env{StrParams: map[string]string{"machine_type": "i386"}}
-	if !p.Eval(e).Qualified {
+	if !p.Eval(p.MapEnv(nil, map[string]string{"machine_type": "i386"})).Qualified {
 		t.Error("machine_type == \"i386\" should qualify an i386 host")
 	}
-	e.StrParams["machine_type"] = "sparc"
-	if p.Eval(e).Qualified {
+	if p.Eval(p.MapEnv(nil, map[string]string{"machine_type": "sparc"})).Qualified {
 		t.Error("sparc host should not qualify")
 	}
 }
 
 func TestStringComparisonCaseInsensitive(t *testing.T) {
 	p := mustParse(t, `machine_type == "I386"`)
-	e := &Env{StrParams: map[string]string{"machine_type": "i386"}}
+	e := p.MapEnv(nil, map[string]string{"machine_type": "i386"})
 	if !p.Eval(e).Qualified {
 		t.Error("host-name style comparison should be case-insensitive")
 	}
@@ -316,7 +316,7 @@ func TestStringComparisonCaseInsensitive(t *testing.T) {
 
 func TestMixedTypeEqualityIsFalse(t *testing.T) {
 	p := mustParse(t, `machine_type == 386`)
-	e := &Env{StrParams: map[string]string{"machine_type": "386"}}
+	e := p.MapEnv(nil, map[string]string{"machine_type": "386"})
 	res := p.Eval(e)
 	if res.Err != nil {
 		t.Fatalf("Eval: %v", res.Err)
@@ -328,7 +328,7 @@ func TestMixedTypeEqualityIsFalse(t *testing.T) {
 
 func TestRelationalOnStringsIsHardError(t *testing.T) {
 	p := mustParse(t, `machine_type < 5`)
-	e := &Env{StrParams: map[string]string{"machine_type": "i386"}}
+	e := p.MapEnv(nil, map[string]string{"machine_type": "i386"})
 	if res := p.Eval(e); res.Err == nil {
 		t.Error("relational comparison on a string should be a hard error")
 	}
@@ -339,7 +339,7 @@ func TestScoreFromLastNonLogicalStatement(t *testing.T) {
 host_memory_free * 2
 `
 	p := mustParse(t, src)
-	res := p.Eval(env(map[string]float64{"host_cpu_free": 0.5, "host_memory_free": 21}))
+	res := evalWith(p, env(map[string]float64{"host_cpu_free": 0.5, "host_memory_free": 21}))
 	if !res.HasScore || res.Score != 42 {
 		t.Errorf("Score = %v (has=%v), want 42", res.Score, res.HasScore)
 	}
@@ -349,7 +349,7 @@ func TestMeaninglessStatementQualifiesEverything(t *testing.T) {
 	// §4.3: "A meaningless statement like 100 > 0 will make any server
 	// as a qualified candidate."
 	p := mustParse(t, "100 > 0")
-	if !p.Eval(env(nil)).Qualified {
+	if !evalWith(p, env(nil)).Qualified {
 		t.Error("100 > 0 should qualify any server")
 	}
 }
@@ -359,7 +359,7 @@ func TestEmptyRequirementQualifiesEverything(t *testing.T) {
 	if len(p.Stmts) != 0 {
 		t.Fatalf("got %d statements, want 0", len(p.Stmts))
 	}
-	if !p.Eval(env(nil)).Qualified {
+	if !evalWith(p, env(nil)).Qualified {
 		t.Error("empty requirement should qualify all servers")
 	}
 }
@@ -398,8 +398,8 @@ func TestEvalIsReusableAcrossServers(t *testing.T) {
 	// One parsed Program is evaluated once per server; temp variables
 	// and user params must not leak between evaluations.
 	p := mustParse(t, "x = host_cpu_free\nx > 0.5\nuser_denied_host1 = 10.0.0.1\n")
-	r1 := p.Eval(env(map[string]float64{"host_cpu_free": 0.9}))
-	r2 := p.Eval(env(map[string]float64{"host_cpu_free": 0.1}))
+	r1 := evalWith(p, env(map[string]float64{"host_cpu_free": 0.9}))
+	r2 := evalWith(p, env(map[string]float64{"host_cpu_free": 0.1}))
 	if !r1.Qualified || r2.Qualified {
 		t.Errorf("qualified = %v/%v, want true/false", r1.Qualified, r2.Qualified)
 	}
@@ -417,11 +417,7 @@ func TestPropertyArithmeticMatchesGo(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		st := &evalState{
-			env:     env(map[string]float64{"a": af, "b": bf, "c": cf}),
-			temps:   map[string]Value{},
-			uparams: map[string]Value{},
-		}
+		st := p.MapEnv(map[string]float64{"a": af, "b": bf, "c": cf}, nil)
 		v, err1 := st.eval(p.Stmts[0].Expr)
 		w, err2 := st.eval(p.Stmts[1].Expr)
 		q, err3 := st.eval(p.Stmts[2].Expr)
@@ -448,7 +444,7 @@ func TestPropertyParseNeverPanics(t *testing.T) {
 		}()
 		p, err := Parse(src)
 		if err == nil && p != nil {
-			p.Eval(env(map[string]float64{"a": 1}))
+			evalWith(p, env(map[string]float64{"a": 1}))
 		}
 		return true
 	}
@@ -473,7 +469,7 @@ user_denied_host1 = hacker.some.net
 		"host_cpu_nice":         0,
 		"monitor_network_delay": 5,
 	})
-	res := p.Eval(good)
+	res := evalWith(p, good)
 	if !res.Qualified {
 		t.Errorf("good server rejected (line %d, err %v)", res.FailedLine, res.Err)
 	}
@@ -487,7 +483,7 @@ user_denied_host1 = hacker.some.net
 		"host_cpu_nice":         0,
 		"monitor_network_delay": 100, // network A in Fig 1.4
 	})
-	if p.Eval(slow).Qualified {
+	if evalWith(p, slow).Qualified {
 		t.Error("network-A server (100 ms) should be rejected")
 	}
 }

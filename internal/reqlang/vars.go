@@ -1,6 +1,9 @@
 package reqlang
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // resolveVars walks the AST once, at parse time, and records the two
 // variable sets the rest of the system keys off:
@@ -25,6 +28,80 @@ func (p *Program) resolveVars() {
 	p.free = sortedKeys(free)
 	p.mentioned = sortedKeys(mentioned)
 	p.refs = mentioned
+	p.resolveSlots()
+}
+
+// resolveSlots gives every identifier in the AST its slot. Variable
+// slots list the mentioned variables first, in MentionedVars order —
+// the contract callers bind against — then the bare words that only
+// ever appear as the host of a user-parameter assignment
+// ("user_denied_host1 = telesto"): nobody binds those, so they stay
+// undefined and read as host names, but a program that also assigns
+// `telesto` a value still finds it. User parameters are slotted in
+// name order, which is the order Eval reports their hosts in.
+func (p *Program) resolveSlots() {
+	vars, users := map[string]bool{}, map[string]bool{}
+	for _, stmt := range p.Stmts {
+		walk(stmt.Expr, func(n node) {
+			name := ""
+			switch v := n.(type) {
+			case *varNode:
+				name = v.name
+			case *assignNode:
+				name = v.name
+			default:
+				return
+			}
+			if IsUserParam(name) {
+				users[name] = true
+			} else if _, isConst := constants[name]; !isConst && !p.refs[name] {
+				vars[name] = true
+			}
+		})
+	}
+	p.vars = append(append([]string(nil), p.mentioned...), sortedKeys(vars)...)
+	slotOf := make(map[string]ref, len(p.vars)+len(users))
+	for slot, name := range p.vars {
+		slotOf[name] = ref{kind: refVar, slot: slot}
+	}
+	for slot, name := range sortedKeys(users) {
+		p.uparams = append(p.uparams, uparam{name: name, denied: strings.HasPrefix(name, deniedPrefix)})
+		slotOf[name] = ref{kind: refUser, slot: slot}
+	}
+	for name, val := range constants {
+		slotOf[name] = ref{kind: refConst, val: val}
+	}
+	for _, stmt := range p.Stmts {
+		walk(stmt.Expr, func(n node) {
+			switch v := n.(type) {
+			case *varNode:
+				v.ref = slotOf[v.name]
+				v.undef = &undefinedError{name: v.name}
+			case *assignNode:
+				v.ref = slotOf[v.name]
+			}
+		})
+	}
+}
+
+// walk visits n and every node below it.
+func walk(n node, visit func(node)) {
+	visit(n)
+	switch v := n.(type) {
+	case *assignNode:
+		walk(v.rhs, visit)
+	case *unaryNode:
+		walk(v.x, visit)
+	case *parenNode:
+		walk(v.x, visit)
+	case *binNode:
+		walk(v.l, visit)
+		walk(v.r, visit)
+	case *callNode:
+		for _, a := range v.args {
+			walk(a, visit)
+		}
+	}
 }
 
 func sortedKeys(set map[string]bool) []string {
@@ -104,4 +181,16 @@ func collectVars(n node, assigned, free, mentioned map[string]bool) {
 			collectVars(a, assigned, free, mentioned)
 		}
 	}
+}
+
+// SetsPreferred reports whether the program mentions any
+// user_preferred_host* parameter, i.e. whether one server's
+// evaluation can move it ahead of servers found earlier.
+func (p *Program) SetsPreferred() bool {
+	for _, u := range p.uparams {
+		if !u.denied {
+			return true
+		}
+	}
+	return false
 }

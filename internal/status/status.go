@@ -148,97 +148,122 @@ type SecLevel struct {
 	Level int
 }
 
+// varNames lists the server-side variables a status report defines
+// (Appendix B.1), in the order VarAt indexes them.
+var varNames = [...]string{
+	"host_system_load1",
+	"host_system_load5",
+	"host_system_load15",
+	"host_cpu_user",
+	"host_cpu_nice",
+	"host_cpu_system",
+	"host_cpu_idle",
+	"host_cpu_free",
+	"host_cpu_bogomips",
+	"host_memory_total",
+	"host_memory_used",
+	"host_memory_free",
+	"host_memory_total_bytes",
+	"host_memory_used_bytes",
+	"host_memory_free_bytes",
+	"host_disk_allreq",
+	"host_disk_rreq",
+	"host_disk_rblocks",
+	"host_disk_wreq",
+	"host_disk_wblocks",
+	"host_network_rbytesps",
+	"host_network_rpacketsps",
+	"host_network_tbytesps",
+	"host_network_tpacketsps",
+}
+
+// VarIndex resolves a server-side variable name to its VarAt index,
+// -1 for a name no report defines. Callers that evaluate one
+// requirement against many records resolve the names once and read
+// each record by index.
+func VarIndex(name string) int {
+	for i, n := range varNames {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// VarAt returns the value of the variable VarIndex resolved to i: a
+// field read, with no string comparison per record.
+func (s *ServerStatus) VarAt(i int) float64 {
+	const mb = 1024 * 1024
+	switch i {
+	case 0:
+		return s.Load1
+	case 1:
+		return s.Load5
+	case 2:
+		return s.Load15
+	case 3:
+		return s.CPUUser
+	case 4:
+		return s.CPUNice
+	case 5:
+		return s.CPUSystem
+	case 6:
+		return s.CPUIdle
+	case 7:
+		return s.CPUFree()
+	case 8:
+		return s.Bogomips
+	case 9:
+		return float64(s.MemTotal) / mb
+	case 10:
+		return float64(s.MemUsed) / mb
+	case 11:
+		return float64(s.MemFree) / mb
+	case 12:
+		return float64(s.MemTotal)
+	case 13:
+		return float64(s.MemUsed)
+	case 14:
+		return float64(s.MemFree)
+	case 15:
+		return s.DiskAllReq
+	case 16:
+		return s.DiskRReq
+	case 17:
+		return s.DiskRBlocks
+	case 18:
+		return s.DiskWReq
+	case 19:
+		return s.DiskWBlocks
+	case 20:
+		return s.NetRBytesPS
+	case 21:
+		return s.NetRPacketsPS
+	case 22:
+		return s.NetTBytesPS
+	case 23:
+		return s.NetTPacketsPS
+	}
+	return 0
+}
+
 // Vars flattens a ServerStatus into the server-side variable bindings
 // the wizard hands to the requirement evaluator (Appendix B.1). Network
 // and security variables are merged in by the wizard because they come
 // from different databases.
 func (s *ServerStatus) Vars() map[string]float64 {
-	const mb = 1024 * 1024
-	return map[string]float64{
-		"host_system_load1":       s.Load1,
-		"host_system_load5":       s.Load5,
-		"host_system_load15":      s.Load15,
-		"host_cpu_user":           s.CPUUser,
-		"host_cpu_nice":           s.CPUNice,
-		"host_cpu_system":         s.CPUSystem,
-		"host_cpu_idle":           s.CPUIdle,
-		"host_cpu_free":           s.CPUFree(),
-		"host_cpu_bogomips":       s.Bogomips,
-		"host_memory_total":       float64(s.MemTotal) / mb,
-		"host_memory_used":        float64(s.MemUsed) / mb,
-		"host_memory_free":        float64(s.MemFree) / mb,
-		"host_memory_total_bytes": float64(s.MemTotal),
-		"host_memory_used_bytes":  float64(s.MemUsed),
-		"host_memory_free_bytes":  float64(s.MemFree),
-		"host_disk_allreq":        s.DiskAllReq,
-		"host_disk_rreq":          s.DiskRReq,
-		"host_disk_rblocks":       s.DiskRBlocks,
-		"host_disk_wreq":          s.DiskWReq,
-		"host_disk_wblocks":       s.DiskWBlocks,
-		"host_network_rbytesps":   s.NetRBytesPS,
-		"host_network_rpacketsps": s.NetRPacketsPS,
-		"host_network_tbytesps":   s.NetTBytesPS,
-		"host_network_tpacketsps": s.NetTPacketsPS,
+	vars := make(map[string]float64, len(varNames))
+	for i, name := range varNames {
+		vars[name] = s.VarAt(i)
 	}
+	return vars
 }
 
 // Var returns the value of one named server-side variable, the
-// per-name view of Vars. The selector uses it to bind only the
-// variables a compiled requirement actually mentions, instead of
-// materialising the full 25-entry table per candidate server.
+// per-name view of Vars.
 func (s *ServerStatus) Var(name string) (float64, bool) {
-	const mb = 1024 * 1024
-	switch name {
-	case "host_system_load1":
-		return s.Load1, true
-	case "host_system_load5":
-		return s.Load5, true
-	case "host_system_load15":
-		return s.Load15, true
-	case "host_cpu_user":
-		return s.CPUUser, true
-	case "host_cpu_nice":
-		return s.CPUNice, true
-	case "host_cpu_system":
-		return s.CPUSystem, true
-	case "host_cpu_idle":
-		return s.CPUIdle, true
-	case "host_cpu_free":
-		return s.CPUFree(), true
-	case "host_cpu_bogomips":
-		return s.Bogomips, true
-	case "host_memory_total":
-		return float64(s.MemTotal) / mb, true
-	case "host_memory_used":
-		return float64(s.MemUsed) / mb, true
-	case "host_memory_free":
-		return float64(s.MemFree) / mb, true
-	case "host_memory_total_bytes":
-		return float64(s.MemTotal), true
-	case "host_memory_used_bytes":
-		return float64(s.MemUsed), true
-	case "host_memory_free_bytes":
-		return float64(s.MemFree), true
-	case "host_disk_allreq":
-		return s.DiskAllReq, true
-	case "host_disk_rreq":
-		return s.DiskRReq, true
-	case "host_disk_rblocks":
-		return s.DiskRBlocks, true
-	case "host_disk_wreq":
-		return s.DiskWReq, true
-	case "host_disk_wblocks":
-		return s.DiskWBlocks, true
-	case "host_network_rbytesps":
-		return s.NetRBytesPS, true
-	case "host_network_rpacketsps":
-		return s.NetRPacketsPS, true
-	case "host_network_tbytesps":
-		return s.NetTBytesPS, true
-	case "host_network_tpacketsps":
-		return s.NetTPacketsPS, true
-	}
-	return 0, false
+	i := VarIndex(name)
+	return s.VarAt(i), i >= 0
 }
 
 // reportVersion is the leading tag of the ASCII probe report. Bump it

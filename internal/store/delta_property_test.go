@@ -237,15 +237,15 @@ func runDeltaPipeline(ops []propOp) error {
 	return p.check()
 }
 
-// shrink greedily removes ops while the failure persists, returning a
+// shrink greedily removes ops while run still fails, returning a
 // (locally) minimal failing sequence for the log.
-func shrink(ops []propOp) []propOp {
+func shrink(ops []propOp, run func([]propOp) error) []propOp {
 	reduced := true
 	for reduced {
 		reduced = false
 		for i := 0; i < len(ops); i++ {
 			cand := append(append([]propOp(nil), ops[:i]...), ops[i+1:]...)
-			if runDeltaPipeline(cand) != nil {
+			if run(cand) != nil {
 				ops = cand
 				reduced = true
 				break
@@ -264,7 +264,7 @@ func TestDeltaPipelineProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ops := genOps(rng, opsPerSeq)
 		if err := runDeltaPipeline(ops); err != nil {
-			minimal := shrink(ops)
+			minimal := shrink(ops, runDeltaPipeline)
 			t.Logf("seed %d minimal failing sequence (%d of %d ops): %v", seed, len(minimal), len(ops), minimal)
 			t.Fatalf("seed %d: %v (re-check on minimal: %v)", seed, err, runDeltaPipeline(minimal))
 		}

@@ -19,6 +19,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,6 +69,9 @@ type SysSnapshot struct {
 	// epoch stays valid across idle probe ticks.
 	Epoch   uint64
 	Records []SysRecord
+	// ver is the database version the snapshot reflects: the changelog
+	// entries above it name the hosts a successor must re-read.
+	ver uint64
 }
 
 // maxTombstones bounds the per-table tombstone maps. When a table
@@ -148,6 +152,10 @@ type DB struct {
 	// which coalesces any burst of probe reports landing between two
 	// selection requests into a single rebuild.
 	sysSnap atomic.Pointer[SysSnapshot]
+	// sysBase is the last snapshot built, kept past its invalidation:
+	// the next rebuild copies it and re-reads only the hosts the
+	// changelog names since (see sysViewRLocked).
+	sysBase atomic.Pointer[SysSnapshot]
 }
 
 // New creates an empty database using the real clock.
@@ -235,19 +243,70 @@ func (db *DB) SysView() *SysSnapshot {
 
 // sysViewRLocked returns the current snapshot, rebuilding it when a
 // mutation invalidated it. Callers hold db.mu at least for reading:
-// writers are excluded, so a non-nil cached snapshot is current.
+// writers are excluded, so a non-nil cached snapshot is current, and
+// concurrent rebuilders compute the same snapshot.
+//
+// The rebuild follows the delta-else-resync rule the transport and
+// the selection index use: when the changelog ring still covers the
+// previous snapshot's version, the new one is that snapshot's records
+// with the hosts written since overwritten, inserted or dropped; only
+// a base the ring has passed (or a whole-table Load, which resets the
+// ring) pays the collect-and-sort of the whole table.
 func (db *DB) sysViewRLocked() *SysSnapshot {
 	if s := db.sysSnap.Load(); s != nil {
 		return s
 	}
-	recs := make([]SysRecord, 0, len(db.sys))
-	for _, r := range db.sys {
-		recs = append(recs, *r)
+	recs, ok := db.patchedSysLocked(db.sysBase.Load())
+	if !ok {
+		recs = make([]SysRecord, 0, len(db.sys))
+		for _, r := range db.sys {
+			recs = append(recs, *r)
+		}
+		sort.Slice(recs, func(i, j int) bool { return recs[i].Status.Host < recs[j].Status.Host })
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Status.Host < recs[j].Status.Host })
-	s := &SysSnapshot{Epoch: db.epoch, Records: recs}
+	s := &SysSnapshot{Epoch: db.epoch, Records: recs, ver: db.ver}
 	db.sysSnap.Store(s)
+	db.sysBase.Store(s)
 	return s
+}
+
+// patchedSysLocked derives the current sorted record list from base
+// and the changelog: every sys mutation since base.ver — put, refresh,
+// expiry, delta apply, merge — left a ring entry naming its host, so
+// those hosts are re-read from the table and everything else is
+// copied across in runs. It declines (ok false) when the ring no
+// longer reaches back to base.
+func (db *DB) patchedSysLocked(base *SysSnapshot) (recs []SysRecord, ok bool) {
+	if base == nil || base.ver < db.logFloor || base.ver > db.ver {
+		return nil, false
+	}
+	// Ring entries are in version order: walk back from the newest.
+	var dirty []string
+	for i := db.logLen - 1; i >= 0; i-- {
+		e := &db.log[(db.logStart+i)%changeLogCap]
+		if e.ver <= base.ver {
+			break
+		}
+		if e.table != logSys {
+			continue
+		}
+		dirty = append(dirty, e.key)
+	}
+	sort.Strings(dirty)
+	old := base.Records
+	recs = make([]SysRecord, 0, len(db.sys))
+	for _, host := range slices.Compact(dirty) {
+		at := sort.Search(len(old), func(j int) bool { return old[j].Status.Host >= host })
+		recs = append(recs, old[:at]...)
+		old = old[at:]
+		if len(old) > 0 && old[0].Status.Host == host {
+			old = old[1:]
+		}
+		if r, live := db.sys[host]; live {
+			recs = append(recs, *r)
+		}
+	}
+	return append(recs, old...), true
 }
 
 // ResyncView returns the sys snapshot, the security table, and the
@@ -296,17 +355,24 @@ func (db *DB) Now() time.Time {
 // one replaces it and bumps the epoch. Callers hold db.mu for
 // writing. Reports whether content changed.
 func (db *DB) putSysLocked(s status.ServerStatus, now time.Time) bool {
-	if r, ok := db.sys[s.Host]; ok && r.Status == s {
-		db.ver++
+	r, ok := db.sys[s.Host]
+	db.ver++
+	if ok && r.Status == s {
 		r.UpdatedAt = now
 		r.RefVer = db.ver
 		db.appendLogLocked(logSys, r.Status.Host, "")
 		return false
 	}
-	db.ver++
-	r := &SysRecord{Status: s, UpdatedAt: now, Ver: db.ver, RefVer: db.ver}
-	db.sys[s.Host] = r
-	delete(db.sysTomb, s.Host)
+	if ok {
+		// Readers only ever copy records out under the lock, so a known
+		// host's record is overwritten where it stands: a fleet
+		// reporting new values allocates nothing per report.
+		*r = SysRecord{Status: s, UpdatedAt: now, Ver: db.ver, RefVer: db.ver}
+	} else {
+		r = &SysRecord{Status: s, UpdatedAt: now, Ver: db.ver, RefVer: db.ver}
+		db.sys[s.Host] = r
+		delete(db.sysTomb, s.Host)
+	}
 	db.appendLogLocked(logSys, r.Status.Host, "")
 	return true
 }

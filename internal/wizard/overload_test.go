@@ -175,6 +175,11 @@ func TestOverloadHotSourceIsolation(t *testing.T) {
 		Selector: sel,
 		Workers:  4, Batch: 16, Shards: 4,
 		Overload: gate,
+		// Room for the hot source's whole unpaced blast: with the default
+		// buffer the kernel drops most of it, and with it the datagrams of
+		// any cold source hashed to the same shard socket — loss below the
+		// wizard, which the limiter under test never sees.
+		RecvBuf: 4 << 20,
 	})
 
 	var wg sync.WaitGroup

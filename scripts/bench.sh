@@ -138,8 +138,8 @@ EOF
 
 echo "== go test -bench SelectScale (benchtime=$benchtime, count=3) =="
 # count=3 with best-of-three, like the wizard block: the unindexable
-# overhead gate compares two near-identical ~30ms rows, and a single
-# noisy run can push their ratio past its 5% bound.
+# overhead gate compares two rows that run the same code (~6ms at
+# 100k), and a single noisy run can push their ratio past its 5% bound.
 go test -run=NONE -bench='SelectScale' \
 	-benchtime="$benchtime" -count=3 -timeout=45m ./internal/core/ | tee "$out"
 
@@ -172,14 +172,21 @@ doc = {
     "benchmarks": rows,
     # One Select against a host table loaded at fleet scale; scan =
     # planner disabled (thesis full-table behaviour), plan = indexed
-    # selection planner. The selective-at-100k ratios are the PR's
-    # acceptance numbers: record evaluations must fall >= 100x and
-    # ns/op >= 10x, while the unindexable fallback must stay within 5%
-    # of the scan it delegates to (overhead ratio <= 1.05).
+    # selection planner; both feed the selector's one evaluation loop.
+    # The selective-at-100k ratios are the planner's acceptance
+    # numbers: record evaluations must fall >= 100x and ns/op >= 10x,
+    # while an unindexable requirement must cost within 5% of the walk
+    # it is served by (the 10k ratio is recorded, not gated). The broad
+    # rows are the bounded top-n's: the planner may not lose to the
+    # walk (ratio <= 1.0) and a broad selection allocates for its n
+    # winners, not for its qualifiers (<= 200 allocs at 100k hosts).
     "reduction": {
         "evals_selective_100k_vs_scan": ratio("100k/selective/scan", "100k/selective/plan", "evals_per_op"),
         "ns_selective_100k_vs_scan": ratio("100k/selective/scan", "100k/selective/plan", "ns_per_op"),
         "unindexable_ns_overhead_100k": ratio("100k/unindexable/plan", "100k/unindexable/scan", "ns_per_op", digits=3),
+        "unindexable_ns_overhead_10k": ratio("10k/unindexable/plan", "10k/unindexable/scan", "ns_per_op", digits=3),
+        "ns_broad_100k_plan_vs_scan": ratio("100k/broad/plan", "100k/broad/scan", "ns_per_op", digits=3),
+        "allocs_broad_100k_plan": rows.get("SelectScale/100k/broad/plan", {}).get("allocs_per_op"),
     },
 }
 

@@ -64,22 +64,34 @@ SCHEMAS = {
             "SelectScale/100k/selective/scan": ["ns_per_op", "evals_per_op"],
             "SelectScale/100k/selective/plan": ["ns_per_op", "evals_per_op"],
             "SelectScale/100k/broad/scan": ["ns_per_op", "evals_per_op"],
-            "SelectScale/100k/broad/plan": ["ns_per_op", "evals_per_op"],
+            "SelectScale/100k/broad/plan": ["ns_per_op", "evals_per_op", "allocs_per_op"],
             "SelectScale/100k/unindexable/scan": ["ns_per_op"],
             "SelectScale/100k/unindexable/plan": ["ns_per_op"],
+            "SelectScale/10k/unindexable/scan": ["ns_per_op"],
+            "SelectScale/10k/unindexable/plan": ["ns_per_op"],
         },
         "reduction": [
             "evals_selective_100k_vs_scan",
             "ns_selective_100k_vs_scan",
             "unindexable_ns_overhead_100k",
+            "unindexable_ns_overhead_10k",
+            "ns_broad_100k_plan_vs_scan",
+            "allocs_broad_100k_plan",
         ],
         # Acceptance bounds, not just shape: the planner must beat the
-        # scan by these margins at 100k hosts, and the unindexable
-        # fallback must stay within 5% of the scan it delegates to.
+        # walk of every record by these margins at 100k hosts; an
+        # unindexable requirement must cost within 5% of that walk (the
+        # 10k ratio is a recorded row, not a gate); on a broad
+        # requirement the planner may no longer lose to the walk (it
+        # did, 1.10x, before the bounded top-n), and the selection
+        # allocates for its n winners, not for its 80 000 qualifiers
+        # (it made 80 263 allocations).
         "reduction_bounds": {
             "evals_selective_100k_vs_scan": (100.0, None),
             "ns_selective_100k_vs_scan": (10.0, None),
             "unindexable_ns_overhead_100k": (None, 1.05),
+            "ns_broad_100k_plan_vs_scan": (None, 1.0),
+            "allocs_broad_100k_plan": (None, 200),
         },
     },
     "BENCH_overload.json": {

@@ -31,6 +31,13 @@ echo "== go test -race -short -shuffle=on =="
 # `-shuffle=<seed>` replays a failing order exactly.
 go test -race -short -shuffle=on ./...
 
+echo "== benchmark module: go vet, go test =="
+# benchmark/ is a module of its own that imports smartsock/internal/...
+# through a replace directive, so `./...` above never compiles it: an
+# internal API change that breaks it must fail here, not in the perf
+# pipeline.
+(cd benchmark && go vet . && go test .)
+
 echo "== chaos test naming =="
 # CI's chaos job selects with `go test -run Chaos`; -run matches by
 # unanchored substring, so a chaos test named TestFooBar is silently
