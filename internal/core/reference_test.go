@@ -22,11 +22,11 @@ func referenceSelect(s *Selector, prog *reqlang.Program, n int, opt proto.Option
 		n = proto.MaxServers
 	}
 	snap := s.db.SysView()
-	result := Result{Epoch: snap.Epoch, Decisions: make([]Decision, 0, len(snap.Records))}
+	result := Result{Epoch: snap.Epoch, Decisions: make([]Decision, 0, snap.Len())}
 	cutoff := s.db.Now().Add(-s.cfg.MaxStatusAge)
 	var candidates []candidate
-	for i := range snap.Records {
-		rec := &snap.Records[i]
+	for i := 0; i < snap.Len(); i++ {
+		rec := snap.At(i)
 		if s.cfg.MaxStatusAge > 0 && rec.UpdatedAt.Before(cutoff) {
 			result.StaleDropped++
 			continue
@@ -72,7 +72,7 @@ func referenceSelect(s *Selector, prog *reqlang.Program, n int, opt proto.Option
 		if len(result.Servers) == n {
 			break
 		}
-		result.Servers = append(result.Servers, s.dialAddr(snap.Records[c.pos].Status.Host))
+		result.Servers = append(result.Servers, s.dialAddr(snap.At(c.pos).Status.Host))
 	}
 	result.Shortfall = n - len(result.Servers)
 	if result.Shortfall > 0 && opt&proto.OptPartialOK == 0 {

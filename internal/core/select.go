@@ -320,11 +320,11 @@ func (s *Selector) run(prog *reqlang.Program, n int, opt proto.Option, explain b
 // fresh candidate is bound, evaluated from the plan's residual
 // statement on, and offered to the bounded winner list.
 func (s *Selector) evaluate(q *query, sc *scratch) Result {
-	recs := q.snap.Records
+	snap, size := q.snap, q.snap.Len()
 	info := q.info
 	var result Result
 	if q.explain {
-		result.Decisions = make([]Decision, 0, len(recs))
+		result.Decisions = make([]Decision, 0, size)
 	}
 
 	// Pick the source: the planner only past the threshold (small
@@ -333,7 +333,7 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 	if threshold == 0 {
 		threshold = DefaultPlanThreshold
 	}
-	planned := info.plan != nil && threshold > 0 && len(recs) >= threshold && !q.explain
+	planned := info.plan != nil && threshold > 0 && size >= threshold && !q.explain
 	from, useIndex := 0, false
 	if planned {
 		s.indexPlans.Add(1)
@@ -354,17 +354,17 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 	// unless a score ranks or a preferred list reorders them.
 	stopEarly := !q.explain && !q.ranked && !q.prog.SetsPreferred()
 	filterStale := !q.cutoff.IsZero()
-	evals, visited := 0, len(recs)
+	evals, visited := 0, size
 	pos := -1
 	for {
 		pos++
 		if useIndex {
 			pos = sc.bits.Next(pos)
 		}
-		if pos < 0 || pos >= len(recs) {
+		if pos < 0 || pos >= size {
 			break
 		}
-		rec := &recs[pos]
+		rec := snap.At(pos)
 		if planned && !useIndex && !s.passesConstraints(rec, info) {
 			continue
 		}
@@ -407,7 +407,7 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 	if len(top.items) > 0 {
 		result.Servers = make([]string, len(top.items))
 		for i, c := range top.items {
-			result.Servers[i] = s.dialAddr(recs[c.pos].Status.Host)
+			result.Servers[i] = s.dialAddr(snap.At(c.pos).Status.Host)
 		}
 	}
 	return result

@@ -111,9 +111,7 @@ func (s *Set) SyncFor(snap *store.SysSnapshot, fields []string) bool {
 	if !s.posOK {
 		// Entries of ids no longer live go stale; no candidate set holds them.
 		s.pos = slices.Grow(s.pos[:0], len(s.hosts))[:len(s.hosts)]
-		for i := range snap.Records {
-			s.pos[s.idOf[snap.Records[i].Status.Host]] = int32(i)
-		}
+		snap.Each(func(i int, rec *store.SysRecord) { s.pos[s.idOf[rec.Status.Host]] = int32(i) })
 		s.posOK = true
 	}
 	return true
@@ -262,11 +260,11 @@ func (s *Set) resyncLocked() {
 	}
 	// Host ids for snapshot members not already assigned by column
 	// fills (no columns yet, or fields the records don't define).
-	for i := range snap.Records {
-		id := s.ensureIDLocked(snap.Records[i].Status.Host)
+	snap.Each(func(_ int, rec *store.SysRecord) {
+		id := s.ensureIDLocked(rec.Status.Host)
 		s.live = s.live.grow(id + 1)
 		s.live.Set(id)
-	}
+	})
 	s.ver, s.epoch, s.synced, s.posOK = ver, epoch, true, false
 }
 
@@ -292,8 +290,7 @@ func (s *Set) ensureColumnsLocked(fields []string, snap *store.SysSnapshot) {
 func (s *Set) fillSysColumnLocked(field string, col *column, snap *store.SysSnapshot) {
 	col.ensure(len(s.hosts))
 	vi := status.VarIndex(field)
-	for i := range snap.Records {
-		rec := &snap.Records[i]
+	snap.Each(func(_ int, rec *store.SysRecord) {
 		id := s.ensureIDLocked(rec.Status.Host)
 		col.ensure(id + 1)
 		if vi >= 0 {
@@ -301,7 +298,7 @@ func (s *Set) fillSysColumnLocked(field string, col *column, snap *store.SysSnap
 		} else {
 			col.unset(id)
 		}
-	}
+	})
 	col.compact()
 }
 

@@ -18,8 +18,8 @@ import (
 // snapshot and sec table directly.
 func expectHosts(db *store.DB, snap *store.SysSnapshot, cons []Constraint) []string {
 	var out []string
-	for i := range snap.Records {
-		rec := &snap.Records[i]
+	for i := 0; i < snap.Len(); i++ {
+		rec := snap.At(i)
 		ok := true
 		for _, c := range cons {
 			var v float64
@@ -69,7 +69,7 @@ func query(t *testing.T, db *store.DB, s *Set, cons []Constraint) []string {
 	}
 	// Positions index the snapshot, which is sorted by host.
 	var hosts []string
-	positions.ForEach(func(i int) { hosts = append(hosts, snap.Records[i].Status.Host) })
+	positions.ForEach(func(i int) { hosts = append(hosts, snap.At(i).Status.Host) })
 	want := expectHosts(db, snap, cons)
 	if !reflect.DeepEqual(hosts, want) && !(len(hosts) == 0 && len(want) == 0) {
 		t.Fatalf("candidates mismatch for %v:\n got %v\nwant %v", cons, hosts, want)

@@ -6,6 +6,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -101,13 +103,14 @@ func AppendSecBatch(dst []byte, recs []SecLevel) []byte { return dst }
 	"smartsock/internal/store": `package store
 import "smartsock/internal/status"
 type SysRecord struct{ Status status.ServerStatus }
-type SysSnapshot struct {
-	Epoch   uint64
-	Records []SysRecord
-}
+type SysSnapshot struct{ Epoch uint64 }
+func (s *SysSnapshot) Len() int { return 0 }
+func (s *SysSnapshot) At(i int) *SysRecord { return nil }
+func (s *SysSnapshot) Each(fn func(i int, r *SysRecord)) {}
 type DB struct{}
 func (db *DB) SysView() *SysSnapshot { return &SysSnapshot{} }
 func (db *DB) Sys() []SysRecord { return nil }
+func (db *DB) FreshSys(maxAge int64) []SysRecord { return nil }
 `,
 	"smartsock/internal/reqlang": `package reqlang
 type Program struct{ src string }
@@ -187,6 +190,16 @@ func findingLines(findings []lint.Finding, analyzer string) []int {
 		}
 	}
 	return lines
+}
+
+// readFixture loads a fixture too long to read inline.
+func readFixture(t *testing.T, name string) string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(src)
 }
 
 func equalInts(a, b []int) bool {
@@ -590,21 +603,11 @@ func spam(recs []status.ServerStatus, out chan []byte) {
 		},
 		// ---- scanfree --------------------------------------------------
 		{
-			name:     "scanfree/range over snapshot records on the serve path",
+			name:     "scanfree/snapshot walks, position reads and copying accessors in core",
 			analyzer: "scanfree",
 			pkgPath:  "smartsock/internal/core",
-			src: `package core
-import "smartsock/internal/store"
-func selectAll(snap *store.SysSnapshot) int {
-	n := 0
-	for i := range snap.Records {
-		_ = i
-		n++
-	}
-	return n
-}
-`,
-			want: []int{5},
+			src:      readFixture(t, "scanfree_walk.go"),
+			want:     []int{8, 27},
 		},
 		{
 			name:     "scanfree/full-table accessor in the wizard counts too",
@@ -623,32 +626,14 @@ func hosts(db *store.DB) []string {
 			want: []int{5},
 		},
 		{
-			name:     "scanfree/ignore directive with rationale suppresses",
-			analyzer: "scanfree",
-			pkgPath:  "smartsock/internal/core",
-			src: `package core
-import "smartsock/internal/store"
-func fallback(snap *store.SysSnapshot) int {
-	n := 0
-	//lint:ignore scanfree sanctioned fallback for this fixture
-	for i := range snap.Records {
-		_ = i
-		n++
-	}
-	return n
-}
-`,
-			want: nil,
-		},
-		{
 			name:     "scanfree/packages off the serve path may scan",
 			analyzer: "scanfree",
 			pkgPath:  "smartsock/internal/transport",
 			src: `package transport
 import "smartsock/internal/store"
-func sweep(snap *store.SysSnapshot) {
-	for i := range snap.Records {
-		_ = i
+func sweep(snap *store.SysSnapshot, db *store.DB) {
+	snap.Each(func(i int, rec *store.SysRecord) {})
+	for range db.Sys() {
 	}
 }
 `,
@@ -661,10 +646,10 @@ func sweep(snap *store.SysSnapshot) {
 			filename: "fixture_test.go",
 			src: `package core
 import "smartsock/internal/store"
-func scanForAssertions(snap *store.SysSnapshot) int {
+func scanForAssertions(snap *store.SysSnapshot, db *store.DB) int {
 	n := 0
-	for i := range snap.Records {
-		_ = i
+	snap.Each(func(i int, rec *store.SysRecord) { n++ })
+	for range db.Sys() {
 		n++
 	}
 	return n

@@ -6,9 +6,9 @@ import (
 )
 
 // scanFreeScope lists the packages on the wizard's request serve path.
-// With the selection planner in place, a range over a sys-table
-// snapshot there reintroduces the O(table) cost per request that the
-// per-field indexes exist to kill. The selector visits records in one
+// With the selection planner in place, a walk of a sys-table snapshot
+// there reintroduces the O(table) cost per request that the per-field
+// indexes exist to kill. The selector visits records in one
 // place only — its evaluation loop, which asks a candidate source for
 // the next snapshot position and so ranges over no table — and nothing
 // on the serve path carries a //lint:ignore for this analyzer today;
@@ -18,8 +18,8 @@ var scanFreeScope = map[string]bool{
 	"smartsock/internal/wizard": true,
 }
 
-// isSysRecordSlice reports whether t is []store.SysRecord, the element
-// type of a SysSnapshot's Records and of every full-table accessor.
+// isSysRecordSlice reports whether t is []store.SysRecord, what the
+// full-table accessors (DB.Sys, DB.FreshSys) return.
 func isSysRecordSlice(t types.Type) bool {
 	if t == nil {
 		return false
@@ -40,26 +40,37 @@ func isSysRecordSlice(t types.Type) bool {
 	return obj.Name() == "SysRecord" && obj.Pkg() != nil && obj.Pkg().Path() == "smartsock/internal/store"
 }
 
-// ScanFree reports full-table iteration over sys-record slices on the
-// wizard/core serve path.
+// isSnapshotWalk reports whether call is (*store.SysSnapshot).Each, the
+// snapshot's full walk. At and Len are not walks: the evaluation loop
+// reads the positions its candidate source names through them.
+func isSnapshotWalk(info *types.Info, call *ast.CallExpr) bool {
+	fn, ok := CalleeFunc(info, call)
+	return ok && fn.FullName() == "(*smartsock/internal/store.SysSnapshot).Each"
+}
+
+// ScanFree reports full-table iteration — a range over a sys-record
+// slice or a SysSnapshot.Each walk — on the wizard/core serve path.
 var ScanFree = &Analyzer{
 	Name: "scanfree",
-	Doc:  "serve-path code must not range over sys-table snapshots; selection visits records through the selector's one evaluation loop, and any other walk needs a //lint:ignore rationale",
+	Doc:  "serve-path code must not walk the sys table (range over its records, SysSnapshot.Each); selection visits records through the selector's one evaluation loop, and any other walk needs a //lint:ignore rationale",
 	Run: func(pass *Pass) {
 		if !scanFreeScope[pass.Pkg.Path] {
 			return
 		}
 		for _, file := range pass.Pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok {
+				if n == nil || IsTestFile(pass.Pkg.Fset, n.Pos()) {
 					return true
 				}
-				if IsTestFile(pass.Pkg.Fset, rng.Pos()) {
-					return true
-				}
-				if isSysRecordSlice(pass.Pkg.Info.TypeOf(rng.X)) {
-					pass.Reportf(rng.Pos(), "range over a sys-record table on the serve path; go through the selector's evaluation loop instead, or justify the scan with //lint:ignore scanfree <reason>")
+				switch n := n.(type) {
+				case *ast.RangeStmt:
+					if isSysRecordSlice(pass.Pkg.Info.TypeOf(n.X)) {
+						pass.Reportf(n.Pos(), "range over a sys-record table on the serve path; go through the selector's evaluation loop instead, or justify the scan with //lint:ignore scanfree <reason>")
+					}
+				case *ast.CallExpr:
+					if isSnapshotWalk(pass.Pkg.Info, n) {
+						pass.Reportf(n.Pos(), "SysSnapshot.Each walks the whole sys table on the serve path; go through the selector's evaluation loop instead, or justify the scan with //lint:ignore scanfree <reason>")
+					}
 				}
 				return true
 			})

@@ -163,6 +163,8 @@ func (p *Probe) Run(ctx context.Context) error {
 	}
 }
 
+var reportBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
 // ReportOnce performs a single scan-and-send cycle.
 func (p *Probe) ReportOnce() error {
 	snap, err := p.cfg.Source.Snapshot()
@@ -170,8 +172,12 @@ func (p *Probe) ReportOnce() error {
 		return fmt.Errorf("scan: %w", err)
 	}
 	applyMask(&snap, FieldMask(p.mask.Load()))
-	msg := status.EncodeReport(&snap)
-	if err := p.send(msg); err != nil {
+	// ReportOnce may run beside Run, so the buffer comes from a pool
+	// rather than the probe; neither transport keeps msg past send.
+	buf := reportBufs.Get().(*[]byte)
+	defer reportBufs.Put(buf)
+	*buf = status.AppendReport((*buf)[:0], &snap)
+	if err := p.send(*buf); err != nil {
 		return err
 	}
 	p.reports.Add(1)

@@ -281,43 +281,28 @@ const reportFieldCount = 22
 // concerns, at the cost of a slightly larger message (<200 bytes for
 // typical values, as the thesis measures).
 func EncodeReport(s *ServerStatus) []byte {
-	var b strings.Builder
-	b.Grow(200)
-	b.WriteString(reportVersion)
-	sep := func() { b.WriteByte('|') }
-	f := func(v float64) {
-		sep()
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+	return AppendReport(make([]byte, 0, 200), s)
+}
+
+// AppendReport appends the report EncodeReport renders to dst: a probe
+// that keeps its buffer sends reports without allocating.
+func AppendReport(dst []byte, s *ServerStatus) []byte {
+	dst = append(dst, reportVersion...)
+	dst = appendEscaped(append(dst, '|'), s.Host)
+	for _, v := range [...]float64{s.Load1, s.Load5, s.Load15, s.CPUUser, s.CPUNice, s.CPUSystem, s.CPUIdle, s.Bogomips} {
+		dst = strconv.AppendFloat(append(dst, '|'), v, 'g', -1, 64)
 	}
-	u := func(v uint64) {
-		sep()
-		b.WriteString(strconv.FormatUint(v, 10))
+	for _, v := range [...]uint64{s.MemTotal, s.MemUsed, s.MemFree} {
+		dst = strconv.AppendUint(append(dst, '|'), v, 10)
 	}
-	sep()
-	b.WriteString(escapeField(s.Host))
-	f(s.Load1)
-	f(s.Load5)
-	f(s.Load15)
-	f(s.CPUUser)
-	f(s.CPUNice)
-	f(s.CPUSystem)
-	f(s.CPUIdle)
-	f(s.Bogomips)
-	u(s.MemTotal)
-	u(s.MemUsed)
-	u(s.MemFree)
-	f(s.DiskAllReq)
-	f(s.DiskRReq)
-	f(s.DiskRBlocks)
-	f(s.DiskWReq)
-	f(s.DiskWBlocks)
-	sep()
-	b.WriteString(escapeField(s.NetIface))
-	f(s.NetRBytesPS)
-	f(s.NetRPacketsPS)
-	f(s.NetTBytesPS)
-	f(s.NetTPacketsPS)
-	return []byte(b.String())
+	for _, v := range [...]float64{s.DiskAllReq, s.DiskRReq, s.DiskRBlocks, s.DiskWReq, s.DiskWBlocks} {
+		dst = strconv.AppendFloat(append(dst, '|'), v, 'g', -1, 64)
+	}
+	dst = appendEscaped(append(dst, '|'), s.NetIface)
+	for _, v := range [...]float64{s.NetRBytesPS, s.NetRPacketsPS, s.NetTBytesPS, s.NetTPacketsPS} {
+		dst = strconv.AppendFloat(append(dst, '|'), v, 'g', -1, 64)
+	}
+	return dst
 }
 
 // DecodeReport parses an ASCII probe report produced by EncodeReport.
@@ -381,11 +366,20 @@ func DecodeReport(data []byte) (*ServerStatus, error) {
 	return s, nil
 }
 
-// escapeField protects the report's '|' separator inside free-form
-// string fields (host names, interface names).
-func escapeField(s string) string {
-	s = strings.ReplaceAll(s, "%", "%25")
-	return strings.ReplaceAll(s, "|", "%7C")
+// appendEscaped appends s with the report's '|' separator protected
+// inside free-form string fields (host names, interface names).
+func appendEscaped(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '%':
+			dst = append(dst, "%25"...)
+		case '|':
+			dst = append(dst, "%7C"...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 func unescapeField(s string) string {

@@ -15,11 +15,11 @@ func TestSysViewSortedAndShared(t *testing.T) {
 		db.PutSys(host(h, 0.1))
 	}
 	v1 := db.SysView()
-	if len(v1.Records) != 3 {
-		t.Fatalf("%d records, want 3", len(v1.Records))
+	if v1.Len() != 3 {
+		t.Fatalf("%d records, want 3", v1.Len())
 	}
 	for i, want := range []string{"alice", "bob", "carol"} {
-		if got := v1.Records[i].Status.Host; got != want {
+		if got := v1.At(i).Status.Host; got != want {
 			t.Errorf("record %d is %q, want %q", i, got, want)
 		}
 	}
@@ -40,11 +40,11 @@ func TestSysViewEpochAdvancesOnMutation(t *testing.T) {
 		t.Fatalf("PutSys did not advance the snapshot: epoch %d → %d", v1.Epoch, v2.Epoch)
 	}
 	// The old snapshot is immutable: still one record, still alice.
-	if len(v1.Records) != 1 || v1.Records[0].Status.Host != "alice" {
-		t.Errorf("old snapshot mutated: %+v", v1.Records)
+	if v1.Len() != 1 || v1.At(0).Status.Host != "alice" {
+		t.Errorf("old snapshot mutated: %+v", flat(v1))
 	}
-	if len(v2.Records) != 2 {
-		t.Errorf("new snapshot has %d records, want 2", len(v2.Records))
+	if v2.Len() != 2 {
+		t.Errorf("new snapshot has %d records, want 2", v2.Len())
 	}
 	if db.SysEpoch() != v2.Epoch {
 		t.Errorf("SysEpoch = %d, snapshot epoch = %d", db.SysEpoch(), v2.Epoch)
@@ -67,8 +67,8 @@ func TestSysViewInvalidatedByExpireAndLoad(t *testing.T) {
 	if v2.Epoch <= v1.Epoch {
 		t.Error("ExpireSys that removed a record did not bump the epoch")
 	}
-	if len(v2.Records) != 1 || v2.Records[0].Status.Host != "bob" {
-		t.Errorf("post-expiry snapshot: %+v", v2.Records)
+	if v2.Len() != 1 || v2.At(0).Status.Host != "bob" {
+		t.Errorf("post-expiry snapshot: %+v", flat(v2))
 	}
 
 	// Expiry that removes nothing must not invalidate: the wizard's
@@ -86,8 +86,8 @@ func TestSysViewInvalidatedByExpireAndLoad(t *testing.T) {
 	if v4.Epoch <= v2.Epoch {
 		t.Error("Load did not bump the epoch")
 	}
-	if len(v4.Records) != 1 || v4.Records[0].Status.Host != "carol" {
-		t.Errorf("post-load snapshot: %+v", v4.Records)
+	if v4.Len() != 1 || v4.At(0).Status.Host != "carol" {
+		t.Errorf("post-load snapshot: %+v", flat(v4))
 	}
 
 	// Load with nil sys leaves the section (and its snapshot) alone.
@@ -145,8 +145,8 @@ func TestSysViewConcurrentReadersAndWriters(t *testing.T) {
 					return
 				}
 				lastEpoch = v.Epoch
-				for j := 1; j < len(v.Records); j++ {
-					if v.Records[j-1].Status.Host >= v.Records[j].Status.Host {
+				for j := 1; j < v.Len(); j++ {
+					if v.At(j-1).Status.Host >= v.At(j).Status.Host {
 						t.Error("snapshot records out of order")
 						return
 					}

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"smartsock/internal/status"
 )
@@ -59,19 +60,76 @@ type SecRecord struct {
 // status table. Writers publish a new snapshot when the table
 // mutates; readers grab the current one with a single atomic load, so
 // the selection hot path evaluates candidates without copying the
-// table or holding any lock. Records is sorted by host and shared:
-// callers must treat it as read-only.
+// table or holding any lock. Records are sorted by host and held in
+// fixed-size pages that successive snapshots share: a page is never
+// written once a snapshot holding it is published, and callers must
+// treat what At and Each hand out as read-only.
 type SysSnapshot struct {
 	// Epoch increments on every content mutation of the sys table:
 	// two snapshots with the same epoch hold the same hosts with the
 	// same status values. A same-content refresh re-stamps UpdatedAt
 	// without advancing the epoch, so selection memoized against an
 	// epoch stays valid across idle probe ticks.
-	Epoch   uint64
-	Records []SysRecord
+	Epoch uint64
+	// pages holds the n records in host order, sysPageLen to a page
+	// (the last may be short).
+	pages [][]SysRecord
+	n     int
 	// ver is the database version the snapshot reflects: the changelog
 	// entries above it name the hosts a successor must re-read.
 	ver uint64
+}
+
+// sysPageLen is the records per snapshot page: as many as fit the
+// 16 KB allocation class, so a page wastes under one record of it. A
+// rebuild after a report copies one such page plus the page table
+// (24 bytes a page); the sweep in DESIGN.md ("Wizard fast path") puts
+// the minimum of the two between 8 and 32 KB from 20k to 100k hosts.
+const sysPageLen = 16 << 10 / int(unsafe.Sizeof(SysRecord{}))
+
+// Len reports the number of records in the snapshot.
+func (s *SysSnapshot) Len() int { return s.n }
+
+// At returns the i-th record in host order, 0 <= i < Len().
+func (s *SysSnapshot) At(i int) *SysRecord { return &s.pages[i/sysPageLen][i%sysPageLen] }
+
+// Each calls fn on every record in host order: the full-table walk.
+func (s *SysSnapshot) Each(fn func(i int, r *SysRecord)) {
+	i := 0
+	for _, page := range s.pages {
+		for j := range page {
+			fn(i, &page[j])
+			i++
+		}
+	}
+}
+
+// find returns the position of host, or of the first host after it.
+func (s *SysSnapshot) find(host string) (i int, found bool) {
+	i = sort.Search(s.n, func(j int) bool { return s.At(j).Status.Host >= host })
+	return i, i < s.n && s.At(i).Status.Host == host
+}
+
+// appendRange appends records [from, to) to dst, a page run at a time.
+func (s *SysSnapshot) appendRange(dst []SysRecord, from, to int) []SysRecord {
+	for from < to {
+		page := s.pages[from/sysPageLen][from%sysPageLen:]
+		page = page[:min(len(page), to-from)]
+		dst = append(dst, page...)
+		from += len(page)
+	}
+	return dst
+}
+
+// paginate cuts a sorted record list into freshly allocated pages.
+func paginate(recs []SysRecord) [][]SysRecord {
+	pages := make([][]SysRecord, 0, (len(recs)+sysPageLen-1)/sysPageLen)
+	for len(recs) > 0 {
+		k := min(len(recs), sysPageLen)
+		pages = append(pages, slices.Clone(recs[:k]))
+		recs = recs[k:]
+	}
+	return pages
 }
 
 // maxTombstones bounds the per-table tombstone maps. When a table
@@ -228,10 +286,10 @@ func (db *DB) refreshSysLocked() {
 	db.sysSnap.Store(nil)
 }
 
-// SysView returns the current copy-on-write snapshot of the server
-// table: one atomic pointer load on the hot path, a lazy rebuild under
-// the read lock after a mutation. The returned snapshot (including
-// its Records slice) is immutable and shared between callers.
+// SysView returns the current snapshot of the server table: one atomic
+// pointer load on the hot path, a lazy rebuild under the read lock
+// after a mutation. The returned snapshot is immutable and shared
+// between callers.
 func (db *DB) SysView() *SysSnapshot {
 	if s := db.sysSnap.Load(); s != nil {
 		return s
@@ -248,40 +306,47 @@ func (db *DB) SysView() *SysSnapshot {
 //
 // The rebuild follows the delta-else-resync rule the transport and
 // the selection index use: when the changelog ring still covers the
-// previous snapshot's version, the new one is that snapshot's records
-// with the hosts written since overwritten, inserted or dropped; only
-// a base the ring has passed (or a whole-table Load, which resets the
-// ring) pays the collect-and-sort of the whole table.
+// previous snapshot's version, the new one is that snapshot patched
+// with the hosts written since; only a base the ring has passed (or a
+// whole-table Load, which resets the ring) pays the collect-and-sort
+// of the whole table.
 func (db *DB) sysViewRLocked() *SysSnapshot {
 	if s := db.sysSnap.Load(); s != nil {
 		return s
 	}
-	recs, ok := db.patchedSysLocked(db.sysBase.Load())
+	pages, ok := db.patchedSysLocked(db.sysBase.Load())
 	if !ok {
-		recs = make([]SysRecord, 0, len(db.sys))
+		recs := make([]SysRecord, 0, len(db.sys))
 		for _, r := range db.sys {
 			recs = append(recs, *r)
 		}
 		sort.Slice(recs, func(i, j int) bool { return recs[i].Status.Host < recs[j].Status.Host })
+		pages = paginate(recs)
 	}
-	s := &SysSnapshot{Epoch: db.epoch, Records: recs, ver: db.ver}
+	s := &SysSnapshot{Epoch: db.epoch, pages: pages, n: len(db.sys), ver: db.ver}
 	db.sysSnap.Store(s)
 	db.sysBase.Store(s)
 	return s
 }
 
-// patchedSysLocked derives the current sorted record list from base
-// and the changelog: every sys mutation since base.ver — put, refresh,
-// expiry, delta apply, merge — left a ring entry naming its host, so
-// those hosts are re-read from the table and everything else is
-// copied across in runs. It declines (ok false) when the ring no
-// longer reaches back to base.
-func (db *DB) patchedSysLocked(base *SysSnapshot) (recs []SysRecord, ok bool) {
+// patchedSysLocked derives the current pages from base and the
+// changelog: every sys mutation since base.ver — put, refresh, expiry,
+// delta apply, merge — left a ring entry naming its host. While those
+// hosts are all in base and still in the table, positions stand: the
+// result is base's page table with only the pages holding such a host
+// copied and overwritten, every other page shared. A host that joined
+// or left shifts every position after it, so then the records are
+// copied across in runs around the re-read hosts and cut into new
+// pages. It declines (ok false) when the ring no longer reaches back
+// to base.
+func (db *DB) patchedSysLocked(base *SysSnapshot) (pages [][]SysRecord, ok bool) {
 	if base == nil || base.ver < db.logFloor || base.ver > db.ver {
 		return nil, false
 	}
-	// Ring entries are in version order: walk back from the newest.
-	var dirty []string
+	// Ring entries are in version order: walk back from the newest. A
+	// few reports between two requests is the common case, and fits the
+	// stack.
+	dirty := make([]string, 0, 16)
 	for i := db.logLen - 1; i >= 0; i-- {
 		e := &db.log[(db.logStart+i)%changeLogCap]
 		if e.ver <= base.ver {
@@ -293,20 +358,44 @@ func (db *DB) patchedSysLocked(base *SysSnapshot) (recs []SysRecord, ok bool) {
 		dirty = append(dirty, e.key)
 	}
 	sort.Strings(dirty)
-	old := base.Records
-	recs = make([]SysRecord, 0, len(db.sys))
-	for _, host := range slices.Compact(dirty) {
-		at := sort.Search(len(old), func(j int) bool { return old[j].Status.Host >= host })
-		recs = append(recs, old[:at]...)
-		old = old[at:]
-		if len(old) > 0 && old[0].Status.Host == host {
-			old = old[1:]
+	dirty = slices.Compact(dirty)
+
+	pages = slices.Clone(base.pages)
+	owned := -1 // the page last copied: dirty is sorted, so pages come in order
+	for _, host := range dirty {
+		at, found := base.find(host)
+		r, live := db.sys[host]
+		if !found || !live {
+			return db.respliceSysLocked(base, dirty), true
+		}
+		p := at / sysPageLen
+		if p != owned {
+			pages[p] = slices.Clone(pages[p])
+			owned = p
+		}
+		pages[p][at%sysPageLen] = *r
+	}
+	return pages, true
+}
+
+// respliceSysLocked is the patch after a membership change: base's
+// records in runs, with each dirty host dropped and, if it is still in
+// the table, re-read in its place.
+func (db *DB) respliceSysLocked(base *SysSnapshot, dirty []string) [][]SysRecord {
+	recs := make([]SysRecord, 0, len(db.sys))
+	from := 0
+	for _, host := range dirty {
+		at, found := base.find(host)
+		recs = base.appendRange(recs, from, at)
+		from = at
+		if found {
+			from++
 		}
 		if r, live := db.sys[host]; live {
 			recs = append(recs, *r)
 		}
 	}
-	return append(recs, old...), true
+	return paginate(base.appendRange(recs, from, base.n))
 }
 
 // ResyncView returns the sys snapshot, the security table, and the
@@ -404,7 +493,8 @@ func (db *DB) GetSys(host string) (SysRecord, bool) {
 // The slice is the caller's to keep; it is copied off the current
 // snapshot rather than assembled under the lock.
 func (db *DB) Sys() []SysRecord {
-	return append([]SysRecord(nil), db.SysView().Records...)
+	snap := db.SysView()
+	return snap.appendRange(make([]SysRecord, 0, snap.n), 0, snap.n)
 }
 
 // FreshSys returns only the server records updated within maxAge,
@@ -418,12 +508,12 @@ func (db *DB) FreshSys(maxAge time.Duration) []SysRecord {
 	}
 	snap := db.SysView()
 	cutoff := db.Now().Add(-maxAge)
-	out := make([]SysRecord, 0, len(snap.Records))
-	for _, r := range snap.Records {
+	out := make([]SysRecord, 0, snap.n)
+	snap.Each(func(_ int, r *SysRecord) {
 		if !r.UpdatedAt.Before(cutoff) {
-			out = append(out, r)
+			out = append(out, *r)
 		}
-	}
+	})
 	return out
 }
 

@@ -3,31 +3,36 @@ package store
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"smartsock/internal/status"
 )
 
 // SysView rebuilds a snapshot by patching the previous one with the
 // hosts the changelog names. The invariant: whatever the writers did
-// in between — and whichever of the two rebuild routes ran — the
-// snapshot is deep-equal to the table collected and sorted afresh.
+// in between — and whichever of the rebuild routes ran (pages patched
+// in place, records respliced after a membership change, the table
+// collected afresh) — the snapshot holds exactly the table collected
+// and sorted afresh, in full pages but the last.
+
+// flat copies a snapshot's records out in order.
+func flat(s *SysSnapshot) []SysRecord { return s.appendRange(nil, 0, s.n) }
 
 // scratchSys is the reference rebuild: the whole table, sorted.
-func scratchSys(db *DB) *SysSnapshot {
+func scratchSys(db *DB) (epoch uint64, recs []SysRecord) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	recs := make([]SysRecord, 0, len(db.sys))
 	for _, r := range db.sys {
 		recs = append(recs, *r)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Status.Host < recs[j].Status.Host })
-	return &SysSnapshot{Epoch: db.epoch, Records: recs, ver: db.ver}
+	return db.epoch, recs
 }
 
 // willPatch reports which route the next rebuild takes.
@@ -39,10 +44,41 @@ func willPatch(db *DB) bool {
 }
 
 func checkView(db *DB) error {
-	want := scratchSys(db)
-	if got := db.SysView(); got.Epoch != want.Epoch || !reflect.DeepEqual(got.Records, want.Records) {
+	epoch, want := scratchSys(db)
+	got := db.SysView()
+	if got.Epoch != epoch || !slices.Equal(flat(got), want) {
 		return fmt.Errorf("snapshot (epoch %d, %d records) differs from a rebuild from scratch (epoch %d, %d records)",
-			got.Epoch, len(got.Records), want.Epoch, len(want.Records))
+			got.Epoch, got.Len(), epoch, len(want))
+	}
+	total := 0
+	for p, page := range got.pages {
+		if len(page) == 0 || len(page) > sysPageLen || (len(page) < sysPageLen && p != len(got.pages)-1) {
+			return fmt.Errorf("page %d of %d holds %d records, a page holds %d", p, len(got.pages), len(page), sysPageLen)
+		}
+		total += len(page)
+	}
+	if total != got.Len() {
+		return fmt.Errorf("pages hold %d records, Len() is %d", total, got.Len())
+	}
+	return nil
+}
+
+// checkSharing holds a patched snapshot to the structure-sharing rule:
+// with membership unchanged, a page none of whose records was written
+// since base (every write re-stamps RefVer) is base's own page.
+func checkSharing(base, got *SysSnapshot) error {
+	if base == nil || base.n != got.n {
+		return nil
+	}
+	for i := 0; i < got.n; i++ {
+		if base.At(i).Status.Host != got.At(i).Status.Host {
+			return nil
+		}
+	}
+	for p := range got.pages {
+		if slices.Equal(base.pages[p], got.pages[p]) && &base.pages[p][0] != &got.pages[p][0] {
+			return fmt.Errorf("page %d of %d was copied though nothing on it was written", p, len(got.pages))
+		}
 	}
 	return nil
 }
@@ -75,11 +111,25 @@ func genViewOps(rng *rand.Rand, n int) []propOp {
 
 func hostKey(host int) []byte { return []byte(fmt.Sprintf("prop-%02d", host)) }
 
-// runViewOps replays one op sequence, comparing every view against
-// the reference, and reports how many rebuilds took each route.
-func runViewOps(ops []propOp) (patched, scratch int, err error) {
+// padSys names a host that sorts between two of the op sequence's
+// hosts, so a padded table spreads those over every page.
+func padSys(i int) status.ServerStatus {
+	return status.ServerStatus{Host: fmt.Sprintf("prop-%02d.%04d", i%propHosts, i/propHosts)}
+}
+
+// runViewOps replays one op sequence on a table that starts with pads
+// other hosts, comparing every view against the reference, and reports
+// how many rebuilds took each route.
+func runViewOps(ops []propOp, pads int) (patched, scratch int, err error) {
 	now := time.Unix(1_700_000_000, 0)
 	db := NewWithClock(func() time.Time { return now })
+	// Pads report from the future: no expiry in the sequence takes them,
+	// so only a Load brings the table back to one page.
+	now = now.Add(24 * time.Hour)
+	for i := 0; i < pads; i++ {
+		db.PutSys(padSys(i))
+	}
+	now = now.Add(-24 * time.Hour)
 	for i, op := range ops {
 		now = now.Add(time.Second)
 		h, v := op.host, op.val
@@ -106,14 +156,19 @@ func runViewOps(ops []propOp) (patched, scratch int, err error) {
 			db.PutNet(propNet(h, v))
 			db.PutSec(propSec(h, v))
 		case vView:
+			base, patch := db.sysBase.Load(), willPatch(db)
 			if db.sysSnap.Load() == nil {
-				if willPatch(db) {
+				if patch {
 					patched++
 				} else {
 					scratch++
 				}
 			}
-			if err := checkView(db); err != nil {
+			err := checkView(db)
+			if err == nil && patch {
+				err = checkSharing(base, db.SysView())
+			}
+			if err != nil {
 				return patched, scratch, fmt.Errorf("op %d %v: %w", i, op, err)
 			}
 		}
@@ -121,21 +176,202 @@ func runViewOps(ops []propOp) (patched, scratch int, err error) {
 	return patched, scratch, nil
 }
 
+// TestSysViewPatchProperty runs the random histories on a one-page
+// table and on one of three pages and a bit.
 func TestSysViewPatchProperty(t *testing.T) {
-	run := func(ops []propOp) error { _, _, err := runViewOps(ops); return err }
-	patched, scratch := 0, 0
-	for seed := int64(0); seed < 200; seed++ {
-		ops := genViewOps(rand.New(rand.NewSource(seed)), 80)
-		p, s, err := runViewOps(ops)
-		if err != nil {
-			minimal := shrink(ops, run)
-			t.Logf("seed %d minimal failing sequence (%d of %d ops): %v", seed, len(minimal), len(ops), minimal)
-			t.Fatalf("seed %d: %v", seed, err)
+	for _, pads := range []int{0, 3*sysPageLen + 7} {
+		run := func(ops []propOp) error { _, _, err := runViewOps(ops, pads); return err }
+		patched, scratch := 0, 0
+		for seed := int64(0); seed < 200; seed++ {
+			ops := genViewOps(rand.New(rand.NewSource(seed)), 80)
+			p, s, err := runViewOps(ops, pads)
+			if err != nil {
+				minimal := shrink(ops, run)
+				t.Logf("%d pads, seed %d minimal failing sequence (%d of %d ops): %v", pads, seed, len(minimal), len(ops), minimal)
+				t.Fatalf("%d pads, seed %d: %v", pads, seed, err)
+			}
+			patched, scratch = patched+p, scratch+s
 		}
-		patched, scratch = patched+p, scratch+s
+		if patched == 0 || scratch == 0 {
+			t.Fatalf("%d pads: %d patched and %d from-scratch rebuilds: the suite must exercise both routes", pads, patched, scratch)
+		}
 	}
-	if patched == 0 || scratch == 0 {
-		t.Fatalf("%d patched and %d from-scratch rebuilds: the suite must exercise both routes", patched, scratch)
+}
+
+// TestSysViewPageBoundaries takes tables of sizes around the page
+// length through every rebuild route: from scratch, writes to the
+// first, middle and last host (patched in place, the other pages
+// shared), a host joining at either end and leaving again.
+func TestSysViewPageBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, sysPageLen - 1, sysPageLen, sysPageLen + 1, 3*sysPageLen + 7} {
+		db := New()
+		name := func(i int) string { return fmt.Sprintf("edge-%05d", i) }
+		for i := 0; i < n; i++ {
+			db.PutSys(status.ServerStatus{Host: name(i)})
+		}
+		step := func(what string, mutate func()) {
+			t.Helper()
+			base := db.SysView()
+			mutate()
+			if !willPatch(db) {
+				t.Fatalf("%d hosts, %s: rebuild would not patch", n, what)
+			}
+			err := checkView(db)
+			if err == nil {
+				err = checkSharing(base, db.SysView())
+			}
+			if err != nil {
+				t.Fatalf("%d hosts, %s: %v", n, what, err)
+			}
+		}
+		if err := checkView(db); err != nil {
+			t.Fatalf("%d hosts, from scratch: %v", n, err)
+		}
+		if n > 0 {
+			step("writes in place", func() {
+				for _, i := range []int{0, n / 2, n - 1} {
+					db.PutSys(status.ServerStatus{Host: name(i), Load1: 1})
+				}
+			})
+			if got, want := len(db.SysView().pages), (n+sysPageLen-1)/sysPageLen; got != want {
+				t.Fatalf("%d hosts in %d pages, want %d", n, got, want)
+			}
+		}
+		step("a host joins in front", func() { db.PutSys(status.ServerStatus{Host: "a-first"}) })
+		step("a host joins behind", func() { db.PutSys(status.ServerStatus{Host: "z-last"}) })
+		step("both leave", func() { db.ApplySysDelta(nil, [][]byte{[]byte("a-first"), []byte("z-last")}, nil) })
+		if got := db.SysView().Len(); got != n {
+			t.Fatalf("%d hosts after a round trip from %d", got, n)
+		}
+	}
+}
+
+// TestSysViewSharesCleanPages pins the point of the pages: after
+// writes to known hosts the new snapshot holds the base's own page
+// wherever no written host lives, a copy where one does, and the base
+// still reads what it read before.
+func TestSysViewSharesCleanPages(t *testing.T) {
+	const fleet = 5*sysPageLen + 3
+	db := New()
+	for i := 0; i < fleet; i++ {
+		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("share-%05d", i)})
+	}
+	base := db.SysView()
+	before := flat(base)
+	dirty := map[int]bool{}
+	for _, i := range []int{3, sysPageLen - 1, 2 * sysPageLen, 2*sysPageLen + 9, fleet - 1} {
+		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("share-%05d", i), Load1: 2})
+		dirty[i/sysPageLen] = true
+	}
+	db.PutSys(status.ServerStatus{Host: "share-00100"}) // a same-content refresh dirties its page too
+	dirty[100/sysPageLen] = true
+	got := db.SysView()
+	if err := checkView(db); err != nil {
+		t.Fatal(err)
+	}
+	for p := range got.pages {
+		if shared := &got.pages[p][0] == &base.pages[p][0]; shared == dirty[p] {
+			t.Errorf("page %d: shared with the base %v, holds a written host %v", p, shared, dirty[p])
+		}
+	}
+	if !slices.Equal(flat(base), before) {
+		t.Error("the base snapshot changed under a rebuild")
+	}
+}
+
+// TestSysViewHeldSnapshotKeepsItsValues holds one snapshot across a
+// thousand writes and rebuilds while readers walk it: under the race
+// detector a write into a published page is a reported race, and at
+// the end the held snapshot must read exactly what it read at first.
+func TestSysViewHeldSnapshotKeepsItsValues(t *testing.T) {
+	const fleet = 3*sysPageLen + 7
+	db := New()
+	for i := 0; i < fleet; i++ {
+		db.PutSys(propSys(i, 0))
+	}
+	held := db.SysView()
+	want := flat(held)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for _, snap := range []*SysSnapshot{held, db.SysView()} {
+					prev := ""
+					snap.Each(func(i int, r *SysRecord) {
+						if r.Status.Host <= prev {
+							t.Errorf("snapshot out of order at %d: %q then %q", i, prev, r.Status.Host)
+						}
+						prev = r.Status.Host
+					})
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		db.PutSys(propSys(rng.Intn(fleet), 1+i%4))
+		db.SysView()
+	}
+	close(done)
+	wg.Wait()
+	if !slices.Equal(flat(held), want) {
+		t.Error("a snapshot held across 1000 writes no longer reads its own values")
+	}
+	if err := checkView(db); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSysViewRebuildAllocBytes pins what a report costs the next
+// request on a large fleet: the page the host lives on and the page
+// table, not the table.
+func TestSysViewRebuildAllocBytes(t *testing.T) {
+	const fleet, runs = 20000, 50
+	db := New()
+	for i := 0; i < fleet; i++ {
+		db.PutSys(propSys(i, 0))
+	}
+	pages := len(db.SysView().pages)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		db.PutSys(propSys(i*397%fleet, 1+i))
+		db.SysView()
+	}
+	runtime.ReadMemStats(&after)
+	perRebuild := (after.TotalAlloc - before.TotalAlloc) / runs
+	limit := uint64(2*sysPageLen)*uint64(unsafe.Sizeof(SysRecord{})) + uint64(pages)*uint64(unsafe.Sizeof([]SysRecord(nil)))
+	if perRebuild > limit {
+		t.Errorf("rebuild after one PutSys on %d hosts allocated %d bytes, want at most two pages and the page table (%d)", fleet, perRebuild, limit)
+	}
+}
+
+// BenchmarkSysViewRebuild is the cost a request pays for the report
+// that landed before it: one PutSys of a known host, then SysView.
+func BenchmarkSysViewRebuild(b *testing.B) {
+	for _, fleet := range []int{20000, 100000} {
+		b.Run(fmt.Sprintf("hosts=%d", fleet), func(b *testing.B) {
+			db := New()
+			for i := 0; i < fleet; i++ {
+				db.PutSys(propSys(i, 0))
+			}
+			db.SysView()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db.PutSys(propSys(i*397%fleet, 1+i))
+				db.SysView()
+			}
+		})
 	}
 }
 
@@ -173,7 +409,7 @@ func TestSysViewFallsBackPastTheRing(t *testing.T) {
 	if err := checkView(db); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(db.SysView().Records); n != fleet-1 {
+	if n := db.SysView().Len(); n != fleet-1 {
 		t.Fatalf("%d records after one insert and two deletes on %d", n, fleet)
 	}
 }
@@ -227,9 +463,9 @@ func TestSysViewPatchChurn(t *testing.T) {
 					return
 				}
 				epoch = snap.Epoch
-				for i := 1; i < len(snap.Records); i++ {
-					if snap.Records[i-1].Status.Host >= snap.Records[i].Status.Host {
-						t.Errorf("snapshot out of order at %d: %q then %q", i, snap.Records[i-1].Status.Host, snap.Records[i].Status.Host)
+				for i := 1; i < snap.Len(); i++ {
+					if snap.At(i-1).Status.Host >= snap.At(i).Status.Host {
+						t.Errorf("snapshot out of order at %d: %q then %q", i, snap.At(i-1).Status.Host, snap.At(i).Status.Host)
 						return
 					}
 				}

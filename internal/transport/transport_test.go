@@ -20,16 +20,25 @@ func seedDB() *store.DB {
 	return db
 }
 
+// within polls cond until it holds or timeout passes and reports
+// which. A transmitter counts a snapshot or delta as sent after writing
+// its last frame ("sent" means complete), so a receiver that has
+// already consumed the reply may read Sent/Deltas a moment early:
+// exact-count assertions poll the counter instead of reading it once.
+func within(timeout time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if cond() {
+			return true
+		}
+	}
+	return cond()
+}
+
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !within(timeout, cond) {
+		t.Fatal("condition not reached in time")
 	}
-	t.Fatal("condition not reached in time")
 }
 
 func assertMirrored(t *testing.T, src, dst *store.DB) {

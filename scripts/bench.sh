@@ -136,12 +136,12 @@ with open("BENCH_transport.json", "w") as f:
 print("wrote BENCH_transport.json")
 EOF
 
-echo "== go test -bench SelectScale (benchtime=$benchtime, count=3) =="
+echo "== go test -bench SelectScale, SysViewRebuild (benchtime=$benchtime, count=3) =="
 # count=3 with best-of-three, like the wizard block: the unindexable
 # overhead gate compares two rows that run the same code (~6ms at
 # 100k), and a single noisy run can push their ratio past its 5% bound.
-go test -run=NONE -bench='SelectScale' \
-	-benchtime="$benchtime" -count=3 -timeout=45m ./internal/core/ | tee "$out"
+go test -run=NONE -bench='SelectScale|SysViewRebuild' \
+	-benchtime="$benchtime" -count=3 -timeout=45m ./internal/core/ ./internal/store/ | tee "$out"
 
 python3 - "$out" <<'EOF'
 import json, re, sys
@@ -187,6 +187,17 @@ doc = {
         "unindexable_ns_overhead_10k": ratio("10k/unindexable/plan", "10k/unindexable/scan", "ns_per_op", digits=3),
         "ns_broad_100k_plan_vs_scan": ratio("100k/broad/plan", "100k/broad/scan", "ns_per_op", digits=3),
         "allocs_broad_100k_plan": rows.get("SelectScale/100k/broad/plan", {}).get("allocs_per_op"),
+        "sysview_rebuild_bytes_100k_one_put": rows.get("SysViewRebuild/hosts=100000", {}).get("bytes_per_op"),
+    },
+    # SysViewRebuild is what a request pays for the report that landed
+    # before it (one PutSys of a known host, then SysView): the paged
+    # snapshot copies the host's page and the page table, so at 100k
+    # hosts it must stay under 1 MB where the flat copy took 23 MB.
+    "before_paged_snapshot": {
+        # Measured at the parent commit (flat []SysRecord snapshot,
+        # copied whole per rebuild) with this same benchmark.
+        "SysViewRebuild/hosts=20000": {"ns_per_op": 2432428.0, "bytes_per_op": 4645070.0, "allocs_per_op": 6.0},
+        "SysViewRebuild/hosts=100000": {"ns_per_op": 14145631.0, "bytes_per_op": 23208149.0, "allocs_per_op": 6.0},
     },
 }
 

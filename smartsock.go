@@ -30,7 +30,7 @@ import (
 	"fmt"
 	"net"
 	"os"
-
+	"sync"
 	"time"
 
 	"smartsock/internal/proto"
@@ -154,6 +154,10 @@ func (c *Client) RequestServers(ctx context.Context, requirement string, n int, 
 	return reply.Servers, nil
 }
 
+// replyBufs recycles the reply buffers of exchange: 64 KB each, so any
+// legal datagram fits. UnmarshalReply copies what it keeps.
+var replyBufs = sync.Pool{New: func() any { b := make([]byte, 64*1024); return &b }}
+
 // exchange performs the UDP request/reply with sequence matching and
 // retries (§3.6.2 steps 2–3). Resends are spaced by a bounded,
 // jittered backoff so a fleet of clients retrying a lost wizard does
@@ -165,7 +169,9 @@ func (c *Client) exchange(ctx context.Context, req *proto.Request) (*proto.Reply
 	}
 	defer conn.Close()
 	msg := proto.MarshalRequest(req)
-	buf := make([]byte, 64*1024)
+	bufp := replyBufs.Get().(*[]byte)
+	defer replyBufs.Put(bufp)
+	buf := *bufp
 	bo := &retry.Backoff{Base: 50 * time.Millisecond, Max: c.cfg.Timeout}
 	var lastErr error
 	var floor time.Duration // retry-after hint from an overloaded reply
