@@ -57,6 +57,14 @@ func main() {
 	flag.Var(&peers, "peer", "network peer as name=echoAddr (repeatable)")
 	flag.Parse()
 	logger := log.New(os.Stderr, "sysmond: ", log.LstdFlags)
+	if *compat {
+		// The thesis preset, applied to the parsed flags before anything
+		// is built: one datagram per socket syscall on one listener
+		// socket, the historical ingest loop. Its wire half (full snapshot
+		// every epoch, no deltas) is not a flag and is handed to the
+		// transmitter as a value.
+		*udpBatch, *shards = 1, 1
+	}
 
 	db := store.New()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -78,12 +86,6 @@ func main() {
 	}
 	db.RegisterObs(reg, "monitor")
 
-	if *compat {
-		// The ingest half of -compat: one datagram per socket syscall,
-		// one listener socket — the historical serve loop.
-		*udpBatch = 1
-		*shards = 1
-	}
 	mon, err := monitor.New(monitor.Config{
 		Addr:            *listen,
 		DB:              db,

@@ -42,12 +42,12 @@ func main() {
 		localMon    = flag.String("local-monitor", "", "name of the client-side network monitor")
 		groupsFlag  = flag.String("groups", "", "host→group map as host=group,host=group")
 		tplFile     = flag.String("templates", "", "requirement template file ([name] sections, §3.6.1)")
-		workers     = flag.Int("workers", 1, "concurrent request handlers; 1 is the thesis-faithful sequential mode")
+		workers     = flag.Int("workers", 1, "request-answering loops (at least one runs per shard); 1 answers sequentially, as the thesis does")
 		cacheSize   = flag.Int("cache-size", 0, "compiled-requirement cache entries (0: default, <0: disable)")
 		planAt      = flag.Int("plan-threshold", 0, "table size where the indexed selection planner takes over (0: default, <0: always full-scan)")
 		udpBatch    = flag.Int("udp-batch", 32, "request datagrams per socket syscall (recvmmsg/sendmmsg; 1: one syscall per datagram)")
 		shards      = flag.Int("shards", 1, "SO_REUSEPORT listener sockets for the request port (Linux; 1: single socket)")
-		maxQueue    = flag.Int("max-queue", 1024, "per-shard ingress queue bound in requests (0: overload protection off)")
+		maxQueue    = flag.Int("max-queue", 1024, "per-shard ingress queue bound in requests (0: pass-through admission, nothing is ever shed)")
 		codelTarget = flag.Duration("codel-target", 5*time.Millisecond, "CoDel sojourn-time target for shedding queued requests")
 		rateLimit   = flag.Float64("rate-limit", 0, "per-source admitted requests/sec (0: no per-source limit)")
 		rateBurst   = flag.Int("rate-burst", 0, "per-source token-bucket burst (0: 2x rate-limit, at least 8)")
@@ -58,6 +58,20 @@ func main() {
 	flag.Var(&pulls, "pull", "passive transmitter to pull from on each request (repeatable; enables distributed mode)")
 	flag.Parse()
 	logger := log.New(os.Stderr, "wizardd: ", log.LstdFlags)
+	if *compat {
+		// The thesis preset, whole and in one place: applied to the parsed
+		// flags before anything is built, so nothing below branches on
+		// the mode. §3.6.1 verbatim — one sequential handler on one
+		// socket, one datagram per syscall, every requirement parsed on
+		// arrival, the whole table walked per request — and pass-through
+		// admission: the thesis wizard never sheds, every request waits
+		// its turn in the kernel socket buffer. The one thing a flag
+		// cannot say, the thesis pull protocol with whole-table loads, is
+		// handed to the receiver as a value.
+		*workers, *shards, *udpBatch = 1, 1, 1
+		*cacheSize, *planAt = -1, -1
+		*maxQueue, *rateLimit = 0, 0
+	}
 
 	db := store.New()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -79,14 +93,8 @@ func main() {
 	}
 	db.RegisterObs(reg, "wizard")
 
-	if *compat {
-		// The overload half of -compat: the thesis wizard never sheds —
-		// every request waits its turn in the kernel socket buffer.
-		*maxQueue = 0
-		*rateLimit = 0
-	}
-	// Built unconditionally (even when disabled) so the overload_*
-	// metrics always exist on the debug endpoint.
+	// Built even when disabled (-max-queue 0) so the overload_* metrics
+	// always exist on the debug endpoint.
 	gate := overload.New(overload.Config{
 		MaxQueue: *maxQueue,
 		Target:   *codelTarget,
@@ -99,8 +107,7 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	// The transport half of -compat: thesis pull protocol, whole-table
-	// loads. Set before the update hook captures the receiver.
+	// Set before the update hook captures the receiver.
 	recv.Compat = *compat
 	// Transport frames carry the data the wizard answers from; they are
 	// priority traffic and bypass shedding (audited via overload_bypass).
@@ -129,11 +136,6 @@ func main() {
 	if len(groups) > 0 {
 		groupOf = func(h string) string { return groups[h] }
 	}
-	if *compat {
-		// The selection half of -compat: the thesis wizard walks the
-		// whole table on every request, so the planner stays off.
-		*planAt = -1
-	}
 	sel, err := core.New(db, core.Config{
 		LocalMonitor:  *localMon,
 		GroupOf:       groupOf,
@@ -152,14 +154,6 @@ func main() {
 		}
 		logger.Printf("loaded %d requirement templates from %s", len(templates), *tplFile)
 	}
-	if *compat {
-		// §3.6.1 verbatim: one sequential handler, every requirement
-		// parsed on arrival, one datagram per socket syscall.
-		*workers = 1
-		*cacheSize = -1
-		*udpBatch = 1
-		*shards = 1
-	}
 	wz, err := wizard.New(wizard.Config{
 		Addr:      *listen,
 		Selector:  sel,
@@ -176,7 +170,7 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	mode := "overload protection off"
+	mode := "pass-through admission"
 	if gate.Enabled() {
 		mode = fmt.Sprintf("max-queue %d, codel-target %v", *maxQueue, *codelTarget)
 		if *rateLimit > 0 {
@@ -184,7 +178,7 @@ func main() {
 		}
 	}
 	logger.Printf("wizard on %s (%d worker(s), %d shard(s), batch %d; %s)",
-		wz.Addr(), max(*workers, 1), wz.Shards(), *udpBatch, mode)
+		wz.Addr(), max(*workers, wz.Shards()), wz.Shards(), *udpBatch, mode)
 	go wz.Run(ctx)
 	<-ctx.Done()
 }

@@ -348,8 +348,8 @@ func TestWizardQPSFastPathWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(tb.Rows))
+	if len(tb.Rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(tb.Rows))
 	}
 	qps := func(row []string) float64 {
 		var v float64

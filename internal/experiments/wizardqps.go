@@ -1,8 +1,8 @@
 package experiments
 
 // The wizard fast-path experiment: request-storm throughput of the
-// §3.6.1 wizard under its four serving configurations, from the
-// thesis-faithful sequential loop up to the batched/sharded datagram
+// §3.6.1 wizard under three presets of its one serve pipeline, from
+// the thesis-faithful sequential one up to the batched/sharded datagram
 // plane. DESIGN.md's fast-path and datagram-plane sections and
 // EXPERIMENTS.md's wizard.qps entry carry the measured numbers.
 
@@ -42,7 +42,6 @@ var stormRequirements = []string{
 //   - seq/uncached: the thesis-faithful serving model (wizardd
 //     -compat) — one sequential handler, every requirement re-parsed;
 //   - seq/cached: the compiled-requirement cache alone;
-//   - workers8/cached: the worker pool, still ping-pong clients;
 //   - shards8/batched: the full datagram plane — 8 SO_REUSEPORT
 //     shards with batch-64 recvmmsg/sendmmsg endpoints, driven by
 //     windowed clients that keep requests in flight.
@@ -73,7 +72,6 @@ func wizardQPS(o Options) (*Table, error) {
 	configs := []stormConfig{
 		{"seq/uncached (thesis §3.6.1)", 1, -1, 1, 1, false},
 		{"seq/cached", 1, 0, 1, 1, false},
-		{"workers8/cached", 8, 0, 32, 1, false},
 		{"shards8/batched (windowed clients)", 8, 0, 64, 8, true},
 	}
 	t := &Table{

@@ -57,6 +57,11 @@ func TestDownloadSingleServer(t *testing.T) {
 	if stats.Requests != 8 { // ceil(500/64) blocks
 		t.Errorf("Requests = %d, want 8", stats.Requests)
 	}
+	// The server counts a chunk after the Write the client has already
+	// read, so its total can trail the finished download by a moment.
+	for deadline := time.Now().Add(2 * time.Second); srv.Served() != 500*1024 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if srv.Served() != 500*1024 {
 		t.Errorf("server served %d", srv.Served())
 	}
@@ -66,8 +71,14 @@ func TestDownloadSingleServer(t *testing.T) {
 }
 
 func TestDownloadSpreadsAcrossServers(t *testing.T) {
-	addr1, _ := startServer(t, 0)
-	addr2, _ := startServer(t, 0)
+	// Both servers are shaped: the 32 blocks come off one shared counter,
+	// and from unshaped loopback servers one connection's goroutine can
+	// take them all before the other is ever scheduled. At 2 MB/s a
+	// server is out of burst after six blocks and the rest of the
+	// download outlasts any scheduler quantum.
+	const rate = 2 << 20
+	addr1, _ := startServer(t, rate)
+	addr2, _ := startServer(t, rate)
 	conns := []net.Conn{dial(t, addr1), dial(t, addr2)}
 	stats, err := Download(context.Background(), conns, 1<<20, 32*1024)
 	if err != nil {

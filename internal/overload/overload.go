@@ -37,6 +37,11 @@
 // bypass admission — counted in overload_bypass, never queued, never
 // shed. The invariant "overload_bypass == transport frames received"
 // is reconciled by the chaos observability suite.
+//
+// "Unprotected" is a policy of this package, not a second serve path
+// in the wizard: a disabled gate (MaxQueue 0) hands out pass-through
+// queues (see Queue), and the wizard runs the same ingest → queue →
+// drain loops either way without asking which policy it got.
 package overload
 
 import (
@@ -70,8 +75,9 @@ const (
 // Config parameterises a Gate.
 type Config struct {
 	// MaxQueue bounds each ingress queue, in datagrams. 0 disables the
-	// whole admission plane: Gate.Enabled reports false and the serve
-	// path falls back to its direct (unprotected) loop.
+	// gate: its queues run the pass-through policy (Push blocks, nothing
+	// is shed, no source is rate-limited) and the kernel socket buffer
+	// is the only backpressure.
 	MaxQueue int
 	// Target is the CoDel sojourn-time target; 0 means DefaultTarget.
 	Target time.Duration
@@ -81,7 +87,8 @@ type Config struct {
 	// DefaultRetryAfter.
 	RetryAfter time.Duration
 	// Rate is the per-source admission rate in requests per second.
-	// 0 disables per-source limiting (the CoDel shedder still runs).
+	// 0 disables per-source limiting (the CoDel shedder still runs); a
+	// disabled gate ignores it.
 	Rate float64
 	// Burst is the per-source token-bucket capacity; 0 means 2×Rate
 	// (and at least 8), so a well-behaved client's request bursts pass
@@ -140,14 +147,15 @@ func New(cfg Config) *Gate {
 		bypass:      cfg.Obs.Counter("overload_bypass"),
 		queueDelay:  cfg.Obs.Histogram("overload_queue_delay", obs.QueueDelayBuckets),
 	}
-	if cfg.Rate > 0 {
+	if cfg.Rate > 0 && g.Enabled() {
 		g.lim = newLimiter(cfg.Rate, float64(cfg.Burst), cfg.SourceLRU)
 	}
 	return g
 }
 
-// Enabled reports whether the admission plane is armed. A nil gate
-// and a MaxQueue of 0 both mean "serve directly, shed nothing".
+// Enabled reports whether the gate sheds and rate-limits. A nil gate
+// and a MaxQueue of 0 are both disabled: the pass-through policy,
+// "queue one batch, block the reader, shed nothing".
 func (g *Gate) Enabled() bool { return g != nil && g.cfg.MaxQueue > 0 }
 
 // Target returns the CoDel sojourn target the gate's queues run under.

@@ -34,6 +34,64 @@ func TestDisabledGateAdmitsEverything(t *testing.T) {
 	}
 }
 
+// TestDisabledGateQueuePassesThrough pins the pass-through policy: the
+// queue is one receive batch deep, a Push into a full queue blocks
+// until a Pop makes room instead of evicting, every sojourn is
+// admitted, no source is limited, and the shed counters stay at zero.
+func TestDisabledGateQueuePassesThrough(t *testing.T) {
+	g := New(Config{Rate: 1, Burst: 1}) // MaxQueue 0: Rate is ignored too
+	q := g.NewQueue(2)
+	if q.Cap() != 2 {
+		t.Fatalf("pass-through queue depth = %d, want the receive batch (2)", q.Cap())
+	}
+	now := time.Now()
+	for i := 0; i < 100; i++ {
+		if !g.AllowSource(src(1), now) {
+			t.Fatalf("disabled gate rate-limited request %d", i)
+		}
+	}
+	a := Item{Addr: src(1), Enq: now}
+	b := Item{Addr: src(2), Enq: now}
+	c := Item{Addr: src(3), Enq: now}
+	q.Push(a)
+	q.Push(b)
+	pushed := make(chan bool, 1)
+	go func() {
+		_, ev := q.Push(c)
+		pushed <- ev
+	}()
+	select {
+	case <-pushed:
+		t.Fatal("Push into a full pass-through queue returned before any Pop")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if it, ok := q.Pop(); !ok || it.Addr != a.Addr {
+		t.Fatalf("front = %v, want %v: a blocked Push must not evict", it.Addr, a.Addr)
+	}
+	if ev := <-pushed; ev {
+		t.Fatal("pass-through Push reported an eviction")
+	}
+	for _, want := range []Item{b, c} {
+		if it, ok := q.TryPop(); !ok || it.Addr != want.Addr {
+			t.Fatalf("next = %v, want %v", it.Addr, want.Addr)
+		}
+	}
+
+	// Sojourns that drive an enabled gate's CoDel into shedding
+	// (TestCoDelShedsPersistentStandingQueue) are all admitted here.
+	for i := 0; i < 400; i++ {
+		if codelStep(q, time.Hour, now.Add(time.Duration(i)*5*time.Millisecond)) {
+			t.Fatalf("disabled gate shed dequeue %d", i)
+		}
+	}
+	if g.QueueDelay().Count() != 400 {
+		t.Fatalf("overload_queue_delay count = %d, want 400", g.QueueDelay().Count())
+	}
+	if g.Shed() != 0 || g.RateLimited() != 0 {
+		t.Fatalf("disabled gate counted shed=%d ratelimited=%d, want 0 and 0", g.Shed(), g.RateLimited())
+	}
+}
+
 func TestTokenBucketLimitsOnlyTheRunawaySource(t *testing.T) {
 	g := New(Config{MaxQueue: 16, Rate: 10, Burst: 5})
 	now := time.Now()
@@ -90,7 +148,7 @@ func TestLimiterLRUEvictsColdestSource(t *testing.T) {
 
 func TestQueuePushEvictsFromFront(t *testing.T) {
 	g := New(Config{MaxQueue: 2})
-	q := g.NewQueue()
+	q := g.NewQueue(1)
 	now := time.Now()
 
 	a := Item{Addr: src(1), Enq: now}
@@ -128,7 +186,7 @@ func TestQueuePushEvictsFromFront(t *testing.T) {
 
 func TestQueueCloseReleasesPop(t *testing.T) {
 	g := New(Config{MaxQueue: 2})
-	q := g.NewQueue()
+	q := g.NewQueue(1)
 	q.Push(Item{Addr: src(1), Enq: time.Now()})
 	q.Close()
 	if _, ok := q.Pop(); !ok {
@@ -147,7 +205,7 @@ func codelStep(q *Queue, sojourn time.Duration, now time.Time) bool {
 
 func TestCoDelAbsorbsBurstsShorterThanInterval(t *testing.T) {
 	g := New(Config{MaxQueue: 64, Target: 5 * time.Millisecond, Interval: 100 * time.Millisecond})
-	q := g.NewQueue()
+	q := g.NewQueue(1)
 	now := time.Now()
 	// Sojourn above target for less than one interval, then back under:
 	// nothing may be shed.
@@ -166,7 +224,7 @@ func TestCoDelAbsorbsBurstsShorterThanInterval(t *testing.T) {
 
 func TestCoDelShedsPersistentStandingQueue(t *testing.T) {
 	g := New(Config{MaxQueue: 64, Target: 5 * time.Millisecond, Interval: 100 * time.Millisecond})
-	q := g.NewQueue()
+	q := g.NewQueue(1)
 	now := time.Now()
 	shed := 0
 	// Sojourn pinned above target for 2s of dequeues every 5ms: after
@@ -205,7 +263,7 @@ func TestCoDelShedsPersistentStandingQueue(t *testing.T) {
 func TestAdmittedSojournsLandInHistogram(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := New(Config{MaxQueue: 64, Obs: reg})
-	q := g.NewQueue()
+	q := g.NewQueue(1)
 	now := time.Now()
 	if !q.AdmitDequeued(Item{Enq: now.Add(-time.Millisecond)}, now) {
 		t.Fatal("healthy item shed")

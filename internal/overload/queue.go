@@ -23,6 +23,12 @@ type Item struct {
 // Both drop paths — queue-full eviction and CoDel — shed from the
 // front: the oldest request is the one its client is closest to
 // giving up on.
+//
+// Under a disabled gate the same queue runs the pass-through policy:
+// Push blocks instead of evicting and AdmitDequeued admits everything,
+// so nothing is ever shed and the kernel socket buffer behind the
+// blocked ingest loop is the only backpressure — the thesis wizard's
+// behaviour (§3.6.1), expressed as a policy rather than a second loop.
 type Queue struct {
 	gate *Gate
 	ch   chan Item
@@ -38,44 +44,45 @@ type Queue struct {
 	lastDropCount int       // dropCount when the previous episode ended
 }
 
-// NewQueue builds one bounded ingress queue under the gate's CoDel
-// parameters. Call once per shard.
-func (g *Gate) NewQueue() *Queue {
-	return &Queue{gate: g, ch: make(chan Item, max(g.cfg.MaxQueue, 1))}
+// NewQueue builds one ingress queue under the gate's policy; call once
+// per shard. An enabled gate bounds it at MaxQueue. A disabled gate
+// makes it one receive batch deep (batch is the caller's datagrams per
+// read): room for the ingest loop to read ahead while the previous
+// batch is answered, and nothing more to wait in.
+func (g *Gate) NewQueue(batch int) *Queue {
+	depth := max(batch, 1)
+	if g.Enabled() {
+		depth = g.cfg.MaxQueue
+	}
+	return &Queue{gate: g, ch: make(chan Item, depth)}
 }
 
-// Push admits an item, evicting from the front when full. The evicted
-// item (if any) is returned so the caller can answer it with a shed
-// reply; evictions are counted in overload_shed. ok is false only
-// when the queue is closed-and-full in a shutdown race, in which case
-// the pushed item itself is returned as evicted.
+// Push admits an item. Under an enabled gate a full queue evicts from
+// the front: the evicted item is returned (hasEvicted true) so the
+// caller can answer it with a shed reply, and is counted in
+// overload_shed. Under a disabled gate Push blocks until a Pop makes
+// room and never evicts. Push must not be called after Close.
 func (q *Queue) Push(it Item) (evicted Item, hasEvicted bool) {
-	for i := 0; i < 2; i++ {
+	if !q.gate.Enabled() {
+		q.ch <- it
+		return Item{}, false
+	}
+	for {
 		select {
 		case q.ch <- it:
 			return Item{}, false
 		default:
 		}
-		// Full: sacrifice the oldest. A concurrent worker may win the
-		// race for it, in which case the retry usually finds room.
+		// Full: sacrifice the oldest. A drain loop may win the race for
+		// it, in which case the retry finds room.
 		select {
 		case old := <-q.ch:
 			q.gate.shed.Inc()
-			select {
-			case q.ch <- it:
-				return old, true
-			default:
-				// Still full (another ingest refilled the slot): give
-				// up and shed the old one anyway.
-				return old, true
-			}
+			q.ch <- it // room: this goroutine is the queue's only producer
+			return old, true
 		default:
 		}
 	}
-	// Unreachable in practice: full yet nothing to evict. Count the
-	// incoming item as shed so nothing goes missing silently.
-	q.gate.shed.Inc()
-	return it, true
 }
 
 // Close releases Pop callers; call after the ingest goroutine has
@@ -99,9 +106,6 @@ func (q *Queue) TryPop() (Item, bool) {
 	}
 }
 
-// Len reports the current queue depth.
-func (q *Queue) Len() int { return len(q.ch) }
-
 // Cap reports the queue bound.
 func (q *Queue) Cap() int { return cap(q.ch) }
 
@@ -110,6 +114,8 @@ func (q *Queue) Cap() int { return cap(q.ch) }
 // overload_shed). Admitted sojourns land in the overload_queue_delay
 // histogram; shed sojourns do not — the histogram answers "how long
 // did requests we served wait", the quantity the bench gates bound.
+// A disabled gate admits every item whatever its sojourn (and still
+// records it).
 //
 // The law is CoDel's: shedding starts only after sojourn has exceeded
 // Target continuously for Interval, proceeds at interval/sqrt(n)
@@ -121,13 +127,14 @@ func (q *Queue) AdmitDequeued(it Item, now time.Time) bool {
 	sojourn := now.Sub(it.Enq)
 	g := q.gate
 
-	q.mu.Lock()
-	drop := q.codel(sojourn, now)
-	q.mu.Unlock()
-
-	if drop {
-		g.shed.Inc()
-		return false
+	if g.Enabled() {
+		q.mu.Lock()
+		drop := q.codel(sojourn, now)
+		q.mu.Unlock()
+		if drop {
+			g.shed.Inc()
+			return false
+		}
 	}
 	g.queueDelay.Observe(int64(sojourn))
 	return true

@@ -13,6 +13,7 @@ import (
 
 	"smartsock/internal/chaos"
 	"smartsock/internal/netbatch"
+	"smartsock/internal/overload"
 	"smartsock/internal/proto"
 )
 
@@ -107,9 +108,11 @@ func collectReplies(t *testing.T, addr string, reqs []*proto.Request, clients in
 }
 
 // TestBatchedShardsMatchSequential is the differential suite: the
-// batched, sharded, multi-worker wizard must produce byte-identical
-// reply datagrams — including error replies — to the thesis-faithful
-// sequential one for the same request stream.
+// batched, sharded, multi-worker wizard — under the pass-through
+// admission policy and under an armed overload gate — must produce
+// byte-identical reply datagrams, including error replies, to the
+// thesis preset (sequential, unbatched, unsharded, gate off) for the
+// same request stream.
 func TestBatchedShardsMatchSequential(t *testing.T) {
 	reqs := stormRequests(140)
 
@@ -121,16 +124,23 @@ func TestBatchedShardsMatchSequential(t *testing.T) {
 		return collectReplies(t, w.Addr(), reqs, 7, nil)
 	}
 	seq := run(Config{Workers: 1, Batch: 1, Shards: 1})
-	batched := run(Config{Workers: 4, Batch: 32, Shards: 4})
+	for name, cfg := range map[string]Config{
+		"gate off": {Workers: 4, Batch: 32, Shards: 4},
+		"gate on":  {Workers: 4, Batch: 32, Shards: 4, Overload: overload.New(overload.Config{MaxQueue: 1024})},
+	} {
+		t.Run(name, func(t *testing.T) {
+			batched := run(cfg)
 
-	if len(seq) != len(reqs) || len(batched) != len(reqs) {
-		t.Fatalf("collected %d sequential and %d batched replies, want %d", len(seq), len(batched), len(reqs))
-	}
-	for _, req := range reqs {
-		if !bytes.Equal(seq[req.Seq], batched[req.Seq]) {
-			t.Errorf("seq %d: sequential reply %q != batched reply %q",
-				req.Seq, seq[req.Seq], batched[req.Seq])
-		}
+			if len(seq) != len(reqs) || len(batched) != len(reqs) {
+				t.Fatalf("collected %d sequential and %d batched replies, want %d", len(seq), len(batched), len(reqs))
+			}
+			for _, req := range reqs {
+				if !bytes.Equal(seq[req.Seq], batched[req.Seq]) {
+					t.Errorf("seq %d: sequential reply %q != batched reply %q",
+						req.Seq, seq[req.Seq], batched[req.Seq])
+				}
+			}
+		})
 	}
 }
 

@@ -100,13 +100,11 @@ func splitAcross(n, clients int) []int {
 }
 
 // BenchmarkWizardStorm measures end-to-end UDP request/reply
-// throughput under a storm from 8 clients. "seq-uncached" is the
-// seed serving model (sequential loop, no cache, one datagram per
-// syscall); "seq-cached" adds the requirement cache;
-// "workers8-cached" adds 8 worker loops sharing one socket, still
-// under ping-pong clients (one request in flight per client — the
-// load shape that used to invert below seq because REUSEPORT
-// sharding starves idle shards); "shards8-batched" is the full
+// throughput under a storm from 8 clients, every row through the one
+// serve pipeline with pass-through admission. "seq-uncached" is the
+// thesis preset (one drain loop, no cache, one datagram per syscall)
+// under ping-pong clients, one request in flight each; "seq-cached"
+// adds the requirement cache; "shards8-batched" is the full
 // datagram plane: 8 SO_REUSEPORT shards with batch-64 endpoints,
 // driven by windowed clients that each keep 64 requests in flight
 // through their own batched endpoint, so the server's
@@ -247,6 +245,5 @@ func BenchmarkWizardStorm(b *testing.B) {
 
 	b.Run("seq-uncached", func(b *testing.B) { run(b, 1, -1, 1, 1) })
 	b.Run("seq-cached", func(b *testing.B) { run(b, 1, 0, 1, 1) })
-	b.Run("workers8-cached", func(b *testing.B) { run(b, 8, 0, 32, 1) })
 	b.Run("shards8-batched", func(b *testing.B) { runWindowed(b, 8, 0, 64, 8) })
 }

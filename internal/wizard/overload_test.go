@@ -156,6 +156,92 @@ func TestOverloadBurstSurvival(t *testing.T) {
 	}
 }
 
+// TestPassThroughBurstNeverSheds is the same open-loop burst against
+// the disabled gate: forty times what its one-batch queue holds, with
+// the drain side slowed so the queue is full and the ingest loop is
+// blocked in Push for most of it. Pass-through means the excess waits
+// in the kernel socket buffer (which holds this burst whole), so every
+// request is answered, none with "overloaded, retry-after", and the
+// wizard's count of answers is the client's.
+func TestPassThroughBurstNeverSheds(t *testing.T) {
+	sel, _ := testSelector(t)
+	gate := overload.New(overload.Config{MaxQueue: 0, Rate: 1}) // disabled: Rate is moot
+	w := startWizard(t, Config{
+		Selector: sel,
+		Update:   slowUpdate(200 * time.Microsecond),
+		Batch:    4, // queue depth 4
+		Overload: gate,
+	})
+	const burst = 160
+	got := stormSocket(t, w.Addr(), 0, burst, gate.RetryAfter(), 300*time.Millisecond)
+
+	if got.shed != 0 {
+		t.Errorf("pass-through wizard sent %d overloaded replies", got.shed)
+	}
+	if got.wrongDecod != 0 {
+		t.Errorf("%d reply datagrams did not decode", got.wrongDecod)
+	}
+	if got.answered != burst {
+		t.Errorf("client counted %d answers to a burst of %d", got.answered, burst)
+	}
+	if w.Handled() != got.answered {
+		t.Errorf("Handled = %d, client counted %d replies", w.Handled(), got.answered)
+	}
+	if gate.Shed() != 0 || gate.RateLimited() != 0 {
+		t.Errorf("disabled gate counted shed=%d ratelimited=%d", gate.Shed(), gate.RateLimited())
+	}
+}
+
+// TestPassThroughShutdownReleasesBlockedIngest cancels the wizard at
+// the one moment the pass-through policy could wedge it: the only
+// drain loop is stuck in an Update, the one-deep queue is full and the
+// ingest loop is blocked in Push behind it. Run must still return.
+func TestPassThroughShutdownReleasesBlockedIngest(t *testing.T) {
+	sel, _ := testSelector(t)
+	w, err := New(Config{
+		Addr:     "127.0.0.1:0",
+		Selector: sel,
+		Update:   func(ctx context.Context) error { <-ctx.Done(); return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+
+	conn, err := net.Dial("udp", w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Request 1 parks the drain loop, 2 fills the queue, 3 is the one
+	// the ingest loop reads and cannot push.
+	req := &proto.Request{ServerNum: 1, Detail: "host_cpu_bogomips > 4000"}
+	for req.Seq = 1; req.Seq <= 3; req.Seq++ {
+		if _, err := conn.Write(proto.MarshalRequest(req)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); w.recvBatch.Count() < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("ingest loop read %d of 3 datagrams", w.recvBatch.Count())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("Run = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("Run did not return after cancel\n%s", buf[:runtime.Stack(buf, true)])
+	}
+}
+
 // TestOverloadHotSourceIsolation pins the rate limiter's fairness
 // story: one runaway source blasting open-loop is clamped to its
 // token bucket while seven well-behaved sources, paced under their

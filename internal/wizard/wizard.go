@@ -8,20 +8,20 @@
 // single datagrams, and under request storms a TCP wizard would
 // accumulate TIME_WAIT state until "too many files opened" (§3.6.1).
 //
-// The thesis wizard "processes the user requests sequentially", and
-// Workers: 1 (the default) preserves that mode byte-for-byte on the
-// wire. Because storms are the expected workload, the wizard also has
-// a fast path: Workers: N serves requests from N concurrent handler
-// goroutines, requirement texts compile once through a bounded LRU
-// cache (reqlang.Cache), and each worker reuses its read and
-// reply-marshal buffers across requests. The datagram plane itself is
-// batched and sharded (internal/netbatch): Batch > 1 moves up to that
-// many requests per recvmmsg and flushes the worker's reply vector
-// with one sendmmsg, and Shards > 1 binds that many SO_REUSEPORT
-// sockets so each worker owns a private socket instead of contending
-// on a shared fd. Both knobs are wire-transparent; Batch/Shards of 1
-// (wizardd -compat) reproduce the historical one-syscall-per-datagram
-// behaviour exactly.
+// There is one serve pipeline (Run): per socket, an ingest loop reads
+// request batches, stamps their arrival time and pushes them into an
+// admission queue; drain loops pop, answer and flush the replies. The
+// split is load-bearing — an answer can block for seconds in a
+// distributed-mode Update, and a loop that answered inline would stop
+// reading the socket meanwhile, losing the arrival timestamps and the
+// shed replies exactly when overload control needs them. Everything
+// else is a Config setting on that pipeline, including whether the
+// queue sheds (internal/overload) or passes everything through. The
+// thesis wizard, which "processes the user requests sequentially", is
+// Workers 1 / Batch 1 / Shards 1 / gate disabled / no cache on the
+// same code (wizardd -compat): one reader, one answerer, FIFO, one
+// syscall per datagram. Every setting is wire-transparent; the
+// differential suite holds them to byte-identical replies.
 //
 // In distributed mode the wizard triggers a pull from the passive
 // transmitters before matching, so sparse deployments only move
@@ -67,10 +67,10 @@ type Config struct {
 	Templates map[string]string
 	// Logger receives per-request errors; nil silences them.
 	Logger *log.Logger
-	// Workers is the number of concurrent request-handling
-	// goroutines. 0 or 1 selects the thesis-faithful sequential loop
-	// (§3.6.1), which stays the default; larger values enable the
-	// storm fast path.
+	// Workers is the number of drain loops answering queued requests.
+	// 0 or 1 answers sequentially, in arrival order (§3.6.1), which
+	// stays the default; at least one loop runs per shard, so the
+	// pool is max(Workers, shards).
 	Workers int
 	// CacheSize bounds the compiled-requirement cache, in programs.
 	// 0 picks reqlang.DefaultCacheSize; a negative value disables
@@ -78,25 +78,26 @@ type Config struct {
 	// for comparison benchmarks and wizardd -compat).
 	CacheSize int
 	// Batch is the most request datagrams one socket syscall may move
-	// on the serve loop (recvmmsg/sendmmsg on Linux). 0 and 1 both
+	// on the serve loops (recvmmsg/sendmmsg on Linux). 0 and 1 both
 	// select the historical one-syscall-per-datagram mode; values
 	// above netbatch.MaxBatch are clamped. Wire behaviour is
 	// identical at every setting.
 	Batch int
 	// Shards is the number of SO_REUSEPORT sockets bound to Addr so
-	// the kernel load-balances request flows across serve loops. 0
+	// the kernel load-balances request flows across ingest loops. 0
 	// and 1 bind a single socket. Off Linux the setting degrades to
 	// one socket (counted by netbatch_fallback).
 	Shards int
-	// Overload, when enabled, arms the admission-control plane
-	// (internal/overload): each shard's receive ring hands datagrams to
-	// a bounded ingress queue, workers drain the queues under a CoDel
-	// controller that sheds persistent standing queues with "overloaded,
-	// retry-after" replies, and a per-source token bucket fends off
-	// runaway clients before they occupy queue space. Nil or disabled
-	// (MaxQueue 0, the wizardd -compat pin) keeps the historical direct
-	// serve loops: no queue, no shedding, kernel socket buffers as the
-	// only backpressure.
+	// Overload is the admission policy at each shard's queue
+	// (internal/overload). Enabled, the queue is bounded at MaxQueue, the
+	// drain loops run it under a CoDel controller that sheds persistent
+	// standing queues with "overloaded, retry-after" replies, and a
+	// per-source token bucket fends off runaway clients before they
+	// occupy queue space. Disabled (MaxQueue 0, the wizardd -compat pin)
+	// it is the pass-through policy: the queue is one receive batch
+	// deep, a full queue blocks the ingest loop, nothing is shed, and
+	// the kernel socket buffer is the only backpressure. Nil means a
+	// disabled gate with detached metrics.
 	Overload *overload.Gate
 	// RecvBuf, when positive, asks the kernel for that many bytes of
 	// receive buffer on every shard socket (SetReadBuffer). Overload
@@ -129,14 +130,14 @@ type Wizard struct {
 	recvBatch *obs.Histogram // wizard_recv_batch
 	sendBatch *obs.Histogram // wizard_send_batch
 
-	// testWrap, when set by tests, wraps each serve loop's endpoint —
-	// the injection point for write-error fault tests.
+	// testWrap, when set by tests, wraps each ingest and drain loop's
+	// endpoint — the injection point for write-error fault tests.
 	testWrap func(netbatch.Endpoint) netbatch.Endpoint
 
 	// freeBufs recycles queue-handoff receive buffers between the
 	// ingest loops (which hand a filled buffer to the queue and need a
-	// fresh one for the ring slot) and the workers (which return the
-	// buffer once the request is answered). A channel free list keeps
+	// fresh one for the ring slot) and the drain loops (which return
+	// the buffer once the request is answered). A channel free list keeps
 	// the exchange allocation-free; when it runs dry the getter
 	// allocates and when it overflows the putter lets the GC collect.
 	freeBufs chan []byte
@@ -199,6 +200,9 @@ func New(cfg Config) (*Wizard, error) {
 			}
 		}
 	}
+	if cfg.Overload == nil {
+		cfg.Overload = overload.New(overload.Config{})
+	}
 	size := cfg.CacheSize
 	switch {
 	case size == 0:
@@ -236,7 +240,7 @@ func (w *Wizard) Addr() string { return w.shards[0].LocalAddr().String() }
 func (w *Wizard) Shards() int { return len(w.shards) }
 
 // ReplyErrors reports how many reply datagrams the kernel refused to
-// send. The serve loop drops the reply and keeps going — the client
+// send. The drain loop drops the reply and keeps going — the client
 // retries like any other datagram loss — so this counter is the only
 // visible trace of a saturated send path.
 func (w *Wizard) ReplyErrors() uint64 { return w.replyErr.Value() }
@@ -285,156 +289,71 @@ func (w *Wizard) ReloadTemplates(templates map[string]string) {
 	w.cache.Purge()
 }
 
-// Run serves requests until the context is cancelled: sequentially
-// with Workers ≤ 1 (the thesis wizard "processes the user requests
-// sequentially"), or from a pool of handler goroutines otherwise.
-// With shards, loop i serves socket i mod len(shards), and at least
-// one loop runs per shard so no socket's flows go unanswered. When
-// the overload gate is enabled the serve path switches to the
-// admission-controlled architecture instead: per-shard ingest loops
-// feeding bounded queues, workers draining them under CoDel.
+// Run serves requests until the context is cancelled. Per shard, one
+// ingest loop pulls batches off the socket, rate-limits by source and
+// pushes the survivors (with their arrival timestamps) into that
+// shard's admission queue; max(Workers, shards) drain loops pop them —
+// loop j serves shard j mod shards, so no socket goes unanswered —
+// shed what the queue's policy refuses with a cheap "overloaded,
+// retry-after" reply so those clients back off instead of resending
+// into the storm, answer the rest and flush the replies with one
+// batched write. With Workers, Batch and Shards all 1 that is the
+// thesis's sequential wizard: one datagram read, answered and written
+// at a time, in arrival order.
+//
+// Shutdown: the context watcher closes the sockets, every ingest loop
+// surfaces net.ErrClosed and exits, the queues are closed behind them,
+// and the drain loops empty what is left before exiting on the closed
+// queues.
 func (w *Wizard) Run(ctx context.Context) error {
 	go func() {
 		<-ctx.Done()
-		// The serve loops below surface the close as net.ErrClosed.
+		// The ingest loops below surface the close as net.ErrClosed.
 		for _, s := range w.shards {
 			_ = s.Close()
 		}
 	}()
-	if w.cfg.Overload.Enabled() {
-		return w.runProtected(ctx)
-	}
-	loops := max(w.cfg.Workers, 1)
-	if loops < len(w.shards) {
-		loops = len(w.shards)
-	}
-	if loops == 1 {
-		return w.serve(ctx, w.shards[0])
-	}
-	errs := make(chan error, loops)
-	var wg sync.WaitGroup
-	for i := 0; i < loops; i++ {
-		wg.Add(1)
-		go func(conn *net.UDPConn) {
-			defer wg.Done()
-			errs <- w.serve(ctx, conn)
-		}(w.shards[i%len(w.shards)])
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// serve is one handler loop: pull a batch of requests, answer each
-// into a pooled reply vector, flush the replies with one batched
-// write. Each loop owns its receive and reply vectors (buffers grow
-// once and are reused across batches) and its own netbatch endpoint;
-// loops sharing a socket are serialised by the kernel. With Batch ≤ 1
-// the plane degrades to exactly the historical
-// read-one/answer/write-one cycle.
-func (w *Wizard) serve(ctx context.Context, conn *net.UDPConn) error {
-	ep, err := w.endpoint(conn)
-	if err != nil {
-		return err
-	}
-	batch := w.cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > netbatch.MaxBatch {
-		batch = netbatch.MaxBatch
-	}
-	rx := netbatch.NewBatch(batch, 64*1024)
-	tx := netbatch.NewBatch(batch, 2048)
-	var req proto.Request // scratch: refilled per datagram, never retained
-	var reply proto.Reply
-	for {
-		n, err := ep.ReadBatch(rx)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("wizard: read: %w", err)
-		}
-		w.recvBatch.Observe(int64(n))
-		replies := tx[:0]
-		for i := 0; i < n; i++ {
-			if !w.handle(ctx, rx[i].Buf, &req, &reply) {
-				continue // undecodable request: nothing to answer
-			}
-			j := len(replies)
-			replies = replies[:j+1]
-			out, err := proto.AppendReply(replies[j].Buf[:0], &reply)
-			if err != nil {
-				replies = replies[:j]
-				w.logf("wizard: marshal reply: %v", err)
-				continue
-			}
-			replies[j].Buf = out
-			replies[j].Addr = rx[i].Addr
-		}
-		if len(replies) == 0 {
-			continue
-		}
-		w.sendBatch.Observe(int64(len(replies)))
-		sent, err := ep.WriteBatch(replies)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			// Transient send failure (ENOBUFS under reply pressure):
-			// the unsent replies are dropped like any datagram loss,
-			// counted, and the loop keeps serving.
-			w.replyErr.Add(uint64(len(replies) - sent))
-			w.logf("wizard: send replies: %v (%d of %d sent)", err, sent, len(replies))
-		}
-	}
-}
-
-// runProtected is the overload-protected serve architecture: one
-// ingest loop per shard pulls batches off the socket, rate-limits by
-// source and pushes the survivors (with their arrival timestamps)
-// into that shard's bounded queue; a pool of workers drains the
-// queues, shedding under the CoDel control law before spending any
-// answer-pipeline work. Shed requests get a cheap "overloaded,
-// retry-after" reply so their clients back off instead of resending
-// into the storm.
-//
-// Shutdown mirrors Run: the context watcher closes the sockets, every
-// ingest loop surfaces net.ErrClosed and exits, the queues are closed
-// behind them, and the workers drain what is left before exiting on
-// the closed queues.
-func (w *Wizard) runProtected(ctx context.Context) error {
 	nshards := len(w.shards)
+	drainers := max(w.cfg.Workers, nshards)
+	batch := min(max(w.cfg.Batch, 1), netbatch.MaxBatch)
+	// Every loop owns its endpoint (the syscall scratch is per endpoint;
+	// loops sharing a socket are serialised by the kernel). They are all
+	// built before any loop starts, so the loops themselves cannot fail
+	// to start and leave a blocked Push with nobody to Pop.
+	eps := make([]netbatch.Endpoint, nshards+drainers)
+	for i := range eps {
+		ep, err := netbatch.Wrap(w.shards[i%nshards], netbatch.Options{Batch: batch, Obs: w.cfg.Obs})
+		if err != nil {
+			return fmt.Errorf("wizard: %w", err)
+		}
+		eps[i] = ep
+		if w.testWrap != nil {
+			eps[i] = w.testWrap(ep)
+		}
+	}
 	queues := make([]*overload.Queue, nshards)
 	for i := range queues {
-		queues[i] = w.cfg.Overload.NewQueue()
+		queues[i] = w.cfg.Overload.NewQueue(batch)
 	}
-	workers := max(w.cfg.Workers, nshards)
-	batch := w.batch()
-	// Enough free buffers to fill every queue and every in-flight
-	// worker batch without the getter allocating in steady state.
-	w.freeBufs = make(chan []byte, nshards*queues[0].Cap()+workers*batch+nshards*batch)
+	// Enough free buffers to fill every queue, every ingest ring and
+	// every in-flight drain batch without the getter allocating in
+	// steady state.
+	w.freeBufs = make(chan []byte, nshards*(queues[0].Cap()+batch)+drainers*batch)
 
-	errs := make(chan error, nshards+workers)
+	errs := make([]error, nshards) // one per ingest loop
 	var ingest, drain sync.WaitGroup
 	for i := 0; i < nshards; i++ {
 		ingest.Add(1)
 		go func(i int) {
 			defer ingest.Done()
-			errs <- w.serveIngest(ctx, w.shards[i], queues[i])
+			errs[i] = w.ingest(ctx, eps[i], queues[i], batch)
 		}(i)
 	}
-	for j := 0; j < workers; j++ {
+	for j := 0; j < drainers; j++ {
 		drain.Add(1)
 		go func(j int) {
 			defer drain.Done()
-			errs <- w.serveQueue(ctx, w.shards[j%nshards], queues[j%nshards])
+			w.drain(ctx, eps[nshards+j], queues[j%nshards], batch)
 		}(j)
 	}
 	ingest.Wait()
@@ -442,25 +361,7 @@ func (w *Wizard) runProtected(ctx context.Context) error {
 		q.Close()
 	}
 	drain.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// batch is the configured per-syscall datagram count, clamped.
-func (w *Wizard) batch() int {
-	b := w.cfg.Batch
-	if b < 1 {
-		b = 1
-	}
-	if b > netbatch.MaxBatch {
-		b = netbatch.MaxBatch
-	}
-	return b
+	return errors.Join(errs...)
 }
 
 // getBuf takes a receive buffer from the free list, allocating when
@@ -482,20 +383,17 @@ func (w *Wizard) putBuf(b []byte) {
 	}
 }
 
-// serveIngest is one shard's admission loop: read a batch, run the
+// ingest is one shard's admission loop: read a batch, run the
 // per-source token bucket, hand admitted datagrams (timestamped) to
 // the shard queue and answer rate-limited or queue-evicted ones with
 // shed replies. It does no parsing beyond the request header of the
 // datagrams it sheds, so a storm's ingest cost stays near the syscall
 // floor and the socket drains at wire speed — the queue, not the
-// kernel buffer, is where excess load becomes measurable.
-func (w *Wizard) serveIngest(ctx context.Context, conn *net.UDPConn, q *overload.Queue) error {
-	ep, err := w.endpoint(conn)
-	if err != nil {
-		return err
-	}
+// kernel buffer, is where excess load becomes measurable. Under the
+// pass-through policy nothing is refused here and a full queue blocks
+// the Push, which is what leaves the excess in the kernel buffer.
+func (w *Wizard) ingest(ctx context.Context, ep netbatch.Endpoint, q *overload.Queue, batch int) error {
 	gate := w.cfg.Overload
-	batch := w.batch()
 	rx := netbatch.NewBatch(batch, 64*1024)
 	tx := netbatch.NewBatch(batch, 256) // shed replies are tiny
 	var req proto.Request               // scratch for shed-reply seq extraction
@@ -521,57 +419,41 @@ func (w *Wizard) serveIngest(ctx context.Context, conn *net.UDPConn, q *overload
 				w.putBuf(ev.Buf)
 			}
 		}
-		if len(sheds) == 0 {
-			continue
-		}
-		w.sendBatch.Observe(int64(len(sheds)))
-		sent, err := ep.WriteBatch(sheds)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			w.replyErr.Add(uint64(len(sheds) - sent))
-			w.logf("wizard: send shed replies: %v (%d of %d sent)", err, sent, len(sheds))
-		}
+		w.flush(ctx, ep, sheds)
 	}
 }
 
-// serveQueue is one worker: pop the next queued request (blocking),
-// drain whatever else is ready up to a batch, answer or shed each
-// under the CoDel controller, and flush the replies with one batched
-// write. Exits when the queue closes at shutdown.
-func (w *Wizard) serveQueue(ctx context.Context, conn *net.UDPConn, q *overload.Queue) error {
-	ep, err := w.endpoint(conn)
-	if err != nil {
-		return err
-	}
-	batch := w.batch()
+// drain is one answer loop: pop the next queued request (blocking),
+// take whatever else is ready up to a batch, answer or shed each as
+// the queue's policy decides — before spending any answer-pipeline
+// work on a shed one — and flush the replies with one batched write.
+// Exits when the queue closes at shutdown.
+func (w *Wizard) drain(ctx context.Context, ep netbatch.Endpoint, q *overload.Queue, batch int) {
 	tx := netbatch.NewBatch(batch, 2048)
-	var req proto.Request
+	var req proto.Request // scratch: refilled per datagram, never retained
 	var reply proto.Reply
 	for {
 		it, ok := q.Pop()
 		if !ok {
-			return nil
+			return
+		}
+		select {
+		case <-ctx.Done():
+			// Shutting down: the sockets are closed, so nothing popped
+			// from here on can be answered. Keep popping — a pass-through
+			// Push may be blocked on this queue — but spend no answer
+			// work (an Update can take seconds) on it.
+			continue
+		default:
 		}
 		replies := tx[:0]
 		for {
-			if q.AdmitDequeued(it, time.Now()) {
-				if w.handle(ctx, it.Buf, &req, &reply) {
-					j := len(replies)
-					replies = replies[:j+1]
-					out, err := proto.AppendReply(replies[j].Buf[:0], &reply)
-					if err != nil {
-						replies = replies[:j]
-						w.logf("wizard: marshal reply: %v", err)
-					} else {
-						replies[j].Buf = out
-						replies[j].Addr = it.Addr
-					}
-				}
-			} else {
+			switch {
+			case !q.AdmitDequeued(it, time.Now()):
 				replies = w.appendShed(replies, it.Buf, it.Addr, &req)
-			}
+			case w.handle(ctx, it.Buf, &req, &reply):
+				replies = w.appendReply(replies, &reply, it.Addr)
+			} // an undecodable request gets no reply
 			w.putBuf(it.Buf)
 			if len(replies) >= batch {
 				break
@@ -582,19 +464,41 @@ func (w *Wizard) serveQueue(ctx context.Context, conn *net.UDPConn, q *overload.
 			}
 			it = next
 		}
-		if len(replies) == 0 {
-			continue
-		}
-		w.sendBatch.Observe(int64(len(replies)))
-		sent, err := ep.WriteBatch(replies)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			w.replyErr.Add(uint64(len(replies) - sent))
-			w.logf("wizard: send replies: %v (%d of %d sent)", err, sent, len(replies))
-		}
+		w.flush(ctx, ep, replies)
 	}
+}
+
+// flush sends one loop's reply vector with a single batched write. A
+// transient send failure (ENOBUFS under reply pressure) drops the
+// unsent replies like any datagram loss, counts them and lets the loop
+// keep serving; a failure because shutdown closed the socket is not an
+// error at all.
+func (w *Wizard) flush(ctx context.Context, ep netbatch.Endpoint, replies []netbatch.Message) {
+	if len(replies) == 0 {
+		return
+	}
+	w.sendBatch.Observe(int64(len(replies)))
+	sent, err := ep.WriteBatch(replies)
+	if err == nil || ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
+		return
+	}
+	w.replyErr.Add(uint64(len(replies) - sent))
+	w.logf("wizard: send replies: %v (%d of %d sent)", err, sent, len(replies))
+}
+
+// appendReply marshals reply into the next pooled slot of a reply
+// vector (slot buffers grow once and are reused across batches).
+func (w *Wizard) appendReply(out []netbatch.Message, reply *proto.Reply, addr netip.AddrPort) []netbatch.Message {
+	j := len(out)
+	out = out[:j+1]
+	buf, err := proto.AppendReply(out[j].Buf[:0], reply)
+	if err != nil {
+		w.logf("wizard: marshal reply: %v", err)
+		return out[:j]
+	}
+	out[j].Buf = buf
+	out[j].Addr = addr
+	return out
 }
 
 // appendShed appends an "overloaded, retry-after" reply for one shed
@@ -609,16 +513,7 @@ func (w *Wizard) appendShed(out []netbatch.Message, datagram []byte, addr netip.
 		return out
 	}
 	reply := proto.Reply{Seq: req.Seq, Err: proto.OverloadedErr(w.cfg.Overload.RetryAfter())}
-	j := len(out)
-	out = out[:j+1]
-	buf, err := proto.AppendReply(out[j].Buf[:0], &reply)
-	if err != nil {
-		w.logf("wizard: marshal shed reply: %v", err)
-		return out[:j]
-	}
-	out[j].Buf = buf
-	out[j].Addr = addr
-	return out
+	return w.appendReply(out, &reply, addr)
 }
 
 // closeAll releases the shard set after a partial New failure.
@@ -628,23 +523,10 @@ func closeAll(conns []*net.UDPConn) {
 	}
 }
 
-// endpoint wraps one shard socket for a serve loop, applying the
-// test-injection hook when armed.
-func (w *Wizard) endpoint(conn *net.UDPConn) (netbatch.Endpoint, error) {
-	ep, err := netbatch.Wrap(conn, netbatch.Options{Batch: w.cfg.Batch, Obs: w.cfg.Obs})
-	if err != nil {
-		return nil, fmt.Errorf("wizard: %w", err)
-	}
-	if w.testWrap != nil {
-		return w.testWrap(ep), nil
-	}
-	return ep, nil
-}
-
 // handle processes one request datagram into the caller's scratch
-// request and reply. It is the serve loops' zero-alloc path: the
-// parsed Detail aliases the receive buffer (stable until the next
-// ReadBatch) and the reply struct is reused across datagrams. It
+// request and reply. It is the drain loops' zero-alloc path: the
+// parsed Detail aliases the queued receive buffer (stable until the
+// caller's putBuf) and the reply struct is reused across datagrams. It
 // reports false when the datagram is undecodable and nothing should
 // be answered.
 func (w *Wizard) handle(ctx context.Context, datagram []byte, req *proto.Request, reply *proto.Reply) bool {
@@ -727,22 +609,9 @@ func (w *Wizard) answer(ctx context.Context, req *proto.Request, reply *proto.Re
 }
 
 // sanitize strips newlines so error text survives the reply format.
-// Almost no error text carries one, so the common case returns the
-// input without copying.
-func sanitize(s string) string {
-	if strings.IndexByte(s, '\n') < 0 {
-		return s
-	}
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, ' ')
-			continue
-		}
-		out = append(out, s[i])
-	}
-	return string(out)
-}
+// Almost no error text carries one, and ReplaceAll returns its input
+// uncopied when nothing matches.
+func sanitize(s string) string { return strings.ReplaceAll(s, "\n", " ") }
 
 func (w *Wizard) logf(format string, args ...any) {
 	if w.cfg.Logger != nil {

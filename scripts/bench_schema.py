@@ -7,7 +7,7 @@ regression silently dropping a metric would otherwise go unnoticed
 until someone quotes a number that no longer exists, so this script
 fails loudly when a required key or metric is missing.
 
-Usage: scripts/bench_schema.py [file ...]   (default: both BENCH files)
+Usage: scripts/bench_schema.py [file ...]   (default: every BENCH file)
 """
 
 import json
@@ -23,24 +23,19 @@ SCHEMAS = {
             "WizardAnswer/uncached": ["ns_per_op", "allocs_per_op"],
             "WizardStorm/seq-uncached": ["qps"],
             "WizardStorm/seq-cached": ["qps"],
-            "WizardStorm/workers8-cached": ["qps"],
             "WizardStorm/shards8-batched": ["qps"],
             "Select": ["ns_per_op", "allocs_per_op"],
             "SelectMemoized": ["ns_per_op"],
         },
-        # Datagram-plane acceptance bounds (best-of-three runs, see
+        # Datagram-plane acceptance bound (best-of-three runs, see
         # bench.sh): the windowed batched/sharded storm must beat the
-        # sequential cached loop with margin, and the 8-worker
-        # configuration must never regress below it again (it used to,
-        # when ping-pong clients starved the REUSEPORT shards).
+        # sequential cached preset with margin.
         "ratio_section": "speedup",
         "ratios": [
             "storm_sharded_vs_seq",
-            "storm_workers8_vs_seq",
         ],
         "ratio_bounds": {
             "storm_sharded_vs_seq": (1.25, None),
-            "storm_workers8_vs_seq": (1.0, None),
         },
     },
     "BENCH_transport.json": {
@@ -180,6 +175,37 @@ OBS_SCHEMA = {
 }
 
 
+# BENCH_size.json is scripts/size.sh's output: non-test Go lines per
+# package plus the total, and the flag count of each cmd/*/main.go.
+# check.sh regenerates it and diffs it against the committed file, so
+# the numbers are always current; this only holds the shape.
+SIZE_SCHEMA = {
+    "go_lines": ["total", "internal/wizard", "internal/overload"],
+    "flags": ["cmd/wizardd", "cmd/sysmond"],
+}
+
+
+def check_size(name, doc):
+    errs = []
+    for section, required in SIZE_SCHEMA.items():
+        table = doc.get(section)
+        if not isinstance(table, dict):
+            errs.append(f"{name}: missing section {section!r}")
+            continue
+        for key in required:
+            if key not in table:
+                errs.append(f"{name}: {section} lacks {key!r}")
+        for key, val in table.items():
+            if not isinstance(val, int) or val < 0:
+                errs.append(f"{name}: {section} {key} = {val!r}, want a count")
+    lines = doc.get("go_lines", {})
+    if isinstance(lines, dict) and isinstance(lines.get("total"), int):
+        packages = sum(v for k, v in lines.items() if k != "total" and isinstance(v, int))
+        if packages != lines["total"]:
+            errs.append(f"{name}: go_lines total {lines['total']} != sum of packages {packages}")
+    return errs
+
+
 def check_obs(name, doc):
     errs = []
     for section, required in OBS_SCHEMA.items():
@@ -212,6 +238,8 @@ def check(path):
         return [f"{path}: {e}"]
     if name == "BENCH_obs.json":
         return check_obs(name, doc)
+    if name == "BENCH_size.json":
+        return check_size(name, doc)
     schema = SCHEMAS.get(name)
     if schema is None:
         return [f"{path}: no schema registered (add one to bench_schema.py)"]
@@ -248,7 +276,7 @@ def check(path):
 
 
 def main():
-    files = sys.argv[1:] or list(SCHEMAS) + ["BENCH_obs.json"]
+    files = sys.argv[1:] or list(SCHEMAS) + ["BENCH_obs.json", "BENCH_size.json"]
     errors = []
     for path in files:
         errors += check(path)

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh runs the full correctness gate: formatting, go vet, build,
-# race-enabled tests, and the project's own static analyzers
-# (cmd/smartlint). CI runs exactly this script; run it locally before
-# sending a change.
+# race-enabled tests, the committed size numbers, and the project's own
+# static analyzers (cmd/smartlint). CI runs exactly this script; run it
+# locally before sending a change.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -37,6 +37,19 @@ echo "== benchmark module: go vet, go test =="
 # internal API change that breaks it must fail here, not in the perf
 # pipeline.
 (cd benchmark && go vet . && go test .)
+
+echo "== size: BENCH_size.json is current =="
+# Non-test Go lines per package and flags per daemon are committed
+# numbers (ROADMAP aim 2); a change that moves them commits the new
+# file, so the move is in the diff.
+size=$(mktemp)
+trap 'rm -f "$size"' EXIT
+sh scripts/size.sh "$size" >/dev/null
+if ! diff -u BENCH_size.json "$size"; then
+	echo "BENCH_size.json is stale: run scripts/size.sh and commit it" >&2
+	exit 1
+fi
+python3 scripts/bench_schema.py BENCH_size.json
 
 echo "== chaos test naming =="
 # CI's chaos job selects with `go test -run Chaos`; -run matches by
