@@ -20,6 +20,7 @@ import (
 	"smartsock/internal/core"
 	"smartsock/internal/experiments"
 	"smartsock/internal/monitor"
+	"smartsock/internal/obs"
 	"smartsock/internal/probe"
 	"smartsock/internal/proto"
 	"smartsock/internal/reqlang"
@@ -226,22 +227,24 @@ func BenchmarkTransportCentralizedPush(b *testing.B) {
 		src.PutSys(sysinfo.Idle(fmt.Sprintf("h%d", i), 3000, 256))
 	}
 	dst := store.New()
-	recv, err := transport.NewReceiver(dst, "127.0.0.1:0", nil)
+	recv, err := transport.NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go recv.Run(ctx)
-	tx, err := transport.NewTransmitter(src, nil)
+	reg := obs.NewRegistry()
+	tx, err := transport.NewTransmitterObs(src, nil, reg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Push as fast as possible to measure per-snapshot cost.
 	go tx.RunActive(ctx, recv.Addr(), time.Microsecond)
 	b.ResetTimer()
-	start := tx.Sent()
-	for tx.Sent() < start+uint64(b.N) {
+	sent := reg.Counter("transport_tx_snapshots")
+	start := sent.Value()
+	for sent.Value() < start+uint64(b.N) {
 		time.Sleep(50 * time.Microsecond)
 	}
 }
@@ -251,7 +254,7 @@ func BenchmarkTransportDistributedPull(b *testing.B) {
 	for i := 0; i < 11; i++ {
 		src.PutSys(sysinfo.Idle(fmt.Sprintf("h%d", i), 3000, 256))
 	}
-	tx, err := transport.NewTransmitter(src, nil)
+	tx, err := transport.NewTransmitterObs(src, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,7 +266,7 @@ func BenchmarkTransportDistributedPull(b *testing.B) {
 	defer cancel()
 	go tx.ServePassive(ctx, ln)
 	dst := store.New()
-	recv, err := transport.NewReceiver(dst, "127.0.0.1:0", nil)
+	recv, err := transport.NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

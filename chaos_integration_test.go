@@ -20,6 +20,7 @@ import (
 
 	"smartsock"
 	"smartsock/internal/chaos"
+	"smartsock/internal/obs"
 	"smartsock/internal/testbed"
 )
 
@@ -270,6 +271,9 @@ func TestChaosStreamResetMidDeltaResyncs(t *testing.T) {
 			c()
 		}
 	}()
+	reg := obs.NewRegistry()
+	fulls := func() uint64 { return reg.Snapshot().Counters["transport_tx_snapshots"] }
+	deltas := func() uint64 { return reg.Snapshot().Counters["transport_tx_delta_epochs"] }
 	cluster, err := testbed.Boot(testbed.Options{
 		Machines:        machines,
 		ProbeInterval:   interval,
@@ -277,6 +281,7 @@ func TestChaosStreamResetMidDeltaResyncs(t *testing.T) {
 		ExpireAll:       true,
 		MaxStatusAge:    4 * interval,
 		TxFaults:        txFaults,
+		Obs:             reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +298,7 @@ func TestChaosStreamResetMidDeltaResyncs(t *testing.T) {
 	// carries one refresh delta per epoch. Wait until the stream is
 	// demonstrably in its delta regime before cutting it.
 	deadline := time.Now().Add(10 * time.Second)
-	for cluster.Tx.Deltas() == 0 {
+	for deltas() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("push stream never entered the delta regime")
 		}
@@ -303,19 +308,19 @@ func TestChaosStreamResetMidDeltaResyncs(t *testing.T) {
 	// Cut the stream mid-delta. The transmitter must notice, redial
 	// and open the new stream with a full snapshot (the resync), after
 	// which the replica keeps refreshing.
-	fullBefore, deltasBefore := cluster.Tx.Sent(), cluster.Tx.Deltas()
+	fullBefore, deltasBefore := fulls(), deltas()
 	if n := txFaults.ResetAllStreams(); n == 0 {
 		t.Fatal("no transmitter stream was wrapped")
 	}
 	deadline = time.Now().Add(10 * time.Second)
-	for cluster.Tx.Sent() == fullBefore {
+	for fulls() == fullBefore {
 		if time.Now().After(deadline) {
 			t.Fatal("transmitter never re-anchored the stream with a full snapshot")
 		}
 		time.Sleep(interval)
 	}
 	deadline = time.Now().Add(10 * time.Second)
-	for cluster.Tx.Deltas() <= deltasBefore {
+	for deltas() <= deltasBefore {
 		if time.Now().After(deadline) {
 			t.Fatal("delta flow never resumed after the resync snapshot")
 		}

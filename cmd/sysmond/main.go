@@ -50,7 +50,6 @@ func main() {
 		udpBatch   = flag.Int("udp-batch", 32, "report datagrams per socket syscall (recvmmsg; 1: one syscall per datagram)")
 		shards     = flag.Int("shards", 1, "SO_REUSEPORT listener sockets for the report port (Linux; 1: single socket)")
 		compat     = flag.Bool("compat", false, "thesis-faithful wire mode: full snapshot every epoch, no deltas, unbatched unsharded ingest")
-		resyncEv   = flag.Int("resync-every", 0, "delta epochs between unsolicited full snapshots (0: default)")
 		debugAddr  = flag.String("debug", "", "HTTP metrics endpoint address, e.g. 127.0.0.1:6061 (empty: disabled)")
 		peers      peerList
 	)
@@ -148,7 +147,6 @@ func main() {
 		logger.Fatal(err)
 	}
 	tx.Compat = *compat
-	tx.ResyncEvery = *resyncEv
 	switch {
 	case *receiver != "":
 		logger.Printf("centralized mode: pushing to %s", *receiver)

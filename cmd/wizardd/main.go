@@ -43,14 +43,11 @@ func main() {
 		groupsFlag  = flag.String("groups", "", "host→group map as host=group,host=group")
 		tplFile     = flag.String("templates", "", "requirement template file ([name] sections, §3.6.1)")
 		workers     = flag.Int("workers", 1, "request-answering loops (at least one runs per shard); 1 answers sequentially, as the thesis does")
-		cacheSize   = flag.Int("cache-size", 0, "compiled-requirement cache entries (0: default, <0: disable)")
-		planAt      = flag.Int("plan-threshold", 0, "table size where the indexed selection planner takes over (0: default, <0: always full-scan)")
 		udpBatch    = flag.Int("udp-batch", 32, "request datagrams per socket syscall (recvmmsg/sendmmsg; 1: one syscall per datagram)")
 		shards      = flag.Int("shards", 1, "SO_REUSEPORT listener sockets for the request port (Linux; 1: single socket)")
 		maxQueue    = flag.Int("max-queue", 1024, "per-shard ingress queue bound in requests (0: pass-through admission, nothing is ever shed)")
 		codelTarget = flag.Duration("codel-target", 5*time.Millisecond, "CoDel sojourn-time target for shedding queued requests")
 		rateLimit   = flag.Float64("rate-limit", 0, "per-source admitted requests/sec (0: no per-source limit)")
-		rateBurst   = flag.Int("rate-burst", 0, "per-source token-bucket burst (0: 2x rate-limit, at least 8)")
 		compat      = flag.Bool("compat", false, "thesis-faithful mode: sequential serving, no requirement cache, unbatched unsharded socket, full-snapshot transport, no selection planner, no overload protection")
 		debugAddr   = flag.String("debug", "", "HTTP metrics endpoint address, e.g. 127.0.0.1:6060 (empty: disabled)")
 		pulls       addrList
@@ -58,6 +55,9 @@ func main() {
 	flag.Var(&pulls, "pull", "passive transmitter to pull from on each request (repeatable; enables distributed mode)")
 	flag.Parse()
 	logger := log.New(os.Stderr, "wizardd: ", log.LstdFlags)
+	// Not flags: the packages' defaults (0) serve every deployment, and
+	// the only other value anything uses is the one the preset sets.
+	cacheSize, planThreshold := 0, 0
 	if *compat {
 		// The thesis preset, whole and in one place: applied to the parsed
 		// flags before anything is built, so nothing below branches on
@@ -65,11 +65,11 @@ func main() {
 		// socket, one datagram per syscall, every requirement parsed on
 		// arrival, the whole table walked per request — and pass-through
 		// admission: the thesis wizard never sheds, every request waits
-		// its turn in the kernel socket buffer. The one thing a flag
-		// cannot say, the thesis pull protocol with whole-table loads, is
-		// handed to the receiver as a value.
+		// its turn in the kernel socket buffer. What no flag says — no
+		// requirement cache, no selection planner, and the thesis pull
+		// protocol with whole-table loads — is handed on as values.
 		*workers, *shards, *udpBatch = 1, 1, 1
-		*cacheSize, *planAt = -1, -1
+		cacheSize, planThreshold = -1, -1
 		*maxQueue, *rateLimit = 0, 0
 	}
 
@@ -99,7 +99,6 @@ func main() {
 		MaxQueue: *maxQueue,
 		Target:   *codelTarget,
 		Rate:     *rateLimit,
-		Burst:    *rateBurst,
 		Obs:      reg,
 	})
 
@@ -140,7 +139,7 @@ func main() {
 		LocalMonitor:  *localMon,
 		GroupOf:       groupOf,
 		ServicePort:   *servicePort,
-		PlanThreshold: *planAt,
+		PlanThreshold: planThreshold,
 		Obs:           reg,
 	})
 	if err != nil {
@@ -161,7 +160,7 @@ func main() {
 		Templates: templates,
 		Logger:    logger,
 		Workers:   *workers,
-		CacheSize: *cacheSize,
+		CacheSize: cacheSize,
 		Batch:     *udpBatch,
 		Shards:    *shards,
 		Overload:  gate,

@@ -59,7 +59,7 @@ func startSite(ctx context.Context, name string, servers map[string]float64) (*s
 		}
 		go p.Run(ctx)
 	}
-	tx, err := transport.NewTransmitter(s.db, nil)
+	tx, err := transport.NewTransmitterObs(s.db, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func run() error {
 
 	// Wizard site: receiver + wizard in distributed (pull) mode.
 	wizDB := store.New()
-	recv, err := transport.NewReceiver(wizDB, "127.0.0.1:0", nil)
+	recv, err := transport.NewReceiverObs(wizDB, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		return err
 	}

@@ -170,7 +170,7 @@ func ablationTransport(o Options) (*Table, error) {
 	// Measure real pull latency over loopback.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	tx, err := transport.NewTransmitter(src, nil)
+	tx, err := transport.NewTransmitterObs(src, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func ablationTransport(o Options) (*Table, error) {
 	}
 	go tx.ServePassive(ctx, ln)
 	dst := store.New()
-	recv, err := transport.NewReceiver(dst, "127.0.0.1:0", nil)
+	recv, err := transport.NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		return nil, err
 	}

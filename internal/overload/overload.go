@@ -28,8 +28,9 @@
 //   - A per-source token-bucket rate limiter (AllowSource) over an LRU
 //     of recent sources fends off a single runaway client without
 //     punishing the fleet: each source address earns Rate tokens per
-//     second up to Burst, and a source that exhausts its bucket is
-//     rejected before its datagrams ever occupy queue space.
+//     second up to a burst of 2×Rate (at least 8), and a source that
+//     exhausts its bucket is rejected before its datagrams ever
+//     occupy queue space.
 //
 // Priority classes keep the control plane honest: status-distribution
 // traffic (transport pull/delta frames) must never starve behind a
@@ -88,12 +89,10 @@ type Config struct {
 	RetryAfter time.Duration
 	// Rate is the per-source admission rate in requests per second.
 	// 0 disables per-source limiting (the CoDel shedder still runs); a
-	// disabled gate ignores it.
-	Rate float64
-	// Burst is the per-source token-bucket capacity; 0 means 2×Rate
-	// (and at least 8), so a well-behaved client's request bursts pass
+	// disabled gate ignores it. The token bucket holds 2×Rate (and at
+	// least 8), so a well-behaved client's request bursts pass
 	// untouched.
-	Burst int
+	Rate float64
 	// SourceLRU caps how many sources the limiter tracks; 0 means
 	// DefaultSourceLRU. Evicting a source forgets its debt, which is
 	// safe: a returning source restarts with a full bucket, and a
@@ -137,9 +136,6 @@ func New(cfg Config) *Gate {
 	if cfg.SourceLRU <= 0 {
 		cfg.SourceLRU = DefaultSourceLRU
 	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = max(int(2*cfg.Rate), 8)
-	}
 	g := &Gate{
 		cfg:         cfg,
 		shed:        cfg.Obs.Counter("overload_shed"),
@@ -148,7 +144,7 @@ func New(cfg Config) *Gate {
 		queueDelay:  cfg.Obs.Histogram("overload_queue_delay", obs.QueueDelayBuckets),
 	}
 	if cfg.Rate > 0 && g.Enabled() {
-		g.lim = newLimiter(cfg.Rate, float64(cfg.Burst), cfg.SourceLRU)
+		g.lim = newLimiter(cfg.Rate, float64(max(int(2*cfg.Rate), 8)), cfg.SourceLRU)
 	}
 	return g
 }

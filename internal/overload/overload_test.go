@@ -39,7 +39,7 @@ func TestDisabledGateAdmitsEverything(t *testing.T) {
 // until a Pop makes room instead of evicting, every sojourn is
 // admitted, no source is limited, and the shed counters stay at zero.
 func TestDisabledGateQueuePassesThrough(t *testing.T) {
-	g := New(Config{Rate: 1, Burst: 1}) // MaxQueue 0: Rate is ignored too
+	g := New(Config{Rate: 1}) // MaxQueue 0: Rate is ignored too
 	q := g.NewQueue(2)
 	if q.Cap() != 2 {
 		t.Fatalf("pass-through queue depth = %d, want the receive batch (2)", q.Cap())
@@ -93,13 +93,13 @@ func TestDisabledGateQueuePassesThrough(t *testing.T) {
 }
 
 func TestTokenBucketLimitsOnlyTheRunawaySource(t *testing.T) {
-	g := New(Config{MaxQueue: 16, Rate: 10, Burst: 5})
+	g := New(Config{MaxQueue: 16, Rate: 10})
 	now := time.Now()
 
-	// The runaway source: burst allows the first 5, then rejection
-	// until tokens accrue.
+	// The runaway source: the burst (2×Rate) allows the first 20, then
+	// rejection until tokens accrue.
 	hot := src(1000)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 20; i++ {
 		if !g.AllowSource(hot, now) {
 			t.Fatalf("request %d within burst rejected", i)
 		}

@@ -129,10 +129,6 @@ type Options struct {
 	// WizardCacheSize sets the wizard's compiled-requirement cache
 	// bound (0: default, negative: disabled — the seed behaviour).
 	WizardCacheSize int
-	// TransportCompat runs transmitter and receiver in the
-	// thesis-fidelity wire mode: a full three-frame snapshot every
-	// epoch (or pull), no deltas, no snap marks.
-	TransportCompat bool
 	// Overload, when set, threads an admission-control gate through
 	// the wizard's serve path and the receiver's bypass accounting —
 	// the same wiring wizardd does from its -max-queue/-rate-limit
@@ -295,8 +291,6 @@ func Boot(opts Options) (*Cluster, error) {
 	if err != nil {
 		return fail(err)
 	}
-	tx.Compat = opts.TransportCompat
-	recv.Compat = opts.TransportCompat
 	recv.Overload = opts.Overload
 	c.Tx, c.Recv = tx, recv
 	if in := opts.TxFaults; in != nil {

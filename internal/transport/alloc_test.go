@@ -31,9 +31,6 @@ func allocHarness(t *testing.T, fleetSize int) (*store.DB, []status.ServerStatus
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pin measures the steady delta path; push the periodic full
-	// resync far beyond the run so it cannot pollute the average.
-	tx.ResyncEvery = 1 << 30
 	recv, err := NewReceiverObs(store.New(), "127.0.0.1:0", nil, reg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +40,10 @@ func allocHarness(t *testing.T, fleetSize int) (*store.DB, []status.ServerStatus
 	var cs connState
 	cs.lag = recv.lagFor("alloc-test")
 	epoch := func() {
+		// The pin measures the steady delta path; keep the periodic full
+		// resync (every resyncEvery epochs) from ever coming due, so it
+		// cannot pollute the average.
+		sess.sinceFull = 0
 		if err := tx.pushEpoch(conn, &sess); err != nil {
 			t.Fatal(err)
 		}

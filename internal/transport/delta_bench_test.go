@@ -72,12 +72,12 @@ func BenchmarkTransportEpoch(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			src, fleet := benchFleet(fleetSize)
-			tx, err := NewTransmitter(src, nil)
+			tx, err := NewTransmitterObs(src, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			tx.Compat = tc.compat
-			recv, err := NewReceiver(store.New(), "127.0.0.1:0", nil)
+			recv, err := NewReceiverObs(store.New(), "127.0.0.1:0", nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

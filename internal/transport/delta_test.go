@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"smartsock/internal/obs"
 	"smartsock/internal/status"
 	"smartsock/internal/store"
 )
@@ -28,14 +29,15 @@ func TestCentralizedDeltaPropagatesChangeAndTombstone(t *testing.T) {
 	src.PutSys(status.ServerStatus{Host: "doomed", Load1: 2})
 	dst := store.New()
 
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go recv.Run(ctx)
-	tx, err := NewTransmitter(src, nil)
+	reg := obs.NewRegistry()
+	tx, err := NewTransmitterObs(src, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +51,8 @@ func TestCentralizedDeltaPropagatesChangeAndTombstone(t *testing.T) {
 		r, ok := dst.GetSys("keep")
 		return ok && r.Status.Load1 == 9
 	})
-	if !within(2*time.Second, func() bool { return tx.Deltas() > 0 }) {
-		t.Errorf("change arrived without any delta push (Sent=%d)", tx.Sent())
+	if !within(2*time.Second, func() bool { return count(t, reg, "transport_tx_delta_epochs") > 0 }) {
+		t.Errorf("change arrived without any delta push (snapshots=%d)", count(t, reg, "transport_tx_snapshots"))
 	}
 
 	// An expiry travels as a tombstone: the host vanishes downstream.
@@ -68,24 +70,26 @@ func TestCentralizedDeltaPropagatesChangeAndTombstone(t *testing.T) {
 func TestCentralizedDeltaSkipsUnchangedEpochs(t *testing.T) {
 	src := seedDB()
 	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	reg := obs.NewRegistry()
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go recv.Run(ctx)
-	tx, err := NewTransmitter(src, nil)
+	tx, err := NewTransmitterObs(src, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go tx.RunActive(ctx, recv.Addr(), 5*time.Millisecond)
 
-	waitFor(t, 2*time.Second, func() bool { return tx.Skipped() >= 1 })
-	applied := recv.Received()
-	skipped := tx.Skipped()
-	waitFor(t, 2*time.Second, func() bool { return tx.Skipped() >= skipped+3 })
-	if got := recv.Received(); got != applied {
+	txSkipped := func() uint64 { return count(t, reg, "transport_tx_epochs_skipped") }
+	waitFor(t, 2*time.Second, func() bool { return txSkipped() >= 1 })
+	applied := count(t, reg, "transport_recv_frames")
+	skipped := txSkipped()
+	waitFor(t, 2*time.Second, func() bool { return txSkipped() >= skipped+3 })
+	if got := count(t, reg, "transport_recv_frames"); got != applied {
 		t.Errorf("receiver applied %d frames across unchanged epochs, want 0", got-applied)
 	}
 	assertMirrored(t, src, dst)
@@ -94,32 +98,36 @@ func TestCentralizedDeltaSkipsUnchangedEpochs(t *testing.T) {
 func TestRefreshOnlyEpochPreservesReceiverSysEpoch(t *testing.T) {
 	src := seedDB()
 	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go recv.Run(ctx)
-	tx, err := NewTransmitter(src, nil)
+	reg := obs.NewRegistry()
+	tx, err := NewTransmitterObs(src, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go tx.RunActive(ctx, recv.Addr(), 5*time.Millisecond)
 	waitFor(t, 2*time.Second, func() bool { return dst.SysLen() == 2 })
+	txDeltas := func() uint64 { return count(t, reg, "transport_tx_delta_epochs") }
 
 	// Re-reporting identical probe content refreshes timestamps but
 	// must not bump the receiver's SysView epoch — the wizard's
 	// memoized selections stay valid across idle probe ticks.
 	epoch := dst.SysView().Epoch
-	deltas := tx.Deltas()
+	deltas := txDeltas()
 	for i := 0; i < 5; i++ {
 		r, _ := src.GetSys("helene")
 		src.PutSys(r.Status)
-		waitFor(t, 2*time.Second, func() bool { return tx.Deltas() > deltas })
-		deltas = tx.Deltas()
+		waitFor(t, 2*time.Second, func() bool { return txDeltas() > deltas })
+		deltas = txDeltas()
 	}
-	waitFor(t, 2*time.Second, func() bool { return tx.Skipped() > 0 || tx.Deltas() > deltas })
+	waitFor(t, 2*time.Second, func() bool {
+		return count(t, reg, "transport_tx_epochs_skipped") > 0 || txDeltas() > deltas
+	})
 	if got := dst.SysView().Epoch; got != epoch {
 		t.Errorf("refresh-only traffic bumped receiver epoch %d -> %d", epoch, got)
 	}
@@ -127,7 +135,8 @@ func TestRefreshOnlyEpochPreservesReceiverSysEpoch(t *testing.T) {
 
 func TestReceiverForcesResyncOnVersionGap(t *testing.T) {
 	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	reg := obs.NewRegistry()
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +162,7 @@ func TestReceiverForcesResyncOnVersionGap(t *testing.T) {
 	if err := status.WriteFrame(conn, status.Frame{Type: status.TypeSysDelta, Data: status.AppendSysDelta(nil, d)}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return recv.Resyncs() == 1 })
+	waitFor(t, 2*time.Second, func() bool { return count(t, reg, "transport_recv_resyncs") == 1 })
 	// The receiver must have dropped the connection so the transmitter
 	// resyncs with a fresh full snapshot.
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -170,7 +179,7 @@ func TestReceiverForcesResyncOnVersionGap(t *testing.T) {
 	if err := status.WriteFrame(conn2, status.Frame{Type: status.TypeSysDelta, Data: status.AppendSysDelta(nil, d)}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return recv.Resyncs() == 2 })
+	waitFor(t, 2*time.Second, func() bool { return count(t, reg, "transport_recv_resyncs") == 2 })
 }
 
 // budgetConn errors every write after the first n, modelling a stream
@@ -201,10 +210,13 @@ func (nopConn) SetReadDeadline(t time.Time) error  { return nil }
 func (nopConn) SetWriteDeadline(t time.Time) error { return nil }
 
 func TestPartialSnapshotCountsAsPartialNotSent(t *testing.T) {
-	tx, err := NewTransmitter(seedDB(), nil)
+	reg := obs.NewRegistry()
+	tx, err := NewTransmitterObs(seedDB(), nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sent := func() uint64 { return count(t, reg, "transport_tx_snapshots") }
+	partial := func() uint64 { return count(t, reg, "transport_tx_snapshots_partial") }
 	var enc encodeState
 	// Each frame takes two writes (header, payload): a budget of 3
 	// dies inside the second frame.
@@ -212,26 +224,26 @@ func TestPartialSnapshotCountsAsPartialNotSent(t *testing.T) {
 	if _, err := tx.writeSnapshot(conn, &enc, false); err == nil {
 		t.Fatal("writeSnapshot succeeded over a cut stream")
 	}
-	if tx.Sent() != 0 {
-		t.Errorf("Sent = %d after mid-snapshot failure, want 0", tx.Sent())
+	if sent() != 0 {
+		t.Errorf("snapshots = %d after mid-snapshot failure, want 0", sent())
 	}
-	if tx.SentPartial() != 1 {
-		t.Errorf("SentPartial = %d, want 1", tx.SentPartial())
+	if partial() != 1 {
+		t.Errorf("partial snapshots = %d, want 1", partial())
 	}
 	// A failure before any byte is on the wire is not a partial.
 	conn2 := &budgetConn{Conn: nopConn{}, budget: 0}
 	if _, err := tx.writeSnapshot(conn2, &enc, false); err == nil {
 		t.Fatal("writeSnapshot succeeded over a dead stream")
 	}
-	if tx.SentPartial() != 1 {
-		t.Errorf("SentPartial = %d after zero-byte failure, want still 1", tx.SentPartial())
+	if partial() != 1 {
+		t.Errorf("partial snapshots = %d after zero-byte failure, want still 1", partial())
 	}
 	// A healthy stream completes and counts once.
 	if _, err := tx.writeSnapshot(nopConn{}, &enc, false); err != nil {
 		t.Fatal(err)
 	}
-	if tx.Sent() != 1 || tx.SentPartial() != 1 {
-		t.Errorf("Sent/SentPartial = %d/%d, want 1/1", tx.Sent(), tx.SentPartial())
+	if sent() != 1 || partial() != 1 {
+		t.Errorf("snapshots/partial = %d/%d, want 1/1", sent(), partial())
 	}
 }
 
@@ -245,10 +257,13 @@ func TestDistributedPullIsIncremental(t *testing.T) {
 	src.PutSys(status.ServerStatus{Host: "dione", Load1: 0.1, Bogomips: 4771.02})
 	src.PutNet(status.NetMetric{From: "m1", To: "m2", Delay: 3 * time.Millisecond, Bandwidth: 95e6})
 	src.PutSec(status.SecLevel{Host: "helene", Level: 4})
-	tx, err := NewTransmitter(src, nil)
+	reg := obs.NewRegistry()
+	tx, err := NewTransmitterObs(src, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sent := func() uint64 { return count(t, reg, "transport_tx_snapshots") }
+	deltas := func() uint64 { return count(t, reg, "transport_tx_delta_epochs") }
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +273,7 @@ func TestDistributedPullIsIncremental(t *testing.T) {
 	go tx.ServePassive(ctx, ln)
 
 	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +284,8 @@ func TestDistributedPullIsIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMirrored(t, src, dst)
-	if !within(2*time.Second, func() bool { return tx.Sent() == 1 }) {
-		t.Fatalf("first pull shipped %d full snapshots, want 1", tx.Sent())
+	if !within(2*time.Second, func() bool { return sent() == 1 }) {
+		t.Fatalf("first pull shipped %d full snapshots, want 1", sent())
 	}
 
 	// Second pull after a change: the reply is a delta, not a
@@ -280,8 +295,8 @@ func TestDistributedPullIsIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMirrored(t, src, dst)
-	if !within(2*time.Second, func() bool { return tx.Sent() == 1 && tx.Deltas() == 1 }) {
-		t.Errorf("after incremental pull: Sent=%d Deltas=%d, want 1/1", tx.Sent(), tx.Deltas())
+	if !within(2*time.Second, func() bool { return sent() == 1 && deltas() == 1 }) {
+		t.Errorf("after incremental pull: snapshots=%d delta epochs=%d, want 1/1", sent(), deltas())
 	}
 
 	// Third pull with nothing new: the transmitter skips the payload
@@ -290,8 +305,8 @@ func TestDistributedPullIsIncremental(t *testing.T) {
 	if err := recv.PullFrom(addrs, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if tx.Skipped() != 1 {
-		t.Errorf("unchanged pull: Skipped=%d, want 1", tx.Skipped())
+	if got := count(t, reg, "transport_tx_epochs_skipped"); got != 1 {
+		t.Errorf("unchanged pull: skipped=%d, want 1", got)
 	}
 	if got := dst.SysView().Epoch; got != epoch {
 		t.Errorf("unchanged pull bumped epoch %d -> %d", epoch, got)
@@ -322,7 +337,8 @@ func TestDistributedPullIsIncremental(t *testing.T) {
 
 func TestStalePullReplyCannotClobberFresherRecords(t *testing.T) {
 	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	reg := obs.NewRegistry()
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +347,10 @@ func TestStalePullReplyCannotClobberFresherRecords(t *testing.T) {
 
 	// A full reply carrying version 5 — older than the version already
 	// mirrored from this transmitter — must be discarded, not merged.
-	stale := &pullReply{
-		full:    true,
-		sys:     []status.ServerStatus{{Host: "x", Load1: 1}},
-		ver:     5,
-		hasMark: true,
+	stale := &staged{
+		got: 1<<status.TypeSystem | markFrame,
+		sys: []status.ServerStatus{{Host: "x", Load1: 1}},
+		top: 5,
 	}
 	if err := recv.applyPull("tx-a", 0, stale); err != nil {
 		t.Fatal(err)
@@ -349,7 +364,7 @@ func TestStalePullReplyCannotClobberFresherRecords(t *testing.T) {
 
 	// A delta computed against a base we no longer mirror is dropped
 	// and the transmitter state reset so the next pull resyncs.
-	mismatched := &pullReply{delta: true, ver: 12, hasMark: true}
+	mismatched := &staged{got: 1<<status.TypeSysDelta | markFrame, top: 12}
 	mismatched.sysV.Changed = []status.ServerStatus{{Host: "x", Load1: 0}}
 	if err := recv.applyPull("tx-a", 7, mismatched); err != nil {
 		t.Fatal(err)
@@ -360,8 +375,8 @@ func TestStalePullReplyCannotClobberFresherRecords(t *testing.T) {
 	if st := recv.pullVers["tx-a"]; st.synced {
 		t.Error("mismatched delta left transmitter state synced")
 	}
-	if recv.Resyncs() != 1 {
-		t.Errorf("Resyncs = %d, want 1", recv.Resyncs())
+	if got := count(t, reg, "transport_recv_resyncs"); got != 1 {
+		t.Errorf("resyncs = %d, want 1", got)
 	}
 }
 
@@ -377,7 +392,7 @@ func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 	for _, h := range []string{"a", "b", "c", "d"} {
 		src1.PutSys(status.ServerStatus{Host: h, Load1: 1})
 	}
-	tx1, err := NewTransmitter(src1, nil)
+	tx1, err := NewTransmitterObs(src1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +410,8 @@ func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 	var target atomic.Value
 	target.Store(ln1.Addr().String())
 	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	reg := obs.NewRegistry()
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +431,7 @@ func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 	cancel1()
 	src2 := store.New()
 	src2.PutSys(status.ServerStatus{Host: "a", Load1: 9})
-	tx2, err := NewTransmitter(src2, nil)
+	tx2, err := NewTransmitterObs(src2, nil, reg) // tx1 is detached: reg's tx counters are tx2's
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,11 +450,11 @@ func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 	if r, ok := dst.GetSys("a"); !ok || r.Status.Load1 != 9 {
 		t.Fatal("restarted transmitter's full snapshot was discarded")
 	}
-	if !within(2*time.Second, func() bool { return tx2.Sent() == 1 }) {
-		t.Errorf("restart pull shipped %d full snapshots, want 1", tx2.Sent())
+	if !within(2*time.Second, func() bool { return count(t, reg, "transport_tx_snapshots") == 1 }) {
+		t.Errorf("restart pull shipped %d full snapshots, want 1", count(t, reg, "transport_tx_snapshots"))
 	}
-	if recv.Resyncs() != 1 {
-		t.Errorf("restart adoption: Resyncs = %d, want 1", recv.Resyncs())
+	if got := count(t, reg, "transport_recv_resyncs"); got != 1 {
+		t.Errorf("restart adoption: resyncs = %d, want 1", got)
 	}
 
 	// pullVers must now track the new incarnation's counter, so the
@@ -450,8 +466,8 @@ func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 	if _, ok := dst.GetSys("e"); !ok {
 		t.Error("post-restart pull missed a new host")
 	}
-	if !within(2*time.Second, func() bool { return tx2.Deltas() == 1 }) {
-		t.Errorf("post-restart pull: Deltas = %d, want 1 (incremental)", tx2.Deltas())
+	if !within(2*time.Second, func() bool { return count(t, reg, "transport_tx_delta_epochs") == 1 }) {
+		t.Errorf("post-restart pull: delta epochs = %d, want 1 (incremental)", count(t, reg, "transport_tx_delta_epochs"))
 	}
 }
 
@@ -459,26 +475,26 @@ func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 // pullVers past changes the reply never carried, silently skipping
 // them on every later pull; staging must reject the mismatch.
 func TestPullRejectsSnapMarkAheadOfDelta(t *testing.T) {
-	recv, err := NewReceiver(store.New(), "127.0.0.1:0", nil)
+	recv, err := NewReceiverObs(store.New(), "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := status.SysDelta{BaseVer: 4, NewVer: 7, Changed: []status.ServerStatus{{Host: "x", Load1: 1}}}
-	var reply pullReply
+	var reply staged
 	frame := status.Frame{Type: status.TypeSysDelta, Data: status.AppendSysDelta(nil, &d)}
-	if err := recv.stagePullFrame(frame, 4, &reply); err != nil {
+	if err := recv.stage(frame, &reply); err != nil {
 		t.Fatal(err)
 	}
 	ahead := status.Frame{Type: status.TypeSnapMark, Data: status.AppendSnapMark(nil, 9)}
-	if err := recv.stagePullFrame(ahead, 4, &reply); err == nil {
+	if err := recv.stage(ahead, &reply); err == nil {
 		t.Fatal("snap mark ahead of the delta epoch was accepted")
 	}
 	matching := status.Frame{Type: status.TypeSnapMark, Data: status.AppendSnapMark(nil, 7)}
-	if err := recv.stagePullFrame(matching, 4, &reply); err != nil {
+	if err := recv.stage(matching, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if !reply.hasMark || reply.ver != 7 {
-		t.Fatalf("matching mark not staged: ver=%d hasMark=%v", reply.ver, reply.hasMark)
+	if reply.got&markFrame == 0 || reply.top != 7 {
+		t.Fatalf("matching mark not staged: top=%d got=%b", reply.top, reply.got)
 	}
 }
 
@@ -486,7 +502,7 @@ func TestCompatModeSpeaksThesisProtocol(t *testing.T) {
 	t.Run("centralized", func(t *testing.T) {
 		src := seedDB()
 		dst := store.New()
-		recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+		recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,7 +510,8 @@ func TestCompatModeSpeaksThesisProtocol(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		go recv.Run(ctx)
-		tx, err := NewTransmitter(src, nil)
+		reg := obs.NewRegistry()
+		tx, err := NewTransmitterObs(src, nil, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,16 +523,17 @@ func TestCompatModeSpeaksThesisProtocol(t *testing.T) {
 		waitFor(t, 2*time.Second, func() bool { return dst.SysLen() == 3 })
 		assertMirrored(t, src, dst)
 		// Every epoch re-ships the full database, like the thesis.
-		if tx.Sent() < 2 {
-			t.Errorf("compat Sent = %d, want ≥ 2", tx.Sent())
+		if got := count(t, reg, "transport_tx_snapshots"); got < 2 {
+			t.Errorf("compat snapshots = %d, want ≥ 2", got)
 		}
-		if tx.Deltas() != 0 {
-			t.Errorf("compat mode shipped %d deltas", tx.Deltas())
+		if got := count(t, reg, "transport_tx_delta_epochs"); got != 0 {
+			t.Errorf("compat mode shipped %d deltas", got)
 		}
 	})
 	t.Run("distributed", func(t *testing.T) {
 		src := seedDB()
-		tx, err := NewTransmitter(src, nil)
+		reg := obs.NewRegistry()
+		tx, err := NewTransmitterObs(src, nil, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,7 +547,7 @@ func TestCompatModeSpeaksThesisProtocol(t *testing.T) {
 		go tx.ServePassive(ctx, ln)
 
 		dst := store.New()
-		recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+		recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,8 +558,9 @@ func TestCompatModeSpeaksThesisProtocol(t *testing.T) {
 			}
 			assertMirrored(t, src, dst)
 		}
-		if !within(2*time.Second, func() bool { return tx.Sent() == 2 }) || tx.Deltas() != 0 {
-			t.Errorf("compat pulls: Sent=%d Deltas=%d, want 2/0", tx.Sent(), tx.Deltas())
+		sent := func() uint64 { return count(t, reg, "transport_tx_snapshots") }
+		if !within(2*time.Second, func() bool { return sent() == 2 }) || count(t, reg, "transport_tx_delta_epochs") != 0 {
+			t.Errorf("compat pulls: snapshots=%d delta epochs=%d, want 2/0", sent(), count(t, reg, "transport_tx_delta_epochs"))
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"smartsock/internal/obs"
 	"smartsock/internal/status"
 	"smartsock/internal/store"
 )
@@ -22,10 +23,13 @@ import (
 // stream dying inside a frame is a fault and must be counted.
 func TestChaosReceiverDistinguishesTornFromCleanClose(t *testing.T) {
 	db := store.New()
-	r, err := NewReceiver(db, "127.0.0.1:0", nil)
+	reg := obs.NewRegistry()
+	r, err := NewReceiverObs(db, "127.0.0.1:0", nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	received := func() uint64 { return count(t, reg, "transport_recv_frames") }
+	torn := func() uint64 { return count(t, reg, "transport_recv_torn") }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go r.Run(ctx)
@@ -42,9 +46,9 @@ func TestChaosReceiverDistinguishesTornFromCleanClose(t *testing.T) {
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return r.Received() == 1 })
-	if r.Torn() != 0 {
-		t.Fatalf("clean close counted as torn (Torn=%d)", r.Torn())
+	waitFor(t, 5*time.Second, func() bool { return received() == 1 })
+	if torn() != 0 {
+		t.Fatalf("clean close counted as torn (torn=%d)", torn())
 	}
 
 	// Torn close: a header promising 100 payload bytes, then death
@@ -62,79 +66,106 @@ func TestChaosReceiverDistinguishesTornFromCleanClose(t *testing.T) {
 	if err := conn2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return r.Torn() == 1 })
-	if r.Received() != 1 {
-		t.Fatalf("torn frame was applied (Received=%d)", r.Received())
+	waitFor(t, 5*time.Second, func() bool { return torn() == 1 })
+	if received() != 1 {
+		t.Fatalf("torn frame was applied (received=%d)", received())
 	}
 }
 
 // TestChaosPullDropsPartialSnapshots starts one healthy passive
-// transmitter and one that dies mid-snapshot; the merged load must
-// contain only the healthy records — the partial server list must not
-// ride along.
+// transmitter and one whose reply never completes; the merged load
+// must contain only the healthy records — the partial server list must
+// not ride along. Both pull protocols hold a reply back until it is
+// complete: at the snap mark, or in thesis mode at one batch frame of
+// each table, which three frames of the same table are not.
 func TestChaosPullDropsPartialSnapshots(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	phantom := status.Frame{
+		Type: status.TypeSystem,
+		Data: status.MarshalSystemBatch([]status.ServerStatus{{Host: "phantom"}}),
+	}
+	// What the broken transmitter sends after a first full frame naming
+	// "phantom", before it closes the connection.
+	breaks := []struct {
+		name string
+		rest func(c net.Conn)
+		torn bool
+	}{
+		{"dies mid-frame", func(c net.Conn) {
+			// Start the network frame but die inside it: a header
+			// promising 50 payload bytes followed by 3.
+			hdr := make([]byte, 5)
+			hdr[0] = byte(status.TypeNetwork)
+			binary.BigEndian.PutUint32(hdr[1:], 50)
+			_, _ = c.Write(append(hdr, []byte("die")...))
+		}, true},
+		{"three system frames", func(c net.Conn) {
+			_ = status.WriteFrame(c, phantom)
+			_ = status.WriteFrame(c, phantom)
+		}, false},
+	}
+	pullModes(t, func(t *testing.T, compat bool) {
+		for _, br := range breaks {
+			t.Run(br.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
 
-	// Healthy passive transmitter over a database holding "solid".
-	txDB := store.New()
-	txDB.PutSys(status.ServerStatus{Host: "solid", MemTotal: 1})
-	tx, err := NewTransmitter(txDB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	healthyLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go tx.ServePassive(ctx, healthyLn)
+				// Healthy passive transmitter over a database holding "solid".
+				txDB := store.New()
+				txDB.PutSys(status.ServerStatus{Host: "solid", MemTotal: 1})
+				tx, err := NewTransmitterObs(txDB, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tx.Compat = compat
+				healthyLn, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go tx.ServePassive(ctx, healthyLn)
 
-	// Broken transmitter: answers the pull with one full frame naming
-	// "phantom", then dies before completing the 3-frame snapshot.
-	brokenLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer brokenLn.Close()
-	go func() {
-		c, err := brokenLn.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-			return
-		}
-		if _, err := status.ReadFrame(c); err != nil {
-			return
-		}
-		phantom := status.MarshalSystemBatch([]status.ServerStatus{{Host: "phantom"}})
-		_ = status.WriteFrame(c, status.Frame{Type: status.TypeSystem, Data: phantom})
-		// Start the network frame but die inside it: a header promising
-		// 50 payload bytes followed by 3.
-		hdr := make([]byte, 5)
-		hdr[0] = byte(status.TypeNetwork)
-		binary.BigEndian.PutUint32(hdr[1:], 50)
-		_, _ = c.Write(append(hdr, []byte("die")...))
-	}()
+				brokenLn, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer brokenLn.Close()
+				go func() {
+					c, err := brokenLn.Accept()
+					if err != nil {
+						return
+					}
+					defer c.Close()
+					if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+						return
+					}
+					if _, err := status.ReadFrame(c); err != nil {
+						return
+					}
+					_ = status.WriteFrame(c, phantom)
+					br.rest(c)
+				}()
 
-	recvDB := store.New()
-	recv, err := NewReceiver(recvDB, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The broken transmitter first, so its partial batch would land in
-	// the merge ahead of the healthy one if the leak regressed.
-	if err := recv.PullFrom([]string{brokenLn.Addr().String(), healthyLn.Addr().String()}, 2*time.Second); err != nil {
-		t.Fatalf("pull with one healthy transmitter failed: %v", err)
-	}
-	if _, ok := recvDB.GetSys("solid"); !ok {
-		t.Fatal("healthy transmitter's record missing after merge")
-	}
-	if _, ok := recvDB.GetSys("phantom"); ok {
-		t.Fatal("partial snapshot leaked into the merged load")
-	}
-	if recv.Torn() == 0 {
-		t.Error("mid-snapshot pull death was not counted as torn")
-	}
+				recvDB := store.New()
+				reg := obs.NewRegistry()
+				recv, err := NewReceiverObs(recvDB, "127.0.0.1:0", nil, reg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recv.Compat = compat
+				// The broken transmitter first, so its partial batch would land in
+				// the merge ahead of the healthy one if the leak regressed.
+				if err := recv.PullFrom([]string{brokenLn.Addr().String(), healthyLn.Addr().String()}, 2*time.Second); err != nil {
+					t.Fatalf("pull with one healthy transmitter failed: %v", err)
+				}
+				if _, ok := recvDB.GetSys("solid"); !ok {
+					t.Fatal("healthy transmitter's record missing after merge")
+				}
+				if _, ok := recvDB.GetSys("phantom"); ok {
+					t.Fatal("partial snapshot leaked into the merged load")
+				}
+				if got := count(t, reg, "transport_recv_torn"); (got != 0) != br.torn {
+					t.Errorf("transport_recv_torn = %d, want torn counted: %v", got, br.torn)
+				}
+			})
+		}
+	})
 }

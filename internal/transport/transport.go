@@ -24,8 +24,19 @@
 // and drops the connection on any gap, which makes the transmitter's
 // reconnect path (a fresh full snapshot) the resync mechanism; a
 // periodic full snapshot bounds how long a silent divergence could
-// last. Setting Compat on both ends restores the thesis wire format
-// exactly: full snapshots every epoch and nothing else.
+// last.
+//
+// Compat, set on both ends, is the thesis wire exactly — three batch
+// frames per epoch or per reply, nothing else — on the same code: the
+// transmitter always ships the full snapshot and leaves out the mark;
+// the receiver's pull loop asks without a base, takes a reply as
+// complete at one batch frame of each table, and loads the union of
+// the replies whole. Either way the receiver decodes through one
+// function (stage); push stream and pull path differ only in when
+// they admit and apply what it decoded.
+//
+// Counters live in the obs registry the constructors take (nil
+// detaches them) under the transport_* names of OBS_SCHEMA.
 //
 // The thesis ships raw structs and requires identical endianness on
 // both machines; the status package's explicit binary codec removes
@@ -49,9 +60,10 @@ import (
 	"smartsock/internal/store"
 )
 
-// defaultResyncEvery is how many delta epochs a transmitter sends
-// before refreshing the receiver with an unsolicited full snapshot.
-const defaultResyncEvery = 64
+// resyncEvery is how many delta epochs a push stream carries before
+// the transmitter refreshes the receiver with an unsolicited full
+// snapshot.
+const resyncEvery = 64
 
 // encodeState is the per-connection reusable encode state: one append
 // buffer whose capacity settles at the largest frame the connection
@@ -74,31 +86,35 @@ type Transmitter struct {
 	// snapshot every epoch, no snap marks, no deltas. The matching
 	// receiver must run with Compat set too.
 	Compat bool
-	// ResyncEvery is the number of delta epochs between unsolicited
-	// full snapshots on a push stream; 0 means defaultResyncEvery.
-	ResyncEvery int
 
-	sent        *obs.Counter // transport_tx_snapshots: complete full snapshots shipped
-	sentPartial *obs.Counter // transport_tx_snapshots_partial: aborted by a mid-write error
-	deltas      *obs.Counter // transport_tx_delta_epochs: complete delta epochs shipped
-	skipped     *obs.Counter // transport_tx_epochs_skipped: unchanged epochs, no write
-	unknown     *obs.Counter // transport_tx_unknown_frames: rejected in passive mode
-	redials     *obs.Counter // transport_tx_redials: backoff waits before a redial
+	// sent counts complete full snapshots shipped. A snapshot whose
+	// write died between frames is not counted here — it shows up in
+	// sentPartial instead.
+	sent *obs.Counter // transport_tx_snapshots
+	// sentPartial counts snapshot writes that failed after at least one
+	// frame was already on the wire.
+	sentPartial *obs.Counter // transport_tx_snapshots_partial
+	// deltas counts complete delta epochs shipped; all complete pushes
+	// are sent + deltas.
+	deltas *obs.Counter // transport_tx_delta_epochs
+	// skipped counts epochs that carried no change at all, where the
+	// transmitter skipped the network write entirely.
+	skipped *obs.Counter // transport_tx_epochs_skipped
+	// unknown counts frames of unexpected type passive mode has
+	// rejected. A non-zero count means some peer speaks a newer (or
+	// corrupted) protocol — the counter is the visible trace that frames
+	// are being dropped rather than silently vanishing.
+	unknown *obs.Counter // transport_tx_unknown_frames
+	redials *obs.Counter // transport_tx_redials: backoff waits before a redial
 
 	// Dial opens the push connection; nil means net.DialTimeout. The
 	// chaos layer wraps stall/reset faults around it.
 	Dial func(network, addr string) (net.Conn, error)
 }
 
-// NewTransmitter builds a transmitter over the given database with
-// detached (unregistered) metrics.
-func NewTransmitter(db *store.DB, logger *log.Logger) (*Transmitter, error) {
-	return NewTransmitterObs(db, logger, nil)
-}
-
-// NewTransmitterObs builds a transmitter whose counters live in reg
-// under transport_tx_* names; a nil registry detaches them, which is
-// exactly NewTransmitter.
+// NewTransmitterObs builds a transmitter over the given database whose
+// counters live in reg under transport_tx_* names; a nil registry
+// detaches them.
 func NewTransmitterObs(db *store.DB, logger *log.Logger, reg *obs.Registry) (*Transmitter, error) {
 	if db == nil {
 		return nil, fmt.Errorf("transport: nil database")
@@ -113,39 +129,6 @@ func NewTransmitterObs(db *store.DB, logger *log.Logger, reg *obs.Registry) (*Tr
 		unknown:     reg.Counter("transport_tx_unknown_frames"),
 		redials:     reg.Counter("transport_tx_redials"),
 	}, nil
-}
-
-// Sent reports how many complete full snapshots have been shipped. A
-// snapshot whose write died between frames is not counted here — it
-// shows up in SentPartial instead.
-func (t *Transmitter) Sent() uint64 { return t.sent.Value() }
-
-// SentPartial reports how many snapshot writes failed after at least
-// one frame was already on the wire.
-func (t *Transmitter) SentPartial() uint64 { return t.sentPartial.Value() }
-
-// Deltas reports how many delta epochs have been shipped.
-func (t *Transmitter) Deltas() uint64 { return t.deltas.Value() }
-
-// Skipped reports how many epochs carried no change at all, where the
-// transmitter skipped the network write entirely.
-func (t *Transmitter) Skipped() uint64 { return t.skipped.Value() }
-
-// Pushed reports all complete pushes: full snapshots plus delta
-// epochs.
-func (t *Transmitter) Pushed() uint64 { return t.Sent() + t.Deltas() }
-
-// UnknownFrames reports how many frames of unexpected type passive
-// mode has rejected. A non-zero count means some peer speaks a newer
-// (or corrupted) protocol — the counter is the visible trace that
-// frames are being dropped rather than silently vanishing.
-func (t *Transmitter) UnknownFrames() uint64 { return t.unknown.Value() }
-
-func (t *Transmitter) resyncEvery() int {
-	if t.ResyncEvery > 0 {
-		return t.ResyncEvery
-	}
-	return defaultResyncEvery
 }
 
 // writeSnapshot sends one full snapshot over a connection, reusing
@@ -232,7 +215,7 @@ func (t *Transmitter) pushEpoch(conn net.Conn, s *pushSession) error {
 		_, err := t.writeSnapshot(conn, &s.enc, false)
 		return err
 	}
-	if s.synced && s.sinceFull < t.resyncEvery() {
+	if s.synced && s.sinceFull < resyncEvery {
 		ver, ok := t.db.ChangedSince(s.base, &s.enc.sysD, &s.enc.netD, &s.enc.secD)
 		if ok {
 			s.sinceFull++
@@ -334,6 +317,39 @@ func (t *Transmitter) dial(addr string) (net.Conn, error) {
 // full snapshot when the base is no longer servable — closed by a
 // TypeSnapMark. It returns when the context is cancelled.
 func (t *Transmitter) ServePassive(ctx context.Context, ln net.Listener) error {
+	return serveConns(ctx, ln, func(c net.Conn) {
+		var enc encodeState
+		var rbuf []byte
+		for {
+			if err := c.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
+				return
+			}
+			var f status.Frame
+			var err error
+			f, rbuf, err = status.ReadFrameInto(c, rbuf)
+			if err != nil {
+				return
+			}
+			if f.Type != status.TypeRequest {
+				t.unknown.Add(1)
+				t.logf("transmitter: unexpected frame %v in passive mode", f.Type)
+				return
+			}
+			if err := t.answerPull(c, f.Data, &enc); err != nil {
+				t.logf("transmitter: reply: %v", err)
+				return
+			}
+		}
+	})
+}
+
+// serveConns is the accept loop of both listening roles (the passive
+// transmitter, the centralized receiver): it hands every connection to
+// handle on its own goroutine until the context is cancelled.
+// Cancellation also closes the live connections at once — a parked
+// puller must not ride out the read deadline, and a transmitter must
+// not keep feeding a ghost receiver after a restart.
+func serveConns(ctx context.Context, ln net.Listener, handle func(net.Conn)) error {
 	go func() {
 		<-ctx.Done()
 		// Accept below surfaces the close as net.ErrClosed.
@@ -347,35 +363,12 @@ func (t *Transmitter) ServePassive(ctx context.Context, ln net.Listener) error {
 			}
 			return fmt.Errorf("transport: accept: %w", err)
 		}
-		go func(c net.Conn) {
-			defer c.Close()
-			// Cancellation closes the connection immediately instead
-			// of letting a parked puller ride out the read deadline.
-			stop := context.AfterFunc(ctx, func() { _ = c.Close() })
+		go func() {
+			defer conn.Close()
+			stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
 			defer stop()
-			var enc encodeState
-			var rbuf []byte
-			for {
-				if err := c.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
-					return
-				}
-				var f status.Frame
-				var err error
-				f, rbuf, err = status.ReadFrameInto(c, rbuf)
-				if err != nil {
-					return
-				}
-				if f.Type != status.TypeRequest {
-					t.unknown.Add(1)
-					t.logf("transmitter: unexpected frame %v in passive mode", f.Type)
-					return
-				}
-				if err := t.answerPull(c, f.Data, &enc); err != nil {
-					t.logf("transmitter: reply: %v", err)
-					return
-				}
-			}
-		}(conn)
+			handle(conn)
+		}()
 	}
 }
 
@@ -415,14 +408,30 @@ type Receiver struct {
 	ln     net.Listener
 	logger *log.Logger
 
-	// Compat restores the thesis pull protocol: empty requests, a
-	// whole-table load of exactly three reply frames, no versioning.
+	// Compat makes PullFrom speak the thesis pull protocol (see there).
+	// The receiver has to be told: the thesis wire has no closing mark,
+	// so nothing in a reply says where it ends. Push streams ignore it.
 	Compat bool
 
 	received *obs.Counter // transport_recv_frames: frames applied
-	torn     *obs.Counter // transport_recv_torn: connections dropped mid-frame
-	resyncs  *obs.Counter // transport_recv_resyncs: continuity violations forcing resync
-	unknown  *obs.Counter // transport_recv_unknown_frames: counted then rejected
+	// torn counts transmitter connections that ended mid-frame — a
+	// header or payload truncated by a crash, reset or stalled-then-cut
+	// link, as opposed to a clean close between frames. Historically
+	// both looked like a normal disconnect, hiding real faults from
+	// operators.
+	torn *obs.Counter // transport_recv_torn
+	// resyncs counts how many times delta continuity broke and a full
+	// snapshot had to re-anchor a source: a push-stream version gap or a
+	// delta before any snapshot (the connection closes so the
+	// transmitter's reconnect resyncs it), a pull delta whose base no
+	// longer matches the mirror, or a pulled transmitter observed to
+	// have restarted with a reset version counter.
+	resyncs *obs.Counter // transport_recv_resyncs
+	// unknown counts frames of a type this receiver does not dispatch,
+	// on push streams or in pull replies. Each one also errors the
+	// connection it came from; the counter makes the drops visible to
+	// dashboards instead of leaving only a log line.
+	unknown *obs.Counter // transport_recv_unknown_frames
 
 	// catchup distributes how many database versions each epoch anchor
 	// advanced the mirror by: 0–1 is the steady state, larger values
@@ -467,15 +476,6 @@ type sourceLag struct {
 	applied *obs.Gauge
 }
 
-// observe records a frozen head/applied pair.
-func (l *sourceLag) observe(head, applied uint64) {
-	if l == nil {
-		return
-	}
-	l.head.Set(int64(head))
-	l.applied.Set(int64(applied))
-}
-
 // lagFor returns the lag pair for one source, registering its gauges
 // on first sight. Sources are keyed by host (push streams use the
 // remote IP, pulls the configured transmitter address) so reconnects
@@ -514,16 +514,11 @@ type pullState struct {
 	synced bool
 }
 
-// NewReceiver binds the receiver's listener with detached
-// (unregistered) metrics; addr may use port 0.
-func NewReceiver(db *store.DB, addr string, logger *log.Logger) (*Receiver, error) {
-	return NewReceiverObs(db, addr, logger, nil)
-}
-
-// NewReceiverObs binds a receiver whose counters live in reg under
-// transport_recv_* names, plus per-source transport_head_ver /
-// transport_applied_ver / transport_epoch_lag gauges minted as
-// transmitters appear. A nil registry detaches everything.
+// NewReceiverObs binds the receiver's listener (addr may use port 0).
+// Its counters live in reg under transport_recv_* names, plus
+// per-source transport_head_ver / transport_applied_ver /
+// transport_epoch_lag gauges minted as transmitters appear. A nil
+// registry detaches everything.
 func NewReceiverObs(db *store.DB, addr string, logger *log.Logger, reg *obs.Registry) (*Receiver, error) {
 	if db == nil {
 		return nil, fmt.Errorf("transport: nil database")
@@ -550,9 +545,6 @@ func NewReceiverObs(db *store.DB, addr string, logger *log.Logger, reg *obs.Regi
 // Addr reports the bound address.
 func (r *Receiver) Addr() string { return r.ln.Addr().String() }
 
-// Received reports how many frames have been applied.
-func (r *Receiver) Received() uint64 { return r.received.Value() }
-
 // admitted counts n applied frames and mirrors them onto the overload
 // gate's bypass counter: status frames are priority traffic the
 // admission plane may never shed, and keeping the two counters in
@@ -562,159 +554,179 @@ func (r *Receiver) admitted(n int) {
 	r.Overload.Bypass(n)
 }
 
-// Torn reports how many transmitter connections ended mid-frame — a
-// header or payload truncated by a crash, reset or stalled-then-cut
-// link, as opposed to a clean close between frames. Historically both
-// looked like a normal disconnect, hiding real faults from operators.
+// Torn and Resyncs read the counters of those names. They exist for
+// the repo benchmark (benchmark/ is a module of its own and compiles
+// against them); everything else reads the registry.
 func (r *Receiver) Torn() uint64 { return r.torn.Value() }
 
-// Resyncs reports how many times delta continuity broke and a full
-// snapshot had to re-anchor a source: a push-stream version gap or a
-// delta before any snapshot (the connection closes so the
-// transmitter's reconnect resyncs it), a pull delta whose base no
-// longer matches the mirror, or a pulled transmitter observed to have
-// restarted with a reset version counter.
+// Resyncs: see Torn.
 func (r *Receiver) Resyncs() uint64 { return r.resyncs.Value() }
 
-// UnknownFrames reports how many frames of a type this receiver does
-// not dispatch have arrived, on push streams or in pull replies. Each
-// one also errors the connection it came from; the counter makes the
-// drops visible to dashboards instead of leaving only a log line.
-func (r *Receiver) UnknownFrames() uint64 { return r.unknown.Value() }
+// frameSet is a set of status frame types, one bit per type.
+type frameSet uint16
+
+const (
+	batchFrames frameSet = 1<<status.TypeSystem | 1<<status.TypeNetwork | 1<<status.TypeSecurity
+	deltaFrames frameSet = 1<<status.TypeSysDelta | 1<<status.TypeNetDelta | 1<<status.TypeSecDelta
+	markFrame   frameSet = 1 << status.TypeSnapMark
+)
+
+// staged is what stage has decoded and nothing has applied yet: one
+// frame of a push stream, or a whole pull reply — held back until it
+// is complete, because a connection dying mid-snapshot must not leak
+// half a server list into the wizard's view alongside a healthy reply.
+// got says which frame types went in; the delta views alias the frame
+// buffers they were parsed from and keep their capacity across uses.
+type staged struct {
+	got  frameSet
+	sys  []status.ServerStatus
+	net  []status.NetMetric
+	sec  []status.SecLevel
+	sysV status.SysDeltaView
+	netV status.NetDeltaView
+	secV status.SecDeltaView
+	// top is the version the staged frames bring a mirror to: the new
+	// version of the delta frames, which all share one [base, top] pair,
+	// and the version of the snap mark that closes them.
+	base, top uint64
+}
 
 // connState is the per-connection decode state of one push stream:
-// the version this stream has mirrored so far plus reusable read and
-// parse buffers, so a steady delta stream applies without per-frame
-// allocation.
+// the version this stream has mirrored so far plus the reusable read
+// buffer and staging area, so a steady delta stream applies without
+// per-frame allocation.
 type connState struct {
 	buf      []byte
-	sysV     status.SysDeltaView
-	netV     status.NetDeltaView
-	secV     status.SecDeltaView
+	frame    staged
 	ver      uint64
 	epochTop uint64 // NewVer of the epoch currently being applied
 	synced   bool
-	lag      *sourceLag // nil-safe epoch-lag series for this stream's source
+	lag      *sourceLag // epoch-lag series for this stream's source; nil in test harnesses
 }
 
 // Run accepts transmitter connections (centralized mode) until the
 // context is cancelled.
 func (r *Receiver) Run(ctx context.Context) error {
-	go func() {
-		<-ctx.Done()
-		// Accept below surfaces the close as net.ErrClosed.
-		_ = r.ln.Close()
-	}()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
+	return serveConns(ctx, r.ln, func(c net.Conn) {
+		var cs connState
+		cs.lag = r.lagFor(sourceHost(c.RemoteAddr().String()))
+		for {
+			var f status.Frame
+			var err error
+			f, cs.buf, err = status.ReadFrameInto(c, cs.buf)
+			if err != nil {
+				// io.EOF before a header byte is the transmitter
+				// closing cleanly between frames, and net.ErrClosed
+				// is our own shutdown. Anything else — notably a
+				// wrapped io.ErrUnexpectedEOF — means the stream died
+				// mid-frame: count and report it instead of passing it
+				// off as a normal disconnect.
+				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+					r.torn.Add(1)
+					r.logf("receiver: connection torn mid-frame: %v", err)
+				}
+				return
 			}
-			return fmt.Errorf("transport: accept: %w", err)
+			if err := r.apply(f, &cs); err != nil {
+				r.logf("receiver: %v", err)
+				return
+			}
 		}
-		go func(c net.Conn) {
-			defer c.Close()
-			// A stopped receiver must drop its live connections too, or
-			// a transmitter keeps feeding a ghost after restart.
-			stop := context.AfterFunc(ctx, func() { _ = c.Close() })
-			defer stop()
-			var cs connState
-			cs.lag = r.lagFor(sourceHost(c.RemoteAddr().String()))
-			for {
-				var f status.Frame
-				var err error
-				f, cs.buf, err = status.ReadFrameInto(c, cs.buf)
-				if err != nil {
-					// io.EOF before a header byte is the transmitter
-					// closing cleanly between frames, and net.ErrClosed
-					// is our own shutdown. Anything else — notably a
-					// wrapped io.ErrUnexpectedEOF — means the stream died
-					// mid-frame: count and report it instead of passing it
-					// off as a normal disconnect.
-					if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-						r.torn.Add(1)
-						r.logf("receiver: connection torn mid-frame: %v", err)
-					}
-					return
-				}
-				if err := r.apply(f, &cs); err != nil {
-					r.logf("receiver: %v", err)
-					return
-				}
-			}
-		}(conn)
-	}
+	})
 }
 
 // errResync marks a delta continuity violation: the connection must
 // close so the transmitter's reconnect delivers a full snapshot.
 var errResync = errors.New("transport: delta continuity broken, forcing resync")
 
-// apply loads one frame into the database: full batch frames replace
-// a section, snap marks anchor the stream's version, delta frames
-// merge incrementally. Returning an error closes the connection.
-func (r *Receiver) apply(f status.Frame, cs *connState) error {
+// stage decodes one frame into st. It is the only place that knows the
+// seven status frame types, and it only decodes: whether and when the
+// content reaches the mirror is the policy of its two callers — apply
+// for a push stream, pullOne and applyPull for a pull reply. What
+// accumulates in one st must be one epoch: its delta frames share one
+// [base, top] pair, and a snap mark closes them at top.
+func (r *Receiver) stage(f status.Frame, st *staged) (err error) {
+	base, top := st.base, st.top
 	switch f.Type {
 	case status.TypeSystem:
-		recs, err := status.UnmarshalSystemBatch(f.Data)
-		if err != nil {
-			return err
-		}
-		r.db.Load(recs, nil, nil)
+		st.sys, err = status.UnmarshalSystemBatch(f.Data)
 	case status.TypeNetwork:
-		recs, err := status.UnmarshalNetBatch(f.Data)
-		if err != nil {
-			return err
-		}
-		r.db.Load(nil, recs, nil)
+		st.net, err = status.UnmarshalNetBatch(f.Data)
 	case status.TypeSecurity:
-		recs, err := status.UnmarshalSecBatch(f.Data)
-		if err != nil {
-			return err
-		}
-		r.db.Load(nil, nil, recs)
-	case status.TypeSnapMark:
-		ver, err := status.ParseSnapMark(f.Data)
-		if err != nil {
-			return err
-		}
-		if cs.synced && ver > cs.ver {
-			// A periodic resync snapshot advanced an already-anchored
-			// stream; record how far it jumped. The first snapshot of a
-			// stream is an anchor, not catch-up, and is not observed.
-			r.catchup.Observe(int64(ver - cs.ver))
-		}
-		cs.ver, cs.epochTop = ver, ver
-		cs.synced = true
-		cs.lag.observe(ver, ver)
+		st.sec, err = status.UnmarshalSecBatch(f.Data)
 	case status.TypeSysDelta:
-		if err := cs.sysV.Parse(f.Data); err != nil {
-			return err
-		}
-		if err := r.admitDelta(cs, cs.sysV.BaseVer, cs.sysV.NewVer); err != nil {
-			return err
-		}
-		r.db.ApplySysDelta(cs.sysV.Changed, cs.sysV.Deleted, cs.sysV.Refreshed)
+		err = st.sysV.Parse(f.Data)
+		base, top = st.sysV.BaseVer, st.sysV.NewVer
 	case status.TypeNetDelta:
-		if err := cs.netV.Parse(f.Data); err != nil {
-			return err
-		}
-		if err := r.admitDelta(cs, cs.netV.BaseVer, cs.netV.NewVer); err != nil {
-			return err
-		}
-		r.db.ApplyNetDelta(cs.netV.Changed, cs.netV.Deleted, cs.netV.Refreshed)
+		err = st.netV.Parse(f.Data)
+		base, top = st.netV.BaseVer, st.netV.NewVer
 	case status.TypeSecDelta:
-		if err := cs.secV.Parse(f.Data); err != nil {
-			return err
-		}
-		if err := r.admitDelta(cs, cs.secV.BaseVer, cs.secV.NewVer); err != nil {
-			return err
-		}
-		r.db.ApplySecDelta(cs.secV.Changed, cs.secV.Deleted, cs.secV.Refreshed)
+		err = st.secV.Parse(f.Data)
+		base, top = st.secV.BaseVer, st.secV.NewVer
+	case status.TypeSnapMark:
+		top, err = status.ParseSnapMark(f.Data)
 	default:
 		r.unknown.Add(1)
 		return fmt.Errorf("transport: unexpected frame type %v", f.Type)
+	}
+	if err != nil {
+		return err
+	}
+	if st.got&deltaFrames != 0 && (base != st.base || top != st.top) {
+		// The mark's version is what a puller records as its next base:
+		// if it ran ahead of the deltas' top, the mirror would silently
+		// skip every change in between.
+		return fmt.Errorf("transport: %v frame at [%d, %d] in an epoch covering [%d, %d]", f.Type, base, top, st.base, st.top)
+	}
+	st.base, st.top = base, top
+	st.got |= 1 << f.Type
+	return nil
+}
+
+// applyDeltas merges the delta frames staged in st into the mirror.
+func (r *Receiver) applyDeltas(st *staged) {
+	if st.got&(1<<status.TypeSysDelta) != 0 {
+		r.db.ApplySysDelta(st.sysV.Changed, st.sysV.Deleted, st.sysV.Refreshed)
+	}
+	if st.got&(1<<status.TypeNetDelta) != 0 {
+		r.db.ApplyNetDelta(st.netV.Changed, st.netV.Deleted, st.netV.Refreshed)
+	}
+	if st.got&(1<<status.TypeSecDelta) != 0 {
+		r.db.ApplySecDelta(st.secV.Changed, st.secV.Deleted, st.secV.Refreshed)
+	}
+}
+
+// apply loads one push-stream frame into the database as it arrives:
+// a full batch frame replaces its section, a snap mark anchors the
+// stream's version, a delta frame merges incrementally once admitDelta
+// has checked its continuity. Returning an error closes the connection.
+func (r *Receiver) apply(f status.Frame, cs *connState) error {
+	st := &cs.frame
+	st.got, st.sys, st.net, st.sec = 0, nil, nil, nil
+	if err := r.stage(f, st); err != nil {
+		return err
+	}
+	switch {
+	case st.got&markFrame != 0:
+		if cs.synced && st.top > cs.ver {
+			// A periodic resync snapshot advanced an already-anchored
+			// stream; record how far it jumped. The first snapshot of a
+			// stream is an anchor, not catch-up, and is not observed.
+			r.catchup.Observe(int64(st.top - cs.ver))
+		}
+		cs.ver, cs.epochTop = st.top, st.top
+		cs.synced = true
+		if cs.lag != nil {
+			cs.lag.head.Set(int64(st.top)) // applied follows below
+		}
+	case st.got&deltaFrames != 0:
+		if err := r.admitDelta(cs, st.base, st.top); err != nil {
+			return err
+		}
+		r.applyDeltas(st)
+	default:
+		// Nil sections stay untouched: only the frame's own table loads.
+		r.db.Load(st.sys, st.net, st.sec)
 	}
 	if cs.synced && cs.lag != nil {
 		// The frame landed in the mirror: applied has caught up to the
@@ -762,20 +774,20 @@ func (r *Receiver) admitDelta(cs *connState, base, newVer uint64) error {
 // transmitter for what changed since the last pull (a full snapshot
 // on the first) and merge the replies record by record. The wizard
 // calls this when a user request arrives (§3.5.2). Unreachable
-// transmitters are reported but do not abort the pull. In Compat mode
-// the thesis protocol is used instead: empty requests, whole-table
-// loads.
+// transmitters are reported but do not abort the pull. The thesis
+// pull (Compat) runs through the same loop and differs in three
+// places: pullOne asks without a base, pullOne takes a reply as
+// complete without a mark, and the complete replies are not merged
+// one by one but loaded here as one union.
 func (r *Receiver) PullFrom(transmitters []string, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	if r.Compat {
-		return r.pullFromCompat(transmitters, timeout)
-	}
 	var firstErr error
 	applied := false
+	var union staged
 	for _, addr := range transmitters {
-		if err := r.pullOne(addr, timeout); err != nil {
+		if err := r.pullOne(addr, timeout, &union); err != nil {
 			r.logf("receiver: pull %s: %v", addr, err)
 			if firstErr == nil {
 				firstErr = err
@@ -783,6 +795,13 @@ func (r *Receiver) PullFrom(transmitters []string, timeout time.Duration) error 
 			continue
 		}
 		applied = true
+	}
+	if r.Compat && applied {
+		// The thesis wire has no tombstones: a host is gone when no
+		// transmitter reports it any more, which only replacing the
+		// tables with the union of this round's replies can express.
+		r.db.Load(union.sys, union.net, union.sec)
+		r.admitted(3)
 	}
 	if applied || firstErr == nil {
 		return nil
@@ -800,29 +819,16 @@ func (r *Receiver) pullBase(addr string) uint64 {
 	return 0
 }
 
-// pullReply is everything one pull staged before applying: either
-// full batches or parsed delta views, never applied until the closing
-// snap mark proves the reply complete — a connection dying
-// mid-snapshot must not leak half a server list into the wizard's
-// view alongside a healthy reply.
-type pullReply struct {
-	full     bool
-	sys      []status.ServerStatus
-	net      []status.NetMetric
-	sec      []status.SecLevel
-	delta    bool
-	sysV     status.SysDeltaView
-	netV     status.NetDeltaView
-	secV     status.SecDeltaView
-	ver      uint64
-	hasMark  bool
-	deltaTop uint64
-}
-
 // pullOne asks one transmitter for changes since the locally mirrored
-// version and applies the complete reply.
-func (r *Receiver) pullOne(addr string, timeout time.Duration) error {
-	base := r.pullBase(addr)
+// version and applies the complete reply — or, in thesis mode, adds
+// the complete reply to union for PullFrom to load.
+func (r *Receiver) pullOne(addr string, timeout time.Duration, union *staged) error {
+	// A thesis request carries no base (base 0 encodes as the empty
+	// payload), so every thesis reply is the whole database.
+	var base uint64
+	if !r.Compat {
+		base = r.pullBase(addr)
+	}
 	conn, err := r.dialPull(addr, timeout)
 	if err != nil {
 		return err
@@ -834,8 +840,14 @@ func (r *Receiver) pullOne(addr string, timeout time.Duration) error {
 	if err := status.WriteFrame(conn, status.Frame{Type: status.TypeRequest, Data: status.AppendPullRequest(nil, base)}); err != nil {
 		return err
 	}
-	var reply pullReply
-	for !reply.hasMark {
+	// A reply is complete at its closing snap mark; a thesis reply,
+	// having none, at one batch frame of each table.
+	done := markFrame
+	if r.Compat {
+		done = batchFrames
+	}
+	var reply staged
+	for reply.got&done != done {
 		f, err := status.ReadFrame(conn)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
@@ -843,76 +855,26 @@ func (r *Receiver) pullOne(addr string, timeout time.Duration) error {
 			}
 			return err
 		}
-		if err := r.stagePullFrame(f, base, &reply); err != nil {
+		if err := r.stage(f, &reply); err != nil {
 			return err
 		}
+		if reply.got&deltaFrames != 0 && reply.base != base {
+			return fmt.Errorf("transport: pull delta base %d, requested %d", reply.base, base)
+		}
+		if r.Compat && reply.got&^batchFrames != 0 {
+			// Deltas and marks are as foreign to the thesis wire as a
+			// type nobody dispatches, and counted like one.
+			r.unknown.Add(1)
+			return fmt.Errorf("transport: unexpected frame type %v in thesis pull reply", f.Type)
+		}
 	}
-	return r.applyPull(addr, base, &reply)
-}
-
-// stagePullFrame sorts one reply frame into the staging area.
-func (r *Receiver) stagePullFrame(f status.Frame, base uint64, reply *pullReply) error {
-	checkDelta := func(b, n uint64) error {
-		if b != base {
-			return fmt.Errorf("transport: pull delta base %d, requested %d", b, base)
-		}
-		if reply.delta && n != reply.deltaTop {
-			return fmt.Errorf("transport: pull delta epochs disagree (%d vs %d)", n, reply.deltaTop)
-		}
-		reply.delta, reply.deltaTop = true, n
+	if r.Compat {
+		union.sys = append(union.sys, reply.sys...)
+		union.net = append(union.net, reply.net...)
+		union.sec = append(union.sec, reply.sec...)
 		return nil
 	}
-	switch f.Type {
-	case status.TypeSystem:
-		recs, err := status.UnmarshalSystemBatch(f.Data)
-		if err != nil {
-			return err
-		}
-		reply.full, reply.sys = true, recs
-	case status.TypeNetwork:
-		recs, err := status.UnmarshalNetBatch(f.Data)
-		if err != nil {
-			return err
-		}
-		reply.full, reply.net = true, recs
-	case status.TypeSecurity:
-		recs, err := status.UnmarshalSecBatch(f.Data)
-		if err != nil {
-			return err
-		}
-		reply.full, reply.sec = true, recs
-	case status.TypeSysDelta:
-		if err := reply.sysV.Parse(f.Data); err != nil {
-			return err
-		}
-		return checkDelta(reply.sysV.BaseVer, reply.sysV.NewVer)
-	case status.TypeNetDelta:
-		if err := reply.netV.Parse(f.Data); err != nil {
-			return err
-		}
-		return checkDelta(reply.netV.BaseVer, reply.netV.NewVer)
-	case status.TypeSecDelta:
-		if err := reply.secV.Parse(f.Data); err != nil {
-			return err
-		}
-		return checkDelta(reply.secV.BaseVer, reply.secV.NewVer)
-	case status.TypeSnapMark:
-		ver, err := status.ParseSnapMark(f.Data)
-		if err != nil {
-			return err
-		}
-		if reply.delta && ver != reply.deltaTop {
-			// The mark's version is what pullVers will record as the
-			// next base; if it ran ahead of the deltas' NewVer the
-			// mirror would silently skip every change in between.
-			return fmt.Errorf("transport: snap mark %d disagrees with delta epoch %d", ver, reply.deltaTop)
-		}
-		reply.ver, reply.hasMark = ver, true
-	default:
-		r.unknown.Add(1)
-		return fmt.Errorf("transport: unexpected frame type %v in pull reply", f.Type)
-	}
-	return nil
+	return r.applyPull(addr, base, &reply)
 }
 
 // applyPull merges one complete staged reply. The version check under
@@ -921,18 +883,18 @@ func (r *Receiver) stagePullFrame(f status.Frame, base uint64, reply *pullReply)
 // already moved past is discarded rather than applied out of order,
 // and a full reply older than what is already mirrored cannot clobber
 // the fresher records.
-func (r *Receiver) applyPull(addr string, base uint64, reply *pullReply) error {
+func (r *Receiver) applyPull(addr string, base uint64, reply *staged) error {
 	lag := r.lagFor(addr)
 	// The closing snap mark announced the transmitter's head; applied
 	// only follows below if the reply actually lands, so a discarded
 	// reply leaves the gap visible as transport_epoch_lag.
-	lag.head.Set(int64(reply.ver))
+	lag.head.Set(int64(reply.top))
 	r.pullMu.Lock()
 	defer r.pullMu.Unlock()
 	cur, haveCur := r.pullVers[addr]
 	switch {
-	case reply.full:
-		if haveCur && cur.synced && cur.ver >= reply.ver {
+	case reply.got&batchFrames != 0:
+		if haveCur && cur.synced && cur.ver >= reply.top {
 			if cur.ver != base {
 				// A concurrent pull already moved this transmitter's
 				// mirror past the base this reply was computed
@@ -955,7 +917,7 @@ func (r *Receiver) applyPull(addr string, base uint64, reply *pullReply) error {
 		// DESIGN.md "status distribution" for the trade-off.
 		r.db.Merge(reply.sys, reply.net, reply.sec)
 		r.admitted(3)
-	case reply.delta:
+	case reply.got&deltaFrames != 0:
 		if !haveCur || !cur.synced || cur.ver != base {
 			// The base this delta was computed against is no longer
 			// what we mirror (a concurrent pull interleaved); drop it
@@ -964,108 +926,18 @@ func (r *Receiver) applyPull(addr string, base uint64, reply *pullReply) error {
 			r.pullVers[addr] = pullState{}
 			return nil
 		}
-		r.db.ApplySysDelta(reply.sysV.Changed, reply.sysV.Deleted, reply.sysV.Refreshed)
-		r.db.ApplyNetDelta(reply.netV.Changed, reply.netV.Deleted, reply.netV.Refreshed)
-		r.db.ApplySecDelta(reply.secV.Changed, reply.secV.Deleted, reply.secV.Refreshed)
-		r.catchup.Observe(int64(reply.ver - base))
+		r.applyDeltas(reply)
+		r.catchup.Observe(int64(reply.top - base))
 		r.admitted(1)
 	default:
 		// An empty reply: the transmitter had nothing newer. Leave the
 		// mirrored version untouched — head and applied agree.
-		lag.applied.Set(int64(reply.ver))
+		lag.applied.Set(int64(reply.top))
 		return nil
 	}
-	lag.applied.Set(int64(reply.ver))
-	r.pullVers[addr] = pullState{ver: reply.ver, synced: true}
+	lag.applied.Set(int64(reply.top))
+	r.pullVers[addr] = pullState{ver: reply.top, synced: true}
 	return nil
-}
-
-// pullFromCompat is the thesis pull: collect full snapshots from all
-// transmitters, then load them wholesale.
-func (r *Receiver) pullFromCompat(transmitters []string, timeout time.Duration) error {
-	var firstErr error
-	var merged mergedBatches
-	for _, addr := range transmitters {
-		// Each pull fills its own batch, merged only on full success:
-		// a connection dying mid-snapshot must not leak half a server
-		// list into the wizard's view alongside a healthy reply.
-		one, err := r.pullOneCompat(addr, timeout)
-		if err != nil {
-			r.logf("receiver: pull %s: %v", addr, err)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		merged.any = true
-		merged.sys = append(merged.sys, one.sys...)
-		merged.net = append(merged.net, one.net...)
-		merged.sec = append(merged.sec, one.sec...)
-	}
-	if merged.any {
-		r.db.Load(merged.sys, merged.net, merged.sec)
-		r.admitted(3)
-		return nil
-	}
-	if firstErr != nil {
-		return fmt.Errorf("transport: pull failed everywhere: %w", firstErr)
-	}
-	return nil
-}
-
-type mergedBatches struct {
-	any bool
-	sys []status.ServerStatus
-	net []status.NetMetric
-	sec []status.SecLevel
-}
-
-func (r *Receiver) pullOneCompat(addr string, timeout time.Duration) (mergedBatches, error) {
-	var m mergedBatches
-	conn, err := r.dialPull(addr, timeout)
-	if err != nil {
-		return m, err
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return m, err
-	}
-	if err := status.WriteFrame(conn, status.Frame{Type: status.TypeRequest}); err != nil {
-		return m, err
-	}
-	for i := 0; i < 3; i++ {
-		f, err := status.ReadFrame(conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				r.torn.Add(1)
-			}
-			return m, err
-		}
-		switch f.Type {
-		case status.TypeSystem:
-			recs, err := status.UnmarshalSystemBatch(f.Data)
-			if err != nil {
-				return m, err
-			}
-			m.sys = append(m.sys, recs...)
-		case status.TypeNetwork:
-			recs, err := status.UnmarshalNetBatch(f.Data)
-			if err != nil {
-				return m, err
-			}
-			m.net = append(m.net, recs...)
-		case status.TypeSecurity:
-			recs, err := status.UnmarshalSecBatch(f.Data)
-			if err != nil {
-				return m, err
-			}
-			m.sec = append(m.sec, recs...)
-		default:
-			r.unknown.Add(1)
-			return m, fmt.Errorf("transport: unexpected frame type %v in pull reply", f.Type)
-		}
-	}
-	return m, nil
 }
 
 // dialPull opens a pull connection through the configured hook.

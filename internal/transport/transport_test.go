@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"smartsock/internal/obs"
 	"smartsock/internal/status"
 	"smartsock/internal/store"
 )
@@ -20,11 +21,32 @@ func seedDB() *store.DB {
 	return db
 }
 
+// count reads one counter of reg by its OBS_SCHEMA name — the only
+// way these tests see the transport's counters, so every assertion on
+// one also pins its registered name: a name nothing registered fails
+// the test instead of reading zero.
+func count(t testing.TB, reg *obs.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q in the registry", name)
+	}
+	return v
+}
+
+// pullModes runs one pull test under both pull protocols: the delta
+// protocol, and the thesis one with Compat set on both ends.
+func pullModes(t *testing.T, test func(t *testing.T, compat bool)) {
+	t.Run("delta", func(t *testing.T) { test(t, false) })
+	t.Run("thesis", func(t *testing.T) { test(t, true) })
+}
+
 // within polls cond until it holds or timeout passes and reports
 // which. A transmitter counts a snapshot or delta as sent after writing
 // its last frame ("sent" means complete), so a receiver that has
-// already consumed the reply may read Sent/Deltas a moment early:
-// exact-count assertions poll the counter instead of reading it once.
+// already consumed the reply may read transport_tx_snapshots or
+// transport_tx_delta_epochs a moment early: exact-count assertions
+// poll the counter instead of reading it once.
 func within(timeout time.Duration, cond func() bool) bool {
 	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
 		if cond() {
@@ -60,7 +82,7 @@ func TestCentralizedModePushes(t *testing.T) {
 	src := seedDB()
 	dst := store.New()
 
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +90,8 @@ func TestCentralizedModePushes(t *testing.T) {
 	defer cancel()
 	go recv.Run(ctx)
 
-	tx, err := NewTransmitter(src, nil)
+	reg := obs.NewRegistry()
+	tx, err := NewTransmitterObs(src, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +106,19 @@ func TestCentralizedModePushes(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return dst.SysLen() == 3 })
 	// The first push is a full snapshot; the new record travels as a
 	// delta rather than a re-shipped database.
-	if tx.Pushed() < 2 {
-		t.Errorf("Pushed = %d (Sent=%d Deltas=%d), want ≥ 2", tx.Pushed(), tx.Sent(), tx.Deltas())
+	sent, deltas := count(t, reg, "transport_tx_snapshots"), count(t, reg, "transport_tx_delta_epochs")
+	if sent+deltas < 2 {
+		t.Errorf("pushed %d (snapshots=%d delta epochs=%d), want ≥ 2", sent+deltas, sent, deltas)
 	}
-	if tx.Sent() < 1 {
-		t.Errorf("Sent = %d, want ≥ 1 full snapshot", tx.Sent())
+	if sent < 1 {
+		t.Errorf("snapshots = %d, want ≥ 1 full snapshot", sent)
 	}
 }
 
 func TestCentralizedModeSurvivesReceiverRestart(t *testing.T) {
 	src := seedDB()
 	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +128,7 @@ func TestCentralizedModeSurvivesReceiverRestart(t *testing.T) {
 
 	txCtx, txCancel := context.WithCancel(context.Background())
 	defer txCancel()
-	tx, err := NewTransmitter(src, nil)
+	tx, err := NewTransmitterObs(src, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +139,7 @@ func TestCentralizedModeSurvivesReceiverRestart(t *testing.T) {
 	cancel1()
 	time.Sleep(40 * time.Millisecond)
 	dst2 := store.New()
-	recv2, err := NewReceiver(dst2, addr, nil)
+	recv2, err := NewReceiverObs(dst2, addr, nil, nil)
 	if err != nil {
 		t.Skipf("port reuse raced: %v", err)
 	}
@@ -129,7 +153,7 @@ func TestDistributedModePull(t *testing.T) {
 	src := seedDB()
 	dst := store.New()
 
-	tx, err := NewTransmitter(src, nil)
+	tx, err := NewTransmitterObs(src, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +165,7 @@ func TestDistributedModePull(t *testing.T) {
 	defer cancel()
 	go tx.ServePassive(ctx, ln)
 
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,98 +181,116 @@ func TestDistributedModePull(t *testing.T) {
 }
 
 func TestDistributedModeMergesMultipleTransmitters(t *testing.T) {
-	// Two server groups, each with its own monitor machine and
-	// passive transmitter; the wizard-side pull merges both.
-	srcA := store.New()
-	srcA.PutSys(status.ServerStatus{Host: "group-a-1"})
-	srcB := store.New()
-	srcB.PutSys(status.ServerStatus{Host: "group-b-1"})
-	srcB.PutSys(status.ServerStatus{Host: "group-b-2"})
+	pullModes(t, func(t *testing.T, compat bool) {
+		// Two server groups, each with its own monitor machine and
+		// passive transmitter; the wizard-side pull merges both.
+		srcA := store.New()
+		srcA.PutSys(status.ServerStatus{Host: "group-a-1"})
+		srcB := store.New()
+		srcB.PutSys(status.ServerStatus{Host: "group-b-1"})
+		srcB.PutSys(status.ServerStatus{Host: "group-b-2"})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var addrs []string
-	for _, db := range []*store.DB{srcA, srcB} {
-		tx, err := NewTransmitter(db, nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var addrs []string
+		for _, db := range []*store.DB{srcA, srcB} {
+			tx, err := NewTransmitterObs(db, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx.Compat = compat
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go tx.ServePassive(ctx, ln)
+			addrs = append(addrs, ln.Addr().String())
+		}
+
+		dst := store.New()
+		recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		recv.Compat = compat
+		if err := recv.PullFrom(addrs, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if dst.SysLen() != 3 {
+			t.Errorf("merged SysLen = %d, want 3", dst.SysLen())
+		}
+	})
+}
+
+func TestPullToleratesDeadTransmitter(t *testing.T) {
+	pullModes(t, func(t *testing.T, compat bool) {
+		src := seedDB()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		tx, err := NewTransmitterObs(src, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Compat = compat
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		go tx.ServePassive(ctx, ln)
-		addrs = append(addrs, ln.Addr().String())
-	}
 
-	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := recv.PullFrom(addrs, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if dst.SysLen() != 3 {
-		t.Errorf("merged SysLen = %d, want 3", dst.SysLen())
-	}
-}
-
-func TestPullToleratesDeadTransmitter(t *testing.T) {
-	src := seedDB()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	tx, err := NewTransmitter(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go tx.ServePassive(ctx, ln)
-
-	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First address refuses connections; the live one must still land.
-	dead := "127.0.0.1:1" // reserved port, nothing listens
-	if err := recv.PullFrom([]string{dead, ln.Addr().String()}, 200*time.Millisecond); err != nil {
-		t.Fatalf("PullFrom with one dead transmitter: %v", err)
-	}
-	if dst.SysLen() != 2 {
-		t.Errorf("SysLen = %d, want 2", dst.SysLen())
-	}
+		dst := store.New()
+		recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv.Compat = compat
+		// First address refuses connections; the live one must still land.
+		dead := "127.0.0.1:1" // reserved port, nothing listens
+		if err := recv.PullFrom([]string{dead, ln.Addr().String()}, 200*time.Millisecond); err != nil {
+			t.Fatalf("PullFrom with one dead transmitter: %v", err)
+		}
+		if dst.SysLen() != 2 {
+			t.Errorf("SysLen = %d, want 2", dst.SysLen())
+		}
+	})
 }
 
 func TestPullFailsWhenAllDead(t *testing.T) {
-	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := recv.PullFrom([]string{"127.0.0.1:1"}, 100*time.Millisecond); err == nil {
-		t.Error("PullFrom succeeded with no live transmitter")
-	}
+	pullModes(t, func(t *testing.T, compat bool) {
+		dst := store.New()
+		// A record the failed pull must leave alone: the thesis pull loads
+		// whole tables, but only from a round in which somebody answered.
+		dst.PutSys(status.ServerStatus{Host: "kept"})
+		recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv.Compat = compat
+		if err := recv.PullFrom([]string{"127.0.0.1:1"}, 100*time.Millisecond); err == nil {
+			t.Error("PullFrom succeeded with no live transmitter")
+		}
+		if dst.SysLen() != 1 {
+			t.Errorf("failed pull changed the mirror: SysLen = %d, want 1", dst.SysLen())
+		}
+	})
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := NewTransmitter(nil, nil); err == nil {
-		t.Error("NewTransmitter accepted nil db")
+	if _, err := NewTransmitterObs(nil, nil, nil); err == nil {
+		t.Error("NewTransmitterObs accepted nil db")
 	}
-	if _, err := NewReceiver(nil, "127.0.0.1:0", nil); err == nil {
-		t.Error("NewReceiver accepted nil db")
+	if _, err := NewReceiverObs(nil, "127.0.0.1:0", nil, nil); err == nil {
+		t.Error("NewReceiverObs accepted nil db")
 	}
-	if _, err := NewReceiver(store.New(), "256.0.0.1:bad", nil); err == nil {
-		t.Error("NewReceiver accepted a bad address")
+	if _, err := NewReceiverObs(store.New(), "256.0.0.1:bad", nil, nil); err == nil {
+		t.Error("NewReceiverObs accepted a bad address")
 	}
 }
 
 func TestReceiverRejectsUnknownFrame(t *testing.T) {
 	dst := store.New()
-	recv, err := NewReceiver(dst, "127.0.0.1:0", nil)
+	reg := obs.NewRegistry()
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,5 +318,5 @@ func TestReceiverRejectsUnknownFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return dst.SysLen() == 1 })
-	waitFor(t, 2*time.Second, func() bool { return recv.UnknownFrames() == 1 })
+	waitFor(t, 2*time.Second, func() bool { return count(t, reg, "transport_recv_unknown_frames") == 1 })
 }

@@ -254,8 +254,7 @@ func TestOverloadHotSourceIsolation(t *testing.T) {
 	sel, _ := testSelector(t)
 	gate := overload.New(overload.Config{
 		MaxQueue: 512,
-		Rate:     300, // per-source requests/sec
-		Burst:    40,
+		Rate:     300, // per-source requests/sec; the bucket holds 600
 	})
 	w := startWizard(t, Config{
 		Selector: sel,
@@ -277,7 +276,7 @@ func TestOverloadHotSourceIsolation(t *testing.T) {
 	}()
 
 	// Cold sources: 7 sockets, each pacing 40 requests at 5ms (200/s,
-	// under both the 300/s rate and the 40-token burst). A drop is a
+	// under the 300/s rate, the 40 far inside the burst). A drop is a
 	// shed reply or no reply at all within the deadline.
 	const coldSources, coldRequests = 7, 40
 	var coldDrops, coldSent atomic.Uint64

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh runs the full correctness gate: formatting, go vet, build,
-# race-enabled tests, the committed size numbers, and the project's own
-# static analyzers (cmd/smartlint). CI runs exactly this script; run it
+# race-enabled tests, the committed size numbers, the naming guards, and
+# the project's own static analyzers (cmd/smartlint). CI runs exactly this script; run it
 # locally before sending a change.
 set -eu
 
@@ -60,6 +60,22 @@ misnamed=$(grep -Hn '^func Test' internal/chaos/*_test.go | grep -v ':func TestC
 if [ -n "$misnamed" ]; then
 	echo "chaos tests missing the TestChaos prefix (CI's -run Chaos would skip them):" >&2
 	echo "$misnamed" >&2
+	exit 1
+fi
+
+echo "== constructor pairs =="
+# A registry-taking constructor accepts a nil registry, so a NewX beside
+# a NewXObs is a second name for one job. reqlang.NewCache is the one
+# pair allowed: benchmark/ compiles against both names.
+pairs=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec grep -HoE '^func New[A-Za-z0-9]*Obs\(' {} + |
+	while IFS=: read -r file fn; do
+		name=${fn#func }
+		name=${name%Obs\(}
+		grep -HnE "^func $name\(" "$(dirname "$file")"/*.go | grep -v '_test\.go:' || true
+	done | grep -v '^\./internal/reqlang/cache\.go:.*func NewCache(' || true)
+if [ -n "$pairs" ]; then
+	echo "constructors that duplicate a registry-taking New...Obs (delete them; pass a nil registry):" >&2
+	echo "$pairs" >&2
 	exit 1
 fi
 
