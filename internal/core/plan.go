@@ -28,13 +28,10 @@ func indexableVar(name string) bool {
 // verdict. A nil plan records "not index-resolvable", so unindexable
 // storms pay one map hit, not one AST walk, per request.
 type progInfo struct {
-	// statusVars binds program slots to status-report fields; the
-	// remaining slots hold the network metrics, the security level
-	// (-1 when the program does not mention them) or names no record
-	// defines.
-	statusVars                 []slotVar
-	delaySlot, bwSlot, secSlot int
-	needNet                    bool
+	// all is what a full evaluation binds; residual what one resumed at
+	// plan.Prefix binds — a variable only the index-proven statements
+	// read costs the survivors nothing.
+	all, residual slotVars
 
 	plan   *reqlang.Plan
 	cons   []index.Constraint
@@ -42,12 +39,25 @@ type progInfo struct {
 	fields []string // unique constraint fields, for column bootstrap
 }
 
+// slotVars says where the program slots a run touches get their values:
+// status binds slots to status-report fields; delay, bw and sec are the
+// slots of the network metrics and the security level (-1 when
+// untouched). Touched slots naming nothing a record defines stay
+// undefined.
+type slotVars struct {
+	status         []slotVar
+	delay, bw, sec int
+	needNet        bool
+}
+
 // slotVar says that program slot `slot` reads status variable `id`
 // (a status.VarIndex).
 type slotVar struct{ slot, id int }
 
-// infoCacheMax bounds the per-program cache; programs come from the
-// wizard's bounded compile cache, so in practice this never fills.
+// infoCacheMax bounds the per-program cache. Programs come from the
+// wizard's compile cache, an LRU a quarter this size, so a table that
+// fills holds mostly programs nobody can ask about again: it is
+// dropped whole, as the selection memo is per epoch.
 const infoCacheMax = 1024
 
 // infoFor returns the cached resolution of prog, computing it on first
@@ -62,31 +72,18 @@ func (s *Selector) infoFor(prog *reqlang.Program) *progInfo {
 	e = s.resolve(prog)
 	s.infoMu.Lock()
 	defer s.infoMu.Unlock()
-	if len(s.infos) < infoCacheMax {
-		s.infos[prog] = e
+	if len(s.infos) >= infoCacheMax {
+		clear(s.infos)
 	}
+	s.infos[prog] = e
 	return e
 }
 
 func (s *Selector) resolve(prog *reqlang.Program) *progInfo {
-	e := &progInfo{delaySlot: -1, bwSlot: -1, secSlot: -1}
-	for slot, name := range prog.MentionedVars() {
-		switch name {
-		case "monitor_network_delay":
-			e.delaySlot = slot
-		case "monitor_network_bw":
-			e.bwSlot = slot
-		case index.SecurityField:
-			e.secSlot = slot
-		default:
-			if id := status.VarIndex(name); id >= 0 {
-				e.statusVars = append(e.statusVars, slotVar{slot: slot, id: id})
-			}
-		}
-	}
-	e.needNet = s.cfg.GroupOf != nil && s.cfg.LocalMonitor != "" && (e.delaySlot >= 0 || e.bwSlot >= 0)
+	e := &progInfo{all: s.slotVars(prog, 0)}
 	if plan := prog.Plan(indexableVar); plan != nil {
 		e.plan = plan
+		e.residual = s.slotVars(prog, plan.Prefix)
 		for _, c := range plan.Cons {
 			e.cons = append(e.cons, index.Constraint{Field: c.Var, Op: cmpToIndex(c.Op), Val: c.Val})
 			e.consAt = append(e.consAt, status.VarIndex(c.Var))
@@ -96,6 +93,27 @@ func (s *Selector) resolve(prog *reqlang.Program) *progInfo {
 		}
 	}
 	return e
+}
+
+// slotVars resolves the slots the statements from index from on touch.
+func (s *Selector) slotVars(prog *reqlang.Program, from int) slotVars {
+	v := slotVars{delay: -1, bw: -1, sec: -1}
+	for _, slot := range prog.Touched(from) {
+		switch name := prog.MentionedVars()[slot]; name {
+		case "monitor_network_delay":
+			v.delay = slot
+		case "monitor_network_bw":
+			v.bw = slot
+		case index.SecurityField:
+			v.sec = slot
+		default:
+			if id := status.VarIndex(name); id >= 0 {
+				v.status = append(v.status, slotVar{slot: slot, id: id})
+			}
+		}
+	}
+	v.needNet = s.cfg.GroupOf != nil && s.cfg.LocalMonitor != "" && (v.delay >= 0 || v.bw >= 0)
+	return v
 }
 
 func cmpToIndex(op reqlang.CmpOp) index.Op {

@@ -183,11 +183,11 @@ func newDiffHarnessAge(t testing.TB, maxStatusAge time.Duration) *diffHarness {
 	// Only the index-path selector reports metrics, so the assertions
 	// below see its planner verdicts alone.
 	forcedCfg := cfg
-	forcedCfg.ForceScan = true
 	forcedCfg.Obs = nil
 	if h.forced, err = New(h.mir, forcedCfg); err != nil {
 		t.Fatal(err)
 	}
+	h.forced.ForceScan()
 	classicCfg := cfg
 	classicCfg.PlanThreshold = -1
 	classicCfg.Obs = nil
@@ -409,5 +409,48 @@ func TestPlannerDifferentialLargeTable(t *testing.T) {
 	}
 	if counters["index_rows_pruned"] == 0 {
 		t.Fatal("planner pruned nothing on a selective corpus")
+	}
+}
+
+// TestPlannerDifferentialPageBoundaries runs the comparison on tables
+// whose size straddles the batch evaluator's unit, a snapshot page — so
+// the last batch is one lane short of full, exactly full, one lane, or
+// follows two full ones — and on a table whose middle pages hold no
+// candidate of the selective corpus entries at all (every host there is
+// loaded past any load constraint), so the index source skips whole
+// pages between two batches.
+func TestPlannerDifferentialPageBoundaries(t *testing.T) {
+	const page = store.SysPageLen
+	for _, tc := range []struct {
+		hosts  int
+		hollow bool
+	}{{page - 1, false}, {page, false}, {page + 1, false}, {2*page + 1, false}, {5*page + 3, true}} {
+		h := newDiffHarness(t)
+		rng := rand.New(rand.NewSource(int64(tc.hosts)))
+		for i := 0; i < tc.hosts; i++ {
+			h.now = h.now.Add(time.Millisecond)
+			s := status.ServerStatus{
+				Host:     fmt.Sprintf("diff-%04d", i),
+				Load1:    float64(rng.Intn(5)),
+				CPUIdle:  rng.Float64(),
+				Bogomips: 1000 + float64(rng.Intn(4))*25,
+				MemFree:  uint64(rng.Intn(8)) << 20,
+			}
+			if tc.hollow && i >= page && i < 4*page {
+				s.Load1, s.CPUIdle = 50, 0
+			}
+			h.src.PutSys(s)
+			if i%3 == 0 {
+				h.src.PutSec(status.SecLevel{Host: s.Host, Level: rng.Intn(5)})
+			}
+		}
+		if err := h.sync(); err != nil {
+			t.Fatal(err)
+		}
+		for val := range diffCounts {
+			if err := h.compareAll(val); err != nil {
+				t.Fatalf("%d hosts (hollow %t): %v", tc.hosts, tc.hollow, err)
+			}
+		}
 	}
 }

@@ -2,6 +2,9 @@
 // (§3.6.1): given the three status databases and a parsed requirement
 // program, it evaluates every candidate server, applies the user's
 // denied/preferred host lists, and returns the best server set.
+// Candidates are evaluated a snapshot page at a time: their variables
+// are bound by column into one reqlang batch and the requirement runs
+// over the whole page before the lanes are ranked.
 //
 // This is the paper's primary contribution distilled: selection moves
 // out of each middleware and into a shared socket-level service, so
@@ -11,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,11 +59,6 @@ type Config struct {
 	// pruned unevaluated (Result.Pruned) and survivors resume at the
 	// residual statements; the servers chosen are the same either way.
 	PlanThreshold int
-	// ForceScan makes planned selections test their extracted
-	// constraints record by record instead of querying the index. The
-	// Result is identical; differential tests pin it to compare the
-	// index path against ground truth.
-	ForceScan bool
 }
 
 // Decision records why one server was accepted or rejected — the
@@ -116,6 +115,11 @@ type Selector struct {
 	idx        *index.Set
 	infoMu     sync.RWMutex
 	infos      map[*reqlang.Program]*progInfo // see infoFor
+	// forceScan makes planned selections test their extracted
+	// constraints record by record instead of querying the index. The
+	// Result is identical; differential tests set it (export_test.go)
+	// to compare the index path against ground truth.
+	forceScan bool
 
 	selections     *obs.Counter // core_selections: Select calls
 	memoHits       *obs.Counter // core_memo_hits: served from the epoch memo
@@ -129,9 +133,17 @@ type Selector struct {
 
 // scratch is one selection's reusable working storage.
 type scratch struct {
-	env  reqlang.Env
-	bits index.Bits  // index candidate positions
-	top  []candidate // the bounded winner list
+	env   reqlang.Env // the batch: one snapshot page of lanes
+	lanes []lane      // the records bound into it
+	bits  index.Bits  // index candidate positions
+	ids   index.Bits  // the index's working set, over its host ids
+	top   []candidate // the bounded winner list
+}
+
+// lane is one candidate record of the page being evaluated.
+type lane struct {
+	at    int // index in the page
+	stale int // records dropped as stale before this one
 }
 
 // memoKey identifies one selection question. Programs come from the
@@ -291,8 +303,8 @@ func (s *Selector) run(prog *reqlang.Program, n int, opt proto.Option, explain b
 	if s.cfg.MaxStatusAge > 0 {
 		q.cutoff = s.db.Now().Add(-s.cfg.MaxStatusAge)
 	}
-	pure := !q.info.needNet && q.info.secSlot < 0 && q.cutoff.IsZero() && !explain
-	if q.info.needNet {
+	pure := !q.info.all.needNet && q.info.all.sec < 0 && q.cutoff.IsZero() && !explain
+	if q.info.all.needNet {
 		q.netMemo = make(map[string]netBinding, 4)
 	}
 
@@ -316,9 +328,11 @@ func (s *Selector) run(prog *reqlang.Program, n int, opt proto.Option, explain b
 
 // evaluate is the selection's one loop. Positions come from one of
 // three sources — every snapshot position, those whose record passes
-// the plan's constraints, or the index's candidate bitset — and each
-// fresh candidate is bound, evaluated from the plan's residual
-// statement on, and offered to the bounded winner list.
+// the plan's constraints, or the index's candidate bitset — and are
+// consumed a snapshot page at a time: the page's fresh candidates are
+// bound into the batch by column, the program runs over all of them
+// from the plan's residual statement on, and the lanes are offered to
+// the bounded winner list in position order.
 func (s *Selector) evaluate(q *query, sc *scratch) Result {
 	snap, size := q.snap, q.snap.Len()
 	info := q.info
@@ -334,64 +348,86 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 		threshold = DefaultPlanThreshold
 	}
 	planned := info.plan != nil && threshold > 0 && size >= threshold && !q.explain
-	from, useIndex := 0, false
+	vars, from, useIndex := &info.all, 0, false
 	if planned {
 		s.indexPlans.Add(1)
-		from = info.plan.Prefix
-		if !s.cfg.ForceScan && s.idx.SyncFor(q.snap, info.fields) {
-			sc.bits, useIndex = s.idx.Positions(q.snap.Epoch, info.cons, sc.bits)
+		vars, from = &info.residual, info.plan.Prefix
+		if !s.forceScan && s.idx.SyncFor(q.snap, info.fields) {
+			sc.bits, sc.ids, useIndex = s.idx.Positions(q.snap.Epoch, info.cons, sc.bits, sc.ids)
 		}
 		if !useIndex {
 			// The index cannot serve this snapshot (it raced a writer) or
-			// ForceScan pins ground truth: test the constraints per record.
+			// forceScan pins ground truth: test the constraints per record.
 			s.indexFallbacks.Add(1)
 		}
 	}
 
-	sc.env.Bind(q.prog)
+	env := &sc.env
+	env.Bind(q.prog, store.SysPageLen)
 	top := topN{items: sc.top[:0], n: q.n, ranked: q.ranked}
 	// Nothing can overtake the first n qualifiers in snapshot order
 	// unless a score ranks or a preferred list reorders them.
 	stopEarly := !q.explain && !q.ranked && !q.prog.SetsPreferred()
 	filterStale := !q.cutoff.IsZero()
 	evals, visited := 0, size
-	pos := -1
-	for {
-		pos++
+pages:
+	for pos := 0; pos < size; {
 		if useIndex {
-			pos = sc.bits.Next(pos)
+			if pos = sc.bits.Next(pos); pos < 0 {
+				break
+			}
 		}
-		if pos < 0 || pos >= size {
-			break
+		page, first := snap.PageOf(pos)
+		lanes := slices.Grow(sc.lanes[:0], len(page))
+		for ; pos < first+len(page); pos++ {
+			if useIndex {
+				if pos = sc.bits.Next(pos); pos < 0 || pos >= first+len(page) {
+					break
+				}
+			}
+			rec := &page[pos-first]
+			if planned && !useIndex && !s.passesConstraints(rec, info) {
+				continue
+			}
+			if filterStale && rec.UpdatedAt.Before(q.cutoff) {
+				result.StaleDropped++
+				continue
+			}
+			lanes = append(lanes, lane{at: pos - first, stale: result.StaleDropped})
 		}
-		rec := snap.At(pos)
-		if planned && !useIndex && !s.passesConstraints(rec, info) {
+		pos = first + len(page)
+		sc.lanes = lanes
+		if len(lanes) == 0 {
 			continue
 		}
-		if filterStale && rec.UpdatedAt.Before(q.cutoff) {
-			result.StaleDropped++
-			continue
-		}
-		evals++
-		s.bind(q, &sc.env, rec)
-		res := q.prog.EvalFrom(&sc.env, from)
-		host := rec.Status.Host
-		denied := matchHost(host, res.Denied) >= 0
-		preferred := matchHost(host, res.Preferred)
-		qualified := res.Qualified && !denied
-		if q.explain {
-			result.Decisions = append(result.Decisions, Decision{
-				Host: host, Qualified: qualified, Preferred: preferred >= 0, Denied: denied,
-				FailedLine: res.FailedLine, Score: res.Score, HasScore: res.HasScore, Err: res.Err,
-			})
-		}
-		if !qualified {
-			continue
-		}
-		top.offer(candidate{pos: pos, preferred: preferred, score: res.Score, hasScore: res.HasScore})
-		if stopEarly && len(top.items) == q.n {
-			visited = pos + 1
-			break
+		s.bind(q, env, vars, page, lanes)
+		q.prog.Run(env, from)
+		for l, ln := range lanes {
+			evals++
+			qualified, denied, preferred := env.Qualified(l), false, -1
+			if no, yes := env.Hosts(l); len(no)+len(yes) > 0 {
+				host := page[ln.at].Status.Host
+				denied, preferred = matchHost(host, no) >= 0, matchHost(host, yes)
+				qualified = qualified && !denied
+			}
+			if q.explain {
+				res := env.Result(l)
+				result.Decisions = append(result.Decisions, Decision{
+					Host: page[ln.at].Status.Host, Qualified: qualified, Preferred: preferred >= 0, Denied: denied,
+					FailedLine: res.FailedLine, Score: res.Score, HasScore: res.HasScore, Err: res.Err,
+				})
+			}
+			if !qualified {
+				continue
+			}
+			score, hasScore := env.Score(l)
+			top.offer(candidate{pos: first + ln.at, preferred: preferred, score: score, hasScore: hasScore})
+			if stopEarly && len(top.items) == q.n {
+				// The page was evaluated whole; the counts are those of
+				// the prefix that ends here.
+				visited, result.StaleDropped = first+ln.at+1, ln.stale
+				break pages
+			}
 		}
 	}
 	sc.top = top.items[:0]
@@ -463,7 +499,15 @@ type topN struct {
 func (t *topN) offer(c candidate) {
 	i := len(t.items)
 	if i == t.n {
-		if !c.before(&t.items[i-1], t.ranked) {
+		// The selection offers in position order, so against a full list
+		// a tie is lost: an unpreferred candidate gets in on a better
+		// score or not at all, which is most offers of a broad request
+		// and costs them one comparison.
+		last := &t.items[i-1]
+		if c.preferred < 0 && (!t.ranked || last.preferred >= 0 || last.ranks() && !(c.hasScore && c.score > last.score)) {
+			return
+		}
+		if !c.before(last, t.ranked) {
 			return
 		}
 		i--
@@ -476,38 +520,57 @@ func (t *topN) offer(c candidate) {
 	t.items[i] = c
 }
 
-// bind rebinds the environment for one candidate server: the status
-// variables the program mentions, plus its group's network metrics
-// and its security level when the program asks for them.
-func (s *Selector) bind(q *query, env *reqlang.Env, rec *store.SysRecord) {
-	info := q.info
-	env.Reset()
-	for _, v := range info.statusVars {
-		env.Set(v.slot, rec.Status.VarAt(v.id))
-	}
-	if info.needNet {
-		// The server's own group: the thesis assumes LAN metrics are
-		// always sufficient (§3.3.3), so zero delay and a very large
-		// bandwidth (Mbps; effectively infinite) never reject local
-		// servers. Another group: the measured metrics — or, with no
-		// record, nothing: the variables stay undefined and requirements
-		// referencing them reject the server, the safe default.
-		b := netBinding{bw: 1e5, ok: true}
-		if group := s.cfg.GroupOf(rec.Status.Host); group != s.cfg.LocalMonitor {
-			b = s.netBinding(q, group)
-		}
-		if b.ok {
-			if info.delaySlot >= 0 {
-				env.Set(info.delaySlot, b.delay)
-			}
-			if info.bwSlot >= 0 {
-				env.Set(info.bwSlot, b.bw)
-			}
+// bind fills the batch with one page's candidates, a column per
+// variable the statements to run touch: the status variables, plus each
+// server's group's network metrics and its security level when those
+// statements ask for them.
+func (s *Selector) bind(q *query, env *reqlang.Env, vars *slotVars, page []store.SysRecord, lanes []lane) {
+	env.Reset(len(lanes))
+	for _, v := range vars.status {
+		col := env.Col(v.slot)
+		for l, ln := range lanes {
+			col[l] = page[ln.at].Status.VarAt(v.id)
 		}
 	}
-	if info.secSlot >= 0 {
-		if sec, ok := s.db.GetSec(rec.Status.Host); ok {
-			env.Set(info.secSlot, float64(sec.Level.Level))
+	if vars.needNet {
+		var delay, bw []float64
+		if vars.delay >= 0 {
+			delay = env.Col(vars.delay)
+		}
+		if vars.bw >= 0 {
+			bw = env.Col(vars.bw)
+		}
+		for l, ln := range lanes {
+			// The server's own group: the thesis assumes LAN metrics are
+			// always sufficient (§3.3.3), so zero delay and a very large
+			// bandwidth (Mbps; effectively infinite) never reject local
+			// servers. Another group: the measured metrics — or, with no
+			// record, nothing: the variables stay undefined and requirements
+			// referencing them reject the server, the safe default.
+			b := netBinding{bw: 1e5, ok: true}
+			if group := s.cfg.GroupOf(page[ln.at].Status.Host); group != s.cfg.LocalMonitor {
+				b = s.netBinding(q, group)
+			}
+			if delay != nil {
+				if delay[l] = b.delay; !b.ok {
+					env.Undef(vars.delay, l)
+				}
+			}
+			if bw != nil {
+				if bw[l] = b.bw; !b.ok {
+					env.Undef(vars.bw, l)
+				}
+			}
+		}
+	}
+	if vars.sec >= 0 {
+		col := env.Col(vars.sec)
+		for l, ln := range lanes {
+			if sec, ok := s.db.GetSec(page[ln.at].Status.Host); ok {
+				col[l] = float64(sec.Level.Level)
+			} else {
+				env.Undef(vars.sec, l)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -378,5 +379,22 @@ user_denied_host1 = hacker.some.net
 	}
 	if !reflect.DeepEqual(res.Servers, []string{"b2", "c1", "d1"}) {
 		t.Errorf("Servers = %v, want [b2 c1 d1] (Fig 1.4)", res.Servers)
+	}
+}
+
+// TestInfoCacheKeepsCachingPastItsBound: a selector that has seen more
+// programs than its per-program cache holds drops the table and goes on
+// caching, so a requirement first met late is still resolved once.
+func TestInfoCacheKeepsCachingPastItsBound(t *testing.T) {
+	sel := newSelector(t, store.New(), Config{})
+	for i := 0; i <= infoCacheMax; i++ {
+		sel.infoFor(mustProg(t, fmt.Sprintf("host_cpu_free > %d\n", i)))
+	}
+	late := mustProg(t, "host_system_load1 < 1\n")
+	if first := sel.infoFor(late); sel.infoFor(late) != first {
+		t.Fatalf("after %d programs a new program is resolved again on every request", infoCacheMax+1)
+	}
+	if n := len(sel.infos); n > infoCacheMax {
+		t.Fatalf("cache holds %d programs, bound %d", n, infoCacheMax)
 	}
 }

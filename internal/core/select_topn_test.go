@@ -121,9 +121,8 @@ func TestSelectionMatchesReferenceOnSeededFleets(t *testing.T) {
 		for _, age := range []time.Duration{0, 10 * time.Minute} {
 			cfg := Config{MaxStatusAge: age, ServicePort: 9000}
 			planner := newSelector(t, db, cfg)
-			cfg.ForceScan = true
-			forced := newSelector(t, db, cfg)
-			cfg.ForceScan, cfg.PlanThreshold = false, -1
+			forced := newSelector(t, db, cfg).ForceScan()
+			cfg.PlanThreshold = -1
 			classic := newSelector(t, db, cfg)
 			for _, src := range corpus {
 				prog := mustProg(t, src)
@@ -247,5 +246,43 @@ func TestBroadSelectAllocsIndependentOfQualifiers(t *testing.T) {
 				t.Errorf("threshold %d, %.0f%% qualify: %.0f allocs per Select, budget %d", threshold, 100*(1-cut), got, budget)
 			}
 		}
+	}
+}
+
+// TestPutThenRankedSelectAllocs pins what a report followed by a broad
+// ranked request allocates at 20 000 hosts, the fleet_20k_broad op seen
+// from inside: the rebuilt snapshot's page table, page and header, the
+// Servers slice, and nothing that grows with the table or the
+// qualifiers — the batch, its lanes and both of the index's bitsets
+// come from the pooled scratch. It was 8 while Positions made its
+// candidate bitset per call.
+func TestPutThenRankedSelectAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20k-host table; under the race detector sync.Pool drops the scratch at random")
+	}
+	const hosts = 20_000
+	rng := rand.New(rand.NewSource(21))
+	recs := make([]status.ServerStatus, hosts)
+	for i := range recs {
+		recs[i] = status.ServerStatus{Host: fmt.Sprintf("h%05d.fleet", i), CPUIdle: rng.Float64(), Load1: 4.5 * rng.Float64(),
+			Bogomips: 1000 + rng.Float64()*4000, MemTotal: 1 << 30, MemFree: 600 << 20}
+	}
+	db := store.New()
+	db.Load(recs, nil, nil)
+	sel := newSelector(t, db, Config{})
+	prog := mustProg(t, "host_cpu_free > 0.1\nhost_system_load1 < 4\nhost_memory_free > 16\nscore = host_cpu_bogomips * host_cpu_free\nscore\n")
+	next := 0
+	run := func() {
+		recs[next].CPUIdle = rng.Float64()
+		db.PutSys(recs[next])
+		next = (next + 1) % hosts
+		res, err := sel.Select(prog, 8, proto.OptRankByExpr)
+		if err != nil || len(res.Servers) != 8 {
+			t.Fatalf("%v, %d servers", err, len(res.Servers))
+		}
+	}
+	run() // warm the plan, the index columns and the pooled scratch
+	if got := testing.AllocsPerRun(50, run); got > 7 {
+		t.Errorf("%.0f allocs per put + ranked Select, want at most 7", got)
 	}
 }

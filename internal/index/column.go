@@ -1,7 +1,9 @@
 package index
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -126,7 +128,7 @@ func (c *column) compact() {
 	c.defined.ForEach(func(id int) {
 		c.base = append(c.base, entry{val: c.vals[id], id: int32(id)})
 	})
-	sort.Slice(c.base, func(i, j int) bool { return sortKey(c.base[i].val) < sortKey(c.base[j].val) })
+	slices.SortFunc(c.base, func(a, b entry) int { return cmp.Compare(sortKey(a.val), sortKey(b.val)) })
 	c.patch = c.patch[:0]
 }
 

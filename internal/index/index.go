@@ -119,30 +119,32 @@ func (s *Set) SyncFor(snap *store.SysSnapshot, fields []string) bool {
 
 // Positions sets in dst (reset and grown to fit) the bit of every
 // position in the epoch's sorted snapshot whose host satisfies every
-// constraint, provided the indexes still match the queried epoch.
+// constraint, provided the indexes still match the queried epoch; ids
+// is the caller's scratch for the candidate set over host ids, handed
+// back like dst so a pooled caller allocates neither.
 // Candidate generation walks the sorted range of the most selective
 // constraint, filters the survivors against the remaining
 // constraints' dense arrays in O(1) each, and joins them to snapshot
 // positions through the id→position table — no host name is
 // materialised or searched for.
-func (s *Set) Positions(epoch uint64, cons []Constraint, dst Bits) (Bits, bool) {
+func (s *Set) Positions(epoch uint64, cons []Constraint, dst, ids Bits) (Bits, Bits, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if !s.synced || !s.posOK || s.epoch != epoch || len(cons) == 0 {
-		return dst, false
+		return dst, ids, false
 	}
 	driver := -1
 	best := 0
 	for i, c := range cons {
 		col := s.cols[c.Field]
 		if col == nil {
-			return dst, false
+			return dst, ids, false
 		}
 		if est := col.estimate(c); driver < 0 || est < best {
 			driver, best = i, est
 		}
 	}
-	cand := make(Bits, (len(s.hosts)+63)/64)
+	cand := ids[:0].grow(len(s.hosts))
 	s.cols[cons[driver].Field].collect(cons[driver], cand, s.live)
 	for i, c := range cons {
 		if i == driver {
@@ -162,7 +164,7 @@ func (s *Set) Positions(epoch uint64, cons []Constraint, dst Bits) (Bits, bool) 
 	// Snapshot positions never outnumber the ids ever assigned.
 	dst = dst[:0].grow(len(s.hosts))
 	cand.ForEach(func(id int) { dst.Set(int(s.pos[id])) })
-	return dst, true
+	return dst, cand, true
 }
 
 // Ver returns the (version, epoch) pair the indexes reflect.

@@ -63,7 +63,7 @@ func query(t *testing.T, db *store.DB, s *Set, cons []Constraint) []string {
 	if !s.SyncFor(snap, fields) {
 		t.Fatalf("SyncFor declined a fresh snapshot (epoch %d)", snap.Epoch)
 	}
-	positions, ok := s.Positions(snap.Epoch, cons, nil)
+	positions, _, ok := s.Positions(snap.Epoch, cons, nil, nil)
 	if !ok {
 		t.Fatalf("Positions declined epoch %d after successful SyncFor", snap.Epoch)
 	}
@@ -229,7 +229,7 @@ func TestIndexStaleSnapshotRefused(t *testing.T) {
 	if s.SyncFor(stale, []string{"host_system_load1"}) {
 		t.Fatal("SyncFor accepted a stale snapshot")
 	}
-	if _, ok := s.Positions(stale.Epoch, []Constraint{{Field: "host_system_load1", Op: GT, Val: 0}}, nil); ok {
+	if _, _, ok := s.Positions(stale.Epoch, []Constraint{{Field: "host_system_load1", Op: GT, Val: 0}}, nil, nil); ok {
 		t.Fatal("Positions served a stale epoch")
 	}
 	// The fresh snapshot must work.

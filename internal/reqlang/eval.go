@@ -37,37 +37,71 @@ func (v Value) String() string {
 	return fmt.Sprintf("%g", v.Num)
 }
 
-// Env holds the variable bindings of one Program for one candidate
-// server. Every identifier was resolved to a slot at Parse, so an Env
-// is a value array plus defined-bitmasks: binding a server's status
-// variables is one indexed store each, and the evaluator reads them
-// back by index — no map is cleared, assigned or probed per record.
-// Slot i binds Program.MentionedVars()[i].
+// Env is the evaluator's working storage for one Program and one batch
+// of candidate servers, the lanes: a column of values per register, so
+// the interpreter can run one instruction across every lane before it
+// looks at the next. A caller binds a batch by column,
 //
-// An Env also carries the evaluator's scratch (temporaries, user
-// parameters, the host lists a Result returns), so a caller that
-// reuses one Env across a whole selection allocates nothing per
-// record. An Env serves one goroutine at a time.
+//	env.Reset(n)
+//	col := env.Col(slot) // slot i binds Program.MentionedVars()[i]
+//	for lane := range n { col[lane] = ... }
+//	env.Undef(slot, lane) // a lane whose record does not define it
+//	prog.Run(env, from)
+//
+// and reads each lane's outcome back (Qualified, Score, Hosts, Result).
+// Evaluating one record (Eval, EvalFrom) is a batch of one lane. An Env
+// reused across a selection allocates nothing per batch; it serves one
+// goroutine at a time.
 type Env struct {
 	prog *Program
-	// vals holds one Value per variable slot: the server-side binding
-	// when the slot's bound bit is set, else the temporary assigned
-	// during the current evaluation when its temp bit is set.
-	vals  []Value
-	bound mask
-	temp  mask
-	// uvals/uset are the user-parameter slots, in name order.
-	uvals []Value
-	uset  mask
+	cap  int // lanes a column can hold
+	n    int // lanes of the current batch
+	// Register r's lanes are num[r*cap:][:n], and str alongside once
+	// anything string-valued is around. tags says per lane what a
+	// register holds, where regs[r].num does not already say "a number
+	// everywhere"; a variable register's tags are always current.
+	num   []float64
+	str   []string
+	tags  []uint8
+	regs  []reg
+	lanes []lane
+	idle  int // lanes not running
 
 	denied, preferred []string
 }
 
-// mask is a small bitset over slots.
-type mask []uint64
+// reg is what the interpreter knows about a register over the whole
+// batch, so the common case costs one test per instruction, not one per
+// lane.
+type reg struct {
+	num   bool // every running lane holds a number (for a variable: every lane)
+	bound bool // a variable some lane's record defines
+	dirty bool // a variable assigned since the batch was bound
+}
 
-func (m mask) has(i int) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (m mask) set(i int)      { m[i>>6] |= 1 << (uint(i) & 63) }
+const (
+	tagNum   uint8 = 1
+	tagStr   uint8 = 2
+	tagBound uint8 = 4 // the value is the record's, not a temporary: it shadows assignments
+)
+
+// lane is one candidate's progress through the program.
+type lane struct {
+	state  uint8
+	scored bool
+	// at is the pc that sent the lane away — an opLoad whose name is the
+	// bare word it carries — or stopped it, which words its error.
+	at     int32
+	until  int32 // away: the pc that takes the lane back
+	failed int32 // line of the first false logical statement, 0: none
+	score  float64
+}
+
+const (
+	running uint8 = iota
+	away          // left the statement over an undefined variable
+	stopped       // hard error
+)
 
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -76,35 +110,77 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// NewEnv returns an environment sized for the program, every slot
-// unbound.
+// NewEnv returns an environment for evaluating the program against one
+// record, every slot undefined.
 func (p *Program) NewEnv() *Env {
 	e := &Env{}
-	e.Bind(p)
+	e.Bind(p, 1)
+	e.Reset(1)
 	return e
 }
 
-// Bind re-targets the environment at a program, reusing its storage,
-// and leaves every slot unbound. A pooled environment is bound once
-// per selection.
-func (e *Env) Bind(p *Program) {
-	words := (len(p.vars) + 63) / 64
-	e.prog = p
-	e.vals = resize(e.vals, len(p.vars))
-	e.bound = resize(e.bound, words)
-	e.temp = resize(e.temp, words)
-	e.uvals = resize(e.uvals, len(p.uparams))
-	e.uset = resize(e.uset, (len(p.uparams)+63)/64)
-	e.Reset()
+// Bind re-targets the environment at a program and a batch capacity,
+// reusing its storage. A pooled environment is bound once per
+// selection.
+func (e *Env) Bind(p *Program, lanes int) {
+	if e.prog == p && e.cap == lanes {
+		return
+	}
+	e.prog, e.cap, e.n = p, lanes, 0
+	e.num = resize(e.num, p.nregs*lanes)
+	e.tags = resize(e.tags, p.nregs*lanes)
+	e.regs = resize(e.regs, p.nregs)
+	e.lanes = resize(e.lanes, lanes)
+	e.str = e.str[:0]
+	// Literals keep their value for every batch.
+	for _, c := range p.consts {
+		e.regs[c.reg] = reg{num: !c.val.IsStr}
+		for l := 0; l < lanes; l++ {
+			e.put(c.reg, l, c.val)
+		}
+	}
 }
 
-// Reset unbinds every server-side slot, ready for the next record.
-func (e *Env) Reset() { clear(e.bound) }
+// strings returns the string columns, making them when the first
+// string is written: a numeric program never pays for them.
+func (e *Env) strings() []string {
+	if len(e.str) == 0 {
+		e.str = resize(e.str, len(e.num))
+		clear(e.str)
+	}
+	return e.str
+}
 
-// Set binds a numeric server-side variable by slot.
-func (e *Env) Set(slot int, v float64) {
-	e.vals[slot] = Value{Num: v}
-	e.bound.set(slot)
+func (e *Env) col(r int32) []float64 { return e.num[int(r)*e.cap:][:e.n] }
+func (e *Env) tag(r int32) []uint8   { return e.tags[int(r)*e.cap:][:e.n] }
+
+// Reset starts a batch of n lanes with every slot undefined in each.
+func (e *Env) Reset(n int) {
+	e.n = n
+	for _, v := range e.prog.vars {
+		clear(e.tag(v.reg))
+		e.regs[v.reg] = reg{}
+	}
+}
+
+// Col binds a numeric server-side variable in every lane of the batch
+// and returns its column for the caller to fill.
+func (e *Env) Col(slot int) []float64 {
+	r := e.prog.vars[slot].reg
+	tags := e.tag(r)
+	for l := range tags {
+		tags[l] = tagNum | tagBound
+	}
+	e.regs[r] = reg{num: true, bound: true}
+	return e.col(r)
+}
+
+// Undef takes back what Col said for one lane: its record does not
+// define the variable (no network metrics, no security level).
+func (e *Env) Undef(slot, lane int) {
+	r := e.prog.vars[slot].reg
+	e.tag(r)[lane] = 0
+	e.regs[r].num = false
 }
 
 // EvalError is a runtime evaluation failure (division by zero, type
@@ -138,7 +214,7 @@ type Result struct {
 	// Denied and Preferred collect the user-side host parameters
 	// (user_denied_hostN / user_preferred_hostN assignments), in slot
 	// (name) order. They alias the Env's scratch and are valid until
-	// the next evaluation against that Env.
+	// the next Result or Hosts call on that Env.
 	Denied    []string
 	Preferred []string
 	// Score is the value of the last non-logical, non-assignment
@@ -178,216 +254,420 @@ func (p *Program) Eval(env *Env) Result { return p.EvalFrom(env, 0) }
 // has already proved a candidate's first `from` statements true —
 // they were pure conjunctions of satisfied constraints, with no
 // assignments, scores or possible hard errors — resuming at the
-// residual yields exactly the full evaluation's Result.
+// residual yields exactly the full evaluation's Result. It is Run on
+// a batch whose first lane is the record.
 func (p *Program) EvalFrom(env *Env, from int) Result {
-	if from < 0 {
-		from = 0
-	}
-	if env == nil {
-		env = p.NewEnv()
-	} else if env.prog != p {
+	if env == nil || env.prog != p {
 		// Slots are per program; bindings made for another one mean
 		// nothing here.
-		env.Bind(p)
+		env = p.NewEnv()
 	}
-	clear(env.temp)
-	clear(env.uset)
-	res := Result{Qualified: true}
-	for i := from; i < len(p.Stmts); i++ {
-		stmt := &p.Stmts[i]
-		v, err := env.eval(stmt.Expr)
-		if err != nil {
-			if _, undef := err.(*undefinedError); undef && stmt.Logical {
-				// Thesis rule: an uninitialized variable inside a
-				// logical statement makes the statement false.
-				res.Qualified = false
-				if res.FailedLine == 0 {
-					res.FailedLine = stmt.Line
+	p.Run(env, from)
+	return env.Result(0)
+}
+
+// Run evaluates the statements from index from on against every lane
+// of the batch bound in env: the one interpreter loop. An instruction
+// runs across all lanes before the next is looked at. Where its operand
+// registers hold a number in every lane that is a loop over float64
+// columns; otherwise each runs the same instruction lane by lane on
+// tagged values. Bindings survive a Run; the next one resets
+// temporaries, user parameters and outcomes.
+func (p *Program) Run(e *Env, from int) {
+	e.begin()
+	for pc := int(p.start[p.clampStmt(from)]); pc < len(p.code); pc++ {
+		in := &p.code[pc]
+		a := in.a >= 0 && e.regs[in.a].num
+		switch {
+		case in.op == opBin && a && e.regs[in.b].num:
+			e.binNum(pc, in)
+		case (in.op == opNeg || in.op == opCall) && a && (in.b < 0 || e.regs[in.b].num):
+			e.mapNum(pc, in)
+		case in.op == opLoad && a:
+			copy(e.col(in.dst), e.col(in.a))
+			e.regs[in.dst].num = true
+		case in.op == opNumArg && a, in.op == opGuard && !e.regs[in.a].bound:
+			// nothing to refuse in any lane
+		case in.op == opStore && !e.regs[in.a].bound && e.idle == 0 && e.regs[in.b].num:
+			// (Lanes away or stopped must keep the value they had.)
+			copy(e.col(in.a), e.col(in.b))
+			tags := e.tag(in.a)
+			for l := range tags {
+				tags[l] = tagNum
+			}
+			e.regs[in.a] = reg{num: true, dirty: true}
+		case in.op == opEnd && a && e.idle == 0:
+			e.endNum(in)
+		default:
+			e.each(pc, in)
+		}
+	}
+}
+
+// begin forgets the previous run: outcomes, temporaries (what a slot
+// holds that its record did not define), user parameters.
+func (e *Env) begin() {
+	clear(e.lanes[:e.n])
+	e.idle = 0
+	for _, v := range e.prog.vars {
+		r := &e.regs[v.reg]
+		if !r.dirty {
+			continue
+		}
+		tags := e.tag(v.reg)
+		for l, t := range tags {
+			if t&tagBound == 0 {
+				tags[l] = 0
+			}
+		}
+		r.num, r.dirty = allNum(tags), false
+	}
+	for _, u := range e.prog.uparams {
+		// An unset user parameter reads as the empty string.
+		e.regs[u.reg] = reg{}
+		for l := 0; l < e.n; l++ {
+			e.put(u.reg, l, StrValue(""))
+		}
+	}
+}
+
+func allNum(tags []uint8) bool {
+	for _, t := range tags {
+		if t&tagNum == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// get reads one lane of a register as a tagged value. Only opLoad meets
+// undefined lanes, and it looks at the tag first.
+func (e *Env) get(r int32, l int) Value {
+	if r < 0 {
+		return Value{}
+	}
+	i := int(r)*e.cap + l
+	if !e.regs[r].num && e.tags[i]&tagStr != 0 {
+		return Value{Str: e.str[i], IsStr: true}
+	}
+	return Value{Num: e.num[i]}
+}
+
+// put writes one lane of a register, keeping a variable's bound mark.
+func (e *Env) put(r int32, l int, v Value) {
+	i := int(r)*e.cap + l
+	if v.IsStr {
+		e.strings()[i] = v.Str
+		e.tags[i] = e.tags[i]&tagBound | tagStr
+	} else {
+		e.num[i] = v.Num
+		e.tags[i] = e.tags[i]&tagBound | tagNum
+	}
+}
+
+// stop records a lane's hard error: the first in evaluation order
+// stands, and the lane runs no further.
+func (e *Env) stop(l, pc int) {
+	if ln := &e.lanes[l]; ln.state == running {
+		ln.state, ln.at = stopped, int32(pc)
+		e.idle++
+	}
+}
+
+// each runs one instruction lane by lane on tagged values: the general
+// form of every opcode, and the only form of those that deal in
+// strings or in lanes that differ.
+func (e *Env) each(pc int, in *instr) {
+	st := &e.prog.Stmts[in.stmt]
+	nums := true // every value written was a number
+	for l := 0; l < e.n; l++ {
+		ln := &e.lanes[l]
+		if ln.state == away && (in.op == opEnd || in.op == opStoreUser && ln.until == int32(pc)) {
+			ln.state = running
+			e.idle--
+			if in.op == opEnd {
+				continue // the statement it left is over
+			}
+			// The thesis convenience "user_denied_host1 = telesto": the
+			// undefined name that ended the right-hand side is the host.
+			host := StrValue(e.prog.code[ln.at].name)
+			e.put(in.a, l, host)
+			e.put(in.dst, l, host)
+			nums = false
+			continue
+		}
+		if ln.state != running {
+			continue
+		}
+		x, y := e.get(in.a, l), e.get(in.b, l)
+		v, ok := x, true
+		varTag := e.tags[max(int(in.a), 0)*e.cap+l] // opLoad, opGuard, opStore: what the variable holds
+		switch in.op {
+		case opLoad:
+			if varTag&(tagNum|tagStr) != 0 {
+				break
+			}
+			// Undefined. Inside the right-hand side of a user-parameter
+			// assignment the name becomes the host; elsewhere in a
+			// logical statement the statement is false (the thesis rule)
+			// and evaluation goes on with the next; anywhere else it is
+			// a hard error.
+			switch {
+			case in.catch >= 0:
+				ln.until = in.catch
+			case st.Logical:
+				if ln.failed == 0 {
+					ln.failed = int32(st.Line)
 				}
+				ln.until = -1
+			default:
+				e.stop(l, pc)
 				continue
 			}
-			res.Qualified = false
-			res.Err = &EvalError{Line: stmt.Line, Stmt: stmt.Src, Msg: err.Error()}
-			break
-		}
-		if stmt.Logical {
-			if !v.Truthy() && res.Qualified {
-				res.Qualified = false
-				res.FailedLine = stmt.Line
+			ln.state, ln.at = away, int32(pc)
+			e.idle++
+			continue
+		case opNeg, opCall:
+			if ok = !x.IsStr; ok {
+				v.Num, ok = in.num(x.Num, y.Num)
 			}
-			continue
+		case opBin:
+			v, ok = binary(in.tok, x, y)
+		case opNumArg:
+			ok = !x.IsStr
+		case opStoreUser:
+			if v, ok = y, y.IsStr; ok { // only a host name or address will do
+				e.put(in.a, l, v)
+			}
+		case opFail:
+			ok = false
+		case opGuard:
+			ok = varTag != tagNum|tagBound
+		case opStore:
+			// A bound string attribute keeps shadowing the name, so the
+			// temporary would never be read: only an unbound slot stores.
+			if varTag&tagBound == 0 {
+				e.put(in.a, l, y)
+			}
+		case opEnd:
+			if st.Logical {
+				if ln.failed == 0 && !x.Truthy() {
+					ln.failed = int32(st.Line)
+				}
+			} else if st.scores && !x.IsStr {
+				ln.score, ln.scored = x.Num, true
+			}
 		}
-		if stmt.scores && !v.IsStr {
-			res.Score = v.Num
-			res.HasScore = true
+		if !ok {
+			e.stop(l, pc)
+		} else if in.dst >= 0 {
+			e.put(in.dst, l, v)
+			nums = nums && !v.IsStr
 		}
 	}
-	// Collect user parameters in slot order (user_preferred_host1
-	// before host2, …): the preference ranking the wizard applies
-	// follows the order the user numbered the slots.
-	env.denied, env.preferred = env.denied[:0], env.preferred[:0]
-	for slot := range p.uparams {
-		if !env.uset.has(slot) || env.uvals[slot].Str == "" {
-			continue
-		}
-		if p.uparams[slot].denied {
-			env.denied = append(env.denied, env.uvals[slot].Str)
-		} else {
-			env.preferred = append(env.preferred, env.uvals[slot].Str)
+	if in.op == opStore {
+		e.regs[in.a].num, e.regs[in.a].dirty = allNum(e.tag(in.a)), true
+	} else if in.dst >= 0 {
+		e.regs[in.dst] = reg{num: nums}
+	}
+}
+
+// endNum is opEnd over a numeric column with every lane running: a
+// logical statement must hold, a scoring one sets the score so far.
+func (e *Env) endNum(in *instr) {
+	st := &e.prog.Stmts[in.stmt]
+	lanes := e.lanes[:e.n]
+	for l, v := range e.col(in.a)[:len(lanes)] {
+		if st.Logical {
+			if v == 0 && lanes[l].failed == 0 {
+				lanes[l].failed = int32(st.Line)
+			}
+		} else if st.scores {
+			lanes[l].score, lanes[l].scored = v, true
 		}
 	}
-	if len(env.denied) > 0 {
-		res.Denied = env.denied
+}
+
+// Qualified reports whether the lane passed every logical statement
+// without a hard error.
+func (e *Env) Qualified(lane int) bool {
+	return e.lanes[lane].failed == 0 && e.lanes[lane].state != stopped
+}
+
+// Score returns the lane's score so far, if a statement set one.
+func (e *Env) Score(lane int) (float64, bool) { return e.lanes[lane].score, e.lanes[lane].scored }
+
+// Hosts collects the lane's user parameters in slot order
+// (user_preferred_host1 before host2, …): the preference ranking the
+// wizard applies follows the order the user numbered the slots. The
+// lists alias the Env's scratch and are valid until the next call.
+func (e *Env) Hosts(lane int) (denied, preferred []string) {
+	e.denied, e.preferred = e.denied[:0], e.preferred[:0]
+	for _, u := range e.prog.uparams {
+		host := e.str[int(u.reg)*e.cap+lane]
+		switch {
+		case host == "":
+		case u.denied:
+			e.denied = append(e.denied, host)
+		default:
+			e.preferred = append(e.preferred, host)
+		}
 	}
-	if len(env.preferred) > 0 {
-		res.Preferred = env.preferred
+	return e.denied, e.preferred
+}
+
+// Result assembles the lane's whole outcome, wording its error: the
+// interpreter only noted which instruction stopped the lane, and that
+// instruction's operands are still in their registers.
+func (e *Env) Result(lane int) Result {
+	ln := &e.lanes[lane]
+	res := Result{Qualified: e.Qualified(lane), FailedLine: int(ln.failed), Score: ln.score, HasScore: ln.scored}
+	res.Denied, res.Preferred = e.Hosts(lane)
+	if ln.state == stopped {
+		in := &e.prog.code[ln.at]
+		st := &e.prog.Stmts[in.stmt]
+		res.Err = &EvalError{Line: st.Line, Stmt: st.Src, Msg: in.why(e.get(in.a, lane), e.get(in.b, lane))}
 	}
 	return res
 }
 
-// eval walks one AST node. It is the only evaluator: identifiers
-// carry the slots Parse resolved them to, so the walk touches arrays,
-// never names.
-func (e *Env) eval(n node) (Value, error) {
-	switch v := n.(type) {
-	case *numNode:
-		return NumValue(v.val), nil
-	case *strNode:
-		return StrValue(v.val), nil
-	case *parenNode:
-		return e.eval(v.x)
-	case *varNode:
-		return e.lookup(v)
-	case *unaryNode:
-		x, err := e.eval(v.x)
-		if err != nil {
-			return Value{}, err
+// why words the hard error the instruction raised on operands x and y.
+func (in *instr) why(x, y Value) string {
+	switch in.op {
+	case opLoad:
+		return (&undefinedError{name: in.name}).Error()
+	case opNeg:
+		return fmt.Sprintf("cannot negate string %s", x)
+	case opNumArg:
+		return fmt.Sprintf("%s needs numeric arguments, got %s", in.name, x)
+	case opCall:
+		_, err := in.fn.fn([maxArity]float64{x.Num, y.Num})
+		return err.Error()
+	case opStoreUser:
+		return fmt.Sprintf("user parameter %q needs a host name or address, got %s", in.name, y)
+	case opBin:
+		if x.IsStr || y.IsStr {
+			return fmt.Sprintf("operator %v needs numbers, got %s and %s", in.tok, x, y)
 		}
-		if x.IsStr {
-			return Value{}, fmt.Errorf("cannot negate string %s", x)
-		}
-		return NumValue(-x.Num), nil
-	case *assignNode:
-		return e.assign(v)
-	case *callNode:
-		return e.call(v)
-	case *binNode:
-		return e.binary(v)
+		return "division by 0"
 	}
-	return Value{}, fmt.Errorf("internal: unknown node %T", n)
+	return in.name // opFail, opGuard: worded at Parse
 }
 
-func (e *Env) lookup(v *varNode) (Value, error) {
-	switch v.ref.kind {
-	case refUser:
-		if e.uset.has(v.ref.slot) {
-			return e.uvals[v.ref.slot], nil
-		}
-		return StrValue(""), nil // unset user param reads as empty
-	case refConst:
-		return NumValue(v.ref.val), nil
+// num computes a numeric instruction (opNeg, opCall) for one lane.
+func (in *instr) num(x, y float64) (float64, bool) {
+	if in.op == opNeg {
+		return -x, true
 	}
-	// A server-side binding shadows a temporary of the same name; a
-	// slot with neither is the thesis' uninitialized variable.
-	if e.bound.has(v.ref.slot) || e.temp.has(v.ref.slot) {
-		return e.vals[v.ref.slot], nil
-	}
-	return Value{}, v.undef
+	out, err := in.fn.fn([maxArity]float64{x, y})
+	return out, err == nil
 }
 
-func (e *Env) assign(a *assignNode) (Value, error) {
-	// Only a record that defines the variable makes it a server-side
-	// parameter; on any other record the same statement creates a
-	// temporary.
-	serverNum := a.ref.kind == refVar && e.bound.has(a.ref.slot) && !e.vals[a.ref.slot].IsStr
-	if serverNum {
-		return Value{}, fmt.Errorf("cannot assign to server-side parameter %q", a.name)
-	}
-	if a.ref.kind == refConst {
-		return Value{}, fmt.Errorf("cannot assign to constant %q", a.name)
-	}
-	v, err := e.eval(a.rhs)
-	if err != nil {
-		// Thesis convenience: "user_denied_host1 = telesto" names a
-		// host with a bare word. An undefined variable on the RHS of
-		// a user-parameter assignment is taken as a host string.
-		if undef, ok := err.(*undefinedError); ok && a.ref.kind == refUser {
-			v = StrValue(undef.name)
-		} else {
-			return Value{}, err
+// mapNum is opNeg and opCall over numeric columns.
+func (e *Env) mapNum(pc int, in *instr) {
+	x, y, dst := e.col(in.a), e.col(max(in.b, 0)), e.col(in.dst)
+	for l, v := range x {
+		var ok bool
+		if dst[l], ok = in.num(v, y[l]); !ok {
+			e.stop(l, pc)
 		}
 	}
-	if a.ref.kind == refUser {
-		if !v.IsStr {
-			return Value{}, fmt.Errorf("user parameter %q needs a host name or address, got %s", a.name, v)
-		}
-		e.uvals[a.ref.slot] = v
-		e.uset.set(a.ref.slot)
-		return v, nil
-	}
-	// A bound string attribute keeps shadowing the name, so the
-	// temporary would never be read: only an unbound slot stores it.
-	if !e.bound.has(a.ref.slot) {
-		e.vals[a.ref.slot] = v
-		e.temp.set(a.ref.slot)
-	}
-	return v, nil
+	e.regs[in.dst].num = true
 }
 
-func boolValue(ok bool) Value {
+func b2f(ok bool) float64 {
 	if ok {
-		return Value{Num: 1}
+		return 1
 	}
-	return Value{}
+	return 0
 }
 
-func (e *Env) binary(b *binNode) (Value, error) {
-	l, err := e.eval(b.l)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := e.eval(b.r)
-	if err != nil {
-		return Value{}, err
-	}
-	switch b.op {
-	case tokAnd:
-		return boolValue(l.Truthy() && r.Truthy()), nil
-	case tokOr:
-		return boolValue(l.Truthy() || r.Truthy()), nil
-	case tokEQ:
-		return boolValue(valueEqual(l, r)), nil
-	case tokNE:
-		return boolValue(!valueEqual(l, r)), nil
-	}
-	// Remaining operators are numeric-only.
-	if l.IsStr || r.IsStr {
-		return Value{}, fmt.Errorf("operator %v needs numbers, got %s and %s", b.op, l, r)
-	}
-	switch b.op {
-	case tokLT:
-		return boolValue(l.Num < r.Num), nil
-	case tokLE:
-		return boolValue(l.Num <= r.Num), nil
-	case tokGT:
-		return boolValue(l.Num > r.Num), nil
-	case tokGE:
-		return boolValue(l.Num >= r.Num), nil
+// binNum is opBin over numeric columns. Lanes away or stopped compute
+// along: nothing reads what they produce.
+func (e *Env) binNum(pc int, in *instr) {
+	x, y, dst := e.col(in.a), e.col(in.b), e.col(in.dst)
+	y, dst = y[:len(x)], dst[:len(x)]
+	switch in.tok {
 	case tokPlus:
-		return NumValue(l.Num + r.Num), nil
-	case tokMinus:
-		return NumValue(l.Num - r.Num), nil
-	case tokStar:
-		return NumValue(l.Num * r.Num), nil
-	case tokSlash:
-		if r.Num == 0 {
-			return Value{}, fmt.Errorf("division by 0")
+		for l, v := range x {
+			dst[l] = v + y[l]
 		}
-		return NumValue(l.Num / r.Num), nil
-	case tokCaret:
-		return NumValue(math.Pow(l.Num, r.Num)), nil
+	case tokMinus:
+		for l, v := range x {
+			dst[l] = v - y[l]
+		}
+	case tokStar:
+		for l, v := range x {
+			dst[l] = v * y[l]
+		}
+	case tokLT:
+		for l, v := range x {
+			dst[l] = b2f(v < y[l])
+		}
+	case tokGT:
+		for l, v := range x {
+			dst[l] = b2f(v > y[l])
+		}
+	default:
+		for l, v := range x {
+			var ok bool
+			if dst[l], ok = arith(in.tok, v, y[l]); !ok {
+				e.stop(l, pc)
+			}
+		}
 	}
-	return Value{}, fmt.Errorf("internal: unknown binary operator %v", b.op)
+	e.regs[in.dst].num = true
+}
+
+// arith is a binary operator on two numbers; ok is false for a
+// division by 0.
+func arith(op tokenKind, l, r float64) (v float64, ok bool) {
+	switch op {
+	case tokAnd:
+		return b2f(l != 0 && r != 0), true
+	case tokOr:
+		return b2f(l != 0 || r != 0), true
+	case tokEQ:
+		return b2f(l == r), true
+	case tokNE:
+		return b2f(l != r), true
+	case tokLT:
+		return b2f(l < r), true
+	case tokLE:
+		return b2f(l <= r), true
+	case tokGT:
+		return b2f(l > r), true
+	case tokGE:
+		return b2f(l >= r), true
+	case tokPlus:
+		return l + r, true
+	case tokMinus:
+		return l - r, true
+	case tokStar:
+		return l * r, true
+	case tokSlash:
+		return l / r, r != 0
+	}
+	return math.Pow(l, r), true // tokCaret
+}
+
+// binary is a binary operator on two tagged values; ok is false for a
+// hard error (instr.why words it).
+func binary(op tokenKind, l, r Value) (v Value, ok bool) {
+	switch {
+	case !l.IsStr && !r.IsStr:
+		v.Num, ok = arith(op, l.Num, r.Num)
+		return v, ok
+	case op == tokAnd:
+		return Value{Num: b2f(l.Truthy() && r.Truthy())}, true
+	case op == tokOr:
+		return Value{Num: b2f(l.Truthy() || r.Truthy())}, true
+	case op == tokEQ:
+		return Value{Num: b2f(valueEqual(l, r))}, true
+	case op == tokNE:
+		return Value{Num: b2f(!valueEqual(l, r))}, true
+	}
+	return Value{}, false // the remaining operators are numeric-only
 }
 
 // valueEqual implements ==: numbers compare numerically, strings
@@ -468,30 +748,4 @@ func Builtins() []string {
 		names = append(names, n)
 	}
 	return names
-}
-
-func (e *Env) call(c *callNode) (Value, error) {
-	b := c.builtin
-	if b == nil {
-		return Value{}, fmt.Errorf("unknown function %q", c.fn)
-	}
-	if len(c.args) != b.arity {
-		return Value{}, fmt.Errorf("%s takes %d argument(s), got %d", c.fn, b.arity, len(c.args))
-	}
-	var args [maxArity]float64
-	for i, a := range c.args {
-		v, err := e.eval(a)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.IsStr {
-			return Value{}, fmt.Errorf("%s needs numeric arguments, got %s", c.fn, v)
-		}
-		args[i] = v.Num
-	}
-	out, err := b.fn(args)
-	if err != nil {
-		return Value{}, err
-	}
-	return NumValue(out), nil
 }

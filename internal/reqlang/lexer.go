@@ -17,6 +17,12 @@
 // '-', such as "titan-x", and string attributes like machine_type can
 // be written) and the set of built-in math functions listed in
 // Appendix B.4.
+//
+// Parse compiles a requirement to flat register code (compile.go) and
+// Run interprets it against a batch of candidate servers at once, one
+// instruction across all of them before the next (eval.go); evaluating
+// one server is a batch of one. The AST is walked at Parse only — by
+// the compiler, the planner's constraint extraction and Format.
 package reqlang
 
 import (

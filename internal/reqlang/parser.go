@@ -24,33 +24,13 @@ type strNode struct {
 	line, col int
 }
 
-// refKind says which table an identifier resolved to at Parse.
-type refKind uint8
-
-const (
-	refVar   refKind = iota // server-side variable or temporary: Env.vals[slot]
-	refUser                 // user_denied_host*/user_preferred_host*: Env.uvals[slot]
-	refConst                // predefined constant: val
-)
-
-// ref is a resolved identifier: the evaluator reads and writes slots,
-// never names.
-type ref struct {
-	kind refKind
-	slot int
-	val  float64
-}
-
 type varNode struct {
 	name      string
-	ref       ref
-	undef     *undefinedError // what reading the slot while unset returns
 	line, col int
 }
 
 type assignNode struct {
 	name      string
-	ref       ref
 	rhs       node
 	line, col int
 }
@@ -68,7 +48,6 @@ type binNode struct {
 
 type callNode struct {
 	fn        string
-	builtin   *builtin // nil for an unknown function, an evaluation error
 	args      []node
 	line, col int
 }
@@ -128,18 +107,30 @@ type Program struct {
 	free      []string        // free variables, sorted
 	mentioned []string        // read or assigned identifiers, sorted
 	refs      map[string]bool // set view of mentioned
-	// Slot tables: every identifier in the AST carries an index into
-	// one of these. vars is mentioned followed by the bare host words
+	// Slot tables: vars is mentioned followed by the bare host words
 	// of user-parameter assignments (slots nobody binds); uparams is
 	// the user-side parameters in name order, the order their hosts
 	// are reported in.
-	vars    []string
+	vars    []slot
 	uparams []uparam
+
+	// The flat form Run interprets (compile.go): the AST above is
+	// walked at Parse only. Statement i's instructions start at
+	// start[i]; start has one more entry, len(code).
+	code   []instr
+	start  []int32
+	consts []constReg
+	nregs  int
 }
 
-// uparam is one user-side parameter slot.
+// slot is a named register: a variable or a user-side parameter.
+type slot struct {
+	name string
+	reg  int32
+}
+
 type uparam struct {
-	name   string
+	slot
 	denied bool // user_denied_host*, else user_preferred_host*
 }
 
@@ -221,7 +212,7 @@ func Parse(src string) (*Program, error) {
 			scores:  !logical && !assigns,
 		})
 	}
-	prog.resolveVars()
+	prog.compile()
 	return prog, nil
 }
 
@@ -324,7 +315,7 @@ func (p *parser) parsePrimary() (node, error) {
 			if _, err := p.expect(tokRParen); err != nil {
 				return nil, err
 			}
-			return &callNode{fn: t.text, builtin: builtins[t.text], args: args, line: t.line, col: t.col}, nil
+			return &callNode{fn: t.text, args: args, line: t.line, col: t.col}, nil
 		case tokAssign:
 			p.advance()
 			rhs, err := p.parseExpr(0)

@@ -86,6 +86,7 @@ func checkProbe(t *testing.T, src string, prog *Program, plan *Plan, params map[
 	if err := sameResult(full, refEvalFrom(prog, &refEnv{Params: params}, 0)); err != nil {
 		t.Fatalf("source %q env %v: slot evaluation diverged from the map reference:\n%v", src, params, err)
 	}
+	checkLanes(t, prog, laneVariants(params, nil))
 	pass := true
 	for _, c := range plan.Cons {
 		v, ok := params[c.Var]
@@ -103,4 +104,40 @@ func checkProbe(t *testing.T, src string, prog *Program, plan *Plan, params map[
 	} else if full.Qualified {
 		t.Fatalf("source %q env %v: constraints reject but full eval qualifies", src, params)
 	}
+}
+
+// FuzzBatchEval feeds arbitrary requirement sources and lane bindings
+// through the batch evaluator: whatever the parser accepts, and however
+// the lanes of one batch differ in what they define — nothing, a number
+// (zero and negative among them), a string — every lane must read what
+// the map evaluator makes of its record alone, from every statement
+// index, in either lane order (checkLanes). One byte of bindings
+// decides one variable of one lane; lanes past the bytes define nothing.
+func FuzzBatchEval(f *testing.F) {
+	for i, src := range negativeSources {
+		f.Add(src, []byte{byte(i), byte(7 * i), 1, 5, 9, 2, 0, 6, 13, 1, 1, 1, byte(i >> 1)})
+	}
+	f.Fuzz(func(t *testing.T, src string, bindings []byte) {
+		prog, err := Parse(src)
+		if err != nil || len(prog.Stmts) > 8 || len(prog.vars) > 8 {
+			return
+		}
+		recs := make([]refEnv, 5)
+		for l := range recs {
+			recs[l] = refEnv{Params: map[string]float64{}, StrParams: map[string]string{}}
+			for slot, v := range prog.vars {
+				if at := l*len(prog.vars) + slot; at < len(bindings) {
+					switch b := bindings[at]; b % 4 {
+					case 1:
+						recs[l].Params[v.name] = []float64{0, 1, -1, 0.5}[b/4%4]
+					case 2:
+						recs[l].Params[v.name] = float64(b) - 128
+					case 3:
+						recs[l].StrParams[v.name] = []string{"", "i386", "telesto"}[b/4%3]
+					}
+				}
+			}
+		}
+		checkLanes(t, prog, recs)
+	})
 }

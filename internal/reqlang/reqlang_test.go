@@ -176,7 +176,7 @@ func TestOperatorPrecedence(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := mustParse(t, c.src)
-		v, err := p.NewEnv().eval(p.Stmts[0].Expr)
+		v, err := p.evalStmt(p.NewEnv(), 0)
 		if err != nil {
 			t.Errorf("%q: eval error %v", c.src, err)
 			continue
@@ -206,7 +206,7 @@ func TestBuiltinFunctions(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := mustParse(t, "v = "+c.src)
-		v, err := p.NewEnv().eval(p.Stmts[0].Expr)
+		v, err := p.evalStmt(p.NewEnv(), 0)
 		if err != nil {
 			t.Errorf("%q: %v", c.src, err)
 			continue
@@ -418,9 +418,9 @@ func TestPropertyArithmeticMatchesGo(t *testing.T) {
 			return false
 		}
 		st := p.MapEnv(map[string]float64{"a": af, "b": bf, "c": cf}, nil)
-		v, err1 := st.eval(p.Stmts[0].Expr)
-		w, err2 := st.eval(p.Stmts[1].Expr)
-		q, err3 := st.eval(p.Stmts[2].Expr)
+		v, err1 := p.evalStmt(st, 0)
+		w, err2 := p.evalStmt(st, 1)
+		q, err3 := p.evalStmt(st, 2)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}

@@ -11,7 +11,7 @@ func Env(p *reqlang.Program, params map[string]float64) *reqlang.Env {
 	e := p.NewEnv()
 	for slot, name := range p.MentionedVars() {
 		if v, ok := params[name]; ok {
-			e.Set(slot, v)
+			e.Col(slot)[0] = v
 		}
 	}
 	return e

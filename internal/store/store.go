@@ -71,7 +71,7 @@ type SysSnapshot struct {
 	// without advancing the epoch, so selection memoized against an
 	// epoch stays valid across idle probe ticks.
 	Epoch uint64
-	// pages holds the n records in host order, sysPageLen to a page
+	// pages holds the n records in host order, SysPageLen to a page
 	// (the last may be short).
 	pages [][]SysRecord
 	n     int
@@ -80,18 +80,23 @@ type SysSnapshot struct {
 	ver uint64
 }
 
-// sysPageLen is the records per snapshot page: as many as fit the
+// SysPageLen is the records per snapshot page: as many as fit the
 // 16 KB allocation class, so a page wastes under one record of it. A
 // rebuild after a report copies one such page plus the page table
 // (24 bytes a page); the sweep in DESIGN.md ("Wizard fast path") puts
 // the minimum of the two between 8 and 32 KB from 20k to 100k hosts.
-const sysPageLen = 16 << 10 / int(unsafe.Sizeof(SysRecord{}))
+const SysPageLen = 16 << 10 / int(unsafe.Sizeof(SysRecord{}))
 
 // Len reports the number of records in the snapshot.
 func (s *SysSnapshot) Len() int { return s.n }
 
 // At returns the i-th record in host order, 0 <= i < Len().
-func (s *SysSnapshot) At(i int) *SysRecord { return &s.pages[i/sysPageLen][i%sysPageLen] }
+func (s *SysSnapshot) At(i int) *SysRecord { return &s.pages[i/SysPageLen][i%SysPageLen] }
+
+// PageOf returns the page holding position i and its first record's position.
+func (s *SysSnapshot) PageOf(i int) ([]SysRecord, int) {
+	return s.pages[i/SysPageLen], i - i%SysPageLen
+}
 
 // Each calls fn on every record in host order: the full-table walk.
 func (s *SysSnapshot) Each(fn func(i int, r *SysRecord)) {
@@ -113,7 +118,7 @@ func (s *SysSnapshot) find(host string) (i int, found bool) {
 // appendRange appends records [from, to) to dst, a page run at a time.
 func (s *SysSnapshot) appendRange(dst []SysRecord, from, to int) []SysRecord {
 	for from < to {
-		page := s.pages[from/sysPageLen][from%sysPageLen:]
+		page := s.pages[from/SysPageLen][from%SysPageLen:]
 		page = page[:min(len(page), to-from)]
 		dst = append(dst, page...)
 		from += len(page)
@@ -123,9 +128,9 @@ func (s *SysSnapshot) appendRange(dst []SysRecord, from, to int) []SysRecord {
 
 // paginate cuts a sorted record list into freshly allocated pages.
 func paginate(recs []SysRecord) [][]SysRecord {
-	pages := make([][]SysRecord, 0, (len(recs)+sysPageLen-1)/sysPageLen)
+	pages := make([][]SysRecord, 0, (len(recs)+SysPageLen-1)/SysPageLen)
 	for len(recs) > 0 {
-		k := min(len(recs), sysPageLen)
+		k := min(len(recs), SysPageLen)
 		pages = append(pages, slices.Clone(recs[:k]))
 		recs = recs[k:]
 	}
@@ -368,12 +373,12 @@ func (db *DB) patchedSysLocked(base *SysSnapshot) (pages [][]SysRecord, ok bool)
 		if !found || !live {
 			return db.respliceSysLocked(base, dirty), true
 		}
-		p := at / sysPageLen
+		p := at / SysPageLen
 		if p != owned {
 			pages[p] = slices.Clone(pages[p])
 			owned = p
 		}
-		pages[p][at%sysPageLen] = *r
+		pages[p][at%SysPageLen] = *r
 	}
 	return pages, true
 }

@@ -52,8 +52,8 @@ func checkView(db *DB) error {
 	}
 	total := 0
 	for p, page := range got.pages {
-		if len(page) == 0 || len(page) > sysPageLen || (len(page) < sysPageLen && p != len(got.pages)-1) {
-			return fmt.Errorf("page %d of %d holds %d records, a page holds %d", p, len(got.pages), len(page), sysPageLen)
+		if len(page) == 0 || len(page) > SysPageLen || (len(page) < SysPageLen && p != len(got.pages)-1) {
+			return fmt.Errorf("page %d of %d holds %d records, a page holds %d", p, len(got.pages), len(page), SysPageLen)
 		}
 		total += len(page)
 	}
@@ -179,7 +179,7 @@ func runViewOps(ops []propOp, pads int) (patched, scratch int, err error) {
 // TestSysViewPatchProperty runs the random histories on a one-page
 // table and on one of three pages and a bit.
 func TestSysViewPatchProperty(t *testing.T) {
-	for _, pads := range []int{0, 3*sysPageLen + 7} {
+	for _, pads := range []int{0, 3*SysPageLen + 7} {
 		run := func(ops []propOp) error { _, _, err := runViewOps(ops, pads); return err }
 		patched, scratch := 0, 0
 		for seed := int64(0); seed < 200; seed++ {
@@ -203,7 +203,7 @@ func TestSysViewPatchProperty(t *testing.T) {
 // first, middle and last host (patched in place, the other pages
 // shared), a host joining at either end and leaving again.
 func TestSysViewPageBoundaries(t *testing.T) {
-	for _, n := range []int{0, 1, sysPageLen - 1, sysPageLen, sysPageLen + 1, 3*sysPageLen + 7} {
+	for _, n := range []int{0, 1, SysPageLen - 1, SysPageLen, SysPageLen + 1, 3*SysPageLen + 7} {
 		db := New()
 		name := func(i int) string { return fmt.Sprintf("edge-%05d", i) }
 		for i := 0; i < n; i++ {
@@ -233,7 +233,7 @@ func TestSysViewPageBoundaries(t *testing.T) {
 					db.PutSys(status.ServerStatus{Host: name(i), Load1: 1})
 				}
 			})
-			if got, want := len(db.SysView().pages), (n+sysPageLen-1)/sysPageLen; got != want {
+			if got, want := len(db.SysView().pages), (n+SysPageLen-1)/SysPageLen; got != want {
 				t.Fatalf("%d hosts in %d pages, want %d", n, got, want)
 			}
 		}
@@ -251,7 +251,7 @@ func TestSysViewPageBoundaries(t *testing.T) {
 // wherever no written host lives, a copy where one does, and the base
 // still reads what it read before.
 func TestSysViewSharesCleanPages(t *testing.T) {
-	const fleet = 5*sysPageLen + 3
+	const fleet = 5*SysPageLen + 3
 	db := New()
 	for i := 0; i < fleet; i++ {
 		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("share-%05d", i)})
@@ -259,12 +259,12 @@ func TestSysViewSharesCleanPages(t *testing.T) {
 	base := db.SysView()
 	before := flat(base)
 	dirty := map[int]bool{}
-	for _, i := range []int{3, sysPageLen - 1, 2 * sysPageLen, 2*sysPageLen + 9, fleet - 1} {
+	for _, i := range []int{3, SysPageLen - 1, 2 * SysPageLen, 2*SysPageLen + 9, fleet - 1} {
 		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("share-%05d", i), Load1: 2})
-		dirty[i/sysPageLen] = true
+		dirty[i/SysPageLen] = true
 	}
 	db.PutSys(status.ServerStatus{Host: "share-00100"}) // a same-content refresh dirties its page too
-	dirty[100/sysPageLen] = true
+	dirty[100/SysPageLen] = true
 	got := db.SysView()
 	if err := checkView(db); err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestSysViewSharesCleanPages(t *testing.T) {
 // detector a write into a published page is a reported race, and at
 // the end the held snapshot must read exactly what it read at first.
 func TestSysViewHeldSnapshotKeepsItsValues(t *testing.T) {
-	const fleet = 3*sysPageLen + 7
+	const fleet = 3*SysPageLen + 7
 	db := New()
 	for i := 0; i < fleet; i++ {
 		db.PutSys(propSys(i, 0))
@@ -349,7 +349,7 @@ func TestSysViewRebuildAllocBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRebuild := (after.TotalAlloc - before.TotalAlloc) / runs
-	limit := uint64(2*sysPageLen)*uint64(unsafe.Sizeof(SysRecord{})) + uint64(pages)*uint64(unsafe.Sizeof([]SysRecord(nil)))
+	limit := uint64(2*SysPageLen)*uint64(unsafe.Sizeof(SysRecord{})) + uint64(pages)*uint64(unsafe.Sizeof([]SysRecord(nil)))
 	if perRebuild > limit {
 		t.Errorf("rebuild after one PutSys on %d hosts allocated %d bytes, want at most two pages and the page table (%d)", fleet, perRebuild, limit)
 	}

@@ -437,12 +437,14 @@ func (c *Cluster) Close() {
 
 // WaitSettled blocks until the wizard-side database holds n server
 // records (and, when a netmon runs, at least one probe round is
-// done), or the context expires — the "pipeline warmed up" barrier
-// experiments start from.
+// done and the wizard side has every metric it produced — an epoch
+// shipped mid-round carries one group's and not the other's), or the
+// context expires — the "pipeline warmed up" barrier experiments start
+// from.
 func (c *Cluster) WaitSettled(ctx context.Context, n int) error {
 	for {
 		if c.WizardDB.SysLen() >= n && (c.NetMon == nil || c.NetMon.Rounds() > 0) {
-			if len(c.WizardDB.Net()) > 0 || c.NetMon == nil {
+			if m := len(c.DB.Net()); c.NetMon == nil || m > 0 && len(c.WizardDB.Net()) >= m {
 				if len(c.WizardDB.Sec()) > 0 {
 					return nil
 				}

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh runs the full correctness gate: formatting, go vet, build,
-# race-enabled tests, the committed size numbers, the naming guards, and
+# race-enabled tests, a fuzz smoke of the batch evaluator, the committed
+# size numbers, the naming and one-evaluator guards, and
 # the project's own static analyzers (cmd/smartlint). CI runs exactly this script; run it
 # locally before sending a change.
 set -eu
@@ -30,6 +31,11 @@ echo "== go test -race -short -shuffle=on =="
 # shuffle seed is printed at the top of each package's output, and
 # `-shuffle=<seed>` replays a failing order exactly.
 go test -race -short -shuffle=on ./...
+
+echo "== fuzz smoke: FuzzBatchEval, 10s =="
+# The batch evaluator against the map reference, lane by lane, on
+# whatever source text and lane bindings the fuzzer finds.
+go test -run='^$' -fuzz='^FuzzBatchEval$' -fuzztime=10s ./internal/reqlang/
 
 echo "== benchmark module: go vet, go test =="
 # benchmark/ is a module of its own that imports smartsock/internal/...
@@ -76,6 +82,18 @@ pairs=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec gr
 if [ -n "$pairs" ]; then
 	echo "constructors that duplicate a registry-taking New...Obs (delete them; pass a nil registry):" >&2
 	echo "$pairs" >&2
+	exit 1
+fi
+
+echo "== one evaluator =="
+# The requirement is compiled to flat code at Parse and one interpreter
+# runs it; a function from an AST node to (Value, error) is the
+# recursive walker coming back beside it (mapeval_test.go keeps the
+# reference one, in a test file).
+walker=$(grep -nE '^func .*\([a-z]+ node\) \(Value, error\)' internal/reqlang/*.go | grep -v '_test\.go:' || true)
+if [ -n "$walker" ]; then
+	echo "internal/reqlang evaluates over the AST again (compile it; Run is the evaluator):" >&2
+	echo "$walker" >&2
 	exit 1
 fi
 
