@@ -46,7 +46,6 @@ func main() {
 		udpBatch    = flag.Int("udp-batch", 32, "request datagrams per socket syscall (recvmmsg/sendmmsg; 1: one syscall per datagram)")
 		shards      = flag.Int("shards", 1, "SO_REUSEPORT listener sockets for the request port (Linux; 1: single socket)")
 		maxQueue    = flag.Int("max-queue", 1024, "per-shard ingress queue bound in requests (0: pass-through admission, nothing is ever shed)")
-		codelTarget = flag.Duration("codel-target", 5*time.Millisecond, "CoDel sojourn-time target for shedding queued requests")
 		rateLimit   = flag.Float64("rate-limit", 0, "per-source admitted requests/sec (0: no per-source limit)")
 		compat      = flag.Bool("compat", false, "thesis-faithful mode: sequential serving, no requirement cache, unbatched unsharded socket, full-snapshot transport, no selection planner, no overload protection")
 		debugAddr   = flag.String("debug", "", "HTTP metrics endpoint address, e.g. 127.0.0.1:6060 (empty: disabled)")
@@ -97,7 +96,6 @@ func main() {
 	// always exist on the debug endpoint.
 	gate := overload.New(overload.Config{
 		MaxQueue: *maxQueue,
-		Target:   *codelTarget,
 		Rate:     *rateLimit,
 		Obs:      reg,
 	})
@@ -171,7 +169,7 @@ func main() {
 	}
 	mode := "pass-through admission"
 	if gate.Enabled() {
-		mode = fmt.Sprintf("max-queue %d, codel-target %v", *maxQueue, *codelTarget)
+		mode = fmt.Sprintf("max-queue %d, codel-target %v", *maxQueue, gate.Target())
 		if *rateLimit > 0 {
 			mode += fmt.Sprintf(", rate-limit %g/s", *rateLimit)
 		}

@@ -39,37 +39,6 @@ func benchDB() *store.DB {
 	return db
 }
 
-// BenchmarkSelect measures the full evaluation path. The freshness
-// cutoff (any MaxStatusAge > 0) turns off the epoch memo, so every
-// iteration scans and evaluates the candidate table.
-func BenchmarkSelect(b *testing.B) {
-	db := benchDB()
-	sel := newSelector(b, db, Config{MaxStatusAge: time.Hour})
-	prog := mustProg(b, benchReq)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sel.Select(prog, 4, proto.OptRankByExpr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSelectMemoized measures the storm repeat: same program,
-// same table epoch, outcome served from the selector's memo.
-func BenchmarkSelectMemoized(b *testing.B) {
-	db := benchDB()
-	sel := newSelector(b, db, Config{})
-	prog := mustProg(b, benchReq)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sel.Select(prog, 4, proto.OptRankByExpr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestSelectAllocs pins the per-selection allocation budgets. The
 // seed implementation copied the whole server table and built a fresh
 // variable map per candidate (71 allocs/op on this workload); the

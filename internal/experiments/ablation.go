@@ -23,14 +23,6 @@ import (
 	"smartsock/internal/transport"
 )
 
-func init() {
-	register("ablation.probesize", ablationProbeSize)
-	register("ablation.encoding", ablationEncoding)
-	register("ablation.transport", ablationTransport)
-	register("ablation.reporting", ablationReporting)
-	register("ablation.sequential", ablationSequential)
-}
-
 // ablationProbeSize generalises Table 3.3: the probe-size rules of
 // §3.3.2 evaluated on three path regimes, reporting each pair's
 // relative error against ground truth. It shows *when* the rules

@@ -16,10 +16,6 @@ import (
 	"smartsock/internal/testbed"
 )
 
-func init() {
-	register("appendixA", appendixA)
-}
-
 // cmuiRoute is the sagit→cmui route of Appendix A.1, condensed to its
 // eight distinct segments.
 func cmuiRoute(seed int64) (*simnet.Path, []string, error) {

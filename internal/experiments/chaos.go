@@ -18,10 +18,6 @@ import (
 	"smartsock/internal/testbed"
 )
 
-func init() {
-	register("chaos.loss", chaosLoss)
-}
-
 func chaosLoss(o Options) (*Table, error) {
 	rates := []float64{0, 0.1, 0.2, 0.3}
 	requests := 10

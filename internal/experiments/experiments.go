@@ -92,37 +92,62 @@ type Options struct {
 // Fn runs one experiment.
 type Fn func(Options) (*Table, error)
 
-// registry maps experiment IDs to implementations. Populated by the
-// per-chapter files' init functions. A duplicate registration is a
-// programming error, but one that must not crash an embedding
-// process: register keeps the first implementation, records the
-// conflict, and Run refuses the ambiguous ID with an error.
-var registry = map[string]Fn{}
+// registry maps experiment IDs to implementations: the whole set, in
+// one literal, so a duplicate ID does not compile. A figure that plots
+// a table's data is that table's function under the figure's ID
+// (alias).
+var registry = map[string]Fn{
+	"fig3.3":   func(o Options) (*Table, error) { return rttSweepFig(o, 1500, "fig3.3") },
+	"fig3.4":   func(o Options) (*Table, error) { return rttSweepFig(o, 1000, "fig3.4") },
+	"fig3.5":   func(o Options) (*Table, error) { return rttSweepFig(o, 500, "fig3.5") },
+	"fig3.6":   fig36,
+	"table3.3": table33,
+	"fig3.7":   alias("fig3.7", table33, "Fig 3.7 is the bar-chart rendering of Table 3.3"),
+	"table3.4": table34,
 
-// duplicates counts extra registrations per conflicting ID.
-var duplicates = map[string]int{}
+	"table4.1": table41,
+	"table5.2": table52,
 
-func register(id string, fn Fn) {
-	if _, dup := registry[id]; dup {
-		duplicates[id]++
-		return
-	}
-	registry[id] = fn
+	"fig5.2":   fig52,
+	"table5.3": func(o Options) (*Table, error) { return matrixComparison(o, matrix23) },
+	"table5.4": func(o Options) (*Table, error) { return matrixComparison(o, matrix44) },
+	"table5.5": func(o Options) (*Table, error) { return matrixComparison(o, matrix66) },
+	"table5.6": func(o Options) (*Table, error) { return matrixComparison(o, matrix44load) },
+
+	"fig5.3":   fig53,
+	"table5.7": table57,
+	"table5.8": table58,
+	"table5.9": table59,
+	"fig5.4":   alias("fig5.4", table57, "Fig 5.4 plots the Table 5.7 throughputs"),
+	"fig5.5":   alias("fig5.5", table58, "Fig 5.5 plots the Table 5.8 throughputs"),
+	"fig5.6":   alias("fig5.6", table59, "Fig 5.6 plots the Table 5.9 throughputs"),
+
+	"appendixA": appendixA,
+
+	"ablation.probesize":  ablationProbeSize,
+	"ablation.encoding":   ablationEncoding,
+	"ablation.transport":  ablationTransport,
+	"ablation.reporting":  ablationReporting,
+	"ablation.sequential": ablationSequential,
+
+	"chaos.loss": chaosLoss,
 }
 
-// RegistryErr reports registration conflicts, nil if the registry is
-// sound. Embedders that want to fail fast can check it at startup
-// instead of discovering a conflict on the first ambiguous Run.
-func RegistryErr() error {
-	if len(duplicates) == 0 {
-		return nil
+func table57(o Options) (*Table, error) { return massdComparison(o, massd1v1) }
+func table58(o Options) (*Table, error) { return massdComparison(o, massd2v2) }
+func table59(o Options) (*Table, error) { return massdComparison(o, massd3v3) }
+
+// alias runs table under a figure's ID and caption.
+func alias(figID string, table Fn, caption string) Fn {
+	return func(o Options) (*Table, error) {
+		t, err := table(o)
+		if err != nil {
+			return nil, err
+		}
+		t.ID = figID
+		t.Notes = append(t.Notes, caption)
+		return t, nil
 	}
-	ids := make([]string, 0, len(duplicates))
-	for id := range duplicates {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return fmt.Errorf("experiments: duplicate registrations for %v", ids)
 }
 
 // IDs lists all registered experiments in order.
@@ -137,9 +162,6 @@ func IDs() []string {
 
 // Run executes one experiment by ID.
 func Run(id string, opts Options) (*Table, error) {
-	if n := duplicates[id]; n > 0 {
-		return nil, fmt.Errorf("experiments: id %q was registered %d times; refusing the ambiguous registry", id, n+1)
-	}
 	fn, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
@@ -162,26 +184,4 @@ func pct(delta, base float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.1f%%", delta/base*100)
-}
-
-// registerAlias exposes a figure that plots an already-registered
-// table's data under its own ID, so the registry covers every figure
-// in the thesis by name.
-func registerAlias(figID, tableID, caption string) {
-	register(figID, func(o Options) (*Table, error) {
-		t, err := Run(tableID, o)
-		if err != nil {
-			return nil, err
-		}
-		t.ID = figID
-		t.Notes = append(t.Notes, caption)
-		return t, nil
-	})
-}
-
-func init() {
-	registerAlias("fig3.7", "table3.3", "Fig 3.7 is the bar-chart rendering of Table 3.3")
-	registerAlias("fig5.4", "table5.7", "Fig 5.4 plots the Table 5.7 throughputs")
-	registerAlias("fig5.5", "table5.8", "Fig 5.5 plots the Table 5.8 throughputs")
-	registerAlias("fig5.6", "table5.9", "Fig 5.6 plots the Table 5.9 throughputs")
 }

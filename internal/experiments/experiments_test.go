@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"fmt"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,20 +32,10 @@ func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
 		"ablation.probesize", "ablation.encoding", "ablation.transport",
 		"ablation.reporting", "ablation.sequential",
 		"chaos.loss",
-		"wizard.qps",
-		"wizard.overload",
 	}
-	have := map[string]bool{}
-	for _, id := range IDs() {
-		have[id] = true
-	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %s missing from registry", id)
-		}
-	}
-	if len(IDs()) < len(want) {
-		t.Errorf("registry has %d experiments, want at least %d", len(IDs()), len(want))
+	sort.Strings(want)
+	if have := IDs(); !reflect.DeepEqual(have, want) {
+		t.Errorf("registry holds %v, want exactly %v", have, want)
 	}
 }
 
@@ -311,97 +302,5 @@ func TestTable59SmartHighestThroughput(t *testing.T) {
 	if smart <= bestRandom {
 		t.Errorf("smart (%.0f KB/s) did not beat best random set (%.0f KB/s) in two consecutive runs",
 			smart, bestRandom)
-	}
-}
-
-func TestDuplicateRegistration(t *testing.T) {
-	const id = "test.duplicate"
-	t.Cleanup(func() {
-		delete(registry, id)
-		delete(duplicates, id)
-	})
-	stub := func(Options) (*Table, error) { return &Table{}, nil }
-	register(id, stub)
-	if err := RegistryErr(); err != nil {
-		t.Fatalf("single registration reported as conflict: %v", err)
-	}
-	register(id, stub)
-	register(id, stub)
-	if err := RegistryErr(); err == nil {
-		t.Fatal("RegistryErr did not report the duplicate registration")
-	} else if !strings.Contains(err.Error(), id) {
-		t.Fatalf("RegistryErr does not name the conflicting id: %v", err)
-	}
-	if _, err := Run(id, Options{Quick: true}); err == nil {
-		t.Fatal("Run accepted an ambiguously registered id")
-	} else if !strings.Contains(err.Error(), "3 times") {
-		t.Fatalf("Run error does not count the registrations: %v", err)
-	}
-}
-
-// TestWizardQPSFastPathWins runs the storm experiment in quick mode
-// and checks the structural claims: the cached configurations hit the
-// requirement cache and out-serve the thesis-faithful sequential
-// uncached wizard.
-func TestWizardQPSFastPathWins(t *testing.T) {
-	tb, err := Run("wizard.qps", Options{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(tb.Rows))
-	}
-	qps := func(row []string) float64 {
-		var v float64
-		if _, err := fmt.Sscanf(row[3], "%f", &v); err != nil {
-			t.Fatalf("bad req/s cell %q: %v", row[3], err)
-		}
-		return v
-	}
-	seq, cached := qps(tb.Rows[0]), qps(tb.Rows[1])
-	if cached <= seq {
-		t.Errorf("seq/cached (%.0f req/s) does not beat seq/uncached (%.0f req/s)", cached, seq)
-	}
-	if hits := tb.Rows[0][4]; hits != "0.0%" {
-		t.Errorf("uncached config reports cache hits: %s", hits)
-	}
-	for _, row := range tb.Rows[1:] {
-		if row[4] == "0.0%" {
-			t.Errorf("config %s never hit the requirement cache", row[0])
-		}
-	}
-}
-
-// TestWizardOverloadProtects runs the overload experiment in quick
-// mode and checks its structural claims: four rows, and the protected
-// configuration both answers requests and sheds the excess explicitly
-// (a non-zero shed fraction) under the 4x storm.
-func TestWizardOverloadProtects(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second storm experiment")
-	}
-	tb, err := Run("wizard.overload", Options{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(tb.Rows))
-	}
-	cell := func(row []string, col int) float64 {
-		var v float64
-		if _, err := fmt.Sscanf(row[col], "%f", &v); err != nil {
-			t.Fatalf("bad cell %q: %v", row[col], err)
-		}
-		return v
-	}
-	if capQPS := cell(tb.Rows[0], 2); capQPS <= 0 {
-		t.Errorf("capacity row reports %.0f req/s", capQPS)
-	}
-	protected := tb.Rows[1]
-	if goodput := cell(protected, 2); goodput <= 0 {
-		t.Errorf("protected goodput %.0f/s; the plane starved everything", goodput)
-	}
-	if shed := cell(protected, 4); shed <= 0 {
-		t.Errorf("protected shed%% = %.1f under a 4x storm; nothing was shed", shed)
 	}
 }

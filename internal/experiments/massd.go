@@ -26,13 +26,6 @@ import (
 	"smartsock/internal/testbed"
 )
 
-func init() {
-	register("fig5.3", fig53)
-	register("table5.7", func(o Options) (*Table, error) { return massdComparison(o, massd1v1) })
-	register("table5.8", func(o Options) (*Table, error) { return massdComparison(o, massd2v2) })
-	register("table5.9", func(o Options) (*Table, error) { return massdComparison(o, massd3v3) })
-}
-
 // bwScale converts a paper-Mbps rshaper setting into the scaled
 // byte rate actually enforced on loopback: 1 paper-Mbps = 32 KiB/s of
 // real transfer. Both experiment arms scale identically, so the

@@ -24,14 +24,6 @@ import (
 	"smartsock/internal/workload"
 )
 
-func init() {
-	register("fig5.2", fig52)
-	register("table5.3", func(o Options) (*Table, error) { return matrixComparison(o, matrix23) })
-	register("table5.4", func(o Options) (*Table, error) { return matrixComparison(o, matrix44) })
-	register("table5.5", func(o Options) (*Table, error) { return matrixComparison(o, matrix66) })
-	register("table5.6", func(o Options) (*Table, error) { return matrixComparison(o, matrix44load) })
-}
-
 // maxSpeed normalises Fig 5.2 speeds so the fastest class runs the
 // worker at full rate.
 func maxSpeed() float64 {

@@ -15,15 +15,6 @@ import (
 	"smartsock/internal/testbed"
 )
 
-func init() {
-	register("fig3.3", func(o Options) (*Table, error) { return rttSweepFig(o, 1500, "fig3.3") })
-	register("fig3.4", func(o Options) (*Table, error) { return rttSweepFig(o, 1000, "fig3.4") })
-	register("fig3.5", func(o Options) (*Table, error) { return rttSweepFig(o, 500, "fig3.5") })
-	register("fig3.6", fig36)
-	register("table3.3", table33)
-	register("table3.4", table34)
-}
-
 // rttSweepFig reproduces one of Figs 3.3–3.5: sweep UDP payload 1..max
 // step 10 on sagit→suna with the interface MTU set to mtu, then fit
 // the two slopes and detect the knee.

@@ -15,11 +15,6 @@ import (
 	"smartsock/internal/workload"
 )
 
-func init() {
-	register("table4.1", table41)
-	register("table5.2", table52)
-}
-
 // table41 reproduces Table 4.1: memory status before and after
 // starting SuperPI on a 256 MB host.
 func table41(o Options) (*Table, error) {

@@ -216,7 +216,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 // flush the control replies with one batched write. The AddrPort
 // plumbing means steady-state ingest costs zero per-datagram heap
 // allocations (the seed loop's ReadFromUDP minted a *net.UDPAddr per
-// report; BenchmarkMonitorIngest pins the new floor).
+// report).
 func (m *Monitor) serveUDP(ctx context.Context, conn *net.UDPConn) error {
 	ep, err := netbatch.Wrap(conn, netbatch.Options{Batch: m.cfg.Batch, Obs: m.cfg.Obs})
 	if err != nil {

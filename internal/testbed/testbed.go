@@ -123,9 +123,6 @@ type Options struct {
 	// (centralized push) or the receiver's pull connections
 	// (distributed) in a chaos.StreamConn for stall/reset injection.
 	TxFaults *chaos.Injector
-	// WizardWorkers sets the wizard's concurrent handler count; 0
-	// keeps the thesis-faithful sequential mode.
-	WizardWorkers int
 	// WizardCacheSize sets the wizard's compiled-requirement cache
 	// bound (0: default, negative: disabled — the seed behaviour).
 	WizardCacheSize int
@@ -339,7 +336,6 @@ func Boot(opts Options) (*Cluster, error) {
 		Addr:      "127.0.0.1:0",
 		Selector:  sel,
 		Update:    update,
-		Workers:   opts.WizardWorkers,
 		CacheSize: opts.WizardCacheSize,
 		Overload:  opts.Overload,
 		Obs:       opts.Obs,

@@ -1,7 +1,6 @@
 package wizard
 
 import (
-	"context"
 	"net"
 	"net/netip"
 	"testing"
@@ -48,33 +47,6 @@ func stormSelector(b testing.TB) *core.Selector {
 		b.Fatal(err)
 	}
 	return sel
-}
-
-// BenchmarkWizardAnswer measures the in-process answer pipeline.
-// "uncached" is the seed behaviour (every request re-parses);
-// "cached" is the fast path.
-func BenchmarkWizardAnswer(b *testing.B) {
-	run := func(b *testing.B, cacheSize int) {
-		w := startWizard(b, Config{Selector: stormSelector(b), CacheSize: cacheSize})
-		reqs := make([]*proto.Request, len(stormMix))
-		for i, detail := range stormMix {
-			reqs[i] = &proto.Request{
-				Seq: uint32(i), ServerNum: 4,
-				Option: proto.OptPartialOK | proto.OptRankByExpr,
-				Detail: detail,
-			}
-		}
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if reply := w.Answer(ctx, reqs[i%len(reqs)]); reply.Err != "" {
-				b.Fatal(reply.Err)
-			}
-		}
-	}
-	b.Run("uncached", func(b *testing.B) { run(b, -1) })
-	b.Run("cached", func(b *testing.B) { run(b, 0) })
 }
 
 // stormDatagrams marshals the storm mix once per run.

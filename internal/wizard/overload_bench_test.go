@@ -1,6 +1,6 @@
 package wizard
 
-// BenchmarkOverloadStorm is the wizard.overload acceptance harness:
+// BenchmarkOverloadStorm is the overload plane's acceptance harness:
 // capacity under a closed-loop storm, then goodput and tail queue
 // delay under an open-loop storm paced at 4× that capacity, with the
 // admission plane on (shed-4x) and off (bare-4x). bench.sh turns the
@@ -8,7 +8,7 @@ package wizard
 // protection ratios: protected goodput ≥ 70% of capacity, protected
 // p99 sojourn ≤ 4× the CoDel target. The bare row is the collapse
 // curve the protection is measured against — with the kernel receive
-// buffer raised (RecvBuf), its queue delay grows past any useful
+// buffer raised (raiseRecvBuf), its queue delay grows past any useful
 // deadline instead of the kernel silently shedding for us.
 
 import (
@@ -41,16 +41,17 @@ const (
 	overloadClients = 8
 )
 
-// overloadWizardConfig is the shared serving configuration; only the
+// overloadWizard starts the shared serving configuration; only the
 // gate differs between the protected and bare rows.
-func overloadWizardConfig(b *testing.B, gate *overload.Gate) Config {
-	return Config{
+func overloadWizard(b *testing.B, gate *overload.Gate) *Wizard {
+	w := startWizard(b, Config{
 		Selector: stormSelector(b),
 		Update:   slowUpdate(overloadHandlerCost),
 		Workers:  4, Batch: 16, Shards: 4,
-		RecvBuf:  overloadRecvBuf,
 		Overload: gate,
-	}
+	})
+	raiseRecvBuf(b, w, overloadRecvBuf)
+	return w
 }
 
 // measuredCapacity caches the closed-loop capacity (req/s) across the
@@ -138,7 +139,7 @@ func capacity(b *testing.B) float64 {
 	if c := measuredCapacity.Load(); c > 0 {
 		return float64(c)
 	}
-	w := startWizard(b, overloadWizardConfig(b, nil))
+	w := overloadWizard(b, nil)
 	const probe = 4000
 	elapsed := closedLoopStorm(b, w.Addr(), probe)
 	c := float64(probe) / elapsed.Seconds()
@@ -249,7 +250,7 @@ func openLoopStorm(b *testing.B, addr string, n int, rate float64) goodputResult
 
 func BenchmarkOverloadStorm(b *testing.B) {
 	b.Run("capacity", func(b *testing.B) {
-		w := startWizard(b, overloadWizardConfig(b, nil))
+		w := overloadWizard(b, nil)
 		b.ResetTimer()
 		elapsed := closedLoopStorm(b, w.Addr(), b.N)
 		qps := float64(b.N) / elapsed.Seconds()
@@ -265,7 +266,7 @@ func BenchmarkOverloadStorm(b *testing.B) {
 		// controller operates inside that ceiling instead of being
 		// handed a queue whose worst case is seconds deep.
 		gate := overload.New(overload.Config{MaxQueue: 8})
-		w := startWizard(b, overloadWizardConfig(b, gate))
+		w := overloadWizard(b, gate)
 		rate := 4 * capacity(b)
 		b.ResetTimer()
 		res := openLoopStorm(b, w.Addr(), b.N, rate)
@@ -278,7 +279,7 @@ func BenchmarkOverloadStorm(b *testing.B) {
 	})
 
 	b.Run("bare-4x", func(b *testing.B) {
-		w := startWizard(b, overloadWizardConfig(b, nil))
+		w := overloadWizard(b, nil)
 		rate := 4 * capacity(b)
 		b.ResetTimer()
 		res := openLoopStorm(b, w.Addr(), b.N, rate)

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"smartsock/internal/obs"
 	"smartsock/internal/overload"
 	"smartsock/internal/proto"
 )
@@ -27,6 +28,18 @@ func slowUpdate(delay time.Duration) UpdateFunc {
 	return func(context.Context) error {
 		time.Sleep(delay)
 		return nil
+	}
+}
+
+// raiseRecvBuf asks the kernel for n bytes of receive buffer on every
+// shard socket, so that what a storm test observes is the wizard's
+// queueing and shedding, not silent drops below it.
+func raiseRecvBuf(t testing.TB, w *Wizard, n int) {
+	t.Helper()
+	for _, s := range w.shards {
+		if err := s.SetReadBuffer(n); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -102,16 +115,19 @@ func TestOverloadBurstSurvival(t *testing.T) {
 		t.Skip("storm test")
 	}
 	sel, _ := testSelector(t)
+	reg := obs.NewRegistry()
 	gate := overload.New(overload.Config{
 		MaxQueue: 64,
 		Target:   2 * time.Millisecond,
 		Interval: 20 * time.Millisecond,
+		Obs:      reg,
 	})
 	w := startWizard(t, Config{
 		Selector: sel,
 		Update:   slowUpdate(200 * time.Microsecond), // ≈20k req/s ceiling
 		Workers:  4, Batch: 16, Shards: 4,
 		Overload: gate,
+		Obs:      reg,
 	})
 
 	// 8 sockets × 500 unpaced requests ≫ 4× the pinned capacity.
@@ -148,7 +164,12 @@ func TestOverloadBurstSurvival(t *testing.T) {
 	if total.wrongDecod != 0 {
 		t.Errorf("%d reply datagrams did not decode", total.wrongDecod)
 	}
-	if gate.Shed() == 0 {
+	// The armed gate both answers and sheds, as an operator would read
+	// it off the debug endpoint.
+	if reg.Counter("wizard_requests").Value() == 0 {
+		t.Error("wizard_requests stayed zero through a 4x storm")
+	}
+	if reg.Counter("overload_shed").Value() == 0 {
 		t.Error("overload_shed stayed zero through a 4x storm")
 	}
 	if got := total.shed; uint64(gate.Shed()) < got {
@@ -260,12 +281,12 @@ func TestOverloadHotSourceIsolation(t *testing.T) {
 		Selector: sel,
 		Workers:  4, Batch: 16, Shards: 4,
 		Overload: gate,
-		// Room for the hot source's whole unpaced blast: with the default
-		// buffer the kernel drops most of it, and with it the datagrams of
-		// any cold source hashed to the same shard socket — loss below the
-		// wizard, which the limiter under test never sees.
-		RecvBuf: 4 << 20,
 	})
+	// Room for the hot source's whole unpaced blast: with the default
+	// buffer the kernel drops most of it, and with it the datagrams of
+	// any cold source hashed to the same shard socket — loss below the
+	// wizard, which the limiter under test never sees.
+	raiseRecvBuf(t, w, 4<<20)
 
 	var wg sync.WaitGroup
 	var hot stormCounts

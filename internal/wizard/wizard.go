@@ -99,11 +99,6 @@ type Config struct {
 	// the kernel socket buffer is the only backpressure. Nil means a
 	// disabled gate with detached metrics.
 	Overload *overload.Gate
-	// RecvBuf, when positive, asks the kernel for that many bytes of
-	// receive buffer on every shard socket (SetReadBuffer). Overload
-	// benches raise it so the unprotected configuration's collapse is
-	// the user-visible queue growth, not silent kernel drops.
-	RecvBuf int
 	// Obs, when set, registers the wizard's counters (wizard_requests,
 	// wizard_rejected, wizard_update_failures, wizard_reply_errors),
 	// its per-outcome request-latency histograms (wizard_latency_*),
@@ -191,14 +186,6 @@ func New(cfg Config) (*Wizard, error) {
 	shards, err := netbatch.ListenShards(cfg.Addr, max(cfg.Shards, 1), cfg.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("wizard: %w", err)
-	}
-	if cfg.RecvBuf > 0 {
-		for _, s := range shards {
-			if err := s.SetReadBuffer(cfg.RecvBuf); err != nil {
-				closeAll(shards)
-				return nil, fmt.Errorf("wizard: set receive buffer: %w", err)
-			}
-		}
 	}
 	if cfg.Overload == nil {
 		cfg.Overload = overload.New(overload.Config{})
@@ -514,13 +501,6 @@ func (w *Wizard) appendShed(out []netbatch.Message, datagram []byte, addr netip.
 	}
 	reply := proto.Reply{Seq: req.Seq, Err: proto.OverloadedErr(w.cfg.Overload.RetryAfter())}
 	return w.appendReply(out, &reply, addr)
-}
-
-// closeAll releases the shard set after a partial New failure.
-func closeAll(conns []*net.UDPConn) {
-	for _, c := range conns {
-		_ = c.Close()
-	}
 }
 
 // handle processes one request datagram into the caller's scratch

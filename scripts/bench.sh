@@ -1,15 +1,15 @@
 #!/bin/sh
-# bench.sh runs the wizard fast-path and transport benchmarks and
-# writes the headline numbers to BENCH_wizard.json and
-# BENCH_transport.json at the repository root: ns/op and allocs/op
-# for the in-process answer pipeline (cached vs the
-# re-parse-everything seed path), req/s for the end-to-end UDP storm
-# in each serving configuration, the selection engine's
-# evaluation/memoised costs, the status-epoch wire/alloc cost of
-# full snapshots versus deltas, and the overload plane's goodput and
-# tail sojourn under a 4x storm (BENCH_overload.json). EXPERIMENTS.md's
-# wizard.qps, transport.delta and wizard.overload entries quote these
-# files; bench_schema.py guards their shape and acceptance bounds.
+# bench.sh runs the benchmarks whose numbers nothing else produces and
+# writes them to BENCH_*.json at the repository root: req/s for the UDP
+# storm in each serving preset and the sharded-vs-sequential ratio
+# (BENCH_wizard.json), the status-epoch wire bytes and allocations of
+# full snapshots versus deltas (BENCH_transport.json), selection and
+# snapshot-rebuild cost at 10k to 1M hosts (BENCH_select.json), and the
+# overload plane's goodput and tail sojourn under a 4x storm
+# (BENCH_overload.json). Per-component costs on the 11-host rig are
+# benchmark/'s per-layer probes; EXPERIMENTS.md "Number → command"
+# names the one producer of every quoted figure. bench_schema.py guards
+# these files' shape and acceptance bounds.
 #
 # Usage: scripts/bench.sh [benchtime]   (default 2s; use 1x for smoke)
 set -eu
@@ -20,12 +20,12 @@ benchtime="${1:-2s}"
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-echo "== go test -bench Wizard/Select (benchtime=$benchtime, count=3) =="
+echo "== go test -bench WizardStorm (benchtime=$benchtime, count=3) =="
 # count=3 with best-of-three selection: the UDP storm rows ride the
-# scheduler of a shared runner, and the speedup gates below compare
-# two of them, so a single noisy run must not trip the schema bounds.
-go test -run=NONE -bench='WizardAnswer|WizardStorm|^BenchmarkSelect$|^BenchmarkSelectMemoized$' \
-	-benchtime="$benchtime" -count=3 ./internal/wizard/ ./internal/core/ | tee "$out"
+# scheduler of a shared runner, and the speedup gate below compares
+# two of them, so a single noisy run must not trip the schema bound.
+go test -run=NONE -bench='WizardStorm' \
+	-benchtime="$benchtime" -count=3 ./internal/wizard/ | tee "$out"
 
 python3 - "$out" <<'EOF'
 import json, re, sys
@@ -37,39 +37,25 @@ for line in open(sys.argv[1]):
         continue
     name, _, ns, rest = m.groups()
     row = {"ns_per_op": float(ns)}
-    for val, unit in re.findall(r'([\d.]+)\s+(B/op|allocs/op|req/s)', rest):
-        key = {"B/op": "bytes_per_op", "allocs/op": "allocs_per_op", "req/s": "qps"}[unit]
-        row[key] = float(val)
+    for val in re.findall(r'([\d.]+)\s+req/s', rest):
+        row["qps"] = float(val)
     name = name.removeprefix("Benchmark")
     # Best of the -count repeats: fastest ns/op wins the row.
     if name not in rows or row["ns_per_op"] < rows[name]["ns_per_op"]:
         rows[name] = row
 
-doc = {
-    "benchmarks": rows,
-    "seed_baseline": {
-        # Measured at the pre-fast-path commit with this same harness
-        # (11-host table, five-requirement storm mix, 8 UDP clients).
-        "WizardAnswer": {"ns_per_op": 22239.0, "bytes_per_op": 19028.0, "allocs_per_op": 97.0},
-        "WizardStorm": {"qps": 36430.0},
-        "Select": {"ns_per_op": 21400.0, "bytes_per_op": 15704.0, "allocs_per_op": 70.0},
-    },
-}
-
 def storm_qps(row):
     return rows.get(f"WizardStorm/{row}", {}).get("qps")
 
 seq, sharded = storm_qps("seq-cached"), storm_qps("shards8-batched")
-answer = rows.get("WizardAnswer/cached", {}).get("ns_per_op")
-doc["speedup"] = {
-    # Like with like: the seed figure was taken under the same 8
-    # ping-pong clients on one socket that the seq-cached row uses.
-    "storm_qps_vs_seed": round(seq / 36430.0, 2) if seq else None,
-    "answer_ns_vs_seed": round(22239.0 / answer, 1) if answer else None,
-    # The datagram-plane gate: windowed clients over 8 SO_REUSEPORT
-    # shards with batched syscalls must beat the sequential cached
-    # preset with margin. bench_schema.py enforces the bound.
-    "storm_sharded_vs_seq": round(sharded / seq, 2) if seq and sharded else None,
+doc = {
+    "benchmarks": rows,
+    "speedup": {
+        # The datagram-plane gate: windowed clients over 8 SO_REUSEPORT
+        # shards with batched syscalls must beat the sequential cached
+        # preset with margin. bench_schema.py enforces the bound.
+        "storm_sharded_vs_seq": round(sharded / seq, 2) if seq and sharded else None,
+    },
 }
 
 with open("BENCH_wizard.json", "w") as f:

@@ -17,15 +17,11 @@ import sys
 # top-level sections.
 SCHEMAS = {
     "BENCH_wizard.json": {
-        "sections": ["benchmarks", "seed_baseline", "speedup"],
+        "sections": ["benchmarks", "speedup"],
         "benchmarks": {
-            "WizardAnswer/cached": ["ns_per_op", "allocs_per_op"],
-            "WizardAnswer/uncached": ["ns_per_op", "allocs_per_op"],
             "WizardStorm/seq-uncached": ["qps"],
             "WizardStorm/seq-cached": ["qps"],
             "WizardStorm/shards8-batched": ["qps"],
-            "Select": ["ns_per_op", "allocs_per_op"],
-            "SelectMemoized": ["ns_per_op"],
         },
         # Datagram-plane acceptance bound (best-of-three runs, see
         # bench.sh): the windowed batched/sharded storm must beat the
@@ -186,7 +182,7 @@ OBS_SCHEMA = {
 # check.sh regenerates it and diffs it against the committed file, so
 # the numbers are always current; this only holds the shape.
 SIZE_SCHEMA = {
-    "go_lines": ["total", "internal/wizard", "internal/overload", "internal/transport", "internal/reqlang", "internal/core"],
+    "go_lines": ["total", "internal/wizard", "internal/overload", "internal/transport", "internal/reqlang", "internal/core", "internal/experiments"],
     "flags": ["cmd/wizardd", "cmd/sysmond"],
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh runs the full correctness gate: formatting, go vet, build,
 # race-enabled tests, a fuzz smoke of the batch evaluator, the committed
-# size numbers, the naming and one-evaluator guards, and
+# size numbers, the naming, one-evaluator and benchmark-consumer guards, and
 # the project's own static analyzers (cmd/smartlint). CI runs exactly this script; run it
 # locally before sending a change.
 set -eu
@@ -94,6 +94,26 @@ walker=$(grep -nE '^func .*\([a-z]+ node\) \(Value, error\)' internal/reqlang/*.
 if [ -n "$walker" ]; then
 	echo "internal/reqlang evaluates over the AST again (compile it; Run is the evaluator):" >&2
 	echo "$walker" >&2
+	exit 1
+fi
+
+echo "== every benchmark has a consumer =="
+# A Benchmark function nothing runs and no document cites is a second
+# producer waiting to disagree with the first (EXPERIMENTS.md "Number →
+# command"). Outside benchmark/, each one is either a one-line
+# benchExperiment wrapper of a thesis table, named in a -bench pattern
+# of scripts/bench.sh or a workflow, or cited by DESIGN.md.
+orphans=$(find . -name '*_test.go' ! -path './benchmark/*' -exec grep -hE '^func Benchmark' {} + |
+	grep -vE '\{ benchExperiment\(b, "[^"]+"\) \}$' |
+	sed -E 's/^func Benchmark([A-Za-z0-9_]+)\(.*/\1/' |
+	while read -r name; do
+		grep -qw "$name" scripts/bench.sh .github/workflows/*.yml ||
+			grep -qw "Benchmark$name" DESIGN.md ||
+			echo "Benchmark$name"
+	done)
+if [ -n "$orphans" ]; then
+	echo "benchmarks that no script runs and DESIGN.md does not cite (delete them, or give them a consumer):" >&2
+	echo "$orphans" >&2
 	exit 1
 fi
 
