@@ -112,6 +112,9 @@ func main() {
 	var update wizard.UpdateFunc
 	if len(pulls) > 0 {
 		targets := []string(pulls)
+		// Nothing runs the receiver in this mode, so nothing else closes
+		// its listener and the pull connections it keeps.
+		defer recv.Close()
 		update = func(context.Context) error { return recv.PullFrom(targets, 2*time.Second) }
 		logger.Printf("distributed mode: pulling from %v per request", targets)
 	} else {

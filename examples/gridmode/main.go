@@ -102,6 +102,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer recv.Close() // pull mode: nothing runs the receiver, so nothing else closes it
 	transmitters := []string{siteA.txAddr, siteB.txAddr}
 	sel, err := core.New(wizDB, core.Config{})
 	if err != nil {

@@ -176,6 +176,7 @@ func ablationTransport(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer recv.Close() // pull mode: nothing runs the receiver, so nothing else closes it
 	pulls := 50
 	if o.Quick {
 		pulls = 10

@@ -265,13 +265,13 @@ func (m *Monitor) serveUDP(ctx context.Context, conn *net.UDPConn) error {
 }
 
 func (m *Monitor) ingest(msg []byte) bool {
-	s, err := status.DecodeReport(msg)
-	if err != nil {
+	var s status.ServerStatus
+	if err := status.DecodeReportInto(&s, msg); err != nil {
 		m.dropped.Add(1)
 		m.logf("monitor: dropping report: %v", err)
 		return false
 	}
-	m.cfg.DB.PutSys(*s)
+	m.cfg.DB.PutSys(s)
 	m.received.Add(1)
 	return true
 }
@@ -291,8 +291,11 @@ func (m *Monitor) serveTCP(ctx context.Context) {
 			if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 				return
 			}
+			var buf []byte // one payload buffer for the connection's frames
 			for {
-				f, err := status.ReadFrame(c)
+				var f status.Frame
+				var err error
+				f, buf, err = status.ReadFrameInto(c, buf)
 				if err != nil {
 					return
 				}

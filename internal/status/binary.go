@@ -46,6 +46,21 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return nil
 }
 
+// AppendFrame appends the frame [t, size, payload] to dst, the payload
+// being what enc appends for v. The size is written into the header
+// once the payload is in place, so a sender can line up several frames
+// in one buffer and put them on the wire with a single write.
+func AppendFrame[T any](dst []byte, t RecordType, enc func([]byte, T) []byte, v T) ([]byte, error) {
+	at := len(dst)
+	dst = enc(append(dst, byte(t), 0, 0, 0, 0), v)
+	size := len(dst) - at - 5
+	if size > MaxFrameSize {
+		return dst[:at], fmt.Errorf("status: frame of %d bytes exceeds limit %d", size, MaxFrameSize)
+	}
+	binary.BigEndian.PutUint32(dst[at+1:], uint32(size))
+	return dst, nil
+}
+
 // ReadFrame reads one frame from r. It returns io.EOF unchanged when
 // the stream ends cleanly before a header byte arrives. The frame's
 // Data is freshly allocated and owned by the caller.

@@ -8,6 +8,7 @@
 package status
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -305,65 +306,85 @@ func AppendReport(dst []byte, s *ServerStatus) []byte {
 	return dst
 }
 
-// DecodeReport parses an ASCII probe report produced by EncodeReport.
+// DecodeReport parses an ASCII probe report produced by EncodeReport
+// into a fresh record.
 func DecodeReport(data []byte) (*ServerStatus, error) {
-	parts := strings.Split(string(data), "|")
-	if len(parts) != reportFieldCount+1 {
-		return nil, fmt.Errorf("status: report has %d fields, want %d", len(parts)-1, reportFieldCount)
-	}
-	if parts[0] != reportVersion {
-		return nil, fmt.Errorf("status: unknown report version %q", parts[0])
-	}
 	s := &ServerStatus{}
-	i := 1
-	next := func() string { v := parts[i]; i++; return v }
-	var err error
-	f := func(dst *float64) {
-		if err != nil {
-			return
-		}
-		v := next()
-		*dst, err = strconv.ParseFloat(v, 64)
-		if err != nil {
-			err = fmt.Errorf("status: bad float field %d %q: %v", i-1, v, err)
-		}
-	}
-	u := func(dst *uint64) {
-		if err != nil {
-			return
-		}
-		v := next()
-		*dst, err = strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			err = fmt.Errorf("status: bad uint field %d %q: %v", i-1, v, err)
-		}
-	}
-	s.Host = unescapeField(next())
-	f(&s.Load1)
-	f(&s.Load5)
-	f(&s.Load15)
-	f(&s.CPUUser)
-	f(&s.CPUNice)
-	f(&s.CPUSystem)
-	f(&s.CPUIdle)
-	f(&s.Bogomips)
-	u(&s.MemTotal)
-	u(&s.MemUsed)
-	u(&s.MemFree)
-	f(&s.DiskAllReq)
-	f(&s.DiskRReq)
-	f(&s.DiskRBlocks)
-	f(&s.DiskWReq)
-	f(&s.DiskWBlocks)
-	s.NetIface = unescapeField(next())
-	f(&s.NetRBytesPS)
-	f(&s.NetRPacketsPS)
-	f(&s.NetTBytesPS)
-	f(&s.NetTPacketsPS)
-	if err != nil {
+	if err := DecodeReportInto(s, data); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// DecodeReportInto parses an ASCII probe report into dst, scanning the
+// '|' fields of the datagram where they lie: the two strings of the
+// record are all it allocates. On error dst holds the fields decoded
+// before the bad one and is of no use.
+func DecodeReportInto(dst *ServerStatus, data []byte) error {
+	if n := bytes.Count(data, []byte{'|'}); n != reportFieldCount {
+		return fmt.Errorf("status: report has %d fields, want %d", n, reportFieldCount)
+	}
+	sc := reportScanner{rest: data}
+	if v := sc.next(); string(v) != reportVersion {
+		return fmt.Errorf("status: unknown report version %q", v)
+	}
+	dst.Host = unescapeField(string(sc.next()))
+	for _, f := range [...]*float64{&dst.Load1, &dst.Load5, &dst.Load15, &dst.CPUUser, &dst.CPUNice, &dst.CPUSystem, &dst.CPUIdle, &dst.Bogomips} {
+		sc.float(f)
+	}
+	for _, u := range [...]*uint64{&dst.MemTotal, &dst.MemUsed, &dst.MemFree} {
+		sc.uint(u)
+	}
+	for _, f := range [...]*float64{&dst.DiskAllReq, &dst.DiskRReq, &dst.DiskRBlocks, &dst.DiskWReq, &dst.DiskWBlocks} {
+		sc.float(f)
+	}
+	dst.NetIface = unescapeField(string(sc.next()))
+	for _, f := range [...]*float64{&dst.NetRBytesPS, &dst.NetRPacketsPS, &dst.NetTBytesPS, &dst.NetTPacketsPS} {
+		sc.float(f)
+	}
+	return sc.err
+}
+
+// reportScanner walks the '|' fields of one report. The first number
+// that does not parse sticks in err and the fields after it are skipped.
+type reportScanner struct {
+	rest []byte
+	n    int // fields returned so far
+	err  error
+}
+
+// next returns the next field; the caller has counted the separators.
+func (sc *reportScanner) next() []byte {
+	sc.n++
+	v := sc.rest
+	if j := bytes.IndexByte(v, '|'); j >= 0 {
+		v, sc.rest = v[:j], v[j+1:]
+	}
+	return v
+}
+
+func (sc *reportScanner) float(dst *float64) {
+	if sc.err != nil {
+		return
+	}
+	v := sc.next()
+	// A number's string never leaves ParseFloat, so short ones — all
+	// that AppendReport writes — are converted on the stack.
+	var err error
+	if *dst, err = strconv.ParseFloat(string(v), 64); err != nil {
+		sc.err = fmt.Errorf("status: bad float field %d %q: %v", sc.n-1, v, err)
+	}
+}
+
+func (sc *reportScanner) uint(dst *uint64) {
+	if sc.err != nil {
+		return
+	}
+	v := sc.next()
+	var err error
+	if *dst, err = strconv.ParseUint(string(v), 10, 64); err != nil {
+		sc.err = fmt.Errorf("status: bad uint field %d %q: %v", sc.n-1, v, err)
+	}
 }
 
 // appendEscaped appends s with the report's '|' separator protected

@@ -233,6 +233,48 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// Frames lined up in one buffer by AppendFrame are, byte for byte, what
+// WriteFrame puts on the wire one at a time — the empty payload and the
+// used buffer included — and a reused buffer costs nothing.
+func TestAppendFrameMatchesWriteFrame(t *testing.T) {
+	d := SysDelta{BaseVer: 3, NewVer: 9, Changed: []ServerStatus{*sampleStatus()}, Deleted: []string{"gone"}}
+	var want bytes.Buffer
+	want.WriteString("head")
+	for _, f := range []Frame{
+		{Type: TypeSysDelta, Data: AppendSysDelta(nil, &d)},
+		{Type: TypeRequest, Data: AppendPullRequest(nil, 0)},
+		{Type: TypeSnapMark, Data: AppendSnapMark(nil, 9)},
+	} {
+		if err := WriteFrame(&want, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	line := func(dst []byte) []byte {
+		var err error
+		if dst, err = AppendFrame(dst, TypeSysDelta, AppendSysDelta, &d); err != nil {
+			t.Fatal(err)
+		}
+		if dst, err = AppendFrame(dst, TypeRequest, AppendPullRequest, 0); err != nil {
+			t.Fatal(err)
+		}
+		if dst, err = AppendFrame(dst, TypeSnapMark, AppendSnapMark, 9); err != nil {
+			t.Fatal(err)
+		}
+		return dst
+	}
+	got := line([]byte("head"))
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("AppendFrame lined up\n %x\nWriteFrame wrote\n %x", got, want.Bytes())
+	}
+	if n := testing.AllocsPerRun(100, func() { got = line(got[:0]) }); n != 0 {
+		t.Errorf("AppendFrame into a reused buffer: %v allocs, want 0", n)
+	}
+	big := func(dst []byte, n int) []byte { return append(dst, make([]byte, n)...) }
+	if out, err := AppendFrame([]byte("head"), TypeSystem, big, MaxFrameSize+1); err == nil || string(out) != "head" {
+		t.Errorf("oversize frame: err %v, buffer left at %d bytes; want an error and the buffer as it was", err, len(out))
+	}
+}
+
 func TestReadFrameRejectsOversize(t *testing.T) {
 	hdr := []byte{byte(TypeSystem), 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {

@@ -290,6 +290,9 @@ func Boot(opts Options) (*Cluster, error) {
 	}
 	recv.Overload = opts.Overload
 	c.Tx, c.Recv = tx, recv
+	// In distributed mode nothing runs the receiver, so nothing else
+	// closes its listener and the pull connections it keeps.
+	c.spawn(func() { <-ctx.Done(); _ = recv.Close() })
 	if in := opts.TxFaults; in != nil {
 		streamDial := func(network, addr string) (net.Conn, error) {
 			conn, err := net.DialTimeout(network, addr, 2*time.Second)

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"context"
+	"net"
 	"testing"
+	"time"
 
 	"smartsock/internal/obs"
 	"smartsock/internal/status"
@@ -17,7 +20,7 @@ import (
 // reaches the benchmark dashboards.
 const (
 	idleEpochAllocCeiling    = 46 // BENCH_transport.json delta-idle-1000h
-	refreshEpochAllocCeiling = 48 // BENCH_transport.json delta-refresh-1000h
+	refreshEpochAllocCeiling = 47 // BENCH_transport.json delta-refresh-1000h
 )
 
 // allocHarness wires a transmitter to a receiver through an in-memory
@@ -89,5 +92,62 @@ func TestAllocsRefreshEpoch(t *testing.T) {
 	}); got > refreshEpochAllocCeiling {
 		t.Errorf("refresh delta epoch allocates %.1f, pinned at %d (BENCH_transport.json delta-refresh-1000h)",
 			got, refreshEpochAllocCeiling)
+	}
+}
+
+// steadyPullAllocCeiling pins a steady distributed-mode pull over a real
+// loopback connection — 64 of 1000 hosts changed since the last one —
+// on both ends at once (AllocsPerRun counts the whole process, the
+// passive transmitter's goroutine included): the 64 PutSys calls, the
+// transmitter's request read, ChangedSince and encode, and the
+// receiver's parse and apply. Of the measured 134, 128 are the records
+// themselves — two allocations per changed host on their way into the
+// mirror — and none is a buffer, a view or a connection: those the
+// session keeps. A pull that dialed, or dropped its buffers, costs
+// dozens more and fails here.
+const steadyPullAllocCeiling = 140
+
+func TestAllocsSteadyPull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc averages need a quiet run")
+	}
+	src, fleet := benchFleet(1000)
+	tx, err := NewTransmitterObs(src, nil, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go tx.ServePassive(ctx, ln)
+	recv, err := NewReceiverObs(store.New(), "127.0.0.1:0", nil, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	addrs := []string{ln.Addr().String()}
+	epoch := 0
+	pull := func() {
+		epoch++
+		for j := 0; j < 64; j++ {
+			s := fleet[(epoch*64+j)%len(fleet)]
+			s.Load1 = float64(epoch)
+			src.PutSys(s)
+		}
+		if err := recv.PullFrom(addrs, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first pull is the full snapshot, whose buffers are released;
+	// the second sizes the kept ones.
+	pull()
+	pull()
+	if got := testing.AllocsPerRun(200, pull); got > steadyPullAllocCeiling {
+		t.Errorf("steady 64-of-1000 pull allocates %.1f on both ends, pinned at %d", got, steadyPullAllocCeiling)
+	} else {
+		t.Logf("steady 64-of-1000 pull: %.1f allocs", got)
 	}
 }

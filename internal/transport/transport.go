@@ -12,6 +12,8 @@
 //   - Distributed: the transmitter listens passively and sends a
 //     snapshot only when asked (a TypeRequest frame), so sparse
 //     deployments with rare requests pay no standing network load.
+//     The receiver keeps the connection it asked on, and the buffers
+//     the reply filled, for the next pull (pullSession).
 //
 // On top of both modes sits a delta protocol. The thesis re-ships the
 // full database every epoch (§4.4); here a stream starts with a full
@@ -44,6 +46,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -51,6 +54,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"smartsock/internal/obs"
@@ -64,6 +68,20 @@ import (
 // the transmitter refreshes the receiver with an unsolicited full
 // snapshot.
 const resyncEvery = 64
+
+// pullIdleTimeout is how long a passive transmitter waits for the next
+// request on a connection before closing it. A receiver keeps its pull
+// connection between pulls, so this is what bounds that connection's
+// idle life: a wizard nobody has asked for longer than this finds its
+// connection closed and redials (see pullOne).
+const pullIdleTimeout = 30 * time.Second
+
+// keepBytes bounds the buffers either end of a pull connection keeps
+// between pulls. A steady delta epoch is a few kilobytes, a full
+// snapshot of a large database megabytes, and a connection sees one of
+// those in its life: state a snapshot grew is released after use, so
+// what stays is sized by the deltas.
+const keepBytes = 64 << 10
 
 // encodeState is the per-connection reusable encode state: one append
 // buffer whose capacity settles at the largest frame the connection
@@ -170,29 +188,45 @@ func (t *Transmitter) writeSnapshot(conn net.Conn, enc *encodeState, mark bool) 
 	return ver, nil
 }
 
-// writeDeltas sends the non-empty delta frames already staged in enc.
-// All three share one [base, new] version pair, which is how the
-// receiver tells "next frame of this epoch" from a gap.
-func (t *Transmitter) writeDeltas(conn net.Conn, enc *encodeState) error {
+// empty reports whether the staged delta carries nothing in any table.
+func (enc *encodeState) empty() bool {
+	return enc.sysD.Empty() && enc.netD.Empty() && enc.secD.Empty()
+}
+
+// writeEpoch sends the delta epoch staged in enc — its non-empty delta
+// frames and, on a pull reply, the closing snap mark at ver — with one
+// write: the frames are small, and a syscall apiece costs more than
+// encoding them. The delta frames share one [base, new] version pair,
+// which is how the receiver tells "next frame of this epoch" from a gap.
+func (t *Transmitter) writeEpoch(conn net.Conn, enc *encodeState, mark bool, ver uint64) (err error) {
+	enc.buf = enc.buf[:0]
 	if !enc.sysD.Empty() {
-		enc.buf = status.AppendSysDelta(enc.buf[:0], &enc.sysD)
-		if err := status.WriteFrame(conn, status.Frame{Type: status.TypeSysDelta, Data: enc.buf}); err != nil {
+		if enc.buf, err = status.AppendFrame(enc.buf, status.TypeSysDelta, status.AppendSysDelta, &enc.sysD); err != nil {
 			return err
 		}
 	}
 	if !enc.netD.Empty() {
-		enc.buf = status.AppendNetDelta(enc.buf[:0], &enc.netD)
-		if err := status.WriteFrame(conn, status.Frame{Type: status.TypeNetDelta, Data: enc.buf}); err != nil {
+		if enc.buf, err = status.AppendFrame(enc.buf, status.TypeNetDelta, status.AppendNetDelta, &enc.netD); err != nil {
 			return err
 		}
 	}
 	if !enc.secD.Empty() {
-		enc.buf = status.AppendSecDelta(enc.buf[:0], &enc.secD)
-		if err := status.WriteFrame(conn, status.Frame{Type: status.TypeSecDelta, Data: enc.buf}); err != nil {
+		if enc.buf, err = status.AppendFrame(enc.buf, status.TypeSecDelta, status.AppendSecDelta, &enc.secD); err != nil {
 			return err
 		}
 	}
-	t.deltas.Add(1)
+	deltas := len(enc.buf) > 0
+	if mark {
+		if enc.buf, err = status.AppendFrame(enc.buf, status.TypeSnapMark, status.AppendSnapMark, ver); err != nil {
+			return err
+		}
+	}
+	if _, err := conn.Write(enc.buf); err != nil {
+		return fmt.Errorf("transport: write delta epoch: %w", err)
+	}
+	if deltas {
+		t.deltas.Add(1)
+	}
 	return nil
 }
 
@@ -219,11 +253,11 @@ func (t *Transmitter) pushEpoch(conn net.Conn, s *pushSession) error {
 		ver, ok := t.db.ChangedSince(s.base, &s.enc.sysD, &s.enc.netD, &s.enc.secD)
 		if ok {
 			s.sinceFull++
-			if s.enc.sysD.Empty() && s.enc.netD.Empty() && s.enc.secD.Empty() {
+			if s.enc.empty() {
 				t.skipped.Add(1)
 				return nil
 			}
-			if err := t.writeDeltas(conn, &s.enc); err != nil {
+			if err := t.writeEpoch(conn, &s.enc, false, ver); err != nil {
 				return err
 			}
 			s.base = ver
@@ -320,13 +354,15 @@ func (t *Transmitter) ServePassive(ctx context.Context, ln net.Listener) error {
 	return serveConns(ctx, ln, func(c net.Conn) {
 		var enc encodeState
 		var rbuf []byte
+		// A request is a header and a few payload bytes: read both at once.
+		br := bufio.NewReaderSize(c, 64)
 		for {
-			if err := c.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
+			if err := c.SetReadDeadline(time.Now().Add(pullIdleTimeout)); err != nil {
 				return
 			}
 			var f status.Frame
 			var err error
-			f, rbuf, err = status.ReadFrameInto(c, rbuf)
+			f, rbuf, err = status.ReadFrameInto(br, rbuf)
 			if err != nil {
 				return
 			}
@@ -338,6 +374,11 @@ func (t *Transmitter) ServePassive(ctx context.Context, ln net.Listener) error {
 			if err := t.answerPull(c, f.Data, &enc); err != nil {
 				t.logf("transmitter: reply: %v", err)
 				return
+			}
+			if cap(enc.buf) > keepBytes {
+				// That reply was a full snapshot or a long catch-up, and
+				// the next is a steady delta: see keepBytes.
+				enc = encodeState{}
 			}
 		}
 	})
@@ -386,15 +427,10 @@ func (t *Transmitter) answerPull(conn net.Conn, req []byte, enc *encodeState) er
 	if base > 0 {
 		ver, ok := t.db.ChangedSince(base, &enc.sysD, &enc.netD, &enc.secD)
 		if ok {
-			if !(enc.sysD.Empty() && enc.netD.Empty() && enc.secD.Empty()) {
-				if err := t.writeDeltas(conn, enc); err != nil {
-					return err
-				}
-			} else {
+			if enc.empty() {
 				t.skipped.Add(1)
 			}
-			enc.buf = status.AppendSnapMark(enc.buf[:0], ver)
-			return status.WriteFrame(conn, status.Frame{Type: status.TypeSnapMark, Data: enc.buf})
+			return t.writeEpoch(conn, enc, true, ver)
 		}
 	}
 	_, err = t.writeSnapshot(conn, enc, true)
@@ -450,6 +486,12 @@ type Receiver struct {
 	// happen outside it.
 	pullMu   sync.Mutex
 	pullVers map[string]pullState
+
+	// sessMu guards sessions, closed and every session's conn field (a
+	// field write or read, never I/O).
+	sessMu   sync.Mutex
+	sessions map[string]*pullSession
+	closed   bool
 
 	// Dial opens distributed-mode pull connections; nil means
 	// net.DialTimeout. The chaos layer wraps faults around it.
@@ -539,6 +581,7 @@ func NewReceiverObs(db *store.DB, addr string, logger *log.Logger, reg *obs.Regi
 		reg:      reg,
 		lags:     make(map[string]*sourceLag),
 		pullVers: make(map[string]pullState),
+		sessions: make(map[string]*pullSession),
 	}, nil
 }
 
@@ -605,8 +648,11 @@ type connState struct {
 }
 
 // Run accepts transmitter connections (centralized mode) until the
-// context is cancelled.
+// context is cancelled, and closes the receiver when it returns.
 func (r *Receiver) Run(ctx context.Context) error {
+	// The accept loop ends with the context (or with Close): either way
+	// the receiver is done, kept pull connections included.
+	defer r.Close()
 	return serveConns(ctx, r.ln, func(c net.Conn) {
 		var cs connState
 		cs.lag = r.lagFor(sourceHost(c.RemoteAddr().String()))
@@ -642,7 +688,7 @@ var errResync = errors.New("transport: delta continuity broken, forcing resync")
 // stage decodes one frame into st. It is the only place that knows the
 // seven status frame types, and it only decodes: whether and when the
 // content reaches the mirror is the policy of its two callers — apply
-// for a push stream, pullOne and applyPull for a pull reply. What
+// for a push stream, roundTrip and applyPull for a pull reply. What
 // accumulates in one st must be one epoch: its delta frames share one
 // [base, top] pair, and a snap mark closes them at top.
 func (r *Receiver) stage(f status.Frame, st *staged) (err error) {
@@ -773,12 +819,13 @@ func (r *Receiver) admitDelta(cs *connState, base, newVer uint64) error {
 // PullFrom implements the distributed-mode update: ask each passive
 // transmitter for what changed since the last pull (a full snapshot
 // on the first) and merge the replies record by record. The wizard
-// calls this when a user request arrives (§3.5.2). Unreachable
-// transmitters are reported but do not abort the pull. The thesis
-// pull (Compat) runs through the same loop and differs in three
-// places: pullOne asks without a base, pullOne takes a reply as
-// complete without a mark, and the complete replies are not merged
-// one by one but loaded here as one union.
+// calls this when a user request arrives (§3.5.2), so each pull runs
+// on the transmitter's pull session: a kept connection, kept buffers.
+// Unreachable transmitters are reported but do not abort the pull. The
+// thesis pull (Compat) runs through the same loop and differs in three
+// places: pullOne asks without a base, roundTrip takes a reply as
+// complete without a mark, and the complete replies are not merged one
+// by one but loaded here as one union.
 func (r *Receiver) PullFrom(transmitters []string, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
@@ -819,26 +866,202 @@ func (r *Receiver) pullBase(addr string) uint64 {
 	return 0
 }
 
+// pullSession is what the receiver keeps per passive transmitter between
+// pulls: the connection — ServePassive answers any number of requests on
+// one — and every buffer a pull fills, so a steady pull dials nothing and
+// allocates next to nothing. mu serialises the pulls of one transmitter,
+// network round trip included: a connection carries one exchange at a
+// time, and the second of two concurrent pulls asks from the base the
+// first one reached.
+type pullSession struct {
+	mu sync.Mutex
+	// conn is nil when no connection is kept. Only the holder of mu
+	// writes it, and under Receiver.sessMu as well, so Close can reach
+	// the connection of a pull in flight.
+	conn net.Conn
+	br   *bufio.Reader // over conn
+	req  []byte        // the request frame
+	// bufs holds one buffer per frame of a reply, not one for all: the
+	// staged delta views alias the buffer they were parsed from, and
+	// nothing is applied before the whole reply is staged.
+	bufs  [][]byte
+	reply staged
+}
+
+// maxReplyFrames is the most frames a well-formed reply has: one per
+// table and the closing mark.
+const maxReplyFrames = 4
+
+// release ends a pull. The batch records now belong to the mirror; the
+// buffers and views stay for the next pull unless a full snapshot (or a
+// peer that never closes its reply) grew them: see keepBytes.
+func (s *pullSession) release() {
+	s.reply.sys, s.reply.net, s.reply.sec = nil, nil, nil
+	grown := len(s.bufs) > maxReplyFrames
+	for _, b := range s.bufs {
+		grown = grown || cap(b) > keepBytes
+	}
+	if grown {
+		s.bufs, s.reply = nil, staged{}
+	}
+}
+
+var (
+	errClosed = errors.New("transport: receiver closed")
+	// errStale marks a pull that failed because the kept connection had
+	// been closed by the peer since the last pull — the transmitter's idle
+	// deadline, a restart, a reset — which says nothing about the peer's
+	// health now: pullOne redials and asks again.
+	errStale = errors.New("transport: kept pull connection is stale")
+)
+
+// session returns the pull session of one transmitter address.
+func (r *Receiver) session(addr string) (*pullSession, error) {
+	r.sessMu.Lock()
+	defer r.sessMu.Unlock()
+	if r.closed {
+		return nil, errClosed
+	}
+	s := r.sessions[addr]
+	if s == nil {
+		s = &pullSession{br: bufio.NewReader(nil)}
+		r.sessions[addr] = s
+	}
+	return s, nil
+}
+
+// connect dials the session's transmitter and keeps the connection,
+// unless the receiver was closed meanwhile: a closed receiver keeps none.
+func (r *Receiver) connect(s *pullSession, addr string, timeout time.Duration) error {
+	conn, err := r.dialPull(addr, timeout)
+	if err != nil {
+		return err
+	}
+	r.sessMu.Lock()
+	closed := r.closed
+	if !closed {
+		s.conn = conn
+	}
+	r.sessMu.Unlock()
+	if closed {
+		// The pull is refused whatever this close reports.
+		_ = conn.Close()
+		return errClosed
+	}
+	s.br.Reset(conn)
+	return nil
+}
+
+// drop closes the session's connection after a failed exchange: what is
+// left unread on it belongs to no reply.
+func (r *Receiver) drop(s *pullSession) {
+	r.sessMu.Lock()
+	conn := s.conn
+	s.conn = nil
+	r.sessMu.Unlock()
+	// The exchange's own error is the one reported; after Close this is
+	// a second close of the same connection.
+	_ = conn.Close()
+}
+
+// Close releases what the receiver holds open: its listener and every
+// kept pull connection. A pull in flight fails on its closed connection
+// and a later one is refused; neither keeps a new one. Run closes the
+// receiver when its context ends; one that only ever pulls is closed by
+// its owner.
+func (r *Receiver) Close() error {
+	r.sessMu.Lock()
+	r.closed = true
+	var conns []net.Conn
+	for _, s := range r.sessions {
+		if s.conn != nil {
+			conns = append(conns, s.conn)
+		}
+	}
+	r.sessMu.Unlock()
+	for _, c := range conns {
+		// Nothing is in flight that a failed close could lose: a pull
+		// cut here reports its own error.
+		_ = c.Close()
+	}
+	if err := r.ln.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+		return fmt.Errorf("transport: close listener: %w", err)
+	}
+	return nil
+}
+
 // pullOne asks one transmitter for changes since the locally mirrored
-// version and applies the complete reply — or, in thesis mode, adds
-// the complete reply to union for PullFrom to load.
+// version, on the session's kept connection or a fresh one, and applies
+// the complete reply — or, in thesis mode, adds the complete reply to
+// union for PullFrom to load. A kept connection that turns out stale is
+// redialed once; any other failure drops the connection and is the
+// pull's error.
 func (r *Receiver) pullOne(addr string, timeout time.Duration, union *staged) error {
+	s, err := r.session(addr)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.release()
 	// A thesis request carries no base (base 0 encodes as the empty
 	// payload), so every thesis reply is the whole database.
 	var base uint64
 	if !r.Compat {
 		base = r.pullBase(addr)
 	}
-	conn, err := r.dialPull(addr, timeout)
-	if err != nil {
+	for reused := s.conn != nil; ; reused = false {
+		if s.conn == nil {
+			if err := r.connect(s, addr, timeout); err != nil {
+				return err
+			}
+		}
+		err := r.roundTrip(s, base, timeout, reused)
+		if err == nil {
+			break
+		}
+		r.drop(s)
+		if !errors.Is(err, errStale) {
+			return err
+		}
+	}
+	if r.Compat {
+		union.sys = append(union.sys, s.reply.sys...)
+		union.net = append(union.net, s.reply.net...)
+		union.sec = append(union.sec, s.reply.sec...)
+		return nil
+	}
+	return r.applyPull(addr, base, &s.reply)
+}
+
+// roundTrip sends one request on the session's connection and stages the
+// complete reply in s.reply. On a reused connection, failing to send the
+// request, or finding the stream ended or reset before one reply byte
+// arrived, is errStale and not counted as torn; everything else fails as
+// it would on a fresh connection.
+func (r *Receiver) roundTrip(s *pullSession, base uint64, timeout time.Duration, reused bool) error {
+	stale := func(err error) error {
+		if reused {
+			return fmt.Errorf("%w: %v", errStale, err)
+		}
 		return err
 	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+	if err := s.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return stale(err)
+	}
+	var err error
+	if s.req, err = status.AppendFrame(s.req[:0], status.TypeRequest, status.AppendPullRequest, base); err != nil {
 		return err
 	}
-	if err := status.WriteFrame(conn, status.Frame{Type: status.TypeRequest, Data: status.AppendPullRequest(nil, base)}); err != nil {
-		return err
+	if _, err := s.conn.Write(s.req); err != nil {
+		return stale(fmt.Errorf("transport: write pull request: %w", err))
+	}
+	if reused {
+		// Any other error here (a timeout, say) meets the read below
+		// again and is counted there, as on a fresh connection.
+		if _, err := s.br.Peek(1); errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) {
+			return stale(err)
+		}
 	}
 	// A reply is complete at its closing snap mark; a thesis reply,
 	// having none, at one batch frame of each table.
@@ -846,16 +1069,21 @@ func (r *Receiver) pullOne(addr string, timeout time.Duration, union *staged) er
 	if r.Compat {
 		done = batchFrames
 	}
-	var reply staged
-	for reply.got&done != done {
-		f, err := status.ReadFrame(conn)
+	reply := &s.reply
+	reply.got, reply.base, reply.top = 0, 0, 0
+	for i := 0; reply.got&done != done; i++ {
+		if i == len(s.bufs) {
+			s.bufs = append(s.bufs, nil)
+		}
+		var f status.Frame
+		f, s.bufs[i], err = status.ReadFrameInto(s.br, s.bufs[i])
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				r.torn.Add(1)
 			}
 			return err
 		}
-		if err := r.stage(f, &reply); err != nil {
+		if err := r.stage(f, reply); err != nil {
 			return err
 		}
 		if reply.got&deltaFrames != 0 && reply.base != base {
@@ -868,13 +1096,7 @@ func (r *Receiver) pullOne(addr string, timeout time.Duration, union *staged) er
 			return fmt.Errorf("transport: unexpected frame type %v in thesis pull reply", f.Type)
 		}
 	}
-	if r.Compat {
-		union.sys = append(union.sys, reply.sys...)
-		union.net = append(union.net, reply.net...)
-		union.sec = append(union.sec, reply.sec...)
-		return nil
-	}
-	return r.applyPull(addr, base, &reply)
+	return nil
 }
 
 // applyPull merges one complete staged reply. The version check under
