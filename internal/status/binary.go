@@ -62,8 +62,10 @@ func AppendFrame[T any](dst []byte, t RecordType, enc func([]byte, T) []byte, v 
 }
 
 // ReadFrame reads one frame from r. It returns io.EOF unchanged when
-// the stream ends cleanly before a header byte arrives. The frame's
-// Data is freshly allocated and owned by the caller.
+// the stream ends cleanly before a header byte arrives, and only then:
+// a stream that ends anywhere inside a frame, the boundary between
+// header and payload included, is an error that is not io.EOF. The
+// frame's Data is freshly allocated and owned by the caller.
 func ReadFrame(r io.Reader) (Frame, error) {
 	f, _, err := ReadFrameInto(r, nil)
 	return f, err
@@ -92,6 +94,11 @@ func ReadFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
 		buf = buf[:size]
 	}
 	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			// The header promised size bytes: a stream that ends right
+			// after it was cut, not closed.
+			err = io.ErrUnexpectedEOF
+		}
 		return Frame{}, buf, fmt.Errorf("status: read frame data: %w", err)
 	}
 	return Frame{Type: RecordType(hdr[0]), Data: buf}, buf, nil
@@ -137,6 +144,168 @@ func readUint64(b []byte) (uint64, []byte, error) {
 	return binary.BigEndian.Uint64(b), b[8:], nil
 }
 
+// appendBatch is the encoder of the three thesis batch payloads: a
+// 32-bit record count, then each record as rec appends it.
+func appendBatch[V any](dst []byte, recs []V, rec func([]byte, *V) []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(recs)))
+	for i := range recs {
+		dst = rec(dst, &recs[i])
+	}
+	return dst
+}
+
+// unmarshalBatch is their decoder. Every record costs at least minRec
+// bytes, which bounds the count a payload may claim before the slice
+// for it is allocated; rec decodes one record in place.
+func unmarshalBatch[V any](b []byte, what string, minRec uint32, rec func([]byte, *V) ([]byte, error)) ([]V, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("status: truncated %s batch count", what)
+	}
+	n := binary.BigEndian.Uint32(b)
+	b = b[4:]
+	if n > MaxFrameSize/minRec {
+		return nil, fmt.Errorf("status: implausible %s batch count %d", what, n)
+	}
+	recs := make([]V, 0, n)
+	var err error
+	for i := uint32(0); i < n; i++ {
+		var zero V
+		recs = append(recs, zero)
+		if b, err = rec(b, &recs[i]); err != nil {
+			return nil, err
+		}
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("status: %d trailing bytes after %s batch", len(b), what)
+	}
+	return recs, nil
+}
+
+// appendStatus appends one server status record: its fields in wire
+// order, floats fixed-width, strings and integers as str and u64 write
+// them — length-prefixed and fixed-width in a batch, varint-based in a
+// delta.
+func appendStatus(b []byte, s *ServerStatus, str func([]byte, string) []byte, u64 func([]byte, uint64) []byte) []byte {
+	b = str(b, s.Host)
+	for _, v := range []float64{
+		s.Load1, s.Load5, s.Load15,
+		s.CPUUser, s.CPUNice, s.CPUSystem, s.CPUIdle, s.Bogomips,
+	} {
+		b = appendFloat(b, v)
+	}
+	for _, v := range []uint64{s.MemTotal, s.MemUsed, s.MemFree} {
+		b = u64(b, v)
+	}
+	for _, v := range []float64{
+		s.DiskAllReq, s.DiskRReq, s.DiskRBlocks, s.DiskWReq, s.DiskWBlocks,
+	} {
+		b = appendFloat(b, v)
+	}
+	b = str(b, s.NetIface)
+	for _, v := range []float64{
+		s.NetRBytesPS, s.NetRPacketsPS, s.NetTBytesPS, s.NetTPacketsPS,
+	} {
+		b = appendFloat(b, v)
+	}
+	return b
+}
+
+// readStatus decodes what appendStatus wrote with the matching readers.
+func readStatus(b []byte, s *ServerStatus, str func([]byte) (string, []byte, error), u64 func([]byte) (uint64, []byte, error)) ([]byte, error) {
+	var err error
+	if s.Host, b, err = str(b); err != nil {
+		return nil, err
+	}
+	for _, dst := range []*float64{
+		&s.Load1, &s.Load5, &s.Load15,
+		&s.CPUUser, &s.CPUNice, &s.CPUSystem, &s.CPUIdle, &s.Bogomips,
+	} {
+		if *dst, b, err = readFloat(b); err != nil {
+			return nil, err
+		}
+	}
+	for _, dst := range []*uint64{&s.MemTotal, &s.MemUsed, &s.MemFree} {
+		if *dst, b, err = u64(b); err != nil {
+			return nil, err
+		}
+	}
+	for _, dst := range []*float64{
+		&s.DiskAllReq, &s.DiskRReq, &s.DiskRBlocks, &s.DiskWReq, &s.DiskWBlocks,
+	} {
+		if *dst, b, err = readFloat(b); err != nil {
+			return nil, err
+		}
+	}
+	if s.NetIface, b, err = str(b); err != nil {
+		return nil, err
+	}
+	for _, dst := range []*float64{
+		&s.NetRBytesPS, &s.NetRPacketsPS, &s.NetTBytesPS, &s.NetTPacketsPS,
+	} {
+		if *dst, b, err = readFloat(b); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+func appendStatusBatch(b []byte, s *ServerStatus) []byte {
+	return appendStatus(b, s, appendString, appendUint64)
+}
+
+func readStatusBatch(b []byte, s *ServerStatus) ([]byte, error) {
+	return readStatus(b, s, readString, readUint64)
+}
+
+// appendNet appends one network metric record the same way; Delay is
+// carried as nanoseconds.
+func appendNet(b []byte, m *NetMetric, str func([]byte, string) []byte, u64 func([]byte, uint64) []byte) []byte {
+	b = str(str(b, m.From), m.To)
+	b = u64(b, uint64(m.Delay))
+	return appendFloat(b, m.Bandwidth)
+}
+
+func readNet(b []byte, m *NetMetric, str func([]byte) (string, []byte, error), u64 func([]byte) (uint64, []byte, error)) ([]byte, error) {
+	var err error
+	if m.From, b, err = str(b); err != nil {
+		return nil, err
+	}
+	if m.To, b, err = str(b); err != nil {
+		return nil, err
+	}
+	var d uint64
+	if d, b, err = u64(b); err != nil {
+		return nil, err
+	}
+	m.Delay = time.Duration(d)
+	m.Bandwidth, b, err = readFloat(b)
+	return b, err
+}
+
+func appendNetBatch(b []byte, m *NetMetric) []byte {
+	return appendNet(b, m, appendString, appendUint64)
+}
+
+func readNetBatch(b []byte, m *NetMetric) ([]byte, error) {
+	return readNet(b, m, readString, readUint64)
+}
+
+func appendSecBatch(b []byte, l *SecLevel) []byte {
+	return binary.BigEndian.AppendUint32(appendString(b, l.Host), uint32(int32(l.Level)))
+}
+
+func readSecBatch(b []byte, l *SecLevel) ([]byte, error) {
+	var err error
+	if l.Host, b, err = readString(b); err != nil {
+		return nil, err
+	}
+	if len(b) < 4 {
+		return nil, fmt.Errorf("status: truncated sec level")
+	}
+	l.Level = int(int32(binary.BigEndian.Uint32(b)))
+	return b[4:], nil
+}
+
 // MarshalSystemBatch encodes a batch of server status records as a
 // TypeSystem frame payload.
 func MarshalSystemBatch(recs []ServerStatus) []byte {
@@ -147,146 +316,28 @@ func MarshalSystemBatch(recs []ServerStatus) []byte {
 // the extended buffer, so per-tick encoders can reuse one buffer
 // instead of allocating three fresh ones per epoch.
 func AppendSystemBatch(dst []byte, recs []ServerStatus) []byte {
-	b := binary.BigEndian.AppendUint32(dst, uint32(len(recs)))
-	for i := range recs {
-		s := &recs[i]
-		b = appendString(b, s.Host)
-		for _, v := range []float64{
-			s.Load1, s.Load5, s.Load15,
-			s.CPUUser, s.CPUNice, s.CPUSystem, s.CPUIdle, s.Bogomips,
-		} {
-			b = appendFloat(b, v)
-		}
-		b = appendUint64(b, s.MemTotal)
-		b = appendUint64(b, s.MemUsed)
-		b = appendUint64(b, s.MemFree)
-		for _, v := range []float64{
-			s.DiskAllReq, s.DiskRReq, s.DiskRBlocks, s.DiskWReq, s.DiskWBlocks,
-		} {
-			b = appendFloat(b, v)
-		}
-		b = appendString(b, s.NetIface)
-		for _, v := range []float64{
-			s.NetRBytesPS, s.NetRPacketsPS, s.NetTBytesPS, s.NetTPacketsPS,
-		} {
-			b = appendFloat(b, v)
-		}
-	}
-	return b
+	return appendBatch(dst, recs, appendStatusBatch)
 }
 
 // UnmarshalSystemBatch decodes a TypeSystem frame payload.
 func UnmarshalSystemBatch(b []byte) ([]ServerStatus, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("status: truncated system batch count")
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if n > MaxFrameSize/64 {
-		return nil, fmt.Errorf("status: implausible system batch count %d", n)
-	}
-	recs := make([]ServerStatus, 0, n)
-	var err error
-	for i := uint32(0); i < n; i++ {
-		var s ServerStatus
-		if s.Host, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		for _, dst := range []*float64{
-			&s.Load1, &s.Load5, &s.Load15,
-			&s.CPUUser, &s.CPUNice, &s.CPUSystem, &s.CPUIdle, &s.Bogomips,
-		} {
-			if *dst, b, err = readFloat(b); err != nil {
-				return nil, err
-			}
-		}
-		if s.MemTotal, b, err = readUint64(b); err != nil {
-			return nil, err
-		}
-		if s.MemUsed, b, err = readUint64(b); err != nil {
-			return nil, err
-		}
-		if s.MemFree, b, err = readUint64(b); err != nil {
-			return nil, err
-		}
-		for _, dst := range []*float64{
-			&s.DiskAllReq, &s.DiskRReq, &s.DiskRBlocks, &s.DiskWReq, &s.DiskWBlocks,
-		} {
-			if *dst, b, err = readFloat(b); err != nil {
-				return nil, err
-			}
-		}
-		if s.NetIface, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		for _, dst := range []*float64{
-			&s.NetRBytesPS, &s.NetRPacketsPS, &s.NetTBytesPS, &s.NetTPacketsPS,
-		} {
-			if *dst, b, err = readFloat(b); err != nil {
-				return nil, err
-			}
-		}
-		recs = append(recs, s)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("status: %d trailing bytes after system batch", len(b))
-	}
-	return recs, nil
+	return unmarshalBatch(b, "system", 64, readStatusBatch)
 }
 
 // MarshalNetBatch encodes network metric records as a TypeNetwork
-// frame payload. Delay is carried as nanoseconds.
+// frame payload.
 func MarshalNetBatch(recs []NetMetric) []byte {
 	return AppendNetBatch(nil, recs)
 }
 
 // AppendNetBatch appends a TypeNetwork payload to dst.
 func AppendNetBatch(dst []byte, recs []NetMetric) []byte {
-	b := binary.BigEndian.AppendUint32(dst, uint32(len(recs)))
-	for i := range recs {
-		m := &recs[i]
-		b = appendString(b, m.From)
-		b = appendString(b, m.To)
-		b = appendUint64(b, uint64(m.Delay))
-		b = appendFloat(b, m.Bandwidth)
-	}
-	return b
+	return appendBatch(dst, recs, appendNetBatch)
 }
 
 // UnmarshalNetBatch decodes a TypeNetwork frame payload.
 func UnmarshalNetBatch(b []byte) ([]NetMetric, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("status: truncated net batch count")
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if n > MaxFrameSize/32 {
-		return nil, fmt.Errorf("status: implausible net batch count %d", n)
-	}
-	recs := make([]NetMetric, 0, n)
-	var err error
-	for i := uint32(0); i < n; i++ {
-		var m NetMetric
-		if m.From, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if m.To, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		var d uint64
-		if d, b, err = readUint64(b); err != nil {
-			return nil, err
-		}
-		m.Delay = time.Duration(d)
-		if m.Bandwidth, b, err = readFloat(b); err != nil {
-			return nil, err
-		}
-		recs = append(recs, m)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("status: %d trailing bytes after net batch", len(b))
-	}
-	return recs, nil
+	return unmarshalBatch(b, "net", 32, readNetBatch)
 }
 
 // MarshalSecBatch encodes security level records as a TypeSecurity
@@ -297,40 +348,10 @@ func MarshalSecBatch(recs []SecLevel) []byte {
 
 // AppendSecBatch appends a TypeSecurity payload to dst.
 func AppendSecBatch(dst []byte, recs []SecLevel) []byte {
-	b := binary.BigEndian.AppendUint32(dst, uint32(len(recs)))
-	for i := range recs {
-		b = appendString(b, recs[i].Host)
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(recs[i].Level)))
-	}
-	return b
+	return appendBatch(dst, recs, appendSecBatch)
 }
 
 // UnmarshalSecBatch decodes a TypeSecurity frame payload.
 func UnmarshalSecBatch(b []byte) ([]SecLevel, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("status: truncated sec batch count")
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if n > MaxFrameSize/8 {
-		return nil, fmt.Errorf("status: implausible sec batch count %d", n)
-	}
-	recs := make([]SecLevel, 0, n)
-	var err error
-	for i := uint32(0); i < n; i++ {
-		var r SecLevel
-		if r.Host, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if len(b) < 4 {
-			return nil, fmt.Errorf("status: truncated sec level")
-		}
-		r.Level = int(int32(binary.BigEndian.Uint32(b)))
-		b = b[4:]
-		recs = append(recs, r)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("status: %d trailing bytes after sec batch", len(b))
-	}
-	return recs, nil
+	return unmarshalBatch(b, "sec", 8, readSecBatch)
 }

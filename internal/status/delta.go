@@ -22,7 +22,7 @@ package status
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
+	"strings"
 )
 
 // NetKey names one directed network-metric record, the (From, To)
@@ -31,95 +31,61 @@ type NetKey struct {
 	From, To string
 }
 
+// Compare orders keys by From, then To.
+func (k NetKey) Compare(o NetKey) int {
+	if c := strings.Compare(k.From, o.From); c != 0 {
+		return c
+	}
+	return strings.Compare(k.To, o.To)
+}
+
 // NetKeyView is the zero-copy decode form of a NetKey; the byte
 // slices alias the frame buffer they were parsed from.
 type NetKeyView struct {
 	From, To []byte
 }
 
-// SysDelta is the encode-side form of a TypeSysDelta payload.
-type SysDelta struct {
+// Delta is the one shape every delta payload has: the [BaseVer, NewVer]
+// pair, the records of type V whose content changed, and the keys of
+// type K that were deleted or re-reported unchanged. The three tables
+// differ only in V and K; the encode side names keys by value (string,
+// NetKey) and the decode side by views that alias the parsed buffer
+// ([]byte, NetKeyView) and are valid only while it lives. Changed
+// records own their strings either way (they outlive the frame inside
+// the store).
+type Delta[V, K any] struct {
 	BaseVer, NewVer uint64
-	Changed         []ServerStatus
-	Deleted         []string
-	Refreshed       []string
-}
-
-// NetDelta is the encode-side form of a TypeNetDelta payload.
-type NetDelta struct {
-	BaseVer, NewVer uint64
-	Changed         []NetMetric
-	Deleted         []NetKey
-	Refreshed       []NetKey
-}
-
-// SecDelta is the encode-side form of a TypeSecDelta payload.
-type SecDelta struct {
-	BaseVer, NewVer uint64
-	Changed         []SecLevel
-	Deleted         []string
-	Refreshed       []string
+	Changed         []V
+	Deleted         []K
+	Refreshed       []K
 }
 
 // Empty reports whether the delta carries nothing.
-func (d *SysDelta) Empty() bool {
-	return len(d.Changed) == 0 && len(d.Deleted) == 0 && len(d.Refreshed) == 0
-}
-
-// Empty reports whether the delta carries nothing.
-func (d *NetDelta) Empty() bool {
-	return len(d.Changed) == 0 && len(d.Deleted) == 0 && len(d.Refreshed) == 0
-}
-
-// Empty reports whether the delta carries nothing.
-func (d *SecDelta) Empty() bool {
+func (d *Delta[V, K]) Empty() bool {
 	return len(d.Changed) == 0 && len(d.Deleted) == 0 && len(d.Refreshed) == 0
 }
 
 // Reset empties the delta for reuse, keeping slice capacity.
-func (d *SysDelta) Reset(base, newVer uint64) {
+func (d *Delta[V, K]) Reset(base, newVer uint64) {
 	d.BaseVer, d.NewVer = base, newVer
 	d.Changed, d.Deleted, d.Refreshed = d.Changed[:0], d.Deleted[:0], d.Refreshed[:0]
 }
 
-// Reset empties the delta for reuse, keeping slice capacity.
-func (d *NetDelta) Reset(base, newVer uint64) {
-	d.BaseVer, d.NewVer = base, newVer
-	d.Changed, d.Deleted, d.Refreshed = d.Changed[:0], d.Deleted[:0], d.Refreshed[:0]
-}
+// The encode-side forms of the TypeSysDelta, TypeNetDelta and
+// TypeSecDelta payloads.
+type (
+	SysDelta = Delta[ServerStatus, string]
+	NetDelta = Delta[NetMetric, NetKey]
+	SecDelta = Delta[SecLevel, string]
+)
 
-// Reset empties the delta for reuse, keeping slice capacity.
-func (d *SecDelta) Reset(base, newVer uint64) {
-	d.BaseVer, d.NewVer = base, newVer
-	d.Changed, d.Deleted, d.Refreshed = d.Changed[:0], d.Deleted[:0], d.Refreshed[:0]
-}
-
-// SysDeltaView is the decode-side form of a TypeSysDelta payload.
-// Deleted and Refreshed alias the parsed buffer and are valid only
-// while it lives; Changed records own their strings (they outlive the
-// frame inside the store).
-type SysDeltaView struct {
-	BaseVer, NewVer uint64
-	Changed         []ServerStatus
-	Deleted         [][]byte
-	Refreshed       [][]byte
-}
-
-// NetDeltaView is the decode-side form of a TypeNetDelta payload.
-type NetDeltaView struct {
-	BaseVer, NewVer uint64
-	Changed         []NetMetric
-	Deleted         []NetKeyView
-	Refreshed       []NetKeyView
-}
-
-// SecDeltaView is the decode-side form of a TypeSecDelta payload.
-type SecDeltaView struct {
-	BaseVer, NewVer uint64
-	Changed         []SecLevel
-	Deleted         [][]byte
-	Refreshed       [][]byte
-}
+// The decode-side forms of the same payloads. They are types of their
+// own, not aliases, because each carries its Parse method.
+type (
+	SysDeltaView Delta[ServerStatus, []byte]
+	NetDeltaView Delta[NetMetric, NetKeyView]
+	SecDeltaView Delta[SecLevel, []byte]
+)
 
 // --- varint primitives ------------------------------------------------
 
@@ -174,308 +140,152 @@ func countCap(n uint64, remaining, min int) error {
 // --- compact record codecs --------------------------------------------
 
 func appendStatusDelta(b []byte, s *ServerStatus) []byte {
-	b = appendVString(b, s.Host)
-	for _, v := range []float64{
-		s.Load1, s.Load5, s.Load15,
-		s.CPUUser, s.CPUNice, s.CPUSystem, s.CPUIdle, s.Bogomips,
-	} {
-		b = appendFloat(b, v)
-	}
-	b = appendUvarint(b, s.MemTotal)
-	b = appendUvarint(b, s.MemUsed)
-	b = appendUvarint(b, s.MemFree)
-	for _, v := range []float64{
-		s.DiskAllReq, s.DiskRReq, s.DiskRBlocks, s.DiskWReq, s.DiskWBlocks,
-	} {
-		b = appendFloat(b, v)
-	}
-	b = appendVString(b, s.NetIface)
-	for _, v := range []float64{
-		s.NetRBytesPS, s.NetRPacketsPS, s.NetTBytesPS, s.NetTPacketsPS,
-	} {
-		b = appendFloat(b, v)
-	}
-	return b
+	return appendStatus(b, s, appendVString, appendUvarint)
 }
 
 func readStatusDelta(b []byte, s *ServerStatus) ([]byte, error) {
-	var err error
-	if s.Host, b, err = readVString(b); err != nil {
-		return nil, err
-	}
-	for _, dst := range []*float64{
-		&s.Load1, &s.Load5, &s.Load15,
-		&s.CPUUser, &s.CPUNice, &s.CPUSystem, &s.CPUIdle, &s.Bogomips,
-	} {
-		if *dst, b, err = readFloat(b); err != nil {
-			return nil, err
-		}
-	}
-	if s.MemTotal, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	if s.MemUsed, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	if s.MemFree, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	for _, dst := range []*float64{
-		&s.DiskAllReq, &s.DiskRReq, &s.DiskRBlocks, &s.DiskWReq, &s.DiskWBlocks,
-	} {
-		if *dst, b, err = readFloat(b); err != nil {
-			return nil, err
-		}
-	}
-	if s.NetIface, b, err = readVString(b); err != nil {
-		return nil, err
-	}
-	for _, dst := range []*float64{
-		&s.NetRBytesPS, &s.NetRPacketsPS, &s.NetTBytesPS, &s.NetTPacketsPS,
-	} {
-		if *dst, b, err = readFloat(b); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+	return readStatus(b, s, readVString, readUvarint)
 }
 
-// --- SysDelta ---------------------------------------------------------
+func appendNetDelta(b []byte, m *NetMetric) []byte {
+	return appendNet(b, m, appendVString, appendUvarint)
+}
 
-// AppendSysDelta appends the encoded delta to dst and returns the
-// extended buffer, so per-tick encoders reuse one buffer.
-func AppendSysDelta(dst []byte, d *SysDelta) []byte {
+func readNetDelta(b []byte, m *NetMetric) ([]byte, error) {
+	return readNet(b, m, readVString, readUvarint)
+}
+
+func appendSecDelta(b []byte, l *SecLevel) []byte {
+	return binary.AppendVarint(appendVString(b, l.Host), int64(l.Level))
+}
+
+func readSecDelta(b []byte, l *SecLevel) ([]byte, error) {
+	var err error
+	if l.Host, b, err = readVString(b); err != nil {
+		return nil, err
+	}
+	lv, n := binary.Varint(b)
+	if n <= 0 {
+		return nil, fmt.Errorf("status: truncated sec delta level")
+	}
+	l.Level = int(lv)
+	return b[n:], nil
+}
+
+func appendNetKey(b []byte, k NetKey) []byte {
+	return appendVString(appendVString(b, k.From), k.To)
+}
+
+func readNetKeyView(b []byte) (k NetKeyView, rest []byte, err error) {
+	if k.From, b, err = readVBytes(b); err != nil {
+		return k, nil, err
+	}
+	k.To, b, err = readVBytes(b)
+	return k, b, err
+}
+
+// --- the one delta codec ----------------------------------------------
+
+// appendDelta is the delta encoder: the header and the three counted
+// lists, with rec and key appending one changed record and one key.
+func appendDelta[V, K any](dst []byte, d *Delta[V, K], rec func([]byte, *V) []byte, key func([]byte, K) []byte) []byte {
 	dst = appendUvarint(dst, d.BaseVer)
 	dst = appendUvarint(dst, d.NewVer)
 	dst = appendUvarint(dst, uint64(len(d.Changed)))
 	for i := range d.Changed {
-		dst = appendStatusDelta(dst, &d.Changed[i])
+		dst = rec(dst, &d.Changed[i])
 	}
-	dst = appendUvarint(dst, uint64(len(d.Deleted)))
-	for _, h := range d.Deleted {
-		dst = appendVString(dst, h)
-	}
-	dst = appendUvarint(dst, uint64(len(d.Refreshed)))
-	for _, h := range d.Refreshed {
-		dst = appendVString(dst, h)
+	for _, keys := range [2][]K{d.Deleted, d.Refreshed} {
+		dst = appendUvarint(dst, uint64(len(keys)))
+		for _, k := range keys {
+			dst = key(dst, k)
+		}
 	}
 	return dst
+}
+
+// parseDelta is the delta decoder, reusing v's slice capacity. rec
+// decodes one changed record of at least minRec bytes in place, key one
+// key of at least minKey bytes; the minima bound the counts a payload
+// may claim before anything is allocated for them.
+func parseDelta[V, K any](v *Delta[V, K], b []byte, minRec int, rec func([]byte, *V) ([]byte, error), minKey int, key func([]byte) (K, []byte, error)) error {
+	v.Reset(0, 0)
+	var err error
+	if v.BaseVer, b, err = readUvarint(b); err != nil {
+		return err
+	}
+	if v.NewVer, b, err = readUvarint(b); err != nil {
+		return err
+	}
+	var n uint64
+	if n, b, err = readUvarint(b); err != nil {
+		return err
+	}
+	if err = countCap(n, len(b), minRec); err != nil {
+		return err
+	}
+	for i := uint64(0); i < n; i++ {
+		// Decoded where it will stay: a record handed to rec by address
+		// from a local would be allocated apiece.
+		var zero V
+		v.Changed = append(v.Changed, zero)
+		if b, err = rec(b, &v.Changed[i]); err != nil {
+			return err
+		}
+	}
+	for _, keys := range [2]*[]K{&v.Deleted, &v.Refreshed} {
+		if n, b, err = readUvarint(b); err != nil {
+			return err
+		}
+		if err = countCap(n, len(b), minKey); err != nil {
+			return err
+		}
+		for i := uint64(0); i < n; i++ {
+			var k K
+			if k, b, err = key(b); err != nil {
+				return err
+			}
+			*keys = append(*keys, k)
+		}
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("status: %d trailing bytes after delta", len(b))
+	}
+	return nil
+}
+
+// AppendSysDelta appends the encoded delta to dst and returns the
+// extended buffer, so per-tick encoders reuse one buffer.
+func AppendSysDelta(dst []byte, d *SysDelta) []byte {
+	return appendDelta(dst, d, appendStatusDelta, appendVString)
+}
+
+// AppendNetDelta appends the encoded delta to dst.
+func AppendNetDelta(dst []byte, d *NetDelta) []byte {
+	return appendDelta(dst, d, appendNetDelta, appendNetKey)
+}
+
+// AppendSecDelta appends the encoded delta to dst.
+func AppendSecDelta(dst []byte, d *SecDelta) []byte {
+	return appendDelta(dst, d, appendSecDelta, appendVString)
 }
 
 // Parse decodes a TypeSysDelta payload into v, reusing v's slice
 // capacity. Deleted and Refreshed alias b.
 func (v *SysDeltaView) Parse(b []byte) error {
-	v.Changed, v.Deleted, v.Refreshed = v.Changed[:0], v.Deleted[:0], v.Refreshed[:0]
-	var err error
-	if v.BaseVer, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if v.NewVer, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	var n uint64
-	if n, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if err = countCap(n, len(b), 64); err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		var s ServerStatus
-		if b, err = readStatusDelta(b, &s); err != nil {
-			return err
-		}
-		v.Changed = append(v.Changed, s)
-	}
-	if v.Deleted, b, err = parseKeyList(v.Deleted, b); err != nil {
-		return err
-	}
-	if v.Refreshed, b, err = parseKeyList(v.Refreshed, b); err != nil {
-		return err
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("status: %d trailing bytes after sys delta", len(b))
-	}
-	return nil
-}
-
-func parseKeyList(dst [][]byte, b []byte) ([][]byte, []byte, error) {
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return dst, nil, err
-	}
-	if err = countCap(n, len(b), 1); err != nil {
-		return dst, nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var k []byte
-		if k, b, err = readVBytes(b); err != nil {
-			return dst, nil, err
-		}
-		dst = append(dst, k)
-	}
-	return dst, b, nil
-}
-
-// --- NetDelta ---------------------------------------------------------
-
-// AppendNetDelta appends the encoded delta to dst.
-func AppendNetDelta(dst []byte, d *NetDelta) []byte {
-	dst = appendUvarint(dst, d.BaseVer)
-	dst = appendUvarint(dst, d.NewVer)
-	dst = appendUvarint(dst, uint64(len(d.Changed)))
-	for i := range d.Changed {
-		m := &d.Changed[i]
-		dst = appendVString(dst, m.From)
-		dst = appendVString(dst, m.To)
-		dst = appendUvarint(dst, uint64(m.Delay))
-		dst = appendFloat(dst, m.Bandwidth)
-	}
-	dst = appendUvarint(dst, uint64(len(d.Deleted)))
-	for _, k := range d.Deleted {
-		dst = appendVString(dst, k.From)
-		dst = appendVString(dst, k.To)
-	}
-	dst = appendUvarint(dst, uint64(len(d.Refreshed)))
-	for _, k := range d.Refreshed {
-		dst = appendVString(dst, k.From)
-		dst = appendVString(dst, k.To)
-	}
-	return dst
+	return parseDelta((*Delta[ServerStatus, []byte])(v), b, 64, readStatusDelta, 1, readVBytes)
 }
 
 // Parse decodes a TypeNetDelta payload into v, reusing v's slice
 // capacity. Deleted and Refreshed alias b.
 func (v *NetDeltaView) Parse(b []byte) error {
-	v.Changed, v.Deleted, v.Refreshed = v.Changed[:0], v.Deleted[:0], v.Refreshed[:0]
-	var err error
-	if v.BaseVer, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if v.NewVer, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	var n uint64
-	if n, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if err = countCap(n, len(b), 12); err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		var m NetMetric
-		if m.From, b, err = readVString(b); err != nil {
-			return err
-		}
-		if m.To, b, err = readVString(b); err != nil {
-			return err
-		}
-		var d uint64
-		if d, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		m.Delay = time.Duration(d)
-		if m.Bandwidth, b, err = readFloat(b); err != nil {
-			return err
-		}
-		v.Changed = append(v.Changed, m)
-	}
-	if v.Deleted, b, err = parseNetKeyList(v.Deleted, b); err != nil {
-		return err
-	}
-	if v.Refreshed, b, err = parseNetKeyList(v.Refreshed, b); err != nil {
-		return err
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("status: %d trailing bytes after net delta", len(b))
-	}
-	return nil
-}
-
-func parseNetKeyList(dst []NetKeyView, b []byte) ([]NetKeyView, []byte, error) {
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return dst, nil, err
-	}
-	if err = countCap(n, len(b), 2); err != nil {
-		return dst, nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var k NetKeyView
-		if k.From, b, err = readVBytes(b); err != nil {
-			return dst, nil, err
-		}
-		if k.To, b, err = readVBytes(b); err != nil {
-			return dst, nil, err
-		}
-		dst = append(dst, k)
-	}
-	return dst, b, nil
-}
-
-// --- SecDelta ---------------------------------------------------------
-
-// AppendSecDelta appends the encoded delta to dst.
-func AppendSecDelta(dst []byte, d *SecDelta) []byte {
-	dst = appendUvarint(dst, d.BaseVer)
-	dst = appendUvarint(dst, d.NewVer)
-	dst = appendUvarint(dst, uint64(len(d.Changed)))
-	for i := range d.Changed {
-		dst = appendVString(dst, d.Changed[i].Host)
-		dst = binary.AppendVarint(dst, int64(d.Changed[i].Level))
-	}
-	dst = appendUvarint(dst, uint64(len(d.Deleted)))
-	for _, h := range d.Deleted {
-		dst = appendVString(dst, h)
-	}
-	dst = appendUvarint(dst, uint64(len(d.Refreshed)))
-	for _, h := range d.Refreshed {
-		dst = appendVString(dst, h)
-	}
-	return dst
+	return parseDelta((*Delta[NetMetric, NetKeyView])(v), b, 12, readNetDelta, 2, readNetKeyView)
 }
 
 // Parse decodes a TypeSecDelta payload into v, reusing v's slice
 // capacity. Deleted and Refreshed alias b.
 func (v *SecDeltaView) Parse(b []byte) error {
-	v.Changed, v.Deleted, v.Refreshed = v.Changed[:0], v.Deleted[:0], v.Refreshed[:0]
-	var err error
-	if v.BaseVer, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if v.NewVer, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	var n uint64
-	if n, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if err = countCap(n, len(b), 2); err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		var l SecLevel
-		if l.Host, b, err = readVString(b); err != nil {
-			return err
-		}
-		lv, m := binary.Varint(b)
-		if m <= 0 {
-			return fmt.Errorf("status: truncated sec delta level")
-		}
-		b = b[m:]
-		l.Level = int(lv)
-		v.Changed = append(v.Changed, l)
-	}
-	if v.Deleted, b, err = parseKeyList(v.Deleted, b); err != nil {
-		return err
-	}
-	if v.Refreshed, b, err = parseKeyList(v.Refreshed, b); err != nil {
-		return err
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("status: %d trailing bytes after sec delta", len(b))
-	}
-	return nil
+	return parseDelta((*Delta[SecLevel, []byte])(v), b, 2, readSecDelta, 1, readVBytes)
 }
 
 // --- snap marks and versioned pull requests ---------------------------

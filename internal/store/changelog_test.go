@@ -25,10 +25,9 @@ func (db *DB) scanChangedSince(base uint64, sys *status.SysDelta, net *status.Ne
 	if base == db.ver {
 		return db.ver, true
 	}
-	db.changedFromScanLocked(base, sys, net, sec)
-	sortSysDelta(sys)
-	sortNetDelta(net)
-	sortSecDelta(sec)
+	db.sys.classify(base, db.sys.scanKeys(base, nil), sys)
+	db.net.classify(base, db.net.scanKeys(base, nil), net)
+	db.sec.classify(base, db.sec.scanKeys(base, nil), sec)
 	return db.ver, true
 }
 
@@ -117,7 +116,7 @@ func TestChangedSinceLogWraparound(t *testing.T) {
 		db.PutSys(hot.Status)
 	}
 	db.mu.Lock()
-	floor := db.logFloor
+	floor := db.sys.logFloor
 	db.mu.Unlock()
 	if floor == 0 {
 		t.Fatalf("log floor still 0 after %d mutations (cap %d)", 3*changeLogCap, changeLogCap)

@@ -133,6 +133,53 @@ func TestNetKeyDirectional(t *testing.T) {
 	}
 }
 
+// TestNetKeySeparatorInName: a wire-supplied monitor name may hold any
+// byte, the 0 byte a concatenated key would separate the pair with
+// included. The two pairs below are two records everywhere a key is
+// used: the live table, a delta, a mirror, the tombstones.
+func TestNetKeySeparatorInName(t *testing.T) {
+	clk := newFakeClock()
+	db, mirror := NewWithClock(clk.Now), New()
+	pairs := []status.NetKey{{From: "a\x00b", To: "c"}, {From: "a", To: "b\x00c"}}
+	for i, k := range pairs {
+		db.PutNet(status.NetMetric{From: k.From, To: k.To, Delay: time.Duration(i+1) * time.Millisecond})
+	}
+	var sys status.SysDelta
+	var net status.NetDelta
+	var sec status.SecDelta
+	ship := func(base uint64) uint64 {
+		t.Helper()
+		ver, ok := db.ChangedSince(base, &sys, &net, &sec)
+		if !ok {
+			t.Fatalf("delta from base %d refused", base)
+		}
+		mirror.ApplyNetDelta(net.Changed, toKeyViews(net.Deleted), toKeyViews(net.Refreshed))
+		return ver
+	}
+	base := ship(0)
+	for name, d := range map[string]*DB{"source": db, "mirror": mirror} {
+		if d.NetLen() != 2 {
+			t.Fatalf("%s holds %d net records, want 2", name, d.NetLen())
+		}
+		for i, k := range pairs {
+			if r, ok := d.GetNet(k.From, k.To); !ok || r.Metric.Delay != time.Duration(i+1)*time.Millisecond {
+				t.Errorf("%s: GetNet(%q, %q) = %+v (%v)", name, k.From, k.To, r.Metric, ok)
+			}
+		}
+	}
+	clk.Advance(time.Minute)
+	if n := db.ExpireNet(30 * time.Second); n != 2 {
+		t.Fatalf("ExpireNet = %d, want 2", n)
+	}
+	ship(base)
+	if want := []status.NetKey{pairs[1], pairs[0]}; !reflect.DeepEqual(net.Deleted, want) {
+		t.Errorf("tombstones in the delta = %q, want %q", net.Deleted, want)
+	}
+	if mirror.NetLen() != 0 {
+		t.Errorf("mirror still holds %d net records after both expired", mirror.NetLen())
+	}
+}
+
 func TestExpireNet(t *testing.T) {
 	clk := newFakeClock()
 	db := NewWithClock(clk.Now)

@@ -28,7 +28,7 @@ func flat(s *SysSnapshot) []SysRecord { return s.appendRange(nil, 0, s.n) }
 func scratchSys(db *DB) (epoch uint64, recs []SysRecord) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for _, r := range db.sys {
+	for _, r := range db.sys.live {
 		recs = append(recs, *r)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Status.Host < recs[j].Status.Host })

@@ -402,7 +402,8 @@ func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 	}
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
-	go tx1.ServePassive(ctx1, ln1)
+	gone1 := make(chan error, 1)
+	go func() { gone1 <- tx1.ServePassive(ctx1, ln1) }()
 
 	// The receiver pulls a stable logical address; the dial hook
 	// routes it to whichever incarnation currently listens, the way a
@@ -427,8 +428,13 @@ func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 	}
 
 	// Restart: a fresh database whose version counter sits far below
-	// the base the receiver will request.
+	// the base the receiver will request. ServePassive returns once the
+	// old incarnation's handler has exited, so the kept connection cannot
+	// be answered by it.
 	cancel1()
+	if err := <-gone1; err != nil {
+		t.Fatal(err)
+	}
 	src2 := store.New()
 	src2.PutSys(status.ServerStatus{Host: "a", Load1: 9})
 	tx2, err := NewTransmitterObs(src2, nil, reg) // tx1 is detached: reg's tx counters are tx2's

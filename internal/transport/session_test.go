@@ -140,7 +140,10 @@ func TestPullSessionKeepsItsConnection(t *testing.T) {
 // it gets — at a version below the base it asked from — is adopted.
 func TestPullSessionAdoptsRestartedTransmitterOverRedial(t *testing.T) {
 	var target atomic.Value
-	start := func(src *store.DB) context.CancelFunc {
+	// start runs one incarnation; the function it returns stops it and
+	// waits until ServePassive — and with it the handler of the kept
+	// connection — has returned.
+	start := func(src *store.DB) (stop func()) {
 		tx, err := NewTransmitterObs(src, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -150,10 +153,17 @@ func TestPullSessionAdoptsRestartedTransmitterOverRedial(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		t.Cleanup(cancel)
-		go tx.ServePassive(ctx, ln)
+		gone := make(chan struct{})
+		go func() {
+			defer close(gone)
+			if err := tx.ServePassive(ctx, ln); err != nil {
+				t.Error(err)
+			}
+		}()
 		target.Store(ln.Addr().String())
-		return cancel
+		stop = func() { cancel(); <-gone }
+		t.Cleanup(stop)
+		return stop
 	}
 	src1 := store.New()
 	for _, h := range []string{"a", "b", "c", "d"} {

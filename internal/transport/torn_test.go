@@ -51,22 +51,27 @@ func TestChaosReceiverDistinguishesTornFromCleanClose(t *testing.T) {
 		t.Fatalf("clean close counted as torn (torn=%d)", torn())
 	}
 
-	// Torn close: a header promising 100 payload bytes, then death
-	// after 5 — the wire image of a crashed transmitter.
-	conn2, err := net.Dial("tcp", r.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Torn close: a header promising 100 payload bytes, then death —
+	// the wire image of a crashed transmitter. Wherever the cut falls
+	// after the first byte it is a torn stream: 5 bytes into the
+	// payload, exactly at the boundary between header and payload, or
+	// part-way through the header.
 	hdr := make([]byte, 5)
 	hdr[0] = byte(status.TypeSystem)
 	binary.BigEndian.PutUint32(hdr[1:], 100)
-	if _, err := conn2.Write(append(hdr, []byte("stub!")...)); err != nil {
-		t.Fatal(err)
+	for i, wire := range [][]byte{append(hdr[:5:5], "stub!"...), hdr, hdr[:3]} {
+		conn, err := net.Dial("tcp", r.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, func() bool { return torn() == uint64(i+1) })
 	}
-	if err := conn2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, func() bool { return torn() == 1 })
 	if received() != 1 {
 		t.Fatalf("torn frame was applied (received=%d)", received())
 	}

@@ -389,13 +389,17 @@ func (t *Transmitter) ServePassive(ctx context.Context, ln net.Listener) error {
 // handle on its own goroutine until the context is cancelled.
 // Cancellation also closes the live connections at once — a parked
 // puller must not ride out the read deadline, and a transmitter must
-// not keep feeding a ghost receiver after a restart.
+// not keep feeding a ghost receiver after a restart. However the loop
+// ends, the connections are closed and their handlers waited for: once
+// serveConns has returned, nothing it started still answers.
 func serveConns(ctx context.Context, ln net.Listener, handle func(net.Conn)) error {
-	go func() {
-		<-ctx.Done()
-		// Accept below surfaces the close as net.ErrClosed.
-		_ = ln.Close()
-	}()
+	ctx, cancel := context.WithCancel(ctx)
+	var handlers sync.WaitGroup
+	defer handlers.Wait()
+	defer cancel()
+	// Accept below surfaces the close as net.ErrClosed.
+	stop := context.AfterFunc(ctx, func() { _ = ln.Close() })
+	defer stop()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -404,7 +408,9 @@ func serveConns(ctx context.Context, ln net.Listener, handle func(net.Conn)) err
 			}
 			return fmt.Errorf("transport: accept: %w", err)
 		}
+		handlers.Add(1)
 		go func() {
+			defer handlers.Done()
 			defer conn.Close()
 			stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
 			defer stop()

@@ -180,10 +180,22 @@ OBS_SCHEMA = {
 # BENCH_size.json is scripts/size.sh's output: non-test Go lines per
 # package plus the total, and the flag count of each cmd/*/main.go.
 # check.sh regenerates it and diffs it against the committed file, so
-# the numbers are always current; this only holds the shape.
+# the numbers are always current; this holds the shape and the budgets.
 SIZE_SCHEMA = {
-    "go_lines": ["total", "internal/wizard", "internal/overload", "internal/transport", "internal/reqlang", "internal/core", "internal/experiments"],
+    "go_lines": ["total", "internal/wizard", "internal/overload", "internal/transport", "internal/reqlang", "internal/core", "internal/experiments", "internal/store", "internal/status"],
     "flags": ["cmd/wizardd", "cmd/sysmond"],
+}
+
+# Line budgets (ROADMAP item 9b): the committed sizes of PR 21. A PR
+# that grows one of these past its ceiling deletes elsewhere in the
+# same PR, or moves the ceiling here and says why in its CHANGES.md
+# entry; a PR that shrinks one lowers the ceiling to the new size.
+SIZE_CEILINGS = {
+    "total": 22503,
+    "internal/store": 943,
+    "internal/status": 1139,
+    "internal/transport": 1189,
+    "internal/reqlang": 2295,
 }
 
 
@@ -201,6 +213,11 @@ def check_size(name, doc):
             if not isinstance(val, int) or val < 0:
                 errs.append(f"{name}: {section} {key} = {val!r}, want a count")
     lines = doc.get("go_lines", {})
+    for key, ceiling in SIZE_CEILINGS.items():
+        if isinstance(lines, dict) and isinstance(lines.get(key), int) and lines[key] > ceiling:
+            errs.append(
+                f"{name}: go_lines {key} = {lines[key]} is over its ceiling {ceiling}:"
+                " delete elsewhere or move the ceiling in this file and say why")
     if isinstance(lines, dict) and isinstance(lines.get("total"), int):
         packages = sum(v for k, v in lines.items() if k != "total" and isinstance(v, int))
         if packages != lines["total"]:
