@@ -7,20 +7,17 @@
 //	go run ./cmd/smartlint ./...
 //	go run ./cmd/smartlint -list
 //	go run ./cmd/smartlint -only mutexheld,deadline ./internal/...
-//	go run ./cmd/smartlint -json ./... > lint/baseline.json
-//	go run ./cmd/smartlint -json -baseline lint/baseline.json ./...
+//	go run ./cmd/smartlint -json ./...
 //	go run ./cmd/smartlint -stats ./...
 //
 // Findings print as `file:line: [analyzer] message` (or as a JSON
 // array with -json). Suppress one with a `//lint:ignore <analyzer>
-// <reason>` comment on the same line or the line above. With
-// -baseline, findings recorded in the baseline file are tolerated and
-// only *new* findings fail the run — the CI gate; stale baseline
-// entries (fixed findings) are reported on stderr so the file gets
-// pruned.
+// <reason>` comment on the same line or the line above. There is no
+// baseline of tolerated findings: any finding fails the run.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,8 +25,7 @@ import (
 
 	"smartsock/internal/lint"
 
-	// Register the flow-sensitive analyzers (wiretaint, framecase,
-	// lockorder, leakygo).
+	// Register lockorder, the module-level analyzer.
 	_ "smartsock/internal/lint/flow"
 )
 
@@ -37,7 +33,6 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	baseline := flag.String("baseline", "", "baseline file: only findings not in it fail the run")
 	stats := flag.Bool("stats", false, "print per-analyzer finding counts to stderr")
 	flag.Parse()
 
@@ -66,49 +61,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "smartlint: %v\n", err)
 		os.Exit(2)
 	}
-	findings := lint.Run(pkgs, analyzers)
-
 	cwd, _ := os.Getwd()
-	jf := lint.ToJSON(findings, cwd)
-
-	fail := jf
-	if *baseline != "" {
-		base, err := lint.ReadBaselineFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smartlint: %v\n", err)
-			os.Exit(2)
-		}
-		fresh, stale := lint.Diff(jf, base)
-		fail = fresh
-		for _, s := range stale {
-			fmt.Fprintf(os.Stderr, "smartlint: stale baseline entry (finding fixed): %s [%s] %s\n", s.File, s.Analyzer, s.Message)
-		}
-	}
+	findings := lint.ToJSON(lint.Run(pkgs, analyzers), cwd)
 
 	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, fail); err != nil {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(findings); err != nil {
 			fmt.Fprintf(os.Stderr, "smartlint: %v\n", err)
 			os.Exit(2)
 		}
 	} else {
-		baselined := len(jf) - len(fail)
-		shown := make(map[int]bool, len(fail))
-		for _, f := range fail {
-			shown[indexOf(jf, f, shown)] = true
-		}
-		for i, f := range jf {
-			if *baseline == "" || shown[i] {
-				fmt.Printf("%s:%d: [%s] %s\n", f.File, f.Line, f.Analyzer, f.Message)
-			}
-		}
-		if baselined > 0 {
-			fmt.Fprintf(os.Stderr, "smartlint: %d baselined finding(s) suppressed\n", baselined)
+		for _, f := range findings {
+			fmt.Printf("%s:%d: [%s] %s\n", f.File, f.Line, f.Analyzer, f.Message)
 		}
 	}
 
 	if *stats {
 		counts := make(map[string]int)
-		for _, f := range jf {
+		for _, f := range findings {
 			counts[f.Analyzer]++
 		}
 		for _, a := range lint.Analyzers() {
@@ -116,22 +87,8 @@ func main() {
 		}
 	}
 
-	if len(fail) > 0 {
-		fmt.Fprintf(os.Stderr, "smartlint: %d new finding(s) across %d package(s)\n", len(fail), len(pkgs))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "smartlint: %d finding(s) across %d package(s)\n", len(findings), len(pkgs))
 		os.Exit(1)
 	}
-}
-
-// indexOf locates f's position in all, skipping indexes already
-// claimed, so duplicate findings map one-to-one.
-func indexOf(all []lint.JSONFinding, f lint.JSONFinding, taken map[int]bool) int {
-	for i, c := range all {
-		if taken[i] {
-			continue
-		}
-		if c == f {
-			return i
-		}
-	}
-	return -1
 }

@@ -1,40 +1,22 @@
-// Package flow is smartlint's flow-sensitive suite. Where the base
-// analyzers match call shapes one function at a time, this package
-// builds real dataflow machinery — still stdlib-only (go/parser +
-// go/types) — and four analyzers on top of it:
+// Package flow holds smartlint's module-level analysis: lockorder, the
+// one analyzer that needs every package at once. It is stdlib-only
+// (go/parser + go/types) like the base suite: each function body and
+// function literal is a Unit, a unit's lock operations and static calls
+// are read in source order, and the locks a callee acquires —
+// transitively, over the static call graph — extend the caller's
+// held-set across the call.
 //
-//   - an intraprocedural control-flow graph (BuildCFG) with
-//     branch/loop-condition nodes distinguished, because the same
-//     comparison is a sanitizer in an if and a sink in a for;
-//   - reaching-definition def-use chains (BuildDefUse) over that CFG,
-//     used to point findings at where a value was defined;
-//   - a one-level call-summary layer (BuildSummaries): per declared
-//     function, which parameters it bounds-checks, whether its body
-//     observes a shutdown signal, and — per analyzer — which
-//     parameters flow to sinks and which locks it acquires. One
-//     level by construction: summaries are computed from bodies
-//     only, never from other summaries' conclusions, except where an
-//     analyzer explicitly closes over the call graph (lockorder's
-//     transitive locksets).
-//
-// The analyzers:
-//
-//   - wiretaint: wire-derived sizes and indexes must be
-//     bounds-checked before make/indexing/loop bounds;
-//   - framecase: frame-type switches stay exhaustive (or count
-//     unknowns) and every frame constant is codec-registered;
-//   - lockorder: the module-wide lock-acquisition graph stays
-//     acyclic and no held lock is re-acquired through a call chain;
-//   - leakygo: every library goroutine has a shutdown path.
+//   - lockorder: the module-wide lock-acquisition graph stays acyclic
+//     and no held lock is re-acquired through a call chain.
 //
 // Importing this package (cmd/smartlint does it with a blank import)
-// registers the four analyzers with the base suite via lint.Register;
-// the //lint:ignore mechanism and the baseline gate apply to them
-// exactly as to the syntactic analyzers.
+// registers the analyzer with the base suite via lint.Register; the
+// //lint:ignore mechanism applies to it exactly as to the syntactic
+// analyzers.
 package flow
 
 import "smartsock/internal/lint"
 
 func init() {
-	lint.Register(WireTaint, FrameCase, LockOrder, LeakyGo)
+	lint.Register(LockOrder)
 }

@@ -60,11 +60,13 @@ type edgeSite struct {
 }
 
 func runLockOrder(pass *lint.ModulePass) {
-	sums := BuildSummaries(pass.Pkgs)
-
 	// Per-unit event streams, in source order.
+	var units []*Unit
+	for _, pkg := range pass.Pkgs {
+		units = append(units, Units(pkg)...)
+	}
 	events := make(map[*Unit][]lockEvent)
-	for _, u := range sums.AllUnits() {
+	for _, u := range units {
 		if u.Test {
 			continue
 		}
@@ -126,7 +128,6 @@ func runLockOrder(pass *lint.ModulePass) {
 			edges[e] = site
 		}
 	}
-	units := append([]*Unit(nil), sums.AllUnits()...)
 	sort.Slice(units, func(i, j int) bool { return units[i].Body.Pos() < units[j].Body.Pos() })
 	for _, u := range units {
 		evs, ok := events[u]

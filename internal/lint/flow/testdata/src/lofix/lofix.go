@@ -70,3 +70,39 @@ func (n *nested) second() {
 	n.inner.Unlock()
 	n.outer.Unlock()
 }
+
+// The shape of the seed that keeps this analyzer (DESIGN.md "One
+// oracle per bug class"): a table lock and a session lock on one
+// receiver, taken in one order by close and in the other by a reply's
+// apply path, which reaches the second lock through a helper. The race
+// detector has nothing to report until the two interleave.
+type receiver struct {
+	sessMu sync.Mutex
+	pullMu sync.Mutex
+	closed bool
+	vers   map[string]uint64
+}
+
+func (r *receiver) close() {
+	r.sessMu.Lock()
+	defer r.sessMu.Unlock()
+	r.closed = true
+	r.pullMu.Lock() // want:lockorder
+	r.vers = nil
+	r.pullMu.Unlock()
+}
+
+func (r *receiver) isClosed() bool {
+	r.sessMu.Lock()
+	defer r.sessMu.Unlock()
+	return r.closed
+}
+
+func (r *receiver) applyPull(addr string, ver uint64) {
+	r.pullMu.Lock()
+	defer r.pullMu.Unlock()
+	if r.isClosed() { // want:lockorder
+		return
+	}
+	r.vers[addr] = ver
+}

@@ -19,35 +19,18 @@
 //   - errdrop: no discarded error from Close/SetDeadline/
 //     SetReadDeadline/SetWriteDeadline/Flush on network types in
 //     library code (`defer c.Close()` and explicit `_ = c.Close()`
-//     are accepted);
-//   - parsecache: no direct reqlang.Parse call in the wizard request
-//     path (internal/wizard, internal/core) — requirement compiles
-//     there must go through the bounded reqlang.Cache so request
-//     storms parse each text once;
-//   - batchbuf: no allocating status.Marshal*Batch call inside a loop
-//     in internal/transport — the per-epoch encode path must reuse a
-//     buffer via status.Append*Batch so steady-state pushes allocate
-//     nothing;
-//   - scanfree: no range over sys-record tables ([]store.SysRecord)
-//     in internal/core or internal/wizard non-test code — per-request
-//     selection visits records only through the selector's one
-//     evaluation loop, which draws positions from a candidate source,
-//     and any other walk of the table must justify itself with a
-//     //lint:ignore rationale;
-//   - dgramloop: no per-datagram net.UDPConn read (ReadFromUDP and
-//     kin) in internal/wizard, internal/monitor or internal/netbatch
-//     non-test code — serve loops pull batches through
-//     netbatch.Endpoint.ReadBatch so syscalls amortise, and the one
-//     sanctioned single-datagram call (netbatch's portable fallback)
-//     carries a //lint:ignore rationale.
+//     are accepted).
 //
-// The analyzers above are syntactic: each looks at one function at a
-// time and matches call shapes. The flow-sensitive suite — wiretaint,
-// framecase, lockorder and leakygo — lives in the internal/lint/flow
-// subpackage, which builds an intraprocedural CFG, def-use chains and
-// a one-level call-summary layer on top of the same loaded packages.
-// Flow analyzers register themselves through Register and run either
-// per package (Run) or once over the whole module (RunModule).
+// Those five are syntactic: each looks at one function at a time and
+// matches call shapes. lockorder, the one module-level analyzer, lives
+// in the internal/lint/flow subpackage and registers itself through
+// Register; it runs once over every loaded package (RunModule).
+//
+// An analyzer is here because a seeded bug of its class passes the
+// tests, the fuzz smokes and the benchmark gates, and it does not; the
+// seeds are DESIGN.md's "One oracle per bug class" table. A class a
+// test, a fuzz target or a benchmark metric already fails on has that
+// as its owner and no analyzer.
 //
 // A finding may be suppressed with a directive comment on the same
 // line or the line directly above it:
@@ -129,8 +112,7 @@ type Analyzer struct {
 	// set RunModule instead.
 	Run func(pass *Pass)
 	// RunModule, when set, runs once over every loaded package
-	// together — the shape module-wide analyses (lock-order graphs,
-	// cross-package call summaries) need.
+	// together — the shape a module-wide lock-order graph needs.
 	RunModule func(pass *ModulePass)
 }
 
@@ -152,21 +134,21 @@ func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ..
 	})
 }
 
-// registered holds analyzers contributed by subpackages (the flow
-// suite) via Register.
+// registered holds analyzers contributed by subpackages (flow's
+// lockorder) via Register.
 var registered []*Analyzer
 
 // Register appends analyzers to the suite returned by Analyzers. The
 // flow subpackage calls it from init; importing that package is what
-// arms the flow-sensitive checks.
+// arms lockorder.
 func Register(as ...*Analyzer) {
 	registered = append(registered, as...)
 }
 
 // Analyzers returns the full suite in reporting order: the built-in
-// syntactic analyzers followed by registered flow analyzers.
+// syntactic analyzers followed by the registered ones.
 func Analyzers() []*Analyzer {
-	base := []*Analyzer{MutexHeld, Deadline, SleepFree, NoPanic, ErrDrop, ParseCache, BatchBuf, ScanFree, DgramLoop}
+	base := []*Analyzer{MutexHeld, Deadline, SleepFree, NoPanic, ErrDrop}
 	return append(base, registered...)
 }
 

@@ -6,14 +6,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"smartsock/internal/lint"
-	// Arm the flow-sensitive suite, as cmd/smartlint does: Analyzers()
-	// must return the full registered set here.
+	// Arm lockorder, as cmd/smartlint does: Analyzers() must return the
+	// full registered set here.
 	_ "smartsock/internal/lint/flow"
 )
 
@@ -89,36 +88,6 @@ func DialTimeout(network, address string, timeout time.Duration) (Conn, error) {
 func Listen(network, address string) (Listener, error) { return nil, nil }
 func JoinHostPort(host, port string) string { return "" }
 `,
-	"smartsock/internal/status": `package status
-type ServerStatus struct{ Host string }
-type NetMetric struct{ From, To string }
-type SecLevel struct{ Host string }
-func MarshalSystemBatch(recs []ServerStatus) []byte { return nil }
-func AppendSystemBatch(dst []byte, recs []ServerStatus) []byte { return dst }
-func MarshalNetBatch(recs []NetMetric) []byte { return nil }
-func AppendNetBatch(dst []byte, recs []NetMetric) []byte { return dst }
-func MarshalSecBatch(recs []SecLevel) []byte { return nil }
-func AppendSecBatch(dst []byte, recs []SecLevel) []byte { return dst }
-`,
-	"smartsock/internal/store": `package store
-import "smartsock/internal/status"
-type SysRecord struct{ Status status.ServerStatus }
-type SysSnapshot struct{ Epoch uint64 }
-func (s *SysSnapshot) Len() int { return 0 }
-func (s *SysSnapshot) At(i int) *SysRecord { return nil }
-func (s *SysSnapshot) Each(fn func(i int, r *SysRecord)) {}
-type DB struct{}
-func (db *DB) SysView() *SysSnapshot { return &SysSnapshot{} }
-func (db *DB) Sys() []SysRecord { return nil }
-func (db *DB) FreshSys(maxAge int64) []SysRecord { return nil }
-`,
-	"smartsock/internal/reqlang": `package reqlang
-type Program struct{ src string }
-func Parse(src string) (*Program, error) { return &Program{src: src}, nil }
-type Cache struct{ max int }
-func NewCache(max int) *Cache { return &Cache{max: max} }
-func (c *Cache) Get(src string) (*Program, error) { return Parse(src) }
-`,
 }
 
 // stubImporter type-checks stub packages on demand.
@@ -190,16 +159,6 @@ func findingLines(findings []lint.Finding, analyzer string) []int {
 		}
 	}
 	return lines
-}
-
-// readFixture loads a fixture too long to read inline.
-func readFixture(t *testing.T, name string) string {
-	t.Helper()
-	src, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(src)
 }
 
 func equalInts(a, b []int) bool {
@@ -482,286 +441,6 @@ func drop(c net.Conn) { c.Close() }
 `,
 			want: nil,
 		},
-		// ---- parsecache ------------------------------------------------
-		{
-			name:     "parsecache/direct parse on the request path",
-			analyzer: "parsecache",
-			pkgPath:  "smartsock/internal/wizard",
-			src: `package wizard
-import "smartsock/internal/reqlang"
-func handle(detail string) error {
-	_, err := reqlang.Parse(detail)
-	return err
-}
-`,
-			want: []int{4},
-		},
-		{
-			name:     "parsecache/cache get is the approved route",
-			analyzer: "parsecache",
-			pkgPath:  "smartsock/internal/wizard",
-			src: `package wizard
-import "smartsock/internal/reqlang"
-var cache = reqlang.NewCache(16)
-func handle(detail string) error {
-	_, err := cache.Get(detail)
-	return err
-}
-`,
-			want: nil,
-		},
-		{
-			name:     "parsecache/core is in scope too",
-			analyzer: "parsecache",
-			pkgPath:  "smartsock/internal/core",
-			src: `package core
-import "smartsock/internal/reqlang"
-func compile(src string) { reqlang.Parse(src) }
-`,
-			want: []int{3},
-		},
-		{
-			name:     "parsecache/packages off the request path may parse",
-			analyzer: "parsecache",
-			pkgPath:  "smartsock/internal/shaper",
-			src: `package shaper
-import "smartsock/internal/reqlang"
-func compile(src string) { reqlang.Parse(src) }
-`,
-			want: nil,
-		},
-		// ---- batchbuf --------------------------------------------------
-		{
-			name:     "batchbuf/marshal inside the epoch loop",
-			analyzer: "batchbuf",
-			pkgPath:  "smartsock/internal/transport",
-			src: `package transport
-import "smartsock/internal/status"
-func push(recs []status.ServerStatus, out chan []byte) {
-	for {
-		out <- status.MarshalSystemBatch(recs)
-	}
-}
-`,
-			want: []int{5},
-		},
-		{
-			name:     "batchbuf/range loops count too",
-			analyzer: "batchbuf",
-			pkgPath:  "smartsock/internal/transport",
-			src: `package transport
-import "smartsock/internal/status"
-func push(epochs [][]status.NetMetric, out chan []byte) {
-	for _, recs := range epochs {
-		out <- status.MarshalNetBatch(recs)
-	}
-}
-`,
-			want: []int{5},
-		},
-		{
-			name:     "batchbuf/append with a reused buffer is the approved route",
-			analyzer: "batchbuf",
-			pkgPath:  "smartsock/internal/transport",
-			src: `package transport
-import "smartsock/internal/status"
-func push(recs []status.ServerStatus, out chan []byte) {
-	var buf []byte
-	for {
-		buf = status.AppendSystemBatch(buf[:0], recs)
-		out <- buf
-	}
-}
-`,
-			want: nil,
-		},
-		{
-			name:     "batchbuf/one-shot encode outside a loop is fine",
-			analyzer: "batchbuf",
-			pkgPath:  "smartsock/internal/transport",
-			src: `package transport
-import "smartsock/internal/status"
-func encodeOnce(recs []status.SecLevel) []byte {
-	return status.MarshalSecBatch(recs)
-}
-`,
-			want: nil,
-		},
-		{
-			name:     "batchbuf/packages off the epoch path may marshal in loops",
-			analyzer: "batchbuf",
-			pkgPath:  "smartsock/internal/probe",
-			src: `package probe
-import "smartsock/internal/status"
-func spam(recs []status.ServerStatus, out chan []byte) {
-	for {
-		out <- status.MarshalSystemBatch(recs)
-	}
-}
-`,
-			want: nil,
-		},
-		// ---- scanfree --------------------------------------------------
-		{
-			name:     "scanfree/snapshot walks, position reads and copying accessors in core",
-			analyzer: "scanfree",
-			pkgPath:  "smartsock/internal/core",
-			src:      readFixture(t, "scanfree_walk.go"),
-			want:     []int{8, 27},
-		},
-		{
-			name:     "scanfree/full-table accessor in the wizard counts too",
-			analyzer: "scanfree",
-			pkgPath:  "smartsock/internal/wizard",
-			src: `package wizard
-import "smartsock/internal/store"
-func hosts(db *store.DB) []string {
-	var out []string
-	for _, rec := range db.Sys() {
-		out = append(out, rec.Status.Host)
-	}
-	return out
-}
-`,
-			want: []int{5},
-		},
-		{
-			name:     "scanfree/packages off the serve path may scan",
-			analyzer: "scanfree",
-			pkgPath:  "smartsock/internal/transport",
-			src: `package transport
-import "smartsock/internal/store"
-func sweep(snap *store.SysSnapshot, db *store.DB) {
-	snap.Each(func(i int, rec *store.SysRecord) {})
-	for range db.Sys() {
-	}
-}
-`,
-			want: nil,
-		},
-		{
-			name:     "scanfree/test files are exempt",
-			analyzer: "scanfree",
-			pkgPath:  "smartsock/internal/core",
-			filename: "fixture_test.go",
-			src: `package core
-import "smartsock/internal/store"
-func scanForAssertions(snap *store.SysSnapshot, db *store.DB) int {
-	n := 0
-	snap.Each(func(i int, rec *store.SysRecord) { n++ })
-	for range db.Sys() {
-		n++
-	}
-	return n
-}
-`,
-			want: nil,
-		},
-		{
-			name:     "scanfree/other slice types are untouched",
-			analyzer: "scanfree",
-			pkgPath:  "smartsock/internal/core",
-			src: `package core
-func join(hosts []string) int {
-	n := 0
-	for range hosts {
-		n++
-	}
-	return n
-}
-`,
-			want: nil,
-		},
-		// ---- dgramloop -------------------------------------------------
-		{
-			name:     "dgramloop/per-datagram read in a serve loop",
-			analyzer: "dgramloop",
-			pkgPath:  "smartsock/internal/wizard",
-			src: `package wizard
-import "net"
-func serve(c *net.UDPConn) {
-	buf := make([]byte, 1024)
-	for {
-		n, _, err := c.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		_ = n
-	}
-}
-`,
-			want: []int{6},
-		},
-		{
-			name:     "dgramloop/addrport variant in the monitor counts too",
-			analyzer: "dgramloop",
-			pkgPath:  "smartsock/internal/monitor",
-			src: `package monitor
-import "net"
-func ingest(c *net.UDPConn, buf []byte) (int, error) {
-	n, _, err := c.ReadFromUDPAddrPort(buf)
-	return n, err
-}
-`,
-			want: []int{4},
-		},
-		{
-			name:     "dgramloop/ignore directive with rationale suppresses",
-			analyzer: "dgramloop",
-			pkgPath:  "smartsock/internal/netbatch",
-			src: `package netbatch
-import "net"
-func readGeneric(c *net.UDPConn, buf []byte) (int, error) {
-	//lint:ignore dgramloop portable fallback for this fixture
-	n, _, err := c.ReadFromUDPAddrPort(buf)
-	return n, err
-}
-`,
-			want: nil,
-		},
-		{
-			name:     "dgramloop/packages off the serve path may read singly",
-			analyzer: "dgramloop",
-			pkgPath:  "smartsock/internal/probe",
-			src: `package probe
-import "net"
-func await(c *net.UDPConn, buf []byte) (int, error) {
-	n, _, err := c.ReadFromUDP(buf)
-	return n, err
-}
-`,
-			want: nil,
-		},
-		{
-			name:     "dgramloop/test files are exempt",
-			analyzer: "dgramloop",
-			pkgPath:  "smartsock/internal/wizard",
-			filename: "fixture_test.go",
-			src: `package wizard
-import "net"
-func drainForAssertions(c *net.UDPConn, buf []byte) (int, error) {
-	n, _, err := c.ReadFromUDP(buf)
-	return n, err
-}
-`,
-			want: nil,
-		},
-		{
-			name:     "dgramloop/writes and stream reads are untouched",
-			analyzer: "dgramloop",
-			pkgPath:  "smartsock/internal/wizard",
-			src: `package wizard
-import "net"
-func reply(c *net.UDPConn, buf []byte, to *net.UDPAddr) error {
-	if _, err := c.WriteToUDP(buf, to); err != nil {
-		return err
-	}
-	_, err := c.Read(buf)
-	return err
-}
-`,
-			want: nil,
-		},
 	}
 
 	for _, tc := range cases {
@@ -830,8 +509,7 @@ func b() {}
 // updating README.md's correctness-tooling section too.
 func TestSuiteNames(t *testing.T) {
 	want := []string{
-		"mutexheld", "deadline", "sleepfree", "nopanic", "errdrop", "parsecache", "batchbuf", "scanfree", "dgramloop",
-		"wiretaint", "framecase", "lockorder", "leakygo",
+		"mutexheld", "deadline", "sleepfree", "nopanic", "errdrop", "lockorder",
 	}
 	as := lint.Analyzers()
 	if len(as) != len(want) {
@@ -864,5 +542,21 @@ func TestLoadSmoke(t *testing.T) {
 			fmt.Fprintf(&b, "\n  %s", f)
 		}
 		t.Errorf("unexpected findings in proto:%s", b.String())
+	}
+}
+
+// TestToJSONRelativizes checks the repo-relative file paths smartlint
+// -json prints.
+func TestToJSONRelativizes(t *testing.T) {
+	root := string(filepath.Separator) + filepath.Join("work", "repo")
+	findings := []lint.Finding{
+		{Pos: token.Position{Filename: filepath.Join(root, "internal", "x", "x.go"), Line: 3}, Analyzer: "lockorder", Message: "m"},
+	}
+	out := lint.ToJSON(findings, root)
+	if out[0].File != "internal/x/x.go" {
+		t.Errorf("in-root file = %q, want internal/x/x.go", out[0].File)
+	}
+	if out[0].Line != 3 {
+		t.Errorf("line = %d, want 3", out[0].Line)
 	}
 }

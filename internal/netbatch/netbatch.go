@@ -201,7 +201,6 @@ func (c *Conn) WriteBatch(ms []Message) (int, error) {
 // time with behaviour identical to the historical serve loops.
 func (c *Conn) readBatchGeneric(ms []Message) (int, error) {
 	buf := ms[0].Buf[:cap(ms[0].Buf)]
-	//lint:ignore dgramloop portable single-datagram fallback: the batched path needs recvmmsg, which only the Linux build provides
 	n, _, _, from, err := c.udp.ReadMsgUDPAddrPort(buf, nil)
 	if err != nil {
 		return 0, err

@@ -252,7 +252,8 @@ func (p *Probe) udpConn() (net.Conn, error) {
 		return p.conn, nil
 	}
 	p.conn = conn
-	//lint:ignore leakygo controlLoop's lifetime is owned by the socket: Probe.Close closes p.conn, which ends the read loop
+	// controlLoop's lifetime is the socket's: Probe.Close closes p.conn,
+	// which ends the read loop.
 	go p.controlLoop(conn)
 	return conn, nil
 }

@@ -190,6 +190,30 @@ func TestSlotEnvMatchesMapEnvOnNegativeTable(t *testing.T) {
 	}
 }
 
+// genExpr builds a random expression string from a grammar sample.
+func genExpr(r *rand.Rand, depth int) string {
+	if depth <= 0 || r.Intn(4) == 0 {
+		switch r.Intn(4) {
+		case 0:
+			return []string{"1", "2.5", "0.9", "42"}[r.Intn(4)]
+		case 1:
+			return []string{"a", "b", "host_cpu_free", "x1"}[r.Intn(4)]
+		case 2:
+			return "-" + []string{"a", "3"}[r.Intn(2)]
+		default:
+			return []string{"sin", "abs", "sqrt"}[r.Intn(3)] + "(" + genExpr(r, depth-1) + ")"
+		}
+	}
+	ops := []string{"+", "-", "*", "/", "^", "<", "<=", ">", ">=", "==", "!=", "&&", "||"}
+	op := ops[r.Intn(len(ops))]
+	l := genExpr(r, depth-1)
+	rhs := genExpr(r, depth-1)
+	if r.Intn(2) == 0 {
+		return "(" + l + ") " + op + " (" + rhs + ")"
+	}
+	return l + " " + op + " " + rhs
+}
+
 // genStmt draws one statement: a generated expression, or one of the
 // statement shapes genExpr never produces.
 func genStmt(r *rand.Rand) string {

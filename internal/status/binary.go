@@ -155,15 +155,17 @@ func appendBatch[V any](dst []byte, recs []V, rec func([]byte, *V) []byte) []byt
 }
 
 // unmarshalBatch is their decoder. Every record costs at least minRec
-// bytes, which bounds the count a payload may claim before the slice
-// for it is allocated; rec decodes one record in place.
+// bytes (empty strings, fixed-width numbers), which bounds the count a
+// payload may claim — by what a frame can carry, and by what this
+// payload does carry — before the slice for it is allocated; rec
+// decodes one record in place.
 func unmarshalBatch[V any](b []byte, what string, minRec uint32, rec func([]byte, *V) ([]byte, error)) ([]V, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("status: truncated %s batch count", what)
 	}
 	n := binary.BigEndian.Uint32(b)
 	b = b[4:]
-	if n > MaxFrameSize/minRec {
+	if n > MaxFrameSize/minRec || uint64(n)*uint64(minRec) > uint64(len(b)) {
 		return nil, fmt.Errorf("status: implausible %s batch count %d", what, n)
 	}
 	recs := make([]V, 0, n)
@@ -337,7 +339,7 @@ func AppendNetBatch(dst []byte, recs []NetMetric) []byte {
 
 // UnmarshalNetBatch decodes a TypeNetwork frame payload.
 func UnmarshalNetBatch(b []byte) ([]NetMetric, error) {
-	return unmarshalBatch(b, "net", 32, readNetBatch)
+	return unmarshalBatch(b, "net", 20, readNetBatch)
 }
 
 // MarshalSecBatch encodes security level records as a TypeSecurity
@@ -353,5 +355,5 @@ func AppendSecBatch(dst []byte, recs []SecLevel) []byte {
 
 // UnmarshalSecBatch decodes a TypeSecurity frame payload.
 func UnmarshalSecBatch(b []byte) ([]SecLevel, error) {
-	return unmarshalBatch(b, "sec", 8, readSecBatch)
+	return unmarshalBatch(b, "sec", 6, readSecBatch)
 }

@@ -127,20 +127,3 @@ func FuzzParseSysDelta(f *testing.F) {
 		}, ownHost, AppendSecDelta)
 	})
 }
-
-// TestFrameCodecRegistry pins the invariant the framecase analyzer
-// enforces statically: every RecordType constant has its encode and
-// decode halves registered.
-func TestFrameCodecRegistry(t *testing.T) {
-	for _, rt := range []RecordType{
-		TypeSystem, TypeNetwork, TypeSecurity, TypeRequest,
-		TypeSysDelta, TypeNetDelta, TypeSecDelta, TypeSnapMark,
-	} {
-		if !FrameCodecRegistered(rt) {
-			t.Errorf("RecordType %v has no codec registry entry", rt)
-		}
-	}
-	if FrameCodecRegistered(RecordType(200)) {
-		t.Errorf("unknown RecordType reported as registered")
-	}
-}

@@ -45,39 +45,6 @@ const (
 	TypeSnapMark RecordType = 8
 )
 
-// frameCodec pairs the encode and decode halves of one frame type.
-// The fields are typed any because payload shapes differ per frame;
-// the registry exists so that adding a RecordType without wiring both
-// halves is caught statically — the framecase analyzer requires every
-// Type constant to have a non-empty entry here, and the function
-// references keep the pairing honest at compile time.
-type frameCodec struct {
-	appendFn any
-	parseFn  any
-}
-
-// frameCodecs is the codec registry: one entry per RecordType, naming
-// the Append*-style payload encoder and the matching Parse*/
-// Unmarshal* decoder.
-var frameCodecs = map[RecordType]frameCodec{
-	TypeSystem:   {appendFn: AppendSystemBatch, parseFn: UnmarshalSystemBatch},
-	TypeNetwork:  {appendFn: AppendNetBatch, parseFn: UnmarshalNetBatch},
-	TypeSecurity: {appendFn: AppendSecBatch, parseFn: UnmarshalSecBatch},
-	TypeRequest:  {appendFn: AppendPullRequest, parseFn: ParsePullRequest},
-	TypeSysDelta: {appendFn: AppendSysDelta, parseFn: (*SysDeltaView).Parse},
-	TypeNetDelta: {appendFn: AppendNetDelta, parseFn: (*NetDeltaView).Parse},
-	TypeSecDelta: {appendFn: AppendSecDelta, parseFn: (*SecDeltaView).Parse},
-	TypeSnapMark: {appendFn: AppendSnapMark, parseFn: ParseSnapMark},
-}
-
-// FrameCodecRegistered reports whether t has its encode/decode pair
-// in the registry. Tests use it to pin registry coverage alongside
-// the framecase lint check.
-func FrameCodecRegistered(t RecordType) bool {
-	c, ok := frameCodecs[t]
-	return ok && c.appendFn != nil && c.parseFn != nil
-}
-
 func (t RecordType) String() string {
 	switch t {
 	case TypeSystem:

@@ -2,6 +2,8 @@ package status
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -275,10 +277,27 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	}
 }
 
+// A header that announces more than MaxFrameSize is refused on the
+// announcement alone. "Some error" is not enough to pin that: with the
+// limit check gone the same header still fails — as a torn payload,
+// after a buffer of the announced size was allocated for it.
 func TestReadFrameRejectsOversize(t *testing.T) {
-	hdr := []byte{byte(TypeSystem), 0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {
-		t.Error("ReadFrame accepted an oversize frame header")
+	for _, size := range []uint32{MaxFrameSize + 1, 2 * MaxFrameSize} {
+		hdr := binary.BigEndian.AppendUint32([]byte{byte(TypeSystem)}, size)
+		kept := make([]byte, 0, 64)
+		_, buf, err := ReadFrameInto(bytes.NewReader(hdr), kept)
+		if err == nil || !strings.Contains(err.Error(), "exceeds limit") || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("header announcing %d bytes: err = %v, want the frame-size limit error", size, err)
+		}
+		if cap(buf) != cap(kept) {
+			t.Errorf("header announcing %d bytes: payload buffer grew from %d to %d before the frame was refused", size, cap(kept), cap(buf))
+		}
+	}
+	// The limit itself is a legal size: that header passes the check and
+	// fails on the payload it promised.
+	hdr := binary.BigEndian.AppendUint32([]byte{byte(TypeSystem)}, MaxFrameSize)
+	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("header announcing exactly MaxFrameSize: err = %v, want a torn payload", err)
 	}
 }
 

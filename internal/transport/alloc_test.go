@@ -26,7 +26,7 @@ const (
 // allocHarness wires a transmitter to a receiver through an in-memory
 // conn, exactly like BenchmarkTransportEpoch, and returns a func that
 // runs one full push epoch (encode, wire, decode, apply).
-func allocHarness(t *testing.T, fleetSize int) (*store.DB, []status.ServerStatus, func()) {
+func allocHarness(t *testing.T, fleetSize int, compat bool) (*store.DB, []status.ServerStatus, func()) {
 	t.Helper()
 	src, fleet := benchFleet(fleetSize)
 	reg := obs.NewRegistry()
@@ -34,6 +34,7 @@ func allocHarness(t *testing.T, fleetSize int) (*store.DB, []status.ServerStatus
 	if err != nil {
 		t.Fatal(err)
 	}
+	tx.Compat = compat
 	recv, err := NewReceiverObs(store.New(), "127.0.0.1:0", nil, reg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestAllocsIdleEpoch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc averages need a quiet run")
 	}
-	_, _, epoch := allocHarness(t, 1000)
+	_, _, epoch := allocHarness(t, 1000, false)
 	if got := testing.AllocsPerRun(200, epoch); got > idleEpochAllocCeiling {
 		t.Errorf("idle delta epoch allocates %.1f, pinned at %d (BENCH_transport.json delta-idle-1000h)",
 			got, idleEpochAllocCeiling)
@@ -83,7 +84,7 @@ func TestAllocsRefreshEpoch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc averages need a quiet run")
 	}
-	src, fleet, epoch := allocHarness(t, 1000)
+	src, fleet, epoch := allocHarness(t, 1000, false)
 	if got := testing.AllocsPerRun(100, func() {
 		for i := range fleet {
 			src.PutSys(fleet[i])
@@ -92,6 +93,26 @@ func TestAllocsRefreshEpoch(t *testing.T) {
 	}); got > refreshEpochAllocCeiling {
 		t.Errorf("refresh delta epoch allocates %.1f, pinned at %d (BENCH_transport.json delta-refresh-1000h)",
 			got, refreshEpochAllocCeiling)
+	}
+}
+
+// fullSnapshotAllocCeiling pins the epoch the delta pins above never
+// run: a full three-frame snapshot of 1000 hosts (every Compat epoch,
+// and the first and every resyncEvery-th epoch of a delta stream),
+// encoded, read and loaded. The measured 3020 are the receiving end's —
+// three per host: its two strings and its record in the mirror — and
+// none is the transmitter's: the encode buffer is the connection's.
+// Encoding one table into a fresh buffer costs 26 more (the buffer
+// growing to a snapshot's size) and fails here.
+const fullSnapshotAllocCeiling = 3025
+
+func TestAllocsFullSnapshotEpoch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc averages need a quiet run")
+	}
+	_, _, epoch := allocHarness(t, 1000, true)
+	if got := testing.AllocsPerRun(50, epoch); got > fullSnapshotAllocCeiling {
+		t.Errorf("full snapshot epoch allocates %.1f on both ends, pinned at %d", got, fullSnapshotAllocCeiling)
 	}
 }
 

@@ -3,8 +3,11 @@ package wizard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -221,6 +224,49 @@ func TestReplyWriteErrorKeepsServing(t *testing.T) {
 	}
 	if flaky.failures.Load() >= 0 {
 		t.Error("serve loop never retried past the injected failures")
+	}
+}
+
+// deadEndpoint fails every read the way a socket the kernel took away
+// would: with an error that is neither the context's nor a close.
+type deadEndpoint struct{ netbatch.Endpoint }
+
+func (deadEndpoint) ReadBatch([]netbatch.Message) (int, error) {
+	return 0, fmt.Errorf("readbatch: %w", syscall.EBADF)
+}
+
+// TestRunReleasesEverythingWhenIngestFails: Run returning an error is
+// the wizard giving up, and its caller's context is still live then —
+// the goroutines and the sockets have to go with the return, not with a
+// cancel that may be hours away.
+func TestRunReleasesEverythingWhenIngestFails(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		return len(ents)
+	}
+	if fds() < 0 {
+		t.Skip("no /proc/self/fd to count descriptors with")
+	}
+	goroutines, open := runtime.NumGoroutine(), fds()
+	sel, _ := testSelector(t)
+	w, err := New(Config{Addr: "127.0.0.1:0", Selector: sel, Workers: 2, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.testWrap = func(ep netbatch.Endpoint) netbatch.Endpoint { return deadEndpoint{ep} }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := w.Run(ctx); !errors.Is(err, syscall.EBADF) {
+		t.Fatalf("Run = %v, want the ingest loop's read error", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines || fds() > open; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Run returned with its context live and left %d goroutines (%d before) and %d descriptors (%d before)",
+				runtime.NumGoroutine(), goroutines, fds(), open)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func ParseTemplates(r io.Reader) (map[string]string, error) {
 		if strings.TrimSpace(text) == "" {
 			return fmt.Errorf("wizard: template %q is empty", name)
 		}
-		//lint:ignore parsecache template bodies are validated once at load time, not on the request path
+		// Validated once, at load time; requests compile through the cache.
 		if _, err := reqlang.Parse(text); err != nil {
 			return fmt.Errorf("wizard: template %q: %w", name, err)
 		}

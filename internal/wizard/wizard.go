@@ -288,18 +288,22 @@ func (w *Wizard) ReloadTemplates(templates map[string]string) {
 // thesis's sequential wizard: one datagram read, answered and written
 // at a time, in arrival order.
 //
-// Shutdown: the context watcher closes the sockets, every ingest loop
+// Shutdown: the context's end closes the sockets, every ingest loop
 // surfaces net.ErrClosed and exits, the queues are closed behind them,
 // and the drain loops empty what is left before exiting on the closed
-// queues.
+// queues. The sockets are closed however Run returns: a wizard whose
+// loops failed, or never started, holds no port.
 func (w *Wizard) Run(ctx context.Context) error {
-	go func() {
-		<-ctx.Done()
-		// The ingest loops below surface the close as net.ErrClosed.
+	closeShards := func() {
 		for _, s := range w.shards {
+			// Closed twice when the context ended first; the second
+			// close's error says only that.
 			_ = s.Close()
 		}
-	}()
+	}
+	defer closeShards()
+	stop := context.AfterFunc(ctx, closeShards)
+	defer stop()
 	nshards := len(w.shards)
 	drainers := max(w.cfg.Workers, nshards)
 	batch := min(max(w.cfg.Batch, 1), netbatch.MaxBatch)
