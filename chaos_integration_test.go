@@ -183,8 +183,13 @@ func TestChaosSelectionSurvivesLossAndCrash(t *testing.T) {
 		t.Fatalf("echo through selected server: %q, %v", buf, err)
 	}
 
-	if probeFaults.Dropped() == 0 {
-		t.Error("fault injector never dropped a datagram; the chaos leg did not run")
+	// The surviving probes keep reporting through the injector, so at a
+	// 20 % drop rate a drop is a few datagrams away at most — but a fast
+	// run can get here before the seed's first one (seed 5 did, most runs).
+	for deadline := time.Now().Add(10 * time.Second); probeFaults.Dropped() == 0; time.Sleep(interval) {
+		if time.Now().After(deadline) {
+			t.Fatal("fault injector never dropped a datagram; the chaos leg did not run")
+		}
 	}
 }
 

@@ -164,17 +164,21 @@ func (m *Monitor) Expired() uint64 { return m.expired.Value() }
 // Dropped reports how many undecodable reports were discarded.
 func (m *Monitor) Dropped() uint64 { return m.dropped.Value() }
 
-// Run serves until the context is cancelled. Each shard socket gets
-// its own ingest loop; the kernel's SO_REUSEPORT flow hash spreads
-// probes across them.
+// Run serves until the context is cancelled or an ingest loop fails.
+// Each shard socket gets its own ingest loop; the kernel's SO_REUSEPORT
+// flow hash spreads probes across them. However it ends, Run returns
+// only once its sockets are closed and everything it started — the
+// expire loop, the TCP accept loop and its handlers — has exited.
 func (m *Monitor) Run(ctx context.Context) error {
-	done := make(chan struct{})
-	defer close(done)
+	ctx, cancel := context.WithCancel(ctx)
+	var side sync.WaitGroup
+	defer side.Wait()
+	defer cancel()
+	side.Add(2)
+	go m.expireLoop(ctx, &side)
 	go func() {
-		select {
-		case <-ctx.Done():
-		case <-done:
-		}
+		defer side.Done()
+		<-ctx.Done()
 		// The serve loops surface these closes as net.ErrClosed.
 		for _, s := range m.shards {
 			_ = s.Close()
@@ -183,32 +187,22 @@ func (m *Monitor) Run(ctx context.Context) error {
 			_ = m.tcp.Close()
 		}
 	}()
-
 	if m.tcp != nil {
-		go m.serveTCP(ctx)
+		side.Add(1)
+		go m.serveTCP(ctx, &side)
 	}
-	go m.expireLoop(ctx)
 
-	if len(m.shards) == 1 {
-		return m.serveUDP(ctx, m.shards[0])
+	errs := make([]error, len(m.shards)) // one per ingest loop
+	var ingest sync.WaitGroup
+	for i, s := range m.shards {
+		ingest.Add(1)
+		go func(i int, conn *net.UDPConn) {
+			defer ingest.Done()
+			errs[i] = m.serveUDP(ctx, conn)
+		}(i, s)
 	}
-	errs := make(chan error, len(m.shards))
-	var wg sync.WaitGroup
-	for _, s := range m.shards {
-		wg.Add(1)
-		go func(conn *net.UDPConn) {
-			defer wg.Done()
-			errs <- m.serveUDP(ctx, conn)
-		}(s)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	ingest.Wait()
+	return errors.Join(errs...)
 }
 
 // serveUDP is one shard's ingest loop: pull a batch of report
@@ -276,18 +270,29 @@ func (m *Monitor) ingest(msg []byte) bool {
 	return true
 }
 
-func (m *Monitor) serveTCP(ctx context.Context) {
+// serveTCP accepts framed-report connections until the listener closes;
+// it and everything it starts are counted in running.
+func (m *Monitor) serveTCP(ctx context.Context, running *sync.WaitGroup) {
+	defer running.Done()
 	for {
 		conn, err := m.tcp.Accept()
 		if err != nil {
 			return
 		}
+		running.Add(1)
 		go func(c net.Conn) {
+			defer running.Done()
 			defer c.Close()
-			// Cancellation closes the connection immediately instead
-			// of letting the handler ride out its read deadline.
-			stop := context.AfterFunc(ctx, func() { _ = c.Close() })
-			defer stop()
+			// Cancellation closes the connection at once instead of
+			// letting the handler ride out its read deadline. The closer
+			// is counted too: ended by itself or, if it never ran, here.
+			running.Add(1)
+			stop := context.AfterFunc(ctx, func() { defer running.Done(); _ = c.Close() })
+			defer func() {
+				if stop() {
+					running.Done()
+				}
+			}()
 			if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 				return
 			}
@@ -311,7 +316,8 @@ func (m *Monitor) serveTCP(ctx context.Context) {
 
 // expireLoop removes stale records at half the expiry horizon so a
 // dead server lingers at most MissedIntervals+0.5 intervals.
-func (m *Monitor) expireLoop(ctx context.Context) {
+func (m *Monitor) expireLoop(ctx context.Context, running *sync.WaitGroup) {
+	defer running.Done()
 	maxAge := time.Duration(m.cfg.MissedIntervals) * m.cfg.Interval
 	ticker := time.NewTicker(maxAge / 2)
 	defer ticker.Stop()

@@ -3,6 +3,8 @@ package monitor
 import (
 	"context"
 	"net"
+	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -231,4 +233,84 @@ func TestMonitorRestartPreservesPipeline(t *testing.T) {
 		p.ReportOnce()
 		return db2.SysLen() == 1
 	})
+}
+
+// TestRunReturnsWithEverythingStopped: "Run returned" has to mean the
+// monitor is gone — sockets closed, and the expire loop, the TCP accept
+// loop, the handler of a connection a probe still holds open and the
+// context watcher all exited — for any number of shards, and whether the
+// context ended or the ingest loops did under a live one (then nothing
+// else would ever stop them). Descriptors are counted the moment Run has
+// returned, once: every close happens before that. A goroutine that
+// has just told Run it is done is still a few instructions from dead
+// (above baseline in 24 of 2000 returns on two cores), so a goroutine
+// count above baseline gets until the deadline to drain — which an
+// expire loop waiting on a context nobody cancels never does.
+func TestRunReturnsWithEverythingStopped(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		return len(ents)
+	}
+	if openFDs() < 0 {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	ends := map[string]func(m *Monitor, cancel context.CancelFunc){
+		"context cancelled": func(_ *Monitor, cancel context.CancelFunc) { cancel() },
+		"ingest sockets closed under a live context": func(m *Monitor, _ context.CancelFunc) {
+			for _, s := range m.shards {
+				s.Close()
+			}
+		},
+	}
+	for name, end := range ends {
+		for _, shards := range []int{1, 2} {
+			// The first socket of a process also opens the poller's
+			// descriptors: have that behind us before counting.
+			warm, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm.Close()
+			goroutines, fds := runtime.NumGoroutine(), openFDs()
+
+			db := store.New()
+			m, err := New(Config{Addr: "127.0.0.1:0", DB: db, Interval: time.Second, EnableTCP: true, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			returned := make(chan struct{})
+			go func() {
+				defer close(returned)
+				_ = m.Run(ctx)
+			}()
+			conn, err := net.Dial("tcp", m.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			report := sysinfo.Idle("held-open", 2000, 256)
+			if err := status.WriteFrame(conn, status.Frame{Type: status.TypeSystem, Data: status.EncodeReport(&report)}); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 2*time.Second, func() bool { return db.SysLen() == 1 })
+
+			end(m, cancel)
+			// The probe's end of the TCP connection is still open: it is
+			// this test's to close.
+			<-returned
+			if got := openFDs(); got > fds+1 {
+				t.Errorf("%s, %d shards: Run returned with %d descriptors open, %d before it", name, shards, got-1, fds)
+			}
+			conn.Close()
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s, %d shards: Run returned and left %d goroutines, %d before it", name, shards, runtime.NumGoroutine(), goroutines)
+				}
+			}
+		}
+	}
 }

@@ -19,13 +19,13 @@ import (
 // so any increase over the recorded steady state fails here before it
 // reaches the benchmark dashboards.
 const (
-	idleEpochAllocCeiling    = 46 // BENCH_transport.json delta-idle-1000h
-	refreshEpochAllocCeiling = 47 // BENCH_transport.json delta-refresh-1000h
+	idleEpochAllocCeiling    = 31 // BENCH_transport.json delta-idle-1000h
+	refreshEpochAllocCeiling = 33 // BENCH_transport.json delta-refresh-1000h
 )
 
 // allocHarness wires a transmitter to a receiver through an in-memory
 // conn, exactly like BenchmarkTransportEpoch, and returns a func that
-// runs one full push epoch (encode, wire, decode, apply).
+// runs one full push epoch (pushEpoch, wire, readEpoch, applyEpoch).
 func allocHarness(t *testing.T, fleetSize int, compat bool) (*store.DB, []status.ServerStatus, func()) {
 	t.Helper()
 	src, fleet := benchFleet(fleetSize)
@@ -39,10 +39,12 @@ func allocHarness(t *testing.T, fleetSize int, compat bool) (*store.DB, []status
 	if err != nil {
 		t.Fatal(err)
 	}
+	recv.Compat = compat
 	conn := memConn{new(bytes.Buffer)}
 	var sess pushSession
-	var cs connState
-	cs.lag = recv.lagFor("alloc-test")
+	var e epochBuf
+	var m mirrorState
+	lag := recv.lagFor("alloc-test")
 	epoch := func() {
 		// The pin measures the steady delta path; keep the periodic full
 		// resync (every resyncEvery epochs) from ever coming due, so it
@@ -52,14 +54,13 @@ func allocHarness(t *testing.T, fleetSize int, compat bool) (*store.DB, []status
 			t.Fatal(err)
 		}
 		for conn.Len() > 0 {
-			var f status.Frame
-			f, cs.buf, err = status.ReadFrameInto(conn, cs.buf)
-			if err != nil {
+			if err := recv.readEpoch(conn, &e, m); err != nil {
 				t.Fatal(err)
 			}
-			if err := recv.apply(f, &cs); err != nil {
+			if err := recv.applyEpoch(&m, m.ver, lag, &e.st); err != nil {
 				t.Fatal(err)
 			}
+			e.release()
 		}
 	}
 	// Prime the stream: the first epoch is always a full snapshot, and
@@ -99,8 +100,9 @@ func TestAllocsRefreshEpoch(t *testing.T) {
 // fullSnapshotAllocCeiling pins the epoch the delta pins above never
 // run: a full three-frame snapshot of 1000 hosts (every Compat epoch,
 // and the first and every resyncEvery-th epoch of a delta stream),
-// encoded, read and loaded. The measured 3020 are the receiving end's —
-// three per host: its two strings and its record in the mirror — and
+// encoded, read and loaded. The measured 3023 are the receiving end's —
+// three per host: its two strings and its record in the mirror; three
+// frame buffers, which keepBytes has it release after a snapshot — and
 // none is the transmitter's: the encode buffer is the connection's.
 // Encoding one table into a fresh buffer costs 26 more (the buffer
 // growing to a snapshot's size) and fails here.

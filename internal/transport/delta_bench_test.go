@@ -81,9 +81,12 @@ func BenchmarkTransportEpoch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			recv.Compat = tc.compat
 			conn := memConn{new(bytes.Buffer)}
 			var sess pushSession
-			var cs connState
+			var eb epochBuf
+			var m mirrorState
+			lag := recv.lagFor("bench")
 			var wire int64
 			epoch := func(e int) {
 				if err := tx.pushEpoch(conn, &sess); err != nil {
@@ -91,14 +94,13 @@ func BenchmarkTransportEpoch(b *testing.B) {
 				}
 				wire += int64(conn.Len())
 				for conn.Len() > 0 {
-					var f status.Frame
-					f, cs.buf, err = status.ReadFrameInto(conn, cs.buf)
-					if err != nil {
+					if err := recv.readEpoch(conn, &eb, m); err != nil {
 						b.Fatal(err)
 					}
-					if err := recv.apply(f, &cs); err != nil {
+					if err := recv.applyEpoch(&m, m.ver, lag, &eb.st); err != nil {
 						b.Fatal(err)
 					}
+					eb.release()
 				}
 			}
 			// Prime the stream: the first epoch is always a full

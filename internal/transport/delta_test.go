@@ -8,12 +8,15 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"smartsock/internal/obs"
+	"smartsock/internal/overload"
 	"smartsock/internal/status"
 	"smartsock/internal/store"
 )
@@ -221,7 +224,7 @@ func TestPartialSnapshotCountsAsPartialNotSent(t *testing.T) {
 	// Each frame takes two writes (header, payload): a budget of 3
 	// dies inside the second frame.
 	conn := &budgetConn{Conn: nopConn{}, budget: 3}
-	if _, err := tx.writeSnapshot(conn, &enc, false); err == nil {
+	if _, err := tx.writeSnapshot(conn, &enc); err == nil {
 		t.Fatal("writeSnapshot succeeded over a cut stream")
 	}
 	if sent() != 0 {
@@ -232,18 +235,155 @@ func TestPartialSnapshotCountsAsPartialNotSent(t *testing.T) {
 	}
 	// A failure before any byte is on the wire is not a partial.
 	conn2 := &budgetConn{Conn: nopConn{}, budget: 0}
-	if _, err := tx.writeSnapshot(conn2, &enc, false); err == nil {
+	if _, err := tx.writeSnapshot(conn2, &enc); err == nil {
 		t.Fatal("writeSnapshot succeeded over a dead stream")
 	}
 	if partial() != 1 {
 		t.Errorf("partial snapshots = %d after zero-byte failure, want still 1", partial())
 	}
 	// A healthy stream completes and counts once.
-	if _, err := tx.writeSnapshot(nopConn{}, &enc, false); err != nil {
+	if _, err := tx.writeSnapshot(nopConn{}, &enc); err != nil {
 		t.Fatal(err)
 	}
 	if sent() != 1 || partial() != 1 {
 		t.Errorf("snapshots/partial = %d/%d, want 1/1", sent(), partial())
+	}
+}
+
+// cutConn forwards its first budget writes, then two bytes of the next,
+// and closes: the wire image of a transmitter dying mid-snapshot.
+type cutConn struct {
+	net.Conn
+	budget int
+}
+
+func (c *cutConn) Write(b []byte) (int, error) {
+	if c.budget == 0 {
+		_, _ = c.Conn.Write(b[:2])
+		_ = c.Conn.Close()
+		return 0, errors.New("stream cut")
+	}
+	c.budget--
+	return c.Conn.Write(b)
+}
+
+// A push epoch reaches the mirror whole or not at all, like a pull
+// reply: a stream cut after the sys frame of a full snapshot (a frame is
+// two writes, header and payload) leaves all three tables as they were.
+// The cut falls inside the net frame's header, so the receiver counts
+// it as torn — by which time it has read everything ahead of it.
+func TestPushEpochCutMidSnapshotAppliesNothing(t *testing.T) {
+	dst := store.New()
+	dst.PutSys(status.ServerStatus{Host: "old-sys", Load1: 7})
+	dst.PutNet(status.NetMetric{From: "old-a", To: "old-b", Bandwidth: 1})
+	dst.PutSec(status.SecLevel{Host: "old-sec", Level: 2})
+	sys, netm, sec := dst.Snapshot()
+	reg := obs.NewRegistry()
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go recv.Run(ctx)
+
+	conn, err := net.Dial("tcp", recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	tx, err := NewTransmitterObs(seedDB(), nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sess pushSession
+	if err := tx.pushEpoch(&cutConn{Conn: conn, budget: 2}, &sess); err == nil {
+		t.Fatal("pushEpoch succeeded over a cut stream")
+	}
+	waitFor(t, 2*time.Second, func() bool { return count(t, reg, "transport_recv_torn") == 1 })
+	if got := count(t, reg, "transport_tx_snapshots_partial"); got != 1 {
+		t.Errorf("partial snapshots = %d, want 1", got)
+	}
+	sys2, net2, sec2 := dst.Snapshot()
+	if !reflect.DeepEqual(sys, sys2) || !reflect.DeepEqual(netm, net2) || !reflect.DeepEqual(sec, sec2) {
+		t.Errorf("half a snapshot reached the mirror:\n sys %+v\n net %+v\n sec %+v", sys2, net2, sec2)
+	}
+	if got := count(t, reg, "transport_recv_frames"); got != 0 {
+		t.Errorf("transport_recv_frames = %d after an epoch that never completed, want 0", got)
+	}
+}
+
+// transport_recv_frames counts the batch and delta frames of the epochs
+// that reached the mirror — not the mark, which carries no record, and
+// nothing for an epoch in which nothing moved — the same way pushed or
+// pulled, and overload_bypass moves in lockstep with it.
+func TestRecvFramesCountsWhatReachedTheMirror(t *testing.T) {
+	steps := []struct {
+		name   string
+		mutate func(src *store.DB)
+		delta  uint64 // frames a delta-protocol epoch adds
+	}{
+		{"full snapshot", func(*store.DB) {}, 3},
+		{"one table moved", func(src *store.DB) { src.PutSys(status.ServerStatus{Host: "sagit"}) }, 1},
+		{"three tables moved", moveAllThree, 3},
+		{"nothing moved", func(*store.DB) {}, 0},
+	}
+	for _, mode := range []string{"push", "pull", "thesis push", "thesis pull"} {
+		t.Run(mode, func(t *testing.T) {
+			compat := strings.HasPrefix(mode, "thesis")
+			src, dst, reg := seedDB(), store.New(), obs.NewRegistry()
+			tx, err := NewTransmitterObs(src, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx.Compat = compat
+			recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recv.Compat = compat
+			recv.Overload = overload.New(overload.Config{Obs: reg})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var deliver func() error
+			if strings.HasSuffix(mode, "push") {
+				go recv.Run(ctx)
+				conn, err := net.Dial("tcp", recv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				var sess pushSession
+				deliver = func() error { return tx.pushEpoch(conn, &sess) }
+			} else {
+				defer recv.Close()
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go tx.ServePassive(ctx, ln)
+				deliver = func() error { return recv.PullFrom([]string{ln.Addr().String()}, time.Second) }
+			}
+			var want uint64
+			for _, step := range steps {
+				step.mutate(src)
+				if err := deliver(); err != nil {
+					t.Fatalf("%s: %v", step.name, err)
+				}
+				if compat {
+					want += 3 // the thesis wire re-ships all three tables, always
+				} else {
+					want += step.delta
+				}
+				if !within(2*time.Second, func() bool { return count(t, reg, "transport_recv_frames") == want }) {
+					t.Fatalf("after %q: transport_recv_frames = %d, want %d", step.name, count(t, reg, "transport_recv_frames"), want)
+				}
+				assertMirrored(t, src, dst)
+			}
+			if got := count(t, reg, "overload_bypass"); got != want {
+				t.Errorf("overload_bypass = %d beside transport_recv_frames = %d", got, want)
+			}
+		})
 	}
 }
 
@@ -343,7 +483,7 @@ func TestStalePullReplyCannotClobberFresherRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst.PutSys(status.ServerStatus{Host: "x", Load1: 5})
-	recv.pullVers["tx-a"] = pullState{ver: 10, synced: true}
+	recv.pullVers["tx-a"] = mirrorState{ver: 10, synced: true}
 
 	// A full reply carrying version 5 — older than the version already
 	// mirrored from this transmitter — must be discarded, not merged.

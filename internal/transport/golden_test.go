@@ -1,10 +1,12 @@
 package transport
 
-// Golden thesis-wire tests: the exact bytes a Compat transmitter and a
-// Compat receiver exchange for seedDB() are checked into testdata/, so
-// any change to the thesis mode — frame order, an extra snap mark, a
-// base version in the request — fails loudly. Compat exists to talk to
-// thesis-era peers; these bytes are that promise.
+// Golden wire tests: the exact bytes a transmitter and a receiver
+// exchange for seedDB() are checked into testdata/, so any change to a
+// wire — frame order, an extra or a missing snap mark, a base version
+// in the request — fails loudly and shows up in review as a fixture
+// diff. thesis_*.hex is the Compat wire, the promise to thesis-era
+// peers; delta_*.hex is the default one, a snapshot epoch and a delta
+// epoch in each mode, every epoch closed by its mark.
 //
 // Regenerate after an *intentional* format change with:
 //
@@ -27,7 +29,7 @@ import (
 	"smartsock/internal/store"
 )
 
-var update = flag.Bool("update", false, "rewrite golden thesis-wire fixtures")
+var update = flag.Bool("update", false, "rewrite golden wire fixtures")
 
 // checkGolden compares got with testdata/<name>.hex (whitespace in the
 // fixture is ignored), or rewrites the fixture under -update. It
@@ -187,4 +189,97 @@ func TestGoldenThesisPullExchange(t *testing.T) {
 	if !bytes.Equal(first, reply) || !bytes.Equal(second, reply) {
 		t.Errorf("transmitter's answers differ from the fixture:\n 1st %x\n 2nd %x\nwant %x", first, second, reply)
 	}
+}
+
+// moveAllThree changes one record of each table of a seedDB, so the
+// next delta epoch carries all three delta frames.
+func moveAllThree(src *store.DB) {
+	src.PutSys(status.ServerStatus{Host: "helene", Load1: 0.9, Bogomips: 3394.76})
+	src.PutNet(status.NetMetric{From: "m1", To: "m2", Delay: 9 * time.Millisecond, Bandwidth: 95e6})
+	src.PutSec(status.SecLevel{Host: "helene", Level: 1})
+}
+
+// TestGoldenDeltaPushEpoch pins the default push stream: a full
+// snapshot closed by its mark, then one delta epoch — three delta
+// frames sharing one [base, new] pair — closed by its own. A receiver
+// fed the fixture's bytes mirrors the source.
+func TestGoldenDeltaPushEpoch(t *testing.T) {
+	src := seedDB()
+	tx, err := NewTransmitterObs(src, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := memConn{new(bytes.Buffer)}
+	var sess pushSession
+	if err := tx.pushEpoch(wire, &sess); err != nil {
+		t.Fatal(err)
+	}
+	moveAllThree(src)
+	if err := tx.pushEpoch(wire, &sess); err != nil {
+		t.Fatal(err)
+	}
+	stream := checkGolden(t, "delta_push_epoch", wire.Bytes())
+
+	dst := store.New()
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go recv.Run(ctx)
+	conn, err := net.Dial("tcp", recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { r, ok := dst.GetSec("helene"); return ok && r.Level.Level == 1 })
+	assertMirrored(t, src, dst)
+}
+
+// TestGoldenDeltaPullExchange pins two default pulls on one connection,
+// in wire order: a request without a base, the full snapshot and its
+// mark; a request naming that mark's version, one delta epoch and its
+// mark.
+func TestGoldenDeltaPullExchange(t *testing.T) {
+	src := seedDB()
+	tx, err := NewTransmitterObs(src, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go tx.ServePassive(ctx, ln)
+
+	dst := store.New()
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	var rec *recConn
+	recv.Dial = func(network, addr string) (net.Conn, error) {
+		c, err := net.Dial(network, addr)
+		rec = &recConn{Conn: c}
+		return rec, err
+	}
+	var exchange []byte
+	for pull := 0; pull < 2; pull++ {
+		if err := recv.PullFrom([]string{ln.Addr().String()}, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		assertMirrored(t, src, dst)
+		exchange = append(append(exchange, rec.wrote.Bytes()...), rec.read.Bytes()...)
+		rec.wrote.Reset()
+		rec.read.Reset()
+		moveAllThree(src)
+	}
+	checkGolden(t, "delta_pull_exchange", exchange)
 }

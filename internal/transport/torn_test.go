@@ -34,13 +34,17 @@ func TestChaosReceiverDistinguishesTornFromCleanClose(t *testing.T) {
 	defer cancel()
 	go r.Run(ctx)
 
-	// Clean close: one complete frame, then EOF at a frame boundary.
+	// Clean close: one complete epoch — a batch frame and its mark —
+	// then EOF at a frame boundary.
 	conn, err := net.Dial("tcp", r.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame := status.Frame{Type: status.TypeSystem, Data: status.MarshalSystemBatch(nil)}
 	if err := status.WriteFrame(conn, frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := status.WriteFrame(conn, status.Frame{Type: status.TypeSnapMark, Data: status.AppendSnapMark(nil, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.Close(); err != nil {

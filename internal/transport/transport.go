@@ -15,27 +15,31 @@
 //     The receiver keeps the connection it asked on, and the buffers
 //     the reply filled, for the next pull (pullSession).
 //
-// On top of both modes sits a delta protocol. The thesis re-ships the
-// full database every epoch (§4.4); here a stream starts with a full
-// snapshot closed by a TypeSnapMark frame carrying the database
-// version, and subsequent epochs carry only TypeSysDelta /
-// TypeNetDelta / TypeSecDelta frames — records that changed since the
-// receiver's version, tombstones for expired ones, and keys whose
-// content was re-reported unchanged. An epoch in which nothing moved
-// sends nothing at all. The receiver validates continuity by version
-// and drops the connection on any gap, which makes the transmitter's
-// reconnect path (a fresh full snapshot) the resync mechanism; a
-// periodic full snapshot bounds how long a silent divergence could
-// last.
+// On top of both modes sits a delta protocol, and its unit is the
+// epoch. The thesis re-ships the full database every epoch (§4.4);
+// here an epoch is either a full snapshot (one to three batch frames)
+// or the delta since the version the receiver mirrors (up to three of
+// TypeSysDelta / TypeNetDelta / TypeSecDelta: records that changed,
+// tombstones for expired ones, keys re-reported unchanged), and every
+// epoch closes with a TypeSnapMark frame carrying the database version
+// it brings a mirror to. A stream starts with a snapshot; a push epoch
+// in which nothing moved sends nothing at all, a pull reply then is the
+// bare mark. A push stream is a sequence of pull replies nobody asked
+// for: the receiver reads both with one function (readEpoch) and lands
+// both with one (applyEpoch) — whole at the mark, or not at all, a
+// snapshot by per-record merge so that several transmitters can feed
+// one mirror. It validates continuity by version: a delta that does
+// not continue what is mirrored closes a push connection, which makes
+// the transmitter's reconnect (a fresh full snapshot) the resync
+// mechanism, and resets a pull source so the next pull asks for
+// everything; a periodic full snapshot bounds how long a silent
+// divergence could last.
 //
 // Compat, set on both ends, is the thesis wire exactly — three batch
 // frames per epoch or per reply, nothing else — on the same code: the
 // transmitter always ships the full snapshot and leaves out the mark;
-// the receiver's pull loop asks without a base, takes a reply as
-// complete at one batch frame of each table, and loads the union of
-// the replies whole. Either way the receiver decodes through one
-// function (stage); push stream and pull path differ only in when
-// they admit and apply what it decoded.
+// the receiver takes an epoch as complete at one batch frame of each
+// table and loads it whole, a pull round as the union of its replies.
 //
 // Counters live in the obs registry the constructors take (nil
 // detaches them) under the transport_* names of OBS_SCHEMA.
@@ -52,6 +56,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/bits"
 	"net"
 	"sync"
 	"syscall"
@@ -150,13 +155,14 @@ func NewTransmitterObs(db *store.DB, logger *log.Logger, reg *obs.Registry) (*Tr
 }
 
 // writeSnapshot sends one full snapshot over a connection, reusing
-// enc.buf across the three frames (and across epochs: its capacity is
-// pre-sized by the previous epoch's frame lengths). With mark set it
-// closes the snapshot with a TypeSnapMark frame and returns the
-// database version the receiver now mirrors. A complete snapshot
-// counts toward sent; one that dies after the first byte counts
-// toward sentPartial, never toward sent.
-func (t *Transmitter) writeSnapshot(conn net.Conn, enc *encodeState, mark bool) (uint64, error) {
+// enc.buf across the frames (and across epochs: its capacity is
+// pre-sized by the previous epoch's frame lengths), closes it with a
+// TypeSnapMark frame and returns the database version the receiver now
+// mirrors. The thesis wire has no mark and its receiver mirrors no
+// version: under Compat none is sent and the version returned is 0. A
+// complete snapshot counts toward sent; one that dies after the first
+// byte counts toward sentPartial, never toward sent.
+func (t *Transmitter) writeSnapshot(conn net.Conn, enc *encodeState) (uint64, error) {
 	sys, net, sec, ver := t.db.SnapshotAt()
 	wrote := false
 	fail := func(err error) (uint64, error) {
@@ -178,7 +184,9 @@ func (t *Transmitter) writeSnapshot(conn net.Conn, enc *encodeState, mark bool) 
 	if err := status.WriteFrame(conn, status.Frame{Type: status.TypeSecurity, Data: enc.buf}); err != nil {
 		return fail(err)
 	}
-	if mark {
+	if t.Compat {
+		ver = 0
+	} else {
 		enc.buf = status.AppendSnapMark(enc.buf[:0], ver)
 		if err := status.WriteFrame(conn, status.Frame{Type: status.TypeSnapMark, Data: enc.buf}); err != nil {
 			return fail(err)
@@ -188,17 +196,13 @@ func (t *Transmitter) writeSnapshot(conn net.Conn, enc *encodeState, mark bool) 
 	return ver, nil
 }
 
-// empty reports whether the staged delta carries nothing in any table.
-func (enc *encodeState) empty() bool {
-	return enc.sysD.Empty() && enc.netD.Empty() && enc.secD.Empty()
-}
-
 // writeEpoch sends the delta epoch staged in enc — its non-empty delta
-// frames and, on a pull reply, the closing snap mark at ver — with one
-// write: the frames are small, and a syscall apiece costs more than
-// encoding them. The delta frames share one [base, new] version pair,
-// which is how the receiver tells "next frame of this epoch" from a gap.
-func (t *Transmitter) writeEpoch(conn net.Conn, enc *encodeState, mark bool, ver uint64) (err error) {
+// frames and the snap mark at ver that closes it — with one write: the
+// frames are small, and a syscall apiece costs more than encoding them.
+// The delta frames share one [base, ver] pair and the mark repeats ver,
+// which is how the receiver tells one epoch from a gap. An epoch with
+// nothing in it is the bare mark, and counts as skipped.
+func (t *Transmitter) writeEpoch(conn net.Conn, enc *encodeState, ver uint64) (err error) {
 	enc.buf = enc.buf[:0]
 	if !enc.sysD.Empty() {
 		if enc.buf, err = status.AppendFrame(enc.buf, status.TypeSysDelta, status.AppendSysDelta, &enc.sysD); err != nil {
@@ -215,63 +219,68 @@ func (t *Transmitter) writeEpoch(conn net.Conn, enc *encodeState, mark bool, ver
 			return err
 		}
 	}
-	deltas := len(enc.buf) > 0
-	if mark {
-		if enc.buf, err = status.AppendFrame(enc.buf, status.TypeSnapMark, status.AppendSnapMark, ver); err != nil {
-			return err
-		}
+	counter := t.deltas
+	if len(enc.buf) == 0 {
+		counter = t.skipped
+	}
+	if enc.buf, err = status.AppendFrame(enc.buf, status.TypeSnapMark, status.AppendSnapMark, ver); err != nil {
+		return err
 	}
 	if _, err := conn.Write(enc.buf); err != nil {
 		return fmt.Errorf("transport: write delta epoch: %w", err)
 	}
-	if deltas {
-		t.deltas.Add(1)
-	}
+	counter.Add(1)
 	return nil
 }
 
+// sendSince ships one epoch to a receiver that mirrors this database at
+// base (0: not at all) and returns the version it mirrors afterwards:
+// the delta since base when the store can still serve it, else — and
+// always on the thesis wire — a full snapshot. It is a pull's whole
+// answer and a push stream's every epoch.
+func (t *Transmitter) sendSince(conn net.Conn, enc *encodeState, base uint64) (uint64, error) {
+	if base > 0 && !t.Compat {
+		if ver, ok := t.db.ChangedSince(base, &enc.sysD, &enc.netD, &enc.secD); ok {
+			return ver, t.writeEpoch(conn, enc, ver)
+		}
+	}
+	return t.writeSnapshot(conn, enc)
+}
+
 // pushSession is the per-connection state of one centralized-mode
-// push stream: the version the receiver mirrors and how many delta
-// epochs have passed since the last full snapshot.
+// push stream: the version the receiver mirrors (0 before its first
+// snapshot, and on the thesis wire always) and how many epochs have
+// passed since a full snapshot was last asked for.
 type pushSession struct {
 	enc       encodeState
 	base      uint64
-	synced    bool
 	sinceFull int
 }
 
-// pushEpoch ships one epoch over an established stream: a full
-// snapshot when the stream is new, overdue for its periodic resync or
-// the store can no longer serve the receiver's base; otherwise the
-// delta since base, or nothing at all when the database is unchanged.
+// pushEpoch ships one epoch over an established stream: what sendSince
+// makes of the stream's base — no base when the stream is overdue for
+// its periodic resync — or, nobody having asked, nothing at all when the
+// database has not moved since.
 func (t *Transmitter) pushEpoch(conn net.Conn, s *pushSession) error {
-	if t.Compat {
-		_, err := t.writeSnapshot(conn, &s.enc, false)
-		return err
+	base := s.base
+	if s.sinceFull >= resyncEvery {
+		base = 0
 	}
-	if s.synced && s.sinceFull < resyncEvery {
-		ver, ok := t.db.ChangedSince(s.base, &s.enc.sysD, &s.enc.netD, &s.enc.secD)
-		if ok {
-			s.sinceFull++
-			if s.enc.empty() {
-				t.skipped.Add(1)
-				return nil
-			}
-			if err := t.writeEpoch(conn, &s.enc, false, ver); err != nil {
-				return err
-			}
-			s.base = ver
-			return nil
-		}
+	if base > 0 && t.db.Ver() == base {
+		s.sinceFull++
+		t.skipped.Add(1)
+		return nil
 	}
-	ver, err := t.writeSnapshot(conn, &s.enc, true)
+	ver, err := t.sendSince(conn, &s.enc, base)
 	if err != nil {
-		s.synced = false
+		s.base = 0
 		return err
 	}
 	s.base = ver
-	s.synced = true
-	s.sinceFull = 0
+	s.sinceFull++
+	if base == 0 {
+		s.sinceFull = 0
+	}
 	return nil
 }
 
@@ -305,7 +314,7 @@ func (t *Transmitter) RunActive(ctx context.Context, receiverAddr string, interv
 				conn = c
 				// A fresh connection mirrors nothing yet: start it
 				// with a full snapshot, whatever the session held.
-				sess.synced = false
+				sess.base = 0
 			}
 		}
 		if conn != nil {
@@ -420,26 +429,13 @@ func serveConns(ctx context.Context, ln net.Listener, handle func(net.Conn)) err
 }
 
 // answerPull serves one distributed-mode request on an established
-// connection.
+// connection: the epoch since the base the request names.
 func (t *Transmitter) answerPull(conn net.Conn, req []byte, enc *encodeState) error {
-	if t.Compat {
-		_, err := t.writeSnapshot(conn, enc, false)
-		return err
-	}
 	base, err := status.ParsePullRequest(req)
 	if err != nil {
 		return err
 	}
-	if base > 0 {
-		ver, ok := t.db.ChangedSince(base, &enc.sysD, &enc.netD, &enc.secD)
-		if ok {
-			if enc.empty() {
-				t.skipped.Add(1)
-			}
-			return t.writeEpoch(conn, enc, true, ver)
-		}
-	}
-	_, err = t.writeSnapshot(conn, enc, true)
+	_, err = t.sendSince(conn, enc, base)
 	return err
 }
 
@@ -450,12 +446,14 @@ type Receiver struct {
 	ln     net.Listener
 	logger *log.Logger
 
-	// Compat makes PullFrom speak the thesis pull protocol (see there).
-	// The receiver has to be told: the thesis wire has no closing mark,
-	// so nothing in a reply says where it ends. Push streams ignore it.
+	// Compat makes the receiver read the thesis wire, pushed or pulled
+	// (see readEpoch and PullFrom). It has to be told: the thesis wire has
+	// no closing mark, so nothing in a stream says where an epoch ends.
 	Compat bool
 
-	received *obs.Counter // transport_recv_frames: frames applied
+	// received counts the batch and delta frames of the epochs that
+	// reached the mirror, in either mode.
+	received *obs.Counter // transport_recv_frames
 	// torn counts transmitter connections that ended mid-frame — a
 	// header or payload truncated by a crash, reset or stalled-then-cut
 	// link, as opposed to a clean close between frames. Historically
@@ -463,11 +461,11 @@ type Receiver struct {
 	// operators.
 	torn *obs.Counter // transport_recv_torn
 	// resyncs counts how many times delta continuity broke and a full
-	// snapshot had to re-anchor a source: a push-stream version gap or a
-	// delta before any snapshot (the connection closes so the
-	// transmitter's reconnect resyncs it), a pull delta whose base no
-	// longer matches the mirror, or a pulled transmitter observed to
-	// have restarted with a reset version counter.
+	// snapshot had to re-anchor a source: a delta that does not continue
+	// what is mirrored — a version gap, a delta before any snapshot —
+	// (a push connection closes so the transmitter's reconnect resyncs
+	// it, a pull source is reset), or a transmitter observed to have
+	// restarted with a reset version counter.
 	resyncs *obs.Counter // transport_recv_resyncs
 	// unknown counts frames of a type this receiver does not dispatch,
 	// on push streams or in pull replies. Each one also errors the
@@ -486,12 +484,13 @@ type Receiver struct {
 	lagMu sync.Mutex
 	lags  map[string]*sourceLag
 
-	// pullMu guards pullVers and serialises delta/merge application of
-	// pull replies, so two concurrent pulls from the same transmitter
-	// cannot interleave an older reply over a newer one. Network reads
-	// happen outside it.
+	// pullMu guards pullVers — what is mirrored of each pulled address,
+	// kept between pulls — and serialises the application of pull
+	// replies, so two concurrent pulls from the same transmitter cannot
+	// interleave an older reply over a newer one. Network reads happen
+	// outside it.
 	pullMu   sync.Mutex
-	pullVers map[string]pullState
+	pullVers map[string]mirrorState
 
 	// sessMu guards sessions, closed and every session's conn field (a
 	// field write or read, never I/O).
@@ -503,7 +502,7 @@ type Receiver struct {
 	// net.DialTimeout. The chaos layer wraps faults around it.
 	Dial func(network, addr string) (net.Conn, error)
 
-	// Overload, when set, registers every applied frame as a priority
+	// Overload, when set, registers every received frame as a priority
 	// bypass admission on the wizard's overload gate. Status
 	// distribution is never queued behind and never shed with client
 	// request traffic — the priority invariant the admission plane
@@ -514,11 +513,10 @@ type Receiver struct {
 }
 
 // sourceLag is the epoch-lag pair for one transmitter: the newest
-// version its frames have announced (head, set the moment a snap-mark
-// or delta header is parsed) against the version actually applied to
-// the mirror. The registered transport_epoch_lag gauge is their
-// difference — zero in steady state, positive while a source's frames
-// are being rejected or a staged pull has not landed.
+// version a complete epoch of its has announced (head) against the
+// version actually applied to the mirror. The registered
+// transport_epoch_lag gauge is their difference — zero in steady state,
+// positive while a source's epochs are being discarded.
 type sourceLag struct {
 	head    *obs.Gauge
 	applied *obs.Gauge
@@ -554,10 +552,11 @@ func sourceHost(addr string) string {
 	return addr
 }
 
-// pullState is what the receiver remembers about one passive
-// transmitter between pulls: the version of that transmitter's
-// database it already mirrors.
-type pullState struct {
+// mirrorState is how far the mirror follows one transmitter: the
+// version of that transmitter's database it holds, once a full snapshot
+// has anchored it. A push stream keeps one per connection, the pull path
+// one per address between pulls.
+type mirrorState struct {
 	ver    uint64
 	synced bool
 }
@@ -586,7 +585,7 @@ func NewReceiverObs(db *store.DB, addr string, logger *log.Logger, reg *obs.Regi
 		catchup:  reg.Histogram("transport_epoch_catchup", obs.LagBuckets),
 		reg:      reg,
 		lags:     make(map[string]*sourceLag),
-		pullVers: make(map[string]pullState),
+		pullVers: make(map[string]mirrorState),
 		sessions: make(map[string]*pullSession),
 	}, nil
 }
@@ -594,7 +593,7 @@ func NewReceiverObs(db *store.DB, addr string, logger *log.Logger, reg *obs.Regi
 // Addr reports the bound address.
 func (r *Receiver) Addr() string { return r.ln.Addr().String() }
 
-// admitted counts n applied frames and mirrors them onto the overload
+// admitted counts n received frames and mirrors them onto the overload
 // gate's bypass counter: status frames are priority traffic the
 // admission plane may never shed, and keeping the two counters in
 // lockstep here is what lets the chaos obs suite reconcile them.
@@ -620,10 +619,9 @@ const (
 	markFrame   frameSet = 1 << status.TypeSnapMark
 )
 
-// staged is what stage has decoded and nothing has applied yet: one
-// frame of a push stream, or a whole pull reply — held back until it
-// is complete, because a connection dying mid-snapshot must not leak
-// half a server list into the wizard's view alongside a healthy reply.
+// staged is one epoch as stage has decoded it and nothing has applied
+// yet — held back until it is complete, because a connection dying
+// mid-snapshot must not leak half a server list into the wizard's view.
 // got says which frame types went in; the delta views alias the frame
 // buffers they were parsed from and keep their capacity across uses.
 type staged struct {
@@ -640,63 +638,74 @@ type staged struct {
 	base, top uint64
 }
 
-// connState is the per-connection decode state of one push stream:
-// the version this stream has mirrored so far plus the reusable read
-// buffer and staging area, so a steady delta stream applies without
-// per-frame allocation.
-type connState struct {
-	buf      []byte
-	frame    staged
-	ver      uint64
-	epochTop uint64 // NewVer of the epoch currently being applied
-	synced   bool
-	lag      *sourceLag // epoch-lag series for this stream's source; nil in test harnesses
+// maxEpochFrames is the most frames a well-formed epoch has: one per
+// table and the closing mark.
+const maxEpochFrames = 4
+
+// epochBuf is what reading epochs off one connection fills and reuses,
+// so a steady delta stream decodes without per-frame allocation. bufs
+// holds one buffer per frame of an epoch, not one for all: the staged
+// delta views alias the buffer they were parsed from, and nothing is
+// applied before the whole epoch is staged.
+type epochBuf struct {
+	bufs [maxEpochFrames][]byte
+	st   staged
+}
+
+// release ends an epoch. The batch records now belong to the mirror; the
+// buffers and views stay for the next epoch unless a full snapshot grew
+// them: see keepBytes.
+func (e *epochBuf) release() {
+	e.st.sys, e.st.net, e.st.sec = nil, nil, nil
+	for _, b := range e.bufs {
+		if cap(b) > keepBytes {
+			*e = epochBuf{}
+			return
+		}
+	}
 }
 
 // Run accepts transmitter connections (centralized mode) until the
-// context is cancelled, and closes the receiver when it returns.
+// context is cancelled, and closes the receiver when it returns. A push
+// stream is read and applied an epoch at a time, like a pull reply; what
+// it mirrors lives and dies with its connection.
 func (r *Receiver) Run(ctx context.Context) error {
 	// The accept loop ends with the context (or with Close): either way
 	// the receiver is done, kept pull connections included.
 	defer r.Close()
 	return serveConns(ctx, r.ln, func(c net.Conn) {
-		var cs connState
-		cs.lag = r.lagFor(sourceHost(c.RemoteAddr().String()))
+		var e epochBuf
+		var m mirrorState
+		lag := r.lagFor(sourceHost(c.RemoteAddr().String()))
 		for {
-			var f status.Frame
-			var err error
-			f, cs.buf, err = status.ReadFrameInto(c, cs.buf)
-			if err != nil {
-				// io.EOF before a header byte is the transmitter
-				// closing cleanly between frames, and net.ErrClosed
-				// is our own shutdown. Anything else — notably a
-				// wrapped io.ErrUnexpectedEOF — means the stream died
-				// mid-frame: count and report it instead of passing it
-				// off as a normal disconnect.
-				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-					r.torn.Add(1)
-					r.logf("receiver: connection torn mid-frame: %v", err)
-				}
-				return
+			err := r.readEpoch(c, &e, m)
+			if err == nil {
+				err = r.applyEpoch(&m, m.ver, lag, &e.st)
+				e.release()
 			}
-			if err := r.apply(f, &cs); err != nil {
-				r.logf("receiver: %v", err)
+			if err != nil {
+				// io.EOF before a header byte is the transmitter closing
+				// cleanly between frames, and net.ErrClosed is our own
+				// shutdown; readEpoch has counted anything torn.
+				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+					r.logf("receiver: %v", err)
+				}
 				return
 			}
 		}
 	})
 }
 
-// errResync marks a delta continuity violation: the connection must
-// close so the transmitter's reconnect delivers a full snapshot.
+// errResync marks a delta continuity violation: a push connection must
+// close so the transmitter's reconnect delivers a full snapshot, a pull
+// source forgets its base so the next pull asks for one.
 var errResync = errors.New("transport: delta continuity broken, forcing resync")
 
 // stage decodes one frame into st. It is the only place that knows the
-// seven status frame types, and it only decodes: whether and when the
-// content reaches the mirror is the policy of its two callers — apply
-// for a push stream, roundTrip and applyPull for a pull reply. What
-// accumulates in one st must be one epoch: its delta frames share one
-// [base, top] pair, and a snap mark closes them at top.
+// seven status frame types, and it only decodes: when an epoch is
+// complete is readEpoch's business, whether it reaches the mirror
+// applyEpoch's. What accumulates in one st must be one epoch: its delta
+// frames share one [base, top] pair, and a snap mark closes them at top.
 func (r *Receiver) stage(f status.Frame, st *staged) (err error) {
 	base, top := st.base, st.top
 	switch f.Type {
@@ -725,13 +734,119 @@ func (r *Receiver) stage(f status.Frame, st *staged) (err error) {
 		return err
 	}
 	if st.got&deltaFrames != 0 && (base != st.base || top != st.top) {
-		// The mark's version is what a puller records as its next base:
+		// The mark's version is what the mirror records as its next base:
 		// if it ran ahead of the deltas' top, the mirror would silently
 		// skip every change in between.
 		return fmt.Errorf("transport: %v frame at [%d, %d] in an epoch covering [%d, %d]", f.Type, base, top, st.base, st.top)
 	}
 	st.base, st.top = base, top
 	st.got |= 1 << f.Type
+	return nil
+}
+
+// readEpoch reads the frames of one epoch from src and stages them in
+// e.st, for a mirror at m. An epoch is complete at its closing snap
+// mark; a thesis epoch, having none, at one batch frame of each table.
+// A delta frame that does not continue m is refused as it arrives — a
+// gap does not wait for a mark — and a stream that ends inside a frame
+// is counted as torn; one that ends between frames (io.EOF) or by our
+// own shutdown is not, and either way nothing of the epoch is applied.
+func (r *Receiver) readEpoch(src io.Reader, e *epochBuf, m mirrorState) error {
+	done := markFrame
+	if r.Compat {
+		done = batchFrames
+	}
+	st := &e.st
+	st.got, st.base, st.top = 0, 0, 0
+	for i := 0; st.got&done != done; i++ {
+		if i == maxEpochFrames {
+			return fmt.Errorf("transport: epoch still open after %d frames", i)
+		}
+		var f status.Frame
+		var err error
+		f, e.bufs[i], err = status.ReadFrameInto(src, e.bufs[i])
+		if err != nil {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				r.torn.Add(1)
+			}
+			return err
+		}
+		if err := r.stage(f, st); err != nil {
+			return err
+		}
+		if st.got&deltaFrames != 0 && (!m.synced || m.ver != st.base) {
+			r.resyncs.Add(1)
+			return fmt.Errorf("%w: at %d, %v frame covers [%d, %d]", errResync, m.ver, f.Type, st.base, st.top)
+		}
+		if r.Compat && st.got&^batchFrames != 0 {
+			// Deltas and marks are as foreign to the thesis wire as a
+			// type nobody dispatches, and counted like one.
+			r.unknown.Add(1)
+			return fmt.Errorf("transport: unexpected frame type %v on the thesis wire", f.Type)
+		}
+	}
+	return nil
+}
+
+// applyEpoch lands one complete staged epoch in the mirror and moves m,
+// what is mirrored of its source, and the source's lag gauges with it.
+// base is the version the epoch was asked from (on a push stream, what
+// the connection mirrored before it). A full snapshot is merged record
+// by record, so it cannot wipe another transmitter's hosts; a delta is
+// applied only if it continues m — otherwise m is reset and errResync
+// returned; a bare mark says nothing moved.
+func (r *Receiver) applyEpoch(m *mirrorState, base uint64, lag *sourceLag, st *staged) error {
+	// The mark announced the transmitter's head; applied only follows
+	// below if the epoch actually lands, so a discarded one leaves the
+	// gap visible as transport_epoch_lag.
+	lag.head.Set(int64(st.top))
+	switch {
+	case r.Compat:
+		// A thesis epoch has neither versions nor tombstones (top is 0):
+		// all it can say is what the tables now hold, whole.
+		r.db.Load(st.sys, st.net, st.sec)
+	case st.got&batchFrames != 0:
+		if m.synced && m.ver >= st.top && m.ver != base {
+			// A concurrent pull already moved this transmitter's mirror
+			// past the base this reply was computed against; an older
+			// full reply must not roll fresher records back.
+			return nil
+		}
+		if m.synced && m.ver > st.top {
+			// A full snapshot below the base it was asked from, and
+			// nothing interleaved: the transmitter restarted and its
+			// version counter reset — adopt the snapshot and its new,
+			// smaller version. Discarding it would pin the mirror to a
+			// base the source can never serve again, freezing this
+			// transmitter out of the wizard's view until its hosts expire.
+			r.resyncs.Add(1)
+		}
+		// Merge upserts but never deletes, so hosts the transmitter
+		// dropped while its link was down, or pruned from its tombstone
+		// table (>4096 expiries), linger here until MaxStatusAge ages
+		// them out; see DESIGN.md "status distribution" for the trade-off.
+		r.db.Merge(st.sys, st.net, st.sec)
+	case st.got&deltaFrames != 0:
+		if !m.synced || m.ver != st.base {
+			// Not the m readEpoch checked against: a concurrent pull
+			// interleaved.
+			r.resyncs.Add(1)
+			*m = mirrorState{}
+			return errResync
+		}
+		r.applyDeltas(st)
+	default:
+		// The transmitter had nothing newer: what is mirrored stands,
+		// head and applied agree.
+		lag.applied.Set(int64(st.top))
+		return nil
+	}
+	if m.synced && st.top > m.ver {
+		r.catchup.Observe(int64(st.top - m.ver))
+	}
+	*m = mirrorState{ver: st.top, synced: true}
+	lag.applied.Set(int64(st.top))
+	r.admitted(bits.OnesCount16(uint16(st.got &^ markFrame)))
 	return nil
 }
 
@@ -748,80 +863,6 @@ func (r *Receiver) applyDeltas(st *staged) {
 	}
 }
 
-// apply loads one push-stream frame into the database as it arrives:
-// a full batch frame replaces its section, a snap mark anchors the
-// stream's version, a delta frame merges incrementally once admitDelta
-// has checked its continuity. Returning an error closes the connection.
-func (r *Receiver) apply(f status.Frame, cs *connState) error {
-	st := &cs.frame
-	st.got, st.sys, st.net, st.sec = 0, nil, nil, nil
-	if err := r.stage(f, st); err != nil {
-		return err
-	}
-	switch {
-	case st.got&markFrame != 0:
-		if cs.synced && st.top > cs.ver {
-			// A periodic resync snapshot advanced an already-anchored
-			// stream; record how far it jumped. The first snapshot of a
-			// stream is an anchor, not catch-up, and is not observed.
-			r.catchup.Observe(int64(st.top - cs.ver))
-		}
-		cs.ver, cs.epochTop = st.top, st.top
-		cs.synced = true
-		if cs.lag != nil {
-			cs.lag.head.Set(int64(st.top)) // applied follows below
-		}
-	case st.got&deltaFrames != 0:
-		if err := r.admitDelta(cs, st.base, st.top); err != nil {
-			return err
-		}
-		r.applyDeltas(st)
-	default:
-		// Nil sections stay untouched: only the frame's own table loads.
-		r.db.Load(st.sys, st.net, st.sec)
-	}
-	if cs.synced && cs.lag != nil {
-		// The frame landed in the mirror: applied has caught up to the
-		// stream's version (a no-op re-set on snap marks).
-		cs.lag.applied.Set(int64(cs.ver))
-	}
-	r.admitted(1)
-	return nil
-}
-
-// admitDelta validates one delta frame's version continuity. The
-// frames of one epoch share a [base, new] pair: the first moves the
-// stream from ver to NewVer, the rest must repeat the same pair. Any
-// other combination is a gap — some epoch was lost — and the stream
-// cannot be trusted until a full snapshot re-anchors it.
-func (r *Receiver) admitDelta(cs *connState, base, newVer uint64) error {
-	// The frame header announces the transmitter's head whether or not
-	// the frame is admitted; a rejected frame leaves head ahead of
-	// applied, which is exactly the lag an operator should see.
-	if cs.lag != nil && newVer > cs.ver {
-		cs.lag.head.Set(int64(newVer))
-	}
-	if !cs.synced {
-		r.resyncs.Add(1)
-		return fmt.Errorf("%w: delta before snapshot", errResync)
-	}
-	switch {
-	case base == cs.ver && newVer >= base:
-		// First frame of a new epoch.
-		r.catchup.Observe(int64(newVer - base))
-		cs.epochTop = newVer
-		cs.ver = newVer
-		return nil
-	case base < cs.ver && cs.ver == cs.epochTop && newVer == cs.epochTop:
-		// Another frame of the epoch we are already applying.
-		return nil
-	default:
-		cs.synced = false
-		r.resyncs.Add(1)
-		return fmt.Errorf("%w: at %d, frame covers [%d, %d]", errResync, cs.ver, base, newVer)
-	}
-}
-
 // PullFrom implements the distributed-mode update: ask each passive
 // transmitter for what changed since the last pull (a full snapshot
 // on the first) and merge the replies record by record. The wizard
@@ -829,8 +870,8 @@ func (r *Receiver) admitDelta(cs *connState, base, newVer uint64) error {
 // on the transmitter's pull session: a kept connection, kept buffers.
 // Unreachable transmitters are reported but do not abort the pull. The
 // thesis pull (Compat) runs through the same loop and differs in three
-// places: pullOne asks without a base, roundTrip takes a reply as
-// complete without a mark, and the complete replies are not merged one
+// places: pullOne asks without a base, readEpoch takes a reply as
+// complete without a mark, and the complete replies are not applied one
 // by one but loaded here as one union.
 func (r *Receiver) PullFrom(transmitters []string, timeout time.Duration) error {
 	if timeout <= 0 {
@@ -862,16 +903,6 @@ func (r *Receiver) PullFrom(transmitters []string, timeout time.Duration) error 
 	return fmt.Errorf("transport: pull failed everywhere: %w", firstErr)
 }
 
-// pullBase reads the version already mirrored from one transmitter.
-func (r *Receiver) pullBase(addr string) uint64 {
-	r.pullMu.Lock()
-	defer r.pullMu.Unlock()
-	if st, ok := r.pullVers[addr]; ok && st.synced {
-		return st.ver
-	}
-	return 0
-}
-
 // pullSession is what the receiver keeps per passive transmitter between
 // pulls: the connection — ServePassive answers any number of requests on
 // one — and every buffer a pull fills, so a steady pull dials nothing and
@@ -884,32 +915,10 @@ type pullSession struct {
 	// conn is nil when no connection is kept. Only the holder of mu
 	// writes it, and under Receiver.sessMu as well, so Close can reach
 	// the connection of a pull in flight.
-	conn net.Conn
-	br   *bufio.Reader // over conn
-	req  []byte        // the request frame
-	// bufs holds one buffer per frame of a reply, not one for all: the
-	// staged delta views alias the buffer they were parsed from, and
-	// nothing is applied before the whole reply is staged.
-	bufs  [][]byte
-	reply staged
-}
-
-// maxReplyFrames is the most frames a well-formed reply has: one per
-// table and the closing mark.
-const maxReplyFrames = 4
-
-// release ends a pull. The batch records now belong to the mirror; the
-// buffers and views stay for the next pull unless a full snapshot (or a
-// peer that never closes its reply) grew them: see keepBytes.
-func (s *pullSession) release() {
-	s.reply.sys, s.reply.net, s.reply.sec = nil, nil, nil
-	grown := len(s.bufs) > maxReplyFrames
-	for _, b := range s.bufs {
-		grown = grown || cap(b) > keepBytes
-	}
-	if grown {
-		s.bufs, s.reply = nil, staged{}
-	}
+	conn     net.Conn
+	br       *bufio.Reader // over conn
+	req      []byte        // the request frame
+	epochBuf               // the reply
 }
 
 var (
@@ -996,7 +1005,7 @@ func (r *Receiver) Close() error {
 	return nil
 }
 
-// pullOne asks one transmitter for changes since the locally mirrored
+// pullOne asks one transmitter for the epoch since the locally mirrored
 // version, on the session's kept connection or a fresh one, and applies
 // the complete reply — or, in thesis mode, adds the complete reply to
 // union for PullFrom to load. A kept connection that turns out stale is
@@ -1010,42 +1019,47 @@ func (r *Receiver) pullOne(addr string, timeout time.Duration, union *staged) er
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.release()
-	// A thesis request carries no base (base 0 encodes as the empty
-	// payload), so every thesis reply is the whole database.
-	var base uint64
-	if !r.Compat {
-		base = r.pullBase(addr)
-	}
+	// Thesis replies are never applied by version, so nothing is mirrored
+	// and a thesis request carries no base (0 encodes as the empty
+	// payload): every thesis reply is the whole database.
+	r.pullMu.Lock()
+	asked := r.pullVers[addr]
+	r.pullMu.Unlock()
 	for reused := s.conn != nil; ; reused = false {
 		if s.conn == nil {
 			if err := r.connect(s, addr, timeout); err != nil {
 				return err
 			}
 		}
-		err := r.roundTrip(s, base, timeout, reused)
+		err := r.roundTrip(s, asked, timeout, reused)
 		if err == nil {
 			break
 		}
 		r.drop(s)
+		if errors.Is(err, errResync) {
+			r.pullMu.Lock()
+			delete(r.pullVers, addr)
+			r.pullMu.Unlock()
+		}
 		if !errors.Is(err, errStale) {
 			return err
 		}
 	}
 	if r.Compat {
-		union.sys = append(union.sys, s.reply.sys...)
-		union.net = append(union.net, s.reply.net...)
-		union.sec = append(union.sec, s.reply.sec...)
+		union.sys = append(union.sys, s.st.sys...)
+		union.net = append(union.net, s.st.net...)
+		union.sec = append(union.sec, s.st.sec...)
 		return nil
 	}
-	return r.applyPull(addr, base, &s.reply)
+	return r.applyPull(addr, asked.ver, &s.st)
 }
 
 // roundTrip sends one request on the session's connection and stages the
-// complete reply in s.reply. On a reused connection, failing to send the
-// request, or finding the stream ended or reset before one reply byte
-// arrived, is errStale and not counted as torn; everything else fails as
-// it would on a fresh connection.
-func (r *Receiver) roundTrip(s *pullSession, base uint64, timeout time.Duration, reused bool) error {
+// complete reply, one epoch, in s.st. On a reused connection, failing to
+// send the request, or finding the stream ended or reset before one reply
+// byte arrived, is errStale and not counted as torn; everything else
+// fails as it would on a fresh connection.
+func (r *Receiver) roundTrip(s *pullSession, asked mirrorState, timeout time.Duration, reused bool) error {
 	stale := func(err error) error {
 		if reused {
 			return fmt.Errorf("%w: %v", errStale, err)
@@ -1056,7 +1070,7 @@ func (r *Receiver) roundTrip(s *pullSession, base uint64, timeout time.Duration,
 		return stale(err)
 	}
 	var err error
-	if s.req, err = status.AppendFrame(s.req[:0], status.TypeRequest, status.AppendPullRequest, base); err != nil {
+	if s.req, err = status.AppendFrame(s.req[:0], status.TypeRequest, status.AppendPullRequest, asked.ver); err != nil {
 		return err
 	}
 	if _, err := s.conn.Write(s.req); err != nil {
@@ -1069,103 +1083,27 @@ func (r *Receiver) roundTrip(s *pullSession, base uint64, timeout time.Duration,
 			return stale(err)
 		}
 	}
-	// A reply is complete at its closing snap mark; a thesis reply,
-	// having none, at one batch frame of each table.
-	done := markFrame
-	if r.Compat {
-		done = batchFrames
-	}
-	reply := &s.reply
-	reply.got, reply.base, reply.top = 0, 0, 0
-	for i := 0; reply.got&done != done; i++ {
-		if i == len(s.bufs) {
-			s.bufs = append(s.bufs, nil)
-		}
-		var f status.Frame
-		f, s.bufs[i], err = status.ReadFrameInto(s.br, s.bufs[i])
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				r.torn.Add(1)
-			}
-			return err
-		}
-		if err := r.stage(f, reply); err != nil {
-			return err
-		}
-		if reply.got&deltaFrames != 0 && reply.base != base {
-			return fmt.Errorf("transport: pull delta base %d, requested %d", reply.base, base)
-		}
-		if r.Compat && reply.got&^batchFrames != 0 {
-			// Deltas and marks are as foreign to the thesis wire as a
-			// type nobody dispatches, and counted like one.
-			r.unknown.Add(1)
-			return fmt.Errorf("transport: unexpected frame type %v in thesis pull reply", f.Type)
-		}
-	}
-	return nil
+	return r.readEpoch(s.br, &s.epochBuf, asked)
 }
 
-// applyPull merges one complete staged reply. The version check under
-// pullMu makes the merge safe against concurrent pulls of the same
-// transmitter: a reply computed against a base another pull has
-// already moved past is discarded rather than applied out of order,
-// and a full reply older than what is already mirrored cannot clobber
-// the fresher records.
+// applyPull lands one complete staged reply against what is mirrored of
+// addr now. Doing so under pullMu makes it safe against concurrent pulls
+// of the same transmitter: a reply computed against a base another pull
+// has already moved past is discarded rather than applied out of order
+// (a delta also resets the source, and the pull still succeeds), and a
+// full reply older than what is already mirrored cannot clobber the
+// fresher records.
 func (r *Receiver) applyPull(addr string, base uint64, reply *staged) error {
 	lag := r.lagFor(addr)
-	// The closing snap mark announced the transmitter's head; applied
-	// only follows below if the reply actually lands, so a discarded
-	// reply leaves the gap visible as transport_epoch_lag.
-	lag.head.Set(int64(reply.top))
 	r.pullMu.Lock()
 	defer r.pullMu.Unlock()
-	cur, haveCur := r.pullVers[addr]
-	switch {
-	case reply.got&batchFrames != 0:
-		if haveCur && cur.synced && cur.ver >= reply.top {
-			if cur.ver != base {
-				// A concurrent pull already moved this transmitter's
-				// mirror past the base this reply was computed
-				// against; an older full reply must not roll fresher
-				// records back.
-				return nil
-			}
-			// cur.ver == base: no pull interleaved, yet the reply is a
-			// full snapshot at or below the base we asked to diff
-			// from. The transmitter restarted and its version counter
-			// reset — adopt the snapshot and its new, smaller version.
-			// Discarding it would pin the mirror to a base the source
-			// can never serve again, freezing this transmitter out of
-			// the wizard's view until its hosts expire.
-			r.resyncs.Add(1)
-		}
-		// Merge upserts but never deletes, so hosts the transmitter
-		// pruned from its tombstone table (>4096 expiries between
-		// pulls) can linger here until MaxStatusAge ages them out; see
-		// DESIGN.md "status distribution" for the trade-off.
-		r.db.Merge(reply.sys, reply.net, reply.sec)
-		r.admitted(3)
-	case reply.got&deltaFrames != 0:
-		if !haveCur || !cur.synced || cur.ver != base {
-			// The base this delta was computed against is no longer
-			// what we mirror (a concurrent pull interleaved); drop it
-			// and let the next pull restart from the current version.
-			r.resyncs.Add(1)
-			r.pullVers[addr] = pullState{}
-			return nil
-		}
-		r.applyDeltas(reply)
-		r.catchup.Observe(int64(reply.top - base))
-		r.admitted(1)
-	default:
-		// An empty reply: the transmitter had nothing newer. Leave the
-		// mirrored version untouched — head and applied agree.
-		lag.applied.Set(int64(reply.top))
+	m := r.pullVers[addr]
+	err := r.applyEpoch(&m, base, lag, reply)
+	r.pullVers[addr] = m
+	if errors.Is(err, errResync) {
 		return nil
 	}
-	lag.applied.Set(int64(reply.top))
-	r.pullVers[addr] = pullState{ver: reply.top, synced: true}
-	return nil
+	return err
 }
 
 // dialPull opens a pull connection through the configured hook.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -222,6 +223,97 @@ func TestDistributedModeMergesMultipleTransmitters(t *testing.T) {
 	})
 }
 
+// Every server group has its own monitor machine (§3.3.3), so several
+// transmitters pushing into one receiver is the designed deployment: a
+// push snapshot is merged record by record, like a pulled one, and only
+// a transmitter's own tombstones remove its hosts. What that gives up,
+// the trade-off pulls already made: a host that dies while its monitor's
+// push link is down is no longer removed by the reconnect's snapshot —
+// it lingers in the mirror until MaxStatusAge. Two thesis-wire (Compat)
+// pushers still replace each other's tables every epoch: that wire has
+// neither tombstones nor marks, and loading whole tables is all it can
+// say.
+func TestCentralizedModeMergesMultipleTransmitters(t *testing.T) {
+	now := time.Unix(1000, 0)
+	var mu sync.Mutex
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	srcA := store.NewWithClock(clock)
+	a1, a2 := status.ServerStatus{Host: "a1", Load1: 1}, status.ServerStatus{Host: "a2", Load1: 2}
+	srcA.PutSys(a1)
+	srcA.PutSys(a2)
+	srcB := store.New()
+	srcB.PutSys(status.ServerStatus{Host: "b1"})
+
+	dst := store.New()
+	reg := obs.NewRegistry()
+	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go recv.Run(ctx)
+	push := func(src *store.DB) *obs.Registry {
+		txReg := obs.NewRegistry()
+		tx, err := NewTransmitterObs(src, nil, txReg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go tx.RunActive(ctx, recv.Addr(), 10*time.Millisecond)
+		return txReg
+	}
+	hosts := func() (names []string) {
+		for _, r := range dst.Sys() {
+			names = append(names, r.Status.Host)
+		}
+		return names
+	}
+	regA := push(srcA)
+	waitFor(t, 2*time.Second, func() bool { return dst.SysLen() == 2 })
+	push(srcB)
+	waitFor(t, 2*time.Second, func() bool { _, ok := dst.GetSys("b1"); return ok })
+	if got := hosts(); !reflect.DeepEqual(got, []string{"a1", "a2", "b1"}) {
+		t.Fatalf("after B connected the mirror holds %v, want a1 a2 b1", got)
+	}
+
+	// A's hosts re-report unchanged, then a1 changes: two delta epochs of
+	// A's, neither of which may cost anybody a host.
+	deltasA := func() uint64 { return count(t, regA, "transport_tx_delta_epochs") }
+	sent := deltasA()
+	srcA.PutSys(a1)
+	srcA.PutSys(a2)
+	waitFor(t, 2*time.Second, func() bool { return deltasA() > sent })
+	a1.Load1 = 9
+	srcA.PutSys(a1)
+	waitFor(t, 2*time.Second, func() bool { r, _ := dst.GetSys("a1"); return r.Status.Load1 == 9 })
+	if got := hosts(); !reflect.DeepEqual(got, []string{"a1", "a2", "b1"}) {
+		t.Fatalf("after A re-reported and changed the mirror holds %v, want a1 a2 b1", got)
+	}
+
+	// An expiry at A is A's tombstone: it removes a1 and nothing else.
+	mu.Lock()
+	now = now.Add(time.Hour)
+	mu.Unlock()
+	srcA.PutSys(a2)
+	if got := srcA.ExpireSys(30 * time.Minute); !reflect.DeepEqual(got, []string{"a1"}) {
+		t.Fatalf("ExpireSys = %v, want [a1]", got)
+	}
+	waitFor(t, 2*time.Second, func() bool { _, ok := dst.GetSys("a1"); return !ok })
+	if got := hosts(); !reflect.DeepEqual(got, []string{"a2", "b1"}) {
+		t.Fatalf("after a1 expired at A the mirror holds %v, want a2 b1", got)
+	}
+
+	// A monitor that has just restarted pushes a snapshot of nothing —
+	// its probes have not re-reported yet. A and B are idle now, so the
+	// next frames the receiver counts are that snapshot's.
+	frames := count(t, reg, "transport_recv_frames")
+	push(store.New())
+	waitFor(t, 2*time.Second, func() bool { return count(t, reg, "transport_recv_frames") >= frames+3 })
+	if got := hosts(); !reflect.DeepEqual(got, []string{"a2", "b1"}) {
+		t.Fatalf("an empty transmitter connecting left the mirror with %v, want a2 b1", got)
+	}
+}
+
 func TestPullToleratesDeadTransmitter(t *testing.T) {
 	pullModes(t, func(t *testing.T, compat bool) {
 		src := seedDB()
@@ -307,7 +399,7 @@ func TestReceiverRejectsUnknownFrame(t *testing.T) {
 	if err := status.WriteFrame(conn, status.Frame{Type: status.TypeRequest}); err != nil {
 		t.Fatal(err)
 	}
-	// A valid frame on a fresh connection still works afterwards.
+	// A valid epoch on a fresh connection still works afterwards.
 	conn2, err := net.Dial("tcp", recv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -315,6 +407,9 @@ func TestReceiverRejectsUnknownFrame(t *testing.T) {
 	defer conn2.Close()
 	f := status.Frame{Type: status.TypeSystem, Data: status.MarshalSystemBatch([]status.ServerStatus{{Host: "x"}})}
 	if err := status.WriteFrame(conn2, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := status.WriteFrame(conn2, status.Frame{Type: status.TypeSnapMark, Data: status.AppendSnapMark(nil, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return dst.SysLen() == 1 })

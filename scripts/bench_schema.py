@@ -187,16 +187,19 @@ SIZE_SCHEMA = {
 }
 
 # Line budgets (ROADMAP item 9b): the committed sizes of PR 21, lowered
-# to PR 23's where it shrank one (total, status, reqlang; lint and
-# lint/flow are new here, at what the oracle audit left of them). A PR
-# that grows one of these past its ceiling deletes elsewhere in the
-# same PR, or moves the ceiling here and says why in its CHANGES.md
-# entry; a PR that shrinks one lowers the ceiling to the new size.
+# to PR 23's where it shrank one (status, reqlang; lint and lint/flow
+# are new there, at what the oracle audit left of them) and to PR 24's
+# (total, transport; monitor is new here, at what its shutdown contract
+# left it). A PR that grows one of these past its ceiling deletes
+# elsewhere in the same PR, or moves the ceiling here and says why in
+# its CHANGES.md entry; a PR that shrinks one lowers the ceiling to the
+# new size.
 SIZE_CEILINGS = {
-    "total": 19778,
+    "total": 19722,
     "internal/store": 943,
     "internal/status": 1108,
-    "internal/transport": 1189,
+    "internal/transport": 1127,
+    "internal/monitor": 350,
     "internal/reqlang": 2094,
     "internal/lint": 995,
     "internal/lint/flow": 439,

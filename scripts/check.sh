@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh runs the full correctness gate: formatting, go vet, build,
 # race-enabled tests, a fuzz smoke of the batch evaluator, the committed
-# size numbers, the naming, one-evaluator and benchmark-consumer guards, and
-# the project's own static analyzers (cmd/smartlint). CI runs exactly this script; run it
-# locally before sending a change.
+# size numbers, the naming, one-evaluator, one-applier and
+# benchmark-consumer guards, and the project's own static analyzers
+# (cmd/smartlint). CI runs exactly this script; run it locally before
+# sending a change.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -94,6 +95,21 @@ walker=$(grep -nE '^func .*\([a-z]+ node\) \(Value, error\)' internal/reqlang/*.
 if [ -n "$walker" ]; then
 	echo "internal/reqlang evaluates over the AST again (compile it; Run is the evaluator):" >&2
 	echo "$walker" >&2
+	exit 1
+fi
+
+echo "== one applier =="
+# An epoch — pushed or pulled — reaches the mirror through applyEpoch
+# (applyDeltas under it), and the thesis pull's union through PullFrom;
+# a write to the mirror anywhere else in the transport is a second
+# admit/apply policy coming back beside the first.
+appliers=$(awk '
+	/^func / { fn = $0 }
+	/r\.db\.(Load|Merge|Apply[A-Za-z]*Delta)\(/ && fn !~ /^func \(r \*Receiver\) (applyEpoch|applyDeltas|PullFrom)\(/ { print FILENAME ":" FNR ": " $0 }
+' $(ls internal/transport/*.go | grep -v '_test\.go$'))
+if [ -n "$appliers" ]; then
+	echo "internal/transport writes the mirror outside applyEpoch, applyDeltas and PullFrom:" >&2
+	echo "$appliers" >&2
 	exit 1
 fi
 
