@@ -62,8 +62,9 @@ func isChosen(host string, chosen map[string]bool) bool {
 	if chosen[host] {
 		return true
 	}
+	h, _ := splitHost(host)
 	for addr := range chosen {
-		if stripPort(addr) == stripPort(host) {
+		if a, _ := splitHost(addr); a == h {
 			return true
 		}
 	}

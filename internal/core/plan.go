@@ -130,25 +130,38 @@ func cmpToIndex(op reqlang.CmpOp) index.Op {
 	return index.EQ
 }
 
-// passesConstraints tests the extracted constraints directly against
-// one record, mirroring what the index answers from its columns: a
-// host with no security record fails, exactly as the undefined
-// variable would fail its logical statement.
-func (s *Selector) passesConstraints(rec *store.SysRecord, info *progInfo) bool {
-	for i, c := range info.cons {
-		var v float64
-		if at := info.consAt[i]; at >= 0 {
-			v = rec.Status.VarAt(at)
-		} else {
-			sec, ok := s.db.GetSec(rec.Status.Host)
-			if !ok {
-				return false
-			}
-			v = float64(sec.Level.Level)
-		}
-		if !c.Match(v) {
+// source picks a planned selection's candidates: the index's bitset in
+// sc.bits (true), or the column filter (false) when the index declines
+// a broad span, raced a writer, or forceScan pins ground truth.
+func (s *Selector) source(q *query, sc *scratch) (useIndex bool) {
+	info := q.info
+	if !s.forceScan && s.idx.SyncFor(q.snap, info.fields) {
+		if s.idx.Broad(info.cons) {
+			s.indexDeclines.Add(1)
 			return false
 		}
+		if sc.bits, sc.ids, useIndex = s.idx.Positions(q.snap.Epoch, info.cons, sc.bits, sc.ids); useIndex {
+			return true
+		}
 	}
-	return true
+	s.indexFallbacks.Add(1)
+	return false
+}
+
+// filter is the column filter: it keeps the offsets in at whose
+// records pass every extracted constraint, one pass over a column a
+// constraint.
+func (s *Selector) filter(info *progInfo, sc *scratch, page *store.SysPage, at []int) []int {
+	for i, c := range info.cons {
+		var col []float64
+		if v := info.consAt[i]; v >= 0 {
+			col = page.Column(v, &sc.vals)
+		} else {
+			col = s.secColumn(page, at, &sc.vals)
+		}
+		if at = c.Filter(at, col); len(at) == 0 {
+			break
+		}
+	}
+	return at
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"smartsock/internal/index"
 	"smartsock/internal/obs"
 	"smartsock/internal/proto"
 	"smartsock/internal/reqlang"
@@ -138,11 +139,13 @@ type diffHarness struct {
 	mirVer   uint64
 	synced   bool
 
-	planner *Selector // PlanThreshold 1: index path
-	forced  *Selector // same, ForceScan: constraint-scan ground truth
-	classic *Selector // planner disabled: thesis baseline
-	reg     *obs.Registry
+	planner   *Selector // PlanThreshold 1: index path
+	forced    *Selector // same, ForceScan: constraint-scan ground truth
+	classic   *Selector // planner disabled: thesis baseline
+	reg       *obs.Registry
+	forcedReg *obs.Registry
 
+	srcs  []string
 	progs []*reqlang.Program
 
 	sysD status.SysDelta
@@ -162,7 +165,7 @@ const diffStaleAge = 6 * time.Second
 func newDiffHarness(t testing.TB) *diffHarness { return newDiffHarnessAge(t, diffStaleAge) }
 
 func newDiffHarnessAge(t testing.TB, maxStatusAge time.Duration) *diffHarness {
-	h := &diffHarness{now: time.Unix(1_700_000_000, 0), reg: obs.NewRegistry()}
+	h := &diffHarness{now: time.Unix(1_700_000_000, 0), reg: obs.NewRegistry(), forcedReg: obs.NewRegistry()}
 	clock := func() time.Time { return h.now }
 	h.src = store.NewWithClock(clock)
 	h.mir = store.NewWithClock(clock)
@@ -180,10 +183,10 @@ func newDiffHarnessAge(t testing.TB, maxStatusAge time.Duration) *diffHarness {
 	if h.planner, err = New(h.mir, cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Only the index-path selector reports metrics, so the assertions
-	// below see its planner verdicts alone.
+	// The index-path selector and the forced one report to registries of
+	// their own, so the assertions below see each one's verdicts alone.
 	forcedCfg := cfg
-	forcedCfg.Obs = nil
+	forcedCfg.Obs = h.forcedReg
 	if h.forced, err = New(h.mir, forcedCfg); err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +197,20 @@ func newDiffHarnessAge(t testing.TB, maxStatusAge time.Duration) *diffHarness {
 	if h.classic, err = New(h.mir, classicCfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range diffCorpus {
+	h.setCorpus(t, diffCorpus)
+	return h
+}
+
+// setCorpus replaces the requirement texts compareAll runs.
+func (h *diffHarness) setCorpus(t testing.TB, srcs []string) {
+	h.srcs, h.progs = srcs, nil
+	for _, src := range srcs {
 		p, err := reqlang.Parse(src)
 		if err != nil {
 			t.Fatalf("corpus %q: %v", src, err)
 		}
 		h.progs = append(h.progs, p)
 	}
-	return h
 }
 
 func (h *diffHarness) apply(op diffOp) error {
@@ -294,7 +303,7 @@ func (h *diffHarness) compareAll(val int) error {
 	for pi, prog := range h.progs {
 		for _, opt := range []proto.Option{0, proto.OptPartialOK, proto.OptPartialOK | proto.OptRankByExpr} {
 			fail := func(format string, args ...any) error {
-				return fmt.Errorf("corpus[%d] %q n=%d opt=%d: %s", pi, diffCorpus[pi], n, opt, fmt.Sprintf(format, args...))
+				return fmt.Errorf("corpus[%d] %q n=%d opt=%d: %s", pi, h.srcs[pi], n, opt, fmt.Sprintf(format, args...))
 			}
 			idxRes, idxErr := h.planner.Select(prog, n, opt)
 			scanRes, scanErr := h.forced.Select(prog, n, opt)
@@ -450,6 +459,74 @@ func TestPlannerDifferentialPageBoundaries(t *testing.T) {
 		for val := range diffCounts {
 			if err := h.compareAll(val); err != nil {
 				t.Fatalf("%d hosts (hollow %t): %v", tc.hosts, tc.hollow, err)
+			}
+		}
+	}
+}
+
+// TestPlannerDifferentialBroadSpans runs the comparison with driver
+// constraints whose sorted span is exactly the decline fraction of the
+// table and one entry short of it, on tables straddling page
+// boundaries, with the freshness cutoff on and off over a table whose
+// first half has gone stale. The first shape must be declined and
+// served by the column filter, the second by the index, and the forced
+// filter agrees with both.
+func TestPlannerDifferentialBroadSpans(t *testing.T) {
+	const page = store.SysPageLen
+	for _, hosts := range []int{page - 1, page, page + 1, 2*page + 1, 4 * page} {
+		for _, age := range []time.Duration{diffStaleAge, 0} {
+			h := newDiffHarnessAge(t, age)
+			for i := 0; i < hosts; i++ {
+				if i == hosts/2 {
+					// Ship the first half, then let it age past the cutoff.
+					if err := h.sync(); err != nil {
+						t.Fatal(err)
+					}
+					h.now = h.now.Add(2 * diffStaleAge)
+				}
+				h.now = h.now.Add(time.Millisecond)
+				// 37 is prime to every size above, so the values are a
+				// permutation of 0..hosts-1 spread over every page.
+				h.src.PutSys(status.ServerStatus{Host: fmt.Sprintf("diff-%04d", i), Bogomips: float64(i * 37 % hosts),
+					CPUIdle: float64(i%4) / 4, Load1: float64(i % 5)})
+			}
+			if err := h.sync(); err != nil {
+				t.Fatal(err)
+			}
+			// A span of k entries is broad when k*index.DeclineSpan covers the table.
+			broad := (hosts + index.DeclineSpan - 1) / index.DeclineSpan
+			var corpus []string
+			for _, k := range []int{broad, broad - 1} {
+				corpus = append(corpus,
+					fmt.Sprintf("host_cpu_bogomips < %d\n", k),
+					fmt.Sprintf("host_cpu_bogomips >= %d\nhost_cpu_free * 100\n", hosts-k),
+					fmt.Sprintf("host_cpu_bogomips < %d && host_system_load1 < 3\nuser_denied_host1 = \"diff-0002\"\n", k))
+			}
+			h.setCorpus(t, corpus)
+			for pi, prog := range h.progs {
+				before := h.reg.Snapshot().Counters["index_declines"]
+				if _, err := h.planner.Select(prog, 1, proto.OptPartialOK|proto.OptRankByExpr); err != nil {
+					t.Fatal(err)
+				}
+				declined := h.reg.Snapshot().Counters["index_declines"] > before
+				if want := pi < len(corpus)/2; declined != want {
+					t.Errorf("%d hosts: %q declined %t, want %t", hosts, corpus[pi], declined, want)
+				}
+			}
+			for val := range diffCounts {
+				if err := h.compareAll(val); err != nil {
+					t.Fatalf("%d hosts, MaxStatusAge %v: %v", hosts, age, err)
+				}
+			}
+			// Each source served: the index, its decline, and the forced
+			// filter — and on a quiescent mirror the index never fell back.
+			c, forced := h.reg.Snapshot().Counters, h.forcedReg.Snapshot().Counters
+			if c["index_declines"] == 0 || c["index_plans"]-c["index_declines"]-c["index_fallbacks"] == 0 || forced["index_fallbacks"] == 0 {
+				t.Errorf("%d hosts: declined %d, indexed %d, forced %d: a source never ran", hosts,
+					c["index_declines"], c["index_plans"]-c["index_declines"]-c["index_fallbacks"], forced["index_fallbacks"])
+			}
+			if c["index_fallbacks"] != 0 {
+				t.Errorf("%d hosts: index fell back %d times on a quiescent mirror", hosts, c["index_fallbacks"])
 			}
 		}
 	}

@@ -14,7 +14,9 @@ package core
 
 import (
 	"fmt"
-	"slices"
+	"math"
+	"net"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -107,16 +109,16 @@ type Result struct {
 // snapshot of the server table and draw their working storage from an
 // internal pool.
 type Selector struct {
-	cfg        Config
-	db         *store.DB
-	portSuffix string
-	scratch    sync.Pool // of *scratch
-	memo       selMemo
-	idx        *index.Set
-	infoMu     sync.RWMutex
-	infos      map[*reqlang.Program]*progInfo // see infoFor
-	// forceScan makes planned selections test their extracted
-	// constraints record by record instead of querying the index. The
+	cfg     Config
+	db      *store.DB
+	port    string    // Config.ServicePort, "" for none
+	scratch sync.Pool // of *scratch
+	memo    selMemo
+	idx     *index.Set
+	infoMu  sync.RWMutex
+	infos   map[*reqlang.Program]*progInfo // see infoFor
+	// forceScan makes planned selections filter the snapshot's columns
+	// by their extracted constraints instead of querying the index. The
 	// Result is identical; differential tests set it (export_test.go)
 	// to compare the index path against ground truth.
 	forceScan bool
@@ -126,24 +128,21 @@ type Selector struct {
 	staleDropped   *obs.Counter // core_stale_dropped: records skipped as stale
 	recordEvals    *obs.Counter // core_record_evals: requirement evaluations
 	indexPlans     *obs.Counter // index_plans: selections run under plan semantics
-	indexFallbacks *obs.Counter // index_fallbacks: planned selections served by constraint scan
+	indexFallbacks *obs.Counter // index_fallbacks: planned selections filtered because the index raced a writer, or forceScan
+	indexDeclines  *obs.Counter // index_declines: planned selections filtered because the driver's span is broad
 	rowsPruned     *obs.Counter // index_rows_pruned: records excluded without evaluation
 	residualEvals  *obs.Counter // index_residual_evals: survivors evaluated on the plan path
 }
 
 // scratch is one selection's reusable working storage.
 type scratch struct {
-	env   reqlang.Env // the batch: one snapshot page of lanes
-	lanes []lane      // the records bound into it
-	bits  index.Bits  // index candidate positions
-	ids   index.Bits  // the index's working set, over its host ids
-	top   []candidate // the bounded winner list
-}
-
-// lane is one candidate record of the page being evaluated.
-type lane struct {
-	at    int // index in the page
-	stale int // records dropped as stale before this one
+	env   reqlang.Env               // the batch: one snapshot page of lanes
+	at    [store.SysPageLen]int     // the page offsets a source yields
+	lanes [store.SysPageLen]int     // those not stale: the offsets bound into the batch
+	vals  [store.SysPageLen]float64 // a column the page does not hold as is: converted memory, security levels
+	bits  index.Bits                // index candidate positions
+	ids   index.Bits                // the index's working set, over its host ids
+	top   []candidate               // the bounded winner list
 }
 
 // memoKey identifies one selection question. Programs come from the
@@ -215,12 +214,13 @@ func New(db *store.DB, cfg Config) (*Selector, error) {
 		recordEvals:    cfg.Obs.Counter("core_record_evals"),
 		indexPlans:     cfg.Obs.Counter("index_plans"),
 		indexFallbacks: cfg.Obs.Counter("index_fallbacks"),
+		indexDeclines:  cfg.Obs.Counter("index_declines"),
 		rowsPruned:     cfg.Obs.Counter("index_rows_pruned"),
 		residualEvals:  cfg.Obs.Counter("index_residual_evals"),
 	}
 	s.scratch.New = func() any { return new(scratch) }
 	if cfg.ServicePort > 0 {
-		s.portSuffix = ":" + strconv.Itoa(cfg.ServicePort)
+		s.port = strconv.Itoa(cfg.ServicePort)
 	}
 	return s, nil
 }
@@ -327,12 +327,12 @@ func (s *Selector) run(prog *reqlang.Program, n int, opt proto.Option, explain b
 }
 
 // evaluate is the selection's one loop. Positions come from one of
-// three sources — every snapshot position, those whose record passes
-// the plan's constraints, or the index's candidate bitset — and are
-// consumed a snapshot page at a time: the page's fresh candidates are
-// bound into the batch by column, the program runs over all of them
-// from the plan's residual statement on, and the lanes are offered to
-// the bounded winner list in position order.
+// three sources — every snapshot position, the index's candidate
+// bitset, or the column filter (see source) — and are consumed a
+// snapshot page at a time: the page's fresh candidates are bound into
+// the batch by column, the program runs over all of them from the
+// plan's residual statement on, and the lanes are offered to the
+// bounded winner list in position order.
 func (s *Selector) evaluate(q *query, sc *scratch) Result {
 	snap, size := q.snap, q.snap.Len()
 	info := q.info
@@ -352,14 +352,7 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 	if planned {
 		s.indexPlans.Add(1)
 		vars, from = &info.residual, info.plan.Prefix
-		if !s.forceScan && s.idx.SyncFor(q.snap, info.fields) {
-			sc.bits, sc.ids, useIndex = s.idx.Positions(q.snap.Epoch, info.cons, sc.bits, sc.ids)
-		}
-		if !useIndex {
-			// The index cannot serve this snapshot (it raced a writer) or
-			// forceScan pins ground truth: test the constraints per record.
-			s.indexFallbacks.Add(1)
-		}
+		useIndex = s.source(q, sc)
 	}
 
 	env := &sc.env
@@ -378,42 +371,49 @@ pages:
 			}
 		}
 		page, first := snap.PageOf(pos)
-		lanes := slices.Grow(sc.lanes[:0], len(page))
-		for ; pos < first+len(page); pos++ {
-			if useIndex {
-				if pos = sc.bits.Next(pos); pos < 0 || pos >= first+len(page) {
-					break
+		end := first + page.Len()
+		at := sc.at[:0] // the page offsets the source yields, ascending
+		if useIndex {
+			for ; pos >= 0 && pos < end; pos = sc.bits.Next(pos + 1) {
+				at = append(at, pos-first)
+			}
+		} else {
+			for i := range page.Len() {
+				at = append(at, i)
+			}
+			if planned {
+				at = s.filter(info, sc, page, at)
+			}
+		}
+		pos = end
+		lanes, staleBefore := at, result.StaleDropped // lanes: those not stale
+		if filterStale {
+			lanes = sc.lanes[:0]
+			for _, i := range at {
+				if page.UpdatedAt(i).Before(q.cutoff) {
+					result.StaleDropped++
+				} else {
+					lanes = append(lanes, i)
 				}
 			}
-			rec := &page[pos-first]
-			if planned && !useIndex && !s.passesConstraints(rec, info) {
-				continue
-			}
-			if filterStale && rec.UpdatedAt.Before(q.cutoff) {
-				result.StaleDropped++
-				continue
-			}
-			lanes = append(lanes, lane{at: pos - first, stale: result.StaleDropped})
 		}
-		pos = first + len(page)
-		sc.lanes = lanes
 		if len(lanes) == 0 {
 			continue
 		}
-		s.bind(q, env, vars, page, lanes)
+		s.bind(q, sc, vars, page, lanes)
 		q.prog.Run(env, from)
-		for l, ln := range lanes {
+		for l, i := range lanes {
 			evals++
 			qualified, denied, preferred := env.Qualified(l), false, -1
 			if no, yes := env.Hosts(l); len(no)+len(yes) > 0 {
-				host := page[ln.at].Status.Host
+				host := page.Host(i)
 				denied, preferred = matchHost(host, no) >= 0, matchHost(host, yes)
 				qualified = qualified && !denied
 			}
 			if q.explain {
 				res := env.Result(l)
 				result.Decisions = append(result.Decisions, Decision{
-					Host: page[ln.at].Status.Host, Qualified: qualified, Preferred: preferred >= 0, Denied: denied,
+					Host: page.Host(i), Qualified: qualified, Preferred: preferred >= 0, Denied: denied,
 					FailedLine: res.FailedLine, Score: res.Score, HasScore: res.HasScore, Err: res.Err,
 				})
 			}
@@ -421,11 +421,13 @@ pages:
 				continue
 			}
 			score, hasScore := env.Score(l)
-			top.offer(candidate{pos: first + ln.at, preferred: preferred, score: score, hasScore: hasScore})
+			top.offer(candidate{pos: first + i, preferred: preferred, score: score, hasScore: hasScore})
 			if stopEarly && len(top.items) == q.n {
 				// The page was evaluated whole; the counts are those of
-				// the prefix that ends here.
-				visited, result.StaleDropped = first+ln.at+1, ln.stale
+				// the prefix that ends here: the stale records of at
+				// before lane l are its offsets below i not in lanes.
+				visited = first + i + 1
+				result.StaleDropped = staleBefore + sort.SearchInts(at, i) - l
 				break pages
 			}
 		}
@@ -443,7 +445,7 @@ pages:
 	if len(top.items) > 0 {
 		result.Servers = make([]string, len(top.items))
 		for i, c := range top.items {
-			result.Servers[i] = s.dialAddr(snap.At(c.pos).Status.Host)
+			result.Servers[i] = s.dialAddr(snap.Host(c.pos))
 		}
 	}
 	return result
@@ -521,15 +523,16 @@ func (t *topN) offer(c candidate) {
 }
 
 // bind fills the batch with one page's candidates, a column per
-// variable the statements to run touch: the status variables, plus each
-// server's group's network metrics and its security level when those
-// statements ask for them.
-func (s *Selector) bind(q *query, env *reqlang.Env, vars *slotVars, page []store.SysRecord, lanes []lane) {
+// variable the statements to run touch: the status variables gathered
+// from the page's columns, plus each server's group's network metrics
+// and its security level when those statements ask for them.
+func (s *Selector) bind(q *query, sc *scratch, vars *slotVars, page *store.SysPage, lanes []int) {
+	env := &sc.env
 	env.Reset(len(lanes))
 	for _, v := range vars.status {
-		col := env.Col(v.slot)
-		for l, ln := range lanes {
-			col[l] = page[ln.at].Status.VarAt(v.id)
+		col, dst := page.Column(v.id, &sc.vals), env.Col(v.slot)
+		for l, i := range lanes {
+			dst[l] = col[i]
 		}
 	}
 	if vars.needNet {
@@ -540,7 +543,7 @@ func (s *Selector) bind(q *query, env *reqlang.Env, vars *slotVars, page []store
 		if vars.bw >= 0 {
 			bw = env.Col(vars.bw)
 		}
-		for l, ln := range lanes {
+		for l, i := range lanes {
 			// The server's own group: the thesis assumes LAN metrics are
 			// always sufficient (§3.3.3), so zero delay and a very large
 			// bandwidth (Mbps; effectively infinite) never reject local
@@ -548,7 +551,7 @@ func (s *Selector) bind(q *query, env *reqlang.Env, vars *slotVars, page []store
 			// record, nothing: the variables stay undefined and requirements
 			// referencing them reject the server, the safe default.
 			b := netBinding{bw: 1e5, ok: true}
-			if group := s.cfg.GroupOf(page[ln.at].Status.Host); group != s.cfg.LocalMonitor {
+			if group := s.cfg.GroupOf(page.Host(i)); group != s.cfg.LocalMonitor {
 				b = s.netBinding(q, group)
 			}
 			if delay != nil {
@@ -564,15 +567,26 @@ func (s *Selector) bind(q *query, env *reqlang.Env, vars *slotVars, page []store
 		}
 	}
 	if vars.sec >= 0 {
-		col := env.Col(vars.sec)
-		for l, ln := range lanes {
-			if sec, ok := s.db.GetSec(page[ln.at].Status.Host); ok {
-				col[l] = float64(sec.Level.Level)
-			} else {
+		col, dst := s.secColumn(page, lanes, &sc.vals), env.Col(vars.sec)
+		for l, i := range lanes {
+			if dst[l] = col[i]; dst[l] != dst[l] {
 				env.Undef(vars.sec, l)
 			}
 		}
 	}
+}
+
+// secColumn is the page's column of security levels, read at the
+// offsets in at only: NaN for a host secdb has no record of, which
+// fails every comparison as the undefined variable fails its statement.
+func (s *Selector) secColumn(page *store.SysPage, at []int, buf *[store.SysPageLen]float64) []float64 {
+	for _, i := range at {
+		buf[i] = math.NaN()
+		if sec, ok := s.db.GetSec(page.Host(i)); ok {
+			buf[i] = float64(sec.Level.Level)
+		}
+	}
+	return buf[:page.Len()]
 }
 
 // netBinding reads the metrics from the local monitor to a group, once
@@ -598,12 +612,14 @@ func (s *Selector) netBinding(q *query, group string) netBinding {
 	return b
 }
 
-// dialAddr renders a host as a dialable address.
+// dialAddr renders a host as a dialable address: one that carries no
+// port of its own gets the service port, an IPv6 one in brackets.
 func (s *Selector) dialAddr(host string) string {
-	if s.portSuffix == "" || strings.Contains(host, ":") {
+	h, hasPort := splitHost(host)
+	if s.port == "" || hasPort {
 		return host
 	}
-	return host + s.portSuffix
+	return net.JoinHostPort(h, s.port)
 }
 
 // matchHost finds host in a user-supplied list, matching
@@ -613,18 +629,23 @@ func matchHost(host string, list []string) int {
 	if len(list) == 0 {
 		return -1
 	}
-	h := stripPort(host)
+	h, _ := splitHost(host)
 	for i, entry := range list {
-		if strings.EqualFold(h, stripPort(entry)) {
+		if e, _ := splitHost(entry); strings.EqualFold(h, e) {
 			return i
 		}
 	}
 	return -1
 }
 
-func stripPort(s string) string {
-	if i := strings.LastIndexByte(s, ':'); i >= 0 && !strings.Contains(s[i+1:], ".") {
-		return s[:i]
+// splitHost strips an address down to its host and reports whether it
+// carried a port: "h:9000" and "[fe80::1]:9000" do; "h", "fe80::1" and
+// "[fe80::1]" do not.
+func splitHost(addr string) (host string, hasPort bool) {
+	if strings.Count(addr, ":") == 1 || strings.Contains(addr, "]:") {
+		if h, _, err := net.SplitHostPort(addr); err == nil {
+			return h, true
+		}
 	}
-	return s
+	return strings.TrimSuffix(strings.TrimPrefix(addr, "["), "]"), false
 }

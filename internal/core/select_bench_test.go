@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"smartsock/internal/index"
+	"smartsock/internal/obs"
 	"smartsock/internal/proto"
+	"smartsock/internal/status"
 	"smartsock/internal/store"
 	"smartsock/internal/sysinfo"
 )
@@ -136,6 +140,56 @@ func TestStaleDroppedSingleSnapshot(t *testing.T) {
 	}
 	if res.Epoch != db.SysEpoch() {
 		t.Errorf("result epoch %d, table epoch %d", res.Epoch, db.SysEpoch())
+	}
+}
+
+// TestStaleDroppedCountsOnlyRecordsPassingConstraints: a planned
+// selection prunes before it checks the age, so a stale record that
+// fails the constraints is pruned, not dropped as stale — whichever
+// source serves it: the index, the column filter the index declined
+// to, or the forced filter.
+func TestStaleDroppedCountsOnlyRecordsPassingConstraints(t *testing.T) {
+	const hosts = 300
+	now := time.Date(2004, 6, 1, 12, 0, 0, 0, time.UTC)
+	db := store.NewWithClock(func() time.Time { return now })
+	for i := 0; i < hosts; i++ {
+		if i == hosts/2 {
+			now = now.Add(time.Minute) // the first half goes stale
+		}
+		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("h%03d", i), Bogomips: float64(i * 37 % hosts)})
+	}
+	cfg := Config{MaxStatusAge: 30 * time.Second, PlanThreshold: 1}
+	for _, k := range []int{10, 200} { // a selective span, a broad one
+		prog := mustProg(t, fmt.Sprintf("host_cpu_bogomips < %d\n", k))
+		var stale, pruned int
+		for i := 0; i < hosts; i++ {
+			switch {
+			case i*37%hosts >= k:
+				pruned++
+			case i < hosts/2:
+				stale++
+			}
+		}
+		for _, forced := range []bool{false, true} {
+			reg := obs.NewRegistry()
+			cfg.Obs = reg
+			sel := newSelector(t, db, cfg)
+			if forced {
+				sel.ForceScan()
+			}
+			res, err := sel.Select(prog, proto.MaxServers, proto.OptPartialOK|proto.OptRankByExpr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			declined := reg.Snapshot().Counters["index_declines"] > 0
+			if res.StaleDropped != stale || res.Pruned != pruned {
+				t.Errorf("span %d, forced %t, declined %t: StaleDropped %d, Pruned %d; want %d, %d",
+					k, forced, declined, res.StaleDropped, res.Pruned, stale, pruned)
+			}
+			if broad := k*index.DeclineSpan >= hosts; !forced && declined != broad {
+				t.Errorf("span %d of %d: declined %t", k, hosts, declined)
+			}
+		}
 	}
 }
 

@@ -277,6 +277,74 @@ func TestServicePortAppended(t *testing.T) {
 	}
 }
 
+// TestHostAddresses pins how a record's host, a user's list entry and
+// a reply address relate: names, IPv4 and IPv6 with and without a
+// port, IPv6 bare and in brackets, in either case. A bare IPv6
+// address has no port to strip, so two of them never collide.
+func TestHostAddresses(t *testing.T) {
+	s := newSelector(t, store.New(), Config{ServicePort: 9000})
+	for _, tc := range []struct {
+		addr, host string
+		hasPort    bool
+		dial       string
+	}{
+		{"h1", "h1", false, "h1:9000"},
+		{"H1.Example", "H1.Example", false, "H1.Example:9000"},
+		{"h1:7777", "h1", true, "h1:7777"},
+		{"10.0.0.1", "10.0.0.1", false, "10.0.0.1:9000"},
+		{"10.0.0.1:7777", "10.0.0.1", true, "10.0.0.1:7777"},
+		{"fe80::1", "fe80::1", false, "[fe80::1]:9000"},
+		{"FE80::A", "FE80::A", false, "[FE80::A]:9000"},
+		{"[fe80::1]", "fe80::1", false, "[fe80::1]:9000"},
+		{"[fe80::1]:7777", "fe80::1", true, "[fe80::1]:7777"},
+	} {
+		if host, hasPort := splitHost(tc.addr); host != tc.host || hasPort != tc.hasPort {
+			t.Errorf("splitHost(%q) = %q, %t; want %q, %t", tc.addr, host, hasPort, tc.host, tc.hasPort)
+		}
+		if got := s.dialAddr(tc.addr); got != tc.dial {
+			t.Errorf("dialAddr(%q) = %q, want %q", tc.addr, got, tc.dial)
+		}
+	}
+	for _, tc := range []struct {
+		host, entry string
+		match       bool
+	}{
+		{"h1", "h1", true},
+		{"h1", "H1:22", true},
+		{"h1", "h10", false},
+		{"10.0.0.1", "10.0.0.1:9000", true},
+		{"10.0.0.1", "10.0.0.10", false},
+		{"fe80::1", "fe80::1", true},
+		{"fe80::2", "fe80::1", false},
+		{"fe80::1", "[fe80::1]:9000", true},
+		{"fe80::1", "[fe80::1]", true},
+		{"[fe80::1]:9000", "fe80::1", true},
+		{"fe80::a", "[FE80::A]:9000", true},
+		{"fe80::1", "fe80:", false},
+	} {
+		if got := matchHost(tc.host, []string{tc.entry}) == 0; got != tc.match {
+			t.Errorf("matchHost(%q, [%q]) matched %t, want %t", tc.host, tc.entry, got, tc.match)
+		}
+	}
+}
+
+// TestDeniedIPv6HostDeniesOnlyItself: denying one bare IPv6 host
+// leaves its neighbours selectable.
+func TestDeniedIPv6HostDeniesOnlyItself(t *testing.T) {
+	db := store.New()
+	for _, h := range []string{"fe80::1", "fe80::2", "fe80::3"} {
+		idleHost(db, h, 1000, 128)
+	}
+	s := newSelector(t, db, Config{ServicePort: 9000})
+	res, err := s.Select(mustProg(t, "host_cpu_free > 0.5\nuser_denied_host1 = \"fe80::1\"\n"), 3, proto.OptPartialOK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"[fe80::2]:9000", "[fe80::3]:9000"}; !reflect.DeepEqual(res.Servers, want) {
+		t.Errorf("Servers = %v, want %v", res.Servers, want)
+	}
+}
+
 func TestServerNumCappedAtProtocolLimit(t *testing.T) {
 	db := store.New()
 	for i := 0; i < 70; i++ {

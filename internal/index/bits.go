@@ -36,22 +36,6 @@ func (b Bits) Test(i int) bool {
 	return w < len(b) && b[w]&(1<<(uint(i)&63)) != 0
 }
 
-// Count returns the number of set bits.
-func (b Bits) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Reset clears every bit, keeping capacity.
-func (b Bits) Reset() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 // ForEach calls fn for every set bit in ascending order.
 func (b Bits) ForEach(fn func(i int)) {
 	for w, word := range b {

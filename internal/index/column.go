@@ -61,6 +61,50 @@ func (c Constraint) Match(v float64) bool {
 	return false
 }
 
+// Filter is Match over a column: it keeps the offsets in at whose
+// value col[offset] passes, compacting at in place. The operator is
+// decoded once, outside the loop, and an offset costs no branch: which
+// way a broad constraint goes is a coin the predictor loses.
+func (c Constraint) Filter(at []int, col []float64) []int {
+	k, val := 0, c.Val
+	switch c.Op {
+	case LT:
+		for _, i := range at {
+			at[k] = i
+			k += b2i(col[i] < val)
+		}
+	case LE:
+		for _, i := range at {
+			at[k] = i
+			k += b2i(col[i] <= val)
+		}
+	case GT:
+		for _, i := range at {
+			at[k] = i
+			k += b2i(col[i] > val)
+		}
+	case GE:
+		for _, i := range at {
+			at[k] = i
+			k += b2i(col[i] >= val)
+		}
+	case EQ:
+		for _, i := range at {
+			at[k] = i
+			k += b2i(col[i] == val)
+		}
+	}
+	return at[:k]
+}
+
+// b2i compiles to a flag read, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // entry is one (value, host id) pair in a column's sorted view.
 type entry struct {
 	val float64

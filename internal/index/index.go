@@ -111,10 +111,51 @@ func (s *Set) SyncFor(snap *store.SysSnapshot, fields []string) bool {
 	if !s.posOK {
 		// Entries of ids no longer live go stale; no candidate set holds them.
 		s.pos = slices.Grow(s.pos[:0], len(s.hosts))[:len(s.hosts)]
-		snap.Each(func(i int, rec *store.SysRecord) { s.pos[s.idOf[rec.Status.Host]] = int32(i) })
+		for i := range snap.Len() {
+			s.pos[s.idOf[snap.Host(i)]] = int32(i)
+		}
 		s.posOK = true
 	}
 	return true
+}
+
+// DeclineSpan is the planner's "no": a driver span holding at least
+// 1/DeclineSpan of its column is broad, and filtering the snapshot's
+// columns costs less than collecting it (sweep: DESIGN.md "Selection
+// planner").
+const DeclineSpan = 4
+
+// Broad reports whether the constraint Positions would drive from spans
+// a broad share of its sorted column. It reads the span, not the
+// estimate: that counts the whole patch, so it calls a selective
+// constraint broad just before a compaction. A security-level
+// constraint, of which the snapshot has no column, keeps the index.
+func (s *Set) Broad(cons []Constraint) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	d := s.driverLocked(cons)
+	if d < 0 || slices.ContainsFunc(cons, func(c Constraint) bool { return c.Field == SecurityField }) {
+		return false
+	}
+	col := s.cols[cons[d].Field]
+	lo, hi := col.span(cons[d])
+	return hi > lo && (hi-lo)*DeclineSpan >= len(col.base)
+}
+
+// driverLocked picks the constraint with the smallest estimate; -1 when
+// there is none or one has no column.
+func (s *Set) driverLocked(cons []Constraint) int {
+	driver, best := -1, 0
+	for i, c := range cons {
+		col := s.cols[c.Field]
+		if col == nil {
+			return -1
+		}
+		if est := col.estimate(c); driver < 0 || est < best {
+			driver, best = i, est
+		}
+	}
+	return driver
 }
 
 // Positions sets in dst (reset and grown to fit) the bit of every
@@ -130,19 +171,12 @@ func (s *Set) SyncFor(snap *store.SysSnapshot, fields []string) bool {
 func (s *Set) Positions(epoch uint64, cons []Constraint, dst, ids Bits) (Bits, Bits, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if !s.synced || !s.posOK || s.epoch != epoch || len(cons) == 0 {
+	if !s.synced || !s.posOK || s.epoch != epoch {
 		return dst, ids, false
 	}
-	driver := -1
-	best := 0
-	for i, c := range cons {
-		col := s.cols[c.Field]
-		if col == nil {
-			return dst, ids, false
-		}
-		if est := col.estimate(c); driver < 0 || est < best {
-			driver, best = i, est
-		}
+	driver := s.driverLocked(cons)
+	if driver < 0 {
+		return dst, ids, false
 	}
 	cand := ids[:0].grow(len(s.hosts))
 	s.cols[cons[driver].Field].collect(cons[driver], cand, s.live)
@@ -165,13 +199,6 @@ func (s *Set) Positions(epoch uint64, cons []Constraint, dst, ids Bits) (Bits, B
 	dst = dst[:0].grow(len(s.hosts))
 	cand.ForEach(func(id int) { dst.Set(int(s.pos[id])) })
 	return dst, cand, true
-}
-
-// Ver returns the (version, epoch) pair the indexes reflect.
-func (s *Set) Ver() (ver, epoch uint64, synced bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ver, s.epoch, s.synced
 }
 
 func (s *Set) hasColumns(fields []string) bool {
@@ -262,11 +289,11 @@ func (s *Set) resyncLocked() {
 	}
 	// Host ids for snapshot members not already assigned by column
 	// fills (no columns yet, or fields the records don't define).
-	snap.Each(func(_ int, rec *store.SysRecord) {
-		id := s.ensureIDLocked(rec.Status.Host)
+	for i := range snap.Len() {
+		id := s.ensureIDLocked(snap.Host(i))
 		s.live = s.live.grow(id + 1)
 		s.live.Set(id)
-	})
+	}
 	s.ver, s.epoch, s.synced, s.posOK = ver, epoch, true, false
 }
 
@@ -289,18 +316,20 @@ func (s *Set) ensureColumnsLocked(fields []string, snap *store.SysSnapshot) {
 	}
 }
 
+// fillSysColumnLocked fills a fresh column from the snapshot's own; a
+// field no record defines leaves it empty.
 func (s *Set) fillSysColumnLocked(field string, col *column, snap *store.SysSnapshot) {
 	col.ensure(len(s.hosts))
 	vi := status.VarIndex(field)
-	snap.Each(func(_ int, rec *store.SysRecord) {
-		id := s.ensureIDLocked(rec.Status.Host)
-		col.ensure(id + 1)
-		if vi >= 0 {
-			col.set(id, rec.Status.VarAt(vi))
-		} else {
-			col.unset(id)
+	var buf [store.SysPageLen]float64
+	for first := 0; vi >= 0 && first < snap.Len(); first += store.SysPageLen {
+		page, _ := snap.PageOf(first)
+		for j, v := range page.Column(vi, &buf) {
+			id := s.ensureIDLocked(page.Host(j))
+			col.ensure(id + 1)
+			col.set(id, v)
 		}
-	})
+	}
 	col.compact()
 }
 

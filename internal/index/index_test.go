@@ -80,7 +80,8 @@ func query(t *testing.T, db *store.DB, s *Set, cons []Constraint) []string {
 func TestIndexDeltaMaintenance(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	db := store.NewWithClock(func() time.Time { return clock })
-	s := New(db, nil)
+	reg := obs.NewRegistry()
+	s := New(db, reg)
 
 	for i := 0; i < 50; i++ {
 		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("h%02d", i), Load1: float64(i) / 10, CPUIdle: float64(i) / 50})
@@ -99,13 +100,12 @@ func TestIndexDeltaMaintenance(t *testing.T) {
 	db.PutSys(status.ServerStatus{Host: "new-a", Load1: 0.1, CPUIdle: 1})
 	db.ExpireSys(30 * time.Second) // drops the 40 un-refreshed hosts
 
-	_, _, syncedBefore := s.Ver()
-	if !syncedBefore {
-		t.Fatal("index lost sync unexpectedly")
-	}
 	got = query(t, db, s, cons)
 	if len(got) != 1 || got[0] != "new-a" {
 		t.Fatalf("after churn expected [new-a], got %v", got)
+	}
+	if n := reg.Snapshot().Counters["index_resyncs"]; n != 1 {
+		t.Fatalf("the churn cost %d resyncs in all, want the first build's only", n)
 	}
 
 	// Multi-constraint intersection.
@@ -273,5 +273,65 @@ func TestIndexRandomizedAgainstScan(t *testing.T) {
 			}
 		}
 		query(t, db, s, cons)
+	}
+}
+
+// TestFilterIsMatchOverAColumn: the column filter keeps exactly the
+// offsets whose value Match passes, in the order given, for every
+// operator — NaN and the infinities included.
+func TestFilterIsMatchOverAColumn(t *testing.T) {
+	col := []float64{math.NaN(), math.Inf(-1), -1, 0, math.Copysign(0, -1), 1, 2, math.Inf(1), 1, math.NaN()}
+	for _, op := range []Op{LT, LE, GT, GE, EQ} {
+		for _, val := range []float64{0, 1, math.Inf(1), math.NaN()} {
+			c := Constraint{Op: op, Val: val}
+			at := []int{9, 2, 5, 0, 7, 3, 8, 4, 6} // out of order, 1 left out
+			var want []int
+			for _, i := range at {
+				if c.Match(col[i]) {
+					want = append(want, i)
+				}
+			}
+			if got := c.Filter(at, col); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				t.Errorf("%v %g: Filter kept %v, Match passes %v", op, val, got, want)
+			}
+		}
+	}
+}
+
+// TestBroadDecidesOnTheSortedSpan: a span of a quarter of the column
+// is broad and one entry less is not; a one-host span stays selective
+// however many patch entries a coming compaction will fold in (the
+// estimate counts them all); and the security level keeps the index.
+func TestBroadDecidesOnTheSortedSpan(t *testing.T) {
+	const hosts = 1000
+	db := store.New()
+	s := New(db, nil)
+	for i := 0; i < hosts; i++ {
+		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("h%04d", i), Load1: float64(i)})
+		db.PutSec(status.SecLevel{Host: fmt.Sprintf("h%04d", i), Level: 1})
+	}
+	load := func(op Op, v float64) []Constraint { return []Constraint{{Field: "host_system_load1", Op: op, Val: v}} }
+	query(t, db, s, append(load(GE, 0), Constraint{Field: SecurityField, Op: GE, Val: 0}))
+	for _, tc := range []struct {
+		cons  []Constraint
+		broad bool
+	}{
+		{load(LT, hosts/DeclineSpan), true},
+		{load(LT, hosts/DeclineSpan-1), false},
+		{load(GE, hosts-hosts/DeclineSpan), true},
+		{load(GE, hosts-1), false},
+		{append(load(GE, 0), Constraint{Field: SecurityField, Op: GE, Val: 0}), false},
+	} {
+		if got := s.Broad(tc.cons); got != tc.broad {
+			t.Errorf("Broad(%v) = %t, want %t", tc.cons, got, tc.broad)
+		}
+	}
+	// Rewrite 300 hosts below the sentinel: patch entries, no compaction.
+	for i := 0; i < 300; i++ {
+		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("h%04d", i), Load1: float64(i) + 0.5})
+	}
+	query(t, db, s, load(GE, hosts-1))
+	if s.Broad(load(GE, hosts-1)) {
+		t.Error("a one-host span is broad while the patch is long")
 	}
 }

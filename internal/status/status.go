@@ -116,33 +116,59 @@ type SecLevel struct {
 	Level int
 }
 
-// varNames lists the server-side variables a status report defines
+// Fields lists a report's numeric fields: its floats in wire order
+// (load and CPU, disk, network) and its memory counters. Readers that
+// hold the fields apart — the snapshot's columns — walk these rather
+// than name every field.
+func (s *ServerStatus) Fields() (floats [17]*float64, mems [3]*uint64) {
+	return [...]*float64{&s.Load1, &s.Load5, &s.Load15, &s.CPUUser, &s.CPUNice, &s.CPUSystem, &s.CPUIdle, &s.Bogomips,
+			&s.DiskAllReq, &s.DiskRReq, &s.DiskRBlocks, &s.DiskWReq, &s.DiskWBlocks,
+			&s.NetRBytesPS, &s.NetRPacketsPS, &s.NetTBytesPS, &s.NetTPacketsPS},
+		[...]*uint64{&s.MemTotal, &s.MemUsed, &s.MemFree}
+}
+
+// VarField says where a variable's value comes from: float Field of
+// Fields as it is, or, when Scale is not 0, memory counter Field times
+// Scale (units per byte). Scale is a power of two, so the product is
+// exactly the quotient by bytes per unit, at the cost of a multiply.
+type VarField struct {
+	Field int
+	Scale float64
+}
+
+// perMB is the Scale of a variable counted in MB.
+const perMB = 1.0 / (1 << 20)
+
+// vars lists the server-side variables a status report defines
 // (Appendix B.1), in the order VarAt indexes them.
-var varNames = [...]string{
-	"host_system_load1",
-	"host_system_load5",
-	"host_system_load15",
-	"host_cpu_user",
-	"host_cpu_nice",
-	"host_cpu_system",
-	"host_cpu_idle",
-	"host_cpu_free",
-	"host_cpu_bogomips",
-	"host_memory_total",
-	"host_memory_used",
-	"host_memory_free",
-	"host_memory_total_bytes",
-	"host_memory_used_bytes",
-	"host_memory_free_bytes",
-	"host_disk_allreq",
-	"host_disk_rreq",
-	"host_disk_rblocks",
-	"host_disk_wreq",
-	"host_disk_wblocks",
-	"host_network_rbytesps",
-	"host_network_rpacketsps",
-	"host_network_tbytesps",
-	"host_network_tpacketsps",
+var vars = [...]struct {
+	name string
+	VarField
+}{
+	{"host_system_load1", VarField{0, 0}},
+	{"host_system_load5", VarField{1, 0}},
+	{"host_system_load15", VarField{2, 0}},
+	{"host_cpu_user", VarField{3, 0}},
+	{"host_cpu_nice", VarField{4, 0}},
+	{"host_cpu_system", VarField{5, 0}},
+	{"host_cpu_idle", VarField{6, 0}},
+	{"host_cpu_free", VarField{6, 0}}, // CPUFree is the idle fraction
+	{"host_cpu_bogomips", VarField{7, 0}},
+	{"host_memory_total", VarField{0, perMB}},
+	{"host_memory_used", VarField{1, perMB}},
+	{"host_memory_free", VarField{2, perMB}},
+	{"host_memory_total_bytes", VarField{0, 1}},
+	{"host_memory_used_bytes", VarField{1, 1}},
+	{"host_memory_free_bytes", VarField{2, 1}},
+	{"host_disk_allreq", VarField{8, 0}},
+	{"host_disk_rreq", VarField{9, 0}},
+	{"host_disk_rblocks", VarField{10, 0}},
+	{"host_disk_wreq", VarField{11, 0}},
+	{"host_disk_wblocks", VarField{12, 0}},
+	{"host_network_rbytesps", VarField{13, 0}},
+	{"host_network_rpacketsps", VarField{14, 0}},
+	{"host_network_tbytesps", VarField{15, 0}},
+	{"host_network_tpacketsps", VarField{16, 0}},
 }
 
 // VarIndex resolves a server-side variable name to its VarAt index,
@@ -150,69 +176,30 @@ var varNames = [...]string{
 // requirement against many records resolve the names once and read
 // each record by index.
 func VarIndex(name string) int {
-	for i, n := range varNames {
-		if n == name {
+	for i := range vars {
+		if vars[i].name == name {
 			return i
 		}
 	}
 	return -1
 }
 
-// VarAt returns the value of the variable VarIndex resolved to i: a
-// field read, with no string comparison per record.
+// FieldOf returns where the variable VarIndex resolved to i is read
+// from, so a reader of many records converts a column at a time.
+func FieldOf(i int) VarField { return vars[i].VarField }
+
+// VarAt returns the value of the variable VarIndex resolved to i, 0
+// for -1: one field read, with no string comparison per record.
 func (s *ServerStatus) VarAt(i int) float64 {
-	const mb = 1024 * 1024
-	switch i {
-	case 0:
-		return s.Load1
-	case 1:
-		return s.Load5
-	case 2:
-		return s.Load15
-	case 3:
-		return s.CPUUser
-	case 4:
-		return s.CPUNice
-	case 5:
-		return s.CPUSystem
-	case 6:
-		return s.CPUIdle
-	case 7:
-		return s.CPUFree()
-	case 8:
-		return s.Bogomips
-	case 9:
-		return float64(s.MemTotal) / mb
-	case 10:
-		return float64(s.MemUsed) / mb
-	case 11:
-		return float64(s.MemFree) / mb
-	case 12:
-		return float64(s.MemTotal)
-	case 13:
-		return float64(s.MemUsed)
-	case 14:
-		return float64(s.MemFree)
-	case 15:
-		return s.DiskAllReq
-	case 16:
-		return s.DiskRReq
-	case 17:
-		return s.DiskRBlocks
-	case 18:
-		return s.DiskWReq
-	case 19:
-		return s.DiskWBlocks
-	case 20:
-		return s.NetRBytesPS
-	case 21:
-		return s.NetRPacketsPS
-	case 22:
-		return s.NetTBytesPS
-	case 23:
-		return s.NetTPacketsPS
+	if i < 0 {
+		return 0
 	}
-	return 0
+	f := vars[i].VarField
+	floats, mems := s.Fields()
+	if f.Scale == 0 {
+		return *floats[f.Field]
+	}
+	return float64(*mems[f.Field]) * f.Scale
 }
 
 // Vars flattens a ServerStatus into the server-side variable bindings
@@ -220,11 +207,11 @@ func (s *ServerStatus) VarAt(i int) float64 {
 // and security variables are merged in by the wizard because they come
 // from different databases.
 func (s *ServerStatus) Vars() map[string]float64 {
-	vars := make(map[string]float64, len(varNames))
-	for i, name := range varNames {
-		vars[name] = s.VarAt(i)
+	m := make(map[string]float64, len(vars))
+	for i := range vars {
+		m[vars[i].name] = s.VarAt(i)
 	}
-	return vars
+	return m
 }
 
 // Var returns the value of one named server-side variable, the

@@ -125,6 +125,39 @@ func TestVarsCoverServerSideParameters(t *testing.T) {
 	}
 }
 
+// TestVarAtReadsTheNamedField is the variable table's oracle: every
+// variable, named, against the field it stands for, written out.
+func TestVarAtReadsTheNamedField(t *testing.T) {
+	s := ServerStatus{Load1: 1, Load5: 2, Load15: 3, CPUUser: 4, CPUNice: 5, CPUSystem: 6, CPUIdle: 7, Bogomips: 8,
+		MemTotal: 9 << 20, MemUsed: 10<<20 + 1, MemFree: 11 << 20, DiskAllReq: 12, DiskRReq: 13, DiskRBlocks: 14,
+		DiskWReq: 15, DiskWBlocks: 16, NetRBytesPS: 17, NetRPacketsPS: 18, NetTBytesPS: 19, NetTPacketsPS: 20}
+	const mb = 1 << 20
+	want := map[string]float64{
+		"host_system_load1": s.Load1, "host_system_load5": s.Load5, "host_system_load15": s.Load15,
+		"host_cpu_user": s.CPUUser, "host_cpu_nice": s.CPUNice, "host_cpu_system": s.CPUSystem,
+		"host_cpu_idle": s.CPUIdle, "host_cpu_free": s.CPUFree(), "host_cpu_bogomips": s.Bogomips,
+		"host_memory_total": float64(s.MemTotal) / mb, "host_memory_used": float64(s.MemUsed) / mb,
+		"host_memory_free": float64(s.MemFree) / mb, "host_memory_total_bytes": float64(s.MemTotal),
+		"host_memory_used_bytes": float64(s.MemUsed), "host_memory_free_bytes": float64(s.MemFree),
+		"host_disk_allreq": s.DiskAllReq, "host_disk_rreq": s.DiskRReq, "host_disk_rblocks": s.DiskRBlocks,
+		"host_disk_wreq": s.DiskWReq, "host_disk_wblocks": s.DiskWBlocks,
+		"host_network_rbytesps": s.NetRBytesPS, "host_network_rpacketsps": s.NetRPacketsPS,
+		"host_network_tbytesps": s.NetTBytesPS, "host_network_tpacketsps": s.NetTPacketsPS,
+	}
+	got := s.Vars()
+	if len(got) != len(want) {
+		t.Errorf("%d variables, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		if v, ok := s.Var(name); !ok || v != w || got[name] != w {
+			t.Errorf("%s = %v (defined %t), Vars %v; want %v", name, v, ok, got[name], w)
+		}
+	}
+	if v, ok := s.Var("host_nonexistent"); ok || v != 0 {
+		t.Errorf("an unknown variable reads %v, defined %t", v, ok)
+	}
+}
+
 // genStatus builds a pseudo-random but encodable status record.
 func genStatus(r *rand.Rand) ServerStatus {
 	f := func() float64 { return math.Trunc(r.Float64()*1e6) / 100 }

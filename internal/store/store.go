@@ -61,8 +61,7 @@ type SecRecord struct {
 // the selection hot path evaluates candidates without copying the
 // table or holding any lock. Records are sorted by host and held in
 // fixed-size pages that successive snapshots share: a page is never
-// written once a snapshot holding it is published, and callers must
-// treat what At and Each hand out as read-only.
+// written once a snapshot holding it is published.
 type SysSnapshot struct {
 	// Epoch increments on every content mutation of the sys table:
 	// two snapshots with the same epoch hold the same hosts with the
@@ -72,7 +71,7 @@ type SysSnapshot struct {
 	Epoch uint64
 	// pages holds the n records in host order, SysPageLen to a page
 	// (the last may be short).
-	pages [][]SysRecord
+	pages []*SysPage
 	n     int
 	// ver is the database version the snapshot reflects: the changelog
 	// entries above it name the hosts a successor must re-read.
@@ -82,58 +81,118 @@ type SysSnapshot struct {
 // SysPageLen is the records per snapshot page: as many as fit the
 // 16 KB allocation class, so a page wastes under one record of it. A
 // rebuild after a report copies one such page plus the page table
-// (24 bytes a page); the sweep in DESIGN.md ("Wizard fast path") puts
+// (8 bytes a page); the sweep in DESIGN.md ("Wizard fast path") puts
 // the minimum of the two between 8 and 32 KB from 20k to 100k hosts.
 const SysPageLen = 16 << 10 / int(unsafe.Sizeof(SysRecord{}))
+
+// SysPage is one snapshot page, struct-of-arrays: one allocation with
+// an array per raw ServerStatus field (numbers in status.Fields order,
+// memory kept uint64), so a page gives back exactly the record put.
+type SysPage struct {
+	n     int
+	num   [17][SysPageLen]float64
+	mem   [3][SysPageLen]uint64
+	host  [SysPageLen]string
+	iface [SysPageLen]string
+	stamp [SysPageLen]Stamp
+}
+
+// Len reports the number of records on the page.
+func (p *SysPage) Len() int { return p.n }
+
+// Host returns the host of the record at offset i.
+func (p *SysPage) Host(i int) string { return p.host[i] }
+
+// UpdatedAt returns the arrival time of the record at offset i.
+func (p *SysPage) UpdatedAt(i int) time.Time { return p.stamp[i].UpdatedAt }
+
+// Column returns status variable v (a status.VarIndex) of the page's
+// records by offset, as VarAt reads it: a float field in place, a
+// memory counter converted into buf. Callers must not write it.
+func (p *SysPage) Column(v int, buf *[SysPageLen]float64) []float64 {
+	f := status.FieldOf(v)
+	if f.Scale == 0 {
+		return p.num[f.Field][:p.n]
+	}
+	for i, m := range p.mem[f.Field][:p.n] {
+		buf[i] = float64(m) * f.Scale
+	}
+	return buf[:p.n]
+}
+
+// set writes r at offset i of a page no published snapshot holds.
+func (p *SysPage) set(i int, r *SysRecord) {
+	floats, mems := r.Status.Fields()
+	for c, f := range floats {
+		p.num[c][i] = *f
+	}
+	for c, m := range mems {
+		p.mem[c][i] = *m
+	}
+	p.host[i], p.iface[i], p.stamp[i] = r.Status.Host, r.Status.NetIface, r.Stamp
+}
+
+// record materialises the record at offset i.
+func (p *SysPage) record(i int) (r SysRecord) {
+	floats, mems := r.Status.Fields()
+	for c, f := range floats {
+		*f = p.num[c][i]
+	}
+	for c, m := range mems {
+		*m = p.mem[c][i]
+	}
+	r.Status.Host, r.Status.NetIface, r.Stamp = p.host[i], p.iface[i], p.stamp[i]
+	return r
+}
 
 // Len reports the number of records in the snapshot.
 func (s *SysSnapshot) Len() int { return s.n }
 
-// At returns the i-th record in host order, 0 <= i < Len().
-func (s *SysSnapshot) At(i int) *SysRecord { return &s.pages[i/SysPageLen][i%SysPageLen] }
+// At materialises the i-th record in host order, 0 <= i < Len().
+func (s *SysSnapshot) At(i int) SysRecord { return s.pages[i/SysPageLen].record(i % SysPageLen) }
+
+// Host returns the host of the i-th record, 0 <= i < Len().
+func (s *SysSnapshot) Host(i int) string { return s.pages[i/SysPageLen].host[i%SysPageLen] }
 
 // PageOf returns the page holding position i and its first record's position.
-func (s *SysSnapshot) PageOf(i int) ([]SysRecord, int) {
+func (s *SysSnapshot) PageOf(i int) (*SysPage, int) {
 	return s.pages[i/SysPageLen], i - i%SysPageLen
 }
 
-// Each calls fn on every record in host order: the full-table walk.
+// Each calls fn on every record in host order, materialised into one
+// reused record: the full-table walk.
 func (s *SysSnapshot) Each(fn func(i int, r *SysRecord)) {
-	i := 0
-	for _, page := range s.pages {
-		for j := range page {
-			fn(i, &page[j])
-			i++
-		}
+	var r SysRecord
+	for i := 0; i < s.n; i++ {
+		r = s.At(i)
+		fn(i, &r)
 	}
 }
 
 // find returns the position of host, or of the first host after it.
 func (s *SysSnapshot) find(host string) (i int, found bool) {
-	i = sort.Search(s.n, func(j int) bool { return s.At(j).Status.Host >= host })
-	return i, i < s.n && s.At(i).Status.Host == host
+	i = sort.Search(s.n, func(j int) bool { return s.Host(j) >= host })
+	return i, i < s.n && s.Host(i) == host
 }
 
-// appendRange appends records [from, to) to dst, a page run at a time.
-func (s *SysSnapshot) appendRange(dst []SysRecord, from, to int) []SysRecord {
-	for from < to {
-		page := s.pages[from/SysPageLen][from%SysPageLen:]
-		page = page[:min(len(page), to-from)]
-		dst = append(dst, page...)
-		from += len(page)
+// pager cuts records, in order, into freshly allocated pages.
+type pager []*SysPage
+
+func (pg *pager) add(r *SysRecord) {
+	if len(*pg) == 0 || (*pg)[len(*pg)-1].n == SysPageLen {
+		*pg = append(*pg, new(SysPage))
 	}
-	return dst
+	p := (*pg)[len(*pg)-1]
+	p.set(p.n, r)
+	p.n++
 }
 
-// paginate cuts a sorted record list into freshly allocated pages.
-func paginate(recs []SysRecord) [][]SysRecord {
-	pages := make([][]SysRecord, 0, (len(recs)+SysPageLen-1)/SysPageLen)
-	for len(recs) > 0 {
-		k := min(len(recs), SysPageLen)
-		pages = append(pages, slices.Clone(recs[:k]))
-		recs = recs[k:]
+// addRange adds records [from, to) of s.
+func (pg *pager) addRange(s *SysSnapshot, from, to int) {
+	for ; from < to; from++ {
+		r := s.At(from)
+		pg.add(&r)
 	}
-	return pages
 }
 
 // DB is the full status database shared by the monitors, the
@@ -232,7 +291,11 @@ func (db *DB) sysViewRLocked() *SysSnapshot {
 	}
 	pages, ok := db.patchedSysLocked(db.sysBase.Load())
 	if !ok {
-		pages = paginate(db.sys.records())
+		pg := make(pager, 0, (len(db.sys.live)+SysPageLen-1)/SysPageLen)
+		for _, host := range db.sys.sortedKeys() {
+			pg.add(db.sys.live[host])
+		}
+		pages = pg
 	}
 	s := &SysSnapshot{Epoch: db.epoch, pages: pages, n: len(db.sys.live), ver: db.ver}
 	db.sysSnap.Store(s)
@@ -250,7 +313,7 @@ func (db *DB) sysViewRLocked() *SysSnapshot {
 // copied across in runs around the re-read hosts and cut into new
 // pages. It declines (ok false) when the ring no longer reaches back
 // to base.
-func (db *DB) patchedSysLocked(base *SysSnapshot) (pages [][]SysRecord, ok bool) {
+func (db *DB) patchedSysLocked(base *SysSnapshot) (pages []*SysPage, ok bool) {
 	if base == nil || base.ver < db.sys.logFloor || base.ver > db.ver {
 		return nil, false
 	}
@@ -268,10 +331,11 @@ func (db *DB) patchedSysLocked(base *SysSnapshot) (pages [][]SysRecord, ok bool)
 		}
 		p := at / SysPageLen
 		if p != owned {
-			pages[p] = slices.Clone(pages[p])
+			clone := *pages[p]
+			pages[p] = &clone
 			owned = p
 		}
-		pages[p][at%SysPageLen] = *r
+		pages[p].set(at%SysPageLen, r)
 	}
 	return pages, true
 }
@@ -279,21 +343,22 @@ func (db *DB) patchedSysLocked(base *SysSnapshot) (pages [][]SysRecord, ok bool)
 // respliceSysLocked is the patch after a membership change: base's
 // records in runs, with each dirty host dropped and, if it is still in
 // the table, re-read in its place.
-func (db *DB) respliceSysLocked(base *SysSnapshot, dirty []string) [][]SysRecord {
-	recs := make([]SysRecord, 0, len(db.sys.live))
+func (db *DB) respliceSysLocked(base *SysSnapshot, dirty []string) []*SysPage {
+	pg := make(pager, 0, (len(db.sys.live)+SysPageLen-1)/SysPageLen)
 	from := 0
 	for _, host := range dirty {
 		at, found := base.find(host)
-		recs = base.appendRange(recs, from, at)
+		pg.addRange(base, from, at)
 		from = at
 		if found {
 			from++
 		}
 		if r, live := db.sys.live[host]; live {
-			recs = append(recs, *r)
+			pg.add(r)
 		}
 	}
-	return paginate(base.appendRange(recs, from, base.n))
+	pg.addRange(base, from, base.n)
+	return pg
 }
 
 // ResyncView returns the sys snapshot, the security table, and the
@@ -376,10 +441,7 @@ func (db *DB) GetSec(host string) (SecRecord, bool) {
 // Sys returns all server records, sorted by host for determinism.
 // The slice is the caller's to keep; it is copied off the current
 // snapshot rather than assembled under the lock.
-func (db *DB) Sys() []SysRecord {
-	snap := db.SysView()
-	return snap.appendRange(make([]SysRecord, 0, snap.n), 0, snap.n)
-}
+func (db *DB) Sys() []SysRecord { return db.FreshSys(0) }
 
 // Net returns all network records, sorted by (From, To).
 func (db *DB) Net() []NetRecord {
@@ -401,11 +463,11 @@ func (db *DB) Sec() []SecRecord {
 // dead servers out of candidate lists between sweeps. A non-positive
 // maxAge disables the filter.
 func (db *DB) FreshSys(maxAge time.Duration) []SysRecord {
-	if maxAge <= 0 {
-		return db.Sys()
-	}
 	snap := db.SysView()
-	cutoff := db.Now().Add(-maxAge)
+	var cutoff time.Time // the zero time: nothing is before it
+	if maxAge > 0 {
+		cutoff = db.Now().Add(-maxAge)
+	}
 	out := make([]SysRecord, 0, snap.n)
 	snap.Each(func(_ int, r *SysRecord) {
 		if !r.UpdatedAt.Before(cutoff) {

@@ -22,7 +22,10 @@ import (
 // and sorted afresh, in full pages but the last.
 
 // flat copies a snapshot's records out in order.
-func flat(s *SysSnapshot) []SysRecord { return s.appendRange(nil, 0, s.n) }
+func flat(s *SysSnapshot) (recs []SysRecord) {
+	s.Each(func(_ int, r *SysRecord) { recs = append(recs, *r) })
+	return recs
+}
 
 // scratchSys is the reference rebuild: the whole table, sorted.
 func scratchSys(db *DB) (epoch uint64, recs []SysRecord) {
@@ -52,10 +55,10 @@ func checkView(db *DB) error {
 	}
 	total := 0
 	for p, page := range got.pages {
-		if len(page) == 0 || len(page) > SysPageLen || (len(page) < SysPageLen && p != len(got.pages)-1) {
-			return fmt.Errorf("page %d of %d holds %d records, a page holds %d", p, len(got.pages), len(page), SysPageLen)
+		if page.n == 0 || page.n > SysPageLen || (page.n < SysPageLen && p != len(got.pages)-1) {
+			return fmt.Errorf("page %d of %d holds %d records, a page holds %d", p, len(got.pages), page.n, SysPageLen)
 		}
-		total += len(page)
+		total += page.n
 	}
 	if total != got.Len() {
 		return fmt.Errorf("pages hold %d records, Len() is %d", total, got.Len())
@@ -76,7 +79,7 @@ func checkSharing(base, got *SysSnapshot) error {
 		}
 	}
 	for p := range got.pages {
-		if slices.Equal(base.pages[p], got.pages[p]) && &base.pages[p][0] != &got.pages[p][0] {
+		if *base.pages[p] == *got.pages[p] && base.pages[p] != got.pages[p] {
 			return fmt.Errorf("page %d of %d was copied though nothing on it was written", p, len(got.pages))
 		}
 	}
@@ -270,7 +273,7 @@ func TestSysViewSharesCleanPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := range got.pages {
-		if shared := &got.pages[p][0] == &base.pages[p][0]; shared == dirty[p] {
+		if shared := got.pages[p] == base.pages[p]; shared == dirty[p] {
 			t.Errorf("page %d: shared with the base %v, holds a written host %v", p, shared, dirty[p])
 		}
 	}
@@ -349,7 +352,7 @@ func TestSysViewRebuildAllocBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRebuild := (after.TotalAlloc - before.TotalAlloc) / runs
-	limit := uint64(2*SysPageLen)*uint64(unsafe.Sizeof(SysRecord{})) + uint64(pages)*uint64(unsafe.Sizeof([]SysRecord(nil)))
+	limit := 2*uint64(unsafe.Sizeof(SysPage{})) + uint64(pages)*uint64(unsafe.Sizeof((*SysPage)(nil)))
 	if perRebuild > limit {
 		t.Errorf("rebuild after one PutSys on %d hosts allocated %d bytes, want at most two pages and the page table (%d)", fleet, perRebuild, limit)
 	}

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh runs the full correctness gate: formatting, go vet, build,
 # race-enabled tests, a fuzz smoke of the batch evaluator, the committed
-# size numbers, the naming, one-evaluator, one-applier and
-# benchmark-consumer guards, and the project's own static analyzers
+# size numbers, the naming, one-evaluator, one-applier, columns-not-rows
+# and benchmark-consumer guards, and the project's own static analyzers
 # (cmd/smartlint). CI runs exactly this script; run it locally before
 # sending a change.
 set -eu
@@ -110,6 +110,17 @@ appliers=$(awk '
 if [ -n "$appliers" ]; then
 	echo "internal/transport writes the mirror outside applyEpoch, applyDeltas and PullFrom:" >&2
 	echo "$appliers" >&2
+	exit 1
+fi
+
+echo "== columns, not rows =="
+# Selection binds and filters a snapshot page's columns (SysPage.Column);
+# a VarAt call in the selector is the per-record row read coming back
+# beside them.
+rowreads=$(grep -n 'VarAt(' $(ls internal/core/*.go | grep -v '_test\.go$') || true)
+if [ -n "$rowreads" ]; then
+	echo "internal/core reads status variables record by record (gather the page's column):" >&2
+	echo "$rowreads" >&2
 	exit 1
 fi
 

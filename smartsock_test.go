@@ -3,17 +3,24 @@ package smartsock_test
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"smartsock"
+	"smartsock/internal/core"
 	"smartsock/internal/proto"
+	"smartsock/internal/status"
+	"smartsock/internal/store"
 	"smartsock/internal/testbed"
+	"smartsock/internal/wizard"
 )
 
 // echoService is a trivial line-echo TCP service standing in for the
@@ -151,6 +158,66 @@ func TestConnectSkipsDeadServers(t *testing.T) {
 		if addr == deadLn.Addr().String() {
 			t.Error("Connect handed back the dead server")
 		}
+	}
+}
+
+// TestConnectDeniesRefusedIPv6Servers: the wizard's records name bare
+// IPv6 hosts and every server of the first reply refuses, so Connect's
+// second round denies them by the addresses it dialed. The wizard must
+// match those to its records — and to no others — and offer the one
+// left.
+func TestConnectDeniesRefusedIPv6Servers(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	db := store.New()
+	for i := 1; i <= 4; i++ {
+		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("fe80::%d", i), CPUIdle: 0.9})
+	}
+	sel, err := core.New(db, core.Config{ServicePort: 9000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wz, err := wizard.New(wizard.Config{Addr: "127.0.0.1:0", Selector: sel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- wz.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	const up = "[fe80::4]:9000"
+	var mu sync.Mutex
+	var dialed []string
+	client, err := smartsock.NewClient(wz.Addr(), &smartsock.ClientConfig{Dial: func(network, addr string) (net.Conn, error) {
+		if network != "tcp" {
+			return net.Dial(network, addr)
+		}
+		mu.Lock()
+		dialed = append(dialed, addr)
+		mu.Unlock()
+		if addr != up {
+			return nil, errors.New("connection refused")
+		}
+		conn, peer := net.Pipe()
+		t.Cleanup(func() { peer.Close() })
+		return conn, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One server asked for, three offered (the over-ask), all refuse.
+	set, err := client.Connect(ctx, "host_cpu_free > 0.5", 1)
+	if err != nil {
+		t.Fatalf("%v (dialed %v)", err, dialed)
+	}
+	defer set.Close()
+	if got := set.Addrs(); !reflect.DeepEqual(got, []string{up}) {
+		t.Errorf("connected to %v, want %v", got, []string{up})
+	}
+	if want := []string{"[fe80::1]:9000", "[fe80::2]:9000", "[fe80::3]:9000", up}; !reflect.DeepEqual(dialed, want) {
+		t.Errorf("dialed %v, want each server once: %v", dialed, want)
 	}
 }
 
