@@ -349,14 +349,15 @@ func runSelectionDiff(ops []diffOp) error {
 	return nil
 }
 
-// shrinkDiff greedily removes ops while the failure persists.
-func shrinkDiff(ops []diffOp) []diffOp {
+// shrink greedily removes ops while run still fails, returning a
+// (locally) minimal failing sequence for the log.
+func shrink[Op any](ops []Op, run func([]Op) error) []Op {
 	reduced := true
 	for reduced {
 		reduced = false
 		for i := 0; i < len(ops); i++ {
-			cand := append(append([]diffOp(nil), ops[:i]...), ops[i+1:]...)
-			if runSelectionDiff(cand) != nil {
+			cand := append(append([]Op(nil), ops[:i]...), ops[i+1:]...)
+			if run(cand) != nil {
 				ops = cand
 				reduced = true
 				break
@@ -375,7 +376,7 @@ func TestPlannerDifferentialProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ops := genDiffOps(rng, opsPerSeq)
 		if err := runSelectionDiff(ops); err != nil {
-			minimal := shrinkDiff(ops)
+			minimal := shrink(ops, runSelectionDiff)
 			t.Logf("seed %d minimal failing sequence (%d of %d ops): %v", seed, len(minimal), len(ops), minimal)
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"smartsock/internal/index"
 	"smartsock/internal/obs"
@@ -49,8 +50,8 @@ type Config struct {
 	// its record. Zero disables the filter (historical behaviour).
 	MaxStatusAge time.Duration
 	// Obs, when set, registers the selector's cumulative counters
-	// (core_selections, core_memo_hits, core_stale_dropped, the
-	// index_* planner metrics); nil detaches them.
+	// (core_selections, core_memo_hits, core_page_hits, the other core_*
+	// and the index_* planner metrics); nil detaches them.
 	Obs *obs.Registry
 	// PlanThreshold is the live-record count at which Select takes its
 	// candidates from the selection planner instead of walking every
@@ -125,8 +126,9 @@ type Selector struct {
 
 	selections     *obs.Counter // core_selections: Select calls
 	memoHits       *obs.Counter // core_memo_hits: served from the epoch memo
+	pageHits       *obs.Counter // core_page_hits: pages merged from the page memo
 	staleDropped   *obs.Counter // core_stale_dropped: records skipped as stale
-	recordEvals    *obs.Counter // core_record_evals: requirement evaluations
+	recordEvals    *obs.Counter // core_record_evals: requirement evaluations run
 	indexPlans     *obs.Counter // index_plans: selections run under plan semantics
 	indexFallbacks *obs.Counter // index_fallbacks: planned selections filtered because the index raced a writer, or forceScan
 	indexDeclines  *obs.Counter // index_declines: planned selections filtered because the driver's span is broad
@@ -159,43 +161,115 @@ type memoVal struct {
 	err error
 }
 
-// memoMaxEntries bounds one epoch's memo table; past it, new
-// questions are answered but not remembered.
+// memoMaxEntries bounds the questions the memo holds; a new question
+// past it drops the table whole, as infoFor's cache is dropped.
 const memoMaxEntries = 1024
 
-// selMemo caches selection outcomes against one table epoch. Within
-// an epoch the server table is immutable, so a selection that reads
-// neither netdb nor secdb and applies no freshness cutoff is a pure
-// function of its key — the repeat of a storm's requirement can skip
-// evaluation entirely. A mutation bumps the epoch and the next
-// selection drops the table. A memoised Result holds the n winners
-// and four counters, never per-host data.
+// pageMemoMaxBytes caps all page levels together; a level that does not
+// fit starts the table again (DESIGN.md "Wizard fast path": worst cases).
+const pageMemoMaxBytes = 32 << 20
+
+// selMemo caches selection outcomes, one entry per question at two
+// granularities. A selection that reads neither netdb nor secdb and
+// applies no freshness cutoff is a pure function of its key and the
+// table: in an epoch the entry's Result answers it, after a write a
+// repeat's page level spares the pages the snapshot kept; no page held.
 type selMemo struct {
 	mu      sync.RWMutex
-	epoch   uint64
-	entries map[memoKey]memoVal
+	entries map[memoKey]*memoEntry
+	bytes   int // page levels charged against pageMemoMaxBytes
+}
+
+// memoEntry is one question asked before: its newest Result under
+// selMemo.mu, and under mu a page level holding, per page index, the ID
+// of the page last evaluated there, its evaluation count and its best n
+// candidates among those that beat the reply's n-th best before it (the
+// bound; DESIGN.md).
+type memoEntry struct {
+	memoVal              // answers res.Epoch
+	mu        sync.Mutex // taken with TryLock: no selection waits for another
+	pageEpoch uint64     // the newest epoch that used the page level
+	pages     []pageWinners
+	top       topN // the list of the page being evaluated
+}
+
+type pageWinners struct {
+	id      uint64 // store.SysPage.ID; 0 names no page
+	evals   int
+	top     []candidate // grown by the page's first qualifiers, then reused
+	bound   candidate
+	bounded bool // false: top is the page's best n
 }
 
 func (m *selMemo) get(epoch uint64, k memoKey) (memoVal, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.epoch != epoch {
-		return memoVal{}, false
+	if e := m.entries[k]; e != nil && e.res.Epoch == epoch {
+		return e.memoVal, true
 	}
-	v, ok := m.entries[k]
-	return v, ok
+	return memoVal{}, false
 }
 
-func (m *selMemo) put(epoch uint64, k memoKey, v memoVal) {
+// put records an answer unless the entry holds a newer one: a selection
+// that finishes late on an older snapshot must not replace it.
+func (m *selMemo) put(k memoKey, v memoVal) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.epoch != epoch || m.entries == nil {
-		m.epoch = epoch
-		m.entries = make(map[memoKey]memoVal)
+	e := m.entries[k]
+	if e == nil {
+		if m.entries == nil || len(m.entries) >= memoMaxEntries {
+			m.entries, m.bytes = make(map[memoKey]*memoEntry), 0
+		}
+		e = new(memoEntry)
+		m.entries[k] = e
 	}
-	if len(m.entries) < memoMaxEntries {
-		m.entries[k] = v
+	if e.res.Epoch <= v.res.Epoch {
+		e.memoVal = v
 	}
+}
+
+// pageLevel locks k's page level for snap: nil if k was never answered
+// (a question asked once pays nothing), busy, newer or too big for the
+// cap alone. A level that does not fit beside the others drops them.
+func (m *selMemo) pageLevel(k memoKey, snap *store.SysSnapshot) *memoEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.entries[k]
+	if e == nil || !e.mu.TryLock() {
+		return nil
+	}
+	per := int(unsafe.Sizeof(pageWinners{}) + uintptr(k.n)*unsafe.Sizeof(candidate{}))
+	grow := max(0, (snap.Len()+store.SysPageLen-1)/store.SysPageLen-len(e.pages))
+	if snap.Epoch < e.pageEpoch || (len(e.pages)+grow)*per > pageMemoMaxBytes {
+		e.mu.Unlock()
+		return nil
+	}
+	if m.bytes+grow*per > pageMemoMaxBytes {
+		m.entries, m.bytes = map[memoKey]*memoEntry{k: e}, len(e.pages)*per
+	}
+	m.bytes += grow * per
+	e.pages = append(e.pages, make([]pageWinners, grow)...)
+	e.pageEpoch = snap.Epoch
+	return e
+}
+
+// reuse reports whether index p holds page id's list and what the list
+// left out — nothing that beats the bound — cannot beat top's n-th best.
+func (e *memoEntry) reuse(p int, id uint64, top *topN) bool {
+	w := &e.pages[p]
+	return w.id == id && (!w.bounded || len(top.items) == top.n && !w.bound.before(&top.items[top.n-1], top.ranked))
+}
+
+// open restarts index p for page id: its list keeps what beats top's last.
+func (e *memoEntry) open(p int, id uint64, evals int, top *topN) *topN {
+	w := &e.pages[p]
+	w.id, w.evals, w.top = id, evals, w.top[:0]
+	e.top = topN{items: w.top, n: top.n, ranked: top.ranked}
+	if w.bounded = len(top.items) == top.n; w.bounded {
+		w.bound = top.items[top.n-1]
+		e.top.bound = &w.bound
+	}
+	return &e.top
 }
 
 // New builds a selector over the given database.
@@ -210,6 +284,7 @@ func New(db *store.DB, cfg Config) (*Selector, error) {
 		infos:          make(map[*reqlang.Program]*progInfo),
 		selections:     cfg.Obs.Counter("core_selections"),
 		memoHits:       cfg.Obs.Counter("core_memo_hits"),
+		pageHits:       cfg.Obs.Counter("core_page_hits"),
 		staleDropped:   cfg.Obs.Counter("core_stale_dropped"),
 		recordEvals:    cfg.Obs.Counter("core_record_evals"),
 		indexPlans:     cfg.Obs.Counter("index_plans"),
@@ -238,8 +313,8 @@ type netBinding struct {
 // ranks qualified servers by the requirement's score expression
 // (highest first) instead of first-found order.
 //
-// It costs one evaluation per candidate record and memory for the n
-// winners; no per-host outcome is kept. An unranked request whose
+// It costs one evaluation per candidate record on a page the memo does
+// not hold, and memory for the n winners. An unranked request whose
 // program assigns no user_preferred_host* stops at the n-th qualifier:
 // nothing could move a later record ahead of it.
 func (s *Selector) Select(prog *reqlang.Program, n int, opt proto.Option) (Result, error) {
@@ -265,6 +340,8 @@ type query struct {
 	explain bool
 	cutoff  time.Time // records last reported before it are stale; zero: no cutoff
 	netMemo map[string]netBinding
+	key     memoKey
+	pure    bool // the outcome is a function of key and the snapshot: the memo may hold it
 }
 
 func (s *Selector) run(prog *reqlang.Program, n int, opt proto.Option, explain bool) (Result, error) {
@@ -299,11 +376,12 @@ func (s *Selector) run(prog *reqlang.Program, n int, opt proto.Option, explain b
 		n:       n,
 		ranked:  opt&proto.OptRankByExpr != 0,
 		explain: explain,
+		key:     key,
 	}
 	if s.cfg.MaxStatusAge > 0 {
 		q.cutoff = s.db.Now().Add(-s.cfg.MaxStatusAge)
 	}
-	pure := !q.info.all.needNet && q.info.all.sec < 0 && q.cutoff.IsZero() && !explain
+	q.pure = !q.info.all.needNet && q.info.all.sec < 0 && q.cutoff.IsZero() && !explain
 	if q.info.all.needNet {
 		q.netMemo = make(map[string]netBinding, 4)
 	}
@@ -320,8 +398,8 @@ func (s *Selector) run(prog *reqlang.Program, n int, opt proto.Option, explain b
 	if result.StaleDropped > 0 {
 		s.staleDropped.Add(uint64(result.StaleDropped))
 	}
-	if pure {
-		s.memo.put(snap.Epoch, key, memoVal{res: result, err: selErr})
+	if q.pure {
+		s.memo.put(key, memoVal{res: result, err: selErr})
 	}
 	return result, selErr
 }
@@ -361,8 +439,16 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 	// Nothing can overtake the first n qualifiers in snapshot order
 	// unless a score ranks or a preferred list reorders them.
 	stopEarly := !q.explain && !q.ranked && !q.prog.SetsPreferred()
+	// A pure question asked before merges the pages the memo holds when
+	// its source yields a page's positions from the page alone.
+	var memo *memoEntry
+	if q.pure && !useIndex && !stopEarly {
+		if memo = s.memo.pageLevel(q.key, snap); memo != nil {
+			defer memo.mu.Unlock()
+		}
+	}
 	filterStale := !q.cutoff.IsZero()
-	evals, visited := 0, size
+	evals, memoEvals, hits, visited := 0, 0, 0, size
 pages:
 	for pos := 0; pos < size; {
 		if useIndex {
@@ -372,6 +458,17 @@ pages:
 		}
 		page, first := snap.PageOf(pos)
 		end := first + page.Len()
+		p := first / store.SysPageLen
+		if memo != nil && memo.reuse(p, page.ID(), &top) {
+			// Lists merge in page order, each in reply order (DESIGN.md).
+			for _, c := range memo.pages[p].top {
+				top.offer(c)
+			}
+			memoEvals += memo.pages[p].evals
+			hits++
+			pos = end
+			continue
+		}
 		at := sc.at[:0] // the page offsets the source yields, ascending
 		if useIndex {
 			for ; pos >= 0 && pos < end; pos = sc.bits.Next(pos + 1) {
@@ -397,6 +494,10 @@ pages:
 				}
 			}
 		}
+		out := &top // where the page's qualifiers go
+		if memo != nil {
+			out = memo.open(p, page.ID(), len(lanes), &top)
+		}
 		if len(lanes) == 0 {
 			continue
 		}
@@ -421,7 +522,7 @@ pages:
 				continue
 			}
 			score, hasScore := env.Score(l)
-			top.offer(candidate{pos: first + i, preferred: preferred, score: score, hasScore: hasScore})
+			out.offer(candidate{pos: first + i, preferred: preferred, score: score, hasScore: hasScore})
 			if stopEarly && len(top.items) == q.n {
 				// The page was evaluated whole; the counts are those of
 				// the prefix that ends here: the stale records of at
@@ -431,13 +532,21 @@ pages:
 				break pages
 			}
 		}
+		if memo != nil {
+			memo.pages[p].top = out.items
+			for _, c := range out.items {
+				top.offer(c)
+			}
+		}
 	}
 	sc.top = top.items[:0]
 
-	// Every visited record was pruned, dropped as stale or evaluated.
+	// Every visited record was pruned, dropped as stale or evaluated,
+	// here or by the selection that memoised its page.
 	s.recordEvals.Add(uint64(evals))
+	s.pageHits.Add(uint64(hits))
 	if planned {
-		result.Pruned = visited - evals - result.StaleDropped
+		result.Pruned = visited - evals - memoEvals - result.StaleDropped
 		s.rowsPruned.Add(uint64(result.Pruned))
 		s.residualEvals.Add(uint64(evals))
 	}
@@ -496,23 +605,18 @@ type topN struct {
 	items  []candidate
 	n      int
 	ranked bool
+	bound  *candidate // when set, only candidates before it get in
 }
 
 func (t *topN) offer(c candidate) {
 	i := len(t.items)
 	if i == t.n {
-		// The selection offers in position order, so against a full list
-		// a tie is lost: an unpreferred candidate gets in on a better
-		// score or not at all, which is most offers of a broad request
-		// and costs them one comparison.
-		last := &t.items[i-1]
-		if c.preferred < 0 && (!t.ranked || last.preferred >= 0 || last.ranks() && !(c.hasScore && c.score > last.score)) {
-			return
-		}
-		if !c.before(last, t.ranked) {
+		if last := &t.items[i-1]; t.tieLost(&c, last) || !c.before(last, t.ranked) {
 			return
 		}
 		i--
+	} else if t.bound != nil && (t.tieLost(&c, t.bound) || !c.before(t.bound, t.ranked)) {
+		return
 	} else {
 		t.items = append(t.items, c)
 	}
@@ -520,6 +624,13 @@ func (t *topN) offer(c candidate) {
 		t.items[i] = t.items[i-1]
 	}
 	t.items[i] = c
+}
+
+// tieLost is the one comparison most offers of a broad request get:
+// offers come in position order, so against a full list's last entry or
+// a bound (from an earlier page) a tie is lost.
+func (t *topN) tieLost(c, last *candidate) bool {
+	return c.preferred < 0 && (!t.ranked || last.preferred >= 0 || last.ranks() && !(c.hasScore && c.score > last.score))
 }
 
 // bind fills the batch with one page's candidates, a column per

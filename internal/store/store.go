@@ -89,6 +89,7 @@ const SysPageLen = 16 << 10 / int(unsafe.Sizeof(SysRecord{}))
 // an array per raw ServerStatus field (numbers in status.Fields order,
 // memory kept uint64), so a page gives back exactly the record put.
 type SysPage struct {
+	id    uint64
 	n     int
 	num   [17][SysPageLen]float64
 	mem   [3][SysPageLen]uint64
@@ -99,6 +100,12 @@ type SysPage struct {
 
 // Len reports the number of records on the page.
 func (p *SysPage) Len() int { return p.n }
+
+// pageIDs numbers the pages rebuilds create; an ID only has to be unique.
+var pageIDs atomic.Uint64
+
+// ID names the page: a published page never changes and IDs never repeat.
+func (p *SysPage) ID() uint64 { return p.id }
 
 // Host returns the host of the record at offset i.
 func (p *SysPage) Host(i int) string { return p.host[i] }
@@ -180,7 +187,7 @@ type pager []*SysPage
 
 func (pg *pager) add(r *SysRecord) {
 	if len(*pg) == 0 || (*pg)[len(*pg)-1].n == SysPageLen {
-		*pg = append(*pg, new(SysPage))
+		*pg = append(*pg, &SysPage{id: pageIDs.Add(1)})
 	}
 	p := (*pg)[len(*pg)-1]
 	p.set(p.n, r)
@@ -332,6 +339,7 @@ func (db *DB) patchedSysLocked(base *SysSnapshot) (pages []*SysPage, ok bool) {
 		p := at / SysPageLen
 		if p != owned {
 			clone := *pages[p]
+			clone.id = pageIDs.Add(1)
 			pages[p] = &clone
 			owned = p
 		}

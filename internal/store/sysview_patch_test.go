@@ -79,7 +79,10 @@ func checkSharing(base, got *SysSnapshot) error {
 		}
 	}
 	for p := range got.pages {
-		if *base.pages[p] == *got.pages[p] && base.pages[p] != got.pages[p] {
+		// A copy has an ID of its own: compare the records only.
+		records := *base.pages[p]
+		records.id = got.pages[p].id
+		if records == *got.pages[p] && base.pages[p] != got.pages[p] {
 			return fmt.Errorf("page %d of %d was copied though nothing on it was written", p, len(got.pages))
 		}
 	}
@@ -272,9 +275,17 @@ func TestSysViewSharesCleanPages(t *testing.T) {
 	if err := checkView(db); err != nil {
 		t.Fatal(err)
 	}
+	ids := map[uint64]bool{}
+	for _, page := range base.pages {
+		ids[page.ID()] = true
+	}
 	for p := range got.pages {
 		if shared := got.pages[p] == base.pages[p]; shared == dirty[p] {
 			t.Errorf("page %d: shared with the base %v, holds a written host %v", p, shared, dirty[p])
+		}
+		// A copy is a new page: its ID is one no page had before.
+		if id := got.pages[p].ID(); ids[id] != !dirty[p] || id == 0 {
+			t.Errorf("page %d: ID %d, written %v, the base's IDs %v", p, id, dirty[p], ids)
 		}
 	}
 	if !slices.Equal(flat(base), before) {

@@ -142,6 +142,7 @@ OBS_SCHEMA = {
         "reqlang_cache_misses",
         "core_selections",
         "core_memo_hits",
+        "core_page_hits",
         "core_stale_dropped",
         "core_record_evals",
         "index_plans",
@@ -198,16 +199,17 @@ SIZE_SCHEMA = {
 # are new there, at what the oracle audit left of them) and to PR 24's
 # (total, transport; monitor is new here, at what its shutdown contract
 # left it); core and index are new at PR 25's, which moved total and
-# store up for the columnar page and lowered status. A PR that grows
-# one of these past its ceiling deletes
+# store up for the columnar page and lowered status; the page-level
+# selection memo and the page IDs it keys on moved total, core and
+# store up again. A PR that grows one of these past its ceiling deletes
 # elsewhere in the same PR, or moves the ceiling here and says why in
 # its CHANGES.md entry; a PR that shrinks one lowers the ceiling to the
 # new size.
 SIZE_CEILINGS = {
-    "total": 19863,
-    "internal/core": 890,
+    "total": 19982,
+    "internal/core": 1001,
     "internal/index": 654,
-    "internal/store": 1005,
+    "internal/store": 1013,
     "internal/status": 1095,
     "internal/transport": 1127,
     "internal/monitor": 350,

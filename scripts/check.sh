@@ -1,10 +1,10 @@
 #!/bin/sh
 # check.sh runs the full correctness gate: formatting, go vet, build,
 # race-enabled tests, a fuzz smoke of the batch evaluator, the committed
-# size numbers, the naming, one-evaluator, one-applier, columns-not-rows
-# and benchmark-consumer guards, and the project's own static analyzers
-# (cmd/smartlint). CI runs exactly this script; run it locally before
-# sending a change.
+# size numbers, the naming, one-evaluator, one-applier, columns-not-rows,
+# pages-by-ID and benchmark-consumer guards, and the project's own
+# static analyzers (cmd/smartlint). CI runs exactly this script; run it
+# locally before sending a change.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -121,6 +121,21 @@ rowreads=$(grep -n 'VarAt(' $(ls internal/core/*.go | grep -v '_test\.go$') || t
 if [ -n "$rowreads" ]; then
 	echo "internal/core reads status variables record by record (gather the page's column):" >&2
 	echo "$rowreads" >&2
+	exit 1
+fi
+
+echo "== pages by ID, not by pointer =="
+# The selection memo remembers a snapshot page by its ID (SysPage.ID); a
+# *store.SysPage field in a core struct is a memo pinning stale
+# snapshots for as long as nobody asks its question again.
+pinned=$(awk '
+	/^type [A-Za-z0-9_]+ struct/ { body = 1 }
+	body && /\*store\.SysPage([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }
+	body && (/^}/ || /^type .*}$/) { body = 0 }
+' $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ -n "$pinned" ]; then
+	echo "internal/core holds snapshot pages in a struct (remember SysPage.ID instead):" >&2
+	echo "$pinned" >&2
 	exit 1
 fi
 
