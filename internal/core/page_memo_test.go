@@ -538,3 +538,85 @@ func TestWarmPageLevelAllocs(t *testing.T) {
 		t.Error("the page level served no page")
 	}
 }
+
+// TestLazyIndexMatchesFreshSelector: a broad question the index declines
+// never brings it in step, while selective questions asked between its
+// repeats still read the index. Over more writes than the store's
+// changelog ring holds (4096), every Result equals a fresh selector's;
+// the broad repeats, served from their page level, apply no delta and
+// resync nothing; and a selective question catches the index up with
+// one delta, from the ring or, when the ring has passed the index's
+// base, from the full-table scan.
+func TestLazyIndexMatchesFreshSelector(t *testing.T) {
+	table := make([]status.ServerStatus, memoPads)
+	for i := range table {
+		table[i] = diffSys(i, i%5)
+	}
+	db := store.New()
+	db.Load(table, nil, nil)
+	reg := obs.NewRegistry()
+	sel := newSelector(t, db, Config{Obs: reg})
+	broad := mustProg(t, "host_cpu_free >= 0\nhost_cpu_free\n")
+	selective := mustProg(t, "host_cpu_bogomips > 3000\nhost_cpu_free\n") // 16 of the 217 hosts
+	type counts struct{ applies, resyncs, declines, pageHits uint64 }
+	read := func() counts {
+		s := reg.Snapshot()
+		return counts{s.Histograms["index_apply_delta"].Count, s.Counters["index_resyncs"], s.Counters["index_declines"], s.Counters["core_page_hits"]}
+	}
+	ask := func(prog *reqlang.Program) (before, after counts) {
+		t.Helper()
+		before = read()
+		got, gotErr := sel.Select(prog, 8, proto.OptRankByExpr)
+		want, wantErr := newSelector(t, db, Config{}).Select(prog, 8, proto.OptRankByExpr)
+		if a, b := encodeResult(got, gotErr), encodeResult(want, wantErr); a != b {
+			t.Fatalf("long-lived %sfresh      %s", a, b)
+		}
+		return before, read()
+	}
+	rng := rand.New(rand.NewSource(27))
+	written := 0
+	put := func(writes int) {
+		for range writes {
+			s := diffSys(rng.Intn(memoPads), rng.Intn(5))
+			written++
+			s.Load15 = float64(written) // every put moves content: the epoch memo misses
+			db.PutSys(s)
+		}
+	}
+	// The first ask creates the index's column and answers, the second
+	// fills the page level.
+	for range 2 {
+		put(1)
+		ask(broad)
+	}
+	sinceSync, passed, caughtUp := 0, 0, 0
+	for round := range 60 {
+		writes := 1 + rng.Intn(8) // most pages stay as the level saw them
+		if round%15 == 14 {
+			writes = 5000
+		}
+		put(writes)
+		sinceSync += writes
+		if rng.Intn(3) > 0 {
+			before, after := ask(broad)
+			if after.applies != before.applies || after.resyncs != before.resyncs || after.declines != before.declines+1 {
+				t.Fatalf("round %d: a broad repeat moved the index: %+v → %+v", round, before, after)
+			}
+			continue
+		}
+		before, after := ask(selective)
+		if sinceSync > 4096 {
+			passed++
+		} else {
+			caughtUp++
+		}
+		if got := (counts{applies: after.applies - before.applies, resyncs: after.resyncs - before.resyncs}); got != (counts{applies: 1}) {
+			t.Fatalf("round %d: a selective question %d writes after the index's last sync: %+v, want one delta", round, sinceSync, got)
+		}
+		sinceSync = 0
+	}
+	if passed == 0 || caughtUp == 0 || read().pageHits == 0 {
+		t.Fatalf("%d catch-ups past the ring, %d within it, %d pages merged from the memo: the history exercises too little",
+			passed, caughtUp, read().pageHits)
+	}
+}

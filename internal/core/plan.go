@@ -132,16 +132,20 @@ func cmpToIndex(op reqlang.CmpOp) index.Op {
 
 // source picks a planned selection's candidates: the index's bitset in
 // sc.bits (true), or the column filter (false) when the index declines
-// a broad span, raced a writer, or forceScan pins ground truth.
+// a broad span, raced a writer, or forceScan pins ground truth. The
+// decline reads the columns as last synced, so only a selection that
+// reads the index brings it in step.
 func (s *Selector) source(q *query, sc *scratch) (useIndex bool) {
 	info := q.info
-	if !s.forceScan && s.idx.SyncFor(q.snap, info.fields) {
-		if s.idx.Broad(info.cons) {
+	if !s.forceScan {
+		if s.idx.Broad(q.snap, info.fields, info.cons) {
 			s.indexDeclines.Add(1)
 			return false
 		}
-		if sc.bits, sc.ids, useIndex = s.idx.Positions(q.snap.Epoch, info.cons, sc.bits, sc.ids); useIndex {
-			return true
+		if s.idx.SyncFor(q.snap, info.fields) {
+			if sc.bits, sc.ids, useIndex = s.idx.Positions(q.snap.Epoch, info.cons, sc.bits, sc.ids); useIndex {
+				return true
+			}
 		}
 	}
 	s.indexFallbacks.Add(1)

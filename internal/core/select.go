@@ -194,7 +194,7 @@ type memoEntry struct {
 }
 
 type pageWinners struct {
-	id      uint64 // store.SysPage.ID; 0 names no page
+	id      uint64 // the page's ID in the page table (SysSnapshot.Page); 0 names no page
 	evals   int
 	top     []candidate // grown by the page's first qualifiers, then reused
 	bound   candidate
@@ -239,7 +239,7 @@ func (m *selMemo) pageLevel(k memoKey, snap *store.SysSnapshot) *memoEntry {
 		return nil
 	}
 	per := int(unsafe.Sizeof(pageWinners{}) + uintptr(k.n)*unsafe.Sizeof(candidate{}))
-	grow := max(0, (snap.Len()+store.SysPageLen-1)/store.SysPageLen-len(e.pages))
+	grow := max(0, snap.Pages()-len(e.pages))
 	if snap.Epoch < e.pageEpoch || (len(e.pages)+grow)*per > pageMemoMaxBytes {
 		e.mu.Unlock()
 		return nil
@@ -447,31 +447,31 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 			defer memo.mu.Unlock()
 		}
 	}
-	filterStale := !q.cutoff.IsZero()
+	filterStale, cutoff := !q.cutoff.IsZero(), store.Offset(q.cutoff)
 	evals, memoEvals, hits, visited := 0, 0, 0, size
 pages:
-	for pos := 0; pos < size; {
+	for p, pages := 0, snap.Pages(); p < pages; p++ {
+		first := p * store.SysPageLen
 		if useIndex {
-			if pos = sc.bits.Next(pos); pos < 0 {
+			pos := sc.bits.Next(first)
+			if pos < 0 {
 				break
 			}
+			p, first = pos/store.SysPageLen, pos-pos%store.SysPageLen
 		}
-		page, first := snap.PageOf(pos)
-		end := first + page.Len()
-		p := first / store.SysPageLen
-		if memo != nil && memo.reuse(p, page.ID(), &top) {
+		page, id := snap.Page(p)
+		if memo != nil && memo.reuse(p, id, &top) {
 			// Lists merge in page order, each in reply order (DESIGN.md).
 			for _, c := range memo.pages[p].top {
 				top.offer(c)
 			}
 			memoEvals += memo.pages[p].evals
 			hits++
-			pos = end
 			continue
 		}
 		at := sc.at[:0] // the page offsets the source yields, ascending
 		if useIndex {
-			for ; pos >= 0 && pos < end; pos = sc.bits.Next(pos + 1) {
+			for pos := sc.bits.Next(first); pos >= 0 && pos < first+page.Len(); pos = sc.bits.Next(pos + 1) {
 				at = append(at, pos-first)
 			}
 		} else {
@@ -482,12 +482,11 @@ pages:
 				at = s.filter(info, sc, page, at)
 			}
 		}
-		pos = end
 		lanes, staleBefore := at, result.StaleDropped // lanes: those not stale
 		if filterStale {
 			lanes = sc.lanes[:0]
 			for _, i := range at {
-				if page.UpdatedAt(i).Before(q.cutoff) {
+				if page.Before(i, cutoff) {
 					result.StaleDropped++
 				} else {
 					lanes = append(lanes, i)
@@ -496,7 +495,7 @@ pages:
 		}
 		out := &top // where the page's qualifiers go
 		if memo != nil {
-			out = memo.open(p, page.ID(), len(lanes), &top)
+			out = memo.open(p, id, len(lanes), &top)
 		}
 		if len(lanes) == 0 {
 			continue

@@ -150,12 +150,18 @@ func (c *column) ensure(n int) {
 
 // set records the field's current value for one host.
 func (c *column) set(id int, v float64) {
-	c.vals[id] = v
-	c.defined.Set(id)
+	c.define(id, v)
 	c.patch = append(c.patch, entry{val: v, id: int32(id)})
 	if len(c.patch) > 255+len(c.base)/8 {
 		c.compact()
 	}
+}
+
+// define records a value with no sorted entry: a fill defines every
+// host's, then compacts once (set would re-sort every few hundred).
+func (c *column) define(id int, v float64) {
+	c.vals[id] = v
+	c.defined.Set(id)
 }
 
 // unset marks the field undefined for one host (the record no longer

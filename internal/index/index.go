@@ -47,9 +47,8 @@ type Set struct {
 	pos   []int32
 	posOK bool
 
-	// Reusable delta scratch for the sync path.
+	// Reusable delta scratch for the sync path; no net: none is indexed.
 	sysD status.SysDelta
-	netD status.NetDelta
 	secD status.SecDelta
 
 	applyLatency *obs.Histogram // index_apply_delta: per-sync delta apply time
@@ -88,7 +87,7 @@ func (s *Set) SyncFor(snap *store.SysSnapshot, fields []string) bool {
 	defer s.mu.Unlock()
 	if s.synced {
 		start := time.Now()
-		ver, epoch, ok := s.db.ChangedSinceAt(s.ver, &s.sysD, &s.netD, &s.secD)
+		ver, epoch, ok := s.db.ChangedSinceAt(s.ver, &s.sysD, nil, &s.secD)
 		if ok {
 			s.applyDeltasLocked()
 			s.ver, s.epoch = ver, epoch
@@ -126,11 +125,19 @@ func (s *Set) SyncFor(snap *store.SysSnapshot, fields []string) bool {
 const DeclineSpan = 4
 
 // Broad reports whether the constraint Positions would drive from spans
-// a broad share of its sorted column. It reads the span, not the
-// estimate: that counts the whole patch, so it calls a selective
-// constraint broad just before a compaction. A security-level
-// constraint, of which the snapshot has no column, keeps the index.
-func (s *Set) Broad(cons []Constraint) bool {
+// a broad share of its sorted column, as last synced: it syncs for snap
+// only to create a missing column, so a declined selection pays no upkeep.
+// It reads the span, not the estimate: that counts the whole patch, so
+// it calls a selective constraint broad just before a compaction. A
+// security-level constraint, of which the snapshot has no column, keeps
+// the index.
+func (s *Set) Broad(snap *store.SysSnapshot, fields []string, cons []Constraint) bool {
+	s.mu.RLock()
+	ready := s.hasColumns(fields)
+	s.mu.RUnlock()
+	if !ready && !s.SyncFor(snap, fields) {
+		return false
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d := s.driverLocked(cons)
@@ -322,12 +329,12 @@ func (s *Set) fillSysColumnLocked(field string, col *column, snap *store.SysSnap
 	col.ensure(len(s.hosts))
 	vi := status.VarIndex(field)
 	var buf [store.SysPageLen]float64
-	for first := 0; vi >= 0 && first < snap.Len(); first += store.SysPageLen {
-		page, _ := snap.PageOf(first)
+	for p := 0; vi >= 0 && p < snap.Pages(); p++ {
+		page, _ := snap.Page(p)
 		for j, v := range page.Column(vi, &buf) {
 			id := s.ensureIDLocked(page.Host(j))
 			col.ensure(id + 1)
-			col.set(id, v)
+			col.define(id, v)
 		}
 	}
 	col.compact()
@@ -339,7 +346,7 @@ func (s *Set) fillSecColumnLocked(col *column, sec []store.SecRecord) {
 		rec := &sec[i]
 		id := s.ensureIDLocked(rec.Level.Host)
 		col.ensure(id + 1)
-		col.set(id, float64(rec.Level.Level))
+		col.define(id, float64(rec.Level.Level))
 	}
 	col.compact()
 }

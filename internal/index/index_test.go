@@ -322,7 +322,7 @@ func TestBroadDecidesOnTheSortedSpan(t *testing.T) {
 		{load(GE, hosts-1), false},
 		{append(load(GE, 0), Constraint{Field: SecurityField, Op: GE, Val: 0}), false},
 	} {
-		if got := s.Broad(tc.cons); got != tc.broad {
+		if got := s.Broad(db.SysView(), []string{"host_system_load1"}, tc.cons); got != tc.broad {
 			t.Errorf("Broad(%v) = %t, want %t", tc.cons, got, tc.broad)
 		}
 	}
@@ -331,7 +331,7 @@ func TestBroadDecidesOnTheSortedSpan(t *testing.T) {
 		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("h%04d", i), Load1: float64(i) + 0.5})
 	}
 	query(t, db, s, load(GE, hosts-1))
-	if s.Broad(load(GE, hosts-1)) {
+	if s.Broad(db.SysView(), []string{"host_system_load1"}, load(GE, hosts-1)) {
 		t.Error("a one-host span is broad while the patch is long")
 	}
 }

@@ -143,7 +143,8 @@ func TestChangedSinceLogWraparound(t *testing.T) {
 // now gives mirror-side deletions full version bookkeeping — from
 // mid→far through mid's own ChangedSince.
 func TestApplyDeltaDeletePropagates(t *testing.T) {
-	src, mid, far := New(), New(), New()
+	clock := newFakeClock()
+	src, mid, far := NewWithClock(clock.Now), New(), New()
 	src.PutSys(status.ServerStatus{Host: "keep", Load1: 1})
 	src.PutSys(status.ServerStatus{Host: "drop", Load1: 1})
 	src.PutNet(status.NetMetric{From: "m", To: "g", Delay: time.Millisecond})
@@ -166,7 +167,7 @@ func TestApplyDeltaDeletePropagates(t *testing.T) {
 	midBase := ship(src, mid, 0)
 	farBase := ship(mid, far, 0)
 
-	time.Sleep(10 * time.Millisecond)
+	clock.Advance(10 * time.Millisecond)
 	src.PutSys(status.ServerStatus{Host: "keep", Load1: 2}) // keep fresh
 	if gone := src.ExpireSys(5 * time.Millisecond); len(gone) != 1 || gone[0] != "drop" {
 		t.Fatalf("expired %v, want [drop]", gone)

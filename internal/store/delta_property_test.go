@@ -41,6 +41,9 @@ const (
 
 func (o propOp) String() string {
 	names := [...]string{"putSys", "refreshSys", "putNet", "putSec", "expireSys", "expireNet", "expireSec", "sync"}
+	if int(o.kind) >= len(names) { // a kind of the snapshot patch suite's own
+		return fmt.Sprintf("kind%d(h%d,v%d)", o.kind, o.host, o.val)
+	}
 	return fmt.Sprintf("%s(h%d,v%d)", names[o.kind], o.host, o.val)
 }
 

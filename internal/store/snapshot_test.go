@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"smartsock/internal/status"
 )
@@ -115,20 +116,59 @@ func TestFreshSysMatchesSnapshotCutoff(t *testing.T) {
 	}
 }
 
+// wallStepped is at, which carries a monotonic reading, with its wall
+// reading moved by d (whole seconds) and its monotonic reading kept:
+// what the real clock reads after an NTP or VM-resume step. No exported
+// API builds such a time, so it edits the encoding — seconds since 1885
+// in bits 30–62 of the first word while the monotonic flag is set — and
+// checks the result.
+func wallStepped(t *testing.T, at time.Time, d time.Duration) time.Time {
+	t.Helper()
+	stepped := at
+	(*struct{ wall uint64 })(unsafe.Pointer(&stepped)).wall += uint64(int64(d/time.Second)) << 30
+	if stepped.Round(0).Sub(at.Round(0)) != d || stepped.Sub(at) != 0 {
+		t.Fatalf("time.Time is not encoded as this test assumes: %v stepped by %v reads %v", at, d, stepped)
+	}
+	return stepped
+}
+
+// TestFreshnessIgnoresWallClockSteps: the clock's wall reading steps an
+// hour ahead, then an hour behind, while its monotonic reading moves on
+// by seconds. The snapshot's cutoff, FreshSys and expiry all judge the
+// record's age on the monotonic reading, and agree.
+func TestFreshnessIgnoresWallClockSteps(t *testing.T) {
+	start := time.Now()
+	now := start
+	db := NewWithClock(func() time.Time { return now })
+	db.PutSys(host("steady", 1))
+	page, _ := db.SysView().Page(0)
+	if page.Before(0, Offset(start)) || !page.Before(0, Offset(start.Add(time.Nanosecond))) {
+		t.Error("the cutoff a nanosecond either side of the stamp is on the wrong side")
+	}
+	agree := func(step string, fresh bool) {
+		t.Helper()
+		page, _ := db.SysView().Page(0)
+		stale := page.Before(0, Offset(db.Now().Add(-time.Minute)))
+		kept := len(db.FreshSys(time.Minute)) == 1
+		gone := len(db.ExpireSys(time.Minute)) == 1
+		if stale == fresh || kept != fresh || gone == fresh {
+			t.Errorf("%s: stale by the cutoff %v, kept by FreshSys %v, expired %v; want fresh %v", step, stale, kept, gone, fresh)
+		}
+	}
+	now = wallStepped(t, start.Add(time.Second), time.Hour)
+	agree("a second on, the wall an hour ahead", true)
+	now = wallStepped(t, start.Add(2*time.Minute), -time.Hour)
+	agree("two minutes on, the wall an hour behind", false)
+}
+
 func TestSysViewConcurrentReadersAndWriters(t *testing.T) {
 	db := New()
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < 2000; i++ {
 				db.PutSys(host(fmt.Sprintf("host%d-%d", g, i%8), float64(i)))
 			}
 		}(g)
@@ -154,7 +194,5 @@ func TestSysViewConcurrentReadersAndWriters(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(20 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 }

@@ -23,13 +23,13 @@
 package store
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"smartsock/internal/status"
 )
@@ -69,49 +69,80 @@ type SysSnapshot struct {
 	// without advancing the epoch, so selection memoized against an
 	// epoch stays valid across idle probe ticks.
 	Epoch uint64
-	// pages holds the n records in host order, SysPageLen to a page
-	// (the last may be short).
-	pages []*SysPage
 	n     int
 	// ver is the database version the snapshot reflects: the changelog
 	// entries above it name the hosts a successor must re-read.
 	ver uint64
+	// root is the page table, in the header so a rebuild copies it with
+	// the header: page p at root[p>>shift][p&(1<<shift-1)]. The n records
+	// are in host order, SysPageLen to a page (the last may be short).
+	shift uint
+	root  [pageLeaves][]pageRef
 }
 
-// SysPageLen is the records per snapshot page: as many as fit the
-// 16 KB allocation class, so a page wastes under one record of it. A
-// rebuild after a report copies one such page plus the page table
-// (8 bytes a page); the sweep in DESIGN.md ("Wizard fast path") puts
-// the minimum of the two between 8 and 32 KB from 20k to 100k hosts.
-const SysPageLen = 16 << 10 / int(unsafe.Sizeof(SysRecord{}))
+// pageLeaves is the page table's fan-out: a rebuild after one report
+// copies the header (1.6 KB), one leaf and one page, not the table.
+const pageLeaves = 64
 
-// SysPage is one snapshot page, struct-of-arrays: one allocation with
-// an array per raw ServerStatus field (numbers in status.Fields order,
-// memory kept uint64), so a page gives back exactly the record put.
+// pageRef is a page table entry. A published page never changes and IDs
+// never repeat, so an ID seen again is the same records in the same place.
+type pageRef struct {
+	page *SysPage
+	id   uint64
+}
+
+// pageIDs numbers the pages rebuilds create; an ID only has to be unique.
+var pageIDs atomic.Uint64
+
+// SysPageLen is the records per snapshot page. A rebuild after a report
+// copies one page, and a selection merges one memoised list a page,
+// which pull opposite ways; the sweep in DESIGN.md ("Wizard fast path")
+// keeps 70, a 13 KB page.
+const SysPageLen = 70
+
+// SysPage is one snapshot page, struct-of-arrays: an array per raw
+// ServerStatus field (numbers in status.Fields order, memory kept
+// uint64) and stamp field, so a page gives back exactly the record put.
+// Only the name block, which a clone shares, is behind a pointer.
 type SysPage struct {
-	id    uint64
-	n     int
-	num   [17][SysPageLen]float64
-	mem   [3][SysPageLen]uint64
-	host  [SysPageLen]string
-	iface [SysPageLen]string
-	stamp [SysPageLen]Stamp
+	names       *sysNames
+	sharedNames bool // names is also the base's: copy it before a name changes
+	n           int
+	num         [17][SysPageLen]float64
+	mem         [3][SysPageLen]uint64
+	sec         [SysPageLen]int64 // UpdatedAt: Unix seconds and nanoseconds
+	nsec        [SysPageLen]int32
+	at          [SysPageLen]int64 // UpdatedAt as Offset gives it, for Before
+	ver, refVer [SysPageLen]uint64
+}
+
+// sysNames is a page's host and interface names by offset.
+type sysNames struct {
+	host, iface [SysPageLen]string
 }
 
 // Len reports the number of records on the page.
 func (p *SysPage) Len() int { return p.n }
 
-// pageIDs numbers the pages rebuilds create; an ID only has to be unique.
-var pageIDs atomic.Uint64
-
-// ID names the page: a published page never changes and IDs never repeat.
-func (p *SysPage) ID() uint64 { return p.id }
-
 // Host returns the host of the record at offset i.
-func (p *SysPage) Host(i int) string { return p.host[i] }
+func (p *SysPage) Host(i int) string { return p.names.host[i] }
 
-// UpdatedAt returns the arrival time of the record at offset i.
-func (p *SysPage) UpdatedAt(i int) time.Time { return p.stamp[i].UpdatedAt }
+// UpdatedAt returns the arrival time of the record at offset i, kept as
+// Unix seconds and nanoseconds: in UTC, with no monotonic reading.
+func (p *SysPage) UpdatedAt(i int) time.Time { return time.Unix(p.sec[i], int64(p.nsec[i])).UTC() }
+
+// Before reports whether the record at offset i arrived before the
+// instant whose Offset is cutoff.
+func (p *SysPage) Before(i int, cutoff int64) bool { return p.at[i] < cutoff }
+
+// anchor is the instant Offset counts from, with a monotonic reading.
+var anchor = time.Now()
+
+// Offset is t as a page orders arrivals: nanoseconds after anchor, on
+// the monotonic clock when t has a reading (every stamp and cutoff from
+// the real clock does; expiry compares those on it too), else on the
+// wall clock; it saturates 292 years either side of anchor.
+func Offset(t time.Time) int64 { return int64(t.Sub(anchor)) }
 
 // Column returns status variable v (a status.VarIndex) of the page's
 // records by offset, as VarAt reads it: a float field in place, a
@@ -136,7 +167,16 @@ func (p *SysPage) set(i int, r *SysRecord) {
 	for c, m := range mems {
 		p.mem[c][i] = *m
 	}
-	p.host[i], p.iface[i], p.stamp[i] = r.Status.Host, r.Status.NetIface, r.Stamp
+	p.sec[i], p.nsec[i] = r.UpdatedAt.Unix(), int32(r.UpdatedAt.Nanosecond())
+	p.at[i] = Offset(r.UpdatedAt)
+	p.ver[i], p.refVer[i] = r.Ver, r.RefVer
+	if names := p.names; names.host[i] != r.Status.Host || names.iface[i] != r.Status.NetIface {
+		if p.sharedNames {
+			copied := *names
+			p.names, p.sharedNames = &copied, false
+		}
+		p.names.host[i], p.names.iface[i] = r.Status.Host, r.Status.NetIface
+	}
 }
 
 // record materialises the record at offset i.
@@ -148,23 +188,35 @@ func (p *SysPage) record(i int) (r SysRecord) {
 	for c, m := range mems {
 		*m = p.mem[c][i]
 	}
-	r.Status.Host, r.Status.NetIface, r.Stamp = p.host[i], p.iface[i], p.stamp[i]
+	r.Status.Host, r.Status.NetIface = p.names.host[i], p.names.iface[i]
+	r.Stamp = Stamp{UpdatedAt: p.UpdatedAt(i), Ver: p.ver[i], RefVer: p.refVer[i]}
 	return r
 }
 
 // Len reports the number of records in the snapshot.
 func (s *SysSnapshot) Len() int { return s.n }
 
+// Pages reports the number of pages: every one full but the last.
+func (s *SysSnapshot) Pages() int { return (s.n + SysPageLen - 1) / SysPageLen }
+
+// Page returns page p, 0 <= p < Pages(), whose first record is at
+// p*SysPageLen, and its ID, read without touching the page.
+func (s *SysSnapshot) Page(p int) (*SysPage, uint64) {
+	ref := s.root[p>>s.shift][p&(1<<s.shift-1)]
+	return ref.page, ref.id
+}
+
+// page returns the page holding position i.
+func (s *SysSnapshot) page(i int) *SysPage {
+	p, _ := s.Page(i / SysPageLen)
+	return p
+}
+
 // At materialises the i-th record in host order, 0 <= i < Len().
-func (s *SysSnapshot) At(i int) SysRecord { return s.pages[i/SysPageLen].record(i % SysPageLen) }
+func (s *SysSnapshot) At(i int) SysRecord { return s.page(i).record(i % SysPageLen) }
 
 // Host returns the host of the i-th record, 0 <= i < Len().
-func (s *SysSnapshot) Host(i int) string { return s.pages[i/SysPageLen].host[i%SysPageLen] }
-
-// PageOf returns the page holding position i and its first record's position.
-func (s *SysSnapshot) PageOf(i int) (*SysPage, int) {
-	return s.pages[i/SysPageLen], i - i%SysPageLen
-}
+func (s *SysSnapshot) Host(i int) string { return s.page(i).Host(i % SysPageLen) }
 
 // Each calls fn on every record in host order, materialised into one
 // reused record: the full-table walk.
@@ -183,15 +235,30 @@ func (s *SysSnapshot) find(host string) (i int, found bool) {
 }
 
 // pager cuts records, in order, into freshly allocated pages.
-type pager []*SysPage
+type pager []pageRef
 
 func (pg *pager) add(r *SysRecord) {
-	if len(*pg) == 0 || (*pg)[len(*pg)-1].n == SysPageLen {
-		*pg = append(*pg, &SysPage{id: pageIDs.Add(1)})
+	if len(*pg) == 0 || (*pg)[len(*pg)-1].page.n == SysPageLen {
+		*pg = append(*pg, pageRef{&SysPage{names: new(sysNames)}, pageIDs.Add(1)})
 	}
-	p := (*pg)[len(*pg)-1]
+	p := (*pg)[len(*pg)-1].page
 	p.set(p.n, r)
 	p.n++
+}
+
+// snapshot roots the pages in a new header: leaves of the fewest
+// entries that hold them all, and at least eight, so that the reports
+// between two requests on a small table mostly dirty one leaf.
+func (pg pager) snapshot() *SysSnapshot {
+	s := &SysSnapshot{shift: 3}
+	for len(pg) > pageLeaves<<s.shift {
+		s.shift++
+	}
+	for l := 0; len(pg) > 0; l++ {
+		k := min(len(pg), 1<<s.shift)
+		s.root[l], pg = pg[:k:k], pg[k:]
+	}
+	return s
 }
 
 // addRange adds records [from, to) of s.
@@ -296,15 +363,15 @@ func (db *DB) sysViewRLocked() *SysSnapshot {
 	if s := db.sysSnap.Load(); s != nil {
 		return s
 	}
-	pages, ok := db.patchedSysLocked(db.sysBase.Load())
+	s, ok := db.patchedSysLocked(db.sysBase.Load())
 	if !ok {
 		pg := make(pager, 0, (len(db.sys.live)+SysPageLen-1)/SysPageLen)
 		for _, host := range db.sys.sortedKeys() {
 			pg.add(db.sys.live[host])
 		}
-		pages = pg
+		s = pg.snapshot()
 	}
-	s := &SysSnapshot{Epoch: db.epoch, pages: pages, n: len(db.sys.live), ver: db.ver}
+	s.Epoch, s.n, s.ver = db.epoch, len(db.sys.live), db.ver
 	db.sysSnap.Store(s)
 	db.sysBase.Store(s)
 	return s
@@ -314,13 +381,13 @@ func (db *DB) sysViewRLocked() *SysSnapshot {
 // changelog: every sys mutation since base.ver — put, refresh, expiry,
 // delta apply, merge — left a ring entry naming its host. While those
 // hosts are all in base and still in the table, positions stand: the
-// result is base's page table with only the pages holding such a host
-// copied and overwritten, every other page shared. A host that joined
-// or left shifts every position after it, so then the records are
-// copied across in runs around the re-read hosts and cut into new
-// pages. It declines (ok false) when the ring no longer reaches back
-// to base.
-func (db *DB) patchedSysLocked(base *SysSnapshot) (pages []*SysPage, ok bool) {
+// result is base's header with only the pages holding such a host, and
+// the leaves of the page table naming them, copied and overwritten;
+// every other page and leaf is shared. A host that joined or left
+// shifts every position after it, so then the records are copied
+// across in runs around the re-read hosts and cut into new pages. It
+// declines (ok false) when the ring no longer reaches back to base.
+func (db *DB) patchedSysLocked(base *SysSnapshot) (s *SysSnapshot, ok bool) {
 	if base == nil || base.ver < db.sys.logFloor || base.ver > db.ver {
 		return nil, false
 	}
@@ -328,30 +395,35 @@ func (db *DB) patchedSysLocked(base *SysSnapshot) (pages []*SysPage, ok bool) {
 	// the stack.
 	dirty := db.sys.ringKeys(base.ver, make([]string, 0, 16))
 
-	pages = slices.Clone(base.pages)
-	owned := -1 // the page last copied: dirty is sorted, so pages come in order
+	s = new(SysSnapshot)
+	*s = *base
+	leaf, owned := -1, -1 // the leaf and page last copied: dirty is sorted, so both come in order
+	var page *SysPage
 	for _, host := range dirty {
 		at, found := base.find(host)
 		r, live := db.sys.live[host]
 		if !found || !live {
 			return db.respliceSysLocked(base, dirty), true
 		}
-		p := at / SysPageLen
-		if p != owned {
-			clone := *pages[p]
-			clone.id = pageIDs.Add(1)
-			pages[p] = &clone
-			owned = p
+		if p := at / SysPageLen; p != owned {
+			if p>>s.shift != leaf {
+				leaf = p >> s.shift
+				s.root[leaf] = slices.Clone(s.root[leaf])
+			}
+			ref := &s.root[leaf][p&(1<<s.shift-1)]
+			clone := *ref.page // a byte copy, its name block shared until a name changes
+			clone.sharedNames = true
+			page, ref.page, ref.id, owned = &clone, &clone, pageIDs.Add(1), p
 		}
-		pages[p].set(at%SysPageLen, r)
+		page.set(at%SysPageLen, r)
 	}
-	return pages, true
+	return s, true
 }
 
 // respliceSysLocked is the patch after a membership change: base's
 // records in runs, with each dirty host dropped and, if it is still in
 // the table, re-read in its place.
-func (db *DB) respliceSysLocked(base *SysSnapshot, dirty []string) []*SysPage {
+func (db *DB) respliceSysLocked(base *SysSnapshot, dirty []string) *SysSnapshot {
 	pg := make(pager, 0, (len(db.sys.live)+SysPageLen-1)/SysPageLen)
 	from := 0
 	for _, host := range dirty {
@@ -366,7 +438,7 @@ func (db *DB) respliceSysLocked(base *SysSnapshot, dirty []string) []*SysPage {
 		}
 	}
 	pg.addRange(base, from, base.n)
-	return pg
+	return pg.snapshot()
 }
 
 // ResyncView returns the sys snapshot, the security table, and the
@@ -472,13 +544,13 @@ func (db *DB) Sec() []SecRecord {
 // maxAge disables the filter.
 func (db *DB) FreshSys(maxAge time.Duration) []SysRecord {
 	snap := db.SysView()
-	var cutoff time.Time // the zero time: nothing is before it
+	cutoff := int64(math.MinInt64) // nothing is before it
 	if maxAge > 0 {
-		cutoff = db.Now().Add(-maxAge)
+		cutoff = Offset(db.Now().Add(-maxAge))
 	}
 	out := make([]SysRecord, 0, snap.n)
-	snap.Each(func(_ int, r *SysRecord) {
-		if !r.UpdatedAt.Before(cutoff) {
+	snap.Each(func(i int, r *SysRecord) {
+		if !snap.page(i).Before(i%SysPageLen, cutoff) {
 			out = append(out, *r)
 		}
 	})
@@ -568,7 +640,7 @@ func (db *DB) ChangedSince(base uint64, sys *status.SysDelta, net *status.NetDel
 // ChangedSinceAt is ChangedSince plus the sys-table epoch the deltas
 // bring a mirror to, read atomically with the version. Incremental
 // consumers keyed by content epoch (the selection index) use the pair
-// to prove their candidate sets match a snapshot.
+// to prove their candidate sets match a snapshot; a nil net delta skips its table.
 //
 // It takes the write lock: a table whose ring still covers base
 // assembles its delta by walking only the entries above base — cost
@@ -582,7 +654,9 @@ func (db *DB) ChangedSinceAt(base uint64, sys *status.SysDelta, net *status.NetD
 		return db.ver, db.epoch, false
 	}
 	db.sys.changedSince(base, sys)
-	db.net.changedSince(base, net)
+	if net != nil {
+		db.net.changedSince(base, net)
+	}
 	db.sec.changedSince(base, sec)
 	return db.ver, db.epoch, true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -40,10 +41,21 @@ func oddSys(host string, k int) status.ServerStatus {
 	return s
 }
 
+// sameStamp compares two stamps, times as instants: a page gives its
+// stamp back in UTC and without a monotonic reading.
+func sameStamp(got, want Stamp) bool {
+	return got.Ver == want.Ver && got.RefVer == want.RefVer && got.UpdatedAt.Equal(want.UpdatedAt)
+}
+
+// sameRecords is slices.Equal for records, with stamps as sameStamp has them.
+func sameRecords(got, want []SysRecord) bool {
+	return slices.EqualFunc(got, want, func(a, b SysRecord) bool { return a.Status == b.Status && sameStamp(a.Stamp, b.Stamp) })
+}
+
 // sameRecord compares two records field by field, floats by their bits.
 func sameRecord(got, want SysRecord) error {
-	if got.Stamp != want.Stamp {
-		return fmt.Errorf("%s: stamp %+v, want %+v", want.Status.Host, got.Stamp, want.Stamp)
+	if !sameStamp(got.Stamp, want.Stamp) || got.UpdatedAt != got.UpdatedAt.Round(0).UTC() {
+		return fmt.Errorf("%s: stamp %+v, want %+v in UTC", want.Status.Host, got.Stamp, want.Stamp)
 	}
 	g, w := reflect.ValueOf(got.Status), reflect.ValueOf(want.Status)
 	for i := 0; i < g.NumField(); i++ {
@@ -115,7 +127,7 @@ func TestSysPageRoundTrip(t *testing.T) {
 // page through Column and compares it, offset by offset, with the
 // row's VarAt.
 func TestSysPageColumnMatchesVarAt(t *testing.T) {
-	var page SysPage
+	page := SysPage{names: new(sysNames)}
 	recs := make([]SysRecord, SysPageLen-3)
 	for i := range recs {
 		recs[i].Status = oddSys("column", i)
@@ -142,5 +154,60 @@ func TestSysPageColumnMatchesVarAt(t *testing.T) {
 func TestSysPageFitsItsAllocationClass(t *testing.T) {
 	if size := unsafe.Sizeof(SysPage{}); size > 16<<10 {
 		t.Fatalf("a page is %d bytes, over the 16 KB class", size)
+	}
+}
+
+// TestSysPageBodyHoldsNoPointers: the name block is a page's one
+// pointer, so a clone is a byte copy with no write barriers and a body
+// the collector does not scan.
+func TestSysPageBodyHoldsNoPointers(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Bool, reflect.Int, reflect.Int32, reflect.Int64, reflect.Uint64, reflect.Float64:
+			return true
+		}
+		return false
+	}
+	ty := reflect.TypeOf(SysPage{})
+	for i := range ty.NumField() {
+		if f := ty.Field(i); f.Name != "names" && !pointerFree(f.Type) {
+			t.Errorf("SysPage.%s (%s) holds a pointer", f.Name, f.Type)
+		}
+	}
+	if ty.Field(0).Name != "names" {
+		t.Error("the name block is not the page's first field: the collector scans up to the last pointer")
+	}
+}
+
+// TestSysPageStampsEveryYear puts records stamped at instants a
+// nanosecond count since 1970 cannot hold — the zero Time, 1500, 2300 —
+// and reads each back through At, Each and a page.
+func TestSysPageStampsEveryYear(t *testing.T) {
+	for _, at := range []time.Time{
+		{},
+		time.Date(1500, 3, 1, 12, 0, 0, 123456789, time.UTC),
+		time.Date(2300, 7, 4, 0, 0, 1, 999999999, time.FixedZone("east", 5*3600)),
+	} {
+		db := NewWithClock(func() time.Time { return at })
+		db.PutSys(host("stamped", 1))
+		snap := db.SysView()
+		page, _ := snap.Page(0)
+		got := []time.Time{snap.At(0).UpdatedAt, page.UpdatedAt(0)}
+		snap.Each(func(_ int, r *SysRecord) { got = append(got, r.UpdatedAt) })
+		for _, g := range got {
+			if !g.Equal(at) || g != at.UTC() {
+				t.Errorf("stamped %v, read back %v", at, g)
+			}
+		}
 	}
 }

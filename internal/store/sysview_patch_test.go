@@ -21,6 +21,14 @@ import (
 // collected afresh) — the snapshot holds exactly the table collected
 // and sorted afresh, in full pages but the last.
 
+// refs lists a snapshot's page table in page order.
+func refs(s *SysSnapshot) (out []pageRef) {
+	for _, leaf := range s.root {
+		out = append(out, leaf...)
+	}
+	return out
+}
+
 // flat copies a snapshot's records out in order.
 func flat(s *SysSnapshot) (recs []SysRecord) {
 	s.Each(func(_ int, r *SysRecord) { recs = append(recs, *r) })
@@ -49,26 +57,32 @@ func willPatch(db *DB) bool {
 func checkView(db *DB) error {
 	epoch, want := scratchSys(db)
 	got := db.SysView()
-	if got.Epoch != epoch || !slices.Equal(flat(got), want) {
+	if got.Epoch != epoch || !sameRecords(flat(got), want) {
 		return fmt.Errorf("snapshot (epoch %d, %d records) differs from a rebuild from scratch (epoch %d, %d records)",
 			got.Epoch, got.Len(), epoch, len(want))
 	}
-	total := 0
-	for p, page := range got.pages {
-		if page.n == 0 || page.n > SysPageLen || (page.n < SysPageLen && p != len(got.pages)-1) {
-			return fmt.Errorf("page %d of %d holds %d records, a page holds %d", p, len(got.pages), page.n, SysPageLen)
+	total, pages := 0, refs(got)
+	for p, ref := range pages {
+		if n := ref.page.n; n == 0 || n > SysPageLen || (n < SysPageLen && p != len(pages)-1) {
+			return fmt.Errorf("page %d of %d holds %d records, a page holds %d", p, len(pages), n, SysPageLen)
 		}
-		total += page.n
+		total += ref.page.n
 	}
-	if total != got.Len() {
-		return fmt.Errorf("pages hold %d records, Len() is %d", total, got.Len())
+	if total != got.Len() || len(pages) != got.Pages() {
+		return fmt.Errorf("%d pages hold %d records, Len() is %d", len(pages), total, got.Len())
+	}
+	for l, leaf := range got.root {
+		if len(leaf) > 1<<got.shift || l > 0 && len(leaf) > 0 && len(got.root[l-1]) < 1<<got.shift {
+			return fmt.Errorf("leaf %d holds %d pages behind a leaf of %d, a leaf holds %d", l, len(leaf), len(got.root[max(l-1, 0)]), 1<<got.shift)
+		}
 	}
 	return nil
 }
 
 // checkSharing holds a patched snapshot to the structure-sharing rule:
 // with membership unchanged, a page none of whose records was written
-// since base (every write re-stamps RefVer) is base's own page.
+// since base (every write re-stamps RefVer) is base's own page, and a
+// page none of whose names changed holds base's own name block.
 func checkSharing(base, got *SysSnapshot) error {
 	if base == nil || base.n != got.n {
 		return nil
@@ -78,12 +92,17 @@ func checkSharing(base, got *SysSnapshot) error {
 			return nil
 		}
 	}
-	for p := range got.pages {
-		// A copy has an ID of its own: compare the records only.
-		records := *base.pages[p]
-		records.id = got.pages[p].id
-		if records == *got.pages[p] && base.pages[p] != got.pages[p] {
-			return fmt.Errorf("page %d of %d was copied though nothing on it was written", p, len(got.pages))
+	was, now := refs(base), refs(got)
+	for p := range now {
+		b, g := was[p].page, now[p].page
+		// A copy marks its name block shared: compare the bodies only.
+		body := *b
+		body.names, body.sharedNames = g.names, g.sharedNames
+		if body == *g && b != g {
+			return fmt.Errorf("page %d of %d was copied though nothing on it was written", p, len(now))
+		}
+		if renamed, copied := *b.names != *g.names, b.names != g.names; renamed != copied {
+			return fmt.Errorf("page %d of %d: a name changed %t, the name block copied %t", p, len(now), renamed, copied)
 		}
 	}
 	return nil
@@ -99,6 +118,7 @@ const (
 	vMerge
 	vLoad
 	vPutOther // net and sec writes share the ring with sys ones
+	vIface    // a put that renames the host's interface: its page alone gets a new name block
 	vView
 	viewKinds
 )
@@ -161,8 +181,17 @@ func runViewOps(ops []propOp, pads int) (patched, scratch int, err error) {
 		case vPutOther:
 			db.PutNet(propNet(h, v))
 			db.PutSec(propSec(h, v))
+		case vIface:
+			s := propSys(h, v)
+			s.NetIface = fmt.Sprintf("eth%d", v%2)
+			db.PutSys(s)
 		case vView:
-			base, patch := db.sysBase.Load(), willPatch(db)
+			// Read the base before willPatch's trial rebuild can write it.
+			base, before := db.sysBase.Load(), []SysRecord(nil)
+			if base != nil {
+				before = flat(base)
+			}
+			patch := willPatch(db)
 			if db.sysSnap.Load() == nil {
 				if patch {
 					patched++
@@ -173,6 +202,9 @@ func runViewOps(ops []propOp, pads int) (patched, scratch int, err error) {
 			err := checkView(db)
 			if err == nil && patch {
 				err = checkSharing(base, db.SysView())
+			}
+			if err == nil && base != nil && !slices.Equal(flat(base), before) {
+				err = fmt.Errorf("the base snapshot changed under a rebuild")
 			}
 			if err != nil {
 				return patched, scratch, fmt.Errorf("op %d %v: %w", i, op, err)
@@ -239,7 +271,7 @@ func TestSysViewPageBoundaries(t *testing.T) {
 					db.PutSys(status.ServerStatus{Host: name(i), Load1: 1})
 				}
 			})
-			if got, want := len(db.SysView().pages), (n+SysPageLen-1)/SysPageLen; got != want {
+			if got, want := len(refs(db.SysView())), (n+SysPageLen-1)/SysPageLen; got != want {
 				t.Fatalf("%d hosts in %d pages, want %d", n, got, want)
 			}
 		}
@@ -254,8 +286,9 @@ func TestSysViewPageBoundaries(t *testing.T) {
 
 // TestSysViewSharesCleanPages pins the point of the pages: after
 // writes to known hosts the new snapshot holds the base's own page
-// wherever no written host lives, a copy where one does, and the base
-// still reads what it read before.
+// wherever no written host lives, a copy where one does, the base's
+// name block on every page where no name changed, and the base still
+// reads what it read before.
 func TestSysViewSharesCleanPages(t *testing.T) {
 	const fleet = 5*SysPageLen + 3
 	db := New()
@@ -271,20 +304,27 @@ func TestSysViewSharesCleanPages(t *testing.T) {
 	}
 	db.PutSys(status.ServerStatus{Host: "share-00100"}) // a same-content refresh dirties its page too
 	dirty[100/SysPageLen] = true
+	db.PutSys(status.ServerStatus{Host: "share-00300", NetIface: "eth1"}) // a new interface name: a new name block
+	renamed := 300 / SysPageLen
+	dirty[renamed] = true
 	got := db.SysView()
 	if err := checkView(db); err != nil {
 		t.Fatal(err)
 	}
 	ids := map[uint64]bool{}
-	for _, page := range base.pages {
-		ids[page.ID()] = true
+	for _, ref := range refs(base) {
+		ids[ref.id] = true
 	}
-	for p := range got.pages {
-		if shared := got.pages[p] == base.pages[p]; shared == dirty[p] {
+	was, now := refs(base), refs(got)
+	for p := range now {
+		if shared := now[p].page == was[p].page; shared == dirty[p] {
 			t.Errorf("page %d: shared with the base %v, holds a written host %v", p, shared, dirty[p])
 		}
+		if shared := now[p].page.names == was[p].page.names; shared == (p == renamed) {
+			t.Errorf("page %d: name block shared with the base %v, a name changed %v", p, shared, p == renamed)
+		}
 		// A copy is a new page: its ID is one no page had before.
-		if id := got.pages[p].ID(); ids[id] != !dirty[p] || id == 0 {
+		if id := now[p].id; ids[id] != !dirty[p] || id == 0 {
 			t.Errorf("page %d: ID %d, written %v, the base's IDs %v", p, id, dirty[p], ids)
 		}
 	}
@@ -345,34 +385,68 @@ func TestSysViewHeldSnapshotKeepsItsValues(t *testing.T) {
 	}
 }
 
-// TestSysViewRebuildAllocBytes pins what a report costs the next
-// request on a large fleet: the page the host lives on and the page
-// table, not the table.
-func TestSysViewRebuildAllocBytes(t *testing.T) {
-	const fleet, runs = 20000, 50
+// fleetDB is a database of fleet hosts and the reports that rewrite
+// them one by one, so a measured put formats nothing.
+func fleetDB(fleet int) (*DB, []status.ServerStatus) {
 	db := New()
 	for i := 0; i < fleet; i++ {
 		db.PutSys(propSys(i, 0))
 	}
-	pages := len(db.SysView().pages)
+	db.SysView()
+	reports := make([]status.ServerStatus, 64)
+	for i := range reports {
+		reports[i] = propSys(i*397%fleet, 1+i)
+	}
+	return db, reports
+}
+
+// TestSysViewRebuildAllocBytes pins what a report costs the next
+// request on a large fleet: the snapshot header with the page table's
+// root in it, the one leaf and the one page the host lives on, not the
+// table.
+func TestSysViewRebuildAllocBytes(t *testing.T) {
+	const fleet = 20000
+	db, reports := fleetDB(fleet)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		db.PutSys(propSys(i*397%fleet, 1+i))
+	for i := range reports {
+		db.PutSys(reports[i])
 		db.SysView()
 	}
 	runtime.ReadMemStats(&after)
-	perRebuild := (after.TotalAlloc - before.TotalAlloc) / runs
-	limit := 2*uint64(unsafe.Sizeof(SysPage{})) + uint64(pages)*uint64(unsafe.Sizeof((*SysPage)(nil)))
+	perRebuild := (after.TotalAlloc - before.TotalAlloc) / uint64(len(reports))
+	leaf := uintptr(1<<db.SysView().shift) * unsafe.Sizeof(pageRef{})
+	// Each rounded up to its allocation class, which wastes under an eighth of it.
+	limit := uint64(unsafe.Sizeof(SysSnapshot{})+leaf+unsafe.Sizeof(SysPage{})) * 8 / 7
 	if perRebuild > limit {
-		t.Errorf("rebuild after one PutSys on %d hosts allocated %d bytes, want at most two pages and the page table (%d)", fleet, perRebuild, limit)
+		t.Errorf("rebuild after one PutSys on %d hosts allocated %d bytes, want at most a header, a leaf and a page (%d)", fleet, perRebuild, limit)
+	}
+}
+
+// TestSysViewRebuildAllocs: one put, then SysView, is three allocations
+// however large the fleet — the header, a leaf, a page.
+func TestSysViewRebuildAllocs(t *testing.T) {
+	fleets := []int{20000, 1000000}
+	if testing.Short() {
+		fleets = fleets[:1] // a million hosts hold about 600 MB
+	}
+	for _, fleet := range fleets {
+		db, reports := fleetDB(fleet)
+		i := 0
+		if got := testing.AllocsPerRun(50, func() {
+			i++
+			db.PutSys(reports[i%len(reports)])
+			db.SysView()
+		}); got != 3 {
+			t.Errorf("%d hosts: one put and SysView made %v allocations, want 3", fleet, got)
+		}
 	}
 }
 
 // BenchmarkSysViewRebuild is the cost a request pays for the report
 // that landed before it: one PutSys of a known host, then SysView.
 func BenchmarkSysViewRebuild(b *testing.B) {
-	for _, fleet := range []int{20000, 100000} {
+	for _, fleet := range []int{20000, 100000, 1000000} {
 		b.Run(fmt.Sprintf("hosts=%d", fleet), func(b *testing.B) {
 			db := New()
 			for i := 0; i < fleet; i++ {

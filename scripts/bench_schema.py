@@ -206,10 +206,10 @@ SIZE_SCHEMA = {
 # its CHANGES.md entry; a PR that shrinks one lowers the ceiling to the
 # new size.
 SIZE_CEILINGS = {
-    "total": 19982,
-    "internal/core": 1001,
-    "internal/index": 654,
-    "internal/store": 1013,
+    "total": 20072,
+    "internal/core": 1004,
+    "internal/index": 667,
+    "internal/store": 1087,
     "internal/status": 1095,
     "internal/transport": 1127,
     "internal/monitor": 350,

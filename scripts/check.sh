@@ -125,16 +125,17 @@ if [ -n "$rowreads" ]; then
 fi
 
 echo "== pages by ID, not by pointer =="
-# The selection memo remembers a snapshot page by its ID (SysPage.ID); a
-# *store.SysPage field in a core struct is a memo pinning stale
-# snapshots for as long as nobody asks its question again.
+# The selection memo remembers a snapshot page by the ID the page table
+# holds for it (SysSnapshot.Page); a *store.SysPage field in a core
+# struct is a memo pinning stale snapshots for as long as nobody asks
+# its question again.
 pinned=$(awk '
 	/^type [A-Za-z0-9_]+ struct/ { body = 1 }
 	body && /\*store\.SysPage([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }
 	body && (/^}/ || /^type .*}$/) { body = 0 }
 ' $(ls internal/core/*.go | grep -v '_test\.go$'))
 if [ -n "$pinned" ]; then
-	echo "internal/core holds snapshot pages in a struct (remember SysPage.ID instead):" >&2
+	echo "internal/core holds snapshot pages in a struct (remember the page's ID instead):" >&2
 	echo "$pinned" >&2
 	exit 1
 fi
