@@ -201,12 +201,14 @@ SIZE_SCHEMA = {
 # left it); core and index are new at PR 25's, which moved total and
 # store up for the columnar page and lowered status; the page-level
 # selection memo and the page IDs it keys on moved total, core and
-# store up again. A PR that grows one of these past its ceiling deletes
-# elsewhere in the same PR, or moves the ceiling here and says why in
-# its CHANGES.md entry; a PR that shrinks one lowers the ceiling to the
-# new size.
+# store up again; "." (the client library) is new at the size the kept
+# wizard socket left it, and total moved with it. A PR that grows one of
+# these past its ceiling deletes elsewhere in the same PR, or moves the
+# ceiling here and says why in its CHANGES.md entry; a PR that shrinks
+# one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 20072,
+    "total": 20131,
+    ".": 723,
     "internal/core": 1004,
     "internal/index": 667,
     "internal/store": 1087,

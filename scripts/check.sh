@@ -2,7 +2,7 @@
 # check.sh runs the full correctness gate: formatting, go vet, build,
 # race-enabled tests, a fuzz smoke of the batch evaluator, the committed
 # size numbers, the naming, one-evaluator, one-applier, columns-not-rows,
-# pages-by-ID and benchmark-consumer guards, and the project's own
+# pages-by-ID, one-wizard-socket and benchmark-consumer guards, and the project's own
 # static analyzers (cmd/smartlint). CI runs exactly this script; run it
 # locally before sending a change.
 set -eu
@@ -137,6 +137,20 @@ pinned=$(awk '
 if [ -n "$pinned" ]; then
 	echo "internal/core holds snapshot pages in a struct (remember the page's ID instead):" >&2
 	echo "$pinned" >&2
+	exit 1
+fi
+
+echo "== one wizard socket per Client =="
+# A Client keeps its wizard socket between exchanges: take hands out the
+# kept one or dials, keep puts it back. A c.dial("udp", ...) anywhere
+# else is the per-request socket coming back beside the kept one.
+udpdials=$(awk '
+	/^func / { fn = $0 }
+	/c\.dial\("udp"/ && fn !~ /^func \(c \*Client\) take\(/ { print FILENAME ":" FNR ": " $0 }
+' smartsock.go)
+if [ -n "$udpdials" ]; then
+	echo "smartsock.go dials the wizard outside take (take the kept socket instead):" >&2
+	echo "$udpdials" >&2
 	exit 1
 fi
 

@@ -18,7 +18,9 @@
 //
 // The library sends the requirement to the wizard over UDP with a
 // random sequence number, matches the reply against it, retries lost
-// datagrams, and dials the returned servers. Requirements may also be
+// datagrams, and dials the returned servers. A Client keeps its wizard
+// socket between exchanges and closes it after a second without one,
+// so a Client needs no Close. Requirements may also be
 // loaded from files with LoadRequirement, and validated locally with
 // CheckRequirement before any network traffic happens.
 package smartsock
@@ -68,14 +70,23 @@ type ClientConfig struct {
 	DialTimeout time.Duration
 	// Dial opens the client's sockets — the wizard's UDP socket and
 	// each server's TCP connection. Nil means the net package dialers.
+	// The wizard socket is kept between exchanges, so a sequential
+	// Client dials "udp" once per idle period, not once per request.
 	// Chaos tests inject lossy wrappers here.
 	Dial func(network, addr string) (net.Conn, error)
 }
 
-// Client talks to one wizard.
+// idleRelease is how long a kept wizard socket outlives its last
+// exchange before the Client closes it.
+const idleRelease = time.Second
+
+// Client talks to one wizard. It is safe for concurrent use.
 type Client struct {
 	wizard string
 	cfg    ClientConfig
+
+	slot chan net.Conn // holds the wizard socket between exchanges; capacity 1
+	idle *time.Timer   // runs release idleRelease after the last keep
 }
 
 // NewClient creates a client for the wizard at addr (host:port). A
@@ -84,7 +95,9 @@ func NewClient(addr string, cfg *ClientConfig) (*Client, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("smartsock: empty wizard address")
 	}
-	c := &Client{wizard: addr}
+	c := &Client{wizard: addr, slot: make(chan net.Conn, 1)}
+	c.idle = time.AfterFunc(idleRelease, c.release)
+	c.idle.Stop() // keep arms it
 	if cfg != nil {
 		c.cfg = *cfg
 	}
@@ -154,20 +167,66 @@ func (c *Client) RequestServers(ctx context.Context, requirement string, n int, 
 	return reply.Servers, nil
 }
 
-// replyBufs recycles the reply buffers of exchange: 64 KB each, so any
+// replyBufs recycles the reply buffers of roundTrip: 64 KB each, so any
 // legal datagram fits. UnmarshalReply copies what it keeps.
 var replyBufs = sync.Pool{New: func() any { b := make([]byte, 64*1024); return &b }}
 
-// exchange performs the UDP request/reply with sequence matching and
-// retries (§3.6.2 steps 2–3). Resends are spaced by a bounded,
-// jittered backoff so a fleet of clients retrying a lost wizard does
-// not resynchronise into request storms.
+// exchange performs the UDP request/reply (§3.6.2 steps 2–3) on the
+// kept wizard socket. A successful exchange puts the socket back; every
+// other ending closes it, so an error — an ICMP refusal included —
+// never reaches the next exchange.
 func (c *Client) exchange(ctx context.Context, req *proto.Request) (*proto.Reply, error) {
-	conn, err := c.dial("udp", c.wizard)
+	conn, err := c.take()
 	if err != nil {
 		return nil, fmt.Errorf("smartsock: dial wizard: %w", err)
 	}
-	defer conn.Close()
+	reply, err := c.roundTrip(ctx, conn, req)
+	if err != nil {
+		// The socket is discarded; the exchange's error is the one to report.
+		_ = conn.Close()
+		return nil, err
+	}
+	c.keep(conn)
+	return reply, nil
+}
+
+// take empties the slot, or dials a new wizard socket when it is empty.
+func (c *Client) take() (net.Conn, error) {
+	select {
+	case conn := <-c.slot:
+		return conn, nil
+	default:
+		return c.dial("udp", c.wizard)
+	}
+}
+
+// keep puts conn in the slot and re-arms the idle release. A slot a
+// concurrent exchange has already refilled closes conn instead.
+func (c *Client) keep(conn net.Conn) {
+	select {
+	case c.slot <- conn:
+		c.idle.Reset(idleRelease)
+	default:
+		// One socket is kept; this one is surplus.
+		_ = conn.Close()
+	}
+}
+
+// release empties the slot and closes the socket it held.
+func (c *Client) release() {
+	select {
+	case conn := <-c.slot:
+		// Idle: nobody is waiting on this socket.
+		_ = conn.Close()
+	default:
+	}
+}
+
+// roundTrip sends req on conn and waits for the reply with its sequence
+// number, skipping any other datagram (a late duplicate on the kept
+// socket included). Resends back off with jitter so a fleet of clients
+// retrying a lost wizard does not resynchronise into request storms.
+func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *proto.Request) (*proto.Reply, error) {
 	msg := proto.MarshalRequest(req)
 	bufp := replyBufs.Get().(*[]byte)
 	defer replyBufs.Put(bufp)

@@ -120,10 +120,8 @@ func TestConnectSkipsDeadServers(t *testing.T) {
 	// the set from the live servers.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	deadCtx, killService := context.WithCancel(ctx)
-	deadLn := echoService(t, deadCtx)
-	killService()
-	time.Sleep(20 * time.Millisecond) // let the listener close
+	deadLn := echoService(t, ctx)
+	deadLn.Close()
 
 	live1 := echoService(t, ctx)
 	live2 := echoService(t, ctx)
@@ -288,9 +286,21 @@ func TestSocketSetRedial(t *testing.T) {
 	}
 }
 
-// flakyWizard answers the i-th datagram only when drop(i) is false,
-// exercising the client's retry path.
+// flakyWizard answers the i-th datagram with handle's reply, or not at
+// all when handle returns nil, exercising the client's retry path.
 func flakyWizard(t *testing.T, handle func(i int, req *proto.Request) *proto.Reply) string {
+	t.Helper()
+	return udpWizard(t, func(i int, req *proto.Request) []*proto.Reply {
+		if reply := handle(i, req); reply != nil {
+			return []*proto.Reply{reply}
+		}
+		return nil
+	})
+}
+
+// udpWizard answers the i-th datagram with every reply handle returns
+// for it, in order.
+func udpWizard(t *testing.T, handle func(i int, req *proto.Request) []*proto.Reply) string {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -308,15 +318,13 @@ func flakyWizard(t *testing.T, handle func(i int, req *proto.Request) *proto.Rep
 			if err != nil {
 				continue
 			}
-			reply := handle(i, req)
-			if reply == nil {
-				continue
+			for _, reply := range handle(i, req) {
+				out, err := proto.MarshalReply(reply)
+				if err != nil {
+					continue
+				}
+				conn.WriteToUDP(out, from)
 			}
-			out, err := proto.MarshalReply(reply)
-			if err != nil {
-				continue
-			}
-			conn.WriteToUDP(out, from)
 		}
 	}()
 	return conn.LocalAddr().String()
