@@ -218,6 +218,7 @@ func (m *Monitor) serveUDP(ctx context.Context, conn *net.UDPConn) error {
 	}
 	rx := netbatch.NewBatch(ep.Batch(), 64*1024)
 	tx := netbatch.NewBatch(ep.Batch(), 8)
+	var rec status.ServerStatus // every report is decoded over the last: a repeated name is not allocated again
 	for {
 		n, err := ep.ReadBatch(rx)
 		if err != nil {
@@ -236,7 +237,7 @@ func (m *Monitor) serveUDP(ctx context.Context, conn *net.UDPConn) error {
 		}
 		replies := tx[:0]
 		for i := 0; i < n; i++ {
-			if !m.ingest(rx[i].Buf) || mask == 0 {
+			if !m.ingest(&rec, rx[i].Buf) || mask == 0 {
 				continue
 			}
 			// Selected-parameters control reply (Ch. 6): ride the
@@ -258,14 +259,13 @@ func (m *Monitor) serveUDP(ctx context.Context, conn *net.UDPConn) error {
 	}
 }
 
-func (m *Monitor) ingest(msg []byte) bool {
-	var s status.ServerStatus
-	if err := status.DecodeReportInto(&s, msg); err != nil {
+func (m *Monitor) ingest(s *status.ServerStatus, msg []byte) bool {
+	if err := status.DecodeReportInto(s, msg); err != nil {
 		m.dropped.Add(1)
 		m.logf("monitor: dropping report: %v", err)
 		return false
 	}
-	m.cfg.DB.PutSys(s)
+	m.cfg.DB.PutSys(*s)
 	m.received.Add(1)
 	return true
 }
@@ -297,6 +297,7 @@ func (m *Monitor) serveTCP(ctx context.Context, running *sync.WaitGroup) {
 				return
 			}
 			var buf []byte // one payload buffer for the connection's frames
+			var rec status.ServerStatus
 			for {
 				var f status.Frame
 				var err error
@@ -308,7 +309,7 @@ func (m *Monitor) serveTCP(ctx context.Context, running *sync.WaitGroup) {
 					m.logf("monitor: unexpected frame type %v over tcp", f.Type)
 					return
 				}
-				m.ingest(f.Data)
+				m.ingest(&rec, f.Data)
 			}
 		}(conn)
 	}

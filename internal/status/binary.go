@@ -110,16 +110,22 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func readString(b []byte) (string, []byte, error) {
+// readBytes reads a length-prefixed string where it lies in b.
+func readBytes(b []byte) ([]byte, []byte, error) {
 	if len(b) < 2 {
-		return "", nil, fmt.Errorf("status: truncated string length")
+		return nil, nil, fmt.Errorf("status: truncated string length")
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
 	if len(b) < n {
-		return "", nil, fmt.Errorf("status: truncated string body (%d < %d)", len(b), n)
+		return nil, nil, fmt.Errorf("status: truncated string body (%d < %d)", len(b), n)
 	}
-	return string(b[:n]), b[n:], nil
+	return b[:n], b[n:], nil
+}
+
+func readString(b []byte) (string, []byte, error) {
+	raw, rest, err := readBytes(b)
+	return string(raw), rest, err
 }
 
 func appendFloat(b []byte, v float64) []byte {
@@ -212,12 +218,14 @@ func appendStatus(b []byte, s *ServerStatus, str func([]byte, string) []byte, u6
 	return b
 }
 
-// readStatus decodes what appendStatus wrote with the matching readers.
-func readStatus(b []byte, s *ServerStatus, str func([]byte) (string, []byte, error), u64 func([]byte) (uint64, []byte, error)) ([]byte, error) {
-	var err error
-	if s.Host, b, err = str(b); err != nil {
+// readStatus decodes what appendStatus wrote with the matching readers,
+// writing every field of s but keeping a name s already holds.
+func readStatus(b []byte, s *ServerStatus, str func([]byte) ([]byte, []byte, error), u64 func([]byte) (uint64, []byte, error)) ([]byte, error) {
+	raw, b, err := str(b)
+	if err != nil {
 		return nil, err
 	}
+	s.Host = keepName(s.Host, raw)
 	for _, dst := range []*float64{
 		&s.Load1, &s.Load5, &s.Load15,
 		&s.CPUUser, &s.CPUNice, &s.CPUSystem, &s.CPUIdle, &s.Bogomips,
@@ -238,9 +246,10 @@ func readStatus(b []byte, s *ServerStatus, str func([]byte) (string, []byte, err
 			return nil, err
 		}
 	}
-	if s.NetIface, b, err = str(b); err != nil {
+	if raw, b, err = str(b); err != nil {
 		return nil, err
 	}
+	s.NetIface = keepName(s.NetIface, raw)
 	for _, dst := range []*float64{
 		&s.NetRBytesPS, &s.NetRPacketsPS, &s.NetTBytesPS, &s.NetTPacketsPS,
 	} {
@@ -256,7 +265,7 @@ func appendStatusBatch(b []byte, s *ServerStatus) []byte {
 }
 
 func readStatusBatch(b []byte, s *ServerStatus) ([]byte, error) {
-	return readStatus(b, s, readString, readUint64)
+	return readStatus(b, s, readBytes, readUint64)
 }
 
 // appendNet appends one network metric record the same way; Delay is

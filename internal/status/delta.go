@@ -22,6 +22,7 @@ package status
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -144,7 +145,7 @@ func appendStatusDelta(b []byte, s *ServerStatus) []byte {
 }
 
 func readStatusDelta(b []byte, s *ServerStatus) ([]byte, error) {
-	return readStatus(b, s, readVString, readUvarint)
+	return readStatus(b, s, readVBytes, readUvarint)
 }
 
 func appendNetDelta(b []byte, m *NetMetric) []byte {
@@ -208,6 +209,11 @@ func appendDelta[V, K any](dst []byte, d *Delta[V, K], rec func([]byte, *V) []by
 // decodes one changed record of at least minRec bytes in place, key one
 // key of at least minKey bytes; the minima bound the counts a payload
 // may claim before anything is allocated for them.
+//
+// A changed record is decoded over the one its slot held in the last
+// parse, so a name that did not change is not copied again. That holds
+// only because every rec writes every field of the record; one that
+// skipped a field would leak the last delta's value into this one.
 func parseDelta[V, K any](v *Delta[V, K], b []byte, minRec int, rec func([]byte, *V) ([]byte, error), minKey int, key func([]byte) (K, []byte, error)) error {
 	v.Reset(0, 0)
 	var err error
@@ -227,8 +233,7 @@ func parseDelta[V, K any](v *Delta[V, K], b []byte, minRec int, rec func([]byte,
 	for i := uint64(0); i < n; i++ {
 		// Decoded where it will stay: a record handed to rec by address
 		// from a local would be allocated apiece.
-		var zero V
-		v.Changed = append(v.Changed, zero)
+		v.Changed = slices.Grow(v.Changed, 1)[:i+1]
 		if b, err = rec(b, &v.Changed[i]); err != nil {
 			return err
 		}

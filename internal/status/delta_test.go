@@ -1,6 +1,7 @@
 package status
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -89,6 +90,55 @@ func TestSecDeltaRoundTrip(t *testing.T) {
 	}
 	if string(v.Deleted[0]) != "dead" || string(v.Refreshed[0]) != "same" {
 		t.Fatalf("keys mismatch: %q %q", v.Deleted, v.Refreshed)
+	}
+}
+
+// A delta parsed into a view that holds an earlier, different delta
+// reads exactly as it does parsed into a fresh view: a changed record
+// is decoded over its slot's previous one, so every field must be
+// written. The later deltas carry all three lists, so that no slice is
+// nil on one side only.
+func TestDeltaParseOverAnEarlierDeltaEqualsAFreshParse(t *testing.T) {
+	full := func(host, iface string, x float64) ServerStatus {
+		s := ServerStatus{Host: host, NetIface: iface}
+		floats, mems := s.Fields()
+		for i, f := range floats {
+			*f = x + float64(i)
+		}
+		for i, u := range mems {
+			*u = uint64(x) + uint64(i) + 1
+		}
+		return s
+	}
+	reparse(t, "sys", (*SysDeltaView).Parse,
+		AppendSysDelta(nil, &SysDelta{BaseVer: 1, NewVer: 2,
+			Changed: []ServerStatus{full("a", "eth0", 7), full("b", "eth1", 8), full("c", "eth2", 9)}, Deleted: []string{"x"}}),
+		AppendSysDelta(nil, &SysDelta{BaseVer: 2, NewVer: 3,
+			Changed: []ServerStatus{{Host: "a"}, full("z", "eth1", 0.5)}, Deleted: []string{"b"}, Refreshed: []string{"y"}}))
+	reparse(t, "net", (*NetDeltaView).Parse,
+		AppendNetDelta(nil, &NetDelta{BaseVer: 1, NewVer: 2,
+			Changed: []NetMetric{{From: "a", To: "b", Delay: 5, Bandwidth: 9e7}, {From: "b", To: "a", Delay: 6, Bandwidth: 8e7}}}),
+		AppendNetDelta(nil, &NetDelta{BaseVer: 2, NewVer: 3,
+			Changed: []NetMetric{{From: "a", To: "b"}}, Deleted: []NetKey{{From: "b", To: "a"}}, Refreshed: []NetKey{{From: "c", To: "d"}}}))
+	reparse(t, "sec", (*SecDeltaView).Parse,
+		AppendSecDelta(nil, &SecDelta{BaseVer: 1, NewVer: 2, Changed: []SecLevel{{Host: "a", Level: 4}, {Host: "b", Level: -2}}}),
+		AppendSecDelta(nil, &SecDelta{BaseVer: 2, NewVer: 3,
+			Changed: []SecLevel{{Host: "a"}}, Deleted: []string{"b"}, Refreshed: []string{"c"}}))
+}
+
+func reparse[V any](t *testing.T, what string, parse func(*V, []byte) error, earlier, later []byte) {
+	t.Helper()
+	var reused, fresh V
+	for _, p := range []struct {
+		v *V
+		b []byte
+	}{{&reused, earlier}, {&reused, later}, {&fresh, later}} {
+		if err := parse(p.v, p.b); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	if !reflect.DeepEqual(reused, fresh) {
+		t.Errorf("%s delta parsed over an earlier one:\n%+v\nparsed into a fresh view:\n%+v", what, reused, fresh)
 	}
 }
 

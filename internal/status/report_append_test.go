@@ -64,13 +64,29 @@ func TestAppendReportMatchesTheFormattingEncoder(t *testing.T) {
 	}
 }
 
+var encoded []byte
+
 func TestAppendReportReusedBufferAllocatesNothing(t *testing.T) {
 	s := sampleStatus()
 	buf := make([]byte, 0, 256)
 	if got := testing.AllocsPerRun(200, func() { buf = AppendReport(buf[:0], s) }); got != 0 {
 		t.Errorf("AppendReport into a reused buffer: %v allocs, want 0", got)
 	}
-	if got := testing.AllocsPerRun(200, func() { EncodeReport(s) }); got > 1 {
-		t.Errorf("EncodeReport: %v allocs, want 1", got)
+	// A report past 200 bytes, as a fifth of a synthetic fleet's and
+	// every report of /proc rates are, costs the same single copy. The
+	// report escapes, as a sent one does.
+	long := *s
+	long.Host = "h00042.fleet"
+	floats, _ := long.Fields()
+	for _, f := range floats {
+		*f = 3.0000000000000004 // 17 significant digits
+	}
+	for _, r := range []*ServerStatus{s, &long} {
+		if got := testing.AllocsPerRun(200, func() { encoded = EncodeReport(r) }); got != 1 {
+			t.Errorf("EncodeReport of a %d-byte report: %v allocs, want 1", len(EncodeReport(r)), got)
+		}
+	}
+	if n := len(EncodeReport(&long)); n <= 200 {
+		t.Fatalf("the long report is %d bytes, want over 200", n)
 	}
 }

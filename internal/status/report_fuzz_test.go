@@ -3,6 +3,7 @@ package status
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -57,6 +58,24 @@ func splitReport(data []byte) (*ServerStatus, error) {
 	return s, nil
 }
 
+// sameStatus compares two records field by field, floats by their bits
+// so that NaN equals NaN and -0 differs from 0.
+func sameStatus(a, b *ServerStatus) bool {
+	fa, ma := a.Fields()
+	fb, mb := b.Fields()
+	for i := range fa {
+		if math.Float64bits(*fa[i]) != math.Float64bits(*fb[i]) {
+			return false
+		}
+	}
+	for i := range ma {
+		if *ma[i] != *mb[i] {
+			return false
+		}
+	}
+	return a.Host == b.Host && a.NetIface == b.NetIface
+}
+
 // FuzzDecodeReport feeds the probe-report decoder — the one parser any
 // UDP sender on the network reaches — arbitrary datagrams: it must
 // agree with the split-based decoder on the record or, word for word,
@@ -80,34 +99,78 @@ func FuzzDecodeReport(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// NaN fields make DeepEqual useless; the canonical encoding of
-		// both records says the same and keeps NaN comparable.
-		enc := AppendReport(nil, got)
-		if !bytes.Equal(enc, AppendReport(nil, want)) {
+		if !sameStatus(got, want) {
 			t.Fatalf("DecodeReport(%q) = %+v, the split decoder says %+v", data, got, want)
 		}
+		enc := AppendReport(nil, got)
 		var again ServerStatus
 		if err := DecodeReportInto(&again, enc); err != nil {
 			t.Fatalf("re-decode of %q failed: %v", enc, err)
 		}
-		if !bytes.Equal(AppendReport(nil, &again), enc) {
-			t.Fatalf("report changed across round trip: %q vs %q", AppendReport(nil, &again), enc)
+		if !sameStatus(&again, got) {
+			t.Fatalf("record changed across round trip through %q: %+v vs %+v", enc, again, *got)
 		}
 	})
 }
 
-// A report decoded into a caller's record costs its two strings and
-// nothing else; the monitor pays this once per datagram.
+// FuzzReportFloat holds the report's two number helpers to strconv:
+// for any float64, appendReportFloat writes the bytes AppendFloat's
+// shortest 'g' form does; for any field, shortFloat declines or returns
+// the bits ParseFloat does.
+func FuzzReportFloat(f *testing.F) {
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, math.MaxFloat64,
+		1<<52 - 1, 1 << 52, 1<<53 + 1, 0.7343, 3.4998765e+06, 4771.02}
+	for _, v := range []float64{1e-5, 1e-4, 1e6, 1e15, 1e21} {
+		floats = append(floats, v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
+	}
+	for _, v := range floats {
+		f.Add(math.Float64bits(v), strconv.FormatFloat(v, 'g', -1, 64))
+		f.Add(math.Float64bits(-v), strconv.FormatFloat(-v, 'e', 16, 64))
+	}
+	for _, s := range []string{"1e", "+1", ".5", "5.", "-.5", "1_0", "0x1p-2", "inf", "1e-400",
+		"4503599627370495", "4503599627370496", "9007199254740993", "1e22", "1e23", "9e37", "-0.0e-22", ""} {
+		f.Add(uint64(0), s)
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, field string) {
+		v := math.Float64frombits(bits)
+		if got, want := appendReportFloat([]byte("x"), v), strconv.AppendFloat([]byte("x"), v, 'g', -1, 64); !bytes.Equal(got, want) {
+			t.Fatalf("appendReportFloat(%#x) = %q, strconv writes %q", bits, got, want)
+		}
+		got, ok := shortFloat([]byte(field))
+		if !ok {
+			return
+		}
+		want, err := strconv.ParseFloat(field, 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("shortFloat(%q) = %v (%#x), ParseFloat says %v (%#x), %v",
+				field, got, math.Float64bits(got), want, math.Float64bits(want), err)
+		}
+	})
+}
+
+// A report decoded into a caller's record costs the strings that differ
+// from the record's and nothing else; the monitor pays this once per
+// datagram, decoding each over the last.
 func TestDecodeReportIntoAllocatesOnlyTheStrings(t *testing.T) {
 	enc := EncodeReport(sampleStatus())
+	other := *sampleStatus()
+	other.Host = "other.lab"
+	encs := [2][]byte{enc, EncodeReport(&other)}
 	var s ServerStatus
-	if got := testing.AllocsPerRun(200, func() {
-		if err := DecodeReportInto(&s, enc); err != nil {
+	decode := func(b []byte) {
+		if err := DecodeReportInto(&s, b); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 2 {
-		t.Errorf("DecodeReportInto: %v allocs, want at most 2 (Host, NetIface)", got)
 	}
+	decode(enc)
+	if got := testing.AllocsPerRun(200, func() { decode(enc) }); got != 0 {
+		t.Errorf("DecodeReportInto of the host it holds: %v allocs, want 0", got)
+	}
+	i := 0
+	if got := testing.AllocsPerRun(200, func() { i++; decode(encs[i%2]) }); got != 1 {
+		t.Errorf("DecodeReportInto of another host on the same interface: %v allocs, want 1 (Host)", got)
+	}
+	decode(enc)
 	if !reflect.DeepEqual(&s, sampleStatus()) {
 		t.Errorf("decoded %+v, want %+v", s, *sampleStatus())
 	}

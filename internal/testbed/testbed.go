@@ -163,6 +163,7 @@ type Cluster struct {
 	cancel     context.CancelFunc
 	probeEvery time.Duration
 	probeDial  func(network, addr string) (net.Conn, error)
+	secHosts   int // hosts the security monitor levels
 
 	hostMu     sync.Mutex
 	hostCancel map[string]context.CancelFunc // nil entry = crashed host
@@ -269,6 +270,11 @@ func Boot(opts Options) (*Cluster, error) {
 			levels = append(levels, status.SecLevel{Host: m.Name, Level: 3})
 		}
 	}
+	hosts := make(map[string]bool, len(levels))
+	for _, l := range levels {
+		hosts[l.Host] = true
+	}
+	c.secHosts = len(hosts)
 	sm, err := secmon.New(secmon.Config{
 		Agent:    secmon.StaticAgent(levels),
 		DB:       c.DB,
@@ -437,14 +443,16 @@ func (c *Cluster) Close() {
 // WaitSettled blocks until the wizard-side database holds n server
 // records (and, when a netmon runs, at least one probe round is
 // done and the wizard side has every metric it produced — an epoch
-// shipped mid-round carries one group's and not the other's), or the
-// context expires — the "pipeline warmed up" barrier experiments start
-// from.
+// shipped mid-round carries one group's and not the other's) and the
+// security level of every host the security monitor levels (it writes
+// them one at a time, so an epoch may carry some and not others), or
+// the context expires — the "pipeline warmed up" barrier experiments
+// start from.
 func (c *Cluster) WaitSettled(ctx context.Context, n int) error {
 	for {
 		if c.WizardDB.SysLen() >= n && (c.NetMon == nil || c.NetMon.Rounds() > 0) {
 			if m := len(c.DB.Net()); c.NetMon == nil || m > 0 && len(c.WizardDB.Net()) >= m {
-				if len(c.WizardDB.Sec()) > 0 {
+				if len(c.WizardDB.Sec()) >= c.secHosts {
 					return nil
 				}
 			}

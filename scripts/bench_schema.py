@@ -202,19 +202,21 @@ SIZE_SCHEMA = {
 # store up for the columnar page and lowered status; the page-level
 # selection memo and the page IDs it keys on moved total, core and
 # store up again; "." (the client library) is new at the size the kept
-# wizard socket left it, and total moved with it. A PR that grows one of
+# wizard socket left it, and total moved with it; the report codec's
+# exact short-decimal path moved status, monitor and total up (status by
+# its +180 budget). A PR that grows one of
 # these past its ceiling deletes elsewhere in the same PR, or moves the
 # ceiling here and says why in its CHANGES.md entry; a PR that shrinks
 # one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 20131,
+    "total": 20319,
     ".": 723,
     "internal/core": 1004,
     "internal/index": 667,
     "internal/store": 1087,
-    "internal/status": 1095,
+    "internal/status": 1274,
     "internal/transport": 1127,
-    "internal/monitor": 350,
+    "internal/monitor": 351,
     "internal/reqlang": 2094,
     "internal/lint": 995,
     "internal/lint/flow": 439,

@@ -2,7 +2,7 @@
 # check.sh runs the full correctness gate: formatting, go vet, build,
 # race-enabled tests, a fuzz smoke of the batch evaluator, the committed
 # size numbers, the naming, one-evaluator, one-applier, columns-not-rows,
-# pages-by-ID, one-wizard-socket and benchmark-consumer guards, and the project's own
+# pages-by-ID, one-wizard-socket, report-float and benchmark-consumer guards, and the project's own
 # static analyzers (cmd/smartlint). CI runs exactly this script; run it
 # locally before sending a change.
 set -eu
@@ -151,6 +151,23 @@ udpdials=$(awk '
 if [ -n "$udpdials" ]; then
 	echo "smartsock.go dials the wizard outside take (take the kept socket instead):" >&2
 	echo "$udpdials" >&2
+	exit 1
+fi
+
+echo "== report floats through one path =="
+# A probe report's numbers are written by appendReportFloat and read by
+# reportScanner.float, each falling back to strconv for what its exact
+# short-decimal path declines. A strconv.AppendFloat or ParseFloat
+# anywhere else in status.go is a second report-number path whose bytes
+# nothing holds to the first.
+floatpaths=$(awk '
+	/^func / { fn = $0 }
+	/^[ \t]*\/\// { next }
+	/strconv\.(AppendFloat|ParseFloat)\(/ && fn !~ /^func (appendReportFloat\(|\(sc \*reportScanner\) float\()/ { print FILENAME ":" FNR ": " $0 }
+' internal/status/status.go)
+if [ -n "$floatpaths" ]; then
+	echo "internal/status/status.go converts report floats outside appendReportFloat and reportScanner.float:" >&2
+	echo "$floatpaths" >&2
 	exit 1
 fi
 
