@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"smartsock/internal/proto"
@@ -41,7 +42,8 @@ func referenceSelect(s *Selector, prog *reqlang.Program, n int, opt proto.Option
 				params[name] = v
 			}
 		}
-		needNet := prog.References("monitor_network_delay") || prog.References("monitor_network_bw")
+		mentions := func(name string) bool { return slices.Contains(prog.MentionedVars(), name) }
+		needNet := mentions("monitor_network_delay") || mentions("monitor_network_bw")
 		if needNet && s.cfg.GroupOf != nil && s.cfg.LocalMonitor != "" {
 			if group := s.cfg.GroupOf(host); group == s.cfg.LocalMonitor {
 				params["monitor_network_delay"], params["monitor_network_bw"] = 0, 1e5
@@ -50,7 +52,7 @@ func referenceSelect(s *Selector, prog *reqlang.Program, n int, opt proto.Option
 				params["monitor_network_bw"] = nr.Metric.Bandwidth / 1e6
 			}
 		}
-		if sec, ok := s.db.GetSec(host); ok && prog.References("host_security_level") {
+		if sec, ok := s.db.GetSec(host); ok && mentions("host_security_level") {
 			params["host_security_level"] = float64(sec.Level.Level)
 		}
 		res := prog.Eval(reqtest.Env(prog, params))

@@ -14,7 +14,8 @@ import (
 // BenchmarkSelectScale measures what the selection planner buys at
 // fleet scale: the same requirement against the same table, answered
 // by the historical full scan (PlanThreshold -1) and by the indexed
-// planner. Three requirement shapes cover the planner's regimes:
+// planner. Three requirement shapes cover the planner's regimes, and a
+// fourth the user-side parameters:
 //
 //   - selective: ~0.5% of hosts pass the indexed prefix, the planner's
 //     best case — candidate generation touches only the sorted range;
@@ -22,7 +23,9 @@ import (
 //     little, the index must not cost much;
 //   - unindexable: the leading statement defeats extraction
 //     (arithmetic operand), so the planner immediately falls back to
-//     the historical scan; its overhead must stay in the noise.
+//     the historical scan; its overhead must stay in the noise;
+//   - denied: broad with a user_denied_host1 line, so every lane also
+//     stores a host string and every qualifier's hosts are matched.
 //
 // The per-iteration "evals/op" metric counts requirement evaluations
 // through the selector's core_record_evals counter: the acceptance bar
@@ -43,6 +46,7 @@ func BenchmarkSelectScale(b *testing.B) {
 		{"selective", "host_cpu_free > 0.995\nhost_memory_free > 1\nhost_cpu_free * 100\n"},
 		{"broad", "host_cpu_free > 0.2\nhost_cpu_free * 100\n"},
 		{"unindexable", "host_cpu_free + 0 > 0.995\nhost_cpu_free * 100\n"},
+		{"denied", "host_cpu_free > 0.2\nuser_denied_host1 = \"fleet-0000007\"\nhost_cpu_free * 100\n"},
 	}
 	modes := []struct {
 		name      string

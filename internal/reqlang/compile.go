@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // Parse flattens every statement into instructions over numbered
@@ -32,7 +33,7 @@ const (
 	opFail                    // every running lane stops with message name
 	opGuard                   // lanes whose record defines variable a as a number stop with message name
 	opStore                   // variable a = b on lanes whose record does not define it
-	opStoreUser               // user parameter a = dst = b, a host string — or the bare word a lane that left the right-hand side carries
+	opStoreUser               // user parameter a = dst = b, a host string — or the bare word of the load that sent a lane away
 	opEnd                     // statement end: a is judged (logical) or scored, lanes that left the statement return
 )
 
@@ -43,16 +44,23 @@ type instr struct {
 	stmt      int32     // index into Program.Stmts
 	// catch (opLoad) is the pc of the innermost user-parameter
 	// assignment whose right-hand side holds the load, -1 outside any:
-	// "user_denied_host1 = telesto" takes the undefined name as a host.
-	catch int32
-	fn    *builtin
-	name  string
+	// "user_denied_host1 = telesto" takes the undefined name, string
+	// word of the program's table, as a host.
+	catch, word int32
+	fn          *builtin
+	name        string
+}
+
+// lit is a literal's value: a number, or a string's index.
+type lit struct {
+	val float64
+	str bool
 }
 
 // constReg is a literal's register and the value Bind fills it with.
 type constReg struct {
 	reg int32
-	val Value
+	lit
 }
 
 // compiler walks the AST once, in evaluation order, emitting code and
@@ -63,14 +71,16 @@ type constReg struct {
 type compiler struct {
 	p                         *Program
 	regOf                     map[string]int32 // variables and user parameters
-	consts                    map[Value]int32
+	consts                    map[lit]int32
+	strIdx, folds             map[string]int32 // a string's index; a fold key's first string
 	free, mentioned, assigned map[string]bool
 	stmt                      int32
 }
 
 func (p *Program) compile() {
-	c := compiler{p: p, regOf: map[string]int32{}, consts: map[Value]int32{},
+	c := compiler{p: p, regOf: map[string]int32{}, consts: map[lit]int32{}, strIdx: map[string]int32{}, folds: map[string]int32{},
 		free: map[string]bool{}, mentioned: map[string]bool{}, assigned: map[string]bool{}}
+	c.intern("") // index 0: what an unset user parameter reads as, and the one false string
 	for i := range p.Stmts {
 		c.stmt = int32(i)
 		p.start = append(p.start, int32(len(p.code)))
@@ -88,7 +98,7 @@ func (p *Program) compile() {
 // which is the order their hosts are reported in.
 func (c *compiler) finish() {
 	p := c.p
-	p.free, p.mentioned, p.refs = sortedKeys(c.free), sortedKeys(c.mentioned), c.mentioned
+	p.free, p.mentioned = sortedKeys(c.free), sortedKeys(c.mentioned)
 	for _, name := range p.mentioned {
 		p.vars = append(p.vars, slot{name: name, reg: c.regOf[name]})
 	}
@@ -124,14 +134,49 @@ func (c *compiler) value(in instr) int32 {
 	return in.dst
 }
 
-func (c *compiler) constant(v Value) int32 {
+func (c *compiler) constant(v lit) int32 {
 	r, ok := c.consts[v]
 	if !ok {
 		r = c.newReg()
 		c.consts[v] = r
-		c.p.consts = append(c.p.consts, constReg{reg: r, val: v})
+		c.p.consts = append(c.p.consts, constReg{r, v})
 	}
 	return r
+}
+
+// intern returns a string's index in the program's table, adding it
+// the first time with its EqualFold class: the index of the first
+// string it equals. Only strings with one fold key are compared, so a
+// requirement full of distinct strings costs Parse linear time, not
+// quadratic.
+func (c *compiler) intern(s string) int32 {
+	if i, ok := c.strIdx[s]; ok {
+		return i
+	}
+	p, key := c.p, foldKey(s)
+	i := int32(len(p.strs))
+	c.strIdx[s] = i
+	p.strs = append(p.strs, s)
+	class := i
+	if j, ok := c.folds[key]; !ok {
+		c.folds[key] = i
+	} else if strings.EqualFold(p.strs[j], s) {
+		class = p.class[j]
+	}
+	p.class = append(p.class, class)
+	return i
+}
+
+// foldKey replaces every rune of s with the least of its case-folding
+// orbit: strings EqualFold calls equal share a key.
+func foldKey(s string) string {
+	return strings.Map(func(r rune) rune {
+		least := r
+		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+			least = min(least, f)
+		}
+		return least
+	}, s)
 }
 
 // nameReg returns the register of a variable or user parameter.
@@ -150,7 +195,7 @@ func (c *compiler) nameReg(name string) int32 {
 // user-parameter assignment, which is no variable read.
 func (c *compiler) read(name string, counts bool) int32 {
 	if val, ok := constants[name]; ok {
-		return c.constant(NumValue(val))
+		return c.constant(lit{val: val})
 	}
 	if counts && !IsUserParam(name) {
 		c.mentioned[name] = true
@@ -166,9 +211,9 @@ func (c *compiler) read(name string, counts bool) int32 {
 func (c *compiler) expr(n node) int32 {
 	switch v := n.(type) {
 	case *numNode:
-		return c.constant(NumValue(v.val))
+		return c.constant(lit{val: v.val})
 	case *strNode:
-		return c.constant(StrValue(v.val))
+		return c.constant(lit{float64(c.intern(v.val)), true})
 	case *parenNode:
 		return c.expr(v.x)
 	case *varNode:
@@ -230,7 +275,7 @@ func (c *compiler) assign(v *assignNode) int32 {
 		// assignment claimed hand their undefined names to this one.
 		for pc := from; pc < len(c.p.code)-1; pc++ {
 			if in := &c.p.code[pc]; in.op == opLoad && in.catch < 0 {
-				in.catch = int32(len(c.p.code) - 1)
+				in.catch, in.word = int32(len(c.p.code)-1), c.intern(in.name)
 			}
 		}
 	}

@@ -3,39 +3,9 @@ package reqlang
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 )
-
-// Value is the tagged union the evaluator computes: every expression
-// yields either a number or a string (network addresses and quoted
-// literals are strings).
-type Value struct {
-	Num   float64
-	Str   string
-	IsStr bool
-}
-
-// NumValue wraps a float64.
-func NumValue(v float64) Value { return Value{Num: v} }
-
-// StrValue wraps a string.
-func StrValue(s string) Value { return Value{Str: s, IsStr: true} }
-
-// Truthy reports the boolean reading of a value: a number is true
-// when non-zero, a string when non-empty.
-func (v Value) Truthy() bool {
-	if v.IsStr {
-		return v.Str != ""
-	}
-	return v.Num != 0
-}
-
-func (v Value) String() string {
-	if v.IsStr {
-		return fmt.Sprintf("%q", v.Str)
-	}
-	return fmt.Sprintf("%g", v.Num)
-}
 
 // Env is the evaluator's working storage for one Program and one batch
 // of candidate servers, the lanes: a column of values per register, so
@@ -56,12 +26,11 @@ type Env struct {
 	prog *Program
 	cap  int // lanes a column can hold
 	n    int // lanes of the current batch
-	// Register r's lanes are num[r*cap:][:n], and str alongside once
-	// anything string-valued is around. tags says per lane what a
-	// register holds, where regs[r].num does not already say "a number
-	// everywhere"; a variable register's tags are always current.
+	// Register r's lanes are num[r*cap:][:n]: a number, or the index of
+	// a string in the program's table. tags says per lane which, where
+	// regs[r].num does not already say "a number everywhere"; a variable
+	// register's tags are always current.
 	num   []float64
-	str   []string
 	tags  []uint8
 	regs  []reg
 	lanes []lane
@@ -75,14 +44,17 @@ type Env struct {
 // lane.
 type reg struct {
 	num   bool // every running lane holds a number (for a variable: every lane)
+	str   bool // a string literal: every lane holds the same string
 	bound bool // a variable some lane's record defines
 	dirty bool // a variable assigned since the batch was bound
 }
 
+// A lane's tag: 0 is undefined. Only Col binds, so a bound value is a
+// number.
 const (
 	tagNum   uint8 = 1
 	tagStr   uint8 = 2
-	tagBound uint8 = 4 // the value is the record's, not a temporary: it shadows assignments
+	tagBound uint8 = 4 // the number is the record's, not a temporary: assigning to it is an error
 )
 
 // lane is one candidate's progress through the program.
@@ -131,24 +103,13 @@ func (e *Env) Bind(p *Program, lanes int) {
 	e.tags = resize(e.tags, p.nregs*lanes)
 	e.regs = resize(e.regs, p.nregs)
 	e.lanes = resize(e.lanes, lanes)
-	e.str = e.str[:0]
 	// Literals keep their value for every batch.
 	for _, c := range p.consts {
-		e.regs[c.reg] = reg{num: !c.val.IsStr}
+		e.regs[c.reg] = reg{num: !c.str, str: c.str}
 		for l := 0; l < lanes; l++ {
-			e.put(c.reg, l, c.val)
+			e.put(c.reg, l, c.val, c.str)
 		}
 	}
-}
-
-// strings returns the string columns, making them when the first
-// string is written: a numeric program never pays for them.
-func (e *Env) strings() []string {
-	if len(e.str) == 0 {
-		e.str = resize(e.str, len(e.num))
-		clear(e.str)
-	}
-	return e.str
 }
 
 func (e *Env) col(r int32) []float64 { return e.num[int(r)*e.cap:][:e.n] }
@@ -167,10 +128,7 @@ func (e *Env) Reset(n int) {
 // and returns its column for the caller to fill.
 func (e *Env) Col(slot int) []float64 {
 	r := e.prog.vars[slot].reg
-	tags := e.tag(r)
-	for l := range tags {
-		tags[l] = tagNum | tagBound
-	}
+	fill(e.tag(r), tagNum|tagBound)
 	e.regs[r] = reg{num: true, bound: true}
 	return e.col(r)
 }
@@ -193,18 +151,6 @@ type EvalError struct {
 
 func (e *EvalError) Error() string {
 	return fmt.Sprintf("reqlang: line %d (%s): %s", e.Line, e.Stmt, e.Msg)
-}
-
-// undefinedError marks use of a variable no one defined. It is split
-// from EvalError because the thesis gives it special semantics: an
-// undefined variable inside a *logical* statement makes that
-// statement false rather than aborting the evaluation.
-type undefinedError struct {
-	name string
-}
-
-func (e *undefinedError) Error() string {
-	return fmt.Sprintf("undefined variable %q", e.name)
 }
 
 // Result is the outcome of evaluating a Program against one server.
@@ -270,9 +216,9 @@ func (p *Program) EvalFrom(env *Env, from int) Result {
 // of the batch bound in env: the one interpreter loop. An instruction
 // runs across all lanes before the next is looked at. Where its operand
 // registers hold a number in every lane that is a loop over float64
-// columns; otherwise each runs the same instruction lane by lane on
-// tagged values. Bindings survive a Run; the next one resets
-// temporaries, user parameters and outcomes.
+// columns; otherwise each runs the same instruction lane by lane,
+// looking at every lane's tag. Bindings survive a Run; the next one
+// resets temporaries, user parameters and outcomes.
 func (p *Program) Run(e *Env, from int) {
 	e.begin()
 	for pc := int(p.start[p.clampStmt(from)]); pc < len(p.code); pc++ {
@@ -291,12 +237,16 @@ func (p *Program) Run(e *Env, from int) {
 		case in.op == opStore && !e.regs[in.a].bound && e.idle == 0 && e.regs[in.b].num:
 			// (Lanes away or stopped must keep the value they had.)
 			copy(e.col(in.a), e.col(in.b))
-			tags := e.tag(in.a)
-			for l := range tags {
-				tags[l] = tagNum
-			}
+			fill(e.tag(in.a), tagNum)
 			e.regs[in.a] = reg{num: true, dirty: true}
-		case in.op == opEnd && a && e.idle == 0:
+		case in.op == opStoreUser && e.idle == 0 && e.regs[in.b].str:
+			// A host literal, the same in every lane; the user
+			// parameter's tags say string already.
+			copy(e.col(in.a), e.col(in.b))
+			copy(e.col(in.dst), e.col(in.b))
+			fill(e.tag(in.dst), tagStr)
+			e.regs[in.dst] = reg{}
+		case in.op == opEnd && e.idle == 0 && (a || !p.Stmts[in.stmt].Logical && !p.Stmts[in.stmt].scores):
 			e.endNum(in)
 		default:
 			e.each(pc, in)
@@ -323,11 +273,17 @@ func (e *Env) begin() {
 		r.num, r.dirty = allNum(tags), false
 	}
 	for _, u := range e.prog.uparams {
-		// An unset user parameter reads as the empty string.
+		// An unset user parameter reads as the empty string, the first
+		// in the program's table.
 		e.regs[u.reg] = reg{}
-		for l := 0; l < e.n; l++ {
-			e.put(u.reg, l, StrValue(""))
-		}
+		clear(e.col(u.reg))
+		fill(e.tag(u.reg), tagStr)
+	}
+}
+
+func fill(tags []uint8, t uint8) {
+	for l := range tags {
+		tags[l] = t
 	}
 }
 
@@ -340,28 +296,23 @@ func allNum(tags []uint8) bool {
 	return true
 }
 
-// get reads one lane of a register as a tagged value. Only opLoad meets
-// undefined lanes, and it looks at the tag first.
-func (e *Env) get(r int32, l int) Value {
+// at reads one lane of a register: its float, and whether that is a
+// string's index rather than a number. Only opLoad meets undefined
+// lanes, and it looks at the tag first.
+func (e *Env) at(r int32, l int) (float64, bool) {
 	if r < 0 {
-		return Value{}
+		return 0, false
 	}
 	i := int(r)*e.cap + l
-	if !e.regs[r].num && e.tags[i]&tagStr != 0 {
-		return Value{Str: e.str[i], IsStr: true}
-	}
-	return Value{Num: e.num[i]}
+	return e.num[i], !e.regs[r].num && e.tags[i]&tagStr != 0
 }
 
-// put writes one lane of a register, keeping a variable's bound mark.
-func (e *Env) put(r int32, l int, v Value) {
+// put writes one lane of a register: a number, or a string's index.
+func (e *Env) put(r int32, l int, v float64, str bool) {
 	i := int(r)*e.cap + l
-	if v.IsStr {
-		e.strings()[i] = v.Str
-		e.tags[i] = e.tags[i]&tagBound | tagStr
-	} else {
-		e.num[i] = v.Num
-		e.tags[i] = e.tags[i]&tagBound | tagNum
+	e.num[i], e.tags[i] = v, tagNum
+	if str {
+		e.tags[i] = tagStr
 	}
 }
 
@@ -374,11 +325,12 @@ func (e *Env) stop(l, pc int) {
 	}
 }
 
-// each runs one instruction lane by lane on tagged values: the general
-// form of every opcode, and the only form of those that deal in
-// strings or in lanes that differ.
+// each runs one instruction lane by lane, looking at every lane's tag:
+// the general form of every opcode, and the only form of those that
+// deal in strings or in lanes that differ.
 func (e *Env) each(pc int, in *instr) {
-	st := &e.prog.Stmts[in.stmt]
+	p := e.prog
+	st := &p.Stmts[in.stmt]
 	nums := true // every value written was a number
 	for l := 0; l < e.n; l++ {
 		ln := &e.lanes[l]
@@ -390,21 +342,22 @@ func (e *Env) each(pc int, in *instr) {
 			}
 			// The thesis convenience "user_denied_host1 = telesto": the
 			// undefined name that ended the right-hand side is the host.
-			host := StrValue(e.prog.code[ln.at].name)
-			e.put(in.a, l, host)
-			e.put(in.dst, l, host)
+			host := float64(p.code[ln.at].word)
+			e.put(in.a, l, host, true)
+			e.put(in.dst, l, host, true)
 			nums = false
 			continue
 		}
 		if ln.state != running {
 			continue
 		}
-		x, y := e.get(in.a, l), e.get(in.b, l)
-		v, ok := x, true
-		varTag := e.tags[max(int(in.a), 0)*e.cap+l] // opLoad, opGuard, opStore: what the variable holds
+		x, xs := e.at(in.a, l)
+		y, ys := e.at(in.b, l)
+		v, vs, ok := x, xs, true
+		varTag := e.tags[max(int(in.a), 0)*e.cap+l] // opLoad, opGuard: what the variable holds
 		switch in.op {
 		case opLoad:
-			if varTag&(tagNum|tagStr) != 0 {
+			if varTag != 0 {
 				break
 			}
 			// Undefined. Inside the right-hand side of a user-parameter
@@ -428,41 +381,46 @@ func (e *Env) each(pc int, in *instr) {
 			e.idle++
 			continue
 		case opNeg, opCall:
-			if ok = !x.IsStr; ok {
-				v.Num, ok = in.num(x.Num, y.Num)
+			if ok = !xs; ok {
+				v, ok = in.num(x, y)
 			}
 		case opBin:
-			v, ok = binary(in.tok, x, y)
+			vs = false
+			switch {
+			case !xs && !ys, in.tok == tokAnd, in.tok == tokOr: // a string is true when not "", index 0
+				v, ok = arith(in.tok, x, y)
+			case in.tok == tokEQ, in.tok == tokNE: // strings by EqualFold class; never equal to a number
+				v = b2f((xs == ys && p.class[int(x)] == p.class[int(y)]) == (in.tok == tokEQ))
+			default:
+				ok = false // the remaining operators are numeric-only
+			}
 		case opNumArg:
-			ok = !x.IsStr
+			ok = !xs
 		case opStoreUser:
-			if v, ok = y, y.IsStr; ok { // only a host name or address will do
-				e.put(in.a, l, v)
+			if v, vs, ok = y, ys, ys; ok { // only a host name or address will do
+				e.put(in.a, l, v, true)
 			}
 		case opFail:
 			ok = false
 		case opGuard:
-			ok = varTag != tagNum|tagBound
+			ok = varTag&tagBound == 0
 		case opStore:
-			// A bound string attribute keeps shadowing the name, so the
-			// temporary would never be read: only an unbound slot stores.
-			if varTag&tagBound == 0 {
-				e.put(in.a, l, y)
-			}
+			e.put(in.a, l, y, ys) // the guard stopped every lane whose record defines it
 		case opEnd:
+			// A string is true when non-empty: when its index is not 0.
 			if st.Logical {
-				if ln.failed == 0 && !x.Truthy() {
+				if ln.failed == 0 && x == 0 {
 					ln.failed = int32(st.Line)
 				}
-			} else if st.scores && !x.IsStr {
-				ln.score, ln.scored = x.Num, true
+			} else if st.scores && !xs {
+				ln.score, ln.scored = x, true
 			}
 		}
 		if !ok {
 			e.stop(l, pc)
 		} else if in.dst >= 0 {
-			e.put(in.dst, l, v)
-			nums = nums && !v.IsStr
+			e.put(in.dst, l, v, vs)
+			nums = nums && !vs
 		}
 	}
 	if in.op == opStore {
@@ -472,8 +430,9 @@ func (e *Env) each(pc int, in *instr) {
 	}
 }
 
-// endNum is opEnd over a numeric column with every lane running: a
-// logical statement must hold, a scoring one sets the score so far.
+// endNum is opEnd with every lane running, over a numeric column or
+// after an assignment: a logical statement must hold, a scoring one
+// sets the score so far.
 func (e *Env) endNum(in *instr) {
 	st := &e.prog.Stmts[in.stmt]
 	lanes := e.lanes[:e.n]
@@ -504,7 +463,7 @@ func (e *Env) Score(lane int) (float64, bool) { return e.lanes[lane].score, e.la
 func (e *Env) Hosts(lane int) (denied, preferred []string) {
 	e.denied, e.preferred = e.denied[:0], e.preferred[:0]
 	for _, u := range e.prog.uparams {
-		host := e.str[int(u.reg)*e.cap+lane]
+		host := e.prog.strs[int(e.num[int(u.reg)*e.cap+lane])]
 		switch {
 		case host == "":
 		case u.denied:
@@ -526,32 +485,42 @@ func (e *Env) Result(lane int) Result {
 	if ln.state == stopped {
 		in := &e.prog.code[ln.at]
 		st := &e.prog.Stmts[in.stmt]
-		res.Err = &EvalError{Line: st.Line, Stmt: st.Src, Msg: in.why(e.get(in.a, lane), e.get(in.b, lane))}
+		res.Err = &EvalError{Line: st.Line, Stmt: st.Src, Msg: e.why(in, lane)}
 	}
 	return res
 }
 
-// why words the hard error the instruction raised on operands x and y.
-func (in *instr) why(x, y Value) string {
+// why words the hard error the instruction raised in the lane.
+func (e *Env) why(in *instr, lane int) string {
+	x, xs := e.at(in.a, lane)
+	y, ys := e.at(in.b, lane)
 	switch in.op {
 	case opLoad:
-		return (&undefinedError{name: in.name}).Error()
+		return fmt.Sprintf("undefined variable %q", in.name)
 	case opNeg:
-		return fmt.Sprintf("cannot negate string %s", x)
+		return fmt.Sprintf("cannot negate string %s", e.prog.show(x, xs))
 	case opNumArg:
-		return fmt.Sprintf("%s needs numeric arguments, got %s", in.name, x)
+		return fmt.Sprintf("%s needs numeric arguments, got %s", in.name, e.prog.show(x, xs))
 	case opCall:
-		_, err := in.fn.fn([maxArity]float64{x.Num, y.Num})
+		_, err := in.fn.fn([maxArity]float64{x, y})
 		return err.Error()
 	case opStoreUser:
-		return fmt.Sprintf("user parameter %q needs a host name or address, got %s", in.name, y)
+		return fmt.Sprintf("user parameter %q needs a host name or address, got %s", in.name, e.prog.show(y, ys))
 	case opBin:
-		if x.IsStr || y.IsStr {
-			return fmt.Sprintf("operator %v needs numbers, got %s and %s", in.tok, x, y)
+		if xs || ys {
+			return fmt.Sprintf("operator %v needs numbers, got %s and %s", in.tok, e.prog.show(x, xs), e.prog.show(y, ys))
 		}
 		return "division by 0"
 	}
 	return in.name // opFail, opGuard: worded at Parse
+}
+
+// show writes a lane's value as an error message quotes it.
+func (p *Program) show(v float64, str bool) string {
+	if str {
+		return fmt.Sprintf("%q", p.strs[int(v)])
+	}
+	return fmt.Sprintf("%g", v)
 }
 
 // num computes a numeric instruction (opNeg, opCall) for one lane.
@@ -651,37 +620,6 @@ func arith(op tokenKind, l, r float64) (v float64, ok bool) {
 	return math.Pow(l, r), true // tokCaret
 }
 
-// binary is a binary operator on two tagged values; ok is false for a
-// hard error (instr.why words it).
-func binary(op tokenKind, l, r Value) (v Value, ok bool) {
-	switch {
-	case !l.IsStr && !r.IsStr:
-		v.Num, ok = arith(op, l.Num, r.Num)
-		return v, ok
-	case op == tokAnd:
-		return Value{Num: b2f(l.Truthy() && r.Truthy())}, true
-	case op == tokOr:
-		return Value{Num: b2f(l.Truthy() || r.Truthy())}, true
-	case op == tokEQ:
-		return Value{Num: b2f(valueEqual(l, r))}, true
-	case op == tokNE:
-		return Value{Num: b2f(!valueEqual(l, r))}, true
-	}
-	return Value{}, false // the remaining operators are numeric-only
-}
-
-// valueEqual implements ==: numbers compare numerically, strings
-// case-insensitively (host names), and mixed types are never equal.
-func valueEqual(l, r Value) bool {
-	if l.IsStr != r.IsStr {
-		return false
-	}
-	if l.IsStr {
-		return strings.EqualFold(l.Str, r.Str)
-	}
-	return l.Num == r.Num
-}
-
 // constants are the predefined constants of Appendix B.3.
 var constants = map[string]float64{
 	"pi":    math.Pi,
@@ -740,12 +678,13 @@ var builtins = map[string]*builtin{
 	"max":   binaryFn(math.Max),
 }
 
-// Builtins lists the available function names, for documentation and
-// error messages.
+// Builtins lists the available function names, sorted, for
+// documentation and error messages.
 func Builtins() []string {
 	names := make([]string, 0, len(builtins))
 	for n := range builtins {
 		names = append(names, n)
 	}
+	sort.Strings(names)
 	return names
 }

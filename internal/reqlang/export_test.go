@@ -1,48 +1,50 @@
 package reqlang
 
-// bindStr binds a string attribute in one lane of a variable register
-// (the Chapter 6 machine_type extension). No server record carries one
-// yet, so only tests bind it.
-func (e *Env) bindStr(r int32, lane int, s string) {
-	e.tags[int(r)*e.cap+lane] = tagBound
-	e.put(r, lane, StrValue(s))
-	e.regs[r] = reg{bound: true}
-}
+import (
+	"fmt"
+	"slices"
+)
 
-// bindNum binds a number in one lane of a variable register, leaving
-// what the other lanes hold.
-func (e *Env) bindNum(r int32, lane int, v float64) {
-	e.tags[int(r)*e.cap+lane] = tagBound
-	e.put(r, lane, NumValue(v))
-	e.regs[r] = reg{num: allNum(e.tag(r)), bound: true}
-}
-
-// bindLane binds name-keyed values into one lane: every variable
-// register the names reach, the bare host words included.
-func (e *Env) bindLane(lane int, params map[string]float64, strParams map[string]string) {
-	for _, v := range e.prog.vars {
-		if x, ok := params[v.name]; ok {
-			e.bindNum(v.reg, lane, x)
-		} else if s, ok := strParams[v.name]; ok {
-			e.bindStr(v.reg, lane, s)
+// bindRecs starts a batch of one name-keyed record per lane and binds
+// it through Col and Undef, as the selector does: every variable
+// register the names reach, the bare host words included. A name no
+// record defines stays unbound.
+func (e *Env) bindRecs(recs []map[string]float64) {
+	e.Reset(len(recs))
+	for slot, v := range e.prog.vars {
+		if !slices.ContainsFunc(recs, func(rec map[string]float64) bool { _, ok := rec[v.name]; return ok }) {
+			continue
+		}
+		col := e.Col(slot)
+		for l, rec := range recs {
+			if x, ok := rec[v.name]; ok {
+				col[l] = x
+			} else {
+				e.Undef(slot, l)
+			}
 		}
 	}
 }
 
 // MapEnv adapts name-keyed bindings to a fresh slot environment, for
 // tests that evaluate a program against one hand-written server.
-func (p *Program) MapEnv(params map[string]float64, strParams map[string]string) *Env {
+func (p *Program) MapEnv(params map[string]float64) *Env {
 	e := p.NewEnv()
-	e.bindLane(0, params, strParams)
+	e.bindRecs([]map[string]float64{params})
 	return e
 }
 
-// evalStmt runs statement i alone against lane 0 and returns the value
-// of its expression.
-func (p *Program) evalStmt(e *Env, i int) (Value, error) {
+// evalStmt runs statement i alone against lane 0 and returns the number
+// its expression yields.
+func (p *Program) evalStmt(e *Env, i int) (float64, error) {
 	whole := p.code
 	p.code = whole[:p.start[i+1]]
 	p.Run(e, i)
 	p.code = whole
-	return e.get(p.code[p.start[i+1]-1].a, 0), e.Result(0).Err
+	v, str := e.at(p.code[p.start[i+1]-1].a, 0)
+	err := e.Result(0).Err
+	if err == nil && str {
+		err = fmt.Errorf("statement %d yields the string %s", i, p.show(v, true))
+	}
+	return v, err
 }

@@ -14,15 +14,14 @@
 // (server-side parameters, user-side parameters, or temporaries), and
 // the C logical operators are recognised. Two extensions beyond the
 // thesis lexer are double-quoted strings (so host names containing
-// '-', such as "titan-x", and string attributes like machine_type can
-// be written) and the set of built-in math functions listed in
-// Appendix B.4.
+// '-', such as "titan-x", can be written) and the set of built-in math
+// functions listed in Appendix B.4.
 //
 // Parse compiles a requirement to flat register code (compile.go) and
 // Run interprets it against a batch of candidate servers at once, one
 // instruction across all of them before the next (eval.go); evaluating
 // one server is a batch of one. The AST is walked at Parse only — by
-// the compiler, the planner's constraint extraction and Format.
+// the compiler and the planner's constraint extraction.
 package reqlang
 
 import (

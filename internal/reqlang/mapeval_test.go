@@ -8,31 +8,78 @@ import (
 )
 
 // This file keeps the pre-slot evaluator — map-backed bindings, names
-// resolved per lookup — verbatim as a test-only reference. The slot
-// evaluator in eval.go must agree with it on every program and
-// environment (see slot_differential_test.go); it is the oracle for
-// the thesis rules the slot compilation must not bend.
+// resolved per lookup, strings as Go strings — as a test-only
+// reference. The slot evaluator in eval.go must agree with it on every
+// program and environment (see slot_differential_test.go); it is the
+// oracle for the thesis rules the slot compilation must not bend, so
+// it shares no value, truthiness or equality code with eval.go.
 
-// refEnv is the map-backed environment the reference evaluates
-// against.
-type refEnv struct {
-	Params    map[string]float64
-	StrParams map[string]string
+// refValue is the reference's tagged union: every expression yields a
+// number or a string (network addresses and quoted literals are
+// strings).
+type refValue struct {
+	num   float64
+	str   string
+	isStr bool
 }
 
-// refState carries per-evaluation mutable bindings.
+func refNum(v float64) refValue { return refValue{num: v} }
+func refStr(s string) refValue  { return refValue{str: s, isStr: true} }
+
+// truthy is the boolean reading of a value: a number is true when
+// non-zero, a string when non-empty.
+func (v refValue) truthy() bool {
+	if v.isStr {
+		return v.str != ""
+	}
+	return v.num != 0
+}
+
+func (v refValue) String() string {
+	if v.isStr {
+		return fmt.Sprintf("%q", v.str)
+	}
+	return fmt.Sprintf("%g", v.num)
+}
+
+// refEqual implements ==: numbers compare numerically, strings
+// case-insensitively (host names), and mixed types are never equal.
+func refEqual(l, r refValue) bool {
+	if l.isStr != r.isStr {
+		return false
+	}
+	if l.isStr {
+		return strings.EqualFold(l.str, r.str)
+	}
+	return l.num == r.num
+}
+
+// undefinedError marks use of a variable no one defined. It is split
+// from the other errors because the thesis gives it special semantics:
+// an undefined variable inside a *logical* statement makes that
+// statement false rather than aborting the evaluation.
+type undefinedError struct {
+	name string
+}
+
+func (e *undefinedError) Error() string {
+	return fmt.Sprintf("undefined variable %q", e.name)
+}
+
+// refState carries per-evaluation mutable bindings. A record binds
+// numbers only, by name.
 type refState struct {
-	env     *refEnv
-	temps   map[string]Value
-	uparams map[string]Value
+	params  map[string]float64
+	temps   map[string]refValue
+	uparams map[string]refValue
 }
 
 // refEvalFrom is the pre-slot Program.EvalFrom.
-func refEvalFrom(p *Program, env *refEnv, from int) Result {
+func refEvalFrom(p *Program, params map[string]float64, from int) Result {
 	if from < 0 {
 		from = 0
 	}
-	st := &refState{env: env}
+	st := &refState{params: params}
 	res := Result{Qualified: true}
 	for i := from; i < len(p.Stmts); i++ {
 		stmt := &p.Stmts[i]
@@ -52,7 +99,7 @@ func refEvalFrom(p *Program, env *refEnv, from int) Result {
 			break
 		}
 		if stmt.Logical {
-			if !v.Truthy() && res.Qualified {
+			if !v.truthy() && res.Qualified {
 				res.Qualified = false
 				res.FailedLine = stmt.Line
 			}
@@ -66,8 +113,8 @@ func refEvalFrom(p *Program, env *refEnv, from int) Result {
 			}
 			expr = p.x
 		}
-		if _, isAssign := expr.(*assignNode); !isAssign && !v.IsStr {
-			res.Score = v.Num
+		if _, isAssign := expr.(*assignNode); !isAssign && !v.isStr {
+			res.Score = v.num
 			res.HasScore = true
 		}
 	}
@@ -81,24 +128,24 @@ func refEvalFrom(p *Program, env *refEnv, from int) Result {
 	sort.Strings(names)
 	for _, name := range names {
 		v := st.uparams[name]
-		if !v.IsStr || v.Str == "" {
+		if !v.isStr || v.str == "" {
 			continue
 		}
 		if strings.HasPrefix(name, deniedPrefix) {
-			res.Denied = append(res.Denied, v.Str)
+			res.Denied = append(res.Denied, v.str)
 		} else {
-			res.Preferred = append(res.Preferred, v.Str)
+			res.Preferred = append(res.Preferred, v.str)
 		}
 	}
 	return res
 }
 
-func (st *refState) eval(n node) (Value, error) {
+func (st *refState) eval(n node) (refValue, error) {
 	switch v := n.(type) {
 	case *numNode:
-		return NumValue(v.val), nil
+		return refNum(v.val), nil
 	case *strNode:
-		return StrValue(v.val), nil
+		return refStr(v.val), nil
 	case *parenNode:
 		return st.eval(v.x)
 	case *varNode:
@@ -106,12 +153,12 @@ func (st *refState) eval(n node) (Value, error) {
 	case *unaryNode:
 		x, err := st.eval(v.x)
 		if err != nil {
-			return Value{}, err
+			return refValue{}, err
 		}
-		if x.IsStr {
-			return Value{}, fmt.Errorf("cannot negate string %s", x)
+		if x.isStr {
+			return refValue{}, fmt.Errorf("cannot negate string %s", x)
 		}
-		return NumValue(-x.Num), nil
+		return refNum(-x.num), nil
 	case *assignNode:
 		return st.assign(v)
 	case *callNode:
@@ -119,41 +166,34 @@ func (st *refState) eval(n node) (Value, error) {
 	case *binNode:
 		return st.binary(v)
 	}
-	return Value{}, fmt.Errorf("internal: unknown node %T", n)
+	return refValue{}, fmt.Errorf("internal: unknown node %T", n)
 }
 
-func (st *refState) lookup(name string) (Value, error) {
+func (st *refState) lookup(name string) (refValue, error) {
 	if IsUserParam(name) {
 		if v, ok := st.uparams[name]; ok {
 			return v, nil
 		}
-		return StrValue(""), nil // unset user param reads as empty
+		return refStr(""), nil // unset user param reads as empty
 	}
-	if st.env != nil {
-		if v, ok := st.env.Params[name]; ok {
-			return NumValue(v), nil
-		}
-		if s, ok := st.env.StrParams[name]; ok {
-			return StrValue(s), nil
-		}
+	if v, ok := st.params[name]; ok {
+		return refNum(v), nil
 	}
 	if c, ok := constants[name]; ok {
-		return NumValue(c), nil
+		return refNum(c), nil
 	}
 	if v, ok := st.temps[name]; ok {
 		return v, nil
 	}
-	return Value{}, &undefinedError{name: name}
+	return refValue{}, &undefinedError{name: name}
 }
 
-func (st *refState) assign(a *assignNode) (Value, error) {
-	if st.env != nil {
-		if _, isParam := st.env.Params[a.name]; isParam {
-			return Value{}, fmt.Errorf("cannot assign to server-side parameter %q", a.name)
-		}
+func (st *refState) assign(a *assignNode) (refValue, error) {
+	if _, isParam := st.params[a.name]; isParam {
+		return refValue{}, fmt.Errorf("cannot assign to server-side parameter %q", a.name)
 	}
 	if _, isConst := constants[a.name]; isConst {
-		return Value{}, fmt.Errorf("cannot assign to constant %q", a.name)
+		return refValue{}, fmt.Errorf("cannot assign to constant %q", a.name)
 	}
 	v, err := st.eval(a.rhs)
 	if err != nil {
@@ -161,105 +201,105 @@ func (st *refState) assign(a *assignNode) (Value, error) {
 		// host with a bare word. An undefined variable on the RHS of
 		// a user-parameter assignment is taken as a host string.
 		if undef, ok := err.(*undefinedError); ok && IsUserParam(a.name) {
-			v = StrValue(undef.name)
+			v = refStr(undef.name)
 		} else {
-			return Value{}, err
+			return refValue{}, err
 		}
 	}
 	if IsUserParam(a.name) {
-		if !v.IsStr {
-			return Value{}, fmt.Errorf("user parameter %q needs a host name or address, got %s", a.name, v)
+		if !v.isStr {
+			return refValue{}, fmt.Errorf("user parameter %q needs a host name or address, got %s", a.name, v)
 		}
 		if st.uparams == nil {
-			st.uparams = make(map[string]Value, 4)
+			st.uparams = make(map[string]refValue, 4)
 		}
 		st.uparams[a.name] = v
 		return v, nil
 	}
 	if st.temps == nil {
-		st.temps = make(map[string]Value, 4)
+		st.temps = make(map[string]refValue, 4)
 	}
 	st.temps[a.name] = v
 	return v, nil
 }
 
-func (st *refState) binary(b *binNode) (Value, error) {
+func (st *refState) binary(b *binNode) (refValue, error) {
 	l, err := st.eval(b.l)
 	if err != nil {
-		return Value{}, err
+		return refValue{}, err
 	}
 	r, err := st.eval(b.r)
 	if err != nil {
-		return Value{}, err
+		return refValue{}, err
 	}
-	boolVal := func(ok bool) Value {
+	boolVal := func(ok bool) refValue {
 		if ok {
-			return NumValue(1)
+			return refNum(1)
 		}
-		return NumValue(0)
+		return refNum(0)
 	}
 	switch b.op {
 	case tokAnd:
-		return boolVal(l.Truthy() && r.Truthy()), nil
+		return boolVal(l.truthy() && r.truthy()), nil
 	case tokOr:
-		return boolVal(l.Truthy() || r.Truthy()), nil
+		return boolVal(l.truthy() || r.truthy()), nil
 	case tokEQ:
-		return boolVal(valueEqual(l, r)), nil
+		return boolVal(refEqual(l, r)), nil
 	case tokNE:
-		return boolVal(!valueEqual(l, r)), nil
+		return boolVal(!refEqual(l, r)), nil
 	}
 	// Remaining operators are numeric-only.
-	if l.IsStr || r.IsStr {
-		return Value{}, fmt.Errorf("operator %v needs numbers, got %s and %s", b.op, l, r)
+	if l.isStr || r.isStr {
+		return refValue{}, fmt.Errorf("operator %v needs numbers, got %s and %s", b.op, l, r)
 	}
 	switch b.op {
 	case tokLT:
-		return boolVal(l.Num < r.Num), nil
+		return boolVal(l.num < r.num), nil
 	case tokLE:
-		return boolVal(l.Num <= r.Num), nil
+		return boolVal(l.num <= r.num), nil
 	case tokGT:
-		return boolVal(l.Num > r.Num), nil
+		return boolVal(l.num > r.num), nil
 	case tokGE:
-		return boolVal(l.Num >= r.Num), nil
+		return boolVal(l.num >= r.num), nil
 	case tokPlus:
-		return NumValue(l.Num + r.Num), nil
+		return refNum(l.num + r.num), nil
 	case tokMinus:
-		return NumValue(l.Num - r.Num), nil
+		return refNum(l.num - r.num), nil
 	case tokStar:
-		return NumValue(l.Num * r.Num), nil
+		return refNum(l.num * r.num), nil
 	case tokSlash:
-		if r.Num == 0 {
-			return Value{}, fmt.Errorf("division by 0")
+		if r.num == 0 {
+			return refValue{}, fmt.Errorf("division by 0")
 		}
-		return NumValue(l.Num / r.Num), nil
+		return refNum(l.num / r.num), nil
 	case tokCaret:
-		return NumValue(math.Pow(l.Num, r.Num)), nil
+		return refNum(math.Pow(l.num, r.num)), nil
 	}
-	return Value{}, fmt.Errorf("internal: unknown binary operator %v", b.op)
+	return refValue{}, fmt.Errorf("internal: unknown binary operator %v", b.op)
 }
 
-func (st *refState) call(c *callNode) (Value, error) {
+func (st *refState) call(c *callNode) (refValue, error) {
 	b, ok := builtins[c.fn]
 	if !ok {
-		return Value{}, fmt.Errorf("unknown function %q", c.fn)
+		return refValue{}, fmt.Errorf("unknown function %q", c.fn)
 	}
 	if len(c.args) != b.arity {
-		return Value{}, fmt.Errorf("%s takes %d argument(s), got %d", c.fn, b.arity, len(c.args))
+		return refValue{}, fmt.Errorf("%s takes %d argument(s), got %d", c.fn, b.arity, len(c.args))
 	}
 	var args [maxArity]float64
 	for i, a := range c.args {
 		v, err := st.eval(a)
 		if err != nil {
-			return Value{}, err
+			return refValue{}, err
 		}
-		if v.IsStr {
-			return Value{}, fmt.Errorf("%s needs numeric arguments, got %s", c.fn, v)
+		if v.isStr {
+			return refValue{}, fmt.Errorf("%s needs numeric arguments, got %s", c.fn, v)
 		}
-		args[i] = v.Num
+		args[i] = v.num
 	}
 	out, err := b.fn(args)
 	if err != nil {
-		return Value{}, err
+		return refValue{}, err
 	}
-	return NumValue(out), nil
+	return refNum(out), nil
 }

@@ -20,7 +20,6 @@ type numNode struct {
 // name); both evaluate to string values.
 type strNode struct {
 	val       string
-	isAddr    bool
 	line, col int
 }
 
@@ -104,9 +103,8 @@ type Program struct {
 
 	// Variable metadata resolved once at parse time, so the
 	// per-request and per-server hot paths never re-walk the AST.
-	free      []string        // free variables, sorted
-	mentioned []string        // read or assigned identifiers, sorted
-	refs      map[string]bool // set view of mentioned
+	free      []string // free variables, sorted
+	mentioned []string // read or assigned identifiers, sorted
 	// Slot tables: vars is mentioned followed by the bare host words
 	// of user-parameter assignments (slots nobody binds); uparams is
 	// the user-side parameters in name order, the order their hosts
@@ -116,11 +114,15 @@ type Program struct {
 
 	// The flat form Run interprets (compile.go): the AST above is
 	// walked at Parse only. Statement i's instructions start at
-	// start[i]; start has one more entry, len(code).
+	// start[i]; start has one more entry, len(code). A string is its
+	// index into strs ("" first), and == compares class[i], the index
+	// of the first string EqualFold to strs[i].
 	code   []instr
 	start  []int32
 	consts []constReg
 	nregs  int
+	strs   []string
+	class  []int32
 }
 
 // slot is a named register: a variable or a user-side parameter.
@@ -136,17 +138,6 @@ type uparam struct {
 
 // Source returns the original requirement text.
 func (p *Program) Source() string { return p.src }
-
-// NumLogical counts the logical (qualification-gating) statements.
-func (p *Program) NumLogical() int {
-	n := 0
-	for _, s := range p.Stmts {
-		if s.Logical {
-			n++
-		}
-	}
-	return n
-}
 
 type parser struct {
 	toks []token
@@ -277,12 +268,9 @@ func (p *parser) parsePrimary() (node, error) {
 	case tokNumber:
 		p.advance()
 		return &numNode{val: t.num, line: t.line, col: t.col}, nil
-	case tokString:
+	case tokString, tokNetAddr:
 		p.advance()
 		return &strNode{val: t.text, line: t.line, col: t.col}, nil
-	case tokNetAddr:
-		p.advance()
-		return &strNode{val: t.text, isAddr: true, line: t.line, col: t.col}, nil
 	case tokLParen:
 		p.advance()
 		x, err := p.parseExpr(0)

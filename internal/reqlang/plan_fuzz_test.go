@@ -1,6 +1,8 @@
 package reqlang
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,13 +82,13 @@ func probeEnv(plan *Plan, override string, v float64) map[string]float64 {
 
 func checkProbe(t *testing.T, src string, prog *Program, plan *Plan, params map[string]float64) {
 	t.Helper()
-	full := prog.Eval(prog.MapEnv(params, nil))
+	full := prog.Eval(prog.MapEnv(params))
 	// The slot evaluator agrees with the map-backed reference on every
 	// probe, before the planner's own contracts are checked.
-	if err := sameResult(full, refEvalFrom(prog, &refEnv{Params: params}, 0)); err != nil {
+	if err := sameResult(full, refEvalFrom(prog, params, 0)); err != nil {
 		t.Fatalf("source %q env %v: slot evaluation diverged from the map reference:\n%v", src, params, err)
 	}
-	checkLanes(t, prog, laneVariants(params, nil))
+	checkLanes(t, prog, laneVariants(params))
 	pass := true
 	for _, c := range plan.Cons {
 		v, ok := params[c.Var]
@@ -96,7 +98,7 @@ func checkProbe(t *testing.T, src string, prog *Program, plan *Plan, params map[
 		}
 	}
 	if pass {
-		resid := prog.EvalFrom(prog.MapEnv(params, nil), plan.Prefix)
+		resid := prog.EvalFrom(prog.MapEnv(params), plan.Prefix)
 		if !reflect.DeepEqual(resid, full) {
 			t.Fatalf("source %q env %v:\nresidual from %d: %+v\nfull:            %+v",
 				src, params, plan.Prefix, resid, full)
@@ -108,32 +110,37 @@ func checkProbe(t *testing.T, src string, prog *Program, plan *Plan, params map[
 
 // FuzzBatchEval feeds arbitrary requirement sources and lane bindings
 // through the batch evaluator: whatever the parser accepts, and however
-// the lanes of one batch differ in what they define — nothing, a number
-// (zero and negative among them), a string — every lane must read what
-// the map evaluator makes of its record alone, from every statement
-// index, in either lane order (checkLanes). One byte of bindings
-// decides one variable of one lane; lanes past the bytes define nothing.
+// the lanes of one batch differ in what they define — nothing, or a
+// number: zero, negative, NaN, infinite, or raw float64 bits, as a
+// status report's binary codec passes them on — every lane must read
+// what the map evaluator makes of its record alone, from every
+// statement index, in either lane order (checkLanes). One byte of
+// bindings decides one variable of one lane (raw bits take the eight
+// after it too); lanes past the bytes define nothing.
 func FuzzBatchEval(f *testing.F) {
 	for i, src := range negativeSources {
 		f.Add(src, []byte{byte(i), byte(7 * i), 1, 5, 9, 2, 0, 6, 13, 1, 1, 1, byte(i >> 1)})
 	}
+	nums := append([]float64{-1, 0.5}, oddFloats...)
 	f.Fuzz(func(t *testing.T, src string, bindings []byte) {
 		prog, err := Parse(src)
 		if err != nil || len(prog.Stmts) > 8 || len(prog.vars) > 8 {
 			return
 		}
-		recs := make([]refEnv, 5)
+		recs := make([]map[string]float64, 5)
 		for l := range recs {
-			recs[l] = refEnv{Params: map[string]float64{}, StrParams: map[string]string{}}
+			recs[l] = map[string]float64{}
 			for slot, v := range prog.vars {
 				if at := l*len(prog.vars) + slot; at < len(bindings) {
 					switch b := bindings[at]; b % 4 {
 					case 1:
-						recs[l].Params[v.name] = []float64{0, 1, -1, 0.5}[b/4%4]
+						recs[l][v.name] = nums[int(b/4)%len(nums)]
 					case 2:
-						recs[l].Params[v.name] = float64(b) - 128
+						recs[l][v.name] = float64(b) - 128
 					case 3:
-						recs[l].StrParams[v.name] = []string{"", "i386", "telesto"}[b/4%3]
+						var raw [8]byte
+						copy(raw[:], bindings[at+1:])
+						recs[l][v.name] = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
 					}
 				}
 			}

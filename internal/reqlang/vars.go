@@ -14,18 +14,12 @@ func sortedKeys(set map[string]bool) []string {
 	return out
 }
 
-// FreeVariables lists the variables the program reads without first
+// FreeVars lists the variables the program reads without first
 // assigning them. The wizard uses this to learn which parameter
 // groups applications actually ask about, so probes can be told to
 // measure and ship only those (the Chapter 6 selected-parameters
-// extension). The returned slice is a copy the caller may keep.
-func (p *Program) FreeVariables() []string {
-	return append([]string(nil), p.free...)
-}
-
-// FreeVars is the allocation-free variant of FreeVariables for hot
-// paths: the returned slice is shared with the Program and must be
-// treated as read-only.
+// extension). The returned slice is shared with the Program and must
+// be treated as read-only.
 func (p *Program) FreeVars() []string { return p.free }
 
 // MentionedVars lists every identifier the program reads or assigns
@@ -34,10 +28,6 @@ func (p *Program) FreeVars() []string { return p.free }
 // evaluation can actually touch. The returned slice is shared with
 // the Program and must be treated as read-only.
 func (p *Program) MentionedVars() []string { return p.mentioned }
-
-// References reports whether the program reads or assigns the named
-// variable anywhere. Resolved at parse time; O(1) per call.
-func (p *Program) References(name string) bool { return p.refs[name] }
 
 // SetsPreferred reports whether the program mentions any
 // user_preferred_host* parameter, i.e. whether one server's

@@ -176,7 +176,9 @@ doc = {
     # top-n's: declining the index for the column filter, the planner
     # beats the walk at 100k (ratio <= 0.9) and may not lose to it at
     # 1M (<= 1.0), and a broad selection allocates for its n winners, not for its qualifiers (<= 200
-    # allocs at 100k hosts). The *_vs_before rows are the batch
+    # allocs at 100k hosts). The denied ratio is what one
+    # user_denied_host line costs a broad planned selection, recorded,
+    # not gated. The *_vs_before rows are the batch
     # evaluator's: the walk of every record must cost at most two
     # thirds of what it did one record at a time (ratio >= 1.5).
     "reduction": {
@@ -186,6 +188,7 @@ doc = {
         "unindexable_ns_overhead_10k": ratio("10k/unindexable/plan", "10k/unindexable/scan", "ns_per_op", digits=3),
         "ns_broad_100k_plan_vs_scan": ratio("100k/broad/plan", "100k/broad/scan", "ns_per_op", digits=3),
         "ns_broad_1m_plan_vs_scan": ratio("1m/broad/plan", "1m/broad/scan", "ns_per_op", digits=3),
+        "ns_denied_100k_plan_vs_broad": ratio("100k/denied/plan", "100k/broad/plan", "ns_per_op", digits=3),
         "allocs_broad_100k_plan": rows.get("SelectScale/100k/broad/plan", {}).get("allocs_per_op"),
         "sysview_rebuild_bytes_100k_one_put": rows.get("SysViewRebuild/hosts=100000", {}).get("bytes_per_op"),
         "ns_broad_100k_scan_vs_before": vs_before("SelectScale/100k/broad/scan"),

@@ -88,10 +88,10 @@ fi
 
 echo "== one evaluator =="
 # The requirement is compiled to flat code at Parse and one interpreter
-# runs it; a function from an AST node to (Value, error) is the
+# runs it; a function from an AST node to (a value, error) is the
 # recursive walker coming back beside it (mapeval_test.go keeps the
 # reference one, in a test file).
-walker=$(grep -nE '^func .*\([a-z]+ node\) \(Value, error\)' internal/reqlang/*.go | grep -v '_test\.go:' || true)
+walker=$(grep -nE '^func .*\([a-z]+ node\) \([A-Za-z0-9]+, error\)' internal/reqlang/*.go | grep -v '_test\.go:' || true)
 if [ -n "$walker" ]; then
 	echo "internal/reqlang evaluates over the AST again (compile it; Run is the evaluator):" >&2
 	echo "$walker" >&2

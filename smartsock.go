@@ -472,14 +472,5 @@ func UserVariables() []string {
 	return out
 }
 
-// Functions lists the built-in math functions (Appendix B.4).
-func Functions() []string {
-	fns := reqlang.Builtins()
-	// Sorted for stable docs.
-	for i := 1; i < len(fns); i++ {
-		for j := i; j > 0 && fns[j] < fns[j-1]; j-- {
-			fns[j], fns[j-1] = fns[j-1], fns[j]
-		}
-	}
-	return fns
-}
+// Functions lists the built-in math functions (Appendix B.4), sorted.
+func Functions() []string { return reqlang.Builtins() }
