@@ -25,6 +25,7 @@ import (
 
 	"smartsock/internal/bwest"
 	"smartsock/internal/monitor"
+	"smartsock/internal/netbatch"
 	"smartsock/internal/netmon"
 	"smartsock/internal/obs"
 	"smartsock/internal/secmon"
@@ -47,7 +48,7 @@ func main() {
 		passive    = flag.String("passive", "", "TCP listen address for distributed-mode pulls (e.g. :1110)")
 		seclog     = flag.String("seclog", "", "security log file for the security monitor")
 		netmonName = flag.String("netmon", "", "this node's network monitor name (enables netmon)")
-		udpBatch   = flag.Int("udp-batch", 32, "report datagrams per socket syscall (recvmmsg; 1: one syscall per datagram)")
+		udpBatch   = flag.Int("udp-batch", netbatch.DefaultBatch, "report datagrams per socket syscall (recvmmsg; 1: one syscall per datagram)")
 		shards     = flag.Int("shards", 1, "SO_REUSEPORT listener sockets for the report port (Linux; 1: single socket)")
 		compat     = flag.Bool("compat", false, "thesis-faithful wire mode: full snapshot every epoch, no deltas, unbatched unsharded ingest")
 		debugAddr  = flag.String("debug", "", "HTTP metrics endpoint address, e.g. 127.0.0.1:6061 (empty: disabled)")
@@ -57,11 +58,10 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "sysmond: ", log.LstdFlags)
 	if *compat {
-		// The thesis preset, applied to the parsed flags before anything
-		// is built: one datagram per socket syscall on one listener
-		// socket, the historical ingest loop. Its wire half (full snapshot
-		// every epoch, no deltas) is not a flag and is handed to the
-		// transmitter as a value.
+		// The thesis preset, applied to the parsed flags before anything is
+		// built: one datagram per socket syscall on one listener socket, the
+		// historical ingest loop. Its wire half (full snapshot every epoch,
+		// no deltas) is not a flag and is handed to the transmitter as a value.
 		*udpBatch, *shards = 1, 1
 	}
 

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"smartsock/internal/core"
+	"smartsock/internal/netbatch"
 	"smartsock/internal/obs"
 	"smartsock/internal/overload"
 	"smartsock/internal/store"
@@ -43,7 +44,7 @@ func main() {
 		groupsFlag  = flag.String("groups", "", "host→group map as host=group,host=group")
 		tplFile     = flag.String("templates", "", "requirement template file ([name] sections, §3.6.1)")
 		workers     = flag.Int("workers", 1, "request-answering loops (at least one runs per shard); 1 answers sequentially, as the thesis does")
-		udpBatch    = flag.Int("udp-batch", 32, "request datagrams per socket syscall (recvmmsg/sendmmsg; 1: one syscall per datagram)")
+		udpBatch    = flag.Int("udp-batch", netbatch.DefaultBatch, "request datagrams per socket syscall (recvmmsg/sendmmsg; 1: one syscall per datagram)")
 		shards      = flag.Int("shards", 1, "SO_REUSEPORT listener sockets for the request port (Linux; 1: single socket)")
 		maxQueue    = flag.Int("max-queue", 1024, "per-shard ingress queue bound in requests (0: pass-through admission, nothing is ever shed)")
 		rateLimit   = flag.Float64("rate-limit", 0, "per-source admitted requests/sec (0: no per-source limit)")
@@ -111,12 +112,11 @@ func main() {
 	recv.Overload = gate
 	var update wizard.UpdateFunc
 	if len(pulls) > 0 {
-		targets := []string(pulls)
 		// Nothing runs the receiver in this mode, so nothing else closes
 		// its listener and the pull connections it keeps.
 		defer recv.Close()
-		update = func(context.Context) error { return recv.PullFrom(targets, 2*time.Second) }
-		logger.Printf("distributed mode: pulling from %v per request", targets)
+		update = func(context.Context) error { return recv.PullFrom(pulls, 2*time.Second) }
+		logger.Printf("distributed mode: pulling from %v per request", pulls)
 	} else {
 		go recv.Run(ctx)
 		logger.Printf("centralized mode: receiver on %s", recv.Addr())

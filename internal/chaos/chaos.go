@@ -66,11 +66,8 @@ type Injector struct {
 
 	partitioned atomic.Bool
 
-	passed    atomic.Uint64
-	dropped   atomic.Uint64
-	duped     atomic.Uint64
-	delayed   atomic.Uint64
-	reordered atomic.Uint64
+	passed  atomic.Uint64
+	dropped atomic.Uint64
 
 	// sleep applies injected delays and stalls; swapped in tests to
 	// run fault schedules in virtual time.
@@ -112,9 +109,6 @@ func SeedFromEnv(def int64) int64 {
 // a crashed link or an unplugged host, as opposed to random loss.
 func (in *Injector) Partition(on bool) { in.partitioned.Store(on) }
 
-// Partitioned reports whether the injector is in partition mode.
-func (in *Injector) Partitioned() bool { return in.partitioned.Load() }
-
 // Next draws the fate of one packet. A partitioned injector drops
 // unconditionally without consuming randomness, so lifting a
 // partition resumes the schedule where it stopped.
@@ -141,26 +135,12 @@ func (in *Injector) Next() Fate {
 		f.Reorder = true
 	}
 	in.mu.Unlock()
-	in.count(f)
-	return f
-}
-
-func (in *Injector) count(f Fate) {
-	switch {
-	case f.Drop:
+	if f.Drop {
 		in.dropped.Add(1)
-	default:
+	} else {
 		in.passed.Add(1)
-		if f.Dup {
-			in.duped.Add(1)
-		}
-		if f.Delay > 0 {
-			in.delayed.Add(1)
-		}
-		if f.Reorder {
-			in.reordered.Add(1)
-		}
 	}
+	return f
 }
 
 // Packet implements the simnet fault hook: the fate of one simulated
@@ -179,12 +159,3 @@ func (in *Injector) Passed() uint64 { return in.passed.Load() }
 
 // Dropped reports packets discarded (random loss plus partition).
 func (in *Injector) Dropped() uint64 { return in.dropped.Load() }
-
-// Duplicated reports packets delivered twice.
-func (in *Injector) Duplicated() uint64 { return in.duped.Load() }
-
-// Delayed reports packets held before delivery.
-func (in *Injector) Delayed() uint64 { return in.delayed.Load() }
-
-// Reordered reports packets delivered behind a later one.
-func (in *Injector) Reordered() uint64 { return in.reordered.Load() }

@@ -55,7 +55,7 @@ func referenceSelect(s *Selector, prog *reqlang.Program, n int, opt proto.Option
 		if sec, ok := s.db.GetSec(host); ok && mentions("host_security_level") {
 			params["host_security_level"] = float64(sec.Level.Level)
 		}
-		res := prog.Eval(reqtest.Env(prog, params))
+		res := prog.EvalFrom(reqtest.Env(prog, params), 0)
 		d := Decision{Host: host, Qualified: res.Qualified, FailedLine: res.FailedLine,
 			Score: res.Score, HasScore: res.HasScore, Err: res.Err}
 		if matchHost(host, res.Denied) >= 0 {

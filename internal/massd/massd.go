@@ -27,12 +27,7 @@ import (
 const MaxBlock = 16 << 20
 
 // Server answers block requests, typically behind a shaper.Listener.
-type Server struct {
-	served atomic.Int64 // bytes served
-}
-
-// Served reports the total bytes this server has sent.
-func (s *Server) Served() int64 { return s.served.Load() }
+type Server struct{}
 
 // Serve accepts clients on ln until the context is cancelled.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
@@ -77,7 +72,6 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 				chunk = len(buf)
 			}
 			n, err := conn.Write(buf[:chunk])
-			s.served.Add(int64(n))
 			if err != nil {
 				return
 			}

@@ -19,7 +19,6 @@ import (
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smartsock/internal/netbatch"
@@ -51,10 +50,10 @@ type Config struct {
 	// only sysdb records expire.
 	ExpireAll bool
 	// Batch is the most report datagrams one socket syscall may move
-	// on the ingest loop (recvmmsg on Linux; control replies flush via
-	// sendmmsg). 0 and 1 both select the historical
-	// one-syscall-per-datagram mode; values above netbatch.MaxBatch
-	// are clamped. Wire behaviour is identical at every setting.
+	// on the ingest loop (recvmmsg on Linux). 0 and 1 both select the
+	// historical one-syscall-per-datagram mode; values above
+	// netbatch.MaxBatch are clamped. Wire behaviour is identical at
+	// every setting.
 	Batch int
 	// Shards is the number of SO_REUSEPORT sockets bound to Addr so
 	// the kernel load-balances probe flows across ingest loops. 0 and
@@ -76,20 +75,7 @@ type Monitor struct {
 	received *obs.Counter // monitor_reports: valid reports ingested
 	dropped  *obs.Counter // monitor_reports_dropped: undecodable reports
 	expired  *obs.Counter // monitor_expired: records aged out
-	// reportMask, when non-zero, is pushed back to every reporting
-	// probe as a control reply (Ch. 6 selected parameters): probes
-	// then measure and ship only the named groups. Zero means "report
-	// everything" and sends no control traffic.
-	reportMask atomic.Uint32
 }
-
-// SetReportMask instructs future probe replies to narrow reporting to
-// the given field mask (a probe.FieldMask value). Zero restores full
-// reporting and silences the control channel.
-func (m *Monitor) SetReportMask(mask uint8) { m.reportMask.Store(uint32(mask)) }
-
-// ReportMask returns the currently configured probe field mask.
-func (m *Monitor) ReportMask() uint8 { return uint8(m.reportMask.Load()) }
 
 // New binds the monitor's sockets. Call Run to start serving.
 func New(cfg Config) (*Monitor, error) {
@@ -158,9 +144,6 @@ func (m *Monitor) Shards() int { return len(m.shards) }
 // Received reports how many valid reports have been ingested.
 func (m *Monitor) Received() uint64 { return m.received.Value() }
 
-// Expired reports how many server records have been expired.
-func (m *Monitor) Expired() uint64 { return m.expired.Value() }
-
 // Dropped reports how many undecodable reports were discarded.
 func (m *Monitor) Dropped() uint64 { return m.dropped.Value() }
 
@@ -206,18 +189,15 @@ func (m *Monitor) Run(ctx context.Context) error {
 }
 
 // serveUDP is one shard's ingest loop: pull a batch of report
-// datagrams, upsert each, and — when a report mask is configured —
-// flush the control replies with one batched write. The AddrPort
-// plumbing means steady-state ingest costs zero per-datagram heap
-// allocations (the seed loop's ReadFromUDP minted a *net.UDPAddr per
-// report).
+// datagrams and upsert each. Steady-state ingest costs zero
+// per-datagram heap allocations (the seed loop's ReadFromUDP minted a
+// *net.UDPAddr per report).
 func (m *Monitor) serveUDP(ctx context.Context, conn *net.UDPConn) error {
 	ep, err := netbatch.Wrap(conn, netbatch.Options{Batch: m.cfg.Batch, Obs: m.cfg.Obs})
 	if err != nil {
 		return fmt.Errorf("monitor: %w", err)
 	}
 	rx := netbatch.NewBatch(ep.Batch(), 64*1024)
-	tx := netbatch.NewBatch(ep.Batch(), 8)
 	var rec status.ServerStatus // every report is decoded over the last: a repeated name is not allocated again
 	for {
 		n, err := ep.ReadBatch(rx)
@@ -230,44 +210,20 @@ func (m *Monitor) serveUDP(ctx context.Context, conn *net.UDPConn) error {
 			}
 			return fmt.Errorf("monitor: read udp: %w", err)
 		}
-		mask := m.ReportMask()
-		var ctl []byte
-		if mask != 0 {
-			ctl = status.EncodeControl(mask)
-		}
-		replies := tx[:0]
 		for i := 0; i < n; i++ {
-			if !m.ingest(&rec, rx[i].Buf) || mask == 0 {
-				continue
-			}
-			// Selected-parameters control reply (Ch. 6): ride the
-			// report's return path back to the probe.
-			j := len(replies)
-			replies = replies[:j+1]
-			replies[j].Buf = append(replies[j].Buf[:0], ctl...)
-			replies[j].Addr = rx[i].Addr
-		}
-		if len(replies) == 0 {
-			continue
-		}
-		if sent, err := ep.WriteBatch(replies); err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return ctx.Err()
-			}
-			m.logf("monitor: control replies: %v (%d of %d sent)", err, sent, len(replies))
+			m.ingest(&rec, rx[i].Buf)
 		}
 	}
 }
 
-func (m *Monitor) ingest(s *status.ServerStatus, msg []byte) bool {
+func (m *Monitor) ingest(s *status.ServerStatus, msg []byte) {
 	if err := status.DecodeReportInto(s, msg); err != nil {
 		m.dropped.Add(1)
 		m.logf("monitor: dropping report: %v", err)
-		return false
+		return
 	}
 	m.cfg.DB.PutSys(*s)
 	m.received.Add(1)
-	return true
 }
 
 // serveTCP accepts framed-report connections until the listener closes;

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"smartsock/internal/obs"
 	"smartsock/internal/probe"
 	"smartsock/internal/status"
 	"smartsock/internal/store"
@@ -101,9 +102,11 @@ func TestProbeToMonitorTCP(t *testing.T) {
 }
 
 func TestMonitorExpiresSilentProbe(t *testing.T) {
+	reg := obs.NewRegistry()
 	m, db, _ := startMonitor(t, Config{
 		Interval:        20 * time.Millisecond,
 		MissedIntervals: 3,
+		Obs:             reg,
 	})
 	src := sysinfo.NewSynthetic(sysinfo.Idle("ghost", 1000, 128))
 	p, err := probe.New(probe.Config{Source: src, Monitor: m.Addr(), Interval: time.Hour})
@@ -117,7 +120,7 @@ func TestMonitorExpiresSilentProbe(t *testing.T) {
 	// Probe goes silent; after 3 intervals (60 ms) + expiry sweep, the
 	// record must vanish (§3.2.2 / §4.1).
 	waitFor(t, 2*time.Second, func() bool { return db.SysLen() == 0 })
-	if m.Expired() == 0 {
+	if reg.Snapshot().Counters["monitor_expired"] == 0 {
 		t.Error("monitor did not count the expiry")
 	}
 }
@@ -165,27 +168,6 @@ func TestMonitorDropsGarbageDatagrams(t *testing.T) {
 	}
 }
 
-func TestProbeFieldMask(t *testing.T) {
-	m, db, _ := startMonitor(t, Config{Interval: time.Second})
-	src := sysinfo.NewSynthetic(sysinfo.Idle("masked", 1234, 128))
-	p, err := probe.New(probe.Config{Source: src, Monitor: m.Addr(), Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetFields(probe.FieldLoad | probe.FieldCPU) // Ch. 6 selected-parameters mode
-	if err := p.ReportOnce(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool { return db.SysLen() == 1 })
-	rec, _ := db.GetSys("masked")
-	if rec.Status.MemTotal != 0 || rec.Status.NetIface != "" {
-		t.Errorf("masked fields leaked: %+v", rec.Status)
-	}
-	if rec.Status.Load1 == 0 {
-		t.Error("unmasked field lost")
-	}
-}
-
 func TestProbeValidation(t *testing.T) {
 	if _, err := probe.New(probe.Config{Monitor: "x"}); err == nil {
 		t.Error("accepted nil source")
@@ -200,7 +182,18 @@ func TestMonitorRestartPreservesPipeline(t *testing.T) {
 	// UDP reporting is connectionless: a monitor crash and restart on
 	// the same port must be invisible to running probes — the
 	// fault-tolerance story behind §3.2.2's join/leave-at-any-time.
-	m1, db1, cancel1 := startMonitor(t, Config{Interval: time.Second})
+	db1 := store.New()
+	m1, err := New(Config{Addr: "127.0.0.1:0", DB: db1, Interval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	defer cancel1()
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		_ = m1.Run(ctx1)
+	}()
 	addr := m1.Addr()
 	src := sysinfo.NewSynthetic(sysinfo.Idle("steady", 2000, 256))
 	p, err := probe.New(probe.Config{Source: src, Monitor: addr, Interval: time.Hour})
@@ -213,9 +206,10 @@ func TestMonitorRestartPreservesPipeline(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool { return db1.SysLen() == 1 })
 
-	// Kill the monitor; the probe keeps reporting into the void.
+	// Kill the monitor: Run returns only once its sockets are closed.
+	// The probe keeps reporting into the void.
 	cancel1()
-	time.Sleep(30 * time.Millisecond)
+	<-stopped
 	p.ReportOnce() // lost, but must not error fatally on UDP
 
 	// A fresh monitor binds the same port with an empty database.

@@ -40,7 +40,7 @@ import (
 // little past this point and the per-conn scratch arrays stay small.
 const MaxBatch = 64
 
-// DefaultBatch is the batch size the daemons use unless configured.
+// DefaultBatch is the -udp-batch default of wizardd and sysmond.
 const DefaultBatch = 32
 
 // Message is one datagram in a batch. For reads, Buf's capacity is

@@ -223,11 +223,3 @@ func (g *Gate) RateLimited() uint64 {
 	}
 	return g.ratelimited.Value()
 }
-
-// Bypassed reports how many priority admissions have been recorded.
-func (g *Gate) Bypassed() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.bypass.Value()
-}

@@ -21,7 +21,7 @@ func TestDisabledGateAdmitsEverything(t *testing.T) {
 		t.Fatal("nil gate rejected a source")
 	}
 	g.Bypass(3) // must not panic
-	if g.Shed() != 0 || g.RateLimited() != 0 || g.Bypassed() != 0 {
+	if g.Shed() != 0 || g.RateLimited() != 0 {
 		t.Fatal("nil gate reports nonzero counters")
 	}
 
@@ -287,10 +287,11 @@ func TestAdmittedSojournsLandInHistogram(t *testing.T) {
 }
 
 func TestBypassCountsPriorityTraffic(t *testing.T) {
-	g := New(Config{MaxQueue: 4})
+	reg := obs.NewRegistry()
+	g := New(Config{MaxQueue: 4, Obs: reg})
 	g.Bypass(3)
 	g.Bypass(2)
-	if g.Bypassed() != 5 {
-		t.Fatalf("overload_bypass = %d, want 5", g.Bypassed())
+	if got := reg.Snapshot().Counters["overload_bypass"]; got != 5 {
+		t.Fatalf("overload_bypass = %d, want 5", got)
 	}
 }

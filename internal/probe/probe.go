@@ -4,10 +4,9 @@
 //
 // Reports travel over UDP by default — the monitor sits in the local
 // network, losses are rare and the overhead matters more than
-// reliability (§3.2.1). The Chapter 6 extension is also implemented:
-// a probe can be switched to TCP for long reports on congested
-// networks, and it honours a "selected parameters" mask so only the
-// fields an application cares about are measured and shipped.
+// reliability (§3.2.1). A UDP probe keeps one socket to the monitor
+// across reports. The Chapter 6 TCP mode is also implemented: a probe
+// can be switched to TCP for long reports on congested networks.
 package probe
 
 import (
@@ -15,9 +14,7 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smartsock/internal/retry"
@@ -43,22 +40,6 @@ func (t Transport) String() string {
 	return "udp"
 }
 
-// FieldMask names the parameter groups a probe reports. The zero mask
-// means "everything" (the thesis default); the wizard can narrow it
-// to cut measurement and bandwidth cost (Ch. 6).
-type FieldMask uint8
-
-const (
-	FieldLoad FieldMask = 1 << iota
-	FieldCPU
-	FieldMemory
-	FieldDisk
-	FieldNetwork
-
-	// FieldAll reports every parameter group.
-	FieldAll = FieldLoad | FieldCPU | FieldMemory | FieldDisk | FieldNetwork
-)
-
 // Config parameterises a probe.
 type Config struct {
 	// Source supplies status snapshots (live /proc or synthetic).
@@ -78,12 +59,10 @@ type Config struct {
 
 // Probe periodically reports server status to a system monitor.
 type Probe struct {
-	cfg     Config
-	mask    atomic.Uint32 // FieldMask; mutable at runtime
-	reports atomic.Uint64 // reports successfully sent
+	cfg Config
 
 	connMu sync.Mutex
-	conn   net.Conn // persistent UDP socket; control replies arrive here
+	conn   net.Conn // persistent UDP report socket
 	closed bool
 }
 
@@ -98,25 +77,11 @@ func New(cfg Config) (*Probe, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
 	}
-	p := &Probe{cfg: cfg}
-	p.mask.Store(uint32(FieldAll))
-	return p, nil
+	return &Probe{cfg: cfg}, nil
 }
 
-// SetFields narrows (or widens) the reported parameter groups.
-func (p *Probe) SetFields(m FieldMask) {
-	if m == 0 {
-		m = FieldAll
-	}
-	p.mask.Store(uint32(m))
-}
-
-// Reports returns the number of reports sent so far.
-func (p *Probe) Reports() uint64 { return p.reports.Load() }
-
-// Close releases the probe's report socket and stops its control
-// listener. Run closes automatically; call Close only when driving
-// ReportOnce by hand.
+// Close releases the probe's report socket. Run closes automatically;
+// call Close only when driving ReportOnce by hand.
 func (p *Probe) Close() error {
 	p.connMu.Lock()
 	defer p.connMu.Unlock()
@@ -171,17 +136,12 @@ func (p *Probe) ReportOnce() error {
 	if err != nil {
 		return fmt.Errorf("scan: %w", err)
 	}
-	applyMask(&snap, FieldMask(p.mask.Load()))
 	// ReportOnce may run beside Run, so the buffer comes from a pool
 	// rather than the probe; neither transport keeps msg past send.
 	buf := reportBufs.Get().(*[]byte)
 	defer reportBufs.Put(buf)
 	*buf = status.AppendReport((*buf)[:0], &snap)
-	if err := p.send(*buf); err != nil {
-		return err
-	}
-	p.reports.Add(1)
-	return nil
+	return p.send(*buf)
 }
 
 func (p *Probe) send(msg []byte) error {
@@ -217,12 +177,10 @@ func (p *Probe) send(msg []byte) error {
 	}
 }
 
-// udpConn lazily opens the probe's persistent report socket and
-// starts the control listener on it. Keeping one socket per probe
-// lets the monitor's selected-parameters replies (Ch. 6) arrive
-// asynchronously, without delaying reports. The dial happens outside
-// the mutex — a slow resolver must not block Close — with a re-check
-// after reacquiring it; a racing dial loses and closes its socket.
+// udpConn lazily opens the probe's persistent report socket, so a
+// report costs no dial. The dial happens outside the mutex — a slow
+// resolver must not block Close — with a re-check after reacquiring
+// it; a racing dial loses and closes its socket.
 func (p *Probe) udpConn() (net.Conn, error) {
 	p.connMu.Lock()
 	if p.closed {
@@ -252,9 +210,6 @@ func (p *Probe) udpConn() (net.Conn, error) {
 		return p.conn, nil
 	}
 	p.conn = conn
-	// controlLoop's lifetime is the socket's: Probe.Close closes p.conn,
-	// which ends the read loop.
-	go p.controlLoop(conn)
 	return conn, nil
 }
 
@@ -268,73 +223,6 @@ func (p *Probe) dial(network, addr string) (net.Conn, error) {
 		return net.DialTimeout(network, addr, 2*time.Second)
 	}
 	return net.Dial(network, addr)
-}
-
-// controlLoop applies selected-parameters instructions as they
-// arrive; it exits when the socket is replaced or closed.
-func (p *Probe) controlLoop(conn net.Conn) {
-	buf := make([]byte, 256)
-	for {
-		// Control replies may arrive at any time over the socket's whole
-		// life; Probe.Close ends the loop by closing the socket.
-		//lint:ignore deadline socket lifetime is owned by Probe.Close, a read deadline would drop control replies
-		n, err := conn.Read(buf)
-		if err != nil {
-			return
-		}
-		mask, err := status.DecodeControl(buf[:n])
-		if err != nil {
-			p.logf("probe: ignoring stray datagram on report socket: %v", err)
-			continue
-		}
-		p.SetFields(FieldMask(mask))
-	}
-}
-
-// MaskForVariables derives the narrowest field mask that still
-// measures every named server-side variable — the bridge from the
-// wizard's requirement-variable statistics to probe instructions.
-// Unknown variables (including the wizard-side monitor_* and
-// host_security_level names) select no probe group; an empty result
-// set falls back to FieldAll at SetFields time.
-func MaskForVariables(vars []string) FieldMask {
-	var m FieldMask
-	for _, v := range vars {
-		switch {
-		case strings.HasPrefix(v, "host_system_load"):
-			m |= FieldLoad
-		case strings.HasPrefix(v, "host_cpu"):
-			m |= FieldCPU
-		case strings.HasPrefix(v, "host_memory"):
-			m |= FieldMemory
-		case strings.HasPrefix(v, "host_disk"):
-			m |= FieldDisk
-		case strings.HasPrefix(v, "host_network"):
-			m |= FieldNetwork
-		}
-	}
-	return m
-}
-
-// applyMask zeroes the parameter groups outside the mask so unreported
-// values cannot be mistaken for measurements.
-func applyMask(s *status.ServerStatus, m FieldMask) {
-	if m&FieldLoad == 0 {
-		s.Load1, s.Load5, s.Load15 = 0, 0, 0
-	}
-	if m&FieldCPU == 0 {
-		s.CPUUser, s.CPUNice, s.CPUSystem, s.CPUIdle = 0, 0, 0, 0
-	}
-	if m&FieldMemory == 0 {
-		s.MemTotal, s.MemUsed, s.MemFree = 0, 0, 0
-	}
-	if m&FieldDisk == 0 {
-		s.DiskAllReq, s.DiskRReq, s.DiskRBlocks, s.DiskWReq, s.DiskWBlocks = 0, 0, 0, 0, 0
-	}
-	if m&FieldNetwork == 0 {
-		s.NetIface = ""
-		s.NetRBytesPS, s.NetRPacketsPS, s.NetTBytesPS, s.NetTPacketsPS = 0, 0, 0, 0
-	}
 }
 
 func (p *Probe) logf(format string, args ...any) {

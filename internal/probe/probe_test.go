@@ -67,8 +67,14 @@ func TestReportOnceSendsDecodableReport(t *testing.T) {
 	if s.Host != "probe-test" || s.Bogomips != 2500 {
 		t.Errorf("report = %+v", s)
 	}
-	if p.Reports() != 1 {
-		t.Errorf("Reports = %d", p.Reports())
+	// The next report goes out on the same socket: no dial per report.
+	kept := p.conn
+	if err := p.ReportOnce(); err != nil {
+		t.Fatal(err)
+	}
+	recvReport(t, ch)
+	if kept == nil || p.conn != kept {
+		t.Error("the second report did not reuse the probe's socket")
 	}
 }
 
@@ -100,39 +106,6 @@ func TestRunReportsPeriodicallyAndStops(t *testing.T) {
 	}
 }
 
-func TestFieldMaskZeroesUnselectedGroups(t *testing.T) {
-	sink, ch := udpSink(t)
-	src := sysinfo.NewSynthetic(sysinfo.Idle("masked", 1234, 128))
-	src.Update(func(s *status.ServerStatus) {
-		s.DiskRReq = 42
-		s.NetTBytesPS = 999
-	})
-	p, err := New(Config{Source: src, Monitor: sink.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetFields(FieldCPU | FieldMemory)
-	if err := p.ReportOnce(); err != nil {
-		t.Fatal(err)
-	}
-	s := recvReport(t, ch)
-	if s.DiskRReq != 0 || s.NetTBytesPS != 0 || s.Load1 != 0 {
-		t.Errorf("masked groups leaked: %+v", s)
-	}
-	if s.CPUIdle == 0 || s.MemTotal == 0 {
-		t.Error("selected groups were zeroed")
-	}
-	// Zero mask resets to everything (Ch. 6 default).
-	p.SetFields(0)
-	if err := p.ReportOnce(); err != nil {
-		t.Fatal(err)
-	}
-	s = recvReport(t, ch)
-	if s.DiskRReq != 42 {
-		t.Errorf("FieldAll fallback not applied: %+v", s)
-	}
-}
-
 func TestReportOnceSourceError(t *testing.T) {
 	sink, _ := udpSink(t)
 	p, err := New(Config{
@@ -145,8 +118,8 @@ func TestReportOnceSourceError(t *testing.T) {
 	if err := p.ReportOnce(); err == nil {
 		t.Error("source error swallowed")
 	}
-	if p.Reports() != 0 {
-		t.Error("failed scan counted as a report")
+	if p.conn != nil {
+		t.Error("failed scan opened the report socket")
 	}
 }
 

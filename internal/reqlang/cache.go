@@ -24,7 +24,7 @@ const DefaultCacheSize = 256
 // requirement would otherwise re-lex it on every datagram.
 //
 // A Cache is safe for concurrent use. Programs it returns are shared;
-// they are immutable after Parse, so concurrent Eval calls are safe.
+// they are immutable after Parse, so concurrent evaluations are safe.
 type Cache struct {
 	mu      sync.Mutex
 	max     int

@@ -64,22 +64,21 @@ type constReg struct {
 }
 
 // compiler walks the AST once, in evaluation order, emitting code and
-// noting which names are variables: free ones are read before any
-// assignment, mentioned ones read or assigned at all (see FreeVars,
+// noting which names are variables: those read or assigned at all (see
 // MentionedVars). Registers are handed out as names and values turn up;
 // finish lists which of them are the slots.
 type compiler struct {
-	p                         *Program
-	regOf                     map[string]int32 // variables and user parameters
-	consts                    map[lit]int32
-	strIdx, folds             map[string]int32 // a string's index; a fold key's first string
-	free, mentioned, assigned map[string]bool
-	stmt                      int32
+	p             *Program
+	regOf         map[string]int32 // variables and user parameters
+	consts        map[lit]int32
+	strIdx, folds map[string]int32 // a string's index; a fold key's first string
+	mentioned     map[string]bool
+	stmt          int32
 }
 
 func (p *Program) compile() {
 	c := compiler{p: p, regOf: map[string]int32{}, consts: map[lit]int32{}, strIdx: map[string]int32{}, folds: map[string]int32{},
-		free: map[string]bool{}, mentioned: map[string]bool{}, assigned: map[string]bool{}}
+		mentioned: map[string]bool{}}
 	c.intern("") // index 0: what an unset user parameter reads as, and the one false string
 	for i := range p.Stmts {
 		c.stmt = int32(i)
@@ -98,7 +97,7 @@ func (p *Program) compile() {
 // which is the order their hosts are reported in.
 func (c *compiler) finish() {
 	p := c.p
-	p.free, p.mentioned = sortedKeys(c.free), sortedKeys(c.mentioned)
+	p.mentioned = sortedKeys(c.mentioned)
 	for _, name := range p.mentioned {
 		p.vars = append(p.vars, slot{name: name, reg: c.regOf[name]})
 	}
@@ -199,9 +198,6 @@ func (c *compiler) read(name string, counts bool) int32 {
 	}
 	if counts && !IsUserParam(name) {
 		c.mentioned[name] = true
-		if !c.assigned[name] {
-			c.free[name] = true
-		}
 	}
 	return c.value(instr{op: opLoad, a: c.nameReg(name), b: -1, catch: -1, name: name})
 }
@@ -263,7 +259,6 @@ func (c *compiler) assign(v *assignNode) int32 {
 	} else {
 		src = c.expr(v.rhs)
 	}
-	c.assigned[v.name] = true
 	switch {
 	case isConst: // no lane gets here
 	case !user:

@@ -19,7 +19,7 @@ import (
 //	prog.Run(env, from)
 //
 // and reads each lane's outcome back (Qualified, Score, Hosts, Result).
-// Evaluating one record (Eval, EvalFrom) is a batch of one lane. An Env
+// Evaluating one record (EvalFrom) is a batch of one lane. An Env
 // reused across a selection allocates nothing per batch; it serves one
 // goroutine at a time.
 type Env struct {
@@ -186,22 +186,18 @@ func IsUserParam(name string) bool {
 	return strings.HasPrefix(name, deniedPrefix) || strings.HasPrefix(name, preferredPrefix)
 }
 
-// Eval runs the program against one server's environment, following
-// the Fig 4.2 semantics: statements run top to bottom; each logical
-// statement must be true for the server to qualify; assignments to
-// user-side parameters record denied/preferred hosts; temporary
-// variables persist across lines within one evaluation. A nil env
-// evaluates with every server-side variable undefined.
-func (p *Program) Eval(env *Env) Result { return p.EvalFrom(env, 0) }
-
-// EvalFrom evaluates the program starting at statement index from,
-// with identical semantics to Eval for the statements it runs. The
-// selection planner uses it for residual evaluation: when the index
-// has already proved a candidate's first `from` statements true —
-// they were pure conjunctions of satisfied constraints, with no
-// assignments, scores or possible hard errors — resuming at the
-// residual yields exactly the full evaluation's Result. It is Run on
-// a batch whose first lane is the record.
+// EvalFrom runs the program against one server's environment, starting
+// at statement index from, following the Fig 4.2 semantics: statements
+// run top to bottom; each logical statement must be true for the server
+// to qualify; assignments to user-side parameters record
+// denied/preferred hosts; temporary variables persist across lines
+// within one evaluation. A nil env evaluates with every server-side
+// variable undefined. From 0 is the full evaluation. A later from is
+// residual evaluation: when the index has already proved a candidate's
+// first from statements true — they were pure conjunctions of satisfied
+// constraints, with no assignments, scores or possible hard errors —
+// resuming at the residual yields exactly the full evaluation's Result.
+// It is Run on a batch whose first lane is the record.
 func (p *Program) EvalFrom(env *Env, from int) Result {
 	if env == nil || env.prog != p {
 		// Slots are per program; bindings made for another one mean

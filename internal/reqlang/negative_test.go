@@ -54,7 +54,7 @@ func evalScore(t *testing.T, src string) float64 {
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", src, err)
 	}
-	res := prog.Eval(nil)
+	res := prog.EvalFrom(nil, 0)
 	if res.Err != nil {
 		t.Fatalf("Eval(%q): %v", src, res.Err)
 	}
@@ -108,7 +108,7 @@ func TestOperatorPrecedenceEdges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", tc.src, err)
 		}
-		res := prog.Eval(nil)
+		res := prog.EvalFrom(nil, 0)
 		if res.Err != nil {
 			t.Fatalf("Eval(%q): %v", tc.src, res.Err)
 		}
@@ -136,7 +136,7 @@ func TestEvalHardErrors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Parse(%q): %v", tc.src, err)
 			}
-			res := prog.Eval(nil)
+			res := prog.EvalFrom(nil, 0)
 			if res.Err == nil {
 				t.Fatalf("Eval(%q) reported no error (qualified=%v)", tc.src, res.Qualified)
 			}

@@ -103,7 +103,6 @@ type Program struct {
 
 	// Variable metadata resolved once at parse time, so the
 	// per-request and per-server hot paths never re-walk the AST.
-	free      []string // free variables, sorted
 	mentioned []string // read or assigned identifiers, sorted
 	// Slot tables: vars is mentioned followed by the bare host words
 	// of user-parameter assignments (slots nobody binds); uparams is

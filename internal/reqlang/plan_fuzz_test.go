@@ -82,7 +82,7 @@ func probeEnv(plan *Plan, override string, v float64) map[string]float64 {
 
 func checkProbe(t *testing.T, src string, prog *Program, plan *Plan, params map[string]float64) {
 	t.Helper()
-	full := prog.Eval(prog.MapEnv(params))
+	full := prog.EvalFrom(prog.MapEnv(params), 0)
 	// The slot evaluator agrees with the map-backed reference on every
 	// probe, before the planner's own contracts are checked.
 	if err := sameResult(full, refEvalFrom(prog, params, 0)); err != nil {

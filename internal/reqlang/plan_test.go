@@ -159,7 +159,7 @@ func TestPlanResidualEquivalence(t *testing.T) {
 		{"host_cpu_free": 0.5, "host_system_load1": 2},
 	}
 	for _, params := range envs {
-		full := prog.Eval(prog.MapEnv(params))
+		full := prog.EvalFrom(prog.MapEnv(params), 0)
 		pass := true
 		for _, c := range plan.Cons {
 			v, ok := params[c.Var]

@@ -12,7 +12,7 @@ import (
 func env(params map[string]float64) map[string]float64 { return params }
 
 func evalWith(p *Program, params map[string]float64) Result {
-	return p.Eval(p.MapEnv(params))
+	return p.EvalFrom(p.MapEnv(params), 0)
 }
 
 func mustParse(t *testing.T, src string) *Program {
@@ -525,37 +525,5 @@ user_denied_host1 = hacker.some.net
 	})
 	if evalWith(p, slow).Qualified {
 		t.Error("network-A server (100 ms) should be rejected")
-	}
-}
-
-func TestFreeVariables(t *testing.T) {
-	cases := []struct {
-		src  string
-		want []string
-	}{
-		{"host_cpu_free > 0.9", []string{"host_cpu_free"}},
-		{"a = 3\na < host_system_load1", []string{"host_system_load1"}},
-		{"b < 1\nb = 3", []string{"b"}}, // read before assignment
-		{"user_denied_host1 = telesto", nil},
-		{"user_denied_host1 = 10.0.0.1", nil},
-		{"sin(host_cpu_idle) < cos(x)", []string{"host_cpu_idle", "x"}},
-		{"pi < host_memory_free", []string{"host_memory_free"}}, // constants excluded
-		{"(host_cpu_free > 0.9) && (user_denied_host1 = mimas)", []string{"host_cpu_free"}},
-		{"t = host_disk_rreq + 1\nt < 5", []string{"host_disk_rreq"}},
-		{"# nothing\n", nil},
-	}
-	for _, c := range cases {
-		p := mustParse(t, c.src)
-		got := p.FreeVars()
-		if len(got) != len(c.want) {
-			t.Errorf("FreeVars(%q) = %v, want %v", c.src, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("FreeVars(%q) = %v, want %v", c.src, got, c.want)
-				break
-			}
-		}
 	}
 }

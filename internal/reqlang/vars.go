@@ -14,14 +14,6 @@ func sortedKeys(set map[string]bool) []string {
 	return out
 }
 
-// FreeVars lists the variables the program reads without first
-// assigning them. The wizard uses this to learn which parameter
-// groups applications actually ask about, so probes can be told to
-// measure and ship only those (the Chapter 6 selected-parameters
-// extension). The returned slice is shared with the Program and must
-// be treated as read-only.
-func (p *Program) FreeVars() []string { return p.free }
-
 // MentionedVars lists every identifier the program reads or assigns
 // (excluding user-side parameters and built-in constants), sorted.
 // The selector uses it to bind only the status variables an

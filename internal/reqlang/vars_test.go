@@ -17,16 +17,10 @@ func TestFreeAndMentionedVars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Free: read but never assigned, excluding built-in constants
-	// (true) and user params; minmem is assigned before use, score too.
-	wantFree := []string{"host_cpu_bogomips", "host_cpu_free", "host_memory_free"}
-	if got := p.FreeVars(); !reflect.DeepEqual(got, wantFree) {
-		t.Errorf("FreeVars = %v, want %v", got, wantFree)
-	}
-	// Mentioned adds assignment targets: everything the evaluator may
-	// look up or bind, so an env restricted to this set is
-	// semantics-identical to a full env. Constants (true) and user
-	// parameters are not variables.
+	// Mentioned: every variable read and every assignment target, free
+	// or not — everything the evaluator may look up or bind, so an env
+	// restricted to this set is semantics-identical to a full env.
+	// Constants (true) and user parameters are not variables.
 	wantMentioned := []string{"host_cpu_bogomips", "host_cpu_free", "host_memory_free", "minmem", "score"}
 	if got := p.MentionedVars(); !reflect.DeepEqual(got, wantMentioned) {
 		t.Errorf("MentionedVars = %v, want %v", got, wantMentioned)

@@ -106,11 +106,3 @@ func (b *Backoff) Reset() {
 	b.attempt = 0
 	b.mu.Unlock()
 }
-
-// Attempts reports how many waits have been handed out since the last
-// Reset.
-func (b *Backoff) Attempts() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.attempt
-}

@@ -26,9 +26,8 @@ func TestExponentialGrowthAndCap(t *testing.T) {
 func TestResetRestartsSchedule(t *testing.T) {
 	b := noJitter(&Backoff{Base: 50 * time.Millisecond})
 	b.Next()
-	b.Next()
-	if b.Attempts() != 2 {
-		t.Fatalf("Attempts = %d, want 2", b.Attempts())
+	if got := b.Next(); got != 100*time.Millisecond {
+		t.Fatalf("second wait %v, want 2×base", got)
 	}
 	b.Reset()
 	if got := b.Next(); got != 50*time.Millisecond {

@@ -36,24 +36,6 @@ func TestUnmarshalBatchesNeverPanic(t *testing.T) {
 	neverPanics(t, "UnmarshalSecBatch", func(data []byte) { UnmarshalSecBatch(data) })
 }
 
-func TestDecodeControlNeverPanics(t *testing.T) {
-	neverPanics(t, "DecodeControl", func(data []byte) { DecodeControl(data) })
-}
-
-func TestControlRoundTrip(t *testing.T) {
-	for mask := 0; mask < 256; mask++ {
-		got, err := DecodeControl(EncodeControl(uint8(mask)))
-		if err != nil || got != uint8(mask) {
-			t.Fatalf("mask %d: got %d, err %v", mask, got, err)
-		}
-	}
-	for _, bad := range []string{"", "SSC1", "SSC1|", "SSC1|999", "SSC2|3", "SSR1|x"} {
-		if _, err := DecodeControl([]byte(bad)); err == nil {
-			t.Errorf("DecodeControl(%q) accepted", bad)
-		}
-	}
-}
-
 // Mutation property: flipping bytes of a valid encoding must never
 // produce a record that silently decodes to different *lengths* of
 // data (truncation and trailing bytes are detected).

@@ -111,7 +111,7 @@ func TestFreshSysMatchesSnapshotCutoff(t *testing.T) {
 	}
 	// Sys and FreshSys both derive from one snapshot, so the counts a
 	// selector reports can never disagree.
-	if total := len(db.Sys()); total != 2 {
+	if total := len(db.FreshSys(0)); total != 2 {
 		t.Fatalf("Sys has %d records, want 2", total)
 	}
 }

@@ -518,11 +518,6 @@ func (db *DB) GetSec(host string) (SecRecord, bool) {
 	return db.sec.get(host)
 }
 
-// Sys returns all server records, sorted by host for determinism.
-// The slice is the caller's to keep; it is copied off the current
-// snapshot rather than assembled under the lock.
-func (db *DB) Sys() []SysRecord { return db.FreshSys(0) }
-
 // Net returns all network records, sorted by (From, To).
 func (db *DB) Net() []NetRecord {
 	db.mu.RLock()

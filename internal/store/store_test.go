@@ -57,7 +57,7 @@ func TestSysSorted(t *testing.T) {
 	for _, h := range []string{"zeta", "alpha", "mid"} {
 		db.PutSys(host(h, 1))
 	}
-	recs := db.Sys()
+	recs := db.FreshSys(0)
 	var names []string
 	for _, r := range recs {
 		names = append(names, r.Status.Host)
@@ -262,7 +262,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				db.Sys()
+				db.FreshSys(0)
 				db.Snapshot()
 				db.ExpireSys(time.Hour)
 			}

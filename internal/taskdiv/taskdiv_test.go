@@ -32,13 +32,13 @@ func TestRequirementForCPUHeavyTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle := sysinfo.Idle("idlebox", 4000, 512)
-	if !prog.Eval(reqtest.Env(prog, idle.Vars())).Qualified {
+	if !prog.EvalFrom(reqtest.Env(prog, idle.Vars()), 0).Qualified {
 		t.Error("idle 512 MB box rejected by generated requirement")
 	}
 	busy := sysinfo.Idle("busybox", 4000, 512)
 	busy.CPUIdle = 0.3
 	busy.Load1 = 2
-	if prog.Eval(reqtest.Env(prog, busy.Vars())).Qualified {
+	if prog.EvalFrom(reqtest.Env(prog, busy.Vars()), 0).Qualified {
 		t.Error("busy box accepted by generated CPU-heavy requirement")
 	}
 }

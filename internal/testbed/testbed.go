@@ -402,19 +402,6 @@ func (c *Cluster) CrashHost(name string) error {
 	return nil
 }
 
-// RestartHost brings a crashed host back: a fresh probe re-registers
-// it with the monitor on its first report. Restarting a live host is
-// an error — crash it first.
-func (c *Cluster) RestartHost(name string) error {
-	c.hostMu.Lock()
-	cancelProbe, ok := c.hostCancel[name]
-	c.hostMu.Unlock()
-	if ok && cancelProbe != nil {
-		return fmt.Errorf("testbed: host %q is already running", name)
-	}
-	return c.startProbe(name)
-}
-
 // WizardAddr is the UDP address clients send requests to.
 func (c *Cluster) WizardAddr() string { return c.wizard.Addr() }
 
@@ -422,11 +409,8 @@ func (c *Cluster) WizardAddr() string { return c.wizard.Addr() }
 // its counters and cache statistics.
 func (c *Cluster) Wizard() *wizard.Wizard { return c.wizard }
 
-// MonitorAddr is the system monitor's report address.
-func (c *Cluster) MonitorAddr() string { return c.sysMonitor.Addr() }
-
 // Monitor exposes the system monitor, so chaos tests can reconcile
-// its report/expiry counters against the obs registry.
+// its report counter against the obs registry.
 func (c *Cluster) Monitor() *monitor.Monitor { return c.sysMonitor }
 
 // Close stops every component and waits for their goroutines to

@@ -263,7 +263,7 @@ func TestCentralizedModeMergesMultipleTransmitters(t *testing.T) {
 		return txReg
 	}
 	hosts := func() (names []string) {
-		for _, r := range dst.Sys() {
+		for _, r := range dst.FreshSys(0) {
 			names = append(names, r.Status.Host)
 		}
 		return names

@@ -118,8 +118,7 @@ func TestReloadTemplatesSwapsAndPurges(t *testing.T) {
 // TestWorkerPoolConcurrentAnswerAndStats is the fast path's race
 // test: many goroutines call Answer (some through templates, some
 // with parse errors) while others read every stats surface. Run with
-// -race this covers the cache, the template pointer, the counters and
-// the VarStats map.
+// -race this covers the cache, the template pointer and the counters.
 func TestWorkerPoolConcurrentAnswerAndStats(t *testing.T) {
 	db := store.New()
 	for i := 0; i < 8; i++ {
@@ -171,10 +170,9 @@ func TestWorkerPoolConcurrentAnswerAndStats(t *testing.T) {
 				return
 			default:
 			}
-			w.VarStats()
 			w.Handled()
 			w.Rejected()
-			w.UpdateFailures()
+			w.Stats()
 			if hits, _ := w.CacheStats(); hits > uint64(goroutines*perG) {
 				t.Error("cache hits exceed requests")
 				return
@@ -185,10 +183,6 @@ func TestWorkerPoolConcurrentAnswerAndStats(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	stats := w.VarStats()
-	if stats["host_cpu_bogomips"] == 0 {
-		t.Error("VarStats lost the bogomips reads")
-	}
 	hits, misses := w.CacheStats()
 	if total := goroutines * perG; hits+misses != uint64(total) {
 		t.Errorf("cache saw %d compiles for %d requests", hits+misses, total)

@@ -144,32 +144,6 @@ type Wizard struct {
 	latStale    *obs.Histogram // rejected with stale records dropped
 	latParse    *obs.Histogram // requirement did not parse / unknown template
 	latRejected *obs.Histogram // any other error reply
-
-	varMu     sync.Mutex
-	varCounts map[string]uint64
-}
-
-// VarStats reports how often each server-side variable has appeared
-// in requirements so far — the popularity summary Chapter 6 proposes
-// so probes can be told to report only what applications actually ask
-// about. Combine with probe.MaskForVariables and
-// monitor.SetReportMask to close the loop.
-func (w *Wizard) VarStats() map[string]uint64 {
-	w.varMu.Lock()
-	defer w.varMu.Unlock()
-	out := make(map[string]uint64, len(w.varCounts))
-	for k, v := range w.varCounts {
-		out[k] = v
-	}
-	return out
-}
-
-func (w *Wizard) recordVars(vars []string) {
-	w.varMu.Lock()
-	defer w.varMu.Unlock()
-	for _, v := range vars {
-		w.varCounts[v]++
-	}
 }
 
 // New binds the wizard's socket (or SO_REUSEPORT shard set).
@@ -212,7 +186,6 @@ func New(cfg Config) (*Wizard, error) {
 		latStale:    cfg.Obs.Histogram("wizard_latency_stale_dropped", obs.LatencyBuckets),
 		latParse:    cfg.Obs.Histogram("wizard_latency_parse_error", obs.LatencyBuckets),
 		latRejected: cfg.Obs.Histogram("wizard_latency_rejected", obs.LatencyBuckets),
-		varCounts:   make(map[string]uint64),
 	}
 	w.templates.Store(&cfg.Templates)
 	return w, nil
@@ -237,12 +210,6 @@ func (w *Wizard) Handled() uint64 { return w.handled.Value() }
 
 // Rejected reports the number of requests answered with an error.
 func (w *Wizard) Rejected() uint64 { return w.rejected.Value() }
-
-// UpdateFailures reports how many pre-request database refreshes have
-// failed. The wizard still answers from the data it has ("stale data
-// beats no answer"), so this counter is the only visible trace of a
-// flapping transmitter link — dashboards and chaos tests watch it.
-func (w *Wizard) UpdateFailures() uint64 { return w.updateFail.Value() }
 
 // Stats is one coherent reading of the wizard's request counters.
 type Stats struct {
@@ -565,7 +532,6 @@ func (w *Wizard) answer(ctx context.Context, req *proto.Request, reply *proto.Re
 		fail("parse requirement: %v", err)
 		return w.latParse
 	}
-	w.recordVars(prog.FreeVars())
 	if w.cfg.Update != nil {
 		// Distributed mode: refresh the databases on demand (§3.5.1).
 		if err := w.cfg.Update(ctx); err != nil {

@@ -201,27 +201,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestVarStatsAccumulate(t *testing.T) {
-	sel, _ := testSelector(t)
-	w := startWizard(t, Config{Selector: sel})
-	ask(t, w.Addr(), &proto.Request{Seq: 1, ServerNum: 1, Option: proto.OptPartialOK,
-		Detail: "host_cpu_free > 0.9\nhost_memory_free > 5\n"})
-	ask(t, w.Addr(), &proto.Request{Seq: 2, ServerNum: 1, Option: proto.OptPartialOK,
-		Detail: "host_cpu_free > 0.5"})
-	stats := w.VarStats()
-	if stats["host_cpu_free"] != 2 {
-		t.Errorf("host_cpu_free count = %d, want 2", stats["host_cpu_free"])
-	}
-	if stats["host_memory_free"] != 1 {
-		t.Errorf("host_memory_free count = %d, want 1", stats["host_memory_free"])
-	}
-	// The returned map is a copy: mutating it must not poison stats.
-	stats["host_cpu_free"] = 99
-	if w.VarStats()["host_cpu_free"] != 2 {
-		t.Error("VarStats exposed internal state")
-	}
-}
-
 func TestWizardHandlesConcurrentClients(t *testing.T) {
 	// The wizard serves requests sequentially (§3.6.1), but many
 	// clients may fire at once; every one must get its own reply with

@@ -209,20 +209,24 @@ SIZE_SCHEMA = {
 # wizard socket left it, and total moved with it; the report codec's
 # exact short-decimal path moved status, monitor and total up (status by
 # its +180 budget); one float column per register lowered reqlang, "."
-# and total. A PR that grows one of
-# these past its ceiling deletes elsewhere in the same PR, or moves the
+# and total; deleting what only tests called (the selected-parameters
+# loop, test-only accessors) lowered total, store, status, monitor and
+# reqlang, and added probe and wizard at their new sizes. A PR that
+# grows one of these past its ceiling deletes elsewhere in the same PR, or moves the
 # ceiling here and says why in its CHANGES.md entry; a PR that shrinks
 # one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 20271,
+    "total": 19952,
     ".": 714,
     "internal/core": 1004,
     "internal/index": 667,
-    "internal/store": 1087,
-    "internal/status": 1274,
+    "internal/store": 1082,
+    "internal/status": 1235,
     "internal/transport": 1127,
-    "internal/monitor": 351,
-    "internal/reqlang": 2055,
+    "internal/monitor": 307,
+    "internal/probe": 232,
+    "internal/reqlang": 2037,
+    "internal/wizard": 668,
     "internal/lint": 995,
     "internal/lint/flow": 439,
 }

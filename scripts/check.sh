@@ -2,9 +2,10 @@
 # check.sh runs the full correctness gate: formatting, go vet, build,
 # race-enabled tests, a fuzz smoke of the batch evaluator, the committed
 # size numbers, the naming, one-evaluator, one-applier, columns-not-rows,
-# pages-by-ID, one-wizard-socket, report-float and benchmark-consumer guards, and the project's own
-# static analyzers (cmd/smartlint). CI runs exactly this script; run it
-# locally before sending a change.
+# pages-by-ID, one-wizard-socket, the-wizard-holds-no-mutex, report-float
+# and benchmark-consumer guards, and the project's own static analyzers
+# (cmd/smartlint). CI runs exactly this script; run it locally before
+# sending a change.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -151,6 +152,22 @@ udpdials=$(awk '
 if [ -n "$udpdials" ]; then
 	echo "smartsock.go dials the wizard outside take (take the kept socket instead):" >&2
 	echo "$udpdials" >&2
+	exit 1
+fi
+
+echo "== the wizard holds no mutex =="
+# Every answered request runs through the Wizard's methods on whichever
+# drain loop popped it; a mutex field in the Wizard is a lock each answer
+# may take, serialising the drain loops across Ps. Per-request state
+# lives in the loop's scratch, counters in the obs registry.
+wizmu=$(awk '
+	/^type Wizard struct/ { body = 1 }
+	body && /sync\.(RW)?Mutex([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }
+	body && /^}/ { body = 0 }
+' internal/wizard/wizard.go)
+if [ -n "$wizmu" ]; then
+	echo "internal/wizard/wizard.go gives the Wizard a mutex (keep per-request state off shared locks):" >&2
+	echo "$wizmu" >&2
 	exit 1
 fi
 
