@@ -55,18 +55,3 @@ func describeDecision(d Decision, chosen map[string]bool, stmtText map[int]strin
 		return "qualified but not needed"
 	}
 }
-
-// isChosen matches a decision's host against the (possibly
-// port-suffixed) selected addresses.
-func isChosen(host string, chosen map[string]bool) bool {
-	if chosen[host] {
-		return true
-	}
-	h, _ := splitHost(host)
-	for addr := range chosen {
-		if a, _ := splitHost(addr); a == h {
-			return true
-		}
-	}
-	return false
-}

@@ -33,6 +33,8 @@ type progInfo struct {
 	// read costs the survivors nothing.
 	all, residual slotVars
 
+	params int      // user parameters the program assigns
+	hosts  []string // the program's strings' hostKeys, nil if params is 0
 	plan   *reqlang.Plan
 	cons   []index.Constraint
 	consAt []int    // per constraint: its field's status.VarIndex, -1 for the security level
@@ -81,6 +83,11 @@ func (s *Selector) infoFor(prog *reqlang.Program) *progInfo {
 
 func (s *Selector) resolve(prog *reqlang.Program) *progInfo {
 	e := &progInfo{all: s.slotVars(prog, 0)}
+	if e.params = len(prog.UserParams()); e.params > 0 {
+		for _, str := range prog.Strings() {
+			e.hosts = append(e.hosts, hostKey(str))
+		}
+	}
 	if plan := prog.Plan(indexableVar); plan != nil {
 		e.plan = plan
 		e.residual = s.slotVars(prog, plan.Prefix)

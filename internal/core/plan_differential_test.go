@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -529,6 +530,114 @@ func TestPlannerDifferentialBroadSpans(t *testing.T) {
 			if c["index_fallbacks"] != 0 {
 				t.Errorf("%d hosts: index fell back %d times on a quiescent mirror", hosts, c["index_fallbacks"])
 			}
+		}
+	}
+}
+
+// hostListFleet spells hosts every way a list entry may have to match:
+// mixed case, ports, bracketed and bare IPv6, two hosts that fold to one
+// name ("h:9000", "H:9001"), a bracketed name ("[h]", keyed "h"), and
+// non-ASCII names EqualFold matches but lower-casing does not: the
+// Kelvin sign is no "k" to a byte comparison, and "ſ" (long s) stays
+// itself under strings.ToLower while EqualFold matches it with "S".
+var hostListFleet = []string{"h:9000", "H:9001", "[h]", "Mixed.Lab", "[fe80::1]:7000", "fe80::2", "FE80::A",
+	"\u212Aelvin.lab", "\u017Ferver.lab", "zeta"}
+
+// hostListCorpus lists those hosts in denied and preferred entries of
+// every form, entries that name no host among them.
+var hostListCorpus = []string{
+	"host_system_load1 < 4\nuser_denied_host1 = \"h\"\n",
+	"host_system_load1 < 4\nuser_preferred_host1 = \"H:1\"\nuser_preferred_host2 = \"mixed.lab\"\n",
+	"host_system_load1 < 4\nuser_denied_host1 = \"[FE80::1]\"\nuser_preferred_host1 = \"fe80::a\"\nuser_preferred_host2 = \"[fe80::2]:1\"\n",
+	"user_denied_host1 = \"nobody.lab\"\nuser_preferred_host1 = \"nobody.lab:80\"\nhost_system_load1 * 10\n",
+	"host_system_load1 < 5\nuser_preferred_host1 = \"KELVIN.LAB\"\nuser_preferred_host2 = \"Server.lab\"\nhost_system_load1\n",
+	"user_preferred_host1 = \"h:9000\"\nuser_denied_host2 = \"H\"\nuser_preferred_host3 = \"ZETA\"\nuser_preferred_host4 = \"diff-0100\"\n",
+	"host_system_load1 < 4\nuser_denied_host1 = \"kelvin.lab\"\nuser_denied_host2 = \"[[h]]\"\nuser_preferred_host2 = zeta\n",
+}
+
+// resolvedAgrees holds the selector's host sets for a snapshot to the
+// string matcher: each string of prog resolves to exactly the positions
+// whose host matchHost matches with it.
+func resolvedAgrees(sel *Selector, prog *reqlang.Program, snap *store.SysSnapshot) error {
+	var sc scratch
+	sel.resolveHosts(&query{info: sel.infoFor(prog), snap: snap}, &sc)
+	for j := 1; j < len(prog.Strings()); j++ {
+		entry := prog.Strings()[j]
+		got := slices.Clone(sc.hostPos[sc.hostAt[j]:sc.hostAt[j+1]])
+		slices.Sort(got)
+		var want []int
+		for i := range snap.Len() {
+			if matchHost(snap.Host(i), []string{entry}) == 0 {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("%q resolves to positions %v, the string matcher to %v", entry, got, want)
+		}
+	}
+	return nil
+}
+
+// TestPlannerDifferentialHostLists runs the four-way comparison over
+// hostListFleet, spread over three pages of lower-case hosts, through an
+// expiry of one of the two hosts that fold to one name and the join of a
+// host of the same name again. A snapshot taken before the expiry is
+// held throughout: the selector rebuilds its alias list for each new set
+// of hosts, and the held snapshot must still resolve as the string
+// matcher reads it.
+func TestPlannerDifferentialHostLists(t *testing.T) {
+	for _, age := range []time.Duration{diffStaleAge, 0} {
+		h := newDiffHarnessAge(t, age)
+		h.setCorpus(t, hostListCorpus)
+		put := func(i int, host string) {
+			s := diffSys(i, i%5)
+			s.Host = host
+			h.src.PutSys(s)
+		}
+		fleet := slices.Clone(hostListFleet)
+		for i := 0; i < 2*store.SysPageLen; i++ {
+			fleet = append(fleet, fmt.Sprintf("diff-%04d", i))
+		}
+		for i, host := range fleet {
+			put(i, host)
+		}
+		var held *store.SysSnapshot
+		step := func(what string) {
+			t.Helper()
+			if err := h.sync(); err != nil {
+				t.Fatal(err)
+			}
+			for val := range diffCounts {
+				if err := h.compareAll(val); err != nil {
+					t.Fatalf("MaxStatusAge %v, %s: %v", age, what, err)
+				}
+			}
+			if held == nil {
+				held = h.mir.SysView()
+			}
+			for _, sel := range []*Selector{h.planner, h.classic} {
+				for pi, prog := range h.progs {
+					for name, snap := range map[string]*store.SysSnapshot{"held": held, "current": h.mir.SysView()} {
+						if err := resolvedAgrees(sel, prog, snap); err != nil {
+							t.Fatalf("MaxStatusAge %v, %s, corpus[%d], %s snapshot: %v", age, what, pi, name, err)
+						}
+					}
+				}
+			}
+		}
+		step("loaded")
+		h.now = h.now.Add(2 * time.Second)
+		for i, host := range fleet {
+			if host != "H:9001" {
+				put(i, host)
+			}
+		}
+		h.src.ExpireSys(time.Second)
+		step("H:9001 expired")
+		put(0, "H:9001")
+		step("H:9001 joined again")
+		if got, want := h.mir.SysView().Len(), held.Len(); got != want {
+			t.Fatalf("%d hosts after the join, %d before the expiry", got, want)
 		}
 	}
 }

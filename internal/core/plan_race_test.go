@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +55,9 @@ func TestSelectConcurrentChurn(t *testing.T) {
 		"host_cpu_free > 0.5\nhost_system_load1 * -1\n",
 		"host_security_level >= 2\n",
 		"host_memory_free > 1 && host_system_load1 < 5\n",
+		// Host lists resolve against each selection's own snapshot while
+		// joins and expiries rebuild the selector's alias list.
+		"host_system_load1 < 5\nuser_denied_host1 = \"STORM-001\"\nuser_preferred_host1 = \"storm-002:1\"\n",
 	} {
 		p, err := reqlang.Parse(src)
 		if err != nil {
@@ -88,6 +92,8 @@ func TestSelectConcurrentChurn(t *testing.T) {
 				// Old records only: the table must stay above the plan
 				// threshold so every selection runs under plan semantics.
 				db.ExpireSys(time.Second)
+			case 6:
+				db.PutSys(status.ServerStatus{Host: fmt.Sprintf("Storm-%03d:7000", rng.Intn(50)), CPUIdle: 0.9})
 			case 7:
 				db.PutSec(status.SecLevel{Host: fmt.Sprintf("storm-%03d", rng.Intn(200)), Level: rng.Intn(5)})
 			default:
@@ -117,6 +123,10 @@ func TestSelectConcurrentChurn(t *testing.T) {
 				// shows up here as nonsense counts.
 				if res.Pruned < 0 || res.StaleDropped < 0 || len(res.Servers) > 3 {
 					t.Errorf("reader %d: malformed result %+v", r, res)
+					return
+				}
+				if slices.Contains(res.Servers, "storm-001:9000") && len(prog.UserParams()) > 0 {
+					t.Errorf("reader %d: the denied host was selected: %v", r, res.Servers)
 					return
 				}
 			}

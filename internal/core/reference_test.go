@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"smartsock/internal/proto"
 	"smartsock/internal/reqlang"
@@ -81,4 +82,21 @@ func referenceSelect(s *Selector, prog *reqlang.Program, n int, opt proto.Option
 		return result, fmt.Errorf("core: only %d of %d requested servers qualify", len(result.Servers), n)
 	}
 	return result, nil
+}
+
+// matchHost is the string matcher the selector's resolved host sets
+// replaced, kept as their oracle: it finds host in a user-supplied list,
+// matching case-insensitively and ignoring any port suffix on either
+// side, and returns the index, or -1.
+func matchHost(host string, list []string) int {
+	if len(list) == 0 {
+		return -1
+	}
+	h, _ := splitHost(host)
+	for i, entry := range list {
+		if e, _ := splitHost(entry); strings.EqualFold(h, e) {
+			return i
+		}
+	}
+	return -1
 }

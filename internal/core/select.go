@@ -15,11 +15,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"net"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -116,6 +116,7 @@ type Selector struct {
 	scratch sync.Pool // of *scratch
 	memo    selMemo
 	idx     *index.Set
+	aliases atomic.Pointer[hostAliases] // see aliasesFor
 	infoMu  sync.RWMutex
 	infos   map[*reqlang.Program]*progInfo // see infoFor
 	// forceScan makes planned selections filter the snapshot's columns
@@ -138,13 +139,14 @@ type Selector struct {
 
 // scratch is one selection's reusable working storage.
 type scratch struct {
-	env   reqlang.Env               // the batch: one snapshot page of lanes
-	at    [store.SysPageLen]int     // the page offsets a source yields
-	lanes [store.SysPageLen]int     // those not stale: the offsets bound into the batch
-	vals  [store.SysPageLen]float64 // a column the page does not hold as is: converted memory, security levels
-	bits  index.Bits                // index candidate positions
-	ids   index.Bits                // the index's working set, over its host ids
-	top   []candidate               // the bounded winner list
+	env             reqlang.Env               // the batch: one snapshot page of lanes
+	at              [store.SysPageLen]int     // the page offsets a source yields
+	lanes           [store.SysPageLen]int     // those not stale: the offsets bound into the batch
+	vals            [store.SysPageLen]float64 // a column the page does not hold as is: converted memory, security levels
+	bits            index.Bits                // index candidate positions
+	ids             index.Bits                // the index's working set, over its host ids
+	top             []candidate               // the bounded winner list
+	hostAt, hostPos []int                     // the lists' host positions (resolveHosts)
 }
 
 // memoKey identifies one selection question. Programs come from the
@@ -447,6 +449,10 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 			defer memo.mu.Unlock()
 		}
 	}
+	params := q.info.params
+	if params > 0 {
+		s.resolveHosts(q, sc)
+	}
 	filterStale, cutoff := !q.cutoff.IsZero(), store.Offset(q.cutoff)
 	evals, memoEvals, hits, visited := 0, 0, 0, size
 pages:
@@ -502,12 +508,13 @@ pages:
 		}
 		s.bind(q, sc, vars, page, lanes)
 		q.prog.Run(env, from)
+		// A page no list entry names has no lane to test.
+		listed := params > 0 && slices.ContainsFunc(sc.hostPos, func(pos int) bool { return pos >= first && pos < first+page.Len() })
 		for l, i := range lanes {
 			evals++
 			qualified, denied, preferred := env.Qualified(l), false, -1
-			if no, yes := env.Hosts(l); len(no)+len(yes) > 0 {
-				host := page.Host(i)
-				denied, preferred = matchHost(host, no) >= 0, matchHost(host, yes)
+			if listed {
+				denied, preferred = sc.listed(env, params, l, first+i)
 				qualified = qualified && !denied
 			}
 			if q.explain {
@@ -562,7 +569,7 @@ pages:
 // candidate is one qualified server competing for the reply.
 type candidate struct {
 	pos       int // snapshot position, the first-found tiebreak
-	preferred int // index in the preferred list, -1 if not
+	preferred int // slot-order index of the first preferred parameter naming it, -1 if none
 	score     float64
 	hasScore  bool
 }
@@ -720,42 +727,4 @@ func (s *Selector) netBinding(q *query, group string) netBinding {
 		q.netMemo[group] = b
 	}
 	return b
-}
-
-// dialAddr renders a host as a dialable address: one that carries no
-// port of its own gets the service port, an IPv6 one in brackets.
-func (s *Selector) dialAddr(host string) string {
-	h, hasPort := splitHost(host)
-	if s.port == "" || hasPort {
-		return host
-	}
-	return net.JoinHostPort(h, s.port)
-}
-
-// matchHost finds host in a user-supplied list, matching
-// case-insensitively and ignoring any port suffix on either side. It
-// returns the index, or -1.
-func matchHost(host string, list []string) int {
-	if len(list) == 0 {
-		return -1
-	}
-	h, _ := splitHost(host)
-	for i, entry := range list {
-		if e, _ := splitHost(entry); strings.EqualFold(h, e) {
-			return i
-		}
-	}
-	return -1
-}
-
-// splitHost strips an address down to its host and reports whether it
-// carried a port: "h:9000" and "[fe80::1]:9000" do; "h", "fe80::1" and
-// "[fe80::1]" do not.
-func splitHost(addr string) (host string, hasPort bool) {
-	if strings.Count(addr, ":") == 1 || strings.Contains(addr, "]:") {
-		if h, _, err := net.SplitHostPort(addr); err == nil {
-			return h, true
-		}
-	}
-	return strings.TrimSuffix(strings.TrimPrefix(addr, "["), "]"), false
 }

@@ -25,7 +25,12 @@ import (
 //     (arithmetic operand), so the planner immediately falls back to
 //     the historical scan; its overhead must stay in the noise;
 //   - denied: broad with a user_denied_host1 line, so every lane also
-//     stores a host string and every qualifier's hosts are matched.
+//     stores a host string and every qualifier's hosts are matched;
+//   - aliased: denied over a fleet whose every name carries a port and
+//     a capital ("Fleet-0000007:9000"), with one host joining before
+//     each selection: the case a per-fleet cache of canonical names
+//     cannot help, so it bounds what the list costs (not at 1M hosts,
+//     where each run would load a fresh million-host table).
 //
 // The per-iteration "evals/op" metric counts requirement evaluations
 // through the selector's core_record_evals counter: the acceptance bar
@@ -42,11 +47,13 @@ func BenchmarkSelectScale(b *testing.B) {
 	shapes := []struct {
 		name string
 		req  string
+		join bool // the aliased fleet, one join per selection
 	}{
-		{"selective", "host_cpu_free > 0.995\nhost_memory_free > 1\nhost_cpu_free * 100\n"},
-		{"broad", "host_cpu_free > 0.2\nhost_cpu_free * 100\n"},
-		{"unindexable", "host_cpu_free + 0 > 0.995\nhost_cpu_free * 100\n"},
-		{"denied", "host_cpu_free > 0.2\nuser_denied_host1 = \"fleet-0000007\"\nhost_cpu_free * 100\n"},
+		{"selective", "host_cpu_free > 0.995\nhost_memory_free > 1\nhost_cpu_free * 100\n", false},
+		{"broad", "host_cpu_free > 0.2\nhost_cpu_free * 100\n", false},
+		{"unindexable", "host_cpu_free + 0 > 0.995\nhost_cpu_free * 100\n", false},
+		{"denied", "host_cpu_free > 0.2\nuser_denied_host1 = \"fleet-0000007\"\nhost_cpu_free * 100\n", false},
+		{"aliased", "host_cpu_free > 0.2\nuser_denied_host1 = \"fleet-0000007\"\nhost_cpu_free * 100\n", true},
 	}
 	modes := []struct {
 		name      string
@@ -57,10 +64,16 @@ func BenchmarkSelectScale(b *testing.B) {
 	}
 	for _, size := range sizes {
 		for _, shape := range shapes {
+			if shape.join && size.n > 100_000 {
+				continue
+			}
 			for _, mode := range modes {
 				name := fmt.Sprintf("%s/%s/%s", size.name, shape.name, mode.name)
 				b.Run(name, func(b *testing.B) {
 					db := scaleDB(b, size.n)
+					if shape.join {
+						db = fleetDB(size.n, "Fleet-%07d:9000") // a fresh table: the run adds hosts
+					}
 					sel := newSelector(b, db, Config{
 						// A freshness cutoff keeps every iteration impure so
 						// the epoch memo never shortcuts the measurement.
@@ -79,6 +92,9 @@ func BenchmarkSelectScale(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
+						if shape.join {
+							db.PutSys(status.ServerStatus{Host: fmt.Sprintf("Fleet-j%07d:9000", i), CPUIdle: 0.5, MemTotal: 1 << 30, MemFree: 1 << 20})
+						}
 						if _, err := sel.Select(prog, 8, proto.OptPartialOK|proto.OptRankByExpr); err != nil {
 							b.Fatal(err)
 						}
@@ -101,11 +117,18 @@ func scaleDB(b *testing.B, n int) *store.DB {
 	if db, ok := scaleDBs[n]; ok {
 		return db
 	}
+	db := fleetDB(n, "fleet-%07d")
+	scaleDBs[n] = db
+	return db
+}
+
+// fleetDB loads n hosts named by format from their index.
+func fleetDB(n int, format string) *store.DB {
 	rng := rand.New(rand.NewSource(int64(n)))
 	recs := make([]status.ServerStatus, n)
 	for i := range recs {
 		recs[i] = status.ServerStatus{
-			Host:     fmt.Sprintf("fleet-%07d", i),
+			Host:     fmt.Sprintf(format, i),
 			Load1:    rng.Float64() * 8,
 			CPUIdle:  rng.Float64(),
 			Bogomips: 1000 + rng.Float64()*5000,
@@ -116,6 +139,5 @@ func scaleDB(b *testing.B, n int) *store.DB {
 	db := store.New()
 	db.Load(recs, nil, nil)
 	db.SysView() // materialise the snapshot outside any timed region
-	scaleDBs[n] = db
 	return db
 }

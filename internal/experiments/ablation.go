@@ -129,7 +129,7 @@ func ablationEncoding(o Options) (*Table, error) {
 		start = time.Now()
 		for it := 0; it < iters/n; it++ {
 			enc := status.MarshalSystemBatch(recs)
-			if _, err := status.UnmarshalSystemBatch(enc); err != nil {
+			if _, err := status.UnmarshalSystemBatch(enc, nil); err != nil {
 				return nil, err
 			}
 		}

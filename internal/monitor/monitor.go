@@ -198,7 +198,7 @@ func (m *Monitor) serveUDP(ctx context.Context, conn *net.UDPConn) error {
 		return fmt.Errorf("monitor: %w", err)
 	}
 	rx := netbatch.NewBatch(ep.Batch(), 64*1024)
-	var rec status.ServerStatus // every report is decoded over the last: a repeated name is not allocated again
+	recs, errs := make([]status.ServerStatus, ep.Batch()), make([]error, ep.Batch())
 	for {
 		n, err := ep.ReadBatch(rx)
 		if err != nil {
@@ -210,20 +210,27 @@ func (m *Monitor) serveUDP(ctx context.Context, conn *net.UDPConn) error {
 			}
 			return fmt.Errorf("monitor: read udp: %w", err)
 		}
-		for i := 0; i < n; i++ {
-			m.ingest(&rec, rx[i].Buf)
-		}
+		m.ingest(recs[:n], errs, rx)
 	}
 }
 
-func (m *Monitor) ingest(s *status.ServerStatus, msg []byte) {
-	if err := status.DecodeReportInto(s, msg); err != nil {
-		m.dropped.Add(1)
-		m.logf("monitor: dropping report: %v", err)
-		return
+// ingest decodes recs from msgs, each over its last report and interning
+// hosts against the database under one read lock, then upserts each.
+func (m *Monitor) ingest(recs []status.ServerStatus, errs []error, msgs []netbatch.Message) {
+	m.cfg.DB.SysNames(func(names status.Names) {
+		for i := range recs {
+			errs[i] = status.DecodeReportInto(&recs[i], msgs[i].Buf, names)
+		}
+	})
+	for i := range recs {
+		if errs[i] != nil {
+			m.dropped.Add(1)
+			m.logf("monitor: dropping report: %v", errs[i])
+		} else {
+			m.cfg.DB.PutSys(recs[i])
+			m.received.Add(1)
+		}
 	}
-	m.cfg.DB.PutSys(*s)
-	m.received.Add(1)
 }
 
 // serveTCP accepts framed-report connections until the listener closes;
@@ -253,7 +260,8 @@ func (m *Monitor) serveTCP(ctx context.Context, running *sync.WaitGroup) {
 				return
 			}
 			var buf []byte // one payload buffer for the connection's frames
-			var rec status.ServerStatus
+			var rec [1]status.ServerStatus
+			var errs [1]error
 			for {
 				var f status.Frame
 				var err error
@@ -265,7 +273,7 @@ func (m *Monitor) serveTCP(ctx context.Context, running *sync.WaitGroup) {
 					m.logf("monitor: unexpected frame type %v over tcp", f.Type)
 					return
 				}
-				m.ingest(&rec, f.Data)
+				m.ingest(rec[:], errs[:], []netbatch.Message{{Buf: f.Data}})
 			}
 		}(conn)
 	}

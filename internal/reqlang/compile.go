@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse flattens every statement into instructions over numbered
@@ -152,7 +153,7 @@ func (c *compiler) intern(s string) int32 {
 	if i, ok := c.strIdx[s]; ok {
 		return i
 	}
-	p, key := c.p, foldKey(s)
+	p, key := c.p, FoldKey(s)
 	i := int32(len(p.strs))
 	c.strIdx[s] = i
 	p.strs = append(p.strs, s)
@@ -166,16 +167,25 @@ func (c *compiler) intern(s string) int32 {
 	return i
 }
 
-// foldKey replaces every rune of s with the least of its case-folding
-// orbit: strings EqualFold calls equal share a key.
-func foldKey(s string) string {
-	return strings.Map(func(r rune) rune {
-		least := r
-		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
-			least = min(least, f)
+// FoldKey replaces every rune of s with one member of its case-folding
+// orbit, the least lower-case one, else the least: strings EqualFold
+// calls equal share a key, and lower-case ASCII is its own.
+func FoldKey(s string) string { return strings.Map(foldRune, s) }
+
+func foldRune(r rune) rune {
+	if r < utf8.RuneSelf {
+		if 'A' <= r && r <= 'Z' {
+			r += 'a' - 'A'
 		}
-		return least
-	}, s)
+		return r
+	}
+	rep, lower := r, unicode.IsLower(r)
+	for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+		if l := unicode.IsLower(f); l && !lower || l == lower && f < rep {
+			rep, lower = f, l
+		}
+	}
+	return rep
 }
 
 // nameReg returns the register of a variable or user parameter.

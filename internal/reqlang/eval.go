@@ -431,6 +431,9 @@ func (e *Env) each(pc int, in *instr) {
 // sets the score so far.
 func (e *Env) endNum(in *instr) {
 	st := &e.prog.Stmts[in.stmt]
+	if !st.Logical && !st.scores {
+		return // an assignment: nothing to judge or score
+	}
 	lanes := e.lanes[:e.n]
 	for l, v := range e.col(in.a)[:len(lanes)] {
 		if st.Logical {
@@ -452,17 +455,25 @@ func (e *Env) Qualified(lane int) bool {
 // Score returns the lane's score so far, if a statement set one.
 func (e *Env) Score(lane int) (float64, bool) { return e.lanes[lane].score, e.lanes[lane].scored }
 
+// Param reads user parameter k, in slot order, in a lane: the index in
+// Strings of the host it holds (0, "", when unset) and whether it is a
+// user_denied_host* rather than a user_preferred_host*.
+func (e *Env) Param(k, lane int) (str int, denied bool) {
+	u := &e.prog.uparams[k]
+	return int(e.num[int(u.reg)*e.cap+lane]), u.denied
+}
+
 // Hosts collects the lane's user parameters in slot order
 // (user_preferred_host1 before host2, …): the preference ranking the
 // wizard applies follows the order the user numbered the slots. The
 // lists alias the Env's scratch and are valid until the next call.
 func (e *Env) Hosts(lane int) (denied, preferred []string) {
 	e.denied, e.preferred = e.denied[:0], e.preferred[:0]
-	for _, u := range e.prog.uparams {
-		host := e.prog.strs[int(e.num[int(u.reg)*e.cap+lane])]
-		switch {
+	for k := range e.prog.uparams {
+		str, deny := e.Param(k, lane)
+		switch host := e.prog.strs[str]; {
 		case host == "":
-		case u.denied:
+		case deny:
 			e.denied = append(e.denied, host)
 		default:
 			e.preferred = append(e.preferred, host)

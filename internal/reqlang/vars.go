@@ -32,3 +32,19 @@ func (p *Program) SetsPreferred() bool {
 	}
 	return false
 }
+
+// UserParams lists the user parameters the program assigns, in slot
+// order: the order Hosts reports their hosts in and Env.Param reads
+// them.
+func (p *Program) UserParams() []string {
+	names := make([]string, len(p.uparams))
+	for k, u := range p.uparams {
+		names[k] = u.name
+	}
+	return names
+}
+
+// Strings is the program's string table, which Env.Param indexes: every
+// host a user parameter can hold is in it, and "" is index 0. It is
+// shared with the Program and must be treated as read-only.
+func (p *Program) Strings() []string { return p.strs }

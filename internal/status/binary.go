@@ -219,13 +219,13 @@ func appendStatus(b []byte, s *ServerStatus, str func([]byte, string) []byte, u6
 }
 
 // readStatus decodes what appendStatus wrote with the matching readers,
-// writing every field of s but keeping a name s already holds.
-func readStatus(b []byte, s *ServerStatus, str func([]byte) ([]byte, []byte, error), u64 func([]byte) (uint64, []byte, error)) ([]byte, error) {
+// writing every field of s but keeping a name s holds or names knows.
+func readStatus(b []byte, s *ServerStatus, names Names, str func([]byte) ([]byte, []byte, error), u64 func([]byte) (uint64, []byte, error)) ([]byte, error) {
 	raw, b, err := str(b)
 	if err != nil {
 		return nil, err
 	}
-	s.Host = keepName(s.Host, raw)
+	s.Host = internName(s.Host, raw, names)
 	for _, dst := range []*float64{
 		&s.Load1, &s.Load5, &s.Load15,
 		&s.CPUUser, &s.CPUNice, &s.CPUSystem, &s.CPUIdle, &s.Bogomips,
@@ -249,7 +249,7 @@ func readStatus(b []byte, s *ServerStatus, str func([]byte) ([]byte, []byte, err
 	if raw, b, err = str(b); err != nil {
 		return nil, err
 	}
-	s.NetIface = keepName(s.NetIface, raw)
+	s.NetIface = internName(s.NetIface, raw, nil)
 	for _, dst := range []*float64{
 		&s.NetRBytesPS, &s.NetRPacketsPS, &s.NetTBytesPS, &s.NetTPacketsPS,
 	} {
@@ -262,10 +262,6 @@ func readStatus(b []byte, s *ServerStatus, str func([]byte) ([]byte, []byte, err
 
 func appendStatusBatch(b []byte, s *ServerStatus) []byte {
 	return appendStatus(b, s, appendString, appendUint64)
-}
-
-func readStatusBatch(b []byte, s *ServerStatus) ([]byte, error) {
-	return readStatus(b, s, readBytes, readUint64)
 }
 
 // appendNet appends one network metric record the same way; Delay is
@@ -330,9 +326,12 @@ func AppendSystemBatch(dst []byte, recs []ServerStatus) []byte {
 	return appendBatch(dst, recs, appendStatusBatch)
 }
 
-// UnmarshalSystemBatch decodes a TypeSystem frame payload.
-func UnmarshalSystemBatch(b []byte) ([]ServerStatus, error) {
-	return unmarshalBatch(b, "system", 64, readStatusBatch)
+// UnmarshalSystemBatch decodes a TypeSystem frame payload, interning
+// hosts in names (which may be nil).
+func UnmarshalSystemBatch(b []byte, names Names) ([]ServerStatus, error) {
+	return unmarshalBatch(b, "system", 64, func(b []byte, s *ServerStatus) ([]byte, error) {
+		return readStatus(b, s, names, readBytes, readUint64)
+	})
 }
 
 // MarshalNetBatch encodes network metric records as a TypeNetwork

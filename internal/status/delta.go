@@ -144,10 +144,6 @@ func appendStatusDelta(b []byte, s *ServerStatus) []byte {
 	return appendStatus(b, s, appendVString, appendUvarint)
 }
 
-func readStatusDelta(b []byte, s *ServerStatus) ([]byte, error) {
-	return readStatus(b, s, readVBytes, readUvarint)
-}
-
 func appendNetDelta(b []byte, m *NetMetric) []byte {
 	return appendNet(b, m, appendVString, appendUvarint)
 }
@@ -277,8 +273,13 @@ func AppendSecDelta(dst []byte, d *SecDelta) []byte {
 
 // Parse decodes a TypeSysDelta payload into v, reusing v's slice
 // capacity. Deleted and Refreshed alias b.
-func (v *SysDeltaView) Parse(b []byte) error {
-	return parseDelta((*Delta[ServerStatus, []byte])(v), b, 64, readStatusDelta, 1, readVBytes)
+func (v *SysDeltaView) Parse(b []byte) error { return v.ParseWith(b, nil) }
+
+// ParseWith is Parse interning the changed records' hosts in names.
+func (v *SysDeltaView) ParseWith(b []byte, names Names) error {
+	return parseDelta((*Delta[ServerStatus, []byte])(v), b, 64, func(b []byte, s *ServerStatus) ([]byte, error) {
+		return readStatus(b, s, names, readVBytes, readUvarint)
+	}, 1, readVBytes)
 }
 
 // Parse decodes a TypeNetDelta payload into v, reusing v's slice

@@ -117,7 +117,7 @@ func FuzzUnmarshalBatch(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x00, 0x00})       // 65536 records in no bytes at all
 	f.Add([]byte{0x00, 0x00, 0x40, 0x00, 0, 1}) // 16384 records in two
 	f.Fuzz(func(t *testing.T, data []byte) {
-		batchFixedPoint(t, "system", data, UnmarshalSystemBatch, AppendSystemBatch)
+		batchFixedPoint(t, "system", data, func(b []byte) ([]ServerStatus, error) { return UnmarshalSystemBatch(b, nil) }, AppendSystemBatch)
 		batchFixedPoint(t, "net", data, UnmarshalNetBatch, AppendNetBatch)
 		batchFixedPoint(t, "sec", data, UnmarshalSecBatch, AppendSecBatch)
 	})

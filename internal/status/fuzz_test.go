@@ -31,7 +31,7 @@ func TestDecodeReportNeverPanics(t *testing.T) {
 }
 
 func TestUnmarshalBatchesNeverPanic(t *testing.T) {
-	neverPanics(t, "UnmarshalSystemBatch", func(data []byte) { UnmarshalSystemBatch(data) })
+	neverPanics(t, "UnmarshalSystemBatch", func(data []byte) { UnmarshalSystemBatch(data, nil) })
 	neverPanics(t, "UnmarshalNetBatch", func(data []byte) { UnmarshalNetBatch(data) })
 	neverPanics(t, "UnmarshalSecBatch", func(data []byte) { UnmarshalSecBatch(data) })
 }
@@ -60,7 +60,7 @@ func TestSystemBatchMutationDetection(t *testing.T) {
 		if bytes.Equal(mut, enc) {
 			continue
 		}
-		out, err := UnmarshalSystemBatch(mut)
+		out, err := UnmarshalSystemBatch(mut, nil)
 		if err != nil {
 			continue // detected: fine
 		}

@@ -82,7 +82,7 @@ func BenchmarkReportCodec(b *testing.B) {
 		b.Run("decode/"+shape.name, func(b *testing.B) {
 			var s ServerStatus
 			for i := 0; i < b.N; i++ {
-				if err := DecodeReportInto(&s, encs[i%len(encs)]); err != nil {
+				if err := DecodeReportInto(&s, encs[i%len(encs)], nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -104,7 +104,7 @@ func FuzzDecodeReport(f *testing.F) {
 		}
 		enc := AppendReport(nil, got)
 		var again ServerStatus
-		if err := DecodeReportInto(&again, enc); err != nil {
+		if err := DecodeReportInto(&again, enc, nil); err != nil {
 			t.Fatalf("re-decode of %q failed: %v", enc, err)
 		}
 		if !sameStatus(&again, got) {
@@ -158,7 +158,7 @@ func TestDecodeReportIntoAllocatesOnlyTheStrings(t *testing.T) {
 	encs := [2][]byte{enc, EncodeReport(&other)}
 	var s ServerStatus
 	decode := func(b []byte) {
-		if err := DecodeReportInto(&s, b); err != nil {
+		if err := DecodeReportInto(&s, b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,6 +169,17 @@ func TestDecodeReportIntoAllocatesOnlyTheStrings(t *testing.T) {
 	i := 0
 	if got := testing.AllocsPerRun(200, func() { i++; decode(encs[i%2]) }); got != 1 {
 		t.Errorf("DecodeReportInto of another host on the same interface: %v allocs, want 1 (Host)", got)
+	}
+	// A host the names know, decoded over a record that held another,
+	// is the table's string: no allocation at all.
+	names := nameTable{"other.lab": "other.lab"}
+	if got := testing.AllocsPerRun(200, func() {
+		i++
+		if err := DecodeReportInto(&s, encs[i%2], names); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("DecodeReportInto of a known host over another: %v allocs, want 0", got)
 	}
 	decode(enc)
 	if !reflect.DeepEqual(&s, sampleStatus()) {

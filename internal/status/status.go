@@ -5,7 +5,7 @@
 // thesis describes: the endian-safe ASCII probe-report format (§3.2.1),
 // whose short decimals bypass strconv to the same bytes, and the binary
 // [type,size,data] framing between transmitter and receiver (§3.5.1).
-// Decoders write every field: one over the last keeps unchanged names.
+// Decoders write every field, keep unchanged names and intern hosts.
 package status
 
 import (
@@ -348,7 +348,7 @@ func appendReportFloat(dst []byte, v float64) []byte {
 // into a fresh record.
 func DecodeReport(data []byte) (*ServerStatus, error) {
 	s := &ServerStatus{}
-	if err := DecodeReportInto(s, data); err != nil {
+	if err := DecodeReportInto(s, data, nil); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -356,9 +356,9 @@ func DecodeReport(data []byte) (*ServerStatus, error) {
 
 // DecodeReportInto parses an ASCII probe report into dst, scanning the
 // '|' fields of the datagram where they lie: it allocates only the names
-// that differ from dst's. On error dst holds the fields decoded before
-// the bad one and is of no use.
-func DecodeReportInto(dst *ServerStatus, data []byte) error {
+// that differ from dst's and that names does not know. On error dst
+// holds the fields decoded before the bad one and is of no use.
+func DecodeReportInto(dst *ServerStatus, data []byte, names Names) error {
 	if n := bytes.Count(data, []byte{'|'}); n != reportFieldCount {
 		return fmt.Errorf("status: report has %d fields, want %d", n, reportFieldCount)
 	}
@@ -366,7 +366,7 @@ func DecodeReportInto(dst *ServerStatus, data []byte) error {
 	if v := sc.next(); string(v) != reportVersion {
 		return fmt.Errorf("status: unknown report version %q", v)
 	}
-	dst.Host = unescapeName(dst.Host, sc.next())
+	dst.Host = unescapeName(dst.Host, sc.next(), names)
 	for _, f := range [...]*float64{&dst.Load1, &dst.Load5, &dst.Load15, &dst.CPUUser, &dst.CPUNice, &dst.CPUSystem, &dst.CPUIdle, &dst.Bogomips} {
 		sc.float(f)
 	}
@@ -376,7 +376,7 @@ func DecodeReportInto(dst *ServerStatus, data []byte) error {
 	for _, f := range [...]*float64{&dst.DiskAllReq, &dst.DiskRReq, &dst.DiskRBlocks, &dst.DiskWReq, &dst.DiskWBlocks} {
 		sc.float(f)
 	}
-	dst.NetIface = unescapeName(dst.NetIface, sc.next())
+	dst.NetIface = unescapeName(dst.NetIface, sc.next(), nil)
 	for _, f := range [...]*float64{&dst.NetRBytesPS, &dst.NetRPacketsPS, &dst.NetTBytesPS, &dst.NetTPacketsPS} {
 		sc.float(f)
 	}
@@ -512,17 +512,29 @@ func unescapeField(s string) string {
 
 // unescapeName decodes name field raw over cur, the record's name, which
 // is kept if raw spells it with nothing escaped.
-func unescapeName(cur string, raw []byte) string {
+func unescapeName(cur string, raw []byte, names Names) string {
 	if bytes.IndexByte(raw, '%') >= 0 {
 		return unescapeField(string(raw))
 	}
-	return keepName(cur, raw)
+	return internName(cur, raw, names)
 }
 
-// keepName returns cur if raw spells it, else raw as a new string.
-func keepName(cur string, raw []byte) string {
+// Names finds the string a table keys host b by, for a decoder to take
+// instead of allocating the name again. Name must not keep b.
+type Names interface {
+	Name(b []byte) (string, bool)
+}
+
+// internName returns cur if raw spells it, else the string names knows
+// raw by, else raw as a new string: never a view of raw's buffer.
+func internName(cur string, raw []byte, names Names) string {
 	if string(raw) == cur {
 		return cur
+	}
+	if names != nil {
+		if s, ok := names.Name(raw); ok {
+			return s
+		}
 	}
 	return string(raw)
 }

@@ -197,7 +197,7 @@ func TestPropertySystemBatchRoundTrip(t *testing.T) {
 		for i := range in {
 			in[i] = genStatus(r)
 		}
-		out, err := UnmarshalSystemBatch(MarshalSystemBatch(in))
+		out, err := UnmarshalSystemBatch(MarshalSystemBatch(in), nil)
 		if err != nil {
 			return false
 		}
@@ -337,11 +337,11 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 func TestUnmarshalBatchRejectsTruncation(t *testing.T) {
 	full := MarshalSystemBatch([]ServerStatus{*sampleStatus(), *sampleStatus()})
 	for _, cut := range []int{0, 3, 5, len(full) / 2, len(full) - 1} {
-		if _, err := UnmarshalSystemBatch(full[:cut]); err == nil {
+		if _, err := UnmarshalSystemBatch(full[:cut], nil); err == nil {
 			t.Errorf("UnmarshalSystemBatch accepted truncation at %d bytes", cut)
 		}
 	}
-	if _, err := UnmarshalSystemBatch(append(append([]byte{}, full...), 0x00)); err == nil {
+	if _, err := UnmarshalSystemBatch(append(append([]byte{}, full...), 0x00), nil); err == nil {
 		t.Error("UnmarshalSystemBatch accepted trailing bytes")
 	}
 }

@@ -165,7 +165,7 @@ func (p *pipe) sync() error {
 	// Round-trip the batches through the wire codec too: the mirror
 	// must be built from what a receiver would decode, not from shared
 	// memory.
-	sysRT, err := status.UnmarshalSystemBatch(status.AppendSystemBatch(nil, sys))
+	sysRT, err := status.UnmarshalSystemBatch(status.AppendSystemBatch(nil, sys), nil)
 	if err != nil {
 		return fmt.Errorf("system batch round-trip: %w", err)
 	}

@@ -72,7 +72,8 @@ type SysSnapshot struct {
 	n     int
 	// ver is the database version the snapshot reflects: the changelog
 	// entries above it name the hosts a successor must re-read.
-	ver uint64
+	ver     uint64
+	members uint64 // see Members: from pageIDs, kept by a patched successor
 	// root is the page table, in the header so a rebuild copies it with
 	// the header: page p at root[p>>shift][p&(1<<shift-1)]. The n records
 	// are in host order, SysPageLen to a page (the last may be short).
@@ -228,8 +229,12 @@ func (s *SysSnapshot) Each(fn func(i int, r *SysRecord)) {
 	}
 }
 
-// find returns the position of host, or of the first host after it.
-func (s *SysSnapshot) find(host string) (i int, found bool) {
+// Members identifies the snapshot's hosts: two snapshots with equal
+// Members hold the same hosts at the same positions.
+func (s *SysSnapshot) Members() uint64 { return s.members }
+
+// Find returns the position of host, or of the first host after it.
+func (s *SysSnapshot) Find(host string) (i int, found bool) {
 	i = sort.Search(s.n, func(j int) bool { return s.Host(j) >= host })
 	return i, i < s.n && s.Host(i) == host
 }
@@ -250,7 +255,7 @@ func (pg *pager) add(r *SysRecord) {
 // entries that hold them all, and at least eight, so that the reports
 // between two requests on a small table mostly dirty one leaf.
 func (pg pager) snapshot() *SysSnapshot {
-	s := &SysSnapshot{shift: 3}
+	s := &SysSnapshot{shift: 3, members: pageIDs.Add(1)}
 	for len(pg) > pageLeaves<<s.shift {
 		s.shift++
 	}
@@ -400,7 +405,7 @@ func (db *DB) patchedSysLocked(base *SysSnapshot) (s *SysSnapshot, ok bool) {
 	leaf, owned := -1, -1 // the leaf and page last copied: dirty is sorted, so both come in order
 	var page *SysPage
 	for _, host := range dirty {
-		at, found := base.find(host)
+		at, found := base.Find(host)
 		r, live := db.sys.live[host]
 		if !found || !live {
 			return db.respliceSysLocked(base, dirty), true
@@ -427,7 +432,7 @@ func (db *DB) respliceSysLocked(base *SysSnapshot, dirty []string) *SysSnapshot 
 	pg := make(pager, 0, (len(db.sys.live)+SysPageLen-1)/SysPageLen)
 	from := 0
 	for _, host := range dirty {
-		at, found := base.find(host)
+		at, found := base.Find(host)
 		pg.addRange(base, from, at)
 		from = at
 		if found {
@@ -495,6 +500,24 @@ func (db *DB) PutSec(l status.SecLevel) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.sec.upsert(l.Host, &l, db.clock())
+}
+
+// SysNames runs fn with the sys table as a status.Names under one read
+// lock, for a batch's decode. fn must not call back into db.
+func (db *DB) SysNames(fn func(status.Names)) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	fn(hostNames(db.sys.live))
+}
+
+// hostNames looks a host up by its bytes; m[string(b)] does not allocate.
+type hostNames map[string]*SysRecord
+
+func (m hostNames) Name(b []byte) (string, bool) {
+	if r, ok := m[string(b)]; ok {
+		return r.Status.Host, true
+	}
+	return "", false
 }
 
 // GetSys returns the record for one host.

@@ -19,8 +19,8 @@ import (
 // so any increase over the recorded steady state fails here before it
 // reaches the benchmark dashboards.
 const (
-	idleEpochAllocCeiling    = 31 // BENCH_transport.json delta-idle-1000h
-	refreshEpochAllocCeiling = 33 // BENCH_transport.json delta-refresh-1000h
+	idleEpochAllocCeiling    = 15 // BENCH_transport.json delta-idle-1000h
+	refreshEpochAllocCeiling = 17 // BENCH_transport.json delta-refresh-1000h
 )
 
 // allocHarness wires a transmitter to a receiver through an in-memory
@@ -100,13 +100,15 @@ func TestAllocsRefreshEpoch(t *testing.T) {
 // fullSnapshotAllocCeiling pins the epoch the delta pins above never
 // run: a full three-frame snapshot of 1000 hosts (every Compat epoch,
 // and the first and every resyncEvery-th epoch of a delta stream),
-// encoded, read and loaded. The measured 3023 are the receiving end's —
-// three per host: its two strings and its record in the mirror; three
-// frame buffers, which keepBytes has it release after a snapshot — and
-// none is the transmitter's: the encode buffer is the connection's.
-// Encoding one table into a fresh buffer costs 26 more (the buffer
-// growing to a snapshot's size) and fails here.
-const fullSnapshotAllocCeiling = 3025
+// encoded, read and loaded. The measured 2023 are the receiving end's —
+// two per host: its interface name and its record in the mirror (the
+// host name is the one the mirror already holds); three frame buffers,
+// which keepBytes has it release after a snapshot — and none is the
+// transmitter's: the encode buffer is the connection's. Encoding one
+// table into a fresh buffer costs 26 more (the buffer growing to a
+// snapshot's size), and a batch decode that stopped interning host
+// names 1000 more; both fail here.
+const fullSnapshotAllocCeiling = 2025
 
 func TestAllocsFullSnapshotEpoch(t *testing.T) {
 	if testing.Short() {
@@ -123,13 +125,13 @@ func TestAllocsFullSnapshotEpoch(t *testing.T) {
 // on both ends at once (AllocsPerRun counts the whole process, the
 // passive transmitter's goroutine included): the 64 PutSys calls, the
 // transmitter's request read, ChangedSince and encode, and the
-// receiver's parse and apply. Of the measured 67, 64 are the changed
-// hosts' names on their way into the mirror — the interface name, equal
-// to the one the view's slot held, is kept — and none is a buffer, a
-// view or a connection: those the session keeps. A pull that dialed,
-// dropped its buffers or decoded into zeroed records costs dozens more
-// and fails here.
-const steadyPullAllocCeiling = 73
+// receiver's parse and apply. It measures 3, and none is a name, a
+// buffer, a view or a connection: the changed hosts' names are the ones
+// the mirror already keys them by, the interface name is the one the
+// view's slot held, and the session keeps the rest. A pull that dialed,
+// dropped its buffers, decoded into zeroed records or allocated the 64
+// names again costs dozens more and fails here.
+const steadyPullAllocCeiling = 3
 
 func TestAllocsSteadyPull(t *testing.T) {
 	if testing.Short() {

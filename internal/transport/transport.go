@@ -710,13 +710,13 @@ func (r *Receiver) stage(f status.Frame, st *staged) (err error) {
 	base, top := st.base, st.top
 	switch f.Type {
 	case status.TypeSystem:
-		st.sys, err = status.UnmarshalSystemBatch(f.Data)
+		r.db.SysNames(func(names status.Names) { st.sys, err = status.UnmarshalSystemBatch(f.Data, names) })
 	case status.TypeNetwork:
 		st.net, err = status.UnmarshalNetBatch(f.Data)
 	case status.TypeSecurity:
 		st.sec, err = status.UnmarshalSecBatch(f.Data)
 	case status.TypeSysDelta:
-		err = st.sysV.Parse(f.Data)
+		r.db.SysNames(func(names status.Names) { err = st.sysV.ParseWith(f.Data, names) })
 		base, top = st.sysV.BaseVer, st.sysV.NewVer
 	case status.TypeNetDelta:
 		err = st.netV.Parse(f.Data)

@@ -50,7 +50,7 @@ SCHEMAS = {
         ],
     },
     "BENCH_select.json": {
-        "sections": ["benchmarks", "before_paged_snapshot", "before_batched_eval", "reduction"],
+        "sections": ["benchmarks", "before_paged_snapshot", "before_batched_eval", "before_resolved_hosts", "reduction"],
         "benchmarks": {
             "SelectScale/100k/selective/scan": ["ns_per_op", "evals_per_op"],
             "SelectScale/100k/selective/plan": ["ns_per_op", "evals_per_op"],
@@ -64,6 +64,8 @@ SCHEMAS = {
             "SelectScale/10k/unindexable/plan": ["ns_per_op"],
             "SelectScale/100k/denied/scan": ["ns_per_op", "evals_per_op"],
             "SelectScale/100k/denied/plan": ["ns_per_op", "evals_per_op"],
+            "SelectScale/100k/aliased/scan": ["ns_per_op", "evals_per_op"],
+            "SelectScale/100k/aliased/plan": ["ns_per_op", "evals_per_op"],
             "SysViewRebuild/hosts=20000": ["ns_per_op", "bytes_per_op", "allocs_per_op"],
             "SysViewRebuild/hosts=100000": ["ns_per_op", "bytes_per_op", "allocs_per_op"],
         },
@@ -79,12 +81,18 @@ SCHEMAS = {
             "allocs_broad_100k_plan",
             "ns_broad_100k_scan_vs_before",
             "ns_unindexable_100k_scan_vs_before",
+            "ns_denied_100k_plan_vs_before",
+            "ns_aliased_100k_plan_vs_before",
         ],
         # Acceptance bounds, not just shape: the planner must beat the
         # walk of every record by these margins at 100k hosts (the two
         # unindexable overheads are recorded rows, not gates: they
-        # compare a code path with itself, and so is the cost of one
-        # user_denied_host line on the broad plan); on a broad
+        # compare a code path with itself; so are the denied and aliased
+        # rows against the parent's string matcher, since a fixed figure
+        # would gate the host's drift); one user_denied_host line may
+        # cost the broad plan at most 1.3x, because the list is resolved
+        # to snapshot positions once per selection, not matched as
+        # strings per qualifier (it cost 3.57x); on a broad
         # requirement the planner declines the index and filters the
         # snapshot's columns, so it beats the walk by 10% at 100k hosts
         # and may not lose to it at 1M (it tied at 100k, 0.981, and lost
@@ -103,6 +111,7 @@ SCHEMAS = {
             "ns_broad_100k_plan_vs_scan": (None, 0.9),
             "ns_broad_1m_plan_vs_scan": (None, 1.0),
             "allocs_broad_100k_plan": (None, 200),
+            "ns_denied_100k_plan_vs_broad": (None, 1.3),
             "ns_broad_100k_scan_vs_before": (1.5, None),
             "ns_unindexable_100k_scan_vs_before": (1.5, None),
         },
@@ -211,21 +220,24 @@ SIZE_SCHEMA = {
 # its +180 budget); one float column per register lowered reqlang, "."
 # and total; deleting what only tests called (the selected-parameters
 # loop, test-only accessors) lowered total, store, status, monitor and
-# reqlang, and added probe and wizard at their new sizes. A PR that
-# grows one of these past its ceiling deletes elsewhere in the same PR, or moves the
-# ceiling here and says why in its CHANGES.md entry; a PR that shrinks
-# one lowers the ceiling to the new size.
+# reqlang, and added probe and wizard at their new sizes; interning host
+# names against the store and resolving host lists to snapshot positions
+# moved core, store, monitor, status, reqlang, "." and total up (the five
+# status and selection packages by +138, over their +90 budget).
+# A PR that grows one of these past its ceiling deletes elsewhere in the
+# same PR, or moves the ceiling here and says why in its CHANGES.md
+# entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 19952,
-    ".": 714,
-    "internal/core": 1004,
+    "total": 20134,
+    ".": 721,
+    "internal/core": 1099,
     "internal/index": 667,
-    "internal/store": 1082,
-    "internal/status": 1235,
+    "internal/store": 1105,
+    "internal/status": 1247,
     "internal/transport": 1127,
-    "internal/monitor": 307,
+    "internal/monitor": 315,
     "internal/probe": 232,
-    "internal/reqlang": 2037,
+    "internal/reqlang": 2074,
     "internal/wizard": 668,
     "internal/lint": 995,
     "internal/lint/flow": 439,

@@ -2,9 +2,9 @@
 # check.sh runs the full correctness gate: formatting, go vet, build,
 # race-enabled tests, a fuzz smoke of the batch evaluator, the committed
 # size numbers, the naming, one-evaluator, one-applier, columns-not-rows,
-# pages-by-ID, one-wizard-socket, the-wizard-holds-no-mutex, report-float
-# and benchmark-consumer guards, and the project's own static analyzers
-# (cmd/smartlint). CI runs exactly this script; run it locally before
+# pages-by-ID, one-wizard-socket, the-wizard-holds-no-mutex, report-float,
+# resolved-host-lists and benchmark-consumer guards, and the project's own
+# static analyzers (cmd/smartlint). CI runs exactly this script; run it locally before
 # sending a change.
 set -eu
 
@@ -185,6 +185,22 @@ floatpaths=$(awk '
 if [ -n "$floatpaths" ]; then
 	echo "internal/status/status.go converts report floats outside appendReportFloat and reportScanner.float:" >&2
 	echo "$floatpaths" >&2
+	exit 1
+fi
+
+echo "== host lists are resolved, not matched per lane =="
+# A selection resolves the user's denied and preferred lists to snapshot
+# positions once, in internal/core/hosts.go, so a lane's list test is a
+# lookup of its position. A matchHost or Env.Hosts call in the package,
+# or a splitHost call outside hosts.go, is the per-lane string matcher
+# coming back beside the resolved sets.
+hostmatch=$(awk '
+	/^[ \t]*\/\// { next }
+	/matchHost\(|\.Hosts\(/ || (/splitHost\(/ && FILENAME !~ /\/hosts\.go$/) { print FILENAME ":" FNR ": " $0 }
+' $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ -n "$hostmatch" ]; then
+	echo "internal/core matches host names outside the resolver (resolve the lists in hosts.go, test positions):" >&2
+	echo "$hostmatch" >&2
 	exit 1
 fi
 

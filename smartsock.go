@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -393,15 +394,21 @@ func (c *Client) Connect(ctx context.Context, requirement string, n int, opts ..
 	return set, nil
 }
 
-// denyHosts appends user_denied_host lines for up to 5 failed servers
-// (the user-side list holds five slots, Appendix B.2).
+// denyHosts appends user_denied_host lines for the failed servers, in
+// the slots the requirement leaves free: a slot it assigns holds the
+// user's own entry. Past the five of Appendix B.2 the slots go on
+// (user_denied_host6, …), which the language accepts.
 func denyHosts(requirement string, failed []string) string {
+	var taken []string
+	if prog, err := reqlang.Parse(requirement); err == nil {
+		taken = prog.UserParams()
+	}
 	out := requirement
-	for i, addr := range failed {
-		if i == 5 {
-			break
+	for slot := 1; len(failed) > 0; slot++ {
+		if name := fmt.Sprintf("user_denied_host%d", slot); !slices.Contains(taken, name) {
+			out += fmt.Sprintf("\n%s = %q", name, failed[0])
+			failed = failed[1:]
 		}
-		out += fmt.Sprintf("\nuser_denied_host%d = %q", i+1, addr)
 	}
 	return out
 }

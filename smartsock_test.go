@@ -219,6 +219,80 @@ func TestConnectDeniesRefusedIPv6Servers(t *testing.T) {
 	}
 }
 
+// TestConnectRecoveryKeepsTheUserBlacklist: the requirement denies "a"
+// itself, and asks for MaxServers servers, one more than the first
+// reply holds besides "b", which refuses. Connect's second round denies
+// "b" in a slot of its own, so "a" stays denied and is never dialed,
+// and the reply makes room for the last good server — also when the
+// requirement assigns all five slots of Appendix B.2.
+func TestConnectRecoveryKeepsTheUserBlacklist(t *testing.T) {
+	for name, req := range map[string]string{
+		"slot1":     "host_cpu_free > 0.5\nuser_denied_host1 = \"a\"\n",
+		"all-slots": "host_cpu_free > 0.5\nuser_denied_host1 = \"z1\"\nuser_denied_host2 = \"z2\"\nuser_denied_host3 = \"a\"\nuser_denied_host4 = \"z4\"\nuser_denied_host5 = \"z5\"\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			db := store.New()
+			good := make([]string, smartsock.MaxServers)
+			for i := range good {
+				good[i] = fmt.Sprintf("g%02d", i)
+			}
+			for _, h := range append([]string{"a", "b"}, good...) {
+				db.PutSys(status.ServerStatus{Host: h, CPUIdle: 0.9})
+			}
+			sel, err := core.New(db, core.Config{ServicePort: 9000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wz, err := wizard.New(wizard.Config{Addr: "127.0.0.1:0", Selector: sel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- wz.Run(ctx) }()
+			defer func() {
+				cancel()
+				<-done
+			}()
+
+			var mu sync.Mutex
+			var dialed []string
+			client, err := smartsock.NewClient(wz.Addr(), &smartsock.ClientConfig{Dial: func(network, addr string) (net.Conn, error) {
+				if network != "tcp" {
+					return net.Dial(network, addr)
+				}
+				mu.Lock()
+				dialed = append(dialed, addr)
+				mu.Unlock()
+				if addr == "b:9000" {
+					return nil, errors.New("connection refused")
+				}
+				conn, peer := net.Pipe()
+				t.Cleanup(func() { peer.Close() })
+				return conn, nil
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := client.Connect(ctx, req, smartsock.MaxServers, smartsock.OptPartialOK)
+			if err != nil {
+				t.Fatalf("%v (dialed %v)", err, dialed)
+			}
+			defer set.Close()
+			var want []string
+			for _, h := range good {
+				want = append(want, h+":9000")
+			}
+			if got := set.Addrs(); !reflect.DeepEqual(got, want) {
+				t.Errorf("connected to %v, want %v", got, want)
+			}
+			if want := append([]string{"b:9000"}, want...); !reflect.DeepEqual(dialed, want) {
+				t.Errorf("dialed %v, want %v: the user's denied host must stay denied, the refused one be denied", dialed, want)
+			}
+		})
+	}
+}
+
 func TestRequestServersShortfallError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
