@@ -116,7 +116,8 @@ func TestPageMemoCapStartsAgain(t *testing.T) {
 	// their reply sizes leave less room than the hot question's level.
 	snap := db.SysView()
 	pages := (snap.Len() + store.SysPageLen - 1) / store.SysPageLen
-	slot := func(n int) int { return int(unsafe.Sizeof(pageWinners{}) + uintptr(n)*unsafe.Sizeof(candidate{})) }
+	// A page's slot: its leaf and its share of the tree's nodes.
+	slot := func(n int) int { return 2 * int(unsafe.Sizeof(pageWinners{})+uintptr(n)*unsafe.Sizeof(candidate{})) }
 	var stale []memoKey
 	for room := pageMemoMaxBytes; room >= pages*slot(8); room = pageMemoMaxBytes - sel.memo.bytes {
 		k := memoKey{n: min(1<<16, (room/pages-slot(0))/(slot(1)-slot(0))), opt: proto.Option(len(stale))}
@@ -336,19 +337,26 @@ func TestPageMemoMatchesFreshSelector(t *testing.T) {
 	}
 }
 
-// TestPageMemoRevisitsPagesBehindAWorseReply: a page evaluated behind a
-// strong reply keeps only the candidates that beat it. When a write
-// weakens the reply in front of that page, the page is evaluated again,
-// or a candidate it left out would be missed.
-func TestPageMemoRevisitsPagesBehindAWorseReply(t *testing.T) {
+// memoHost is host hNNN with the given CPU idle share and nothing else.
+func memoHost(i int, idle float64) status.ServerStatus {
+	return status.ServerStatus{Host: fmt.Sprintf("h%03d", i), CPUIdle: idle}
+}
+
+// idleTable is three full pages of hosts idle 0.1 but for the given ones.
+func idleTable(idle map[int]float64) *store.DB {
 	db := store.New()
-	host := func(i int, idle float64) status.ServerStatus {
-		return status.ServerStatus{Host: fmt.Sprintf("h%03d", i), CPUIdle: idle}
-	}
 	for i := 0; i < 3*store.SysPageLen; i++ {
-		db.PutSys(host(i, 0.1))
+		db.PutSys(memoHost(i, 0.1+idle[i]))
 	}
-	db.PutSys(host(store.SysPageLen+5, 0.5)) // page 1: left out while page 0 holds a better host
+	return db
+}
+
+// TestPageMemoRevisitsPagesBehindAWorseReply: a page evaluated under the
+// tree's reply as its bound keeps only the candidates not after it. When
+// a write weakens the reply, the page is evaluated again, or a candidate
+// it left out would be missed.
+func TestPageMemoRevisitsPagesBehindAWorseReply(t *testing.T) {
+	db := idleTable(map[int]float64{20: 0.2, store.SysPageLen + 5: 0.4}) // h020 on page 0, h075 on page 1
 	reg := obs.NewRegistry()
 	// The walk: an index would serve a text this selective, and the page
 	// level serves the walk and the column filter only.
@@ -357,16 +365,23 @@ func TestPageMemoRevisitsPagesBehindAWorseReply(t *testing.T) {
 	if _, err := sel.Select(prog, 1, proto.OptRankByExpr); err != nil { // the first ask: no page level
 		t.Fatal(err)
 	}
+	best := 2*store.SysPageLen + 5 // h145, on page 2
 	for _, step := range []struct {
 		write    status.ServerStatus
 		want     string
 		pageHits uint64
 	}{
-		{host(5, 0.9), "h005", 0}, // the repeat builds the page level
-		// The best host stops qualifying: the reply is empty in front of
-		// page 1 and weaker in front of page 2, and both are evaluated again.
-		{host(5, 0.05), "h075", 0},
-		{host(2*store.SysPageLen+5, 0.3), "h075", 2}, // a write to page 2 leaves pages 0 and 1 to the memo
+		// The repeat builds the tree, each page bounded by the reply in
+		// front of it: page 0 by nothing, so its list keeps h020.
+		{memoHost(best, 0.9), "h145", 0},
+		// Page 1 is evaluated again under the tree's reply, h145, and
+		// leaves h075 out; pages 0 and 2 come from the memo.
+		{memoHost(store.SysPageLen+10, 0.15), "h145", 2},
+		// The best host stops qualifying: the merged lists leave h020 in
+		// front, behind the bound pages 1 and 2 were evaluated under, so
+		// both are evaluated again.
+		{memoHost(best, 0.05), "h075", 1},
+		{memoHost(best+5, 0.3), "h075", 2}, // a write to page 2 leaves pages 0 and 1 to the memo
 	} {
 		db.PutSys(step.write)
 		before := reg.Snapshot().Counters["core_page_hits"]
@@ -377,6 +392,57 @@ func TestPageMemoRevisitsPagesBehindAWorseReply(t *testing.T) {
 		if hits := reg.Snapshot().Counters["core_page_hits"] - before; hits != step.pageHits {
 			t.Errorf("after %s = %g: %d pages merged from the memo, want %d", step.write.Host, step.write.CPUIdle, hits, step.pageHits)
 		}
+	}
+}
+
+// TestPageMemoBoundIsInclusive: a page is evaluated under the tree's n-th
+// best, which may sit on the page itself or on a later one. The page's
+// list keeps a candidate equal to the bound, so a write beside the n-th
+// best does not lose it, and a candidate of an earlier page that ties the
+// bound on everything but position beats it. Either way the repeat
+// evaluates the written page once and nothing else.
+func TestPageMemoBoundIsInclusive(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		src   string
+		n     int
+		opt   proto.Option
+		idle  map[int]float64
+		write status.ServerStatus
+		want  string
+	}{
+		// h005 is the reply and the bound of its own page.
+		{"ranked, the n-th on the written page", "host_cpu_free > 0.2\nhost_cpu_free\n", 1, proto.OptRankByExpr,
+			map[int]float64{5: 0.8, store.SysPageLen + 5: 0.4}, memoHost(10, 0.15), "[h005]"},
+		// The bound is h145, unpreferred, on page 2: h010 ties it on
+		// everything but position, and comes first.
+		{"unranked, the n-th on a later page", "host_cpu_free > 0.2\nuser_preferred_host1 = \"h150\"\n", 2, 0,
+			map[int]float64{145: 0.5, 150: 0.5}, memoHost(10, 0.9), "[h150 h010]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := idleTable(tc.idle)
+			reg := obs.NewRegistry()
+			sel := newSelector(t, db, Config{Obs: reg, PlanThreshold: -1})
+			prog := mustProg(t, tc.src)
+			for i := range 2 { // the first ask answers, the repeat builds the tree
+				db.PutSys(memoHost(3*store.SysPageLen-1, 0.11+0.01*float64(i)))
+				if _, err := sel.Select(prog, tc.n, tc.opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.PutSys(tc.write)
+			before := reg.Snapshot().Counters
+			res, err := sel.Select(prog, tc.n, tc.opt)
+			after := reg.Snapshot().Counters
+			if err != nil || fmt.Sprint(res.Servers) != tc.want {
+				t.Fatalf("after %s = %g: chose %v (%v), want %s", tc.write.Host, tc.write.CPUIdle, res.Servers, err, tc.want)
+			}
+			evals, hits := after["core_record_evals"]-before["core_record_evals"], after["core_page_hits"]-before["core_page_hits"]
+			if evals != store.SysPageLen || hits != 2 {
+				t.Errorf("the repeat evaluated %d records and merged %d pages from the memo, want the written page's %d and 2",
+					evals, hits, store.SysPageLen)
+			}
+		})
 	}
 }
 

@@ -146,6 +146,7 @@ type scratch struct {
 	bits            index.Bits                // index candidate positions
 	ids             index.Bits                // the index's working set, over its host ids
 	top             []candidate               // the bounded winner list
+	dirty, redo, up []int                     // a page level's evaluated and re-evaluated pages, and the nodes above them
 	hostAt, hostPos []int                     // the lists' host positions (resolveHosts)
 }
 
@@ -183,16 +184,17 @@ type selMemo struct {
 }
 
 // memoEntry is one question asked before: its newest Result under
-// selMemo.mu, and under mu a page level holding, per page index, the ID
-// of the page last evaluated there, its evaluation count and its best n
-// candidates among those that beat the reply's n-th best before it (the
-// bound; DESIGN.md).
+// selMemo.mu, and under mu a page level, a winner tree (DESIGN.md). Leaf p
+// holds the ID of the page last evaluated at index p, its evaluation
+// count and its best n candidates that its bound is not before; node i
+// the best n of nodes 2i and 2i+1 and their strongest bound; 1 the reply.
 type memoEntry struct {
-	memoVal              // answers res.Epoch
-	mu        sync.Mutex // taken with TryLock: no selection waits for another
-	pageEpoch uint64     // the newest epoch that used the page level
-	pages     []pageWinners
-	top       topN // the list of the page being evaluated
+	memoVal                 // answers res.Epoch
+	mu        sync.Mutex    // taken with TryLock: no selection waits for another
+	pageEpoch uint64        // the newest epoch that used the page level
+	tree      []pageWinners // tree[0] unused, then the nodes, then the leaves
+	pages     []pageWinners // the leaves: tree's second half
+	top       topN          // the question's n and order; the list of the page being evaluated
 }
 
 type pageWinners struct {
@@ -200,7 +202,7 @@ type pageWinners struct {
 	evals   int
 	top     []candidate // grown by the page's first qualifiers, then reused
 	bound   candidate
-	bounded bool // false: top is the page's best n
+	bounded bool // false: top is the page's (the subtree's) best n
 }
 
 func (m *selMemo) get(epoch uint64, k memoKey) (memoVal, bool) {
@@ -222,7 +224,7 @@ func (m *selMemo) put(k memoKey, v memoVal) {
 		if m.entries == nil || len(m.entries) >= memoMaxEntries {
 			m.entries, m.bytes = make(map[memoKey]*memoEntry), 0
 		}
-		e = new(memoEntry)
+		e = &memoEntry{top: topN{n: k.n, ranked: k.opt&proto.OptRankByExpr != 0}}
 		m.entries[k] = e
 	}
 	if e.res.Epoch <= v.res.Epoch {
@@ -230,9 +232,9 @@ func (m *selMemo) put(k memoKey, v memoVal) {
 	}
 }
 
-// pageLevel locks k's page level for snap: nil if k was never answered
-// (a question asked once pays nothing), busy, newer or too big for the
-// cap alone. A level that does not fit beside the others drops them.
+// pageLevel locks k's page level for snap (a page costs a leaf and a node
+// with full lists): nil if k was never answered (asked once, it pays
+// nothing), busy, newer or too big alone. One that does not fit drops the rest.
 func (m *selMemo) pageLevel(k memoKey, snap *store.SysSnapshot) *memoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -240,38 +242,79 @@ func (m *selMemo) pageLevel(k memoKey, snap *store.SysSnapshot) *memoEntry {
 	if e == nil || !e.mu.TryLock() {
 		return nil
 	}
-	per := int(unsafe.Sizeof(pageWinners{}) + uintptr(k.n)*unsafe.Sizeof(candidate{}))
-	grow := max(0, snap.Pages()-len(e.pages))
-	if snap.Epoch < e.pageEpoch || (len(e.pages)+grow)*per > pageMemoMaxBytes {
+	pages, per := snap.Pages(), 2*int(unsafe.Sizeof(pageWinners{})+uintptr(k.n)*unsafe.Sizeof(candidate{}))
+	if snap.Epoch < e.pageEpoch || pages*per > pageMemoMaxBytes {
 		e.mu.Unlock()
 		return nil
 	}
-	if m.bytes+grow*per > pageMemoMaxBytes {
-		m.entries, m.bytes = map[memoKey]*memoEntry{k: e}, len(e.pages)*per
+	if grow := pages - len(e.pages); grow != 0 {
+		if m.bytes+grow*per > pageMemoMaxBytes {
+			m.entries, m.bytes = map[memoKey]*memoEntry{k: e}, len(e.pages)*per
+		}
+		m.bytes += grow * per
+		e.tree = make([]pageWinners, 2*pages)
+		e.pages = e.tree[pages:]
 	}
-	m.bytes += grow * per
-	e.pages = append(e.pages, make([]pageWinners, grow)...)
 	e.pageEpoch = snap.Epoch
 	return e
 }
 
-// reuse reports whether index p holds page id's list and what the list
-// left out — nothing that beats the bound — cannot beat top's n-th best.
-func (e *memoEntry) reuse(p int, id uint64, top *topN) bool {
-	w := &e.pages[p]
-	return w.id == id && (!w.bounded || len(top.items) == top.n && !w.bound.before(&top.items[top.n-1], top.ranked))
+// merge gives node i the best n of its children's lists and their strongest bound.
+func (e *memoEntry) merge(i int) {
+	w, a, b := &e.tree[i], &e.tree[2*i], &e.tree[2*i+1]
+	x, y, ranked := a.top, b.top, e.top.ranked
+	w.top = slices.Grow(w.top[:0], e.top.n)
+	for len(w.top) < e.top.n && len(x)+len(y) > 0 {
+		if len(y) == 0 || len(x) > 0 && x[0].before(&y[0], ranked) {
+			w.top, x = append(w.top, x[0]), x[1:]
+		} else {
+			w.top, y = append(w.top, y[0]), y[1:]
+		}
+	}
+	if w.bound, w.bounded = a.bound, a.bounded; b.bounded && (!a.bounded || b.bound.before(&a.bound, ranked)) {
+		w.bound, w.bounded = b.bound, true
+	}
 }
 
-// open restarts index p for page id: its list keeps what beats top's last.
-func (e *memoEntry) open(p int, id uint64, evals int, top *topN) *topN {
-	w := &e.pages[p]
-	w.id, w.evals, w.top = id, evals, w.top[:0]
-	e.top = topN{items: w.top, n: top.n, ranked: top.ranked}
-	if w.bounded = len(top.items) == top.n; w.bounded {
-		w.bound = top.items[top.n-1]
-		e.top.bound = &w.bound
+// remerge merges the nodes above pages ps' leaves (ascending) a level at a
+// time, each after its children; leaves sit at two depths, so a node above
+// both may merge twice. Every page rebuilds the nodes bottom-up.
+func (e *memoEntry) remerge(ps, up []int) []int {
+	pages, up := len(e.pages), up[:0]
+	for _, p := range ps {
+		up = append(up, pages+p)
 	}
-	return &e.top
+	for len(up) > 0 {
+		k := 0
+		for _, i := range up {
+			if i /= 2; i > 0 && (k == 0 || up[k-1] != i) {
+				up[k], k = i, k+1
+			}
+		}
+		for up = up[:k]; k > 0; k-- {
+			e.merge(up[k-1])
+		}
+	}
+	return up
+}
+
+// beaten appends to ps the pages under tree index i whose leaf bound is
+// before nth, or, with nth nil, that have a bound.
+func (e *memoEntry) beaten(i int, nth *candidate, ps []int) []int {
+	if w := &e.tree[i]; !w.bounded || nth != nil && !w.bound.before(nth, e.top.ranked) {
+		return ps
+	} else if i >= len(e.pages) {
+		return append(ps, i-len(e.pages))
+	}
+	return e.beaten(2*i+1, nth, e.beaten(2*i, nth, ps))
+}
+
+// nth is list's n-th best, nil while it holds fewer.
+func nth(list []candidate, n int) *candidate {
+	if len(list) < n {
+		return nil
+	}
+	return &list[n-1]
 }
 
 // New builds a selector over the given database.
@@ -441,10 +484,9 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 	// Nothing can overtake the first n qualifiers in snapshot order
 	// unless a score ranks or a preferred list reorders them.
 	stopEarly := !q.explain && !q.ranked && !q.prog.SetsPreferred()
-	// A pure question asked before merges the pages the memo holds when
-	// its source yields a page's positions from the page alone.
+	// A repeated pure question whose source reads pages whole keeps a page level.
 	var memo *memoEntry
-	if q.pure && !useIndex && !stopEarly {
+	if q.pure && !useIndex && !stopEarly && size > 0 {
 		if memo = s.memo.pageLevel(q.key, snap); memo != nil {
 			defer memo.mu.Unlock()
 		}
@@ -455,26 +497,10 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 	}
 	filterStale, cutoff := !q.cutoff.IsZero(), store.Offset(q.cutoff)
 	evals, memoEvals, hits, visited := 0, 0, 0, size
-pages:
-	for p, pages := 0, snap.Pages(); p < pages; p++ {
+	// visit evaluates page p into out: the lanes it ran, and an early stop.
+	visit := func(p int, out *topN) (int, bool) {
+		page, _ := snap.Page(p)
 		first := p * store.SysPageLen
-		if useIndex {
-			pos := sc.bits.Next(first)
-			if pos < 0 {
-				break
-			}
-			p, first = pos/store.SysPageLen, pos-pos%store.SysPageLen
-		}
-		page, id := snap.Page(p)
-		if memo != nil && memo.reuse(p, id, &top) {
-			// Lists merge in page order, each in reply order (DESIGN.md).
-			for _, c := range memo.pages[p].top {
-				top.offer(c)
-			}
-			memoEvals += memo.pages[p].evals
-			hits++
-			continue
-		}
 		at := sc.at[:0] // the page offsets the source yields, ascending
 		if useIndex {
 			for pos := sc.bits.Next(first); pos >= 0 && pos < first+page.Len(); pos = sc.bits.Next(pos + 1) {
@@ -499,12 +525,8 @@ pages:
 				}
 			}
 		}
-		out := &top // where the page's qualifiers go
-		if memo != nil {
-			out = memo.open(p, id, len(lanes), &top)
-		}
 		if len(lanes) == 0 {
-			continue
+			return 0, false
 		}
 		s.bind(q, sc, vars, page, lanes)
 		q.prog.Run(env, from)
@@ -535,17 +557,79 @@ pages:
 				// before lane l are its offsets below i not in lanes.
 				visited = first + i + 1
 				result.StaleDropped = staleBefore + sort.SearchInts(at, i) - l
-				break pages
+				return len(lanes), true
 			}
 		}
-		if memo != nil {
-			memo.pages[p].top = out.items
-			for _, c := range out.items {
-				top.offer(c)
-			}
+		return len(lanes), false
+	}
+	// refresh evaluates page p into its leaf, bounded by the n-th best of
+	// *boundOf, and offers the leaf's list to top.
+	var boundOf *[]candidate
+	refresh := func(p int) {
+		w, out, bound := &memo.pages[p], &memo.top, nth(*boundOf, q.n)
+		_, w.id = snap.Page(p)
+		w.top, w.bounded, out.items, out.bound = w.top[:0], bound != nil, w.top[:0], nil
+		if w.bounded {
+			w.bound, out.bound = *bound, &w.bound
+		}
+		n, _ := visit(p, out)
+		w.top, w.evals = out.items, n
+		for _, c := range out.items {
+			top.offer(c)
 		}
 	}
-	sc.top = top.items[:0]
+	// A built tree spares the pages whose IDs its leaves hold and bounds
+	// the others by its reply; a build, or past an eighth of the pages a
+	// rebuild, by top, the reply so far, so that no weaker reply finds
+	// them bounded too tightly.
+	built, dirty := memo != nil && memo.pages[0].id != 0, sc.dirty[:0]
+	for p, pages := 0, snap.Pages(); p < pages; p++ {
+		if useIndex {
+			pos := sc.bits.Next(p * store.SysPageLen)
+			if pos < 0 {
+				break
+			}
+			p = pos / store.SysPageLen
+		}
+		if memo == nil {
+			if _, stop := visit(p, &top); stop {
+				break
+			}
+		} else if _, id := snap.Page(p); built && memo.pages[p].id == id {
+			memoEvals += memo.pages[p].evals
+			hits++
+		} else {
+			if boundOf = &memo.tree[1].top; !built || len(dirty) > pages/8 {
+				boundOf = &top.items
+			}
+			refresh(p)
+			dirty = append(dirty, p)
+		}
+	}
+	sc.top, sc.dirty = top.items[:0], dirty
+	if memo != nil {
+		// The root is the reply unless a leaf's bound is before its n-th
+		// best (has one, short of n). Those leaves are evaluated once more,
+		// bounded by that n-th (short of it, by top, their lists so far).
+		sc.up = memo.remerge(dirty, sc.up)
+		if root, last := &memo.tree[1], nth(memo.tree[1].top, q.n); root.bounded && (last == nil || root.bound.before(last, q.ranked)) {
+			sc.redo = memo.beaten(1, last, sc.redo[:0])
+			slices.Sort(sc.redo) // offers to top come in page order
+			if top.items, boundOf = top.items[:0], &root.top; last == nil {
+				boundOf = &top.items
+			}
+			for _, p := range sc.redo {
+				if _, ok := slices.BinarySearch(dirty, p); ok {
+					evals -= memo.pages[p].evals // no record counts twice
+				} else {
+					memoEvals, hits = memoEvals-memo.pages[p].evals, hits-1
+				}
+				refresh(p)
+			}
+			sc.up = memo.remerge(sc.redo, sc.up)
+		}
+		top.items = memo.tree[1].top
+	}
 
 	// Every visited record was pruned, dropped as stale or evaluated,
 	// here or by the selection that memoised its page.
@@ -585,12 +669,8 @@ func (c *candidate) ranks() bool { return c.hasScore && c.score == c.score }
 // expression, scored servers by descending score ahead of unscored
 // ones; then snapshot order.
 func (c *candidate) before(d *candidate, ranked bool) bool {
-	cPref, dPref := c.preferred >= 0, d.preferred >= 0
-	if cPref != dPref {
-		return cPref
-	}
-	if cPref && c.preferred != d.preferred {
-		return c.preferred < d.preferred
+	if cp, dp := uint(c.preferred), uint(d.preferred); cp != dp { // -1, no slot, is the largest
+		return cp < dp
 	}
 	if ranked {
 		cRanks, dRanks := c.ranks(), d.ranks()
@@ -611,7 +691,7 @@ type topN struct {
 	items  []candidate
 	n      int
 	ranked bool
-	bound  *candidate // when set, only candidates before it get in
+	bound  *candidate // when set, no candidate it is before gets in (exactly: it may sit on a later page)
 }
 
 func (t *topN) offer(c candidate) {
@@ -621,7 +701,7 @@ func (t *topN) offer(c candidate) {
 			return
 		}
 		i--
-	} else if t.bound != nil && (t.tieLost(&c, t.bound) || !c.before(t.bound, t.ranked)) {
+	} else if t.bound != nil && (t.bound.pos < c.pos && t.tieLost(&c, t.bound) || t.bound.before(&c, t.ranked)) {
 		return
 	} else {
 		t.items = append(t.items, c)
@@ -633,8 +713,8 @@ func (t *topN) offer(c candidate) {
 }
 
 // tieLost is the one comparison most offers of a broad request get:
-// offers come in position order, so against a full list's last entry or
-// a bound (from an earlier page) a tie is lost.
+// offers come in position order, so against a full list's last entry,
+// or a bound at a lower position, a tie is lost.
 func (t *topN) tieLost(c, last *candidate) bool {
 	return c.preferred < 0 && (!t.ranked || last.preferred >= 0 || last.ranks() && !(c.hasScore && c.score > last.score))
 }

@@ -228,9 +228,9 @@ SIZE_SCHEMA = {
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 20134,
+    "total": 20214,
     ".": 721,
-    "internal/core": 1099,
+    "internal/core": 1179,
     "internal/index": 667,
     "internal/store": 1105,
     "internal/status": 1247,

@@ -2,7 +2,8 @@
 # check.sh runs the full correctness gate: formatting, go vet, build,
 # race-enabled tests, a fuzz smoke of the batch evaluator, the committed
 # size numbers, the naming, one-evaluator, one-applier, columns-not-rows,
-# pages-by-ID, one-wizard-socket, the-wizard-holds-no-mutex, report-float,
+# pages-by-ID, page-level-merges-by-tree, one-wizard-socket,
+# the-wizard-holds-no-mutex, report-float,
 # resolved-host-lists and benchmark-consumer guards, and the project's own
 # static analyzers (cmd/smartlint). CI runs exactly this script; run it locally before
 # sending a change.
@@ -138,6 +139,21 @@ pinned=$(awk '
 if [ -n "$pinned" ]; then
 	echo "internal/core holds snapshot pages in a struct (remember the page's ID instead):" >&2
 	echo "$pinned" >&2
+	exit 1
+fi
+
+echo "== the page level merges by tree =="
+# A repeat merges the pages its question's page level holds through the
+# tree's nodes (memoEntry.remerge), so its cost follows the pages that
+# changed. A stored leaf list ranged over inside evaluate is the linear
+# merge of every page's list coming back.
+linear=$(awk '
+	/^func / { fn = $0 }
+	/range[[:space:]]+memo\.pages\[[^]]*\]\.top/ && fn ~ /^func \(s \*Selector\) evaluate\(/ { print FILENAME ":" FNR ": " $0 }
+' $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ -n "$linear" ]; then
+	echo "internal/core evaluate offers stored page lists to the reply (merge them through the tree):" >&2
+	echo "$linear" >&2
 	exit 1
 fi
 
