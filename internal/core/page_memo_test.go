@@ -605,6 +605,42 @@ func TestWarmPageLevelAllocs(t *testing.T) {
 	}
 }
 
+// TestPutThenWarmSelectAllocs pins a report and the broad ranked request
+// after it, with the page level warm and no snapshot held outside the
+// selector: the selection pins its snapshot and releases it, so the
+// rebuild writes the last one in place, and the pair allocates the
+// reply's Servers slice and nothing else.
+func TestPutThenWarmSelectAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20k-host table; under the race detector sync.Pool drops the scratch at random")
+	}
+	const hosts = 20_000
+	rng := rand.New(rand.NewSource(22))
+	recs := make([]status.ServerStatus, hosts)
+	for i := range recs {
+		recs[i] = status.ServerStatus{Host: fmt.Sprintf("h%05d.fleet", i), CPUIdle: rng.Float64(), Load1: 4.5 * rng.Float64(),
+			Bogomips: 1000 + rng.Float64()*4000, MemTotal: 1 << 30, MemFree: 600 << 20}
+	}
+	db := store.New()
+	db.Load(recs, nil, nil)
+	sel := newSelector(t, db, Config{})
+	prog := mustProg(t, "host_cpu_free > 0.1\nhost_system_load1 < 4\nhost_memory_free > 16\nscore = host_cpu_bogomips * host_cpu_free\nscore\n")
+	next := 0
+	run := func() {
+		recs[next].CPUIdle = rng.Float64()
+		db.PutSys(recs[next])
+		next = (next + 1) % hosts
+		if res, err := sel.Select(prog, 8, proto.OptRankByExpr); err != nil || len(res.Servers) != 8 {
+			t.Fatalf("%v, %d servers", err, len(res.Servers))
+		}
+	}
+	run() // warm the plan, the index columns and the scratch
+	run() // the repeat builds the page level
+	if got := testing.AllocsPerRun(50, run); got > 1 {
+		t.Errorf("%.0f allocs per put + warm ranked Select, want at most 1, the Servers slice", got)
+	}
+}
+
 // TestLazyIndexMatchesFreshSelector: a broad question the index declines
 // never brings it in step, while selective questions asked between its
 // repeats still read the index. Over more writes than the store's

@@ -398,10 +398,11 @@ func (s *Selector) run(prog *reqlang.Program, n int, opt proto.Option, explain b
 		n = proto.MaxServers
 	}
 
-	// One immutable snapshot serves the whole selection: candidate
-	// walk, freshness filter and StaleDropped accounting see the same
-	// table, so the counts cannot disagree with the records evaluated.
-	snap := s.db.SysView()
+	// One pinned snapshot serves the whole selection: candidate walk,
+	// freshness filter and StaleDropped accounting see the same table,
+	// so the counts cannot disagree with the records evaluated.
+	snap := s.db.PinSys()
+	defer snap.Unpin()
 	s.selections.Add(1)
 
 	// With no netdb/secdb reads and no freshness cutoff the outcome is

@@ -55,13 +55,14 @@ type SecRecord struct {
 	Stamp
 }
 
-// SysSnapshot is an immutable, epoch-versioned view of the server
-// status table. Writers publish a new snapshot when the table
-// mutates; readers grab the current one with a single atomic load, so
-// the selection hot path evaluates candidates without copying the
-// table or holding any lock. Records are sorted by host and held in
-// fixed-size pages that successive snapshots share: a page is never
-// written once a snapshot holding it is published.
+// SysSnapshot is an epoch-versioned view of the server status table.
+// Writers publish a new snapshot when the table mutates; readers pin
+// the current one with two atomic loads and an add, so the selection
+// hot path evaluates candidates without copying the table or holding
+// any lock. Records are sorted by host and held in fixed-size pages
+// that successive snapshots share. A pinned snapshot never changes; a
+// rebuild may write the last one built in place once no reader holds
+// it, and only the pages and leaves that snapshot made itself.
 type SysSnapshot struct {
 	// Epoch increments on every content mutation of the sys table:
 	// two snapshots with the same epoch hold the same hosts with the
@@ -79,14 +80,20 @@ type SysSnapshot struct {
 	// are in host order, SysPageLen to a page (the last may be short).
 	shift uint
 	root  [pageLeaves][]pageRef
+	// pins counts the readers holding the snapshot (PinSys, SysView).
+	pins atomic.Int64
+	// The pages with an ID above firstID, and the leaves set in leaves,
+	// are the snapshot's own: no other snapshot was built holding them.
+	firstID, leaves uint64
 }
 
 // pageLeaves is the page table's fan-out: a rebuild after one report
-// copies the header (1.6 KB), one leaf and one page, not the table.
+// copies at most the header (1.6 KB), one leaf and one page, not the table.
 const pageLeaves = 64
 
-// pageRef is a page table entry. A published page never changes and IDs
-// never repeat, so an ID seen again is the same records in the same place.
+// pageRef is a page table entry. A page written in place takes a new ID
+// and IDs never repeat, so an ID seen again is the same records in the
+// same place.
 type pageRef struct {
 	page *SysPage
 	id   uint64
@@ -255,7 +262,7 @@ func (pg *pager) add(r *SysRecord) {
 // entries that hold them all, and at least eight, so that the reports
 // between two requests on a small table mostly dirty one leaf.
 func (pg pager) snapshot() *SysSnapshot {
-	s := &SysSnapshot{shift: 3, members: pageIDs.Add(1)}
+	s := &SysSnapshot{shift: 3, members: pageIDs.Add(1), leaves: ^uint64(0)}
 	for len(pg) > pageLeaves<<s.shift {
 		s.shift++
 	}
@@ -298,10 +305,12 @@ type DB struct {
 	// which coalesces any burst of probe reports landing between two
 	// selection requests into a single rebuild.
 	sysSnap atomic.Pointer[SysSnapshot]
+	// rebuild serialises rebuilds, which run under the read lock.
+	rebuild sync.Mutex
 	// sysBase is the last snapshot built, kept past its invalidation:
-	// the next rebuild copies it and re-reads only the hosts the
-	// changelog names since (see sysViewRLocked).
-	sysBase atomic.Pointer[SysSnapshot]
+	// the next rebuild patches it and re-reads only the hosts the
+	// changelog names since (see sysViewRLocked). Guarded by rebuild.
+	sysBase *SysSnapshot
 }
 
 // New creates an empty database using the real clock.
@@ -340,23 +349,44 @@ func (db *DB) sysMoved(moved, touched bool) {
 	}
 }
 
-// SysView returns the current snapshot of the server table: one atomic
-// pointer load on the hot path, a lazy rebuild under the read lock
-// after a mutation. The returned snapshot is immutable and shared
-// between callers.
-func (db *DB) SysView() *SysSnapshot {
+// SysView returns the current snapshot of the server table pinned for
+// good: it never changes and callers may share and keep it, but the
+// rebuild after the next write copies what it changes (see PinSys).
+func (db *DB) SysView() *SysSnapshot { return db.PinSys() }
+
+// PinSys returns the current snapshot of the server table, pinned: it
+// reads the same until Unpin, after which the caller must not touch
+// it. The hot path is two atomic loads and an add; after a mutation
+// the snapshot is rebuilt lazily under the read lock, in place when no
+// reader holds the previous one.
+//
+// A pin counts itself, then checks that the snapshot is still the
+// published one. A rebuild looks at the pins only after a writer has
+// unpublished its base, so either the check fails (and the pin is
+// undone) or the rebuild sees the pin. The check may find the same
+// header rebuilt and published again; nothing was read from it before.
+func (db *DB) PinSys() *SysSnapshot {
 	if s := db.sysSnap.Load(); s != nil {
-		return s
+		if s.pins.Add(1); db.sysSnap.Load() == s {
+			return s
+		}
+		s.Unpin()
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.sysViewRLocked()
+	s := db.sysViewRLocked()
+	s.pins.Add(1) // published: only a writer, whom the lock excludes, unpublishes it
+	return s
 }
+
+// Unpin releases a snapshot PinSys returned.
+func (s *SysSnapshot) Unpin() { s.pins.Add(-1) }
 
 // sysViewRLocked returns the current snapshot, rebuilding it when a
 // mutation invalidated it. Callers hold db.mu at least for reading:
 // writers are excluded, so a non-nil cached snapshot is current, and
-// concurrent rebuilders compute the same snapshot.
+// rebuilders take turns on db.rebuild, so one builds and the rest find
+// its snapshot published.
 //
 // The rebuild follows the delta-else-resync rule the transport and
 // the selection index use: when the changelog ring still covers the
@@ -368,7 +398,12 @@ func (db *DB) sysViewRLocked() *SysSnapshot {
 	if s := db.sysSnap.Load(); s != nil {
 		return s
 	}
-	s, ok := db.patchedSysLocked(db.sysBase.Load())
+	db.rebuild.Lock()
+	defer db.rebuild.Unlock()
+	if s := db.sysSnap.Load(); s != nil {
+		return s
+	}
+	s, ok := db.patchedSysLocked(db.sysBase)
 	if !ok {
 		pg := make(pager, 0, (len(db.sys.live)+SysPageLen-1)/SysPageLen)
 		for _, host := range db.sys.sortedKeys() {
@@ -378,7 +413,7 @@ func (db *DB) sysViewRLocked() *SysSnapshot {
 	}
 	s.Epoch, s.n, s.ver = db.epoch, len(db.sys.live), db.ver
 	db.sysSnap.Store(s)
-	db.sysBase.Store(s)
+	db.sysBase = s
 	return s
 }
 
@@ -386,43 +421,63 @@ func (db *DB) sysViewRLocked() *SysSnapshot {
 // changelog: every sys mutation since base.ver — put, refresh, expiry,
 // delta apply, merge — left a ring entry naming its host. While those
 // hosts are all in base and still in the table, positions stand: the
-// result is base's header with only the pages holding such a host, and
-// the leaves of the page table naming them, copied and overwritten;
-// every other page and leaf is shared. A host that joined or left
-// shifts every position after it, so then the records are copied
-// across in runs around the re-read hosts and cut into new pages. It
-// declines (ok false) when the ring no longer reaches back to base.
+// result is base with only the pages holding such a host overwritten.
+// No reader holds an unpinned base, so it is the result, and its own
+// pages and leaves are written in place; a pinned one is copied into a
+// new header. A page or leaf another snapshot holds is copied first,
+// and every page written takes a new ID; the rest are shared. A host
+// that joined or left shifts every position after it, so then the
+// records are copied across in runs around the re-read hosts and cut
+// into new pages. It declines (ok false) when the ring no longer
+// reaches back to base.
 func (db *DB) patchedSysLocked(base *SysSnapshot) (s *SysSnapshot, ok bool) {
-	if base == nil || base.ver < db.sys.logFloor || base.ver > db.ver {
+	if !db.patchable(base) {
 		return nil, false
 	}
 	// A few reports between two requests is the common case, and fits
 	// the stack.
-	dirty := db.sys.ringKeys(base.ver, make([]string, 0, 16))
-
-	s = new(SysSnapshot)
-	*s = *base
-	leaf, owned := -1, -1 // the leaf and page last copied: dirty is sorted, so both come in order
-	var page *SysPage
+	dirty, at := db.sys.ringKeys(base.ver, make([]string, 0, 16)), make([]int, 0, 16)
 	for _, host := range dirty {
-		at, found := base.Find(host)
-		r, live := db.sys.live[host]
-		if !found || !live {
+		i, found := base.Find(host)
+		if _, live := db.sys.live[host]; !found || !live {
 			return db.respliceSysLocked(base, dirty), true
 		}
-		if p := at / SysPageLen; p != owned {
-			if p>>s.shift != leaf {
-				leaf = p >> s.shift
-				s.root[leaf] = slices.Clone(s.root[leaf])
-			}
-			ref := &s.root[leaf][p&(1<<s.shift-1)]
-			clone := *ref.page // a byte copy, its name block shared until a name changes
-			clone.sharedNames = true
-			page, ref.page, ref.id, owned = &clone, &clone, pageIDs.Add(1), p
+		at = append(at, i)
+	}
+	s = base
+	if base.pins.Load() > 0 {
+		s = &SysSnapshot{members: base.members, shift: base.shift, root: base.root, firstID: pageIDs.Load()}
+	}
+	owned := -1 // the page last made s's own: dirty is sorted, so pages come in order
+	for k, host := range dirty {
+		if p := at[k] / SysPageLen; p != owned {
+			s.own(p)
+			owned = p
 		}
-		page.set(at%SysPageLen, r)
+		s.page(at[k]).set(at[k]%SysPageLen, db.sys.live[host])
 	}
 	return s, true
+}
+
+// patchable reports whether the changelog still reaches back to base.
+func (db *DB) patchable(base *SysSnapshot) bool {
+	return base != nil && base.ver >= db.sys.logFloor && base.ver <= db.ver
+}
+
+// own gives page p a new ID, first copying it and its leaf unless s made
+// them: a copy is a byte copy, its name block shared until a name changes.
+func (s *SysSnapshot) own(p int) {
+	l := p >> s.shift
+	if s.leaves&(1<<l) == 0 {
+		s.root[l], s.leaves = slices.Clone(s.root[l]), s.leaves|1<<l
+	}
+	ref := &s.root[l][p&(1<<s.shift-1)]
+	if ref.id <= s.firstID {
+		clone := *ref.page
+		clone.sharedNames = true
+		ref.page = &clone
+	}
+	ref.id = pageIDs.Add(1)
 }
 
 // respliceSysLocked is the patch after a membership change: base's
@@ -454,7 +509,9 @@ func (db *DB) respliceSysLocked(base *SysSnapshot, dirty []string) *SysSnapshot 
 func (db *DB) ResyncView() (snap *SysSnapshot, sec []SecRecord, ver, epoch uint64) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.sysViewRLocked(), db.sec.records(), db.ver, db.epoch
+	snap = db.sysViewRLocked()
+	snap.pins.Add(1) // for good, as SysView
+	return snap, db.sec.records(), db.ver, db.epoch
 }
 
 // SysEpoch reports the sys table's content-mutation counter.

@@ -46,17 +46,27 @@ func scratchSys(db *DB) (epoch uint64, recs []SysRecord) {
 	return db.epoch, recs
 }
 
-// willPatch reports which route the next rebuild takes.
+// willPatch reports which route the next rebuild takes, writing nothing.
 func willPatch(db *DB) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	_, ok := db.patchedSysLocked(db.sysBase.Load())
-	return ok
+	db.rebuild.Lock()
+	defer db.rebuild.Unlock()
+	return db.patchable(db.sysBase)
 }
 
-func checkView(db *DB) error {
+// lastBuilt is the snapshot the next rebuild patches.
+func lastBuilt(db *DB) *SysSnapshot {
+	db.rebuild.Lock()
+	defer db.rebuild.Unlock()
+	return db.sysBase
+}
+
+func checkView(db *DB) error { return checkSnap(db, db.SysView()) }
+
+// checkSnap holds got, the current snapshot, to the reference rebuild.
+func checkSnap(db *DB, got *SysSnapshot) error {
 	epoch, want := scratchSys(db)
-	got := db.SysView()
 	if got.Epoch != epoch || !sameRecords(flat(got), want) {
 		return fmt.Errorf("snapshot (epoch %d, %d records) differs from a rebuild from scratch (epoch %d, %d records)",
 			got.Epoch, got.Len(), epoch, len(want))
@@ -108,6 +118,32 @@ func checkSharing(base, got *SysSnapshot) error {
 	return nil
 }
 
+// checkInPlace holds a rebuild that wrote its base in place to the ID
+// rule the page memo relies on: a page holding a record written since
+// (every write re-stamps RefVer) has an ID no page of the base had, and
+// every other page keeps its ID and its pointer.
+func checkInPlace(was []pageRef, before []SysRecord, got *SysSnapshot) error {
+	ids := map[uint64]bool{}
+	for _, ref := range was {
+		ids[ref.id] = true
+	}
+	now, after := refs(got), flat(got)
+	if len(now) != len(was) || len(after) != len(before) {
+		return fmt.Errorf("a rebuild in place went from %d records in %d pages to %d in %d", len(before), len(was), len(after), len(now))
+	}
+	for p := range now {
+		lo, hi := p*SysPageLen, min((p+1)*SysPageLen, len(after))
+		written := !slices.EqualFunc(before[lo:hi], after[lo:hi], func(a, b SysRecord) bool { return a.RefVer == b.RefVer })
+		if written && ids[now[p].id] {
+			return fmt.Errorf("page %d of %d was written in place but kept an ID of the base's, %d", p, len(now), now[p].id)
+		}
+		if !written && (now[p].id != was[p].id || now[p].page != was[p].page) {
+			return fmt.Errorf("page %d of %d: nothing on it was written, but its ID went from %d to %d or its page moved", p, len(now), was[p].id, now[p].id)
+		}
+	}
+	return nil
+}
+
 // Patch-suite op kinds, carried in propOp so the delta suite's
 // shrinker serves both.
 const (
@@ -145,8 +181,13 @@ func padSys(i int) status.ServerStatus {
 
 // runViewOps replays one op sequence on a table that starts with pads
 // other hosts, comparing every view against the reference, and reports
-// how many rebuilds took each route.
-func runViewOps(ops []propOp, pads int) (patched, scratch int, err error) {
+// how many rebuilds took each route. A view is taken through SysView,
+// which keeps its snapshot pinned, or through PinSys and Unpin, which
+// leaves it for the next rebuild to write in place: the op's value
+// picks. Every snapshot SysView lent must read the same to the end.
+func runViewOps(ops []propOp, pads int) (patched, inPlace, scratch int, err error) {
+	var lent []*SysSnapshot
+	var lentRecs [][]SysRecord
 	now := time.Unix(1_700_000_000, 0)
 	db := NewWithClock(func() time.Time { return now })
 	// Pads report from the future: no expiry in the sequence takes them,
@@ -186,53 +227,80 @@ func runViewOps(ops []propOp, pads int) (patched, scratch int, err error) {
 			s.NetIface = fmt.Sprintf("eth%d", v%2)
 			db.PutSys(s)
 		case vView:
-			// Read the base before willPatch's trial rebuild can write it.
-			base, before := db.sysBase.Load(), []SysRecord(nil)
+			base, before, was := lastBuilt(db), []SysRecord(nil), []pageRef(nil)
 			if base != nil {
-				before = flat(base)
+				before, was = flat(base), refs(base)
 			}
-			patch := willPatch(db)
-			if db.sysSnap.Load() == nil {
-				if patch {
-					patched++
-				} else {
+			held := base != nil && base.pins.Load() > 0
+			patch, rebuilt, pin := willPatch(db), db.sysSnap.Load() == nil, v%2 == 0
+			var got *SysSnapshot
+			if pin {
+				got = db.PinSys()
+			} else {
+				got = db.SysView()
+			}
+			if rebuilt {
+				switch {
+				case !patch:
 					scratch++
+				case got == base:
+					inPlace++
+				default:
+					patched++
 				}
 			}
-			err := checkView(db)
-			if err == nil && patch {
-				err = checkSharing(base, db.SysView())
+			err := checkSnap(db, got)
+			if err == nil && rebuilt && got == base {
+				if err = checkInPlace(was, before, got); err == nil && held {
+					err = fmt.Errorf("a rebuild wrote a base a reader holds")
+				}
+			} else if err == nil && patch {
+				err = checkSharing(base, got)
 			}
-			if err == nil && base != nil && !slices.Equal(flat(base), before) {
-				err = fmt.Errorf("the base snapshot changed under a rebuild")
+			if err == nil && base != nil && got != base && !slices.Equal(flat(base), before) {
+				err = fmt.Errorf("the base snapshot changed under a rebuild that did not reuse it")
+			}
+			for k := 0; err == nil && k < len(lent); k++ {
+				if !slices.Equal(flat(lent[k]), lentRecs[k]) {
+					err = fmt.Errorf("the snapshot SysView lent at view %d changed", k)
+				}
+			}
+			if pin {
+				got.Unpin()
+			} else {
+				lent, lentRecs = append(lent, got), append(lentRecs, flat(got))
 			}
 			if err != nil {
-				return patched, scratch, fmt.Errorf("op %d %v: %w", i, op, err)
+				return patched, inPlace, scratch, fmt.Errorf("op %d %v: %w", i, op, err)
 			}
 		}
 	}
-	return patched, scratch, nil
+	return patched, inPlace, scratch, nil
 }
 
 // TestSysViewPatchProperty runs the random histories on a one-page
 // table and on one of three pages and a bit.
 func TestSysViewPatchProperty(t *testing.T) {
 	for _, pads := range []int{0, 3*SysPageLen + 7} {
-		run := func(ops []propOp) error { _, _, err := runViewOps(ops, pads); return err }
-		patched, scratch := 0, 0
+		run := func(ops []propOp) error { _, _, _, err := runViewOps(ops, pads); return err }
+		patched, inPlace, scratch := 0, 0, 0
 		for seed := int64(0); seed < 200; seed++ {
 			ops := genViewOps(rand.New(rand.NewSource(seed)), 80)
-			p, s, err := runViewOps(ops, pads)
+			p, r, s, err := runViewOps(ops, pads)
 			if err != nil {
 				minimal := shrink(ops, run)
 				t.Logf("%d pads, seed %d minimal failing sequence (%d of %d ops): %v", pads, seed, len(minimal), len(ops), minimal)
 				t.Fatalf("%d pads, seed %d: %v", pads, seed, err)
 			}
-			patched, scratch = patched+p, scratch+s
+			patched, inPlace, scratch = patched+p, inPlace+r, scratch+s
 		}
 		if patched == 0 || scratch == 0 {
 			t.Fatalf("%d pads: %d patched and %d from-scratch rebuilds: the suite must exercise both routes", pads, patched, scratch)
 		}
+		if inPlace == 0 {
+			t.Fatalf("%d pads: no rebuild wrote its base in place (%d copied it): the suite must exercise the reuse route", pads, patched)
+		}
+		t.Logf("%d pads: %d rebuilds in place, %d patched into copies, %d from scratch", pads, inPlace, patched, scratch)
 	}
 }
 
@@ -385,14 +453,84 @@ func TestSysViewHeldSnapshotKeepsItsValues(t *testing.T) {
 	}
 }
 
+// TestPinSysReadersRaceRebuilds races the reuse route: a writer puts
+// hosts, pinned readers sum every page's column and ID twice and
+// compare, and pin-and-release loops force the rebuilds in between. A
+// rebuild that writes a snapshot a reader has pinned is a reported race
+// under the race detector, and two sums that may differ without it.
+func TestPinSysReadersRaceRebuilds(t *testing.T) {
+	const fleet = 3*SysPageLen + 7
+	db := New()
+	for i := 0; i < fleet; i++ {
+		db.PutSys(propSys(i, 0))
+	}
+	load1, mem := status.VarIndex("host_system_load1"), status.VarIndex("host_memory_free")
+	sum := func(s *SysSnapshot) (total float64, ids uint64) {
+		var buf [SysPageLen]float64
+		for p := range s.Pages() {
+			page, id := s.Page(p)
+			for _, v := range page.Column(load1, &buf) {
+				total += v
+			}
+			for _, v := range page.Column(mem, &buf) {
+				total += v
+			}
+			ids += id
+		}
+		return total, ids
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	loop := func(body func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				body()
+				runtime.Gosched()
+			}
+		}()
+	}
+	for r := 0; r < 3; r++ {
+		loop(func() {
+			snap := db.PinSys()
+			defer snap.Unpin()
+			total, ids := sum(snap)
+			runtime.Gosched()
+			if again, againIDs := sum(snap); again != total || againIDs != ids {
+				t.Errorf("a pinned snapshot read %v (IDs %d), then %v (IDs %d)", total, ids, again, againIDs)
+			}
+		})
+	}
+	for r := 0; r < 2; r++ {
+		loop(func() { db.PinSys().Unpin() })
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		db.PutSys(propSys(rng.Intn(fleet), 1+i%4))
+		runtime.Gosched()
+	}
+	close(done)
+	wg.Wait()
+	if err := checkView(db); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fleetDB is a database of fleet hosts and the reports that rewrite
-// them one by one, so a measured put formats nothing.
+// them one by one, so a measured put formats nothing. Its snapshot is
+// built from scratch and released: every page in it is its own.
 func fleetDB(fleet int) (*DB, []status.ServerStatus) {
 	db := New()
 	for i := 0; i < fleet; i++ {
 		db.PutSys(propSys(i, 0))
 	}
-	db.SysView()
+	db.PinSys().Unpin()
 	reports := make([]status.ServerStatus, 64)
 	for i := range reports {
 		reports[i] = propSys(i*397%fleet, 1+i)
@@ -439,6 +577,27 @@ func TestSysViewRebuildAllocs(t *testing.T) {
 			db.SysView()
 		}); got != 3 {
 			t.Errorf("%d hosts: one put and SysView made %v allocations, want 3", fleet, got)
+		}
+	}
+}
+
+// TestPinSysRebuildAllocs: one put, then a pin and its release, costs
+// nothing however large the fleet — the rebuild writes the snapshot
+// nobody holds, and the page it made, in place.
+func TestPinSysRebuildAllocs(t *testing.T) {
+	fleets := []int{20000, 1000000}
+	if testing.Short() {
+		fleets = fleets[:1] // a million hosts hold about 600 MB
+	}
+	for _, fleet := range fleets {
+		db, reports := fleetDB(fleet)
+		i := 0
+		if got := testing.AllocsPerRun(50, func() {
+			i++
+			db.PutSys(reports[i%len(reports)])
+			db.PinSys().Unpin()
+		}); got != 0 {
+			t.Errorf("%d hosts: one put, then a pin and its release, made %v allocations, want 0", fleet, got)
 		}
 	}
 }

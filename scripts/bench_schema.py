@@ -228,11 +228,11 @@ SIZE_SCHEMA = {
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 20214,
+    "total": 20272,
     ".": 721,
-    "internal/core": 1179,
+    "internal/core": 1180,
     "internal/index": 667,
-    "internal/store": 1105,
+    "internal/store": 1162,
     "internal/status": 1247,
     "internal/transport": 1127,
     "internal/monitor": 315,

@@ -3,8 +3,8 @@
 # race-enabled tests, a fuzz smoke of the batch evaluator, the committed
 # size numbers, the naming, one-evaluator, one-applier, columns-not-rows,
 # pages-by-ID, page-level-merges-by-tree, one-wizard-socket,
-# the-wizard-holds-no-mutex, report-float,
-# resolved-host-lists and benchmark-consumer guards, and the project's own
+# the-wizard-holds-no-mutex, report-float, resolved-host-lists,
+# selections-pin-their-snapshot and benchmark-consumer guards, and the project's own
 # static analyzers (cmd/smartlint). CI runs exactly this script; run it locally before
 # sending a change.
 set -eu
@@ -217,6 +217,28 @@ hostmatch=$(awk '
 if [ -n "$hostmatch" ]; then
 	echo "internal/core matches host names outside the resolver (resolve the lists in hosts.go, test positions):" >&2
 	echo "$hostmatch" >&2
+	exit 1
+fi
+
+echo "== selections pin their snapshot =="
+# A selection pins the snapshot it reads (store.DB.PinSys) and releases
+# it with a deferred Unpin, so the rebuild after the next write may write
+# that snapshot in place. A SysView call in the package lends a snapshot
+# for good, and a pin with no deferred Unpin in its function is never
+# released: either silently switches the reuse off, and every write
+# copies a page again.
+pins=$(awk '
+	function flush() { if (pin != "" && !unpinned) print pin " (no deferred Unpin in its function)"; pin = ""; unpinned = 0 }
+	FNR == 1 || /^func / { flush() }
+	/^[ \t]*\/\// { next }
+	/SysView\(/ { print FILENAME ":" FNR ": " $0 }
+	/PinSys\(/ { pin = FILENAME ":" FNR ": " $0 }
+	/defer[ \t]+[A-Za-z0-9_.]+\.Unpin\(\)/ { unpinned = 1 }
+	END { flush() }
+' $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ -n "$pins" ]; then
+	echo "internal/core reads a snapshot it does not pin and release (PinSys, then defer Unpin):" >&2
+	echo "$pins" >&2
 	exit 1
 fi
 
