@@ -36,8 +36,7 @@ type progInfo struct {
 	params int      // user parameters the program assigns
 	hosts  []string // the program's strings' hostKeys, nil if params is 0
 	plan   *reqlang.Plan
-	cons   []index.Constraint
-	consAt []int    // per constraint: its field's status.VarIndex, -1 for the security level
+	consAt []int    // per plan.Cons entry: its field's status.VarIndex, -1 for the security level
 	fields []string // unique constraint fields, for column bootstrap
 }
 
@@ -92,7 +91,6 @@ func (s *Selector) resolve(prog *reqlang.Program) *progInfo {
 		e.plan = plan
 		e.residual = s.slotVars(prog, plan.Prefix)
 		for _, c := range plan.Cons {
-			e.cons = append(e.cons, index.Constraint{Field: c.Var, Op: cmpToIndex(c.Op), Val: c.Val})
 			e.consAt = append(e.consAt, status.VarIndex(c.Var))
 			if !slices.Contains(e.fields, c.Var) {
 				e.fields = append(e.fields, c.Var)
@@ -123,20 +121,6 @@ func (s *Selector) slotVars(prog *reqlang.Program, from int) slotVars {
 	return v
 }
 
-func cmpToIndex(op reqlang.CmpOp) index.Op {
-	switch op {
-	case reqlang.CmpLT:
-		return index.LT
-	case reqlang.CmpLE:
-		return index.LE
-	case reqlang.CmpGT:
-		return index.GT
-	case reqlang.CmpGE:
-		return index.GE
-	}
-	return index.EQ
-}
-
 // source picks a planned selection's candidates: the index's bitset in
 // sc.bits (true), or the column filter (false) when the index declines
 // a broad span, raced a writer, or forceScan pins ground truth. The
@@ -145,12 +129,12 @@ func cmpToIndex(op reqlang.CmpOp) index.Op {
 func (s *Selector) source(q *query, sc *scratch) (useIndex bool) {
 	info := q.info
 	if !s.forceScan {
-		if s.idx.Broad(q.snap, info.fields, info.cons) {
+		if s.idx.Broad(q.snap, info.fields, info.plan.Cons) {
 			s.indexDeclines.Add(1)
 			return false
 		}
 		if s.idx.SyncFor(q.snap, info.fields) {
-			if sc.bits, sc.ids, useIndex = s.idx.Positions(q.snap.Epoch, info.cons, sc.bits, sc.ids); useIndex {
+			if sc.bits, sc.ids, useIndex = s.idx.Positions(q.snap.Epoch, info.plan.Cons, sc.bits, sc.ids); useIndex {
 				return true
 			}
 		}
@@ -163,7 +147,7 @@ func (s *Selector) source(q *query, sc *scratch) (useIndex bool) {
 // records pass every extracted constraint, one pass over a column a
 // constraint.
 func (s *Selector) filter(info *progInfo, sc *scratch, page *store.SysPage, at []int) []int {
-	for i, c := range info.cons {
+	for i, c := range info.plan.Cons {
 		var col []float64
 		if v := info.consAt[i]; v >= 0 {
 			col = page.Column(v, &sc.vals)

@@ -5,105 +5,9 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"smartsock/internal/reqlang"
 )
-
-// Op is a comparison against a constant, the only predicate shape the
-// planner extracts.
-type Op uint8
-
-const (
-	LT Op = iota
-	LE
-	GT
-	GE
-	EQ
-)
-
-func (o Op) String() string {
-	switch o {
-	case LT:
-		return "<"
-	case LE:
-		return "<="
-	case GT:
-		return ">"
-	case GE:
-		return ">="
-	case EQ:
-		return "=="
-	}
-	return "?"
-}
-
-// Constraint is one extracted predicate: Field Op Val.
-type Constraint struct {
-	Field string
-	Op    Op
-	Val   float64
-}
-
-// Match applies the constraint's comparison to a concrete value. Any
-// comparison involving NaN is false, matching the requirement
-// language's float semantics.
-func (c Constraint) Match(v float64) bool {
-	switch c.Op {
-	case LT:
-		return v < c.Val
-	case LE:
-		return v <= c.Val
-	case GT:
-		return v > c.Val
-	case GE:
-		return v >= c.Val
-	case EQ:
-		return v == c.Val
-	}
-	return false
-}
-
-// Filter is Match over a column: it keeps the offsets in at whose
-// value col[offset] passes, compacting at in place. The operator is
-// decoded once, outside the loop, and an offset costs no branch: which
-// way a broad constraint goes is a coin the predictor loses.
-func (c Constraint) Filter(at []int, col []float64) []int {
-	k, val := 0, c.Val
-	switch c.Op {
-	case LT:
-		for _, i := range at {
-			at[k] = i
-			k += b2i(col[i] < val)
-		}
-	case LE:
-		for _, i := range at {
-			at[k] = i
-			k += b2i(col[i] <= val)
-		}
-	case GT:
-		for _, i := range at {
-			at[k] = i
-			k += b2i(col[i] > val)
-		}
-	case GE:
-		for _, i := range at {
-			at[k] = i
-			k += b2i(col[i] >= val)
-		}
-	case EQ:
-		for _, i := range at {
-			at[k] = i
-			k += b2i(col[i] == val)
-		}
-	}
-	return at[:k]
-}
-
-// b2i compiles to a flag read, not a jump.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
 
 // entry is one (value, host id) pair in a column's sorted view.
 type entry struct {
@@ -195,17 +99,17 @@ func (c *column) upperBound(x float64) int {
 // span returns the base range [lo, hi) that can satisfy the
 // constraint. NaN-keyed ghosts inside the range are filtered at
 // collection time.
-func (c *column) span(con Constraint) (lo, hi int) {
+func (c *column) span(con reqlang.Constraint) (lo, hi int) {
 	switch con.Op {
-	case LT:
+	case reqlang.CmpLT:
 		return 0, c.lowerBound(con.Val)
-	case LE:
+	case reqlang.CmpLE:
 		return 0, c.upperBound(con.Val)
-	case GT:
+	case reqlang.CmpGT:
 		return c.upperBound(con.Val), len(c.base)
-	case GE:
+	case reqlang.CmpGE:
 		return c.lowerBound(con.Val), len(c.base)
-	case EQ:
+	case reqlang.CmpEQ:
 		return c.lowerBound(con.Val), c.upperBound(con.Val)
 	}
 	return 0, len(c.base)
@@ -215,7 +119,7 @@ func (c *column) span(con Constraint) (lo, hi int) {
 // range width plus the whole patch (every patch entry might fall in
 // range). The planner drives candidate generation from the smallest
 // estimate.
-func (c *column) estimate(con Constraint) int {
+func (c *column) estimate(con reqlang.Constraint) int {
 	lo, hi := c.span(con)
 	return hi - lo + len(c.patch)
 }
@@ -230,7 +134,7 @@ func (c *column) valid(e entry) bool {
 // a binary-searched walk of the base range plus a linear sweep of the
 // (small) patch. Duplicate entries for one host dedupe through the
 // bitset.
-func (c *column) collect(con Constraint, out, live Bits) {
+func (c *column) collect(con reqlang.Constraint, out, live Bits) {
 	lo, hi := c.span(con)
 	for _, e := range c.base[lo:hi] {
 		if c.valid(e) && live.Test(int(e.id)) && con.Match(e.val) {
@@ -245,6 +149,6 @@ func (c *column) collect(con Constraint, out, live Bits) {
 }
 
 // test applies the constraint to one host through the dense array.
-func (c *column) test(id int, con Constraint) bool {
+func (c *column) test(id int, con reqlang.Constraint) bool {
 	return c.defined.Test(id) && con.Match(c.vals[id])
 }

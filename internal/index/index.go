@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"smartsock/internal/obs"
+	"smartsock/internal/reqlang"
 	"smartsock/internal/status"
 	"smartsock/internal/store"
 )
@@ -131,7 +132,7 @@ const DeclineSpan = 4
 // it calls a selective constraint broad just before a compaction. A
 // security-level constraint, of which the snapshot has no column, keeps
 // the index.
-func (s *Set) Broad(snap *store.SysSnapshot, fields []string, cons []Constraint) bool {
+func (s *Set) Broad(snap *store.SysSnapshot, fields []string, cons []reqlang.Constraint) bool {
 	s.mu.RLock()
 	ready := s.hasColumns(fields)
 	s.mu.RUnlock()
@@ -141,20 +142,20 @@ func (s *Set) Broad(snap *store.SysSnapshot, fields []string, cons []Constraint)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d := s.driverLocked(cons)
-	if d < 0 || slices.ContainsFunc(cons, func(c Constraint) bool { return c.Field == SecurityField }) {
+	if d < 0 || slices.ContainsFunc(cons, func(c reqlang.Constraint) bool { return c.Var == SecurityField }) {
 		return false
 	}
-	col := s.cols[cons[d].Field]
+	col := s.cols[cons[d].Var]
 	lo, hi := col.span(cons[d])
 	return hi > lo && (hi-lo)*DeclineSpan >= len(col.base)
 }
 
 // driverLocked picks the constraint with the smallest estimate; -1 when
 // there is none or one has no column.
-func (s *Set) driverLocked(cons []Constraint) int {
+func (s *Set) driverLocked(cons []reqlang.Constraint) int {
 	driver, best := -1, 0
 	for i, c := range cons {
-		col := s.cols[c.Field]
+		col := s.cols[c.Var]
 		if col == nil {
 			return -1
 		}
@@ -175,7 +176,7 @@ func (s *Set) driverLocked(cons []Constraint) int {
 // constraints' dense arrays in O(1) each, and joins them to snapshot
 // positions through the id→position table — no host name is
 // materialised or searched for.
-func (s *Set) Positions(epoch uint64, cons []Constraint, dst, ids Bits) (Bits, Bits, bool) {
+func (s *Set) Positions(epoch uint64, cons []reqlang.Constraint, dst, ids Bits) (Bits, Bits, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if !s.synced || !s.posOK || s.epoch != epoch {
@@ -186,12 +187,12 @@ func (s *Set) Positions(epoch uint64, cons []Constraint, dst, ids Bits) (Bits, B
 		return dst, ids, false
 	}
 	cand := ids[:0].grow(len(s.hosts))
-	s.cols[cons[driver].Field].collect(cons[driver], cand, s.live)
+	s.cols[cons[driver].Var].collect(cons[driver], cand, s.live)
 	for i, c := range cons {
 		if i == driver {
 			continue
 		}
-		col := s.cols[c.Field]
+		col := s.cols[c.Var]
 		for w, word := range cand {
 			for word != 0 {
 				id := w<<6 + bits.TrailingZeros64(word)

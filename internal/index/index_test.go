@@ -10,20 +10,21 @@ import (
 	"time"
 
 	"smartsock/internal/obs"
+	"smartsock/internal/reqlang"
 	"smartsock/internal/status"
 	"smartsock/internal/store"
 )
 
 // expectHosts computes the ground-truth candidate set by scanning the
 // snapshot and sec table directly.
-func expectHosts(db *store.DB, snap *store.SysSnapshot, cons []Constraint) []string {
+func expectHosts(db *store.DB, snap *store.SysSnapshot, cons []reqlang.Constraint) []string {
 	var out []string
 	for i := 0; i < snap.Len(); i++ {
 		rec := snap.At(i)
 		ok := true
 		for _, c := range cons {
 			var v float64
-			if c.Field == SecurityField {
+			if c.Var == SecurityField {
 				sec, found := db.GetSec(rec.Status.Host)
 				if !found {
 					ok = false
@@ -31,7 +32,7 @@ func expectHosts(db *store.DB, snap *store.SysSnapshot, cons []Constraint) []str
 				}
 				v = float64(sec.Level.Level)
 			} else {
-				val, found := rec.Status.Var(c.Field)
+				val, found := rec.Status.Var(c.Var)
 				if !found {
 					ok = false
 					break
@@ -53,11 +54,11 @@ func expectHosts(db *store.DB, snap *store.SysSnapshot, cons []Constraint) []str
 
 // query syncs the set against the database head and returns the
 // candidate hosts, failing the test when the index declines to serve.
-func query(t *testing.T, db *store.DB, s *Set, cons []Constraint) []string {
+func query(t *testing.T, db *store.DB, s *Set, cons []reqlang.Constraint) []string {
 	t.Helper()
 	fields := make([]string, 0, len(cons))
 	for _, c := range cons {
-		fields = append(fields, c.Field)
+		fields = append(fields, c.Var)
 	}
 	snap := db.SysView()
 	if !s.SyncFor(snap, fields) {
@@ -86,7 +87,7 @@ func TestIndexDeltaMaintenance(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("h%02d", i), Load1: float64(i) / 10, CPUIdle: float64(i) / 50})
 	}
-	cons := []Constraint{{Field: "host_system_load1", Op: LT, Val: 2.0}}
+	cons := []reqlang.Constraint{{Var: "host_system_load1", Op: reqlang.CmpLT, Val: 2.0}}
 	got := query(t, db, s, cons)
 	if len(got) != 20 {
 		t.Fatalf("expected 20 hosts under load 2.0, got %d", len(got))
@@ -109,9 +110,9 @@ func TestIndexDeltaMaintenance(t *testing.T) {
 	}
 
 	// Multi-constraint intersection.
-	got = query(t, db, s, []Constraint{
-		{Field: "host_system_load1", Op: GE, Val: 5},
-		{Field: "host_cpu_free", Op: GT, Val: 0.5},
+	got = query(t, db, s, []reqlang.Constraint{
+		{Var: "host_system_load1", Op: reqlang.CmpGE, Val: 5},
+		{Var: "host_cpu_free", Op: reqlang.CmpGT, Val: 0.5},
 	})
 	if len(got) != 10 {
 		t.Fatalf("expected the 10 re-put hosts, got %v", got)
@@ -124,7 +125,7 @@ func TestIndexRefreshIsNoop(t *testing.T) {
 	s := New(db, nil)
 	st := status.ServerStatus{Host: "r1", Load1: 1.5}
 	db.PutSys(st)
-	cons := []Constraint{{Field: "host_system_load1", Op: EQ, Val: 1.5}}
+	cons := []reqlang.Constraint{{Var: "host_system_load1", Op: reqlang.CmpEQ, Val: 1.5}}
 	query(t, db, s, cons)
 	epochBefore := db.SysEpoch()
 
@@ -144,12 +145,12 @@ func TestIndexResyncAfterLoad(t *testing.T) {
 	db := store.New()
 	s := New(db, reg)
 	db.PutSys(status.ServerStatus{Host: "a", Load1: 1})
-	query(t, db, s, []Constraint{{Field: "host_system_load1", Op: GT, Val: 0}})
+	query(t, db, s, []reqlang.Constraint{{Var: "host_system_load1", Op: reqlang.CmpGT, Val: 0}})
 
 	// Load replaces the table wholesale and resets retained history;
 	// the next sync must rebuild, not delta.
 	db.Load([]status.ServerStatus{{Host: "b", Load1: 2}, {Host: "c", Load1: 0.5}}, nil, nil)
-	got := query(t, db, s, []Constraint{{Field: "host_system_load1", Op: GT, Val: 1}})
+	got := query(t, db, s, []reqlang.Constraint{{Var: "host_system_load1", Op: reqlang.CmpGT, Val: 1}})
 	if len(got) != 1 || got[0] != "b" {
 		t.Fatalf("after Load expected [b], got %v", got)
 	}
@@ -163,8 +164,8 @@ func TestIndexNaNNeverMatches(t *testing.T) {
 	s := New(db, nil)
 	db.PutSys(status.ServerStatus{Host: "nan-host", Load1: math.NaN()})
 	db.PutSys(status.ServerStatus{Host: "ok-host", Load1: 1})
-	for _, op := range []Op{LT, LE, GT, GE, EQ} {
-		got := query(t, db, s, []Constraint{{Field: "host_system_load1", Op: op, Val: 100}})
+	for _, op := range []reqlang.CmpOp{reqlang.CmpLT, reqlang.CmpLE, reqlang.CmpGT, reqlang.CmpGE, reqlang.CmpEQ} {
+		got := query(t, db, s, []reqlang.Constraint{{Var: "host_system_load1", Op: op, Val: 100}})
 		for _, h := range got {
 			if h == "nan-host" {
 				t.Fatalf("NaN value matched constraint op %v", op)
@@ -183,7 +184,7 @@ func TestIndexSecurityField(t *testing.T) {
 			db.PutSec(status.SecLevel{Host: host, Level: i})
 		}
 	}
-	got := query(t, db, s, []Constraint{{Field: SecurityField, Op: GE, Val: 4}})
+	got := query(t, db, s, []reqlang.Constraint{{Var: SecurityField, Op: reqlang.CmpGE, Val: 4}})
 	want := []string{"s4", "s6"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("security candidates = %v, want %v", got, want)
@@ -191,7 +192,7 @@ func TestIndexSecurityField(t *testing.T) {
 
 	// Raising one host's level must flow through the delta path.
 	db.PutSec(status.SecLevel{Host: "s0", Level: 9})
-	got = query(t, db, s, []Constraint{{Field: SecurityField, Op: GE, Val: 4}})
+	got = query(t, db, s, []reqlang.Constraint{{Var: SecurityField, Op: reqlang.CmpGE, Val: 4}})
 	want = []string{"s0", "s4", "s6"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after sec update candidates = %v, want %v", got, want)
@@ -203,7 +204,7 @@ func TestIndexCompactionUnderChurn(t *testing.T) {
 	db := store.NewWithClock(func() time.Time { return clock })
 	s := New(db, nil)
 	rng := rand.New(rand.NewSource(7))
-	cons := []Constraint{{Field: "host_cpu_free", Op: GT, Val: 0.5}}
+	cons := []reqlang.Constraint{{Var: "host_cpu_free", Op: reqlang.CmpGT, Val: 0.5}}
 	for round := 0; round < 40; round++ {
 		clock = clock.Add(time.Second)
 		for i := 0; i < 32; i++ {
@@ -229,11 +230,11 @@ func TestIndexStaleSnapshotRefused(t *testing.T) {
 	if s.SyncFor(stale, []string{"host_system_load1"}) {
 		t.Fatal("SyncFor accepted a stale snapshot")
 	}
-	if _, _, ok := s.Positions(stale.Epoch, []Constraint{{Field: "host_system_load1", Op: GT, Val: 0}}, nil, nil); ok {
+	if _, _, ok := s.Positions(stale.Epoch, []reqlang.Constraint{{Var: "host_system_load1", Op: reqlang.CmpGT, Val: 0}}, nil, nil); ok {
 		t.Fatal("Positions served a stale epoch")
 	}
 	// The fresh snapshot must work.
-	query(t, db, s, []Constraint{{Field: "host_system_load1", Op: GT, Val: 0}})
+	query(t, db, s, []reqlang.Constraint{{Var: "host_system_load1", Op: reqlang.CmpGT, Val: 0}})
 }
 
 func TestIndexRandomizedAgainstScan(t *testing.T) {
@@ -242,7 +243,7 @@ func TestIndexRandomizedAgainstScan(t *testing.T) {
 	s := New(db, nil)
 	rng := rand.New(rand.NewSource(42))
 	fields := []string{"host_system_load1", "host_cpu_free", "host_memory_free", SecurityField}
-	ops := []Op{LT, LE, GT, GE, EQ}
+	ops := []reqlang.CmpOp{reqlang.CmpLT, reqlang.CmpLE, reqlang.CmpGT, reqlang.CmpGE, reqlang.CmpEQ}
 	for step := 0; step < 300; step++ {
 		clock = clock.Add(time.Second)
 		host := fmt.Sprintf("r%02d", rng.Intn(24))
@@ -264,12 +265,12 @@ func TestIndexRandomizedAgainstScan(t *testing.T) {
 			}
 		}
 		ncons := 1 + rng.Intn(2)
-		cons := make([]Constraint, ncons)
+		cons := make([]reqlang.Constraint, ncons)
 		for i := range cons {
-			cons[i] = Constraint{
-				Field: fields[rng.Intn(len(fields))],
-				Op:    ops[rng.Intn(len(ops))],
-				Val:   float64(rng.Intn(8)),
+			cons[i] = reqlang.Constraint{
+				Var: fields[rng.Intn(len(fields))],
+				Op:  ops[rng.Intn(len(ops))],
+				Val: float64(rng.Intn(8)),
 			}
 		}
 		query(t, db, s, cons)
@@ -281,9 +282,9 @@ func TestIndexRandomizedAgainstScan(t *testing.T) {
 // operator — NaN and the infinities included.
 func TestFilterIsMatchOverAColumn(t *testing.T) {
 	col := []float64{math.NaN(), math.Inf(-1), -1, 0, math.Copysign(0, -1), 1, 2, math.Inf(1), 1, math.NaN()}
-	for _, op := range []Op{LT, LE, GT, GE, EQ} {
+	for _, op := range []reqlang.CmpOp{reqlang.CmpLT, reqlang.CmpLE, reqlang.CmpGT, reqlang.CmpGE, reqlang.CmpEQ} {
 		for _, val := range []float64{0, 1, math.Inf(1), math.NaN()} {
-			c := Constraint{Op: op, Val: val}
+			c := reqlang.Constraint{Op: op, Val: val}
 			at := []int{9, 2, 5, 0, 7, 3, 8, 4, 6} // out of order, 1 left out
 			var want []int
 			for _, i := range at {
@@ -310,17 +311,19 @@ func TestBroadDecidesOnTheSortedSpan(t *testing.T) {
 		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("h%04d", i), Load1: float64(i)})
 		db.PutSec(status.SecLevel{Host: fmt.Sprintf("h%04d", i), Level: 1})
 	}
-	load := func(op Op, v float64) []Constraint { return []Constraint{{Field: "host_system_load1", Op: op, Val: v}} }
-	query(t, db, s, append(load(GE, 0), Constraint{Field: SecurityField, Op: GE, Val: 0}))
+	load := func(op reqlang.CmpOp, v float64) []reqlang.Constraint {
+		return []reqlang.Constraint{{Var: "host_system_load1", Op: op, Val: v}}
+	}
+	query(t, db, s, append(load(reqlang.CmpGE, 0), reqlang.Constraint{Var: SecurityField, Op: reqlang.CmpGE, Val: 0}))
 	for _, tc := range []struct {
-		cons  []Constraint
+		cons  []reqlang.Constraint
 		broad bool
 	}{
-		{load(LT, hosts/DeclineSpan), true},
-		{load(LT, hosts/DeclineSpan-1), false},
-		{load(GE, hosts-hosts/DeclineSpan), true},
-		{load(GE, hosts-1), false},
-		{append(load(GE, 0), Constraint{Field: SecurityField, Op: GE, Val: 0}), false},
+		{load(reqlang.CmpLT, hosts/DeclineSpan), true},
+		{load(reqlang.CmpLT, hosts/DeclineSpan-1), false},
+		{load(reqlang.CmpGE, hosts-hosts/DeclineSpan), true},
+		{load(reqlang.CmpGE, hosts-1), false},
+		{append(load(reqlang.CmpGE, 0), reqlang.Constraint{Var: SecurityField, Op: reqlang.CmpGE, Val: 0}), false},
 	} {
 		if got := s.Broad(db.SysView(), []string{"host_system_load1"}, tc.cons); got != tc.broad {
 			t.Errorf("Broad(%v) = %t, want %t", tc.cons, got, tc.broad)
@@ -330,8 +333,8 @@ func TestBroadDecidesOnTheSortedSpan(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("h%04d", i), Load1: float64(i) + 0.5})
 	}
-	query(t, db, s, load(GE, hosts-1))
-	if s.Broad(db.SysView(), []string{"host_system_load1"}, load(GE, hosts-1)) {
+	query(t, db, s, load(reqlang.CmpGE, hosts-1))
+	if s.Broad(db.SysView(), []string{"host_system_load1"}, load(reqlang.CmpGE, hosts-1)) {
 		t.Error("a one-host span is broad while the patch is long")
 	}
 }

@@ -39,6 +39,8 @@ const (
 	tokIdent   // variable name: server param, user param, or temp
 	tokNetAddr // dotted quad or dotted domain name
 	tokString  // double-quoted literal
+	// The operators, from here to the end: each is an entry of the
+	// operators table.
 	tokLParen
 	tokRParen
 	tokPlus
@@ -47,75 +49,60 @@ const (
 	tokSlash
 	tokCaret
 	tokAssign
-	tokAnd // &&
-	tokOr  // ||
-	tokEQ  // ==
-	tokNE  // !=
-	tokLT  // <
-	tokLE  // <=
-	tokGT  // >
-	tokGE  // >=
+	tokAnd
+	tokOr
+	tokEQ
+	tokNE
+	tokLT
+	tokLE
+	tokGT
+	tokGE
 	tokComma
 )
 
+// operators is the language's one operator table: how each operator
+// token is spelled and its binary precedence, low to high (0: not a
+// binary operator; '^' is right-associative). The scanner, the
+// parser's precedence climb, isLogical and the token names in error
+// messages all read it.
+var operators = [...]struct {
+	text string
+	prec int
+}{
+	tokLParen: {"(", 0},
+	tokRParen: {")", 0},
+	tokPlus:   {"+", 4},
+	tokMinus:  {"-", 4},
+	tokStar:   {"*", 5},
+	tokSlash:  {"/", 5},
+	tokCaret:  {"^", 6},
+	tokAssign: {"=", 0},
+	tokAnd:    {"&&", 2},
+	tokOr:     {"||", 1},
+	tokEQ:     {"==", 3},
+	tokNE:     {"!=", 3},
+	tokLT:     {"<", 3},
+	tokLE:     {"<=", 3},
+	tokGT:     {">", 3},
+	tokGE:     {">=", 3},
+	tokComma:  {",", 0},
+}
+
+// kindNames names the kinds before the operators, in kind order.
+var kindNames = [tokLParen]string{"end of input", "newline", "number", "identifier", "network address", "string"}
+
 func (k tokenKind) String() string {
-	switch k {
-	case tokEOF:
-		return "end of input"
-	case tokNewline:
-		return "newline"
-	case tokNumber:
-		return "number"
-	case tokIdent:
-		return "identifier"
-	case tokNetAddr:
-		return "network address"
-	case tokString:
-		return "string"
-	case tokLParen:
-		return "'('"
-	case tokRParen:
-		return "')'"
-	case tokPlus:
-		return "'+'"
-	case tokMinus:
-		return "'-'"
-	case tokStar:
-		return "'*'"
-	case tokSlash:
-		return "'/'"
-	case tokCaret:
-		return "'^'"
-	case tokAssign:
-		return "'='"
-	case tokAnd:
-		return "'&&'"
-	case tokOr:
-		return "'||'"
-	case tokEQ:
-		return "'=='"
-	case tokNE:
-		return "'!='"
-	case tokLT:
-		return "'<'"
-	case tokLE:
-		return "'<='"
-	case tokGT:
-		return "'>'"
-	case tokGE:
-		return "'>='"
-	case tokComma:
-		return "','"
+	if k >= tokLParen {
+		return "'" + operators[k].text + "'"
 	}
-	return fmt.Sprintf("token(%d)", int(k))
+	return kindNames[k]
 }
 
 type token struct {
-	kind tokenKind
-	text string  // raw text for ident/netaddr/string
-	num  float64 // value for tokNumber
-	line int
-	col  int
+	kind      tokenKind
+	text      string  // ident, netaddr, string and number: a slice of the source
+	num       float64 // value for tokNumber
+	line, col int
 }
 
 // SyntaxError reports a lexical or grammatical problem with position.
@@ -128,39 +115,22 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("reqlang: line %d col %d: %s", e.Line, e.Col, e.Msg)
 }
 
+// errorf reports a problem at token t's position.
+func errorf(t token, format string, args ...any) *SyntaxError {
+	return &SyntaxError{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+}
+
+// lexer scans src from pos; a column is the distance from the first
+// byte of the current line.
 type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src                  string
+	pos, line, lineStart int
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
-}
+func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
-func (l *lexer) errorf(format string, args ...any) *SyntaxError {
-	return &SyntaxError{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (l *lexer) peek() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
-}
+// at is a token positioned at byte offset p of the current line.
+func (l *lexer) at(p int) token { return token{line: l.line, col: p - l.lineStart + 1} }
 
 func isDigit(c byte) bool  { return c >= '0' && c <= '9' }
 func isAlpha(c byte) bool  { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
@@ -174,149 +144,102 @@ func netAddrC(c byte) bool { return isIdentC(c) || c == '.' || c == '-' }
 // next scans one token. Comments and horizontal whitespace are
 // consumed silently; '\n' is a token because it terminates statements.
 func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) {
-		c := l.peek()
-		if c == ' ' || c == '\t' || c == '\r' {
-			l.advance()
-			continue
-		}
-		if c == '#' {
-			for l.pos < len(l.src) && l.peek() != '\n' {
-				l.advance()
-			}
-			continue
-		}
-		break
+	src := l.src
+	for l.pos < len(src) && strings.IndexByte(" \t\r", src[l.pos]) >= 0 {
+		l.pos++
 	}
-	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, line: l.line, col: l.col}, nil
+	if l.pos < len(src) && src[l.pos] == '#' { // a comment runs to the newline
+		for l.pos < len(src) && src[l.pos] != '\n' {
+			l.pos++
+		}
 	}
-	line, col := l.line, l.col
-	tok := func(k tokenKind) (token, error) {
-		return token{kind: k, line: line, col: col}, nil
+	start, t := l.pos, l.at(l.pos) // tokEOF unless src goes on
+	if start == len(src) {
+		return t, nil
 	}
-	c := l.advance()
-	switch c {
-	case '\n':
-		return tok(tokNewline)
-	case '(':
-		return tok(tokLParen)
-	case ')':
-		return tok(tokRParen)
-	case '+':
-		return tok(tokPlus)
-	case '-':
-		return tok(tokMinus)
-	case '*':
-		return tok(tokStar)
-	case '/':
-		return tok(tokSlash)
-	case '^':
-		return tok(tokCaret)
-	case ',':
-		return tok(tokComma)
-	case '=':
-		if l.peek() == '=' {
-			l.advance()
-			return tok(tokEQ)
+	switch c := src[start]; {
+	case c == '\n':
+		l.pos++
+		t.kind = tokNewline
+		l.line, l.lineStart = l.line+1, l.pos
+	case c == '"':
+		l.pos++
+		for l.pos < len(src) && src[l.pos] != '"' && src[l.pos] != '\n' {
+			l.pos++
 		}
-		return tok(tokAssign)
-	case '!':
-		if l.peek() == '=' {
-			l.advance()
-			return tok(tokNE)
+		if l.pos == len(src) || src[l.pos] == '\n' {
+			return token{}, errorf(l.at(l.pos), "unterminated string literal")
 		}
-		return token{}, l.errorf("unexpected '!' (only '!=' is defined)")
-	case '<':
-		if l.peek() == '=' {
-			l.advance()
-			return tok(tokLE)
-		}
-		return tok(tokLT)
-	case '>':
-		if l.peek() == '=' {
-			l.advance()
-			return tok(tokGE)
-		}
-		return tok(tokGT)
-	case '&':
-		if l.peek() == '&' {
-			l.advance()
-			return tok(tokAnd)
-		}
-		return token{}, l.errorf("unexpected '&' (only '&&' is defined)")
-	case '|':
-		if l.peek() == '|' {
-			l.advance()
-			return tok(tokOr)
-		}
-		return token{}, l.errorf("unexpected '|' (only '||' is defined)")
-	case '"':
-		var b strings.Builder
-		for {
-			if l.pos >= len(l.src) || l.peek() == '\n' {
-				return token{}, l.errorf("unterminated string literal")
-			}
-			ch := l.advance()
-			if ch == '"' {
-				break
-			}
-			b.WriteByte(ch)
-		}
-		return token{kind: tokString, text: b.String(), line: line, col: col}, nil
+		t.kind, t.text = tokString, src[start+1:l.pos]
+		l.pos++
+	case isDigit(c):
+		return l.number(t)
+	case isAlpha(c):
+		return l.word(t), nil
+	default:
+		return l.operator(t)
 	}
-	if isDigit(c) {
-		return l.scanNumberOrAddr(c, line, col)
-	}
-	if isAlpha(c) {
-		return l.scanIdentOrAddr(c, line, col)
-	}
-	return token{}, l.errorf("unexpected character %q", c)
+	return t, nil
 }
 
-// scanNumberOrAddr handles both NUMBER ([0-9]+ or [0-9]+.[0-9]+) and
-// the dotted-quad form of NETADDR.
-func (l *lexer) scanNumberOrAddr(first byte, line, col int) (token, error) {
-	var b strings.Builder
-	b.WriteByte(first)
-	dots := 0
-	for l.pos < len(l.src) {
-		c := l.peek()
-		if isDigit(c) {
-			b.WriteByte(l.advance())
-			continue
+// operator scans the longest operator spelling at pos. A byte that
+// only begins one, such as a lone '&', is an error worded from that
+// entry; the column of both errors is the byte after the bad one.
+func (l *lexer) operator(t token) (token, error) {
+	start, longest := l.pos, 0
+	for k := tokLParen; int(k) < len(operators); k++ {
+		if op := operators[k].text; len(op) > longest && strings.HasPrefix(l.src[start:], op) {
+			t.kind, longest = k, len(op)
 		}
-		if c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]) {
-			dots++
-			b.WriteByte(l.advance())
-			continue
-		}
-		break
 	}
-	text := b.String()
+	if longest > 0 {
+		l.pos += longest
+		return t, nil
+	}
+	c := l.src[start]
+	for k := tokLParen; int(k) < len(operators); k++ {
+		if operators[k].text[0] == c {
+			return token{}, errorf(l.at(start+1), "unexpected %q (only %v is defined)", c, k)
+		}
+	}
+	return token{}, errorf(l.at(start+1), "unexpected character %q", c)
+}
+
+// number scans NUMBER ([0-9]+ or [0-9]+.[0-9]+) and the dotted-quad
+// form of NETADDR.
+func (l *lexer) number(t token) (token, error) {
+	src, start, dots := l.src, l.pos, 0
+	for ; l.pos < len(src); l.pos++ {
+		if c := src[l.pos]; c == '.' && l.pos+1 < len(src) && isDigit(src[l.pos+1]) {
+			dots++
+		} else if !isDigit(c) {
+			break
+		}
+	}
+	t.text = src[start:l.pos]
 	switch dots {
 	case 0, 1:
-		v, err := strconv.ParseFloat(text, 64)
+		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return token{}, &SyntaxError{Line: line, Col: col, Msg: fmt.Sprintf("bad number %q", text)}
+			return token{}, errorf(l.at(start), "bad number %q", t.text)
 		}
-		return token{kind: tokNumber, num: v, text: text, line: line, col: col}, nil
+		t.kind, t.num = tokNumber, v
+		return t, nil
 	case 3:
-		return token{kind: tokNetAddr, text: text, line: line, col: col}, nil
+		t.kind = tokNetAddr
+		return t, nil
 	}
-	return token{}, &SyntaxError{Line: line, Col: col, Msg: fmt.Sprintf("%q is neither a number nor a dotted-quad address", text)}
+	return token{}, errorf(l.at(start), "%q is neither a number nor a dotted-quad address", t.text)
 }
 
-// scanIdentOrAddr handles identifiers and domain-name NETADDRs: an
-// identifier containing a '.' is a network address (Fig 4.1).
-func (l *lexer) scanIdentOrAddr(first byte, line, col int) (token, error) {
-	var b strings.Builder
-	b.WriteByte(first)
-	isAddr := false
-	for l.pos < len(l.src) {
-		c := l.peek()
+// word scans identifiers and domain-name NETADDRs: an identifier
+// containing a '.' is a network address (Fig 4.1).
+func (l *lexer) word(t token) token {
+	src, start := l.src, l.pos
+	t.kind = tokIdent
+	for ; l.pos < len(src); l.pos++ {
+		c := src[l.pos]
 		if isIdentC(c) {
-			b.WriteByte(l.advance())
 			continue
 		}
 		// A dot continues the token only when followed by a name
@@ -325,33 +248,27 @@ func (l *lexer) scanIdentOrAddr(first byte, line, col int) (token, error) {
 		// once a dot has been seen (inside a domain name): a bare
 		// "a-b" must stay a subtraction, but "titan-x.lab" is a host.
 		// Bare hyphenated host names need quotes: "titan-x".
-		if (c == '.' || (c == '-' && isAddr)) && l.pos+1 < len(l.src) && netAddrC(l.src[l.pos+1]) && l.src[l.pos+1] != '.' {
-			if c == '.' {
-				isAddr = true
-			}
-			b.WriteByte(l.advance())
-			continue
+		if !(c == '.' || c == '-' && t.kind == tokNetAddr) || l.pos+1 == len(src) || !netAddrC(src[l.pos+1]) || src[l.pos+1] == '.' {
+			break
 		}
-		break
+		if c == '.' {
+			t.kind = tokNetAddr
+		}
 	}
-	kind := tokIdent
-	if isAddr {
-		kind = tokNetAddr
-	}
-	return token{kind: kind, text: b.String(), line: line, col: col}, nil
+	t.text = src[start:l.pos]
+	return t
 }
 
-// lexAll tokenises the whole source.
+// lexAll tokenises the whole source, into one allocation for most
+// requirements: their tokens take four bytes or more apiece.
 func lexAll(src string) ([]token, error) {
-	l := newLexer(src)
-	var toks []token
+	l, toks := newLexer(src), make([]token, 0, len(src)/4+1)
 	for {
 		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
+		if toks = append(toks, t); t.kind == tokEOF {
 			return toks, nil
 		}
 	}

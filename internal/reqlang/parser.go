@@ -1,69 +1,37 @@
 package reqlang
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
-// node is one AST vertex. Nodes remember their source position so
-// evaluation errors can point at the offending statement.
-type node interface {
-	pos() (line, col int)
-}
+// node is one AST vertex: one of the *...Node types below. Errors point
+// at a statement's line, so nodes keep no position.
+type node interface{}
 
-type numNode struct {
-	val       float64
-	line, col int
-}
+type numNode struct{ val float64 }
 
 // strNode is a string literal or a NETADDR (dotted quad / domain
 // name); both evaluate to string values.
-type strNode struct {
-	val       string
-	line, col int
-}
+type strNode struct{ val string }
 
-type varNode struct {
-	name      string
-	line, col int
-}
+type varNode struct{ name string }
 
 type assignNode struct {
-	name      string
-	rhs       node
-	line, col int
+	name string
+	rhs  node
 }
 
-type unaryNode struct {
-	x         node
-	line, col int
-}
+type unaryNode struct{ x node }
 
 type binNode struct {
-	op        tokenKind
-	l, r      node
-	line, col int
+	op   tokenKind
+	l, r node
 }
 
 type callNode struct {
-	fn        string
-	args      []node
-	line, col int
+	fn   string
+	args []node
 }
 
-type parenNode struct {
-	x         node
-	line, col int
-}
-
-func (n *numNode) pos() (int, int)    { return n.line, n.col }
-func (n *strNode) pos() (int, int)    { return n.line, n.col }
-func (n *varNode) pos() (int, int)    { return n.line, n.col }
-func (n *assignNode) pos() (int, int) { return n.line, n.col }
-func (n *unaryNode) pos() (int, int)  { return n.line, n.col }
-func (n *binNode) pos() (int, int)    { return n.line, n.col }
-func (n *callNode) pos() (int, int)   { return n.line, n.col }
-func (n *parenNode) pos() (int, int)  { return n.line, n.col }
+type parenNode struct{ x node }
 
 // isLogical reports whether a node is a logical statement per the Fig
 // 4.2 semantics: its main (top-level) operator is a logical operator.
@@ -73,11 +41,7 @@ func (n *parenNode) pos() (int, int)  { return n.line, n.col }
 func isLogical(n node) bool {
 	switch v := n.(type) {
 	case *binNode:
-		switch v.op {
-		case tokAnd, tokOr, tokEQ, tokNE, tokLT, tokLE, tokGT, tokGE:
-			return true
-		}
-		return false
+		return operators[v.op].prec <= operators[tokEQ].prec // no tighter than a comparison
 	case *parenNode:
 		return isLogical(v.x)
 	}
@@ -146,59 +110,45 @@ type parser struct {
 func (p *parser) peek() token    { return p.toks[p.pos] }
 func (p *parser) advance() token { t := p.toks[p.pos]; p.pos++; return t }
 
-func (p *parser) expect(k tokenKind) (token, error) {
-	t := p.peek()
-	if t.kind != k {
-		return token{}, &SyntaxError{Line: t.line, Col: t.col,
-			Msg: fmt.Sprintf("expected %v, found %v", k, t.kind)}
+func (p *parser) expect(k tokenKind) error {
+	if t := p.advance(); t.kind != k {
+		return errorf(t, "expected %v, found %v", k, t.kind)
 	}
-	return p.advance(), nil
+	return nil
 }
 
 // Parse compiles a requirement text into a Program. Parsing is
 // independent of any server's status; the same Program is evaluated
-// once per candidate server.
+// once per candidate server. The Program keeps a copy of src, never
+// the caller's bytes: a caller may parse a view of a buffer it reuses.
 func Parse(src string) (*Program, error) {
+	src = strings.Clone(src)
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
 	lines := strings.Split(src, "\n")
-	prog := &Program{src: src}
-	for {
-		// Skip blank lines.
-		for p.peek().kind == tokNewline {
+	prog := &Program{src: src, Stmts: make([]Statement, 0, len(lines))}
+	for t := p.peek(); t.kind != tokEOF; t = p.peek() {
+		if t.kind == tokNewline { // a statement's end, or a blank line
 			p.advance()
+			continue
 		}
-		if p.peek().kind == tokEOF {
-			break
-		}
-		start := p.peek()
 		expr, err := p.parseExpr(0)
 		if err != nil {
 			return nil, err
 		}
-		// A statement ends at a newline or at EOF.
-		switch t := p.peek(); t.kind {
-		case tokNewline:
-			p.advance()
-		case tokEOF:
-		default:
-			return nil, &SyntaxError{Line: t.line, Col: t.col,
-				Msg: fmt.Sprintf("unexpected %v after expression", t.kind)}
-		}
-		raw := ""
-		if start.line-1 < len(lines) {
-			raw = strings.TrimSpace(lines[start.line-1])
+		if end := p.peek(); end.kind != tokNewline && end.kind != tokEOF {
+			return nil, errorf(end, "unexpected %v after expression", end.kind)
 		}
 		logical := isLogical(expr)
 		_, assigns := stripParens(expr).(*assignNode)
 		prog.Stmts = append(prog.Stmts, Statement{
 			Expr:    expr,
 			Logical: logical,
-			Line:    start.line,
-			Src:     raw,
+			Line:    t.line,
+			Src:     strings.TrimSpace(lines[t.line-1]),
 			scores:  !logical && !assigns,
 		})
 	}
@@ -206,82 +156,60 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// Binary operator precedence, low to high. '^' is handled separately
-// because it is right-associative.
-var binPrec = map[tokenKind]int{
-	tokOr:    1,
-	tokAnd:   2,
-	tokEQ:    3,
-	tokNE:    3,
-	tokLT:    3,
-	tokLE:    3,
-	tokGT:    3,
-	tokGE:    3,
-	tokPlus:  4,
-	tokMinus: 4,
-	tokStar:  5,
-	tokSlash: 5,
-	tokCaret: 6,
-}
-
-// parseExpr is a precedence climber over binPrec.
+// parseExpr is a precedence climber over the operators table: it
+// takes binary operators binding at least as tightly as minPrec.
 func (p *parser) parseExpr(minPrec int) (node, error) {
 	lhs, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		t := p.peek()
-		prec, ok := binPrec[t.kind]
-		if !ok || prec < minPrec {
+		op := p.peek().kind
+		prec := operators[op].prec
+		if prec == 0 || prec < minPrec { // 0: not a binary operator
 			return lhs, nil
 		}
 		p.advance()
-		nextMin := prec + 1
-		if t.kind == tokCaret { // right-associative
-			nextMin = prec
+		if op != tokCaret { // '^' is right-associative
+			prec++
 		}
-		rhs, err := p.parseExpr(nextMin)
+		rhs, err := p.parseExpr(prec)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &binNode{op: t.kind, l: lhs, r: rhs, line: t.line, col: t.col}
+		lhs = &binNode{op: op, l: lhs, r: rhs}
 	}
 }
 
 func (p *parser) parseUnary() (node, error) {
-	if t := p.peek(); t.kind == tokMinus {
+	if p.peek().kind == tokMinus {
 		p.advance()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &unaryNode{x: x, line: t.line, col: t.col}, nil
+		return &unaryNode{x: x}, nil
 	}
 	return p.parsePrimary()
 }
 
 func (p *parser) parsePrimary() (node, error) {
-	t := p.peek()
+	t := p.advance()
 	switch t.kind {
 	case tokNumber:
-		p.advance()
-		return &numNode{val: t.num, line: t.line, col: t.col}, nil
+		return &numNode{val: t.num}, nil
 	case tokString, tokNetAddr:
-		p.advance()
-		return &strNode{val: t.text, line: t.line, col: t.col}, nil
+		return &strNode{val: t.text}, nil
 	case tokLParen:
-		p.advance()
 		x, err := p.parseExpr(0)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokRParen); err != nil {
+		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		return &parenNode{x: x, line: t.line, col: t.col}, nil
+		return &parenNode{x: x}, nil
 	case tokIdent:
-		p.advance()
 		switch p.peek().kind {
 		case tokLParen: // built-in function call
 			p.advance()
@@ -299,20 +227,19 @@ func (p *parser) parsePrimary() (node, error) {
 					p.advance()
 				}
 			}
-			if _, err := p.expect(tokRParen); err != nil {
+			if err := p.expect(tokRParen); err != nil {
 				return nil, err
 			}
-			return &callNode{fn: t.text, args: args, line: t.line, col: t.col}, nil
+			return &callNode{fn: t.text, args: args}, nil
 		case tokAssign:
 			p.advance()
 			rhs, err := p.parseExpr(0)
 			if err != nil {
 				return nil, err
 			}
-			return &assignNode{name: t.text, rhs: rhs, line: t.line, col: t.col}, nil
+			return &assignNode{name: t.text, rhs: rhs}, nil
 		}
-		return &varNode{name: t.text, line: t.line, col: t.col}, nil
+		return &varNode{name: t.text}, nil
 	}
-	return nil, &SyntaxError{Line: t.line, Col: t.col,
-		Msg: fmt.Sprintf("unexpected %v at start of expression", t.kind)}
+	return nil, errorf(t, "unexpected %v at start of expression", t.kind)
 }

@@ -13,32 +13,19 @@ package reqlang
 // yields no plan at all — the selector falls back to the full scan,
 // preserving the Fig 4.2 semantics exactly.
 
-// CmpOp is an extracted comparison operator.
+// CmpOp is an extracted comparison operator: the token kind of one of
+// the five comparisons an ordered index can answer (not !=).
 type CmpOp uint8
 
 const (
-	CmpLT CmpOp = iota
-	CmpLE
-	CmpGT
-	CmpGE
-	CmpEQ
+	CmpLT = CmpOp(tokLT)
+	CmpLE = CmpOp(tokLE)
+	CmpGT = CmpOp(tokGT)
+	CmpGE = CmpOp(tokGE)
+	CmpEQ = CmpOp(tokEQ)
 )
 
-func (o CmpOp) String() string {
-	switch o {
-	case CmpLT:
-		return "<"
-	case CmpLE:
-		return "<="
-	case CmpGT:
-		return ">"
-	case CmpGE:
-		return ">="
-	case CmpEQ:
-		return "=="
-	}
-	return "?"
-}
+func (o CmpOp) String() string { return operators[o].text }
 
 // flip mirrors an operator across its operands: `0.5 < x` is `x > 0.5`.
 func (o CmpOp) flip() CmpOp {
@@ -56,12 +43,74 @@ func (o CmpOp) flip() CmpOp {
 }
 
 // Constraint is one extracted predicate: Var Op Val must hold for the
-// statement at Line to evaluate true.
+// statement at Line to evaluate true. The index answers it as it is.
 type Constraint struct {
 	Var  string
 	Op   CmpOp
 	Val  float64
 	Line int
+}
+
+// Match applies the constraint's comparison to a concrete value. Any
+// comparison involving NaN is false, as in evaluation.
+func (c Constraint) Match(v float64) bool {
+	switch c.Op {
+	case CmpLT:
+		return v < c.Val
+	case CmpLE:
+		return v <= c.Val
+	case CmpGT:
+		return v > c.Val
+	case CmpGE:
+		return v >= c.Val
+	case CmpEQ:
+		return v == c.Val
+	}
+	return false
+}
+
+// Filter is Match over a column: it keeps the offsets in at whose
+// value col[offset] passes, compacting at in place. The operator is
+// decoded once, outside the loop, and an offset costs no branch: which
+// way a broad constraint goes is a coin the predictor loses.
+func (c Constraint) Filter(at []int, col []float64) []int {
+	k, val := 0, c.Val
+	switch c.Op {
+	case CmpLT:
+		for _, i := range at {
+			at[k] = i
+			k += b2i(col[i] < val)
+		}
+	case CmpLE:
+		for _, i := range at {
+			at[k] = i
+			k += b2i(col[i] <= val)
+		}
+	case CmpGT:
+		for _, i := range at {
+			at[k] = i
+			k += b2i(col[i] > val)
+		}
+	case CmpGE:
+		for _, i := range at {
+			at[k] = i
+			k += b2i(col[i] >= val)
+		}
+	case CmpEQ:
+		for _, i := range at {
+			at[k] = i
+			k += b2i(col[i] == val)
+		}
+	}
+	return at[:k]
+}
+
+// b2i compiles to a flag read, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Plan is the planner's verdict on a Program: the extracted
@@ -117,7 +166,7 @@ func extractConj(n node, line int, indexable func(string) bool, out *[]Constrain
 		return extractConj(b.l, line, indexable, out) &&
 			extractConj(b.r, line, indexable, out)
 	case tokLT, tokLE, tokGT, tokGE, tokEQ:
-		op := tokenCmp(b.op)
+		op := CmpOp(b.op)
 		if name, ok := compVar(b.l, indexable); ok {
 			if val, ok := litVal(b.r); ok {
 				*out = append(*out, Constraint{Var: name, Op: op, Val: val, Line: line})
@@ -134,20 +183,6 @@ func extractConj(n node, line int, indexable func(string) bool, out *[]Constrain
 		return false
 	}
 	return false
-}
-
-func tokenCmp(k tokenKind) CmpOp {
-	switch k {
-	case tokLT:
-		return CmpLT
-	case tokLE:
-		return CmpLE
-	case tokGT:
-		return CmpGT
-	case tokGE:
-		return CmpGE
-	}
-	return CmpEQ
 }
 
 func stripParens(n node) node {

@@ -2,9 +2,11 @@ package reqlang
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // env is the name-keyed binding set a test writes by hand; evalWith
@@ -434,6 +436,27 @@ func TestSyntaxErrorHasPosition(t *testing.T) {
 	}
 }
 
+// TestProgramKeepsNoneOfItsCallersBytes: with caching off, the wizard
+// parses a string over its pooled receive buffer, so a Program that
+// kept views of it would change when the buffer is reused.
+func TestProgramKeepsNoneOfItsCallersBytes(t *testing.T) {
+	const src = "host = \"sagittarius\"\nhost_cpu_free > 0.5\n"
+	buf := []byte(src)
+	p := mustParse(t, unsafe.String(&buf[0], len(buf)))
+	for i := range buf {
+		buf[i] = 'X'
+	}
+	if p.Source() != src {
+		t.Errorf("Source() = %q after the caller's bytes changed, want %q", p.Source(), src)
+	}
+	if got := p.Stmts[0].Src; got != `host = "sagittarius"` {
+		t.Errorf("Stmts[0].Src = %q after the caller's bytes changed", got)
+	}
+	if !slices.Contains(p.Strings(), "sagittarius") {
+		t.Errorf("Strings() = %q after the caller's bytes changed", p.Strings())
+	}
+}
+
 func TestEvalIsReusableAcrossServers(t *testing.T) {
 	// One parsed Program is evaluated once per server; temp variables
 	// and user params must not leak between evaluations.
@@ -527,3 +550,29 @@ user_denied_host1 = hacker.some.net
 		t.Error("network-A server (100 ms) should be rejected")
 	}
 }
+
+// BenchmarkParse compiles an eight-line requirement: the repo
+// benchmark's ranked fleet requirement plus a comment, a host-list
+// assignment and an || line. Parse runs once per requirement-cache
+// miss.
+func BenchmarkParse(b *testing.B) {
+	const src = "# rank the broad fleet by free CPU\n" +
+		"user_denied_host1 = 10.0.0.7\n" +
+		"host_cpu_free > 0.1\n" +
+		"host_system_load1 < 4\n" +
+		"host_memory_free > 16\n" +
+		"host_cpu_bogomips > 3000 || host_memory_free >= 64\n" +
+		"score = host_cpu_bogomips * host_cpu_free\n" +
+		"score\n"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		prog, err := Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parsed = prog
+	}
+}
+
+// parsed keeps BenchmarkParse's result live.
+var parsed *Program

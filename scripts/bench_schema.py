@@ -228,16 +228,16 @@ SIZE_SCHEMA = {
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 20272,
+    "total": 20040,
     ".": 721,
-    "internal/core": 1180,
-    "internal/index": 667,
+    "internal/core": 1164,
+    "internal/index": 572,
     "internal/store": 1162,
     "internal/status": 1247,
     "internal/transport": 1127,
     "internal/monitor": 315,
     "internal/probe": 232,
-    "internal/reqlang": 2074,
+    "internal/reqlang": 1953,
     "internal/wizard": 668,
     "internal/lint": 995,
     "internal/lint/flow": 439,

@@ -4,7 +4,8 @@
 # size numbers, the naming, one-evaluator, one-applier, columns-not-rows,
 # pages-by-ID, page-level-merges-by-tree, one-wizard-socket,
 # the-wizard-holds-no-mutex, report-float, resolved-host-lists,
-# selections-pin-their-snapshot and benchmark-consumer guards, and the project's own
+# selections-pin-their-snapshot, one-operator-table, one-comparison-type and
+# benchmark-consumer guards, and the project's own
 # static analyzers (cmd/smartlint). CI runs exactly this script; run it locally before
 # sending a change.
 set -eu
@@ -239,6 +240,34 @@ pins=$(awk '
 if [ -n "$pins" ]; then
 	echo "internal/core reads a snapshot it does not pin and release (PinSys, then defer Unpin):" >&2
 	echo "$pins" >&2
+	exit 1
+fi
+
+echo "== one operator table =="
+# The requirement language spells and ranks its operators in one table
+# (internal/reqlang/lexer.go: operators), which the scanner, the
+# precedence climb, isLogical and the token names read. A map keyed by
+# token kind is a second copy of that table, and a strings.Builder in
+# the scanner is token text copied instead of sliced from the source.
+optable=$( (grep -Hn 'map\[tokenKind\]' $(ls internal/reqlang/*.go | grep -v '_test\.go$') || true
+	grep -Hn 'strings\.Builder' internal/reqlang/lexer.go || true) | grep -vE ':[0-9]+:[[:space:]]*//' || true)
+if [ -n "$optable" ]; then
+	echo "internal/reqlang keeps operators outside the operators table, or copies token text:" >&2
+	echo "$optable" >&2
+	exit 1
+fi
+
+echo "== one comparison type =="
+# An extracted constraint is a reqlang.Constraint from the planner to
+# the index: the index answers it and the column filter applies it as
+# it is. An Op or Constraint type in internal/index, or a core function
+# taking a reqlang.CmpOp, is the second enumeration and its converter
+# coming back.
+cmptypes=$( (grep -HnE '^type (Op|Constraint) ' $(ls internal/index/*.go | grep -v '_test\.go$') || true
+	grep -HnE '^func .*reqlang\.CmpOp[,)]' $(ls internal/core/*.go | grep -v '_test\.go$') || true) )
+if [ -n "$cmptypes" ]; then
+	echo "a second comparison type or a converter to one (use reqlang.Constraint and reqlang.CmpOp):" >&2
+	echo "$cmptypes" >&2
 	exit 1
 fi
 
