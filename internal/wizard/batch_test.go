@@ -112,10 +112,11 @@ func collectReplies(t *testing.T, addr string, reqs []*proto.Request, clients in
 
 // TestBatchedShardsMatchSequential is the differential suite: the
 // batched, sharded, multi-worker wizard — under the pass-through
-// admission policy and under an armed overload gate — must produce
-// byte-identical reply datagrams, including error replies, to the
-// thesis preset (sequential, unbatched, unsharded, gate off) for the
-// same request stream.
+// admission policy and under an armed overload gate — and the daemon's
+// defaults with the gate off must produce byte-identical reply
+// datagrams, including error replies, to the thesis's serving
+// (sequential, unbatched, unsharded, uncached, gate off) for the same
+// request stream.
 func TestBatchedShardsMatchSequential(t *testing.T) {
 	reqs := stormRequests(140)
 
@@ -126,10 +127,11 @@ func TestBatchedShardsMatchSequential(t *testing.T) {
 		w := startWizard(t, cfg)
 		return collectReplies(t, w.Addr(), reqs, 7, nil)
 	}
-	seq := run(Config{Workers: 1, Batch: 1, Shards: 1})
+	seq := run(Config{Workers: 1, Batch: 1, Shards: 1, CacheSize: -1})
 	for name, cfg := range map[string]Config{
-		"gate off": {Workers: 4, Batch: 32, Shards: 4},
-		"gate on":  {Workers: 4, Batch: 32, Shards: 4, Overload: overload.New(overload.Config{MaxQueue: 1024})},
+		"daemon default, gate off": {Batch: netbatch.DefaultBatch, Shards: 1},
+		"gate off":                 {Workers: 4, Batch: 32, Shards: 4},
+		"gate on":                  {Workers: 4, Batch: 32, Shards: 4, Overload: overload.New(overload.Config{MaxQueue: 1024})},
 	} {
 		t.Run(name, func(t *testing.T) {
 			batched := run(cfg)
