@@ -48,22 +48,14 @@ func main() {
 		passive    = flag.String("passive", "", "TCP listen address for distributed-mode pulls (e.g. :1110)")
 		seclog     = flag.String("seclog", "", "security log file for the security monitor")
 		netmonName = flag.String("netmon", "", "this node's network monitor name (enables netmon)")
-		udpBatch   = flag.Int("udp-batch", netbatch.DefaultBatch, "report datagrams per socket syscall (recvmmsg; 1: one syscall per datagram)")
 		shards     = flag.Int("shards", 1, "SO_REUSEPORT listener sockets for the report port (Linux; 1: single socket)")
-		compat     = flag.Bool("compat", false, "thesis-faithful wire mode: full snapshot every epoch, no deltas, unbatched unsharded ingest")
+		compat     = flag.Bool("compat", false, "thesis wire: full snapshot every epoch, no deltas")
 		debugAddr  = flag.String("debug", "", "HTTP metrics endpoint address, e.g. 127.0.0.1:6061 (empty: disabled)")
 		peers      peerList
 	)
 	flag.Var(&peers, "peer", "network peer as name=echoAddr (repeatable)")
 	flag.Parse()
 	logger := log.New(os.Stderr, "sysmond: ", log.LstdFlags)
-	if *compat {
-		// The thesis preset, applied to the parsed flags before anything is
-		// built: one datagram per socket syscall on one listener socket, the
-		// historical ingest loop. Its wire half (full snapshot every epoch,
-		// no deltas) is not a flag and is handed to the transmitter as a value.
-		*udpBatch, *shards = 1, 1
-	}
 
 	db := store.New()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -91,7 +83,7 @@ func main() {
 		Interval:        *interval,
 		MissedIntervals: *missed,
 		EnableTCP:       *enableTCP,
-		Batch:           *udpBatch,
+		Batch:           netbatch.DefaultBatch,
 		Shards:          *shards,
 		Logger:          logger,
 		Obs:             reg,
@@ -100,7 +92,7 @@ func main() {
 		logger.Fatal(err)
 	}
 	go mon.Run(ctx)
-	logger.Printf("system monitor on %s (%d shard(s), batch %d)", mon.Addr(), mon.Shards(), *udpBatch)
+	logger.Printf("system monitor on %s (%d shard(s), batch %d)", mon.Addr(), mon.Shards(), netbatch.DefaultBatch)
 
 	if *seclog != "" {
 		sm, err := secmon.New(secmon.Config{
@@ -146,6 +138,7 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
+	// The thesis preset is the wire alone; ingest is invisible to a peer.
 	tx.Compat = *compat
 	switch {
 	case *receiver != "":

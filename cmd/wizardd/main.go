@@ -43,33 +43,21 @@ func main() {
 		localMon    = flag.String("local-monitor", "", "name of the client-side network monitor")
 		groupsFlag  = flag.String("groups", "", "host→group map as host=group,host=group")
 		tplFile     = flag.String("templates", "", "requirement template file ([name] sections, §3.6.1)")
-		workers     = flag.Int("workers", 1, "request-answering loops (at least one runs per shard); 1 answers sequentially, as the thesis does")
-		udpBatch    = flag.Int("udp-batch", netbatch.DefaultBatch, "request datagrams per socket syscall (recvmmsg/sendmmsg; 1: one syscall per datagram)")
 		shards      = flag.Int("shards", 1, "SO_REUSEPORT listener sockets for the request port (Linux; 1: single socket)")
 		maxQueue    = flag.Int("max-queue", 1024, "per-shard ingress queue bound in requests (0: pass-through admission, nothing is ever shed)")
 		rateLimit   = flag.Float64("rate-limit", 0, "per-source admitted requests/sec (0: no per-source limit)")
-		compat      = flag.Bool("compat", false, "thesis-faithful mode: sequential serving, no requirement cache, unbatched unsharded socket, full-snapshot transport, no selection planner, no overload protection")
+		compat      = flag.Bool("compat", false, "thesis wire and admission: full-snapshot transport, no overload protection")
 		debugAddr   = flag.String("debug", "", "HTTP metrics endpoint address, e.g. 127.0.0.1:6060 (empty: disabled)")
 		pulls       addrList
 	)
 	flag.Var(&pulls, "pull", "passive transmitter to pull from on each request (repeatable; enables distributed mode)")
 	flag.Parse()
 	logger := log.New(os.Stderr, "wizardd: ", log.LstdFlags)
-	// Not flags: the packages' defaults (0) serve every deployment, and
-	// the only other value anything uses is the one the preset sets.
-	cacheSize, planThreshold := 0, 0
 	if *compat {
-		// The thesis preset, whole and in one place: applied to the parsed
-		// flags before anything is built, so nothing below branches on
-		// the mode. §3.6.1 verbatim — one sequential handler on one
-		// socket, one datagram per syscall, every requirement parsed on
-		// arrival, the whole table walked per request — and pass-through
-		// admission: the thesis wizard never sheds, every request waits
-		// its turn in the kernel socket buffer. What no flag says — no
-		// requirement cache, no selection planner, and the thesis pull
-		// protocol with whole-table loads — is handed on as values.
-		*workers, *shards, *udpBatch = 1, 1, 1
-		cacheSize, planThreshold = -1, -1
+		// The thesis preset fixes what a thesis peer can observe and
+		// nothing else: the status wire (recv.Compat below) and a
+		// wizard that never sheds. How replies are computed is
+		// invisible on the wire.
 		*maxQueue, *rateLimit = 0, 0
 	}
 
@@ -137,11 +125,10 @@ func main() {
 		groupOf = func(h string) string { return groups[h] }
 	}
 	sel, err := core.New(db, core.Config{
-		LocalMonitor:  *localMon,
-		GroupOf:       groupOf,
-		ServicePort:   *servicePort,
-		PlanThreshold: planThreshold,
-		Obs:           reg,
+		LocalMonitor: *localMon,
+		GroupOf:      groupOf,
+		ServicePort:  *servicePort,
+		Obs:          reg,
 	})
 	if err != nil {
 		logger.Fatal(err)
@@ -160,9 +147,7 @@ func main() {
 		Update:    update,
 		Templates: templates,
 		Logger:    logger,
-		Workers:   *workers,
-		CacheSize: cacheSize,
-		Batch:     *udpBatch,
+		Batch:     netbatch.DefaultBatch,
 		Shards:    *shards,
 		Overload:  gate,
 		Obs:       reg,
@@ -177,8 +162,8 @@ func main() {
 			mode += fmt.Sprintf(", rate-limit %g/s", *rateLimit)
 		}
 	}
-	logger.Printf("wizard on %s (%d worker(s), %d shard(s), batch %d; %s)",
-		wz.Addr(), max(*workers, wz.Shards()), wz.Shards(), *udpBatch, mode)
+	logger.Printf("wizard on %s (%d shard(s), batch %d; %s)",
+		wz.Addr(), wz.Shards(), netbatch.DefaultBatch, mode)
 	go wz.Run(ctx)
 	<-ctx.Done()
 }

@@ -66,6 +66,9 @@ func startDaemon(t *testing.T, bin string, args ...string) *exec.Cmd {
 	return cmd
 }
 
+// TestMultiProcessDeployment runs the real binaries end to end, with
+// the daemons' defaults and with -compat on both (the thesis wire and
+// pass-through admission): each must select the live host.
 func TestMultiProcessDeployment(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("the probe binary reads /proc")
@@ -75,53 +78,63 @@ func TestMultiProcessDeployment(t *testing.T) {
 	}
 	bins := buildTools(t, "probe", "sysmond", "wizardd", "smartreq")
 
-	monPort := freePort(t)
-	recvPort := freePort(t)
-	wizPort := freePort(t)
-	monAddr := fmt.Sprintf("127.0.0.1:%d", monPort)
-	recvAddr := fmt.Sprintf("127.0.0.1:%d", recvPort)
-	wizAddr := fmt.Sprintf("127.0.0.1:%d", wizPort)
+	for _, tc := range []struct {
+		name  string
+		flags []string // given to both sysmond and wizardd
+	}{
+		{"default", nil},
+		{"compat", []string{"-compat"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			monPort := freePort(t)
+			recvPort := freePort(t)
+			wizPort := freePort(t)
+			monAddr := fmt.Sprintf("127.0.0.1:%d", monPort)
+			recvAddr := fmt.Sprintf("127.0.0.1:%d", recvPort)
+			wizAddr := fmt.Sprintf("127.0.0.1:%d", wizPort)
 
-	seclog := filepath.Join(t.TempDir(), "security.log")
-	if err := os.WriteFile(seclog, []byte("integration-host 5\n"), 0o644); err != nil {
-		t.Fatal(err)
+			seclog := filepath.Join(t.TempDir(), "security.log")
+			if err := os.WriteFile(seclog, []byte("integration-host 5\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			startDaemon(t, bins["wizardd"], append([]string{
+				"-listen", wizAddr,
+				"-receiver-listen", recvAddr,
+			}, tc.flags...)...)
+			startDaemon(t, bins["sysmond"], append([]string{
+				"-listen", monAddr,
+				"-interval", "200ms",
+				"-receiver", recvAddr,
+				"-seclog", seclog,
+			}, tc.flags...)...)
+			startDaemon(t, bins["probe"],
+				"-monitor", monAddr,
+				"-host", "integration-host",
+				"-interval", "200ms",
+			)
+
+			// Query until the pipeline settles (probe → sysmond → wizardd).
+			deadline := time.Now().Add(20 * time.Second)
+			requirement := "host_memory_total > 0\nhost_security_level >= 5\n"
+			var lastOut string
+			for time.Now().Before(deadline) {
+				cmd := exec.Command(bins["smartreq"],
+					"-wizard", wizAddr,
+					"-n", "1",
+					"-req", requirement,
+					"-timeout", "2s",
+				)
+				out, err := cmd.CombinedOutput()
+				lastOut = string(out)
+				if err == nil && strings.Contains(lastOut, "integration-host") {
+					return // success: the live host was selected end to end
+				}
+				time.Sleep(300 * time.Millisecond)
+			}
+			t.Fatalf("pipeline never answered; last smartreq output:\n%s", lastOut)
+		})
 	}
-
-	startDaemon(t, bins["wizardd"],
-		"-listen", wizAddr,
-		"-receiver-listen", recvAddr,
-	)
-	startDaemon(t, bins["sysmond"],
-		"-listen", monAddr,
-		"-interval", "200ms",
-		"-receiver", recvAddr,
-		"-seclog", seclog,
-	)
-	startDaemon(t, bins["probe"],
-		"-monitor", monAddr,
-		"-host", "integration-host",
-		"-interval", "200ms",
-	)
-
-	// Query until the pipeline settles (probe → sysmond → wizardd).
-	deadline := time.Now().Add(20 * time.Second)
-	requirement := "host_memory_total > 0\nhost_security_level >= 5\n"
-	var lastOut string
-	for time.Now().Before(deadline) {
-		cmd := exec.Command(bins["smartreq"],
-			"-wizard", wizAddr,
-			"-n", "1",
-			"-req", requirement,
-			"-timeout", "2s",
-		)
-		out, err := cmd.CombinedOutput()
-		lastOut = string(out)
-		if err == nil && strings.Contains(lastOut, "integration-host") {
-			return // success: the live host was selected end to end
-		}
-		time.Sleep(300 * time.Millisecond)
-	}
-	t.Fatalf("pipeline never answered; last smartreq output:\n%s", lastOut)
 }
 
 func TestSmartreqRejectsBadRequirementLocally(t *testing.T) {

@@ -72,7 +72,7 @@ func askAfterPut(t *testing.T, db *store.DB, sel *Selector, prog *reqlang.Progra
 	db.PutSys(diffSys(0, val))
 	hits := sel.pageHits.Value()
 	res, err := sel.Select(prog, 8, proto.OptRankByExpr)
-	want, wantErr := newSelector(t, db, Config{PlanThreshold: -1}).Select(prog, 8, proto.OptRankByExpr)
+	want, wantErr := newSelector(t, db, Config{}).PlanThreshold(-1).Select(prog, 8, proto.OptRankByExpr)
 	if a, b := encodeResult(res, err), encodeResult(want, wantErr); a != b {
 		t.Fatalf("long-lived %sfresh      %s", a, b)
 	}
@@ -84,7 +84,7 @@ func askAfterPut(t *testing.T, db *store.DB, sel *Selector, prog *reqlang.Progra
 // repeat builds the level and the next repeat merges from it.
 func TestPageMemoOnlyForARepeatedQuestion(t *testing.T) {
 	db := memoTable()
-	sel := newSelector(t, db, Config{Obs: obs.NewRegistry(), PlanThreshold: -1})
+	sel := newSelector(t, db, Config{Obs: obs.NewRegistry()}).PlanThreshold(-1)
 	prog := mustProg(t, "host_cpu_free >= 0\nhost_cpu_free\n")
 	k := memoKey{prog: prog, n: 8, opt: proto.OptRankByExpr}
 	for ask, want := range []struct {
@@ -108,7 +108,7 @@ func TestPageMemoOnlyForARepeatedQuestion(t *testing.T) {
 // next repeat merges pages from it.
 func TestPageMemoCapStartsAgain(t *testing.T) {
 	db := memoTable()
-	sel := newSelector(t, db, Config{Obs: obs.NewRegistry(), PlanThreshold: -1})
+	sel := newSelector(t, db, Config{Obs: obs.NewRegistry()}).PlanThreshold(-1)
 	prog := mustProg(t, "host_cpu_free >= 0\nhost_cpu_free\n")
 	askAfterPut(t, db, sel, prog, 5) // the first ask: an answer, no level
 
@@ -269,7 +269,7 @@ func compareWithFresh(h *diffHarness, n int) error {
 		if err != nil {
 			return err
 		}
-		fresh.forceScan = long.forceScan
+		fresh.threshold, fresh.forceScan = long.threshold, long.forceScan
 		for pi, prog := range h.progs {
 			info := long.infoFor(prog)
 			impure := cfg.MaxStatusAge > 0 || info.all.needNet || info.all.sec >= 0
@@ -282,7 +282,7 @@ func compareWithFresh(h *diffHarness, n int) error {
 				want, wantErr := fresh.Select(prog, n, opt)
 				if a, b := encodeResult(got, gotErr), encodeResult(want, wantErr); a != b {
 					return fmt.Errorf("corpus[%d] %q n=%d opt=%d threshold=%d forced=%t: long-lived %sfresh      %s",
-						pi, h.srcs[pi], n, opt, cfg.PlanThreshold, long.forceScan, a, b)
+						pi, h.srcs[pi], n, opt, long.threshold, long.forceScan, a, b)
 				}
 			}
 		}
@@ -360,7 +360,7 @@ func TestPageMemoRevisitsPagesBehindAWorseReply(t *testing.T) {
 	reg := obs.NewRegistry()
 	// The walk: an index would serve a text this selective, and the page
 	// level serves the walk and the column filter only.
-	sel := newSelector(t, db, Config{Obs: reg, PlanThreshold: -1})
+	sel := newSelector(t, db, Config{Obs: reg}).PlanThreshold(-1)
 	prog := mustProg(t, "host_cpu_free > 0.2\nhost_cpu_free\n")
 	if _, err := sel.Select(prog, 1, proto.OptRankByExpr); err != nil { // the first ask: no page level
 		t.Fatal(err)
@@ -422,7 +422,7 @@ func TestPageMemoBoundIsInclusive(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			db := idleTable(tc.idle)
 			reg := obs.NewRegistry()
-			sel := newSelector(t, db, Config{Obs: reg, PlanThreshold: -1})
+			sel := newSelector(t, db, Config{Obs: reg}).PlanThreshold(-1)
 			prog := mustProg(t, tc.src)
 			for i := range 2 { // the first ask answers, the repeat builds the tree
 				db.PutSys(memoHost(3*store.SysPageLen-1, 0.11+0.01*float64(i)))

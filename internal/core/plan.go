@@ -12,6 +12,7 @@ import (
 // DefaultPlanThreshold is the table size at which Select starts
 // consulting the planner: below it, walking every record is already
 // cheaper than keeping the per-field indexes in step with the table.
+// Not a setting: past it, the decline rule (source) picks the path.
 const DefaultPlanThreshold = 128
 
 // indexableVar reports whether the planner may extract constraints on

@@ -140,7 +140,7 @@ type diffHarness struct {
 	mirVer   uint64
 	synced   bool
 
-	planner   *Selector // PlanThreshold 1: index path
+	planner   *Selector // threshold 1: index path
 	forced    *Selector // same, ForceScan: constraint-scan ground truth
 	classic   *Selector // planner disabled: thesis baseline
 	reg       *obs.Registry
@@ -176,14 +176,14 @@ func newDiffHarnessAge(t testing.TB, maxStatusAge time.Duration) *diffHarness {
 		GroupOf: func(host string) string {
 			return strings.Replace(host, "diff-", "group-", 1)
 		},
-		ServicePort:   9000,
-		MaxStatusAge:  maxStatusAge,
-		PlanThreshold: 1,
+		ServicePort:  9000,
+		MaxStatusAge: maxStatusAge,
 	}
 	var err error
 	if h.planner, err = New(h.mir, cfg); err != nil {
 		t.Fatal(err)
 	}
+	h.planner.PlanThreshold(1)
 	// The index-path selector and the forced one report to registries of
 	// their own, so the assertions below see each one's verdicts alone.
 	forcedCfg := cfg
@@ -191,13 +191,13 @@ func newDiffHarnessAge(t testing.TB, maxStatusAge time.Duration) *diffHarness {
 	if h.forced, err = New(h.mir, forcedCfg); err != nil {
 		t.Fatal(err)
 	}
-	h.forced.ForceScan()
+	h.forced.PlanThreshold(1).ForceScan()
 	classicCfg := cfg
-	classicCfg.PlanThreshold = -1
 	classicCfg.Obs = nil
 	if h.classic, err = New(h.mir, classicCfg); err != nil {
 		t.Fatal(err)
 	}
+	h.classic.PlanThreshold(-1)
 	h.setCorpus(t, diffCorpus)
 	return h
 }

@@ -26,14 +26,14 @@ func TestSelectConcurrentChurn(t *testing.T) {
 	reg := obs.NewRegistry()
 	db := store.New()
 	sel, err := New(db, Config{
-		Obs:           reg,
-		PlanThreshold: 1,
-		MaxStatusAge:  time.Hour, // keeps selections impure so the memo never shortcuts
-		ServicePort:   9000,
+		Obs:          reg,
+		MaxStatusAge: time.Hour, // keeps selections impure so the memo never shortcuts
+		ServicePort:  9000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sel.PlanThreshold(1)
 
 	seed := func(n int) []status.ServerStatus {
 		recs := make([]status.ServerStatus, n)

@@ -53,15 +53,6 @@ type Config struct {
 	// (core_selections, core_memo_hits, core_page_hits, the other core_*
 	// and the index_* planner metrics); nil detaches them.
 	Obs *obs.Registry
-	// PlanThreshold is the live-record count at which Select takes its
-	// candidates from the selection planner instead of walking every
-	// record. Zero means DefaultPlanThreshold; negative disables the
-	// planner (the -compat wire mode pins this). It only picks the
-	// evaluation loop's candidate source: at or above it, records
-	// failing an index-resolvable requirement's leading constraints are
-	// pruned unevaluated (Result.Pruned) and survivors resume at the
-	// residual statements; the servers chosen are the same either way.
-	PlanThreshold int
 }
 
 // Decision records why one server was accepted or rejected — the
@@ -119,6 +110,8 @@ type Selector struct {
 	aliases atomic.Pointer[hostAliases] // see aliasesFor
 	infoMu  sync.RWMutex
 	infos   map[*reqlang.Program]*progInfo // see infoFor
+	// threshold is DefaultPlanThreshold; tests move it (export_test.go).
+	threshold int
 	// forceScan makes planned selections filter the snapshot's columns
 	// by their extracted constraints instead of querying the index. The
 	// Result is identical; differential tests set it (export_test.go)
@@ -326,6 +319,7 @@ func New(db *store.DB, cfg Config) (*Selector, error) {
 		cfg:            cfg,
 		db:             db,
 		idx:            index.New(db, cfg.Obs),
+		threshold:      DefaultPlanThreshold,
 		infos:          make(map[*reqlang.Program]*progInfo),
 		selections:     cfg.Obs.Counter("core_selections"),
 		memoHits:       cfg.Obs.Counter("core_memo_hits"),
@@ -467,11 +461,7 @@ func (s *Selector) evaluate(q *query, sc *scratch) Result {
 
 	// Pick the source: the planner only past the threshold (small
 	// tables walk faster than they index), never for Explain.
-	threshold := s.cfg.PlanThreshold
-	if threshold == 0 {
-		threshold = DefaultPlanThreshold
-	}
-	planned := info.plan != nil && threshold > 0 && size >= threshold && !q.explain
+	planned := info.plan != nil && s.threshold > 0 && size >= s.threshold && !q.explain
 	vars, from, useIndex := &info.all, 0, false
 	if planned {
 		s.indexPlans.Add(1)

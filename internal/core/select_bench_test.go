@@ -158,7 +158,7 @@ func TestStaleDroppedCountsOnlyRecordsPassingConstraints(t *testing.T) {
 		}
 		db.PutSys(status.ServerStatus{Host: fmt.Sprintf("h%03d", i), Bogomips: float64(i * 37 % hosts)})
 	}
-	cfg := Config{MaxStatusAge: 30 * time.Second, PlanThreshold: 1}
+	cfg := Config{MaxStatusAge: 30 * time.Second}
 	for _, k := range []int{10, 200} { // a selective span, a broad one
 		prog := mustProg(t, fmt.Sprintf("host_cpu_bogomips < %d\n", k))
 		var stale, pruned int
@@ -173,7 +173,7 @@ func TestStaleDroppedCountsOnlyRecordsPassingConstraints(t *testing.T) {
 		for _, forced := range []bool{false, true} {
 			reg := obs.NewRegistry()
 			cfg.Obs = reg
-			sel := newSelector(t, db, cfg)
+			sel := newSelector(t, db, cfg).PlanThreshold(1)
 			if forced {
 				sel.ForceScan()
 			}

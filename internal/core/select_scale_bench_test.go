@@ -13,7 +13,7 @@ import (
 
 // BenchmarkSelectScale measures what the selection planner buys at
 // fleet scale: the same requirement against the same table, answered
-// by the historical full scan (PlanThreshold -1) and by the indexed
+// by the historical full scan (PlanThreshold(-1)) and by the indexed
 // planner. Three requirement shapes cover the planner's regimes, and a
 // fourth the user-side parameters:
 //
@@ -77,10 +77,9 @@ func BenchmarkSelectScale(b *testing.B) {
 					sel := newSelector(b, db, Config{
 						// A freshness cutoff keeps every iteration impure so
 						// the epoch memo never shortcuts the measurement.
-						MaxStatusAge:  24 * time.Hour,
-						PlanThreshold: mode.threshold,
-						ServicePort:   9000,
-					})
+						MaxStatusAge: 24 * time.Hour,
+						ServicePort:  9000,
+					}).PlanThreshold(mode.threshold)
 					prog := mustProg(b, shape.req)
 					// Warm up: compiles the plan and builds the index
 					// columns once, off the measured path (steady-state

@@ -122,8 +122,7 @@ func TestSelectionMatchesReferenceOnSeededFleets(t *testing.T) {
 			cfg := Config{MaxStatusAge: age, ServicePort: 9000}
 			planner := newSelector(t, db, cfg)
 			forced := newSelector(t, db, cfg).ForceScan()
-			cfg.PlanThreshold = -1
-			classic := newSelector(t, db, cfg)
+			classic := newSelector(t, db, cfg).PlanThreshold(-1)
 			for _, src := range corpus {
 				prog := mustProg(t, src)
 				for _, n := range diffCounts {
@@ -158,7 +157,7 @@ func TestSelectStopsAtTheNthQualifier(t *testing.T) {
 		threshold int
 	}{{"walk", -1}, {"plan", 1}} {
 		reg := obs.NewRegistry()
-		sel := newSelector(t, db, Config{Obs: reg, MaxStatusAge: 10 * time.Minute, PlanThreshold: tc.threshold})
+		sel := newSelector(t, db, Config{Obs: reg, MaxStatusAge: 10 * time.Minute}).PlanThreshold(tc.threshold)
 		evals := func() uint64 { return reg.Snapshot().Counters["core_record_evals"] }
 		full, err := sel.Explain(mustProg(t, "host_cpu_free > 0.2\n"), 4, 0)
 		if err != nil {
@@ -232,7 +231,7 @@ func TestBroadSelectAllocsIndependentOfQualifiers(t *testing.T) {
 	// way a constant — the old path allocated twice per qualifier.
 	const budget = (8 + 1 + 3) + 12
 	for _, threshold := range []int{1, -1} {
-		sel := newSelector(t, db, Config{MaxStatusAge: time.Hour, PlanThreshold: threshold, ServicePort: 9000})
+		sel := newSelector(t, db, Config{MaxStatusAge: time.Hour, ServicePort: 9000}).PlanThreshold(threshold)
 		for _, cut := range []float64{0.02, 0.5, 0.98} {
 			prog := mustProg(t, fmt.Sprintf("host_cpu_free > %g\nscore = host_cpu_bogomips * host_cpu_free\nscore\n", cut))
 			run := func() {

@@ -10,9 +10,8 @@
 //     parks the goroutine instead of spinning. Source addresses are
 //     decoded from the raw sockaddrs into netip.AddrPort values, so
 //     a received datagram costs no *net.UDPAddr allocation.
-//   - Everywhere else (and whenever Batch <= 1, including the
-//     daemons' -compat mode), a portable fallback serves the
-//     identical interface with single ReadMsgUDPAddrPort /
+//   - Everywhere else, and whenever Batch <= 1, a portable fallback
+//     serves the identical interface with single ReadMsgUDPAddrPort /
 //     WriteToUDPAddrPort calls, so behaviour is byte-identical off
 //     Linux — batches just degrade to one datagram per syscall.
 //
@@ -40,7 +39,8 @@ import (
 // little past this point and the per-conn scratch arrays stay small.
 const MaxBatch = 64
 
-// DefaultBatch is the -udp-batch default of wizardd and sysmond.
+// DefaultBatch is the batch wizardd and sysmond serve their UDP ports
+// with, -compat included: batching is invisible to a peer.
 const DefaultBatch = 32
 
 // Message is one datagram in a batch. For reads, Buf's capacity is
@@ -103,10 +103,6 @@ type Options struct {
 	// Obs receives the plane's syscall counters (netbatch_rx_syscalls,
 	// netbatch_tx_syscalls, netbatch_fallback); nil detaches them.
 	Obs *obs.Registry
-	// NoRaw pins the portable single-datagram path even where the
-	// batched syscalls exist — the equivalence tests' lever, and a
-	// debugging escape hatch.
-	NoRaw bool
 }
 
 // metrics are the plane's shared counters; every Conn bound to the
@@ -148,7 +144,7 @@ func Wrap(c *net.UDPConn, o Options) (*Conn, error) {
 	}
 	cn := &Conn{udp: c, batch: b, m: newMetrics(o.Obs)}
 	if b > 1 {
-		if rawSupported && !o.NoRaw {
+		if rawSupported {
 			if err := cn.initRaw(); err != nil {
 				return nil, fmt.Errorf("netbatch: arm batched syscalls: %w", err)
 			}

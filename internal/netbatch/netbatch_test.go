@@ -23,12 +23,17 @@ func listen(t *testing.T) *net.UDPConn {
 	return c
 }
 
-// wrap builds an endpoint over c, failing the test on error.
-func wrap(t *testing.T, c *net.UDPConn, o Options) *Conn {
+// wrap builds an endpoint over c, failing the test on error. noRaw
+// then pins the portable single-datagram path even where the batched
+// syscalls exist: the equivalence tests' lever.
+func wrap(t *testing.T, c *net.UDPConn, o Options, noRaw bool) *Conn {
 	t.Helper()
 	ep, err := Wrap(c, o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if noRaw {
+		ep.raw = false
 	}
 	return ep
 }
@@ -69,7 +74,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			server := listen(t)
-			ep := wrap(t, server, Options{Batch: 16, NoRaw: noRaw})
+			ep := wrap(t, server, Options{Batch: 16}, noRaw)
 			client := listen(t)
 
 			const n = 40
@@ -126,7 +131,7 @@ func TestRoundTrip(t *testing.T) {
 func TestGenericMatchesRaw(t *testing.T) {
 	scenario := func(noRaw bool) (payloads []string, addrs []string) {
 		server := listen(t)
-		ep := wrap(t, server, Options{Batch: 8, NoRaw: noRaw})
+		ep := wrap(t, server, Options{Batch: 8}, noRaw)
 		if !noRaw && rawSupported && !ep.Batched() {
 			t.Fatal("raw path requested but not armed")
 		}
@@ -173,7 +178,7 @@ func TestGenericMatchesRaw(t *testing.T) {
 // the connected peer, ReadBatch receives the replies.
 func TestConnectedSocket(t *testing.T) {
 	server := listen(t)
-	sep := wrap(t, server, Options{Batch: 8})
+	sep := wrap(t, server, Options{Batch: 8}, false)
 	raddr, err := net.ResolveUDPAddr("udp", server.LocalAddr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +188,7 @@ func TestConnectedSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clientUDP.Close()
-	cep := wrap(t, clientUDP, Options{Batch: 8})
+	cep := wrap(t, clientUDP, Options{Batch: 8}, false)
 
 	out := NewBatch(5, 16)
 	for i := range out {
@@ -274,7 +279,7 @@ func TestListenShards(t *testing.T) {
 	seen := 0
 	ms := NewBatch(MaxBatch, 256)
 	for _, s := range shards {
-		ep := wrap(t, s, Options{Batch: 16, Obs: reg})
+		ep := wrap(t, s, Options{Batch: 16, Obs: reg}, false)
 		for {
 			if err := s.SetReadDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
 				t.Fatal(err)
@@ -301,11 +306,11 @@ func TestListenShards(t *testing.T) {
 // TestBatchClamp pins the Options normalisation.
 func TestBatchClamp(t *testing.T) {
 	server := listen(t)
-	ep := wrap(t, server, Options{Batch: MaxBatch + 100})
+	ep := wrap(t, server, Options{Batch: MaxBatch + 100}, false)
 	if ep.Batch() != MaxBatch {
 		t.Fatalf("Batch() = %d, want clamp to %d", ep.Batch(), MaxBatch)
 	}
-	ep1 := wrap(t, listen(t), Options{Batch: 0})
+	ep1 := wrap(t, listen(t), Options{Batch: 0}, false)
 	if ep1.Batch() != 1 || ep1.Batched() {
 		t.Fatalf("Batch 0 → (%d, batched=%v), want single-datagram mode", ep1.Batch(), ep1.Batched())
 	}

@@ -47,9 +47,6 @@ type Config struct {
 	// few peers; it should grow with the peer count. Defaults to
 	// 2 s × max(1, len(Peers)).
 	Interval time.Duration
-	// DelayProbes per peer for the min-filtered delay estimate.
-	// Defaults to 4.
-	DelayProbes int
 	// BandwidthRuns for the UDP-stream estimate. Defaults to 3.
 	BandwidthRuns int
 	// Logger receives probe failures; nil silences them.
@@ -83,9 +80,6 @@ func New(cfg Config) (*Monitor, error) {
 			n = 1
 		}
 		cfg.Interval = 2 * time.Second * time.Duration(n)
-	}
-	if cfg.DelayProbes <= 0 {
-		cfg.DelayProbes = 4
 	}
 	if cfg.BandwidthRuns <= 0 {
 		cfg.BandwidthRuns = 3
@@ -139,10 +133,10 @@ func (m *Monitor) ProbeAll(ctx context.Context) []status.NetMetric {
 
 // ProbePeer measures delay and available bandwidth to one peer.
 func (m *Monitor) ProbePeer(peer Peer) (status.NetMetric, error) {
-	// Delay: the minimum RTT of small probes, halved for the one-way
-	// figure users reason about ("delay < 20ms").
+	// Delay: the minimum RTT of four small probes, halved for the
+	// one-way figure users reason about ("delay < 20ms").
 	delay := time.Duration(1<<62 - 1)
-	for i := 0; i < m.cfg.DelayProbes; i++ {
+	for range 4 {
 		if d := peer.Prober.ProbeRTT(64); d < delay {
 			delay = d
 		}

@@ -64,14 +64,16 @@ const (
 	// DefaultInterval is the CoDel observation window: sojourn must
 	// exceed Target continuously for this long before shedding starts.
 	DefaultInterval = 100 * time.Millisecond
-	// DefaultRetryAfter is the backoff hint carried in shed replies
-	// when Config.RetryAfter is zero — one CoDel interval, the soonest
-	// the controller could have changed its mind.
+	// DefaultRetryAfter is a nil gate's backoff hint: one CoDel
+	// interval, the soonest the controller could have changed its mind
+	// (a gate's hint is its own Interval).
 	DefaultRetryAfter = DefaultInterval
-	// DefaultSourceLRU is how many distinct source addresses the rate
-	// limiter tracks when Config.SourceLRU is zero.
-	DefaultSourceLRU = 4096
 )
+
+// sourceLRU is how many sources the rate limiter tracks. Evicting one
+// forgets its debt, which is safe: a returning source restarts with a
+// full bucket, and a runaway source stays hot in the LRU.
+const sourceLRU = 4096
 
 // Config parameterises a Gate.
 type Config struct {
@@ -84,20 +86,12 @@ type Config struct {
 	Target time.Duration
 	// Interval is the CoDel observation window; 0 means DefaultInterval.
 	Interval time.Duration
-	// RetryAfter is the backoff hint carried in shed replies; 0 means
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
 	// Rate is the per-source admission rate in requests per second.
 	// 0 disables per-source limiting (the CoDel shedder still runs); a
 	// disabled gate ignores it. The token bucket holds 2×Rate (and at
 	// least 8), so a well-behaved client's request bursts pass
 	// untouched.
 	Rate float64
-	// SourceLRU caps how many sources the limiter tracks; 0 means
-	// DefaultSourceLRU. Evicting a source forgets its debt, which is
-	// safe: a returning source restarts with a full bucket, and a
-	// runaway source stays hot in the LRU by definition.
-	SourceLRU int
 	// Obs receives the plane's metrics (overload_shed,
 	// overload_ratelimited, overload_bypass counters and the
 	// overload_queue_delay histogram of admitted-request sojourns);
@@ -130,12 +124,6 @@ func New(cfg Config) *Gate {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = cfg.Interval
-	}
-	if cfg.SourceLRU <= 0 {
-		cfg.SourceLRU = DefaultSourceLRU
-	}
 	g := &Gate{
 		cfg:         cfg,
 		shed:        cfg.Obs.Counter("overload_shed"),
@@ -144,7 +132,7 @@ func New(cfg Config) *Gate {
 		queueDelay:  cfg.Obs.Histogram("overload_queue_delay", obs.QueueDelayBuckets),
 	}
 	if cfg.Rate > 0 && g.Enabled() {
-		g.lim = newLimiter(cfg.Rate, float64(max(int(2*cfg.Rate), 8)), cfg.SourceLRU)
+		g.lim = newLimiter(cfg.Rate, float64(max(int(2*cfg.Rate), 8)), sourceLRU)
 	}
 	return g
 }
@@ -162,12 +150,13 @@ func (g *Gate) Target() time.Duration {
 	return g.cfg.Target
 }
 
-// RetryAfter returns the backoff hint shed replies should carry.
+// RetryAfter returns the backoff hint shed replies should carry: the
+// gate's CoDel interval.
 func (g *Gate) RetryAfter() time.Duration {
 	if g == nil {
 		return DefaultRetryAfter
 	}
-	return g.cfg.RetryAfter
+	return g.cfg.Interval
 }
 
 // AllowSource runs the per-source token bucket for one request

@@ -123,9 +123,6 @@ type Options struct {
 	// (centralized push) or the receiver's pull connections
 	// (distributed) in a chaos.StreamConn for stall/reset injection.
 	TxFaults *chaos.Injector
-	// WizardCacheSize sets the wizard's compiled-requirement cache
-	// bound (0: default, negative: disabled — the seed behaviour).
-	WizardCacheSize int
 	// Overload, when set, threads an admission-control gate through
 	// the wizard's serve path and the receiver's bypass accounting —
 	// the same wiring wizardd does from its -max-queue/-rate-limit
@@ -342,12 +339,11 @@ func Boot(opts Options) (*Cluster, error) {
 		return fail(err)
 	}
 	wz, err := wizard.New(wizard.Config{
-		Addr:      "127.0.0.1:0",
-		Selector:  sel,
-		Update:    update,
-		CacheSize: opts.WizardCacheSize,
-		Overload:  opts.Overload,
-		Obs:       opts.Obs,
+		Addr:     "127.0.0.1:0",
+		Selector: sel,
+		Update:   update,
+		Overload: opts.Overload,
+		Obs:      opts.Obs,
 	})
 	if err != nil {
 		return fail(err)

@@ -120,14 +120,14 @@ func collectReplies(t *testing.T, addr string, reqs []*proto.Request, clients in
 func TestBatchedShardsMatchSequential(t *testing.T) {
 	reqs := stormRequests(140)
 
-	run := func(cfg Config) map[uint32][]byte {
+	run := func(cfg Config, hooks ...func(*Wizard)) map[uint32][]byte {
 		sel, _ := testSelector(t)
 		cfg.Selector = sel
 		cfg.Templates = stormTemplates
-		w := startWizard(t, cfg)
+		w := startWizard(t, cfg, hooks...)
 		return collectReplies(t, w.Addr(), reqs, 7, nil)
 	}
-	seq := run(Config{Workers: 1, Batch: 1, Shards: 1, CacheSize: -1})
+	seq := run(Config{Workers: 1, Batch: 1, Shards: 1}, uncached)
 	for name, cfg := range map[string]Config{
 		"daemon default, gate off": {Batch: netbatch.DefaultBatch, Shards: 1},
 		"gate off":                 {Workers: 4, Batch: 32, Shards: 4},

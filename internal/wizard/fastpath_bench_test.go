@@ -74,9 +74,10 @@ func splitAcross(n, clients int) []int {
 // BenchmarkWizardStorm measures end-to-end UDP request/reply
 // throughput under a storm from 8 clients, every row through the one
 // serve pipeline with pass-through admission. "seq-uncached" is the
-// thesis preset (one drain loop, no cache, one datagram per syscall)
-// under ping-pong clients, one request in flight each; "seq-cached"
-// adds the requirement cache; "shards8-batched" is the full
+// seed's serving cost (one drain loop, no cache, one datagram per
+// syscall; the cache is turned off by the package's test hook) under
+// ping-pong clients, one request in flight each; "seq-cached" adds the
+// requirement cache; "shards8-batched" is the full
 // datagram plane: 8 SO_REUSEPORT shards with batch-64 endpoints,
 // driven by windowed clients that each keep 64 requests in flight
 // through their own batched endpoint, so the server's
@@ -85,14 +86,13 @@ func splitAcross(n, clients int) []int {
 func BenchmarkWizardStorm(b *testing.B) {
 	const clients = 8
 
-	run := func(b *testing.B, workers, cacheSize, batch, shards int) {
+	run := func(b *testing.B, workers, batch, shards int, hooks ...func(*Wizard)) {
 		w := startWizard(b, Config{
-			Selector:  stormSelector(b),
-			Workers:   workers,
-			CacheSize: cacheSize,
-			Batch:     batch,
-			Shards:    shards,
-		})
+			Selector: stormSelector(b),
+			Workers:  workers,
+			Batch:    batch,
+			Shards:   shards,
+		}, hooks...)
 		datagrams := stormDatagrams()
 		errs := make(chan error, clients)
 		counts := splitAcross(b.N, clients)
@@ -138,13 +138,12 @@ func BenchmarkWizardStorm(b *testing.B) {
 	// datagrams queue server-side and recvmmsg drains them in bulk. A
 	// read timeout reopens the window (resending through loopback
 	// drops), so the run always completes.
-	runWindowed := func(b *testing.B, workers, cacheSize, batch, shards int) {
+	runWindowed := func(b *testing.B, workers, batch, shards int) {
 		w := startWizard(b, Config{
-			Selector:  stormSelector(b),
-			Workers:   workers,
-			CacheSize: cacheSize,
-			Batch:     batch,
-			Shards:    shards,
+			Selector: stormSelector(b),
+			Workers:  workers,
+			Batch:    batch,
+			Shards:   shards,
 		})
 		datagrams := stormDatagrams()
 		const window = 64
@@ -215,7 +214,7 @@ func BenchmarkWizardStorm(b *testing.B) {
 		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "req/s")
 	}
 
-	b.Run("seq-uncached", func(b *testing.B) { run(b, 1, -1, 1, 1) })
-	b.Run("seq-cached", func(b *testing.B) { run(b, 1, 0, 1, 1) })
-	b.Run("shards8-batched", func(b *testing.B) { runWindowed(b, 8, 0, 64, 8) })
+	b.Run("seq-uncached", func(b *testing.B) { run(b, 1, 1, 1, uncached) })
+	b.Run("seq-cached", func(b *testing.B) { run(b, 1, 1, 1) })
+	b.Run("shards8-batched", func(b *testing.B) { runWindowed(b, 8, 64, 8) })
 }

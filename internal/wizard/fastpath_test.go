@@ -64,7 +64,7 @@ func TestAnswerUsesRequirementCache(t *testing.T) {
 
 func TestCacheDisabledStillAnswers(t *testing.T) {
 	sel, _ := testSelector(t)
-	w := startWizard(t, Config{Selector: sel, CacheSize: -1})
+	w := startWizard(t, Config{Selector: sel}, uncached)
 	req := &proto.Request{Seq: 1, ServerNum: 1, Detail: "host_cpu_bogomips > 3000\n"}
 	for i := 0; i < 2; i++ {
 		if reply := w.Answer(context.Background(), req); reply.Err != "" {

@@ -17,11 +17,11 @@
 // shed replies exactly when overload control needs them. Everything
 // else is a Config setting on that pipeline, including whether the
 // queue sheds (internal/overload) or passes everything through. The
-// thesis wizard, which "processes the user requests sequentially", is
-// Workers 1 / Batch 1 / Shards 1 / gate disabled / no cache on the
-// same code (wizardd -compat): one reader, one answerer, FIFO, one
-// syscall per datagram. Every setting is wire-transparent; the
-// differential suite holds them to byte-identical replies.
+// thesis wizard "processes the user requests sequentially"; a thesis
+// peer sees only the reply bytes and a wizard that never sheds, so
+// wizardd -compat just disables the gate. Drain loops, batching,
+// shards and the cache are wire-transparent: the differential suite
+// holds them to the thesis's serving, byte for byte.
 //
 // In distributed mode the wizard triggers a pull from the passive
 // transmitters before matching, so sparse deployments only move
@@ -68,15 +68,10 @@ type Config struct {
 	// Logger receives per-request errors; nil silences them.
 	Logger *log.Logger
 	// Workers is the number of drain loops answering queued requests.
-	// 0 or 1 answers sequentially, in arrival order (§3.6.1), which
-	// stays the default; at least one loop runs per shard, so the
-	// pool is max(Workers, shards).
+	// 0 or 1 answers one request at a time, in arrival order (§3.6.1);
+	// at least one loop runs per shard, so the pool is
+	// max(Workers, shards).
 	Workers int
-	// CacheSize bounds the compiled-requirement cache, in programs.
-	// 0 picks reqlang.DefaultCacheSize; a negative value disables
-	// caching so every request re-parses (the seed behaviour, kept
-	// for comparison benchmarks and wizardd -compat).
-	CacheSize int
 	// Batch is the most request datagrams one socket syscall may move
 	// on the serve loops (recvmmsg/sendmmsg on Linux). 0 and 1 both
 	// select the historical one-syscall-per-datagram mode; values
@@ -93,8 +88,8 @@ type Config struct {
 	// drain loops run it under a CoDel controller that sheds persistent
 	// standing queues with "overloaded, retry-after" replies, and a
 	// per-source token bucket fends off runaway clients before they
-	// occupy queue space. Disabled (MaxQueue 0, the wizardd -compat pin)
-	// it is the pass-through policy: the queue is one receive batch
+	// occupy queue space. Disabled (MaxQueue 0, what wizardd -compat
+	// serves with) it is the pass-through policy: the queue is one receive batch
 	// deep, a full queue blocks the ingest loop, nothing is shed, and
 	// the kernel socket buffer is the only backpressure. Nil means a
 	// disabled gate with detached metrics.
@@ -164,17 +159,10 @@ func New(cfg Config) (*Wizard, error) {
 	if cfg.Overload == nil {
 		cfg.Overload = overload.New(overload.Config{})
 	}
-	size := cfg.CacheSize
-	switch {
-	case size == 0:
-		size = reqlang.DefaultCacheSize
-	case size < 0:
-		size = 0 // caching disabled
-	}
 	w := &Wizard{
 		cfg:         cfg,
 		shards:      shards,
-		cache:       reqlang.NewCacheObs(size, cfg.Obs),
+		cache:       reqlang.NewCacheObs(reqlang.DefaultCacheSize, cfg.Obs),
 		handled:     cfg.Obs.Counter("wizard_requests"),
 		rejected:    cfg.Obs.Counter("wizard_rejected"),
 		updateFail:  cfg.Obs.Counter("wizard_update_failures"),

@@ -11,6 +11,7 @@ import (
 
 	"smartsock/internal/core"
 	"smartsock/internal/proto"
+	"smartsock/internal/reqlang"
 	"smartsock/internal/store"
 	"smartsock/internal/sysinfo"
 )
@@ -27,7 +28,9 @@ func testSelector(t testing.TB) (*core.Selector, *store.DB) {
 	return sel, db
 }
 
-func startWizard(t testing.TB, cfg Config) *Wizard {
+// startWizard builds a wizard, applies hooks to it and runs it until the
+// test ends.
+func startWizard(t testing.TB, cfg Config, hooks ...func(*Wizard)) *Wizard {
 	t.Helper()
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -36,11 +39,18 @@ func startWizard(t testing.TB, cfg Config) *Wizard {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, hook := range hooks {
+		hook(w)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go w.Run(ctx)
 	t.Cleanup(cancel)
 	return w
 }
+
+// uncached turns the wizard's requirement cache off before Run, so every
+// request re-parses its requirement: the seed's serving.
+func uncached(w *Wizard) { w.cache = reqlang.NewCacheObs(0, w.cfg.Obs) }
 
 // ask sends one request datagram and decodes the reply.
 func ask(t *testing.T, addr string, req *proto.Request) *proto.Reply {

@@ -32,8 +32,6 @@ type ReliableConn struct {
 	suspended bool
 	closed    bool
 	redials   int
-	// MaxRedials bounds automatic reconnects per operation (default 1).
-	maxRedials int
 	// backoff spaces consecutive redials of one Write so a crashed
 	// server is not redialed in a tight loop.
 	backoff retry.Backoff
@@ -41,14 +39,10 @@ type ReliableConn struct {
 	sleep func(time.Duration)
 }
 
-// SetMaxRedials changes the automatic reconnect budget per operation.
-// Values below zero disable auto-reconnect entirely — a broken socket
-// then fails the Write and the application decides. The default is 1.
-func (r *ReliableConn) SetMaxRedials(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.maxRedials = n
-}
+// maxRedials bounds the automatic reconnects of one Write: a socket
+// that breaks again on the fresh connection fails the Write, and the
+// application decides.
+const maxRedials = 1
 
 // Reliable wraps the i-th socket of the set with suspend/resume and
 // write-side auto-reconnect. The SocketSet keeps no further ownership
@@ -58,10 +52,9 @@ func (s *SocketSet) Reliable(i int) (*ReliableConn, error) {
 		return nil, fmt.Errorf("smartsock: no socket %d in set of %d", i, len(s.conns))
 	}
 	return &ReliableConn{
-		conn:       s.conns[i],
-		addr:       s.addrs[i],
-		dial:       s.dial,
-		maxRedials: 1,
+		conn: s.conns[i],
+		addr: s.addrs[i],
+		dial: s.dial,
 	}, nil
 }
 
@@ -78,7 +71,6 @@ func NewReliableConn(conn net.Conn, addr string, dialTimeout time.Duration) *Rel
 			d := net.Dialer{Timeout: dialTimeout}
 			return d.DialContext(ctx, "tcp", a)
 		},
-		maxRedials: 1,
 	}
 }
 
@@ -145,7 +137,7 @@ func (r *ReliableConn) Suspended() bool {
 }
 
 // Write sends data, transparently redialing if the socket is broken
-// or was never resumed, up to the SetMaxRedials budget with bounded
+// or was never resumed, up to the maxRedials budget with bounded
 // exponential backoff between attempts. The caller's protocol must
 // tolerate the peer seeing a fresh connection (re-issue the current
 // request). The mutex guards only the connection swap, never the
@@ -175,14 +167,13 @@ func (r *ReliableConn) Write(p []byte) (int, error) {
 			}
 		}
 		conn := r.conn
-		budget := r.maxRedials
 		r.mu.Unlock()
 
 		n, err := conn.Write(p)
 		if err == nil {
 			return n, nil
 		}
-		if attempt >= budget {
+		if attempt >= maxRedials {
 			return n, err
 		}
 		r.mu.Lock()

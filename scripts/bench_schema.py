@@ -223,14 +223,16 @@ SIZE_SCHEMA = {
 # reqlang, and added probe and wizard at their new sizes; interning host
 # names against the store and resolving host lists to snapshot positions
 # moved core, store, monitor, status, reqlang, "." and total up (the five
-# status and selection packages by +138, over their +90 budget).
+# status and selection packages by +138, over their +90 budget);
+# deleting the settings with one value in use lowered total, ".", core
+# and wizard, and added overload, netmon and netbatch at their new sizes.
 # A PR that grows one of these past its ceiling deletes elsewhere in the
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 20040,
-    ".": 721,
-    "internal/core": 1164,
+    "total": 19963,
+    ".": 712,
+    "internal/core": 1155,
     "internal/index": 572,
     "internal/store": 1162,
     "internal/status": 1247,
@@ -238,10 +240,18 @@ SIZE_CEILINGS = {
     "internal/monitor": 315,
     "internal/probe": 232,
     "internal/reqlang": 1953,
-    "internal/wizard": 668,
+    "internal/wizard": 656,
     "internal/lint": 995,
     "internal/lint/flow": 439,
+    "internal/overload": 493,
+    "internal/netmon": 163,
+    "internal/netbatch": 625,
 }
+
+# Flag budgets (ROADMAP aim 2, fewer knobs): a daemon flag is a setting
+# an operator may vary. A new one replaces an old one or moves its
+# ceiling here, saying why.
+FLAG_CEILINGS = {"cmd/wizardd": 12, "cmd/sysmond": 12}
 
 
 def check_size(name, doc):
@@ -263,6 +273,12 @@ def check_size(name, doc):
             errs.append(
                 f"{name}: go_lines {key} = {lines[key]} is over its ceiling {ceiling}:"
                 " delete elsewhere or move the ceiling in this file and say why")
+    flags = doc.get("flags", {})
+    for key, ceiling in FLAG_CEILINGS.items():
+        if isinstance(flags, dict) and isinstance(flags.get(key), int) and flags[key] > ceiling:
+            errs.append(
+                f"{name}: flags {key} = {flags[key]} is over its ceiling {ceiling}:"
+                " drop a flag or move the ceiling in this file and say why")
     if isinstance(lines, dict) and isinstance(lines.get("total"), int):
         packages = sum(v for k, v in lines.items() if k != "total" and isinstance(v, int))
         if packages != lines["total"]:

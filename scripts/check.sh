@@ -4,8 +4,9 @@
 # size numbers, the naming, one-evaluator, one-applier, columns-not-rows,
 # pages-by-ID, page-level-merges-by-tree, one-wizard-socket,
 # the-wizard-holds-no-mutex, report-float, resolved-host-lists,
-# selections-pin-their-snapshot, one-operator-table, one-comparison-type and
-# benchmark-consumer guards, and the project's own
+# selections-pin-their-snapshot, one-operator-table, one-comparison-type,
+# the-thesis-preset-is-the-wire-and-admission and benchmark-consumer
+# guards, and the project's own
 # static analyzers (cmd/smartlint). CI runs exactly this script; run it locally before
 # sending a change.
 set -eu
@@ -268,6 +269,33 @@ cmptypes=$( (grep -HnE '^type (Op|Constraint) ' $(ls internal/index/*.go | grep 
 if [ -n "$cmptypes" ]; then
 	echo "a second comparison type or a converter to one (use reqlang.Constraint and reqlang.CmpOp):" >&2
 	echo "$cmptypes" >&2
+	exit 1
+fi
+
+echo "== the thesis preset is the wire and admission =="
+# A -compat preset fixes what a thesis peer can observe and nothing else:
+# the status wire (recv.Compat, tx.Compat) and, in wizardd, pass-through
+# admission. Any other statement in wizardd's if *compat { block, or an
+# if *compat block in sysmond, is a serving setting no peer can see
+# coming back into the preset.
+preset=$( (awk '
+	/^[ \t]*if \*compat \{/ { body = 1; next }
+	body && /^[ \t]*\}/ { body = 0; next }
+	body && (/^[ \t]*\/\// || /^[ \t]*$/) { next }
+	body {
+		ok = 0
+		if ($0 ~ /^[^=:!<>]+=[^=]/) {
+			lhs = $0; sub(/=.*/, "", lhs); gsub(/[ \t]/, "", lhs)
+			n = split(lhs, v, ","); ok = 1
+			for (i = 1; i <= n; i++) if (v[i] != "*maxQueue" && v[i] != "*rateLimit") ok = 0
+		}
+		if (!ok) print FILENAME ":" FNR ": " $0
+	}
+' cmd/wizardd/main.go
+	grep -Hn 'if \*compat' cmd/sysmond/main.go || true) )
+if [ -n "$preset" ]; then
+	echo "a -compat preset sets more than the thesis wire and admission (serving settings are invisible to a peer):" >&2
+	echo "$preset" >&2
 	exit 1
 fi
 
