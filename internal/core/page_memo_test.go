@@ -11,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"smartsock/internal/index"
 	"smartsock/internal/obs"
 	"smartsock/internal/proto"
 	"smartsock/internal/reqlang"
@@ -643,12 +644,14 @@ func TestPutThenWarmSelectAllocs(t *testing.T) {
 
 // TestLazyIndexMatchesFreshSelector: a broad question the index declines
 // never brings it in step, while selective questions asked between its
-// repeats still read the index. Over more writes than the store's
-// changelog ring holds (4096), every Result equals a fresh selector's;
-// the broad repeats, served from their page level, apply no delta and
-// resync nothing; and a selective question catches the index up with
-// one delta, from the ring or, when the ring has passed the index's
-// base, from the full-table scan.
+// repeats still read the index once its catch-up rule lets them. Over
+// more writes than the store's changelog ring holds, every Result
+// equals a fresh selector's; the broad repeats, served from their page
+// level, apply no delta and resync nothing; and selective questions,
+// asked with no write between, decline with no delta until the
+// rule's tally reaches the catch-up's cost, then catch the index up
+// with one delta, from the ring or, when the ring has passed the
+// index's base, from the full-table scan.
 func TestLazyIndexMatchesFreshSelector(t *testing.T) {
 	table := make([]status.ServerStatus, memoPads)
 	for i := range table {
@@ -659,7 +662,13 @@ func TestLazyIndexMatchesFreshSelector(t *testing.T) {
 	reg := obs.NewRegistry()
 	sel := newSelector(t, db, Config{Obs: reg})
 	broad := mustProg(t, "host_cpu_free >= 0\nhost_cpu_free\n")
-	selective := mustProg(t, "host_cpu_bogomips > 3000\nhost_cpu_free\n") // 16 of the 217 hosts
+	// 16 of the 217 hosts; each variant is a question of its own, so a
+	// repeat with no write between misses the epoch memo and meets the rule.
+	variant := 0
+	selective := func() *reqlang.Program {
+		variant++
+		return mustProg(t, fmt.Sprintf("host_cpu_bogomips > 3000\nhost_cpu_free + %d\n", variant))
+	}
 	type counts struct{ applies, resyncs, declines, pageHits uint64 }
 	read := func() counts {
 		s := reg.Snapshot()
@@ -691,7 +700,9 @@ func TestLazyIndexMatchesFreshSelector(t *testing.T) {
 		put(1)
 		ask(broad)
 	}
-	sinceSync, passed, caughtUp := 0, 0, 0
+	ask(selective()) // a field with no column catches the index up on first sight
+	sinceSync, passed, caughtUp, declined := 0, 0, 0, 0
+	filter := uint64(memoPads) * index.FilterRow
 	for round := range 60 {
 		writes := 1 + rng.Intn(8) // most pages stay as the level saw them
 		if round%15 == 14 {
@@ -706,19 +717,34 @@ func TestLazyIndexMatchesFreshSelector(t *testing.T) {
 			}
 			continue
 		}
-		before, after := ask(selective)
-		if sinceSync > 4096 {
+		// Every write costs more to apply than the table to filter, so the
+		// first ask adds nothing to the tally and each repeat one pass.
+		cost := uint64(memoPads) * index.CatchUpRow
+		if sinceSync <= store.ChangeLogCap {
+			cost = uint64(sinceSync) * index.CatchUpWrite
+		}
+		bound := int((cost+filter-1)/filter) + 1
+		for asks := 1; ; asks++ {
+			before, after := ask(selective())
+			got := counts{applies: after.applies - before.applies, resyncs: after.resyncs - before.resyncs, declines: after.declines - before.declines}
+			if want := (counts{declines: 1}); asks < bound && got == want {
+				declined++
+				continue
+			} else if asks < bound || got != (counts{applies: 1}) {
+				t.Fatalf("round %d: ask %d of a selective question %d writes after the index's last sync: %+v, want %+v before ask %d, then one delta",
+					round, asks, sinceSync, got, want, bound)
+			}
+			break
+		}
+		if sinceSync > store.ChangeLogCap {
 			passed++
 		} else {
 			caughtUp++
 		}
-		if got := (counts{applies: after.applies - before.applies, resyncs: after.resyncs - before.resyncs}); got != (counts{applies: 1}) {
-			t.Fatalf("round %d: a selective question %d writes after the index's last sync: %+v, want one delta", round, sinceSync, got)
-		}
 		sinceSync = 0
 	}
-	if passed == 0 || caughtUp == 0 || read().pageHits == 0 {
-		t.Fatalf("%d catch-ups past the ring, %d within it, %d pages merged from the memo: the history exercises too little",
-			passed, caughtUp, read().pageHits)
+	if passed == 0 || caughtUp == 0 || declined == 0 || read().pageHits == 0 {
+		t.Fatalf("%d catch-ups past the ring, %d within it, %d declines, %d pages merged from the memo: the history exercises too little",
+			passed, caughtUp, declined, read().pageHits)
 	}
 }

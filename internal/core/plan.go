@@ -124,13 +124,13 @@ func (s *Selector) slotVars(prog *reqlang.Program, from int) slotVars {
 
 // source picks a planned selection's candidates: the index's bitset in
 // sc.bits (true), or the column filter (false) when the index declines
-// a broad span, raced a writer, or forceScan pins ground truth. The
-// decline reads the columns as last synced, so only a selection that
-// reads the index brings it in step.
+// a broad span or writes that outran it, raced a writer, or forceScan
+// pins ground truth. The declines read the columns as last synced, so
+// only a selection that reads the index brings it in step.
 func (s *Selector) source(q *query, sc *scratch) (useIndex bool) {
 	info := q.info
 	if !s.forceScan {
-		if s.idx.Broad(q.snap, info.fields, info.plan.Cons) {
+		if s.idx.Broad(q.snap, info.fields, info.plan.Cons) || s.idx.Outrun(q.snap.Len()) {
 			s.indexDeclines.Add(1)
 			return false
 		}

@@ -534,6 +534,68 @@ func TestPlannerDifferentialBroadSpans(t *testing.T) {
 	}
 }
 
+// TestPlannerDifferentialOutrunIndex runs the comparison after writes
+// that outran the index, on either side of the store's changelog ring,
+// over tables straddling page boundaries, with the freshness cutoff on
+// and off. The selective questions read the index before the writes;
+// after them, each one's first ask is declined and served by the column
+// filter, and the comparison's asks that follow — declined, or served
+// by the index once the rule's tally pays for its catch-up — agree with
+// the forced filter and the walk.
+func TestPlannerDifferentialOutrunIndex(t *testing.T) {
+	const page = store.SysPageLen
+	for _, hosts := range []int{page - 1, page + 1, 4 * page} {
+		k := hosts / 8 // a span of k entries is selective
+		corpus := []string{
+			fmt.Sprintf("host_cpu_bogomips < %d\n", 1000+10*k),
+			fmt.Sprintf("host_cpu_bogomips >= %d\nhost_cpu_free * 100\n", 1000+10*(hosts-k)),
+			fmt.Sprintf("host_cpu_bogomips < %d && host_system_load1 < 3\nuser_denied_host1 = \"diff-02\"\n", 1000+10*k),
+		}
+		for _, writes := range []int{1, store.ChangeLogCap + 1} {
+			for _, age := range []time.Duration{diffStaleAge, 0} {
+				h := newDiffHarnessAge(t, age)
+				put := func(i, val int) {
+					h.now = h.now.Add(time.Millisecond)
+					h.src.PutSys(diffSys(i%hosts, val%5))
+				}
+				for i := range hosts {
+					put(i, i)
+				}
+				h.setCorpus(t, corpus)
+				selectAll := func() (declines uint64) {
+					before := h.reg.Snapshot().Counters["index_declines"]
+					if err := h.sync(); err != nil {
+						t.Fatal(err)
+					}
+					for _, prog := range h.progs {
+						if _, err := h.planner.Select(prog, 1, proto.OptPartialOK|proto.OptRankByExpr); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return h.reg.Snapshot().Counters["index_declines"] - before
+				}
+				if declines := selectAll(); declines != 0 {
+					t.Fatalf("%d hosts: %d selective questions declined on a quiescent mirror", hosts, declines)
+				}
+				for i := range writes {
+					put(i, i+1) // the first write to each host moves its content
+				}
+				if declines := selectAll(); declines != uint64(len(corpus)) {
+					t.Fatalf("%d hosts, %d writes: %d of %d selective questions declined", hosts, writes, declines, len(corpus))
+				}
+				for val := range diffCounts {
+					if err := h.compareAll(val); err != nil {
+						t.Fatalf("%d hosts, %d writes, MaxStatusAge %v: %v", hosts, writes, age, err)
+					}
+				}
+				if c := h.reg.Snapshot().Counters; c["index_fallbacks"] != 0 {
+					t.Errorf("%d hosts, %d writes: index fell back %d times on a quiescent mirror", hosts, writes, c["index_fallbacks"])
+				}
+			}
+		}
+	}
+}
+
 // hostListFleet spells hosts every way a list entry may have to match:
 // mixed case, ports, bracketed and bare IPv6, two hosts that fold to one
 // name ("h:9000", "H:9001"), a bracketed name ("[h]", keyed "h"), and

@@ -125,7 +125,7 @@ type Selector struct {
 	recordEvals    *obs.Counter // core_record_evals: requirement evaluations run
 	indexPlans     *obs.Counter // index_plans: selections run under plan semantics
 	indexFallbacks *obs.Counter // index_fallbacks: planned selections filtered because the index raced a writer, or forceScan
-	indexDeclines  *obs.Counter // index_declines: planned selections filtered because the driver's span is broad
+	indexDeclines  *obs.Counter // index_declines: planned selections filtered because the driver's span is broad or writes outran the index
 	rowsPruned     *obs.Counter // index_rows_pruned: records excluded without evaluation
 	residualEvals  *obs.Counter // index_residual_evals: survivors evaluated on the plan path
 }

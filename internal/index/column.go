@@ -38,6 +38,7 @@ func sortKey(v float64) float64 {
 // lookups O(log n + answer) amortized without ever rebuilding on a
 // per-request basis.
 type column struct {
+	vi      int // the field's status.VarIndex; -1: no status variable
 	vals    []float64
 	defined Bits
 	base    []entry

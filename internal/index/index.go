@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"smartsock/internal/obs"
@@ -22,8 +23,8 @@ const SecurityField = "host_security_level"
 // same-content refreshes re-stamp nothing, and a base that falls
 // behind retained history triggers a full Resync rebuild, exactly
 // mirroring the transport's snapshot-gap handling. The serve path
-// never rebuilds: it applies the delta since the last selection and
-// answers range queries from the sorted columns.
+// never rebuilds: a selection Outrun lets through applies the delta
+// since the last catch-up and answers from the sorted columns.
 type Set struct {
 	db *store.DB
 
@@ -40,6 +41,8 @@ type Set struct {
 	idOf  map[string]int
 	live  Bits
 	cols  map[string]*column
+	// sysCols lists the columns of status variables: the apply loop's.
+	sysCols []*column
 	// pos maps a live id to its host's position in the sorted snapshot
 	// of the current epoch. Positions move only when membership does,
 	// so a content change leaves the table standing; posOK is cleared
@@ -51,6 +54,9 @@ type Set struct {
 	// Reusable delta scratch for the sync path; no net: none is indexed.
 	sysD status.SysDelta
 	secD status.SecDelta
+	// tally is what Outrun's declines since the last catch-up would have
+	// saved (ns), asked the database version at its last call.
+	tally, asked atomic.Uint64
 
 	applyLatency *obs.Histogram // index_apply_delta: per-sync delta apply time
 	resyncs      *obs.Counter   // index_resyncs: full rebuilds
@@ -86,6 +92,7 @@ func (s *Set) SyncFor(snap *store.SysSnapshot, fields []string) bool {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.tally.Store(0)
 	if s.synced {
 		start := time.Now()
 		ver, epoch, ok := s.db.ChangedSinceAt(s.ver, &s.sysD, nil, &s.secD)
@@ -148,6 +155,45 @@ func (s *Set) Broad(snap *store.SysSnapshot, fields []string, cons []reqlang.Con
 	col := s.cols[cons[d].Var]
 	lo, hi := col.span(cons[d])
 	return hi > lo && (hi-lo)*DeclineSpan >= len(col.base)
+}
+
+// The catch-up rule's costs in ns a record (BenchmarkIndexCatchUp's
+// sweep, EXPERIMENTS.md "Index catch-up rule"): filtering a row,
+// applying a write from the changelog ring, and the full-table scan
+// delta a row once the ring has passed the index's base.
+const (
+	FilterRow    = 1
+	CatchUpWrite = 2000
+	CatchUpRow   = 400
+)
+
+// Outrun is the planner's second "no", rent-or-buy, asked after Broad
+// has built the columns: the index catches up for a selection over rows
+// records only when that costs no more than filtering them plus the
+// tally of what the selections it declined since its last catch-up
+// would have saved. A decline adds its filter pass, less the catch-up
+// of the writes since the selection before it: on a quiet table the
+// whole pass, so the index returns within catch-up ÷ filter asks; in a
+// stream whose every epoch costs more to apply than to filter, nothing
+// — it never pays.
+func (s *Set) Outrun(rows int) bool {
+	s.mu.RLock()
+	base := s.ver
+	s.mu.RUnlock()
+	ver, filter := s.db.Ver(), uint64(rows)*FilterRow
+	since := catchUp(ver-s.asked.Swap(ver), rows)
+	if s.tally.Load()+filter >= catchUp(ver-base, rows) {
+		return false
+	}
+	s.tally.Add(filter - min(filter, since))
+	return true
+}
+
+func catchUp(writes uint64, rows int) uint64 {
+	if writes > store.ChangeLogCap {
+		return uint64(rows) * CatchUpRow
+	}
+	return writes * CatchUpWrite
 }
 
 // driverLocked picks the constraint with the smallest estimate; -1 when
@@ -246,15 +292,8 @@ func (s *Set) applyDeltasLocked() {
 			s.live.Set(id)
 			s.posOK = false
 		}
-		for field, col := range s.cols {
-			if field == SecurityField {
-				continue
-			}
-			if v, ok := st.Var(field); ok {
-				col.set(id, v)
-			} else {
-				col.unset(id)
-			}
+		for _, col := range s.sysCols {
+			col.set(id, st.VarAt(col.vi))
 		}
 	}
 	for _, host := range s.sysD.Deleted {
@@ -288,11 +327,11 @@ func (s *Set) resyncLocked() {
 	clear(s.idOf)
 	s.live = s.live[:0]
 	for field, col := range s.cols {
-		*col = column{}
+		*col = column{vi: col.vi}
 		if field == SecurityField {
 			s.fillSecColumnLocked(col, sec)
 		} else {
-			s.fillSysColumnLocked(field, col, snap)
+			s.fillSysColumnLocked(col, snap)
 		}
 	}
 	// Host ids for snapshot members not already assigned by column
@@ -314,11 +353,11 @@ func (s *Set) ensureColumnsLocked(fields []string, snap *store.SysSnapshot) {
 		if s.cols[f] != nil {
 			continue
 		}
-		col := &column{}
+		col := &column{vi: status.VarIndex(f)}
 		if f == SecurityField {
 			s.fillSecColumnLocked(col, s.db.Sec())
-		} else {
-			s.fillSysColumnLocked(f, col, snap)
+		} else if s.fillSysColumnLocked(col, snap); col.vi >= 0 {
+			s.sysCols = append(s.sysCols, col)
 		}
 		s.cols[f] = col
 	}
@@ -326,13 +365,12 @@ func (s *Set) ensureColumnsLocked(fields []string, snap *store.SysSnapshot) {
 
 // fillSysColumnLocked fills a fresh column from the snapshot's own; a
 // field no record defines leaves it empty.
-func (s *Set) fillSysColumnLocked(field string, col *column, snap *store.SysSnapshot) {
+func (s *Set) fillSysColumnLocked(col *column, snap *store.SysSnapshot) {
 	col.ensure(len(s.hosts))
-	vi := status.VarIndex(field)
 	var buf [store.SysPageLen]float64
-	for p := 0; vi >= 0 && p < snap.Pages(); p++ {
+	for p := 0; col.vi >= 0 && p < snap.Pages(); p++ {
 		page, _ := snap.Page(p)
-		for j, v := range page.Column(vi, &buf) {
+		for j, v := range page.Column(col.vi, &buf) {
 			id := s.ensureIDLocked(page.Host(j))
 			col.ensure(id + 1)
 			col.define(id, v)

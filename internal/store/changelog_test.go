@@ -112,14 +112,14 @@ func TestChangedSinceLogWraparound(t *testing.T) {
 	// remains servable).
 	db.PutSys(status.ServerStatus{Host: "w-hot", Load1: 2})
 	hot, _ := db.GetSys("w-hot")
-	for i := 0; i < 3*changeLogCap; i++ {
+	for i := 0; i < 3*ChangeLogCap; i++ {
 		db.PutSys(hot.Status)
 	}
 	db.mu.Lock()
 	floor := db.sys.logFloor
 	db.mu.Unlock()
 	if floor == 0 {
-		t.Fatalf("log floor still 0 after %d mutations (cap %d)", 3*changeLogCap, changeLogCap)
+		t.Fatalf("log floor still 0 after %d mutations (cap %d)", 3*ChangeLogCap, ChangeLogCap)
 	}
 	if oldBase >= floor {
 		t.Fatalf("old base %d did not fall below log floor %d", oldBase, floor)

@@ -638,11 +638,11 @@ func TestSysViewFallsBackPastTheRing(t *testing.T) {
 	if err := checkView(db); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < changeLogCap+1; i++ {
+	for i := 0; i < ChangeLogCap+1; i++ {
 		put(i, 1)
 	}
 	if willPatch(db) {
-		t.Fatalf("rebuild would patch a base %d mutations old; the ring holds %d", changeLogCap+1, changeLogCap)
+		t.Fatalf("rebuild would patch a base %d mutations old; the ring holds %d", ChangeLogCap+1, ChangeLogCap)
 	}
 	if err := checkView(db); err != nil {
 		t.Fatal(err)

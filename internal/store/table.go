@@ -24,12 +24,12 @@ type Stamp struct {
 // a pathological fleet.
 const maxTombstones = 4096
 
-// changeLogCap bounds a table's changelog ring. changedSince serves a
+// ChangeLogCap bounds a table's changelog ring. changedSince serves a
 // delta by walking only the ring entries newer than the caller's base
 // instead of scanning every record, so its cost tracks the change
 // rate, not the fleet size; a caller whose base has been evicted from
 // the ring falls back to the historical full scan.
-const changeLogCap = 4096
+const ChangeLogCap = 4096
 
 // logEntry records one version-stamping mutation of one key. The key
 // aliases the record's (or the tombstone's) own strings, so appending
@@ -61,7 +61,7 @@ type table[K, V comparable, R any] struct {
 	// tomb maps deleted keys to the version of the deletion, so
 	// expiries propagate through deltas.
 	tomb map[K]uint64
-	// log is the changelog ring (see changeLogCap), allocated on first
+	// log is the changelog ring (see ChangeLogCap), allocated on first
 	// use; logStart indexes its oldest entry and logLen counts the live
 	// ones. logFloor is the version of the newest evicted entry: bases
 	// at or above it can be served from the ring alone.
@@ -82,18 +82,18 @@ func newTable[K, V comparable, R any](db *DB, keyOf func(*V) K, split func(*R) (
 // is full. The caller has already advanced db.ver for the mutation.
 func (t *table[K, V, R]) logAppend(k K) {
 	if t.log == nil {
-		t.log = make([]logEntry[K], changeLogCap)
+		t.log = make([]logEntry[K], ChangeLogCap)
 	}
 	e := logEntry[K]{ver: t.db.ver, key: k}
-	if t.logLen == changeLogCap {
+	if t.logLen == ChangeLogCap {
 		// Evict the oldest entry: a base below its version can no
 		// longer prove it has seen everything, so the floor rises.
 		t.logFloor = t.log[t.logStart].ver
 		t.log[t.logStart] = e
-		t.logStart = (t.logStart + 1) % changeLogCap
+		t.logStart = (t.logStart + 1) % ChangeLogCap
 		return
 	}
-	t.log[(t.logStart+t.logLen)%changeLogCap] = e
+	t.log[(t.logStart+t.logLen)%ChangeLogCap] = e
 	t.logLen++
 }
 
@@ -244,7 +244,7 @@ func (t *table[K, V, R]) ordered(keys []K) []K {
 func (t *table[K, V, R]) ringKeys(base uint64, keys []K) []K {
 	// Ring entries are in version order: walk back from the newest.
 	for i := t.logLen - 1; i >= 0; i-- {
-		e := &t.log[(t.logStart+i)%changeLogCap]
+		e := &t.log[(t.logStart+i)%ChangeLogCap]
 		if e.ver <= base {
 			break
 		}

@@ -225,15 +225,17 @@ SIZE_SCHEMA = {
 # moved core, store, monitor, status, reqlang, "." and total up (the five
 # status and selection packages by +138, over their +90 budget);
 # deleting the settings with one value in use lowered total, ".", core
-# and wizard, and added overload, netmon and netbatch at their new sizes.
+# and wizard, and added overload, netmon and netbatch at their new sizes;
+# the index's catch-up rule moved index and total up by its 39 lines
+# (inside the +40 budget of ROADMAP item 19).
 # A PR that grows one of these past its ceiling deletes elsewhere in the
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 19963,
+    "total": 20002,
     ".": 712,
     "internal/core": 1155,
-    "internal/index": 572,
+    "internal/index": 611,
     "internal/store": 1162,
     "internal/status": 1247,
     "internal/transport": 1127,

@@ -4,7 +4,8 @@
 # size numbers, the naming, one-evaluator, one-applier, columns-not-rows,
 # pages-by-ID, page-level-merges-by-tree, one-wizard-socket,
 # the-wizard-holds-no-mutex, report-float, resolved-host-lists,
-# selections-pin-their-snapshot, one-operator-table, one-comparison-type,
+# selections-pin-their-snapshot, the-index-catches-up-only-through-its-
+# cost-rule, one-operator-table, one-comparison-type,
 # the-thesis-preset-is-the-wire-and-admission and benchmark-consumer
 # guards, and the project's own
 # static analyzers (cmd/smartlint). CI runs exactly this script; run it locally before
@@ -241,6 +242,25 @@ pins=$(awk '
 if [ -n "$pins" ]; then
 	echo "internal/core reads a snapshot it does not pin and release (PinSys, then defer Unpin):" >&2
 	echo "$pins" >&2
+	exit 1
+fi
+
+echo "== the index catches up only through its cost rule =="
+# A selection brings the index in step (index.Set.SyncFor) and reads it
+# (Positions) only where the catch-up rule (Outrun) has let it. Either
+# call in a function that does not ask the rule is a catch-up paid
+# whatever the writes since the last one cost.
+catchups=$(awk '
+	function flush() { if (call != "" && !ruled) print call " (no Outrun in its function)"; call = ""; ruled = 0 }
+	FNR == 1 || /^func / { flush() }
+	/^[ \t]*\/\// { next }
+	/(SyncFor|Positions)\(/ && call == "" { call = FILENAME ":" FNR ": " $0 }
+	/\.Outrun\(/ { ruled = 1 }
+	END { flush() }
+' $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ -n "$catchups" ]; then
+	echo "internal/core catches the index up outside its cost rule (ask index.Set.Outrun first):" >&2
+	echo "$catchups" >&2
 	exit 1
 fi
 
