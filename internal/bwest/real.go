@@ -41,13 +41,13 @@ func NewEchoServer(addr string) (*EchoServer, error) {
 // Addr reports the bound address.
 func (e *EchoServer) Addr() string { return e.conn.LocalAddr().String() }
 
-// Run echoes probe headers until the context is cancelled.
+// Run echoes probe headers until the context is cancelled, and closes
+// the socket however it returns.
 func (e *EchoServer) Run(ctx context.Context) error {
-	go func() {
-		<-ctx.Done()
-		// The read loop below surfaces the close as net.ErrClosed.
-		_ = e.conn.Close()
-	}()
+	defer e.conn.Close()
+	// The read loop below surfaces the close as net.ErrClosed.
+	stop := context.AfterFunc(ctx, func() { _ = e.conn.Close() })
+	defer stop()
 	buf := make([]byte, 64*1024)
 	for {
 		n, from, err := e.conn.ReadFromUDP(buf)

@@ -2,6 +2,9 @@ package bwest
 
 import (
 	"context"
+	"errors"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -121,5 +124,32 @@ func TestLiveEstimatorRunsOverLoopback(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("live estimate hung")
+	}
+}
+
+// A read error that is not the context's own close still ends Run with
+// its socket closed and nothing left waiting on the context: the
+// socket is not held open until a cancel that may never come.
+func TestEchoServerRunClosesItsSocketOnError(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	srv, err := NewEchoServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := srv.conn.SetReadDeadline(time.Now().Add(-time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Run(ctx); err == nil {
+		t.Fatal("Run returned nil on a read past its deadline")
+	}
+	if err := srv.conn.SetReadDeadline(time.Time{}); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("after Run returned the socket is still open (SetReadDeadline: %v)", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("Run returned and left %d goroutines, %d before it", runtime.NumGoroutine(), goroutines)
+		}
 	}
 }

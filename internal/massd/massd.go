@@ -14,13 +14,14 @@ package massd
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"smartsock/internal/loop"
 )
 
 // MaxBlock bounds a single requested block (16 MiB).
@@ -31,27 +32,10 @@ type Server struct{}
 
 // Serve accepts clients on ln until the context is cancelled.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	go func() {
-		<-ctx.Done()
-		// Accept below surfaces the close as net.ErrClosed.
-		_ = ln.Close()
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("massd: accept: %w", err)
-		}
-		go s.serveConn(ctx, conn)
-	}
+	return loop.Serve(ctx, ln, s.serveConn)
 }
 
-func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
-	defer stop()
+func (s *Server) serveConn(_ context.Context, conn net.Conn) {
 	hdr := make([]byte, 8)
 	buf := make([]byte, 64*1024)
 	for {

@@ -3,11 +3,12 @@ package matrix
 import (
 	"context"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
+
+	"smartsock/internal/loop"
 )
 
 // The master/worker protocol of Fig C.2: for every result tile the
@@ -69,27 +70,10 @@ func (w *Worker) pause(d time.Duration) {
 // connection is one master session processing tasks sequentially —
 // the thesis's worker loop.
 func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
-	go func() {
-		<-ctx.Done()
-		// Accept below surfaces the close as net.ErrClosed.
-		_ = ln.Close()
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("matrix: worker accept: %w", err)
-		}
-		go w.serveConn(ctx, conn)
-	}
+	return loop.Serve(ctx, ln, w.serveConn)
 }
 
-func (w *Worker) serveConn(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
-	defer stop()
+func (w *Worker) serveConn(_ context.Context, conn net.Conn) {
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {

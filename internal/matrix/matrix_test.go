@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -340,5 +341,71 @@ func TestNewRandomDeterministic(t *testing.T) {
 	b := mustRandom(t, 6, 99)
 	if !a.Equal(b, 0) {
 		t.Error("NewRandom not deterministic per seed")
+	}
+}
+
+// A worker caught in the middle of a tile's modelled compute when its
+// context ends holds Serve until the compute is done: once Serve has
+// returned, nothing it started still runs. The tile sleeps until the
+// test wakes it, which it does only after giving Serve time to return
+// early.
+func TestServeWaitsForTheTileInProgress(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sleeping, wake := make(chan struct{}), make(chan struct{})
+	var woke atomic.Bool
+	w := &Worker{OpCost: time.Hour, Sleep: func(time.Duration) {
+		close(sleeping)
+		<-wake
+		woke.Store(true)
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- w.Serve(ctx, ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	a, b := mustRandom(t, 4, 1), mustRandom(t, 4, 2)
+	distributed := make(chan error, 1)
+	go func() {
+		_, err := Distribute(context.Background(), a, b, 4, conn2slice(conn))
+		distributed <- err
+	}()
+	select {
+	case <-sleeping:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the tile never reached its modelled compute")
+	}
+
+	cancel()
+	select {
+	case <-served:
+		close(wake)
+		t.Fatal("Serve returned while a handler it started was still computing")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(wake)
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after its handler did")
+	}
+	if !woke.Load() {
+		t.Fatal("Serve returned before the tile's compute did")
+	}
+	// The worker's end of the connection closed under the tile: the
+	// master sees an error, not a hang.
+	select {
+	case <-distributed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Distribute hung on a worker that was shut down")
 	}
 }

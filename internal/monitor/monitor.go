@@ -9,7 +9,8 @@
 // UDP ingest rides the batched datagram plane (internal/netbatch):
 // Batch > 1 moves up to that many reports per recvmmsg, and
 // Shards > 1 spreads probe flows across SO_REUSEPORT sockets. Both
-// default off, preserving the historical one-syscall-per-report loop.
+// default off (the one-syscall-per-report loop); sysmond and the
+// testbed run netbatch.DefaultBatch.
 package monitor
 
 import (
@@ -21,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"smartsock/internal/loop"
 	"smartsock/internal/netbatch"
 	"smartsock/internal/obs"
 	"smartsock/internal/status"
@@ -158,7 +160,15 @@ func (m *Monitor) Run(ctx context.Context) error {
 	defer side.Wait()
 	defer cancel()
 	side.Add(2)
-	go m.expireLoop(ctx, &side)
+	go func() {
+		defer side.Done()
+		// Sweeping at half the horizon, a dead server lingers at most
+		// MissedIntervals+0.5 intervals.
+		maxAge := time.Duration(m.cfg.MissedIntervals) * m.cfg.Interval
+		if err := loop.Every(ctx, maxAge/2, nil, func() error { m.expire(maxAge); return nil }); ctx.Err() == nil {
+			m.logf("monitor: expiry: %v", err)
+		}
+	}()
 	go func() {
 		defer side.Done()
 		<-ctx.Done()
@@ -166,13 +176,15 @@ func (m *Monitor) Run(ctx context.Context) error {
 		for _, s := range m.shards {
 			_ = s.Close()
 		}
-		if m.tcp != nil {
-			_ = m.tcp.Close()
-		}
 	}()
 	if m.tcp != nil {
 		side.Add(1)
-		go m.serveTCP(ctx, &side)
+		go func() {
+			defer side.Done()
+			if err := loop.Serve(ctx, m.tcp, m.serveTCP); err != nil {
+				m.logf("monitor: tcp %v", err)
+			}
+		}()
 	}
 
 	errs := make([]error, len(m.shards)) // one per ingest loop
@@ -233,77 +245,42 @@ func (m *Monitor) ingest(recs []status.ServerStatus, errs []error, msgs []netbat
 	}
 }
 
-// serveTCP accepts framed-report connections until the listener closes;
-// it and everything it starts are counted in running.
-func (m *Monitor) serveTCP(ctx context.Context, running *sync.WaitGroup) {
-	defer running.Done()
+// serveTCP ingests the framed reports of one TCP probe connection.
+func (m *Monitor) serveTCP(_ context.Context, c net.Conn) {
+	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		return
+	}
+	var buf []byte // one payload buffer for the connection's frames
+	var rec [1]status.ServerStatus
+	var errs [1]error
 	for {
-		conn, err := m.tcp.Accept()
+		var f status.Frame
+		var err error
+		f, buf, err = status.ReadFrameInto(c, buf)
 		if err != nil {
 			return
 		}
-		running.Add(1)
-		go func(c net.Conn) {
-			defer running.Done()
-			defer c.Close()
-			// Cancellation closes the connection at once instead of
-			// letting the handler ride out its read deadline. The closer
-			// is counted too: ended by itself or, if it never ran, here.
-			running.Add(1)
-			stop := context.AfterFunc(ctx, func() { defer running.Done(); _ = c.Close() })
-			defer func() {
-				if stop() {
-					running.Done()
-				}
-			}()
-			if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-				return
-			}
-			var buf []byte // one payload buffer for the connection's frames
-			var rec [1]status.ServerStatus
-			var errs [1]error
-			for {
-				var f status.Frame
-				var err error
-				f, buf, err = status.ReadFrameInto(c, buf)
-				if err != nil {
-					return
-				}
-				if f.Type != status.TypeSystem {
-					m.logf("monitor: unexpected frame type %v over tcp", f.Type)
-					return
-				}
-				m.ingest(rec[:], errs[:], []netbatch.Message{{Buf: f.Data}})
-			}
-		}(conn)
+		if f.Type != status.TypeSystem {
+			m.logf("monitor: unexpected frame type %v over tcp", f.Type)
+			return
+		}
+		m.ingest(rec[:], errs[:], []netbatch.Message{{Buf: f.Data}})
 	}
 }
 
-// expireLoop removes stale records at half the expiry horizon so a
-// dead server lingers at most MissedIntervals+0.5 intervals.
-func (m *Monitor) expireLoop(ctx context.Context, running *sync.WaitGroup) {
-	defer running.Done()
-	maxAge := time.Duration(m.cfg.MissedIntervals) * m.cfg.Interval
-	ticker := time.NewTicker(maxAge / 2)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			gone := m.cfg.DB.ExpireSys(maxAge)
-			if len(gone) > 0 {
-				m.expired.Add(uint64(len(gone)))
-				m.logf("monitor: expired silent servers %v", gone)
-			}
-			if m.cfg.ExpireAll {
-				n := m.cfg.DB.ExpireNet(4 * maxAge)
-				n += m.cfg.DB.ExpireSec(4 * maxAge)
-				if n > 0 {
-					m.expired.Add(uint64(n))
-					m.logf("monitor: expired %d stale net/sec records", n)
-				}
-			}
+// expire is one sweep: it removes the records past the horizon.
+func (m *Monitor) expire(maxAge time.Duration) {
+	gone := m.cfg.DB.ExpireSys(maxAge)
+	if len(gone) > 0 {
+		m.expired.Add(uint64(len(gone)))
+		m.logf("monitor: expired silent servers %v", gone)
+	}
+	if m.cfg.ExpireAll {
+		n := m.cfg.DB.ExpireNet(4 * maxAge)
+		n += m.cfg.DB.ExpireSec(4 * maxAge)
+		if n > 0 {
+			m.expired.Add(uint64(n))
+			m.logf("monitor: expired %d stale net/sec records", n)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"smartsock/internal/bwest"
+	"smartsock/internal/loop"
 	"smartsock/internal/status"
 	"smartsock/internal/store"
 )
@@ -97,16 +98,10 @@ func (m *Monitor) Rounds() int {
 // Run probes all peers at the configured interval until the context
 // is cancelled. The first round runs immediately.
 func (m *Monitor) Run(ctx context.Context) error {
-	ticker := time.NewTicker(m.cfg.Interval)
-	defer ticker.Stop()
-	for {
+	return loop.Every(ctx, m.cfg.Interval, nil, func() error {
 		m.ProbeAll(ctx)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-		}
-	}
+		return nil
+	})
 }
 
 // ProbeAll measures every peer path once, sequentially, and stores

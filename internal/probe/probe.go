@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"smartsock/internal/loop"
 	"smartsock/internal/retry"
 	"smartsock/internal/status"
 	"smartsock/internal/sysinfo"
@@ -103,29 +104,13 @@ func (p *Probe) Close() error {
 func (p *Probe) Run(ctx context.Context) error {
 	defer p.Close()
 	bo := &retry.Backoff{Base: p.cfg.Interval, Max: 8 * p.cfg.Interval}
-	timer := time.NewTimer(p.cfg.Interval)
-	defer timer.Stop()
-	for {
-		wait := p.cfg.Interval
-		if err := p.ReportOnce(); err != nil {
+	return loop.Every(ctx, p.cfg.Interval, bo, func() error {
+		err := p.ReportOnce()
+		if err != nil {
 			p.logf("probe: %v", err)
-			wait = bo.Next()
-		} else {
-			bo.Reset()
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-timer.C:
-		}
-	}
+		return err
+	})
 }
 
 var reportBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"smartsock/internal/loop"
 	"smartsock/internal/status"
 	"smartsock/internal/store"
 )
@@ -127,18 +128,10 @@ func (m *Monitor) ScanOnce() error {
 // Run scans at the configured interval until the context is
 // cancelled. The first scan runs immediately.
 func (m *Monitor) Run(ctx context.Context) error {
-	ticker := time.NewTicker(m.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		if err := m.ScanOnce(); err != nil {
-			if m.cfg.Logger != nil {
-				m.cfg.Logger.Printf("secmon: %v", err)
-			}
+	return loop.Every(ctx, m.cfg.Interval, nil, func() error {
+		if err := m.ScanOnce(); err != nil && m.cfg.Logger != nil {
+			m.cfg.Logger.Printf("secmon: %v", err)
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-		}
-	}
+		return nil
+	})
 }

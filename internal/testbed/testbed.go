@@ -23,6 +23,7 @@ import (
 	"smartsock/internal/chaos"
 	"smartsock/internal/core"
 	"smartsock/internal/monitor"
+	"smartsock/internal/netbatch"
 	"smartsock/internal/netmon"
 	"smartsock/internal/obs"
 	"smartsock/internal/overload"
@@ -225,6 +226,7 @@ func Boot(opts Options) (*Cluster, error) {
 		Interval:        opts.ProbeInterval,
 		MissedIntervals: opts.MissedIntervals,
 		ExpireAll:       opts.ExpireAll,
+		Batch:           netbatch.DefaultBatch,
 		Obs:             opts.Obs,
 	})
 	if err != nil {
@@ -343,6 +345,7 @@ func Boot(opts Options) (*Cluster, error) {
 		Selector: sel,
 		Update:   update,
 		Overload: opts.Overload,
+		Batch:    netbatch.DefaultBatch,
 		Obs:      opts.Obs,
 	})
 	if err != nil {

@@ -62,6 +62,7 @@ import (
 	"syscall"
 	"time"
 
+	"smartsock/internal/loop"
 	"smartsock/internal/obs"
 	"smartsock/internal/overload"
 	"smartsock/internal/retry"
@@ -295,8 +296,6 @@ func (t *Transmitter) RunActive(ctx context.Context, receiverAddr string, interv
 		interval = 2 * time.Second
 	}
 	bo := &retry.Backoff{Base: interval, Max: 8 * interval, Metric: t.redials}
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
 	var conn net.Conn
 	var sess pushSession
 	defer func() {
@@ -304,45 +303,27 @@ func (t *Transmitter) RunActive(ctx context.Context, receiverAddr string, interv
 			_ = conn.Close()
 		}
 	}()
-	for {
-		wait := interval
+	return loop.Every(ctx, interval, bo, func() error {
 		if conn == nil {
 			c, err := t.dial(receiverAddr)
 			if err != nil {
 				t.logf("transmitter: dial %s: %v", receiverAddr, err)
-			} else {
-				conn = c
-				// A fresh connection mirrors nothing yet: start it
-				// with a full snapshot, whatever the session held.
-				sess.base = 0
+				return err
 			}
+			conn = c
+			// A fresh connection mirrors nothing yet: start it with a
+			// full snapshot, whatever the session held.
+			sess.base = 0
 		}
-		if conn != nil {
-			if err := t.pushEpoch(conn, &sess); err != nil {
-				t.logf("transmitter: push: %v", err)
-				// The push error is already logged; redial after backoff.
-				_ = conn.Close()
-				conn = nil
-			} else {
-				bo.Reset()
-			}
+		if err := t.pushEpoch(conn, &sess); err != nil {
+			t.logf("transmitter: push: %v", err)
+			// The push error is already logged; redial after backoff.
+			_ = conn.Close()
+			conn = nil
+			return err
 		}
-		if conn == nil {
-			wait = bo.Next()
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-timer.C:
-		}
-	}
+		return nil
+	})
 }
 
 // dial opens the push connection through the configured hook.
@@ -360,7 +341,7 @@ func (t *Transmitter) dial(addr string) (net.Conn, error) {
 // full snapshot when the base is no longer servable — closed by a
 // TypeSnapMark. It returns when the context is cancelled.
 func (t *Transmitter) ServePassive(ctx context.Context, ln net.Listener) error {
-	return serveConns(ctx, ln, func(c net.Conn) {
+	return loop.Serve(ctx, ln, func(_ context.Context, c net.Conn) {
 		var enc encodeState
 		var rbuf []byte
 		// A request is a header and a few payload bytes: read both at once.
@@ -391,41 +372,6 @@ func (t *Transmitter) ServePassive(ctx context.Context, ln net.Listener) error {
 			}
 		}
 	})
-}
-
-// serveConns is the accept loop of both listening roles (the passive
-// transmitter, the centralized receiver): it hands every connection to
-// handle on its own goroutine until the context is cancelled.
-// Cancellation also closes the live connections at once — a parked
-// puller must not ride out the read deadline, and a transmitter must
-// not keep feeding a ghost receiver after a restart. However the loop
-// ends, the connections are closed and their handlers waited for: once
-// serveConns has returned, nothing it started still answers.
-func serveConns(ctx context.Context, ln net.Listener, handle func(net.Conn)) error {
-	ctx, cancel := context.WithCancel(ctx)
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
-	defer cancel()
-	// Accept below surfaces the close as net.ErrClosed.
-	stop := context.AfterFunc(ctx, func() { _ = ln.Close() })
-	defer stop()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("transport: accept: %w", err)
-		}
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			defer conn.Close()
-			stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
-			defer stop()
-			handle(conn)
-		}()
-	}
 }
 
 // answerPull serves one distributed-mode request on an established
@@ -673,7 +619,7 @@ func (r *Receiver) Run(ctx context.Context) error {
 	// The accept loop ends with the context (or with Close): either way
 	// the receiver is done, kept pull connections included.
 	defer r.Close()
-	return serveConns(ctx, r.ln, func(c net.Conn) {
+	return loop.Serve(ctx, r.ln, func(_ context.Context, c net.Conn) {
 		var e epochBuf
 		var m mirrorState
 		lag := r.lagFor(sourceHost(c.RemoteAddr().String()))

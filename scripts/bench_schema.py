@@ -227,26 +227,29 @@ SIZE_SCHEMA = {
 # deleting the settings with one value in use lowered total, ".", core
 # and wizard, and added overload, netmon and netbatch at their new sizes;
 # the index's catch-up rule moved index and total up by its 39 lines
-# (inside the +40 budget of ROADMAP item 19).
+# (inside the +40 budget of ROADMAP item 19); one run loop and one
+# accept loop (internal/loop) lowered total, transport, monitor, probe
+# and netmon, and added loop at its new size.
 # A PR that grows one of these past its ceiling deletes elsewhere in the
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 20002,
+    "total": 19950,
     ".": 712,
     "internal/core": 1155,
     "internal/index": 611,
     "internal/store": 1162,
     "internal/status": 1247,
-    "internal/transport": 1127,
-    "internal/monitor": 315,
-    "internal/probe": 232,
+    "internal/transport": 1073,
+    "internal/monitor": 292,
+    "internal/probe": 217,
     "internal/reqlang": 1953,
     "internal/wizard": 656,
     "internal/lint": 995,
     "internal/lint/flow": 439,
     "internal/overload": 493,
-    "internal/netmon": 163,
+    "internal/netmon": 158,
+    "internal/loop": 81,
     "internal/netbatch": 625,
 }
 

@@ -6,8 +6,8 @@
 # the-wizard-holds-no-mutex, report-float, resolved-host-lists,
 # selections-pin-their-snapshot, the-index-catches-up-only-through-its-
 # cost-rule, one-operator-table, one-comparison-type,
-# the-thesis-preset-is-the-wire-and-admission and benchmark-consumer
-# guards, and the project's own
+# the-thesis-preset-is-the-wire-and-admission, one-run-loop-one-accept-
+# loop and benchmark-consumer guards, and the project's own
 # static analyzers (cmd/smartlint). CI runs exactly this script; run it locally before
 # sending a change.
 set -eu
@@ -316,6 +316,26 @@ preset=$( (awk '
 if [ -n "$preset" ]; then
 	echo "a -compat preset sets more than the thesis wire and admission (serving settings are invisible to a peer):" >&2
 	echo "$preset" >&2
+	exit 1
+fi
+
+echo "== one run loop, one accept loop =="
+# Every periodic component repeats its round through loop.Every and every
+# TCP server accepts through loop.Serve (internal/loop), so a schedule, a
+# backoff and a shutdown that waits for its handlers each live in one
+# place. An Accept call outside internal/loop is another accept loop —
+# shaper.Listener's own Accept wraps a listener and loops over nothing —
+# and a ticker or timer in the probe, transport, secmon, netmon or
+# monitor package is another run loop beside Every.
+loops=$( (awk '
+	/^func / { fn = $0 }
+	/^[ \t]*\/\// { next }
+	/\.Accept\(\)/ && !(FILENAME ~ /^\.\/internal\/shaper\/shaper\.go$/ && fn ~ /^func \(l \*Listener\) Accept\(/) { print FILENAME ":" FNR ": " $0 }
+' $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/loop/*' ! -path '*/testdata/*' | LC_ALL=C sort)
+	grep -HnE 'time\.New(Ticker|Timer)\(' $(ls internal/probe/*.go internal/transport/*.go internal/secmon/*.go internal/netmon/*.go internal/monitor/*.go | grep -v '_test\.go$') || true) )
+if [ -n "$loops" ]; then
+	echo "an accept loop outside loop.Serve, or a ticker or timer beside loop.Every (use internal/loop):" >&2
+	echo "$loops" >&2
 	exit 1
 fi
 
