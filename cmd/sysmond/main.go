@@ -5,7 +5,8 @@
 //
 // For a complete single-machine monitor node, sysmond can also host
 // the network monitor, security monitor and transmitter; see the
-// flags below. Components left unconfigured simply do not start.
+// flags below. Components left unconfigured simply do not start; one
+// that stops serving ends the process.
 //
 //	sysmond -listen :1111 -receiver wizard.lab:1121 \
 //	        -seclog /etc/smartsock/security.log \
@@ -91,7 +92,7 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	go mon.Run(ctx)
+	serve(ctx, logger, "system monitor", mon.Run)
 	logger.Printf("system monitor on %s (%d shard(s), batch %d)", mon.Addr(), mon.Shards(), netbatch.DefaultBatch)
 
 	if *seclog != "" {
@@ -103,7 +104,7 @@ func main() {
 		if err != nil {
 			logger.Fatal(err)
 		}
-		go sm.Run(ctx)
+		serve(ctx, logger, "security monitor", sm.Run)
 		logger.Printf("security monitor reading %s", *seclog)
 	}
 
@@ -130,7 +131,7 @@ func main() {
 		if err != nil {
 			logger.Fatal(err)
 		}
-		go nm.Run(ctx)
+		serve(ctx, logger, "network monitor", nm.Run)
 		logger.Printf("network monitor %s probing %d peers", *netmonName, len(nps))
 	}
 
@@ -143,17 +144,28 @@ func main() {
 	switch {
 	case *receiver != "":
 		logger.Printf("centralized mode: pushing to %s", *receiver)
-		go tx.RunActive(ctx, *receiver, *interval)
+		serve(ctx, logger, "transmitter", func(ctx context.Context) error { return tx.RunActive(ctx, *receiver, *interval) })
 	case *passive != "":
 		ln, err := net.Listen("tcp", *passive)
 		if err != nil {
 			logger.Fatal(err)
 		}
 		logger.Printf("distributed mode: serving pulls on %s", ln.Addr())
-		go tx.ServePassive(ctx, ln)
+		serve(ctx, logger, "transmitter", func(ctx context.Context) error { return tx.ServePassive(ctx, ln) })
 	default:
 		logger.Print("no -receiver/-passive: transmitter idle (monitor-only node)")
 	}
 
 	<-ctx.Done()
+}
+
+// serve runs a component for the life of the process. A return while
+// ctx is live means the component no longer serves: the process ends,
+// naming it, so that a supervisor restarts the whole daemon.
+func serve(ctx context.Context, logger *log.Logger, name string, run func(context.Context) error) {
+	go func() {
+		if err := run(ctx); ctx.Err() == nil {
+			logger.Fatalf("%s stopped: %v", name, err)
+		}
+	}()
 }

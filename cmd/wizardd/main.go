@@ -4,7 +4,8 @@
 //
 // Centralized mode (default): transmitters push to -receiver-listen.
 // Distributed mode: pass every passive transmitter with -pull; the
-// wizard refreshes from them when a request arrives.
+// wizard refreshes from them when a request arrives. A receiver or
+// wizard that stops serving ends the process.
 //
 //	wizardd -listen :1120 -receiver-listen :1121
 //	wizardd -listen :1120 -pull mon1.lab:1110 -pull mon2.lab:1110
@@ -106,7 +107,7 @@ func main() {
 		update = func(context.Context) error { return recv.PullFrom(pulls, 2*time.Second) }
 		logger.Printf("distributed mode: pulling from %v per request", pulls)
 	} else {
-		go recv.Run(ctx)
+		serve(ctx, logger, "receiver", recv.Run)
 		logger.Printf("centralized mode: receiver on %s", recv.Addr())
 	}
 
@@ -164,6 +165,17 @@ func main() {
 	}
 	logger.Printf("wizard on %s (%d shard(s), batch %d; %s)",
 		wz.Addr(), wz.Shards(), netbatch.DefaultBatch, mode)
-	go wz.Run(ctx)
+	serve(ctx, logger, "wizard", wz.Run)
 	<-ctx.Done()
+}
+
+// serve runs a component for the life of the process. A return while
+// ctx is live means the component no longer serves: the process ends,
+// naming it, so that a supervisor restarts the whole daemon.
+func serve(ctx context.Context, logger *log.Logger, name string, run func(context.Context) error) {
+	go func() {
+		if err := run(ctx); ctx.Err() == nil {
+			logger.Fatalf("%s stopped: %v", name, err)
+		}
+	}()
 }

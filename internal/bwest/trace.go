@@ -101,19 +101,3 @@ func hopStats(p HopProber, hop, size, k int) (min, avg time.Duration, err error)
 	}
 	return min, sum / time.Duration(k), nil
 }
-
-// FormatTrace renders reports in the style of the Appendix A listing.
-func FormatTrace(reports []HopReport) string {
-	out := ""
-	for _, r := range reports {
-		line := fmt.Sprintf("%2d: min RTT %v, avg RTT %v", r.Hop+1,
-			r.MinRTT.Round(time.Microsecond), r.AvgRTT.Round(time.Microsecond))
-		if r.Fluctuation {
-			line += "  | bad fluctuation"
-		} else {
-			line += fmt.Sprintf("  | %.3f Mbps", r.LinkBandwidth/1e6)
-		}
-		out += line + "\n"
-	}
-	return out
-}

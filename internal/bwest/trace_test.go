@@ -1,7 +1,6 @@
 package bwest
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -78,18 +77,5 @@ func TestTraceValidation(t *testing.T) {
 	}
 	if _, err := p.ProbeHop(99, 100); err == nil {
 		t.Error("ProbeHop accepted out-of-range hop")
-	}
-}
-
-func TestFormatTrace(t *testing.T) {
-	out := FormatTrace([]HopReport{
-		{Hop: 0, MinRTT: time.Millisecond, AvgRTT: 2 * time.Millisecond, LinkBandwidth: 95.346e6},
-		{Hop: 1, MinRTT: 2 * time.Millisecond, AvgRTT: 3 * time.Millisecond, Fluctuation: true},
-	})
-	if !strings.Contains(out, "95.346 Mbps") {
-		t.Errorf("missing bandwidth:\n%s", out)
-	}
-	if !strings.Contains(out, "bad fluctuation") {
-		t.Errorf("missing fluctuation marker:\n%s", out)
 	}
 }

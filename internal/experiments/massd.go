@@ -34,19 +34,19 @@ const bwScale = 32 * 1024 // bytes/s per paper-Mbps
 
 // startFileServer runs a massd server whose uplink is shaped to the
 // given paper-Mbps rate; it returns the dial address.
-func startFileServer(ctx context.Context, mbpsPaper float64) (string, *shaper.Listener, error) {
+func startFileServer(ctx context.Context, mbpsPaper float64) (string, error) {
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
 	shaped, err := shaper.NewListener(raw, mbpsPaper*bwScale)
 	if err != nil {
 		_ = raw.Close()
-		return "", nil, err
+		return "", err
 	}
 	srv := &massd.Server{}
 	go srv.Serve(ctx, shaped)
-	return raw.Addr().String(), shaped, nil
+	return raw.Addr().String(), nil
 }
 
 // fig53 reproduces the rshaper/massd cross-check: 10 sample rates,
@@ -75,7 +75,7 @@ func fig53(o Options) (*Table, error) {
 		if o.Quick {
 			total /= 4
 		}
-		addr, _, err := startFileServer(ctx, mbpsPaper)
+		addr, err := startFileServer(ctx, mbpsPaper)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +184,7 @@ func massdComparison(o Options, c massdCase) (*Table, error) {
 		if group == "group-2" {
 			mbpsPaper = c.group2Mbps
 		}
-		addr, _, err := startFileServer(ctx, mbpsPaper)
+		addr, err := startFileServer(ctx, mbpsPaper)
 		if err != nil {
 			return nil, err
 		}

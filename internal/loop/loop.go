@@ -51,16 +51,15 @@ func Every(ctx context.Context, interval time.Duration, bo *retry.Backoff, round
 // goroutine until ctx ends. The end of ctx closes the listener and every
 // live connection at once, so no handler rides out a read deadline.
 // However the loop ends, Serve closes the listener and returns only
-// after every handler has: nothing it started still answers.
+// once every handler and every close it started has (a second Close
+// returns before the first has released the descriptor).
 func Serve(ctx context.Context, ln net.Listener, handle func(context.Context, net.Conn)) error {
 	ctx, cancel := context.WithCancel(ctx)
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
+	var wg sync.WaitGroup // the handlers and the closes
+	defer wg.Wait()
 	defer cancel()
-	defer ln.Close()
-	// Accept below surfaces the close as net.ErrClosed.
-	stop := context.AfterFunc(ctx, func() { _ = ln.Close() })
-	defer stop()
+	wg.Add(1) // Accept below surfaces this close as net.ErrClosed
+	context.AfterFunc(ctx, func() { defer wg.Done(); _ = ln.Close() })
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -69,12 +68,12 @@ func Serve(ctx context.Context, ln net.Listener, handle func(context.Context, ne
 			}
 			return fmt.Errorf("loop: accept: %w", err)
 		}
-		handlers.Add(1)
+		wg.Add(2) // the handler and its connection's close
 		go func() {
-			defer handlers.Done()
-			defer conn.Close()
-			stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
-			defer stop()
+			defer wg.Done()
+			connCtx, done := context.WithCancel(ctx)
+			defer done()
+			context.AfterFunc(connCtx, func() { defer wg.Done(); _ = conn.Close() })
 			handle(ctx, conn)
 		}()
 	}

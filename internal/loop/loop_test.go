@@ -213,3 +213,49 @@ func TestServeReturnsOnlyAfterEveryHandler(t *testing.T) {
 		}
 	}
 }
+
+// TestServeReturnsWithItsDescriptorsClosed: the end of ctx closes the
+// listener and a connection whose handler is parked in Read, on another
+// goroutine than the one that returns from Accept or Read. Serve has to
+// wait for those closes too: a Close that finds its descriptor already
+// closing returns at once, before the descriptor is released.
+func TestServeReturnsWithItsDescriptorsClosed(t *testing.T) {
+	if openFDs() < 0 {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	warm, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Close()
+	for i := 0; i < 300; i++ {
+		fds := openFDs()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		started := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			done <- Serve(ctx, ln, func(_ context.Context, c net.Conn) {
+				close(started)
+				_, _ = c.Read(make([]byte, 1))
+			})
+		}()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		await(t, started, "handler start")
+		cancel()
+		if err := await(t, done, "Serve after cancel"); err != nil {
+			t.Fatal(err)
+		}
+		got := openFDs()
+		c.Close()
+		if got > fds+1 {
+			t.Fatalf("round %d: Serve returned with %d descriptors open besides the client's, %d before it", i, got-1, fds)
+		}
+	}
+}

@@ -194,6 +194,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 		go func(i int, conn *net.UDPConn) {
 			defer ingest.Done()
 			errs[i] = m.serveUDP(ctx, conn)
+			cancel() // one loop's end closes every shard
 		}(i, s)
 	}
 	ingest.Wait()

@@ -258,6 +258,9 @@ func TestRunReturnsWithEverythingStopped(t *testing.T) {
 				s.Close()
 			}
 		},
+		"one ingest socket failing under a live context": func(m *Monitor, _ context.CancelFunc) {
+			m.shards[0].SetReadDeadline(time.Now().Add(-time.Second))
+		},
 	}
 	for name, end := range ends {
 		for _, shards := range []int{1, 2} {
@@ -295,7 +298,12 @@ func TestRunReturnsWithEverythingStopped(t *testing.T) {
 			end(m, cancel)
 			// The probe's end of the TCP connection is still open: it is
 			// this test's to close.
-			<-returned
+			select {
+			case <-returned:
+			case <-time.After(5 * time.Second):
+				cancel()
+				t.Fatalf("%s, %d shards: Run still serving 5 s after the end", name, shards)
+			}
 			if got := openFDs(); got > fds+1 {
 				t.Errorf("%s, %d shards: Run returned with %d descriptors open, %d before it", name, shards, got-1, fds)
 			}

@@ -132,17 +132,3 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// Purge drops every resident program (counters are kept). The wizard
-// calls this on template reload: entries are keyed by requirement
-// text, so stale entries can never be *served* after a reload — purge
-// just stops dead template bodies from occupying cache slots.
-func (c *Cache) Purge() {
-	if c == nil || c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.entries)
-}

@@ -97,23 +97,6 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCachePurge(t *testing.T) {
-	c := NewCache(8)
-	if _, err := c.Get("host_cpu_free > 0.5\n"); err != nil {
-		t.Fatal(err)
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Errorf("cache holds %d entries after Purge", c.Len())
-	}
-	if _, err := c.Get("host_cpu_free > 0.5\n"); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
-		t.Errorf("stats after purge = %d hits / %d misses, want 0/2", hits, misses)
-	}
-}
-
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache(16)
 	var wg sync.WaitGroup

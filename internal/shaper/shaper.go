@@ -12,14 +12,13 @@ package shaper
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 )
 
 // Bucket is a thread-safe token bucket. Tokens are bytes; the bucket
-// refills continuously at Rate bytes/second up to Burst bytes.
+// refills continuously at its rate in bytes/second up to its burst.
 type Bucket struct {
 	mu     sync.Mutex
 	rate   float64 // bytes per second
@@ -54,26 +53,6 @@ func NewBucket(rate float64, burst float64) (*Bucket, error) {
 	b.tokens = burst
 	b.last = b.clock()
 	return b, nil
-}
-
-// Rate returns the configured rate in bytes per second.
-func (b *Bucket) Rate() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rate
-}
-
-// SetRate changes the sustained rate at runtime (rshaper could be
-// reconfigured between experiment runs).
-func (b *Bucket) SetRate(rate float64) error {
-	if rate <= 0 {
-		return fmt.Errorf("shaper: rate %v must be positive", rate)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked()
-	b.rate = rate
-	return nil
 }
 
 func (b *Bucket) refillLocked() {
@@ -211,44 +190,4 @@ func (l *Listener) Accept() (net.Conn, error) {
 		return nil, err
 	}
 	return NewConn(conn, l.bucket, nil), nil
-}
-
-// SetRate reconfigures the shared uplink rate.
-func (l *Listener) SetRate(rate float64) error { return l.bucket.SetRate(rate) }
-
-// Rate reports the shared uplink rate in bytes/second.
-func (l *Listener) Rate() float64 { return l.bucket.Rate() }
-
-// CopyShaped copies src to dst through a fresh bucket at rate
-// bytes/second — a convenience for shaping one transfer without
-// wrapping connections.
-func CopyShaped(ctx context.Context, dst io.Writer, src io.Reader, rate float64) (int64, error) {
-	b, err := NewBucket(rate, 0)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, int(b.burst))
-	var total int64
-	for {
-		if err := ctx.Err(); err != nil {
-			return total, err
-		}
-		n, rerr := src.Read(buf)
-		if n > 0 {
-			if err := b.Take(ctx, n); err != nil {
-				return total, err
-			}
-			wn, werr := dst.Write(buf[:n])
-			total += int64(wn)
-			if werr != nil {
-				return total, werr
-			}
-		}
-		if rerr == io.EOF {
-			return total, nil
-		}
-		if rerr != nil {
-			return total, rerr
-		}
-	}
 }

@@ -80,7 +80,7 @@ type ServerStatus struct {
 	Load1, Load5, Load15 float64
 
 	// /proc/stat cpu line, normalised to fractions of total time over
-	// the scan interval. CPUFree is the idle fraction (host_cpu_free).
+	// the scan interval. CPUIdle is read as host_cpu_free too.
 	CPUUser, CPUNice, CPUSystem, CPUIdle float64
 
 	// /proc/cpuinfo: the thesis requirement language exposes bogomips
@@ -99,9 +99,6 @@ type ServerStatus struct {
 	NetIface                                               string
 	NetRBytesPS, NetRPacketsPS, NetTBytesPS, NetTPacketsPS float64
 }
-
-// CPUFree reports the idle CPU fraction, the host_cpu_free variable.
-func (s *ServerStatus) CPUFree() float64 { return s.CPUIdle }
 
 // NetMetric is one (delay, bandwidth) measurement between two network
 // monitors (Table 3.4). Bandwidth is in bits per second.
@@ -154,7 +151,7 @@ var vars = [...]struct {
 	{"host_cpu_nice", VarField{4, 0}},
 	{"host_cpu_system", VarField{5, 0}},
 	{"host_cpu_idle", VarField{6, 0}},
-	{"host_cpu_free", VarField{6, 0}}, // CPUFree is the idle fraction
+	{"host_cpu_free", VarField{6, 0}}, // the same field as host_cpu_idle
 	{"host_cpu_bogomips", VarField{7, 0}},
 	{"host_memory_total", VarField{0, perMB}},
 	{"host_memory_used", VarField{1, perMB}},

@@ -135,7 +135,7 @@ func TestVarAtReadsTheNamedField(t *testing.T) {
 	want := map[string]float64{
 		"host_system_load1": s.Load1, "host_system_load5": s.Load5, "host_system_load15": s.Load15,
 		"host_cpu_user": s.CPUUser, "host_cpu_nice": s.CPUNice, "host_cpu_system": s.CPUSystem,
-		"host_cpu_idle": s.CPUIdle, "host_cpu_free": s.CPUFree(), "host_cpu_bogomips": s.Bogomips,
+		"host_cpu_idle": s.CPUIdle, "host_cpu_free": s.CPUIdle, "host_cpu_bogomips": s.Bogomips,
 		"host_memory_total": float64(s.MemTotal) / mb, "host_memory_used": float64(s.MemUsed) / mb,
 		"host_memory_free": float64(s.MemFree) / mb, "host_memory_total_bytes": float64(s.MemTotal),
 		"host_memory_used_bytes": float64(s.MemUsed), "host_memory_free_bytes": float64(s.MemFree),

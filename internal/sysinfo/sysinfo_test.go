@@ -37,8 +37,8 @@ func TestSyntheticSnapshotAndUpdate(t *testing.T) {
 
 func TestIdleIsMostlyFree(t *testing.T) {
 	s := Idle("x", 1730.15, 128)
-	if s.CPUFree() < 0.9 {
-		t.Errorf("idle CPUFree = %v", s.CPUFree())
+	if s.CPUIdle < 0.9 {
+		t.Errorf("idle CPUIdle = %v", s.CPUIdle)
 	}
 	if s.MemFree <= s.MemUsed {
 		t.Errorf("idle memory mostly used: free=%d used=%d", s.MemFree, s.MemUsed)

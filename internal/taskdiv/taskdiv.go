@@ -3,24 +3,19 @@
 // it derives the server requirement automatically — "the Smart TCP
 // socket library can perform better if the task division module is
 // intelligent enough to automatically decide the proper server
-// requirement for each task" — and, once servers are known, divides
-// the work among them in proportion to their measured capability.
+// requirement for each task".
 //
 // The requirement generator maps a TaskProfile (how CPU-, memory- and
-// data-hungry the job is) to meta-language text the wizard accepts;
-// the splitter assigns work shares from the capability figures in the
-// very status reports selection used, so faster servers get larger
-// slices — the static complement to the self-balancing pull queues in
-// the matrix and massd applications.
+// data-hungry the job is) to meta-language text the wizard accepts.
+// Once servers are chosen, matmul and massd share the work through
+// their self-balancing pull queues.
 package taskdiv
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"smartsock/internal/reqlang"
-	"smartsock/internal/status"
 )
 
 // Intensity grades how much a task leans on a resource.
@@ -135,96 +130,4 @@ func quoteHost(h string) string {
 		return `"` + h + `"`
 	}
 	return h
-}
-
-// Share is one server's slice of a divided task.
-type Share struct {
-	Host string
-	// Units of work assigned (out of the total passed to Divide).
-	Units int
-	// Fraction of the total capability this server contributed.
-	Fraction float64
-}
-
-// Capability scores a server's fitness for a profile from its status
-// report: CPU-bound tasks weigh free processor cycles
-// (bogomips×cpu_free), data-bound tasks weigh quiet interfaces.
-// Scores only make sense relative to one another.
-func Capability(p TaskProfile, s *status.ServerStatus) float64 {
-	score := 1.0
-	if p.CPU != None {
-		cpu := s.Bogomips * s.CPUFree()
-		if cpu <= 0 {
-			cpu = 1
-		}
-		score *= cpu
-	}
-	if p.MemoryMB > 0 {
-		free := float64(s.MemFree) / (1 << 20)
-		if free <= 0 {
-			free = 1
-		}
-		score *= free
-	}
-	if p.NetworkMbps > 0 {
-		// Prefer interfaces with little competing traffic.
-		busy := (s.NetRBytesPS + s.NetTBytesPS) / (1 << 20) // MB/s
-		score *= 1 / (1 + busy)
-	}
-	return score
-}
-
-// Divide splits units of work across servers in proportion to their
-// capability for the profile. Every server receives at least one unit
-// when units ≥ len(servers); rounding residue goes to the most
-// capable servers. The share order follows the input order.
-func Divide(p TaskProfile, units int, servers []status.ServerStatus) ([]Share, error) {
-	if units <= 0 {
-		return nil, fmt.Errorf("taskdiv: %d work units", units)
-	}
-	if len(servers) == 0 {
-		return nil, fmt.Errorf("taskdiv: no servers")
-	}
-	caps := make([]float64, len(servers))
-	total := 0.0
-	for i := range servers {
-		caps[i] = Capability(p, &servers[i])
-		total += caps[i]
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("taskdiv: all servers scored zero capability")
-	}
-	shares := make([]Share, len(servers))
-	assigned := 0
-	for i := range servers {
-		frac := caps[i] / total
-		n := int(frac * float64(units))
-		if n == 0 && units >= len(servers) {
-			n = 1 // every worker participates
-		}
-		shares[i] = Share{Host: servers[i].Host, Units: n, Fraction: frac}
-		assigned += n
-	}
-	// Distribute the rounding residue to the most capable first; if we
-	// over-assigned (the min-1 rule), take back from the least capable.
-	order := make([]int, len(servers))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return caps[order[a]] > caps[order[b]] })
-	for i := 0; assigned < units; i = (i + 1) % len(order) {
-		shares[order[i]].Units++
-		assigned++
-	}
-	for i := len(order) - 1; assigned > units && i >= 0; i-- {
-		idx := order[i]
-		for shares[idx].Units > 1 && assigned > units {
-			shares[idx].Units--
-			assigned--
-		}
-	}
-	if assigned != units {
-		return nil, fmt.Errorf("taskdiv: internal accounting error: assigned %d of %d", assigned, units)
-	}
-	return shares, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"smartsock/internal/reqlang"
 	"smartsock/internal/reqlang/reqtest"
-	"smartsock/internal/status"
 	"smartsock/internal/sysinfo"
 )
 
@@ -110,98 +109,6 @@ func TestPropertyGeneratedRequirementsAlwaysParse(t *testing.T) {
 		}
 		_, err := p.GenerateRequirement()
 		return err == nil
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func servers(speeds ...float64) []status.ServerStatus {
-	out := make([]status.ServerStatus, len(speeds))
-	for i, sp := range speeds {
-		out[i] = sysinfo.Idle(string(rune('a'+i)), sp, 256)
-	}
-	return out
-}
-
-func TestDivideProportionalToCapability(t *testing.T) {
-	p := TaskProfile{CPU: Heavy}
-	shares, err := Divide(p, 100, servers(4000, 2000, 2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, s := range shares {
-		total += s.Units
-	}
-	if total != 100 {
-		t.Fatalf("assigned %d units, want 100", total)
-	}
-	if shares[0].Units <= shares[1].Units {
-		t.Errorf("fast server got %d units, slow got %d", shares[0].Units, shares[1].Units)
-	}
-	// 4000 vs 2000+2000: the fast box should take about half.
-	if shares[0].Units < 40 || shares[0].Units > 60 {
-		t.Errorf("fast share = %d, want ≈50", shares[0].Units)
-	}
-}
-
-func TestDivideEveryoneParticipates(t *testing.T) {
-	p := TaskProfile{CPU: Heavy}
-	// One overwhelming server; with units ≥ servers, nobody gets zero.
-	shares, err := Divide(p, 10, servers(100000, 100, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range shares {
-		if s.Units == 0 {
-			t.Errorf("server %s got no work", s.Host)
-		}
-	}
-}
-
-func TestDivideAccountsForLoad(t *testing.T) {
-	p := TaskProfile{CPU: Heavy}
-	srv := servers(3000, 3000)
-	srv[1].CPUIdle = 0.25 // second box is 75% busy
-	shares, err := Divide(p, 100, srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shares[0].Units <= shares[1].Units*2 {
-		t.Errorf("idle box got %d, busy box %d; want a large skew", shares[0].Units, shares[1].Units)
-	}
-}
-
-func TestDivideValidation(t *testing.T) {
-	if _, err := Divide(TaskProfile{}, 0, servers(1)); err == nil {
-		t.Error("accepted zero units")
-	}
-	if _, err := Divide(TaskProfile{}, 10, nil); err == nil {
-		t.Error("accepted no servers")
-	}
-}
-
-func TestPropertyDivideConservesUnits(t *testing.T) {
-	prop := func(unitsRaw uint16, nRaw uint8, seed uint8) bool {
-		n := int(nRaw%6) + 1
-		units := int(unitsRaw%1000) + n // units ≥ servers
-		speeds := make([]float64, n)
-		for i := range speeds {
-			speeds[i] = float64(1000 + int(seed)*i*37%5000)
-		}
-		shares, err := Divide(TaskProfile{CPU: Light}, units, servers(speeds...))
-		if err != nil {
-			return false
-		}
-		total := 0
-		for _, s := range shares {
-			if s.Units <= 0 {
-				return false
-			}
-			total += s.Units
-		}
-		return total == units
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

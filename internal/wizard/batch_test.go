@@ -240,7 +240,9 @@ func (deadEndpoint) ReadBatch([]netbatch.Message) (int, error) {
 // TestRunReleasesEverythingWhenIngestFails: Run returning an error is
 // the wizard giving up, and its caller's context is still live then —
 // the goroutines and the sockets have to go with the return, not with a
-// cancel that may be hours away.
+// cancel that may be hours away. With two shards one failed loop takes
+// the other down too: its open socket would keep its share of the
+// clients, unanswered.
 func TestRunReleasesEverythingWhenIngestFails(t *testing.T) {
 	fds := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -252,22 +254,94 @@ func TestRunReleasesEverythingWhenIngestFails(t *testing.T) {
 	if fds() < 0 {
 		t.Skip("no /proc/self/fd to count descriptors with")
 	}
-	goroutines, open := runtime.NumGoroutine(), fds()
 	sel, _ := testSelector(t)
-	w, err := New(Config{Addr: "127.0.0.1:0", Selector: sel, Workers: 2, Batch: 8})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 2} {
+		goroutines, open := runtime.NumGoroutine(), fds()
+		w, err := New(Config{Addr: "127.0.0.1:0", Selector: sel, Workers: 2, Batch: 8, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Shards() != shards {
+			t.Skipf("asked for %d shards, got %d (no SO_REUSEPORT)", shards, w.Shards())
+		}
+		// Only shard 0's ingest loop, the first endpoint built, fails;
+		// with two shards the other one reads on until it is closed.
+		wrapped := 0
+		w.testWrap = func(ep netbatch.Endpoint) netbatch.Endpoint {
+			if wrapped++; wrapped > 1 {
+				return ep
+			}
+			return deadEndpoint{ep}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		returned := make(chan error, 1)
+		go func() { returned <- w.Run(ctx) }()
+		select {
+		case err := <-returned:
+			if !errors.Is(err, syscall.EBADF) {
+				t.Fatalf("%d shards: Run = %v, want the ingest loop's read error", shards, err)
+			}
+		case <-time.After(5 * time.Second):
+			cancel()
+			t.Fatalf("%d shards: Run still serving 5 s after an ingest loop failed", shards)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines || fds() > open; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d shards: Run returned with its context live and left %d goroutines (%d before) and %d descriptors (%d before)",
+					shards, runtime.NumGoroutine(), goroutines, fds(), open)
+			}
+		}
+		cancel()
 	}
-	w.testWrap = func(ep netbatch.Endpoint) netbatch.Endpoint { return deadEndpoint{ep} }
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := w.Run(ctx); !errors.Is(err, syscall.EBADF) {
-		t.Fatalf("Run = %v, want the ingest loop's read error", err)
+}
+
+// TestRunReturnsWithItsSocketsClosed: the end of the context closes the
+// sockets on another goroutine than Run's, and a second Close of a
+// socket returns before the first has released it. Counted the moment
+// Run returns, over many rounds, no socket may be left.
+func TestRunReturnsWithItsSocketsClosed(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		return len(ents)
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines || fds() > open; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("Run returned with its context live and left %d goroutines (%d before) and %d descriptors (%d before)",
-				runtime.NumGoroutine(), goroutines, fds(), open)
+	if fds() < 0 {
+		t.Skip("no /proc/self/fd to count descriptors with")
+	}
+	sel, _ := testSelector(t)
+	for i := 0; i < 500; i++ {
+		open := fds()
+		w, err := New(Config{Addr: "127.0.0.1:0", Selector: sel, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		returned := make(chan error, 1)
+		go func() { returned <- w.Run(ctx) }()
+		// One answered request: the ingest loops are reading when the
+		// context ends.
+		conn, err := net.Dial("udp", w.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(proto.MarshalRequest(&proto.Request{Seq: 1, ServerNum: 1, Detail: "1 > 0"})); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 2048)); err != nil {
+			t.Fatalf("round %d: no reply: %v", i, err)
+		}
+		conn.Close()
+		cancel()
+		select {
+		case <-returned:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Run still serving 5 s after its context ended", i)
+		}
+		if got := fds(); got > open {
+			t.Fatalf("round %d: Run returned with %d descriptors open, %d before it", i, got, open)
 		}
 	}
 }

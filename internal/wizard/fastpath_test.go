@@ -76,49 +76,10 @@ func TestCacheDisabledStillAnswers(t *testing.T) {
 	}
 }
 
-func TestReloadTemplatesSwapsAndPurges(t *testing.T) {
-	sel, _ := testSelector(t)
-	w := startWizard(t, Config{
-		Selector:  sel,
-		Templates: map[string]string{"fast": "host_cpu_bogomips > 3000\n"},
-	})
-	req := &proto.Request{Seq: 1, ServerNum: 1, Option: proto.OptTemplate, Detail: "fast"}
-	for i := 0; i < 2; i++ { // miss, then hit
-		if reply := w.Answer(context.Background(), req); reply.Err != "" {
-			t.Fatalf("before reload: %s", reply.Err)
-		}
-	}
-
-	// Reload keeps "fast" with the same body: the requirement text is
-	// unchanged, so only the purge can force a re-compile.
-	w.ReloadTemplates(map[string]string{
-		"fast":  "host_cpu_bogomips > 3000\n",
-		"roomy": "host_memory_free > 100\n",
-	})
-	if reply := w.Answer(context.Background(), req); reply.Err != "" {
-		t.Fatalf("after reload: %s", reply.Err)
-	}
-	if reply := w.Answer(context.Background(), &proto.Request{
-		Seq: 2, ServerNum: 1, Option: proto.OptTemplate, Detail: "roomy",
-	}); reply.Err != "" {
-		t.Fatalf("new template: %s", reply.Err)
-	}
-	// 1 hit before the reload; the purge made "fast" a miss again.
-	if hits, misses := w.CacheStats(); hits != 1 || misses != 3 {
-		t.Errorf("cache stats after reload = %d hits / %d misses, want 1/3", hits, misses)
-	}
-
-	// A template dropped by a reload stops answering.
-	w.ReloadTemplates(map[string]string{"roomy": "host_memory_free > 100\n"})
-	if reply := w.Answer(context.Background(), req); reply.Err == "" {
-		t.Fatal("dropped template still answered after reload")
-	}
-}
-
 // TestWorkerPoolConcurrentAnswerAndStats is the fast path's race
 // test: many goroutines call Answer (some through templates, some
 // with parse errors) while others read every stats surface. Run with
-// -race this covers the cache, the template pointer and the counters.
+// -race this covers the cache, the template table and the counters.
 func TestWorkerPoolConcurrentAnswerAndStats(t *testing.T) {
 	db := store.New()
 	for i := 0; i < 8; i++ {

@@ -37,7 +37,6 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smartsock/internal/core"
@@ -63,7 +62,7 @@ type Config struct {
 	Update UpdateFunc
 	// Templates maps names to predefined requirement texts, used
 	// when a request carries OptTemplate (§3.6.1's "predefined server
-	// requirement templates").
+	// requirement templates"). Drain loops read it: leave it as is after New.
 	Templates map[string]string
 	// Logger receives per-request errors; nil silences them.
 	Logger *log.Logger
@@ -108,7 +107,6 @@ type Wizard struct {
 	cfg        Config
 	shards     []*net.UDPConn // ≥1 sockets; >1 share the port via SO_REUSEPORT
 	cache      *reqlang.Cache
-	templates  atomic.Pointer[map[string]string]
 	handled    *obs.Counter // wizard_requests: requests answered
 	rejected   *obs.Counter // wizard_rejected: answered with an error
 	updateFail *obs.Counter // wizard_update_failures: pre-request refreshes failed
@@ -175,7 +173,6 @@ func New(cfg Config) (*Wizard, error) {
 		latParse:    cfg.Obs.Histogram("wizard_latency_parse_error", obs.LatencyBuckets),
 		latRejected: cfg.Obs.Histogram("wizard_latency_rejected", obs.LatencyBuckets),
 	}
-	w.templates.Store(&cfg.Templates)
 	return w, nil
 }
 
@@ -221,16 +218,6 @@ func (w *Wizard) Stats() Stats {
 // and miss counts.
 func (w *Wizard) CacheStats() (hits, misses uint64) { return w.cache.Stats() }
 
-// ReloadTemplates atomically replaces the requirement template table
-// and purges the compiled-requirement cache. The purge is hygiene,
-// not correctness: cache entries are keyed by requirement text, so a
-// renamed or edited template can never serve a stale program — but
-// dead bodies would otherwise sit in cache slots until evicted.
-func (w *Wizard) ReloadTemplates(templates map[string]string) {
-	w.templates.Store(&templates)
-	w.cache.Purge()
-}
-
 // Run serves requests until the context is cancelled. Per shard, one
 // ingest loop pulls batches off the socket, rate-limits by source and
 // pushes the survivors (with their arrival timestamps) into that
@@ -246,19 +233,21 @@ func (w *Wizard) ReloadTemplates(templates map[string]string) {
 // Shutdown: the context's end closes the sockets, every ingest loop
 // surfaces net.ErrClosed and exits, the queues are closed behind them,
 // and the drain loops empty what is left before exiting on the closed
-// queues. The sockets are closed however Run returns: a wizard whose
-// loops failed, or never started, holds no port.
+// queues. One ingest loop's end, a failure included, ends Run's
+// context the same way. The sockets are closed however Run returns: a
+// wizard whose loops failed, or never started, holds no port.
 func (w *Wizard) Run(ctx context.Context) error {
-	closeShards := func() {
+	ctx, cancel := context.WithCancel(ctx)
+	var closing sync.WaitGroup // a second Close would not wait for the descriptor
+	defer closing.Wait()
+	defer cancel()
+	closing.Add(1)
+	context.AfterFunc(ctx, func() {
+		defer closing.Done()
 		for _, s := range w.shards {
-			// Closed twice when the context ended first; the second
-			// close's error says only that.
 			_ = s.Close()
 		}
-	}
-	defer closeShards()
-	stop := context.AfterFunc(ctx, closeShards)
-	defer stop()
+	})
 	nshards := len(w.shards)
 	drainers := max(w.cfg.Workers, nshards)
 	batch := min(max(w.cfg.Batch, 1), netbatch.MaxBatch)
@@ -293,6 +282,7 @@ func (w *Wizard) Run(ctx context.Context) error {
 		go func(i int) {
 			defer ingest.Done()
 			errs[i] = w.ingest(ctx, eps[i], queues[i], batch)
+			cancel() // or SO_REUSEPORT keeps feeding a socket nobody reads
 		}(i)
 	}
 	for j := 0; j < drainers; j++ {
@@ -508,7 +498,7 @@ func (w *Wizard) answer(ctx context.Context, req *proto.Request, reply *proto.Re
 
 	detail := req.Detail
 	if req.Option&proto.OptTemplate != 0 {
-		tpl, ok := (*w.templates.Load())[detail]
+		tpl, ok := w.cfg.Templates[detail]
 		if !ok {
 			fail("unknown requirement template %q", detail)
 			return w.latParse

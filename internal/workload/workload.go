@@ -4,21 +4,11 @@
 // will occupy 150 MBytes of memory and CPU usage will vary from 0% to
 // 100%. The system load value will remain above 1").
 //
-// Two forms exist:
-//
-//   - Apply programs a synthetic status source with the load figures a
-//     SuperPI run would produce, for the simulated testbed;
-//
-//   - Burn actually consumes CPU and memory in-process, for driving a
-//     live /proc-based probe.
+// Apply programs a synthetic status source with the load figures a
+// SuperPI run would produce, for the simulated testbed.
 package workload
 
 import (
-	"context"
-	"math"
-	"runtime"
-	"time"
-
 	"smartsock/internal/status"
 	"smartsock/internal/sysinfo"
 )
@@ -88,43 +78,4 @@ func Apply(src *sysinfo.Synthetic, l Load) (release func()) {
 			s.CPUIdle += busy
 		})
 	}
-}
-
-// Burn holds memoryBytes of heap and spins the CPU at roughly
-// cpuBusy duty cycle until the context is cancelled — a real SuperPI
-// stand-in for live-probe demonstrations. It returns after the
-// context ends.
-func Burn(ctx context.Context, memoryBytes int, cpuBusy float64) {
-	if cpuBusy <= 0 {
-		cpuBusy = 0.5
-	}
-	if cpuBusy > 1 {
-		cpuBusy = 1
-	}
-	var hold []byte
-	if memoryBytes > 0 {
-		hold = make([]byte, memoryBytes)
-		// Touch every page so the memory is really resident.
-		for i := 0; i < len(hold); i += 4096 {
-			hold[i] = byte(i)
-		}
-	}
-	period := 20 * time.Millisecond
-	busy := time.Duration(float64(period) * cpuBusy)
-	x := 1.000001
-	for ctx.Err() == nil {
-		start := time.Now()
-		for time.Since(start) < busy {
-			// π by Machin-like churn: keep the FPU warm, like SuperPI.
-			x = math.Sqrt(x*x + 1e-9)
-		}
-		if idle := period - busy; idle > 0 {
-			select {
-			case <-ctx.Done():
-			case <-time.After(idle):
-			}
-		}
-	}
-	runtime.KeepAlive(hold)
-	_ = x
 }

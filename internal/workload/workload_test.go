@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"smartsock/internal/sysinfo"
 )
@@ -80,20 +78,4 @@ func TestStackedWorkloads(t *testing.T) {
 	if s.Load1 > 0.1 {
 		t.Errorf("Load1 after releases = %v", s.Load1)
 	}
-}
-
-func TestBurnRespectsContext(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	Burn(ctx, 1<<20, 0.5)
-	if time.Since(start) > 2*time.Second {
-		t.Error("Burn ran far past its context")
-	}
-}
-
-func TestBurnZeroMemory(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	Burn(ctx, 0, 1.5) // cpuBusy clamped to 1, no memory held
 }

@@ -229,28 +229,37 @@ SIZE_SCHEMA = {
 # the index's catch-up rule moved index and total up by its 39 lines
 # (inside the +40 budget of ROADMAP item 19); one run loop and one
 # accept loop (internal/loop) lowered total, transport, monitor, probe
-# and netmon, and added loop at its new size.
+# and netmon, and added loop at its new size; deleting six extensions
+# no binary runs lowered total, wizard, reqlang, status and loop, added
+# secmon, taskdiv, shaper, workload and bwest at their new sizes, and
+# moved monitor up by the one line that lets a failed ingest loop close
+# every shard.
 # A PR that grows one of these past its ceiling deletes elsewhere in the
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 19950,
+    "total": 19535,
     ".": 712,
     "internal/core": 1155,
     "internal/index": 611,
     "internal/store": 1162,
-    "internal/status": 1247,
+    "internal/status": 1244,
     "internal/transport": 1073,
-    "internal/monitor": 292,
+    "internal/monitor": 293,
     "internal/probe": 217,
-    "internal/reqlang": 1953,
-    "internal/wizard": 656,
+    "internal/reqlang": 1939,
+    "internal/wizard": 646,
     "internal/lint": 995,
     "internal/lint/flow": 439,
     "internal/overload": 493,
     "internal/netmon": 158,
-    "internal/loop": 81,
+    "internal/loop": 80,
     "internal/netbatch": 625,
+    "internal/secmon": 137,
+    "internal/taskdiv": 133,
+    "internal/shaper": 193,
+    "internal/workload": 81,
+    "internal/bwest": 607,
 }
 
 # Flag budgets (ROADMAP aim 2, fewer knobs): a daemon flag is a setting

@@ -7,7 +7,8 @@
 # selections-pin-their-snapshot, the-index-catches-up-only-through-its-
 # cost-rule, one-operator-table, one-comparison-type,
 # the-thesis-preset-is-the-wire-and-admission, one-run-loop-one-accept-
-# loop and benchmark-consumer guards, and the project's own
+# loop, a-daemon-acts-on-a-component's-end and benchmark-consumer
+# guards, and the project's own
 # static analyzers (cmd/smartlint). CI runs exactly this script; run it locally before
 # sending a change.
 set -eu
@@ -336,6 +337,19 @@ loops=$( (awk '
 if [ -n "$loops" ]; then
 	echo "an accept loop outside loop.Serve, or a ticker or timer beside loop.Every (use internal/loop):" >&2
 	echo "$loops" >&2
+	exit 1
+fi
+
+echo "== a daemon acts on a component's end =="
+# A daemon starts each long-running component through its serve helper,
+# which ends the process when the component's Run returns while the
+# daemon still runs, so that a supervisor restarts it. A bare go x.Run(
+# drops that return: a dead monitor or wizard leaves a live process
+# that no longer listens.
+bare=$(grep -HnE '^[[:space:]]*go [A-Za-z0-9_.]+\.(Run|RunActive|ServePassive)\(' cmd/*/main.go || true)
+if [ -n "$bare" ]; then
+	echo "a daemon starts a component and drops its return (start it through serve):" >&2
+	echo "$bare" >&2
 	exit 1
 fi
 
