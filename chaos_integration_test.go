@@ -96,7 +96,13 @@ func TestChaosSelectionSurvivesLossAndCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Close()
+	// Every component serves to the end under the faults: none stops
+	// before the teardown, and the crashed host's probe is no failure.
+	defer func() {
+		if err := cluster.Close(); err != nil {
+			t.Errorf("a component stopped before the teardown: %v", err)
+		}
+	}()
 
 	settleCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"smartsock"
+	"smartsock/internal/loop"
 	"smartsock/internal/monitor"
 	"smartsock/internal/probe"
 	"smartsock/internal/store"
@@ -42,14 +44,14 @@ type site struct {
 }
 
 // startSite boots probes, a system monitor and a passive transmitter
-// for one group of servers.
-func startSite(ctx context.Context, name string, servers map[string]float64) (*site, error) {
+// for one group of servers, each a member of g.
+func startSite(g *loop.Group, name string, servers map[string]float64) (*site, error) {
 	s := &site{name: name, db: store.New(), sources: map[string]*sysinfo.Synthetic{}}
 	mon, err := monitor.New(monitor.Config{Addr: "127.0.0.1:0", DB: s.db, Interval: 50 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-	go mon.Run(ctx)
+	g.Go(name+" monitor", mon.Run)
 	for server, bogomips := range servers {
 		src := sysinfo.NewSynthetic(sysinfo.Idle(server, bogomips, 256))
 		s.sources[server] = src
@@ -57,7 +59,7 @@ func startSite(ctx context.Context, name string, servers map[string]float64) (*s
 		if err != nil {
 			return nil, err
 		}
-		go p.Run(ctx)
+		g.Go(name+" probe "+server, p.Run)
 	}
 	tx, err := transport.NewTransmitterObs(s.db, nil, nil)
 	if err != nil {
@@ -67,7 +69,7 @@ func startSite(ctx context.Context, name string, servers map[string]float64) (*s
 	if err != nil {
 		return nil, err
 	}
-	go tx.ServePassive(ctx, ln)
+	g.Go(name+" transmitter", func(ctx context.Context) error { return tx.ServePassive(ctx, ln) })
 	s.txAddr = ln.Addr().String()
 	return s, nil
 }
@@ -78,18 +80,19 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	g, ctx := loop.NewGroup(ctx)
+	defer func() { cancel(); err = cmp.Or(g.Wait(), err) }()
 
 	// Two server groups in "different cities".
-	siteA, err := startSite(ctx, "site-A", map[string]float64{
+	siteA, err := startSite(g, "site-A", map[string]float64{
 		"a-fast": 4771, "a-slow": 1730,
 	})
 	if err != nil {
 		return err
 	}
-	siteB, err := startSite(ctx, "site-B", map[string]float64{
+	siteB, err := startSite(g, "site-B", map[string]float64{
 		"b-fast": 4771, "b-mid": 3394,
 	})
 	if err != nil {
@@ -102,7 +105,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer recv.Close() // pull mode: nothing runs the receiver, so nothing else closes it
+	g.Close(recv) // pull mode: nothing runs the receiver, so nothing else closes it
 	transmitters := []string{siteA.txAddr, siteB.txAddr}
 	sel, err := core.New(wizDB, core.Config{})
 	if err != nil {
@@ -118,7 +121,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	go wz.Run(ctx)
+	g.Go("wizard", wz.Run)
 
 	// Let the probes populate the *site* databases.
 	deadline := time.Now().Add(10 * time.Second)

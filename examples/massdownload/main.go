@@ -11,6 +11,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"smartsock"
+	"smartsock/internal/loop"
 	"smartsock/internal/massd"
 	"smartsock/internal/shaper"
 	"smartsock/internal/simnet"
@@ -40,7 +42,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	groups := map[string]float64{"group-1": fastMbps, "group-2": slowMbps}
 
 	// Paths the network monitor probes, pinned to the group rates.
@@ -63,10 +65,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer cluster.Close()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	g, ctx := loop.NewGroup(ctx)
+	defer func() { cancel(); err = cmp.Or(g.Wait(), cluster.Close(), err) }()
+
 	fmt.Println("probing group bandwidths...")
 	if err := cluster.WaitSettled(ctx, len(machines)); err != nil {
 		return err
@@ -88,7 +90,7 @@ func run() error {
 			return err
 		}
 		srv := &massd.Server{}
-		go srv.Serve(ctx, shaped)
+		g.Go("file server "+name, func(ctx context.Context) error { return srv.Serve(ctx, shaped) })
 		addrs[name] = raw.Addr().String()
 	}
 

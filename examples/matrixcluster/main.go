@@ -13,6 +13,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"smartsock"
+	"smartsock/internal/loop"
 	"smartsock/internal/matrix"
 	"smartsock/internal/testbed"
 	"smartsock/internal/workload"
@@ -39,12 +41,14 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	cluster, err := testbed.Boot(testbed.Options{})
 	if err != nil {
 		return err
 	}
-	defer cluster.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	g, ctx := loop.NewGroup(ctx)
+	defer func() { cancel(); err = cmp.Or(g.Wait(), cluster.Close(), err) }()
 
 	// SuperPI on three of the P4 1.6–1.8 machines.
 	busy := []string{"helene", "telesto", "mimas"}
@@ -53,8 +57,6 @@ func run() error {
 		defer release()
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	if err := cluster.WaitSettled(ctx, len(cluster.Machines)); err != nil {
 		return err
 	}
@@ -75,7 +77,7 @@ func run() error {
 		if busySet[name] {
 			w.LoadFactor = func() float64 { return 0.5 }
 		}
-		go w.Serve(ctx, ln)
+		g.Go("worker "+name, func(ctx context.Context) error { return w.Serve(ctx, ln) })
 		addrs[name] = ln.Addr().String()
 	}
 

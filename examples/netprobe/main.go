@@ -14,12 +14,14 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
 	"time"
 
 	"smartsock/internal/bwest"
+	"smartsock/internal/loop"
 	"smartsock/internal/testbed"
 )
 
@@ -29,15 +31,16 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	// --- Part 1: live probing over loopback UDP ---
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	g, _ := loop.NewGroup(ctx)
+	defer func() { cancel(); err = cmp.Or(g.Wait(), err) }()
 	echo, err := bwest.NewEchoServer("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	go echo.Run(ctx)
+	g.Go("echo server", echo.Run)
 	prober, err := bwest.NewUDPProber(echo.Addr(), time.Second)
 	if err != nil {
 		return err

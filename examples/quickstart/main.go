@@ -14,6 +14,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
@@ -31,7 +32,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	// Twelve servers in four networks. B1 is busy, B3 and D2/D3 are
 	// short on memory, C2 is the blacklisted host.
 	type host struct {
@@ -79,7 +80,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer cluster.Close()
+	defer func() { err = cmp.Or(cluster.Close(), err) }()
 
 	// Make the busy hosts actually look busy to the probes.
 	for _, h := range hosts {

@@ -3,10 +3,11 @@ package bwest
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"time"
+
+	"smartsock/internal/loop"
 )
 
 // The thesis probes with plain UDP datagrams and times the ICMP
@@ -41,32 +42,29 @@ func NewEchoServer(addr string) (*EchoServer, error) {
 // Addr reports the bound address.
 func (e *EchoServer) Addr() string { return e.conn.LocalAddr().String() }
 
-// Run echoes probe headers until the context is cancelled, and closes
-// the socket however it returns.
+// Run echoes probe headers until the context is cancelled or a read
+// fails, and returns with its socket closed however it ends.
 func (e *EchoServer) Run(ctx context.Context) error {
-	defer e.conn.Close()
-	// The read loop below surfaces the close as net.ErrClosed.
-	stop := context.AfterFunc(ctx, func() { _ = e.conn.Close() })
-	defer stop()
+	g, _ := loop.NewGroup(ctx)
+	g.Close(e.conn) // the read loop below surfaces this close as net.ErrClosed
+	g.Go("bwest: echo", e.echo)
+	return g.Wait()
+}
+
+// echo reflects every probe's header to its sender until a read fails.
+func (e *EchoServer) echo(context.Context) error {
 	buf := make([]byte, 64*1024)
 	for {
 		n, from, err := e.conn.ReadFromUDP(buf)
 		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("bwest: echo read: %w", err)
+			return err
 		}
 		if n < echoHeaderLen {
 			continue
 		}
 		// Reply with the header only: a small datagram back, like the
-		// ICMP error message.
-		if _, err := e.conn.WriteToUDP(buf[:echoHeaderLen], from); err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-		}
+		// ICMP error message. A lost reply is a lost probe.
+		_, _ = e.conn.WriteToUDP(buf[:echoHeaderLen], from)
 	}
 }
 

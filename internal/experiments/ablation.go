@@ -6,6 +6,7 @@ package experiments
 // paper experiments.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"smartsock/internal/bwest"
+	"smartsock/internal/loop"
 	"smartsock/internal/monitor"
 	"smartsock/internal/probe"
 	"smartsock/internal/simnet"
@@ -149,7 +151,7 @@ func ablationEncoding(o Options) (*Table, error) {
 // centralized push pays standing bandwidth for instant answers;
 // distributed pull pays per-request latency for a silent idle
 // network.
-func ablationTransport(o Options) (*Table, error) {
+func ablationTransport(o Options) (_ *Table, err error) {
 	nServers := 11
 	src := store.New()
 	for i := 0; i < nServers; i++ {
@@ -161,7 +163,8 @@ func ablationTransport(o Options) (*Table, error) {
 
 	// Measure real pull latency over loopback.
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	g, _ := loop.NewGroup(ctx)
+	defer func() { cancel(); err = cmp.Or(g.Wait(), err) }()
 	tx, err := transport.NewTransmitterObs(src, nil, nil)
 	if err != nil {
 		return nil, err
@@ -170,13 +173,13 @@ func ablationTransport(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	go tx.ServePassive(ctx, ln)
+	g.Go("transmitter", func(ctx context.Context) error { return tx.ServePassive(ctx, ln) })
 	dst := store.New()
 	recv, err := transport.NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer recv.Close() // pull mode: nothing runs the receiver, so nothing else closes it
+	g.Close(recv) // pull mode: nothing runs the receiver, so nothing else closes it
 	pulls := 50
 	if o.Quick {
 		pulls = 10
@@ -215,7 +218,7 @@ func ablationTransport(o Options) (*Table, error) {
 
 // ablationReporting compares UDP and TCP probe reporting (the Ch. 6
 // switch): per-report cost on a healthy network.
-func ablationReporting(o Options) (*Table, error) {
+func ablationReporting(o Options) (_ *Table, err error) {
 	reports := 200
 	if o.Quick {
 		reports = 50
@@ -226,8 +229,9 @@ func ablationReporting(o Options) (*Table, error) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go mon.Run(ctx)
+	g, _ := loop.NewGroup(ctx)
+	defer func() { cancel(); err = cmp.Or(g.Wait(), err) }()
+	g.Go("system monitor", mon.Run)
 
 	t := &Table{
 		ID:      "ablation.reporting",

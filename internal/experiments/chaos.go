@@ -8,6 +8,7 @@ package experiments
 // of a selection request over an equally lossy wizard link.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
@@ -52,8 +53,7 @@ func chaosLoss(o Options) (*Table, error) {
 		settleErr := cluster.WaitSettled(settleCtx, len(machines))
 		cancel()
 		if settleErr != nil {
-			cluster.Close()
-			return nil, fmt.Errorf("loss %.0f%%: %w", rate*100, settleErr)
+			return nil, cmp.Or(cluster.Close(), fmt.Errorf("loss %.0f%%: %w", rate*100, settleErr))
 		}
 		settle := time.Since(start)
 
@@ -72,8 +72,7 @@ func chaosLoss(o Options) (*Table, error) {
 			},
 		})
 		if err != nil {
-			cluster.Close()
-			return nil, err
+			return nil, cmp.Or(cluster.Close(), err)
 		}
 		var total time.Duration
 		ok := 0
@@ -98,7 +97,9 @@ func chaosLoss(o Options) (*Table, error) {
 			f1(float64(mean.Microseconds())/1000),
 			fmt.Sprintf("%d/%d", ok, requests),
 		)
-		cluster.Close()
+		if err := cluster.Close(); err != nil {
+			return nil, err
+		}
 	}
 	t.Notes = append(t.Notes,
 		"loss applies send-side to every probe report and client request datagram",

@@ -13,6 +13,7 @@ package experiments
 // select the fast group.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"smartsock"
+	"smartsock/internal/loop"
 	"smartsock/internal/massd"
 	"smartsock/internal/shaper"
 	"smartsock/internal/simnet"
@@ -33,8 +35,8 @@ import (
 const bwScale = 32 * 1024 // bytes/s per paper-Mbps
 
 // startFileServer runs a massd server whose uplink is shaped to the
-// given paper-Mbps rate; it returns the dial address.
-func startFileServer(ctx context.Context, mbpsPaper float64) (string, error) {
+// given paper-Mbps rate as a member of g; it returns the dial address.
+func startFileServer(g *loop.Group, mbpsPaper float64) (string, error) {
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", err
@@ -45,19 +47,20 @@ func startFileServer(ctx context.Context, mbpsPaper float64) (string, error) {
 		return "", err
 	}
 	srv := &massd.Server{}
-	go srv.Serve(ctx, shaped)
+	g.Go("file server "+raw.Addr().String(), func(ctx context.Context) error { return srv.Serve(ctx, shaped) })
 	return raw.Addr().String(), nil
 }
 
 // fig53 reproduces the rshaper/massd cross-check: 10 sample rates,
 // measured massd throughput tracking the configured limit.
-func fig53(o Options) (*Table, error) {
+func fig53(o Options) (_ *Table, err error) {
 	samples := 10
 	if o.Quick {
 		samples = 4
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	g, ctx := loop.NewGroup(ctx)
+	defer func() { cancel(); err = cmp.Or(g.Wait(), err) }()
 	t := &Table{
 		ID:      "fig5.3",
 		Title:   "Benchmark for rshaper and massd: configured rate vs measured throughput",
@@ -75,7 +78,7 @@ func fig53(o Options) (*Table, error) {
 		if o.Quick {
 			total /= 4
 		}
-		addr, err := startFileServer(ctx, mbpsPaper)
+		addr, err := startFileServer(g, mbpsPaper)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +144,7 @@ var fileServerGroups = map[string]string{
 }
 
 // massdComparison runs one random-versus-smart download experiment.
-func massdComparison(o Options, c massdCase) (*Table, error) {
+func massdComparison(o Options, c massdCase) (_ *Table, err error) {
 	// Monitor-visible paths carry the rshaper group bandwidths.
 	paths := map[string]*simnet.Path{}
 	for group, mbpsPaper := range map[string]float64{
@@ -170,9 +173,9 @@ func massdComparison(o Options, c massdCase) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	g, ctx := loop.NewGroup(ctx)
+	defer func() { cancel(); err = cmp.Or(g.Wait(), cluster.Close(), err) }()
 	if err := cluster.WaitSettled(ctx, len(machines)); err != nil {
 		return nil, err
 	}
@@ -184,7 +187,7 @@ func massdComparison(o Options, c massdCase) (*Table, error) {
 		if group == "group-2" {
 			mbpsPaper = c.group2Mbps
 		}
-		addr, err := startFileServer(ctx, mbpsPaper)
+		addr, err := startFileServer(g, mbpsPaper)
 		if err != nil {
 			return nil, err
 		}

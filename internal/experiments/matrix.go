@@ -10,6 +10,7 @@ package experiments
 // the paper reports — are preserved.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"smartsock"
+	"smartsock/internal/loop"
 	"smartsock/internal/matrix"
 	"smartsock/internal/shaper"
 	"smartsock/internal/testbed"
@@ -36,10 +38,10 @@ func maxSpeed() float64 {
 	return best
 }
 
-// workerFleet runs one matrix worker per testbed machine and returns
+// workerFleet runs one matrix worker per testbed machine in g and returns
 // the name→address map experiments dial through. In the paper the
 // workers are the service programs the selected sockets connect to.
-func workerFleet(ctx context.Context, machines []testbed.Machine, opCost time.Duration, busy map[string]bool) (map[string]string, error) {
+func workerFleet(g *loop.Group, machines []testbed.Machine, opCost time.Duration, busy map[string]bool) (map[string]string, error) {
 	norm := maxSpeed()
 	addrs := make(map[string]string, len(machines))
 	for _, m := range machines {
@@ -53,7 +55,7 @@ func workerFleet(ctx context.Context, machines []testbed.Machine, opCost time.Du
 			// of it (§5.3.1 experiment 4).
 			w.LoadFactor = func() float64 { return 0.5 }
 		}
-		go w.Serve(ctx, ln)
+		g.Go("worker "+m.Name, func(ctx context.Context) error { return w.Serve(ctx, ln) })
 		addrs[m.Name] = ln.Addr().String()
 	}
 	return addrs, nil
@@ -111,16 +113,17 @@ func runMatrix(ctx context.Context, names []string, addrs map[string]string, n, 
 
 // fig52 reproduces the benchmarking step: the same matrix product on
 // every machine alone, revealing the per-host compute speed.
-func fig52(o Options) (*Table, error) {
+func fig52(o Options) (_ *Table, err error) {
 	n, blk := 240, 80
 	opCost := 40 * time.Millisecond // per 1e6 multiply-adds at full speed
 	if o.Quick {
 		n, blk, opCost = 120, 60, 20*time.Millisecond
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	g, ctx := loop.NewGroup(ctx)
+	defer func() { cancel(); err = cmp.Or(g.Wait(), err) }()
 	machines := testbed.Machines()
-	addrs, err := workerFleet(ctx, machines, opCost, nil)
+	addrs, err := workerFleet(g, machines, opCost, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +215,7 @@ var matrix44load = matrixCase{
 }
 
 // matrixComparison runs one random-versus-smart matrix experiment.
-func matrixComparison(o Options, c matrixCase) (*Table, error) {
+func matrixComparison(o Options, c matrixCase) (_ *Table, err error) {
 	n := 360
 	opCost := 40 * time.Millisecond
 	// The master's LAN interface, scaled like OpCost: the paper moves
@@ -244,7 +247,9 @@ func matrixComparison(o Options, c matrixCase) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	g, ctx := loop.NewGroup(ctx)
+	defer func() { cancel(); err = cmp.Or(g.Wait(), cluster.Close(), err) }()
 
 	// Start the workload before waiting, so the wizard sees busy hosts.
 	for _, host := range c.busyHosts {
@@ -256,8 +261,6 @@ func matrixComparison(o Options, c matrixCase) (*Table, error) {
 		defer release()
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	if err := cluster.WaitSettled(ctx, len(machines)); err != nil {
 		return nil, err
 	}
@@ -269,7 +272,7 @@ func matrixComparison(o Options, c matrixCase) (*Table, error) {
 	for _, h := range c.busyHosts {
 		busy[h] = true
 	}
-	addrs, err := workerFleet(ctx, machines, opCost, busy)
+	addrs, err := workerFleet(g, machines, opCost, busy)
 	if err != nil {
 		return nil, err
 	}

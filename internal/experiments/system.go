@@ -5,6 +5,7 @@ package experiments
 // 11 probes reporting (Table 5.2).
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -55,7 +56,7 @@ func table41(o Options) (*Table, error) {
 // are the ones that transfer: message sizes, message rates and the
 // network bandwidth each component consumes — the figures the thesis
 // derives its capacity claims from.
-func table52(o Options) (*Table, error) {
+func table52(o Options) (_ *Table, err error) {
 	interval := 100 * time.Millisecond
 	settle := 6 * interval
 	if o.Quick {
@@ -65,7 +66,7 @@ func table52(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
+	defer func() { err = cmp.Or(cluster.Close(), err) }()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := cluster.WaitSettled(ctx, len(cluster.Machines)); err != nil {

@@ -12,9 +12,9 @@ import (
 // type) must either be preceded — textually, in the same top-level
 // function — by a SetDeadline/SetReadDeadline call, or happen inside
 // a function that takes a context.Context, in which case the caller
-// owns cancellation (the project idiom is a context.AfterFunc that
-// closes the conn). Commands (package main) are exempt: they die with
-// their process.
+// owns cancellation (the project idiom is a loop.Group that closes the
+// conn when the context ends). Commands (package main) are exempt: they
+// die with their process.
 var Deadline = &Analyzer{
 	Name: "deadline",
 	Doc:  "net reads need a deadline or a context-bound lifetime",

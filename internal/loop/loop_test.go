@@ -1,4 +1,4 @@
-package loop
+package loop_test
 
 import (
 	"context"
@@ -6,10 +6,12 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"smartsock/internal/loop"
 	"smartsock/internal/obs"
 	"smartsock/internal/retry"
 )
@@ -19,7 +21,7 @@ var errRound = errors.New("round failed")
 // every runs Every on its own goroutine and hands back its result.
 func every(ctx context.Context, interval time.Duration, bo *retry.Backoff, round func() error) <-chan error {
 	done := make(chan error, 1)
-	go func() { done <- Every(ctx, interval, bo, round) }()
+	go func() { done <- loop.Every(ctx, interval, bo, round) }()
 	return done
 }
 
@@ -100,7 +102,7 @@ func TestEveryRunsNoRoundAfterTheContextEnds(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var rounds int
 		bo := &retry.Backoff{Base: time.Nanosecond, Jitter: -1}
-		err := Every(ctx, time.Hour, bo, func() error {
+		err := loop.Every(ctx, time.Hour, bo, func() error {
 			rounds++
 			cancel()
 			return errRound
@@ -114,7 +116,7 @@ func TestEveryRunsNoRoundAfterTheContextEnds(t *testing.T) {
 func TestEveryRejectsNonPositiveInterval(t *testing.T) {
 	for _, interval := range []time.Duration{0, -time.Second} {
 		ran := false
-		err := Every(context.Background(), interval, nil, func() error { ran = true; return nil })
+		err := loop.Every(context.Background(), interval, nil, func() error { ran = true; return nil })
 		if err == nil || ran {
 			t.Fatalf("interval %v: Every returned %v, round ran: %v; want an error and no round", interval, err, ran)
 		}
@@ -160,7 +162,7 @@ func TestServeReturnsOnlyAfterEveryHandler(t *testing.T) {
 	var handlers atomic.Int32
 	done := make(chan error, 1)
 	go func() {
-		done <- Serve(ctx, ln, func(ctx context.Context, c net.Conn) {
+		done <- loop.Serve(ctx, ln, func(ctx context.Context, c net.Conn) {
 			if handlers.Add(1) == 1 {
 				// Parked on its connection until the close releases it.
 				started <- struct{}{}
@@ -238,7 +240,7 @@ func TestServeReturnsWithItsDescriptorsClosed(t *testing.T) {
 		started := make(chan struct{})
 		done := make(chan error, 1)
 		go func() {
-			done <- Serve(ctx, ln, func(_ context.Context, c net.Conn) {
+			done <- loop.Serve(ctx, ln, func(_ context.Context, c net.Conn) {
 				close(started)
 				_, _ = c.Read(make([]byte, 1))
 			})
@@ -257,5 +259,82 @@ func TestServeReturnsWithItsDescriptorsClosed(t *testing.T) {
 		if got > fds+1 {
 			t.Fatalf("round %d: Serve returned with %d descriptors open besides the client's, %d before it", i, got-1, fds)
 		}
+	}
+}
+
+// closerFunc is an io.Closer.
+type closerFunc func() error
+
+func (f closerFunc) Close() error { return f() }
+
+// A member that returns under a live context ends the group, a nil
+// return as much as an error: the other members see the end of the
+// context, the closes run, and Wait names the member that ended it.
+// What the other members return after the end is not the group's error.
+func TestGroupEndsWithItsFirstMember(t *testing.T) {
+	for _, ret := range []error{errRound, nil} {
+		g, _ := loop.NewGroup(context.Background())
+		var closed atomic.Bool
+		g.Close(closerFunc(func() error { closed.Store(true); return nil }))
+		g.Go("idle", func(ctx context.Context) error { <-ctx.Done(); return ctx.Err() })
+		g.Go("every", func(ctx context.Context) error {
+			return loop.Every(ctx, time.Hour, nil, func() error { return nil })
+		})
+		g.Go("quitter", func(context.Context) error { return ret })
+		done := make(chan error, 1)
+		go func() { done <- g.Wait() }()
+		err := await(t, done, "Wait after a member returned")
+		if err == nil || !strings.HasPrefix(err.Error(), "quitter stopped") || errors.Is(err, errRound) != (ret != nil) {
+			t.Fatalf("member returned %v: Wait = %v, want it named and wrapped", ret, err)
+		}
+		if errors.Is(err, context.Canceled) {
+			t.Fatalf("Wait = %v: the group's own cancel is in it", err)
+		}
+		if !closed.Load() {
+			t.Fatal("Wait returned before the group's close ran")
+		}
+	}
+}
+
+// The end of the parent context ends every member and is no error,
+// whatever the members return on their way out.
+func TestGroupEndedByItsParentReturnsNil(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	g, _ := loop.NewGroup(ctx)
+	for _, name := range []string{"a", "b"} {
+		g.Go(name, func(ctx context.Context) error {
+			return loop.Every(ctx, time.Hour, nil, func() error { return nil })
+		})
+	}
+	cancel()
+	if err := g.Wait(); err != nil {
+		t.Fatalf("Wait after the parent's cancel = %v, want nil", err)
+	}
+}
+
+// Wait returns after the closes it started, not only after the members:
+// a close still running when Wait returns is a descriptor still held.
+// With no members, Wait ends the group itself.
+func TestGroupWaitsForItsCloses(t *testing.T) {
+	g, _ := loop.NewGroup(context.Background())
+	closing, release := make(chan struct{}), make(chan struct{})
+	var closed atomic.Bool
+	g.Close(closerFunc(func() error {
+		close(closing)
+		<-release
+		closed.Store(true)
+		return nil
+	}))
+	done := make(chan error, 1)
+	go func() { done <- g.Wait() }()
+	await(t, closing, "the close Wait started")
+	select {
+	case <-done:
+		t.Fatal("Wait returned while a close was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := await(t, done, "Wait after its close"); err != nil || !closed.Load() {
+		t.Fatalf("Wait = %v, close done %v", err, closed.Load())
 	}
 }

@@ -15,11 +15,9 @@ package monitor
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"net"
-	"sync"
 	"time"
 
 	"smartsock/internal/loop"
@@ -149,79 +147,44 @@ func (m *Monitor) Received() uint64 { return m.received.Value() }
 // Dropped reports how many undecodable reports were discarded.
 func (m *Monitor) Dropped() uint64 { return m.dropped.Value() }
 
-// Run serves until the context is cancelled or an ingest loop fails.
-// Each shard socket gets its own ingest loop; the kernel's SO_REUSEPORT
-// flow hash spreads probes across them. However it ends, Run returns
-// only once its sockets are closed and everything it started — the
-// expire loop, the TCP accept loop and its handlers — has exited.
+// Run serves until the context is cancelled or one of its loops ends —
+// an ingest loop per shard socket (the kernel's SO_REUSEPORT flow hash
+// spreads probes across them), the expire loop or the TCP accept loop —
+// and returns, with that loop's end as its error, only once its sockets
+// are closed and every loop and handler has exited.
 func (m *Monitor) Run(ctx context.Context) error {
-	ctx, cancel := context.WithCancel(ctx)
-	var side sync.WaitGroup
-	defer side.Wait()
-	defer cancel()
-	side.Add(2)
-	go func() {
-		defer side.Done()
-		// Sweeping at half the horizon, a dead server lingers at most
-		// MissedIntervals+0.5 intervals.
-		maxAge := time.Duration(m.cfg.MissedIntervals) * m.cfg.Interval
-		if err := loop.Every(ctx, maxAge/2, nil, func() error { m.expire(maxAge); return nil }); ctx.Err() == nil {
-			m.logf("monitor: expiry: %v", err)
-		}
-	}()
-	go func() {
-		defer side.Done()
-		<-ctx.Done()
-		// The serve loops surface these closes as net.ErrClosed.
-		for _, s := range m.shards {
-			_ = s.Close()
-		}
-	}()
-	if m.tcp != nil {
-		side.Add(1)
-		go func() {
-			defer side.Done()
-			if err := loop.Serve(ctx, m.tcp, m.serveTCP); err != nil {
-				m.logf("monitor: tcp %v", err)
-			}
-		}()
-	}
-
-	errs := make([]error, len(m.shards)) // one per ingest loop
-	var ingest sync.WaitGroup
+	g, _ := loop.NewGroup(ctx)
 	for i, s := range m.shards {
-		ingest.Add(1)
-		go func(i int, conn *net.UDPConn) {
-			defer ingest.Done()
-			errs[i] = m.serveUDP(ctx, conn)
-			cancel() // one loop's end closes every shard
-		}(i, s)
+		g.Close(s) // the ingest loop surfaces this close as net.ErrClosed
+		g.Go(fmt.Sprintf("monitor: udp shard %d", i), func(context.Context) error { return m.serveUDP(s) })
 	}
-	ingest.Wait()
-	return errors.Join(errs...)
+	// Sweeping at half the horizon, a dead server lingers at most
+	// MissedIntervals+0.5 intervals.
+	maxAge := time.Duration(m.cfg.MissedIntervals) * m.cfg.Interval
+	g.Go("monitor: expiry", func(ctx context.Context) error {
+		return loop.Every(ctx, maxAge/2, nil, func() error { m.expire(maxAge); return nil })
+	})
+	if m.tcp != nil {
+		g.Go("monitor: tcp", func(ctx context.Context) error { return loop.Serve(ctx, m.tcp, m.serveTCP) })
+	}
+	return g.Wait()
 }
 
 // serveUDP is one shard's ingest loop: pull a batch of report
 // datagrams and upsert each. Steady-state ingest costs zero
 // per-datagram heap allocations (the seed loop's ReadFromUDP minted a
-// *net.UDPAddr per report).
-func (m *Monitor) serveUDP(ctx context.Context, conn *net.UDPConn) error {
+// *net.UDPAddr per report). Any read error ends it, Run's close too.
+func (m *Monitor) serveUDP(conn *net.UDPConn) error {
 	ep, err := netbatch.Wrap(conn, netbatch.Options{Batch: m.cfg.Batch, Obs: m.cfg.Obs})
 	if err != nil {
-		return fmt.Errorf("monitor: %w", err)
+		return err
 	}
 	rx := netbatch.NewBatch(ep.Batch(), 64*1024)
 	recs, errs := make([]status.ServerStatus, ep.Batch()), make([]error, ep.Batch())
 	for {
 		n, err := ep.ReadBatch(rx)
 		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("monitor: read udp: %w", err)
+			return err
 		}
 		m.ingest(recs[:n], errs, rx)
 	}

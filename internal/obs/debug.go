@@ -8,11 +8,12 @@ package obs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"time"
+
+	"smartsock/internal/loop"
 )
 
 // DebugServer serves a registry over HTTP:
@@ -46,17 +47,13 @@ func NewDebugServer(addr string, reg *Registry) (*DebugServer, error) {
 // Addr reports the bound address (useful with port 0).
 func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
 
-// Run serves until the context is cancelled.
+// Run serves until the context is cancelled or serving fails, and
+// returns with the listener and every connection closed.
 func (d *DebugServer) Run(ctx context.Context) error {
-	// Cancellation closes the server (and with it the listener), which
-	// Serve surfaces as ErrServerClosed.
-	stop := context.AfterFunc(ctx, func() { _ = d.srv.Close() })
-	defer stop()
-	err := d.srv.Serve(d.ln)
-	if errors.Is(err, http.ErrServerClosed) || errors.Is(err, net.ErrClosed) || ctx.Err() != nil {
-		return nil
-	}
-	return err
+	g, _ := loop.NewGroup(ctx)
+	g.Close(d.srv) // Serve surfaces this close as http.ErrServerClosed
+	g.Go("obs: debug endpoint", func(context.Context) error { return d.srv.Serve(d.ln) })
+	return g.Wait()
 }
 
 func textHandler(reg *Registry) http.Handler {

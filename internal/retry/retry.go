@@ -11,8 +11,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"smartsock/internal/obs"
 )
 
 // Backoff produces successive wait times: Base, 2×Base, 4×Base, …
@@ -31,8 +29,10 @@ type Backoff struct {
 	// inject a seeded func for reproducible schedules.
 	Rand func() float64
 	// Metric, when set, counts every wait handed out — the owning
-	// component's retry rate (e.g. the transmitter's redial counter).
-	Metric *obs.Counter
+	// component's retry rate (e.g. the transmitter's redial counter, an
+	// *obs.Counter: obs runs under internal/loop, which imports this
+	// package, so the field names only the method).
+	Metric interface{ Inc() }
 
 	mu      sync.Mutex
 	attempt int

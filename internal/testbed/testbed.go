@@ -17,11 +17,11 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"smartsock/internal/chaos"
 	"smartsock/internal/core"
+	"smartsock/internal/loop"
 	"smartsock/internal/monitor"
 	"smartsock/internal/netbatch"
 	"smartsock/internal/netmon"
@@ -157,26 +157,12 @@ type Cluster struct {
 
 	wizard     *wizard.Wizard
 	sysMonitor *monitor.Monitor
-	ctx        context.Context
-	cancel     context.CancelFunc
+	group      *loop.Group        // every component; Close waits for them
+	cancel     context.CancelFunc // ends the group: the teardown
 	probeEvery time.Duration
 	probeDial  func(network, addr string) (net.Conn, error)
-	secHosts   int // hosts the security monitor levels
-
-	hostMu     sync.Mutex
-	hostCancel map[string]context.CancelFunc // nil entry = crashed host
-
-	wg sync.WaitGroup // every component goroutine; Close waits on it
-}
-
-// spawn runs fn on a tracked goroutine so Close can wait for every
-// component to actually exit, not just be told to.
-func (c *Cluster) spawn(fn func()) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		fn()
-	}()
+	secHosts   int                           // hosts the security monitor levels
+	hostCancel map[string]context.CancelFunc // written by Boot only
 }
 
 // Boot assembles and starts the full pipeline.
@@ -193,12 +179,13 @@ func Boot(opts Options) (*Cluster, error) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	g, ctx := loop.NewGroup(ctx)
 	c := &Cluster{
 		DB:         store.New(),
 		WizardDB:   store.New(),
 		Sources:    make(map[string]*sysinfo.Synthetic, len(machines)),
 		Machines:   make(map[string]Machine, len(machines)),
-		ctx:        ctx,
+		group:      g,
 		cancel:     cancel,
 		probeEvery: opts.ProbeInterval,
 		hostCancel: make(map[string]context.CancelFunc, len(machines)),
@@ -213,7 +200,7 @@ func Boot(opts Options) (*Cluster, error) {
 		}
 	}
 	fail := func(err error) (*Cluster, error) {
-		cancel()
+		_ = c.Close()
 		return nil, err
 	}
 
@@ -233,12 +220,12 @@ func Boot(opts Options) (*Cluster, error) {
 		return fail(err)
 	}
 	c.sysMonitor = sysMon
-	c.spawn(func() { _ = sysMon.Run(ctx) })
+	g.Go("system monitor", sysMon.Run)
 	for _, m := range machines {
 		src := sysinfo.NewSynthetic(sysinfo.Idle(m.Name, m.Bogomips, m.RAMMB))
 		c.Sources[m.Name] = src
 		c.Machines[m.Name] = m
-		if err := c.startProbe(m.Name); err != nil {
+		if err := c.startProbe(ctx, m.Name); err != nil {
 			return fail(err)
 		}
 	}
@@ -259,7 +246,7 @@ func Boot(opts Options) (*Cluster, error) {
 			return fail(err)
 		}
 		c.NetMon = nm
-		c.spawn(func() { _ = nm.Run(ctx) })
+		g.Go("network monitor", nm.Run)
 	}
 
 	// Security monitor (§3.4).
@@ -282,7 +269,7 @@ func Boot(opts Options) (*Cluster, error) {
 	if err != nil {
 		return fail(err)
 	}
-	c.spawn(func() { _ = sm.Run(ctx) })
+	g.Go("security monitor", sm.Run)
 
 	// Transmitter → receiver (§3.5), then the wizard (§3.6).
 	tx, err := transport.NewTransmitterObs(c.DB, nil, opts.Obs)
@@ -297,7 +284,7 @@ func Boot(opts Options) (*Cluster, error) {
 	c.Tx, c.Recv = tx, recv
 	// In distributed mode nothing runs the receiver, so nothing else
 	// closes its listener and the pull connections it keeps.
-	c.spawn(func() { <-ctx.Done(); _ = recv.Close() })
+	g.Close(recv)
 	if in := opts.TxFaults; in != nil {
 		streamDial := func(network, addr string) (net.Conn, error) {
 			conn, err := net.DialTimeout(network, addr, 2*time.Second)
@@ -311,18 +298,18 @@ func Boot(opts Options) (*Cluster, error) {
 	}
 	var update wizard.UpdateFunc
 	if opts.Distributed {
-		ln, err := listenLoopback()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return fail(err)
 		}
-		c.spawn(func() { _ = tx.ServePassive(ctx, ln) })
+		g.Go("transmitter", func(ctx context.Context) error { return tx.ServePassive(ctx, ln) })
 		txAddr := ln.Addr().String()
 		update = func(context.Context) error {
 			return recv.PullFrom([]string{txAddr}, 2*time.Second)
 		}
 	} else {
-		c.spawn(func() { _ = recv.Run(ctx) })
-		c.spawn(func() { _ = tx.RunActive(ctx, recv.Addr(), opts.ProbeInterval) })
+		g.Go("receiver", recv.Run)
+		g.Go("transmitter", func(ctx context.Context) error { return tx.RunActive(ctx, recv.Addr(), opts.ProbeInterval) })
 	}
 
 	groupOf := func(host string) string {
@@ -352,14 +339,14 @@ func Boot(opts Options) (*Cluster, error) {
 		return fail(err)
 	}
 	c.wizard = wz
-	c.spawn(func() { _ = wz.Run(ctx) })
+	g.Go("wizard", wz.Run)
 	return c, nil
 }
 
-// startProbe launches (or relaunches) the named host's probe under a
-// per-host context, so a single virtual host can crash and restart
-// without touching the rest of the cluster.
-func (c *Cluster) startProbe(name string) error {
+// startProbe launches the named host's probe under a per-host context
+// derived from ctx, so a single virtual host can crash without touching
+// the rest of the cluster.
+func (c *Cluster) startProbe(ctx context.Context, name string) error {
 	src, ok := c.Sources[name]
 	if !ok {
 		return fmt.Errorf("testbed: unknown host %q", name)
@@ -373,11 +360,15 @@ func (c *Cluster) startProbe(name string) error {
 	if err != nil {
 		return err
 	}
-	hostCtx, hostCancel := context.WithCancel(c.ctx)
-	c.hostMu.Lock()
+	hostCtx, hostCancel := context.WithCancel(ctx)
 	c.hostCancel[name] = hostCancel
-	c.hostMu.Unlock()
-	c.spawn(func() { _ = p.Run(hostCtx) })
+	c.group.Go("probe "+name, func(ctx context.Context) error {
+		err := p.Run(hostCtx)
+		if hostCtx.Err() != nil {
+			<-ctx.Done() // a crash, not a failure: the host stays down until teardown
+		}
+		return err
+	})
 	return nil
 }
 
@@ -386,18 +377,11 @@ func (c *Cluster) startProbe(name string) error {
 // until the monitor's expiry sweep (or the selector's MaxStatusAge
 // filter) removes it. Crashing a crashed host is a no-op.
 func (c *Cluster) CrashHost(name string) error {
-	c.hostMu.Lock()
 	cancelProbe, ok := c.hostCancel[name]
-	c.hostCancel[name] = nil
-	c.hostMu.Unlock()
-	if !ok && cancelProbe == nil {
-		if _, known := c.Sources[name]; !known {
-			return fmt.Errorf("testbed: unknown host %q", name)
-		}
+	if !ok {
+		return fmt.Errorf("testbed: unknown host %q", name)
 	}
-	if cancelProbe != nil {
-		cancelProbe()
-	}
+	cancelProbe()
 	return nil
 }
 
@@ -412,15 +396,15 @@ func (c *Cluster) Wizard() *wizard.Wizard { return c.wizard }
 // its report counter against the obs registry.
 func (c *Cluster) Monitor() *monitor.Monitor { return c.sysMonitor }
 
-// Close stops every component and waits for their goroutines to
-// exit. The wait matters to whoever runs next: a cluster's seven-odd
-// probers tick on millisecond intervals, and letting them wind down
-// asynchronously leaks that timer load into the next experiment's
-// measurements (which is exactly how the timing-model comparisons
-// went flaky under -shuffle).
-func (c *Cluster) Close() {
+// Close stops every component and waits for each to exit: a cluster's
+// probers tick on millisecond intervals, and winding them down in the
+// background leaked that timer load into the next experiment's
+// measurements (the timing-model comparisons went flaky under
+// -shuffle). A component that stopped before Close is its error, named;
+// a crashed host's probe is not one.
+func (c *Cluster) Close() error {
 	c.cancel()
-	c.wg.Wait()
+	return c.group.Wait()
 }
 
 // WaitSettled blocks until the wizard-side database holds n server
@@ -447,9 +431,4 @@ func (c *Cluster) WaitSettled(ctx context.Context, n int) error {
 		case <-time.After(c.probeEvery / 2):
 		}
 	}
-}
-
-// listenLoopback binds an ephemeral TCP port on 127.0.0.1.
-func listenLoopback() (net.Listener, error) {
-	return net.Listen("tcp", "127.0.0.1:0")
 }

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"smartsock/internal/core"
+	"smartsock/internal/loop"
 	"smartsock/internal/netbatch"
 	"smartsock/internal/obs"
 	"smartsock/internal/overload"
@@ -233,21 +234,14 @@ func (w *Wizard) CacheStats() (hits, misses uint64) { return w.cache.Stats() }
 // Shutdown: the context's end closes the sockets, every ingest loop
 // surfaces net.ErrClosed and exits, the queues are closed behind them,
 // and the drain loops empty what is left before exiting on the closed
-// queues. One ingest loop's end, a failure included, ends Run's
-// context the same way. The sockets are closed however Run returns: a
-// wizard whose loops failed, or never started, holds no port.
+// queues. One ingest loop's end, a failure included, ends the others
+// and is Run's error, named. The sockets are closed however Run
+// returns: a wizard whose loops failed, or never started, holds no port.
 func (w *Wizard) Run(ctx context.Context) error {
-	ctx, cancel := context.WithCancel(ctx)
-	var closing sync.WaitGroup // a second Close would not wait for the descriptor
-	defer closing.Wait()
-	defer cancel()
-	closing.Add(1)
-	context.AfterFunc(ctx, func() {
-		defer closing.Done()
-		for _, s := range w.shards {
-			_ = s.Close()
-		}
-	})
+	g, ctx := loop.NewGroup(ctx)
+	for _, s := range w.shards {
+		g.Close(s)
+	}
 	nshards := len(w.shards)
 	drainers := max(w.cfg.Workers, nshards)
 	batch := min(max(w.cfg.Batch, 1), netbatch.MaxBatch)
@@ -259,6 +253,7 @@ func (w *Wizard) Run(ctx context.Context) error {
 	for i := range eps {
 		ep, err := netbatch.Wrap(w.shards[i%nshards], netbatch.Options{Batch: batch, Obs: w.cfg.Obs})
 		if err != nil {
+			_ = g.Wait()
 			return fmt.Errorf("wizard: %w", err)
 		}
 		eps[i] = ep
@@ -275,16 +270,10 @@ func (w *Wizard) Run(ctx context.Context) error {
 	// steady state.
 	w.freeBufs = make(chan []byte, nshards*(queues[0].Cap()+batch)+drainers*batch)
 
-	errs := make([]error, nshards) // one per ingest loop
-	var ingest, drain sync.WaitGroup
 	for i := 0; i < nshards; i++ {
-		ingest.Add(1)
-		go func(i int) {
-			defer ingest.Done()
-			errs[i] = w.ingest(ctx, eps[i], queues[i], batch)
-			cancel() // or SO_REUSEPORT keeps feeding a socket nobody reads
-		}(i)
+		g.Go(fmt.Sprintf("wizard: ingest %d", i), func(ctx context.Context) error { return w.ingest(ctx, eps[i], queues[i], batch) })
 	}
+	var drain sync.WaitGroup
 	for j := 0; j < drainers; j++ {
 		drain.Add(1)
 		go func(j int) {
@@ -292,12 +281,12 @@ func (w *Wizard) Run(ctx context.Context) error {
 			w.drain(ctx, eps[nshards+j], queues[j%nshards], batch)
 		}(j)
 	}
-	ingest.Wait()
+	err := g.Wait()
 	for _, q := range queues {
 		q.Close()
 	}
 	drain.Wait()
-	return errors.Join(errs...)
+	return err
 }
 
 // getBuf takes a receive buffer from the free list, allocating when
@@ -336,10 +325,7 @@ func (w *Wizard) ingest(ctx context.Context, ep netbatch.Endpoint, q *overload.Q
 	for {
 		n, err := ep.ReadBatch(rx)
 		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("wizard: read: %w", err)
+			return err
 		}
 		w.recvBatch.Observe(int64(n))
 		now := time.Now()

@@ -233,33 +233,37 @@ SIZE_SCHEMA = {
 # no binary runs lowered total, wizard, reqlang, status and loop, added
 # secmon, taskdiv, shaper, workload and bwest at their new sizes, and
 # moved monitor up by the one line that lets a failed ingest loop close
-# every shard.
+# every shard; one supervisor (loop.Group) lowered total, monitor, wizard
+# and bwest, moved loop up by the Group's 53 lines (the monitor, the
+# wizard, both daemons and the testbed lost 73), and added testbed at
+# its new size.
 # A PR that grows one of these past its ceiling deletes elsewhere in the
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 19535,
+    "total": 19533,
     ".": 712,
     "internal/core": 1155,
     "internal/index": 611,
     "internal/store": 1162,
     "internal/status": 1244,
     "internal/transport": 1073,
-    "internal/monitor": 293,
+    "internal/monitor": 256,
     "internal/probe": 217,
     "internal/reqlang": 1939,
-    "internal/wizard": 646,
+    "internal/wizard": 632,
     "internal/lint": 995,
     "internal/lint/flow": 439,
     "internal/overload": 493,
     "internal/netmon": 158,
-    "internal/loop": 80,
+    "internal/loop": 133,
     "internal/netbatch": 625,
     "internal/secmon": 137,
     "internal/taskdiv": 133,
     "internal/shaper": 193,
     "internal/workload": 81,
-    "internal/bwest": 607,
+    "internal/bwest": 605,
+    "internal/testbed": 553,
 }
 
 # Flag budgets (ROADMAP aim 2, fewer knobs): a daemon flag is a setting

@@ -341,14 +341,16 @@ if [ -n "$loops" ]; then
 fi
 
 echo "== a daemon acts on a component's end =="
-# A daemon starts each long-running component through its serve helper,
-# which ends the process when the component's Run returns while the
-# daemon still runs, so that a supervisor restarts it. A bare go x.Run(
-# drops that return: a dead monitor or wizard leaves a live process
-# that no longer listens.
-bare=$(grep -HnE '^[[:space:]]*go [A-Za-z0-9_.]+\.(Run|RunActive|ServePassive)\(' cmd/*/main.go || true)
+# Every long-running component runs as a member of a loop.Group, which
+# ends the group when one returns early and names it in Wait's error.
+# A go x.Run( or _ = x.Run( (or Serve, RunActive, ServePassive) in a
+# daemon, an example, an experiment or the testbed drops that return:
+# a dead monitor or wizard leaves a live process, demo or cluster that
+# no longer listens, and nothing waits for what it held.
+bare=$(grep -HnE '(^|[[:space:]{;(])(go|_ =)[[:space:]]+[A-Za-z0-9_.]+\.(Run|RunActive|ServePassive|Serve)\(' cmd/*/main.go \
+	$(find examples internal/experiments internal/testbed -name '*.go' ! -name '*_test.go' | LC_ALL=C sort) || true)
 if [ -n "$bare" ]; then
-	echo "a daemon starts a component and drops its return (start it through serve):" >&2
+	echo "a component started with its return dropped (start it with loop.Group.Go):" >&2
 	echo "$bare" >&2
 	exit 1
 fi

@@ -70,7 +70,11 @@ func bootServiceCluster(t *testing.T, ctx context.Context, specs []testbed.Machi
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(cluster.Close)
+	t.Cleanup(func() {
+		if err := cluster.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
 	defer cancel()
 	if err := cluster.WaitSettled(wctx, len(machines)); err != nil {
