@@ -38,7 +38,7 @@ func main() {
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
+			fmt.Printf("%-13s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -83,7 +83,7 @@ func main() {
 			counts[f.Analyzer]++
 		}
 		for _, a := range lint.Analyzers() {
-			fmt.Fprintf(os.Stderr, "smartlint: %-10s %d finding(s)\n", a.Name, counts[a.Name])
+			fmt.Fprintf(os.Stderr, "smartlint: %-13s %d finding(s)\n", a.Name, counts[a.Name])
 		}
 	}
 

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"smartsock/internal/status"
+	"smartsock/internal/store"
 	"smartsock/internal/sysinfo"
+	"smartsock/internal/transport"
 )
 
 // openFDs counts this process's descriptors, -1 where /proc has none.
@@ -88,24 +90,31 @@ func TestRunStopsEveryComponentOnCancel(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- run(ctx) }()
 
-	c, err := net.Dial("udp", *listen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := sysinfo.Idle("h1", 2000, 256)
-	for deadline := time.Now().Add(5 * time.Second); !counted.MatchString(metrics(t)); time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the monitor never counted a report")
-		}
-		_, _ = c.Write(status.EncodeReport(&report))
-	}
-	c.Close()
+	report(t, "h1")
 
 	cancel()
 	if err := await(t, done); err != nil {
 		t.Fatalf("run after a cancel = %v, want nil", err)
 	}
 	released(t, goroutines, fds)
+}
+
+// report sends host's probe reports to the monitor run started until
+// the debug endpoint counts one.
+func report(t *testing.T, host string) {
+	t.Helper()
+	c, err := net.Dial("udp", *listen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := sysinfo.Idle(host, 2000, 256)
+	for deadline := time.Now().Add(5 * time.Second); !counted.MatchString(metrics(t)); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the monitor never counted a report")
+		}
+		_, _ = c.Write(status.EncodeReport(&r))
+	}
 }
 
 // counted matches a metrics dump in which the monitor has ingested a
@@ -157,6 +166,52 @@ func TestRunNamesTheComponentThatFailsToStart(t *testing.T) {
 	go func() { done <- run(context.Background()) }()
 	if err := await(t, done); err == nil || !strings.HasPrefix(err.Error(), "transmitter: ") {
 		t.Fatalf("run with the pull port taken = %v, want the transmitter's error", err)
+	}
+	released(t, goroutines, fds)
+}
+
+// Under -compat -passive the transmitter run started speaks the thesis
+// wire: a receiver speaking it pulls a full snapshot holding the
+// reported host, twice over one connection, and a cancel stops
+// everything.
+func TestRunCompatServesAThesisPull(t *testing.T) {
+	goroutines, fds := baseline(t)
+	defer func() { *compat = false }()
+	*compat, *listen, *enableTCP, *passive, *debugAddr = true, freeUDP(t), false, freeTCP(t), freeTCP(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx) }()
+	report(t, "thesis1")
+
+	dst := store.New()
+	recv, err := transport.NewReceiverObs(dst, "127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv.Compat = true
+	err = recv.PullFrom([]string{*passive}, 2*time.Second)
+	if err == nil {
+		// The second pull reads on the kept connection: a snap mark a
+		// delta-wire transmitter left after the first would fail it.
+		err = recv.PullFrom([]string{*passive}, 2*time.Second)
+	}
+	if cerr := recv.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("thesis pull: %v", err)
+	}
+	snap := dst.PinSys()
+	_, found := snap.Find("thesis1")
+	snap.Unpin()
+	if !found {
+		t.Fatalf("the thesis pull mirrored %d hosts and not thesis1", dst.SysLen())
+	}
+
+	cancel()
+	if err := await(t, done); err != nil {
+		t.Fatalf("run after a cancel = %v, want nil", err)
 	}
 	released(t, goroutines, fds)
 }

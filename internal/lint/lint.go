@@ -2,7 +2,7 @@
 // suite. It loads every package in the module with the standard
 // library's go/parser and go/types (no external analysis framework)
 // and runs a set of project-specific analyzers over the typed syntax
-// trees. The analyzers encode the concurrency and I/O-deadline
+// trees. Three analyzers encode the concurrency and I/O-deadline
 // invariants a smart-socket deployment lives by:
 //
 //   - mutexheld: no blocking network call while a sync.Mutex or
@@ -10,19 +10,16 @@
 //   - deadline: every net.Conn/net.PacketConn read in non-test
 //     library code is preceded by a Set(Read)Deadline in the same
 //     function or happens in a function that takes a context.Context;
-//   - sleepfree: no raw time.Sleep call in internal/* non-test code —
-//     sleeping must go through an injected clock/sleep func (the
-//     shaper package's `sleep: time.Sleep` field is the approved
-//     pattern; referencing time.Sleep as a default value is fine,
-//     calling it directly is not);
-//   - nopanic: no panic in non-test, non-main library code;
 //   - errdrop: no discarded error from Close/SetDeadline/
 //     SetReadDeadline/SetWriteDeadline/Flush on network types in
 //     library code (`defer c.Close()` and explicit `_ = c.Close()`
 //     are accepted).
 //
-// Those five are syntactic: each looks at one function at a time and
-// matches call shapes. lockorder, the one module-level analyzer, lives
+// The rest are rows of one table (rules.go), scoped bans such as
+// sleepfree (no raw time.Sleep in internal packages) and nopanic (no
+// panic outside package main), and the architecture rules that keep one
+// path per job (`smartlint -list` names them all). All of these look at
+// one package at a time. lockorder, the one module-level analyzer, lives
 // in the internal/lint/flow subpackage and registers itself through
 // Register; it runs once over every loaded package (RunModule).
 //
@@ -38,9 +35,9 @@
 //	//lint:ignore <analyzer> <reason>
 //
 // The reason is mandatory; a directive without one is itself a
-// finding. Adding a new analyzer means adding a file with an
-// *Analyzer value, registering it in Analyzers, and giving it a
-// fixture-driven test in lint_test.go.
+// finding. A new rule is a row of the table; a new analyzer is a file
+// with an *Analyzer value registered in Analyzers. Either gets a
+// violating and a clean fixture in lint_test.go.
 package lint
 
 import (
@@ -48,6 +45,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -63,12 +61,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-}
-
-// Internal reports whether the package sits under an internal/ tree,
-// the scope of the sleepfree analyzer.
-func (p *Package) Internal() bool {
-	return strings.Contains(p.Path, "/internal/") || strings.HasPrefix(p.Path, "internal/")
 }
 
 // Finding is one analyzer report.
@@ -148,8 +140,8 @@ func Register(as ...*Analyzer) {
 // Analyzers returns the full suite in reporting order: the built-in
 // syntactic analyzers followed by the registered ones.
 func Analyzers() []*Analyzer {
-	base := []*Analyzer{MutexHeld, Deadline, SleepFree, NoPanic, ErrDrop}
-	return append(base, registered...)
+	base := []*Analyzer{MutexHeld, Deadline, ErrDrop}
+	return slices.Concat(base, rules, registered)
 }
 
 // ByName returns the analyzer with the given name, if any.

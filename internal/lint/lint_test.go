@@ -29,6 +29,29 @@ type Time struct{ wall uint64 }
 func (t Time) Add(d Duration) Time { return t }
 func Now() Time { return Time{} }
 func Sleep(d Duration) {}
+type Timer struct{ C <-chan Time }
+func NewTimer(d Duration) *Timer { return nil }
+type Ticker struct{ C <-chan Time }
+func NewTicker(d Duration) *Ticker { return nil }
+`,
+	"strings": `package strings
+type Builder struct{ buf []byte }
+func (b *Builder) WriteByte(c byte) error { return nil }
+func (b *Builder) String() string { return "" }
+`,
+	"smartsock/internal/reqlang": `package reqlang
+type CmpOp int
+type Constraint struct{ Op CmpOp; Value float64 }
+type Env struct{ strs []string }
+func (e *Env) Hosts(lane int) (denied, preferred []string) { return nil, nil }
+func (e *Env) Param(k, lane int) (str int, denied bool) { return 0, false }
+`,
+	"smartsock/internal/loop": `package loop
+import "context"
+type Group struct{ n int }
+func NewGroup(ctx context.Context) (*Group, context.Context) { return nil, ctx }
+func (g *Group) Go(name string, run func(context.Context) error) {}
+func (g *Group) Wait() error { return nil }
 `,
 	"sync": `package sync
 type Mutex struct{ state int32 }
@@ -441,6 +464,444 @@ func drop(c net.Conn) { c.Close() }
 `,
 			want: nil,
 		},
+		// ---- mutexheld: an unlock in a returning block ------------------
+		{
+			name:     "mutexheld/an early-return unlock does not end the held region",
+			analyzer: "mutexheld",
+			src: `package lib
+import ("net"; "sync")
+type R struct { mu sync.Mutex; conn net.Conn }
+func (r *R) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	if r.conn == nil {
+		if err := r.redial(); err != nil {
+			r.mu.Unlock()
+			return 0, err
+		}
+	}
+	conn := r.conn
+	n, err := conn.Write(p)
+	r.mu.Unlock()
+	return n, err
+}
+func (r *R) redial() error { return nil }
+`,
+			want: []int{13},
+		},
+		{
+			name:     "mutexheld/an early-return unlock: the lock is held on the path past it",
+			analyzer: "mutexheld",
+			src: `package lib
+import ("net"; "sync")
+type R struct { mu sync.Mutex; conn net.Conn }
+func (r *R) Write(p []byte) (int, error) {
+	if r.conn == nil {
+		r.mu.Unlock()
+		return 0, nil
+	}
+	return r.conn.Write(p)
+}
+`,
+			want: []int{9},
+		},
+		// ---- ctorpair ----------------------------------------------------
+		{
+			name:     "ctorpair/NewX beside NewXObs",
+			analyzer: "ctorpair",
+			pkgPath:  "smartsock/internal/transport",
+			src: `package transport
+type Registry struct{}
+type Transmitter struct{ reg *Registry }
+func NewTransmitter() *Transmitter { return NewTransmitterObs(nil) }
+func NewTransmitterObs(reg *Registry) *Transmitter { return &Transmitter{reg: reg} }
+`,
+			want: []int{4},
+		},
+		{
+			name:     "ctorpair/NewXObs alone, and reqlang's NewCache",
+			analyzer: "ctorpair",
+			pkgPath:  "smartsock/internal/reqlang",
+			src: `package reqlang
+type Registry struct{}
+type Cache struct{ reg *Registry }
+func NewCache(max int) *Cache { return NewCacheObs(max, nil) }
+func NewCacheObs(max int, reg *Registry) *Cache { return &Cache{reg: reg} }
+type Receiver struct{}
+func NewReceiverObs(reg *Registry) *Receiver { return &Receiver{} }
+func (c *Cache) NewReceiver() *Receiver { return nil }
+`,
+			want: nil,
+		},
+		// ---- oneeval -----------------------------------------------------
+		{
+			name:     "oneeval/a recursive evaluator over the AST",
+			analyzer: "oneeval",
+			pkgPath:  "smartsock/internal/reqlang",
+			src: `package reqlang
+type node interface{}
+type Value float64
+type evaluator struct{ vars map[string]Value }
+func (e *evaluator) eval(n node) (Value, error) { return 0, nil }
+func evalBool(n node) (bool, error) { return false, nil }
+`,
+			want: []int{5, 6},
+		},
+		{
+			name:     "oneeval/compiling a node is not evaluating it",
+			analyzer: "oneeval",
+			pkgPath:  "smartsock/internal/reqlang",
+			src: `package reqlang
+type node interface{}
+type Program struct{ code []int }
+func stripParens(n node) node { return n }
+func (p *Program) emit(n node) error { return nil }
+func (p *Program) Run(env []float64) (float64, error) { return 0, nil }
+`,
+			want: nil,
+		},
+		// ---- wizardnomutex -----------------------------------------------
+		{
+			name:     "wizardnomutex/a mutex in the Wizard",
+			analyzer: "wizardnomutex",
+			pkgPath:  "smartsock/internal/wizard",
+			filename: "wizard.go",
+			src: `package wizard
+import "sync"
+type Wizard struct {
+	cfg   int
+	varMu sync.Mutex
+	stats struct{ mu *sync.RWMutex }
+}
+`,
+			want: []int{5, 6},
+		},
+		{
+			name:     "wizardnomutex/a mutex elsewhere in the package",
+			analyzer: "wizardnomutex",
+			pkgPath:  "smartsock/internal/wizard",
+			src: `package wizard
+import "sync"
+type Wizard struct {
+	cfg int // no sync.Mutex: answers run on every drain loop
+}
+type templates struct {
+	mu sync.RWMutex
+}
+`,
+			want: nil,
+		},
+		// ---- hostlists -----------------------------------------------
+		{
+			name:     "hostlists/the per-lane matcher",
+			analyzer: "hostlists",
+			pkgPath:  "smartsock/internal/core",
+			filename: "select.go",
+			src: `package core
+import "smartsock/internal/reqlang"
+func splitHost(addr string) (string, bool) { return addr, false }
+func listed(env *reqlang.Env, lane int, host string) bool {
+	denied, _ := env.Hosts(lane)
+	lists := env.Hosts
+	_, _ = lists(lane)
+	h, _ := splitHost(host)
+	return len(denied) > 0 && h != ""
+}
+`,
+			want: []int{5, 6, 8},
+		},
+		{
+			name:     "hostlists/hosts.go resolves names once",
+			analyzer: "hostlists",
+			pkgPath:  "smartsock/internal/core",
+			filename: "hosts.go",
+			src: `package core
+import "smartsock/internal/reqlang"
+func splitHost(addr string) (string, bool) { return addr, false }
+func hostKey(addr string) string { h, _ := splitHost(addr); return h }
+func listed(env *reqlang.Env, k, lane int) bool {
+	_, denied := env.Param(k, lane) // not env.Hosts(lane): positions, not names
+	return denied
+}
+`,
+			want: nil,
+		},
+		// ---- treemerge -----------------------------------------------
+		{
+			name:     "treemerge/stored page lists offered one by one",
+			analyzer: "treemerge",
+			pkgPath:  "smartsock/internal/core",
+			src: `package core
+type candidate struct{ pos int }
+type pageWinners struct{ top []candidate }
+type memoEntry struct{ pages []pageWinners }
+type Selector struct{}
+func (s *Selector) evaluate(memo *memoEntry, offer func(candidate)) {
+	for p := range memo.pages {
+		for _, c := range memo.pages[p].top {
+			offer(c)
+		}
+	}
+	hit := func(w *pageWinners) {
+		for _, c := range w.top { offer(c) }
+	}
+	hit(&memo.pages[0])
+}
+`,
+			want: []int{8, 13},
+		},
+		{
+			name:     "treemerge/a leaf refreshed, the lists merged elsewhere",
+			analyzer: "treemerge",
+			pkgPath:  "smartsock/internal/core",
+			src: `package core
+type candidate struct{ pos int }
+type pageWinners struct{ top []candidate }
+type topN struct{ items []candidate }
+type memoEntry struct{ pages []pageWinners; out topN }
+type Selector struct{}
+func (s *Selector) evaluate(memo *memoEntry, offer func(candidate)) {
+	w := &memo.pages[0]
+	w.top = w.top[:0]
+	for _, c := range memo.out.items { offer(c) }
+}
+func (e *memoEntry) merge(a, b *pageWinners) int {
+	n := 0
+	for range a.top { n++ }
+	return n + len(b.top)
+}
+`,
+			want: nil,
+		},
+		// ---- optable -----------------------------------------------------
+		{
+			name:     "optable/a second precedence table",
+			analyzer: "optable",
+			pkgPath:  "smartsock/internal/reqlang",
+			filename: "parser.go",
+			src: `package reqlang
+type tokenKind int
+var binPrec = map[tokenKind]int{1: 4}
+func prec(k tokenKind) int { m := make(map[tokenKind]int); return m[k] + binPrec[k] }
+`,
+			want: []int{3, 4},
+		},
+		{
+			name:     "optable/token text copied in the scanner",
+			analyzer: "optable",
+			pkgPath:  "smartsock/internal/reqlang",
+			filename: "lexer.go",
+			src: `package reqlang
+import "strings"
+func scanString(src string) string {
+	var b strings.Builder
+	b.WriteByte(src[0])
+	return b.String()
+}
+`,
+			want: []int{4},
+		},
+		{
+			name:     "optable/one table indexed by kind",
+			analyzer: "optable",
+			pkgPath:  "smartsock/internal/reqlang",
+			filename: "lexer.go",
+			src: `package reqlang
+type tokenKind int
+var operators = [...]struct{ text string; prec int }{1: {"+", 4}}
+func prec(k tokenKind) int { return operators[k].prec } // not a map[tokenKind]int
+var names = map[string]tokenKind{"+": 1}
+`,
+			want: nil,
+		},
+		// ---- cmptype -----------------------------------------------------
+		{
+			name:     "cmptype/a comparison type in the index",
+			analyzer: "cmptype",
+			pkgPath:  "smartsock/internal/index",
+			src: `package index
+type Op int
+type Constraint struct{ Op Op; Value float64 }
+type Set struct{}
+`,
+			want: []int{2, 3},
+		},
+		{
+			name:     "cmptype/a converter in core",
+			analyzer: "cmptype",
+			pkgPath:  "smartsock/internal/core",
+			src: `package core
+import "smartsock/internal/reqlang"
+func cmpToIndex(op reqlang.CmpOp) int { return int(op) }
+func apply(c reqlang.Constraint, v float64) bool { return v > c.Value }
+`,
+			want: []int{3},
+		},
+		{
+			name:     "cmptype/the constraint passed as it is",
+			analyzer: "cmptype",
+			pkgPath:  "smartsock/internal/core",
+			src: `package core
+import "smartsock/internal/reqlang"
+type Op int // a core type of that name is not the index's
+func apply(c reqlang.Constraint, v float64) bool { return c.Op == reqlang.CmpOp(0) && v > c.Value }
+`,
+			want: nil,
+		},
+		// ---- thesispreset ------------------------------------------------
+		{
+			name:     "thesispreset/wizardd's preset sets a serving knob",
+			analyzer: "thesispreset",
+			pkgPath:  "smartsock/cmd/wizardd",
+			src: `package main
+var (
+	compat    = new(bool)
+	maxQueue  = new(int)
+	rateLimit = new(float64)
+	shards    = new(int)
+)
+func run() {
+	if *compat {
+		// Pass-through admission.
+		*maxQueue, *rateLimit = 0, 0
+		*shards = 1
+		*maxQueue, *shards = 0, 1
+	}
+}
+func main() { run() }
+`,
+			want: []int{12, 13},
+		},
+		{
+			name:     "thesispreset/sysmond has no preset block",
+			analyzer: "thesispreset",
+			pkgPath:  "smartsock/cmd/sysmond",
+			src: `package main
+var (
+	compat = new(bool)
+	missed = new(int)
+)
+func main() {
+	if *compat {
+		*missed = 3
+	}
+}
+`,
+			want: []int{8},
+		},
+		{
+			name:     "thesispreset/wire and admission only",
+			analyzer: "thesispreset",
+			pkgPath:  "smartsock/cmd/wizardd",
+			src: `package main
+var (
+	compat    = new(bool)
+	maxQueue  = new(int)
+	rateLimit = new(float64)
+	shards    = new(int)
+)
+func main() {
+	if *compat {
+		*maxQueue, *rateLimit = 0, 0 // not *shards = 1
+	}
+	if *shards > 1 {
+		*shards = 1
+	}
+}
+`,
+			want: nil,
+		},
+		// ---- runloop -----------------------------------------------------
+		{
+			name:     "runloop/a ticker beside loop.Every",
+			analyzer: "runloop",
+			pkgPath:  "smartsock/internal/probe",
+			src: `package probe
+import "time"
+func run(report func()) {
+	t := time.NewTicker(time.Second)
+	for range t.C { report() }
+}
+`,
+			want: []int{4},
+		},
+		{
+			name:     "runloop/a timer as a value, and one in a closure",
+			analyzer: "runloop",
+			pkgPath:  "smartsock/internal/monitor",
+			src: `package monitor
+import "time"
+var newTimer = time.NewTimer
+func expire(d time.Duration, f func()) {
+	go func() { t := time.NewTimer(d); <-t.C; f() }()
+}
+`,
+			want: []int{3, 5},
+		},
+		{
+			name:     "runloop/loop.Every's own timer, and a comment naming one",
+			analyzer: "runloop",
+			pkgPath:  "smartsock/internal/loop",
+			src: `package loop
+import "time"
+func Every(d time.Duration) { t := time.NewTimer(d); <-t.C }
+`,
+			want: nil,
+		},
+		{
+			name:     "runloop/a wait outside the periodic components",
+			analyzer: "runloop",
+			pkgPath:  "smartsock/internal/probe",
+			src: `package probe
+import "time"
+func pace(d time.Duration) <-chan time.Time {
+	return nil // not time.NewTimer(d).C: the round waits in loop.Every
+}
+`,
+			want: nil,
+		},
+		// ---- componentend ------------------------------------------------
+		{
+			name:     "componentend/components started with their end dropped",
+			analyzer: "componentend",
+			pkgPath:  "smartsock/internal/testbed",
+			src: `package testbed
+import ("context"; "net")
+type Monitor struct{}
+func (m *Monitor) Run(ctx context.Context) error { return nil }
+type Transmitter struct{}
+func (t *Transmitter) ServePassive(ctx context.Context, ln net.Listener) error { return nil }
+func start(ctx context.Context, mon *Monitor, tx *Transmitter, ln net.Listener) {
+	go mon.Run(ctx)
+	_ = tx.ServePassive(ctx, ln)
+	run := mon.Run
+	go run(ctx)
+	go func() { mon.Run(ctx) }()
+	defer mon.Run(ctx)
+}
+`,
+			want: []int{8, 9, 10, 12, 13},
+		},
+		{
+			name:     "componentend/group members and a waited-for Run",
+			analyzer: "componentend",
+			pkgPath:  "smartsock/cmd/sysmond",
+			src: `package main
+import ("context"; "net"; "smartsock/internal/loop")
+type Monitor struct{}
+func (m *Monitor) Run(ctx context.Context) error { return nil }
+type Transmitter struct{}
+func (t *Transmitter) ServePassive(ctx context.Context, ln net.Listener) error { return nil }
+func run(ctx context.Context, mon *Monitor, tx *Transmitter, ln net.Listener) error {
+	g, ctx := loop.NewGroup(ctx)
+	g.Go("system monitor", mon.Run)
+	g.Go("transmitter", func(ctx context.Context) error { return tx.ServePassive(ctx, ln) })
+	if err := mon.Run(ctx); err != nil { return err } // go mon.Run(ctx) would drop it
+	return g.Wait()
+}
+func main() {}
+`,
+			want: nil,
+		},
 	}
 
 	for _, tc := range cases {
@@ -488,6 +949,19 @@ func C(c net.Conn) {
 	if want := []int{12}; !equalInts(got, want) {
 		t.Errorf("errdrop findings on lines %v, want %v\nfull findings: %v", got, want, findings)
 	}
+
+	// Rows of the rule table are suppressed by their names too.
+	rows := checkFixture(t, "smartsock/internal/pacer", "fixture.go", `package pacer
+import "time"
+func Wait() {
+	//lint:ignore sleepfree the fixture sleeps on purpose
+	time.Sleep(time.Second)
+	panic("unreachable") //lint:ignore nopanic the fixture panics on purpose
+}
+`)
+	if findings := lint.Run([]*lint.Package{rows}, lint.Analyzers()); len(findings) != 0 {
+		t.Errorf("suppressed rule findings reported: %v", findings)
+	}
 }
 
 func TestMalformedDirectives(t *testing.T) {
@@ -509,7 +983,9 @@ func b() {}
 // updating README.md's correctness-tooling section too.
 func TestSuiteNames(t *testing.T) {
 	want := []string{
-		"mutexheld", "deadline", "sleepfree", "nopanic", "errdrop", "lockorder",
+		"mutexheld", "deadline", "errdrop", "sleepfree", "nopanic",
+		"ctorpair", "oneeval", "wizardnomutex", "hostlists", "treemerge", "optable",
+		"cmptype", "thesispreset", "runloop", "componentend", "lockorder",
 	}
 	as := lint.Analyzers()
 	if len(as) != len(want) {

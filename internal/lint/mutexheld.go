@@ -15,9 +15,11 @@ import (
 // services. The analysis is per-function and textual: a region is
 // held from a `mu.Lock()`/`mu.RLock()` call to the matching
 // `mu.Unlock()`/`mu.RUnlock()` later in the same function; a deferred
-// unlock keeps the region held to the end. Function literals are
-// separate units (a goroutine spawned under a lock does not inherit
-// it).
+// unlock keeps the region held to the end, and an unlock in a block
+// that ends in return releases the lock inside that block only: the
+// code after the block runs on the path that still holds it. Function
+// literals are separate units (a goroutine spawned under a lock does
+// not inherit it).
 var MutexHeld = &Analyzer{
 	Name: "mutexheld",
 	Doc:  "no blocking network call while a sync mutex is held",
@@ -96,10 +98,22 @@ func runMutexHeld(pass *Pass) {
 func checkMutexUnit(pass *Pass, body *ast.BlockStmt) {
 	var events []mutexEvent
 	deferred := map[*ast.CallExpr]bool{}
+	returns := map[*ast.CallExpr]token.Pos{} // a call statement of a block ending in return: the block's end
 	InspectShallow(body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.DeferStmt:
 			deferred[node.Call] = true
+		case *ast.BlockStmt:
+			if k := len(node.List); k > 0 {
+				if _, ok := node.List[k-1].(*ast.ReturnStmt); ok {
+					for _, st := range node.List {
+						if es, ok := st.(*ast.ExprStmt); ok {
+							call, _ := ast.Unparen(es.X).(*ast.CallExpr)
+							returns[call] = node.End()
+						}
+					}
+				}
+			}
 		case *ast.CallExpr:
 			if key, lock, ok := isSyncLockCall(pass.Pkg.Info, node); ok {
 				if deferred[node] {
@@ -112,6 +126,9 @@ func checkMutexUnit(pass *Pass, body *ast.BlockStmt) {
 					kind = 0
 				}
 				events = append(events, mutexEvent{pos: node.Pos(), kind: kind, key: key})
+				if end, ok := returns[node]; ok && !lock {
+					events = append(events, mutexEvent{pos: end, kind: 0, key: key})
+				}
 				return true
 			}
 			if label, ok := isNetBlockingCall(pass.Pkg.Info, node); ok {

@@ -236,12 +236,15 @@ SIZE_SCHEMA = {
 # every shard; one supervisor (loop.Group) lowered total, monitor, wizard
 # and bwest, moved loop up by the Group's 53 lines (the monitor, the
 # wizard, both daemons and the testbed lost 73), and added testbed at
-# its new size.
+# its new size; one checker for the architecture rules moved lint and
+# total up by 265 lines, the typed rule table that replaces the 283
+# lines of awk and grep guards scripts/check.sh lost (shell is not
+# counted here; every other ceiling holds).
 # A PR that grows one of these past its ceiling deletes elsewhere in the
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 19533,
+    "total": 19798,
     ".": 712,
     "internal/core": 1155,
     "internal/index": 611,
@@ -252,7 +255,7 @@ SIZE_CEILINGS = {
     "internal/probe": 217,
     "internal/reqlang": 1939,
     "internal/wizard": 632,
-    "internal/lint": 995,
+    "internal/lint": 1260,
     "internal/lint/flow": 439,
     "internal/overload": 493,
     "internal/netmon": 158,
