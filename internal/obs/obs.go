@@ -151,8 +151,11 @@ var BatchBuckets = []int64{1, 2, 4, 8, 16, 32, 64}
 // nanoseconds for the overload plane: dense around the CoDel target
 // region (1–50ms) so the p99 the bench gates bound falls in a
 // measured bucket, with a tail out to a second for the unprotected
-// collapse curve.
+// collapse curve. The bounds under 100µs resolve the sojourn of a
+// queue that is not overloaded, a few µs, whose median would
+// otherwise read as the lowest bound.
 var QueueDelayBuckets = []int64{
+	2_500, 5_000, 10_000, 25_000, 50_000,
 	100_000, 500_000, 1_000_000, 2_500_000, 5_000_000,
 	10_000_000, 20_000_000, 50_000_000, 100_000_000,
 	250_000_000, 1_000_000_000,

@@ -289,3 +289,15 @@ func TestQueueDelayBucketsSorted(t *testing.T) {
 		}
 	}
 }
+
+// A queue that is not overloaded holds a request for a few µs; its
+// median must read as such, not as the 100µs the CoDel region starts at.
+func TestQueueDelayBucketsResolveMicroseconds(t *testing.T) {
+	h := NewHistogram(QueueDelayBuckets)
+	for i := 0; i < 100; i++ {
+		h.Observe(3_000)
+	}
+	if got := h.Snapshot().Quantile(0.5); got > 5_000 {
+		t.Fatalf("p50 of 3µs sojourns = %dns, want at most 5µs", got)
+	}
+}

@@ -1,18 +1,23 @@
 package status
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
-// BenchmarkReportCodec encodes and decodes probe reports of three value
+// BenchmarkReportCodec encodes and decodes probe reports of four value
 // shapes:
-//   - "4dp": every float rounded to four decimals, as the repo
-//     benchmark's fleets report them;
+//   - "4dp": every float rounded to four decimals below 5 000;
+//   - "fleet": the repo benchmark's fleets (benchmark/fleet.go's jitter
+//     and bigFleet): loads, CPU fractions, disk and packet rates to four
+//     decimals, byte rates of 700 per packet (past 1e6, so printed with
+//     an exponent, in most reports) and 128 MB–1 GB of memory;
 //   - "proc": every float a rate, a counter delta over a measured scan
 //     interval (sysinfo's fillRates), so 16 or 17 significant digits:
 //     the fallback row;
@@ -24,6 +29,10 @@ import (
 // Every report has its own host name and the same interface. ns/float is
 // a report's time over its 17 float fields; short/float is the share of
 // those fields that are short decimals, the ones the exact paths take.
+// strconv-ns/float times the same reports' numbers through strconv
+// alone (strconvEncode, strconvDecode), a pass over the reports at a
+// time right after the codec's, the baseline scripts/bench.sh holds the
+// codec's rows to.
 func BenchmarkReportCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	all := func(val func() float64) func(*ServerStatus) {
@@ -39,6 +48,26 @@ func BenchmarkReportCodec(b *testing.B) {
 		fill func(*ServerStatus)
 	}{
 		{"4dp", all(func() float64 { return math.Round(rng.Float64()*5000*1e4) / 1e4 })},
+		{"fleet", func(s *ServerStatus) {
+			// benchmark/fleet.go's constants: normalLoadMax 4.5, the
+			// bogomipsClasses of Table 5.1, disk requests under 200 and
+			// 100 a second of 8 blocks each, packets under 5 000 a second
+			// of 700 bytes each.
+			round4 := func(v float64) float64 { return math.Round(v*1e4) / 1e4 }
+			s.Load1, s.Load5, s.Load15 = round4(rng.Float64()*4.5), round4(rng.Float64()*4.5), round4(rng.Float64()*4.5)
+			s.CPUIdle = round4(rng.Float64())
+			busy := 1 - s.CPUIdle
+			s.CPUUser, s.CPUSystem, s.CPUNice = round4(busy*0.7), round4(busy*0.25), round4(busy*0.05)
+			s.Bogomips = []float64{1730.15, 3185.04, 3394.76, 3591.37, 4771.02}[rng.Intn(5)]
+			s.MemTotal = uint64(128<<rng.Intn(4)) << 20
+			s.MemFree = uint64(float64(s.MemTotal) * (0.3 + 0.6*rng.Float64()))
+			s.MemUsed = s.MemTotal - s.MemFree
+			s.DiskRReq, s.DiskWReq = round4(rng.Float64()*200), round4(rng.Float64()*100)
+			s.DiskAllReq = round4(s.DiskRReq + s.DiskWReq)
+			s.DiskRBlocks, s.DiskWBlocks = round4(s.DiskRReq*8), round4(s.DiskWReq*8)
+			s.NetRPacketsPS, s.NetTPacketsPS = round4(rng.Float64()*5000), round4(rng.Float64()*5000)
+			s.NetRBytesPS, s.NetTBytesPS = round4(s.NetRPacketsPS*700), round4(s.NetTPacketsPS*700)
+		}},
 		{"proc", all(func() float64 { return float64(rng.Int63n(1<<24)) / 5.000123 })},
 		{"procsrc", func(s *ServerStatus) {
 			dt := 5 + float64(rng.Intn(5000))*1e-6 // the measured interval
@@ -71,25 +100,97 @@ func BenchmarkReportCodec(b *testing.B) {
 			encs[i] = EncodeReport(&recs[i])
 		}
 		shortShare := float64(short) / float64(len(recs)*nFloats)
+		// run times ours on b.N reports by the benchmark's timer, and
+		// strconv on each pass over the reports right after ours with the
+		// timer stopped, so both see the host at the same speed.
+		run := func(b *testing.B, ours, theirs func(i int)) {
+			var base time.Duration
+			for i := 0; i < b.N; i++ {
+				ours(i % len(recs))
+				if i%len(recs) == len(recs)-1 || i == b.N-1 {
+					b.StopTimer()
+					t0 := time.Now()
+					for j := i - i%len(recs); j <= i; j++ {
+						theirs(j % len(recs))
+					}
+					base += time.Since(t0)
+					b.StartTimer()
+				}
+			}
+			floats := float64(b.N * nFloats)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/floats, "ns/float")
+			b.ReportMetric(float64(base.Nanoseconds())/floats, "strconv-ns/float")
+			b.ReportMetric(shortShare, "short/float")
+		}
 		b.Run("encode/"+shape.name, func(b *testing.B) {
 			buf := make([]byte, 0, 512)
-			for i := 0; i < b.N; i++ {
-				buf = AppendReport(buf[:0], &recs[i%len(recs)])
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nFloats), "ns/float")
-			b.ReportMetric(shortShare, "short/float")
+			run(b, func(i int) { buf = AppendReport(buf[:0], &recs[i]) },
+				func(i int) { buf = strconvEncode(buf[:0], &recs[i]) })
 		})
 		b.Run("decode/"+shape.name, func(b *testing.B) {
 			var s ServerStatus
-			for i := 0; i < b.N; i++ {
-				if err := DecodeReportInto(&s, encs[i%len(encs)], nil); err != nil {
-					b.Fatal(err)
+			decode := func(dec func(*ServerStatus, []byte) error) func(int) {
+				return func(i int) {
+					if err := dec(&s, encs[i]); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nFloats), "ns/float")
-			b.ReportMetric(shortShare, "short/float")
+			run(b, decode(func(s *ServerStatus, enc []byte) error { return DecodeReportInto(s, enc, nil) }),
+				decode(strconvDecode))
 		})
 	}
+}
+
+// strconvEncode writes a report's fields in wire order through
+// strconv.AppendFloat and AppendUint, its names unescaped.
+func strconvEncode(dst []byte, s *ServerStatus) []byte {
+	floats, mems := s.Fields()
+	dst = append(append(append(dst, reportVersion...), '|'), s.Host...)
+	for i, f := range floats {
+		switch i {
+		case 8:
+			for _, u := range mems {
+				dst = strconv.AppendUint(append(dst, '|'), *u, 10)
+			}
+		case 13:
+			dst = append(append(dst, '|'), s.NetIface...)
+		}
+		dst = strconv.AppendFloat(append(dst, '|'), *f, 'g', -1, 64)
+	}
+	return dst
+}
+
+// strconvDecode reads a report's numbers through bytes.IndexByte and
+// strconv.ParseFloat and ParseUint, its names skipped.
+func strconvDecode(dst *ServerStatus, data []byte) error {
+	floats, mems := dst.Fields()
+	next := func() []byte {
+		v := data
+		if j := bytes.IndexByte(data, '|'); j >= 0 {
+			v, data = data[:j], data[j+1:]
+		}
+		return v
+	}
+	next() // version
+	next() // host
+	var err error
+	for i, f := range floats {
+		switch i {
+		case 8:
+			for _, u := range mems {
+				if *u, err = strconv.ParseUint(string(next()), 10, 64); err != nil {
+					return err
+				}
+			}
+		case 13:
+			next() // interface
+		}
+		if *f, err = strconv.ParseFloat(string(next()), 64); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // shortDecimal reports whether strconv writes v as +0 or as a decimal

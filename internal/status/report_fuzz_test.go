@@ -90,6 +90,20 @@ func FuzzDecodeReport(f *testing.F) {
 	f.Add([]byte("SSR1|h|x" + strings.Repeat("|0", reportFieldCount-2)))
 	f.Add([]byte("SSR1|h" + strings.Repeat("|0", 8) + "|-1" + strings.Repeat("|0", reportFieldCount-10)))
 	f.Add(bytes.Repeat([]byte{'|'}, reportFieldCount))
+	// The word-at-a-time scanner's edges: an exponent in the last two
+	// fields, a last field of 1, 8 and 9 bytes, runs of 8, 15 and 16
+	// digits, a byte past '9' that carries across lanes, short shapes.
+	rate := *sampleStatus()
+	rate.NetTBytesPS, rate.NetTPacketsPS = 3.4998765e+06, 1e6
+	f.Add(EncodeReport(&rate))
+	rate.NetTBytesPS, rate.NetTPacketsPS = 1e6, 3.4998765e+06
+	f.Add(EncodeReport(&rate))
+	for _, last := range []string{"7", "1234.567", "12345.678"} {
+		f.Add(reportOf(map[int]string{21: last}))
+	}
+	f.Add(reportOf(map[int]string{1: "12345678", 2: "123456789012345", 3: "1234567890123456", 8: "1234567812345678", 21: "1234567890123456"}))
+	f.Add(reportOf(map[int]string{1: "12\xfa", 2: "12345678\xff", 8: "9\xfe", 21: "1234567\xfb"}))
+	f.Add(reportOf(map[int]string{1: "-", 2: "5.", 3: ".5", 4: "-0", 5: "1e+06", 20: "-0", 21: "1e+06"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := splitReport(data)
 		got, err := DecodeReport(data)
@@ -113,10 +127,24 @@ func FuzzDecodeReport(f *testing.F) {
 	})
 }
 
-// FuzzReportFloat holds the report's two number helpers to strconv:
-// for any float64, appendReportFloat writes the bytes AppendFloat's
-// shortest 'g' form does; for any field, shortFloat declines or returns
-// the bits ParseFloat does.
+// reportOf is a datagram of the report's fields, "0" but where set
+// says otherwise (field 0 is the host).
+func reportOf(set map[int]string) []byte {
+	b := []byte(reportVersion)
+	for i := 0; i < reportFieldCount; i++ {
+		v, ok := set[i]
+		if !ok {
+			v = "0"
+		}
+		b = append(append(b, '|'), v...)
+	}
+	return b
+}
+
+// FuzzReportFloat holds the report's two float paths to strconv: for
+// any float64, appendReportFloat writes the bytes AppendFloat's
+// shortest 'g' form does; for any field, scanFloat declines or returns
+// the bits ParseFloat does for the bytes up to the first '|' or the end.
 func FuzzReportFloat(f *testing.F) {
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, math.MaxFloat64,
 		1<<52 - 1, 1 << 52, 1<<53 + 1, 0.7343, 3.4998765e+06, 4771.02}
@@ -128,7 +156,9 @@ func FuzzReportFloat(f *testing.F) {
 		f.Add(math.Float64bits(-v), strconv.FormatFloat(-v, 'e', 16, 64))
 	}
 	for _, s := range []string{"1e", "+1", ".5", "5.", "-.5", "1_0", "0x1p-2", "inf", "1e-400",
-		"4503599627370495", "4503599627370496", "9007199254740993", "1e22", "1e23", "9e37", "-0.0e-22", ""} {
+		"4503599627370495", "4503599627370496", "9007199254740993", "1e22", "1e23", "9e37", "-0.0e-22", "",
+		"-", "-0", "1e+06", "3.4998765e+06", "3.4998765e+06|1", "12345678", "123456789012345", "1234567890123456",
+		"12345678.12345678", "12345678901234567", "12\xfa", "12345678\xff", "0.000123|", "1e+0000000000000006"} {
 		f.Add(uint64(0), s)
 	}
 	f.Fuzz(func(t *testing.T, bits uint64, field string) {
@@ -136,13 +166,16 @@ func FuzzReportFloat(f *testing.F) {
 		if got, want := appendReportFloat([]byte("x"), v), strconv.AppendFloat([]byte("x"), v, 'g', -1, 64); !bytes.Equal(got, want) {
 			t.Fatalf("appendReportFloat(%#x) = %q, strconv writes %q", bits, got, want)
 		}
-		got, ok := shortFloat([]byte(field))
+		got, end, ok := scanFloat([]byte(field), 0)
 		if !ok {
 			return
 		}
-		want, err := strconv.ParseFloat(field, 64)
+		if j := strings.IndexByte(field, '|'); end != j && (j >= 0 || end != len(field)) {
+			t.Fatalf("scanFloat(%q) ends at %d, the field at %d", field, end, j)
+		}
+		want, err := strconv.ParseFloat(field[:end], 64)
 		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("shortFloat(%q) = %v (%#x), ParseFloat says %v (%#x), %v",
+			t.Fatalf("scanFloat(%q) = %v (%#x), ParseFloat says %v (%#x), %v",
 				field, got, math.Float64bits(got), want, math.Float64bits(want), err)
 		}
 	})

@@ -10,8 +10,11 @@ package status
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -248,7 +251,7 @@ func AppendReport(dst []byte, s *ServerStatus) []byte {
 		dst = appendReportFloat(append(dst, '|'), v)
 	}
 	for _, v := range [...]uint64{s.MemTotal, s.MemUsed, s.MemFree} {
-		dst = strconv.AppendUint(append(dst, '|'), v, 10)
+		dst = appendReportUint(append(dst, '|'), v)
 	}
 	for _, v := range [...]float64{s.DiskAllReq, s.DiskRReq, s.DiskRBlocks, s.DiskWReq, s.DiskWBlocks} {
 		dst = appendReportFloat(append(dst, '|'), v)
@@ -264,6 +267,12 @@ func AppendReport(dst []byte, s *ServerStatus) []byte {
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
+// pow10u holds 1 … 1e8, the scale of a digit run of 0 to 8 digits.
+var pow10u = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// ascii turns eight digit values, one a byte, into their characters.
+const ascii = 0x3030303030303030
+
 // appendReportFloat appends what strconv.AppendFloat(dst, v, 'g', -1,
 // 64) does, without its shortest-digit search for a short decimal: a
 // loadavg or bogomips figure, a zero rate, not a rate over a measured dt.
@@ -276,8 +285,11 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 // rounds to v: m·10^-k, trailing zeros stripped, is strconv's shortest
 // output, laid out by its 'g' rule. The rest is strconv's: −0, NaN,
 // ±Inf, subnormals, |v| ≥ 1e15, more than 15 significant digits.
+//
+// The digits are laid out eight to a word (spread8) and stored a word
+// at a time; the trailing zeros are the word's high zero bytes.
 func appendReportFloat(dst []byte, v float64) []byte {
-	if v == 0 && !math.Signbit(v) {
+	if math.Float64bits(v) == 0 { // +0, not −0
 		return append(dst, '0')
 	}
 	a := math.Abs(v)
@@ -290,55 +302,98 @@ func appendReportFloat(dst []byte, v float64) []byte {
 	if x >= 1e15 {
 		k, x = k-1, a*pow10[k-1]
 	}
-	m := uint64(x + 0.5) // x < 1e15, so the sum is exact
+	m := int64(x + 0.5) // x < 1e15, so the sum is exact
 	if float64(m)/pow10[k] != a {
 		return strconv.AppendFloat(dst, v, 'g', -1, 64)
 	}
 	exp := 14 - k  // the power of ten of m's leading digit…
 	if m == 1e15 { // …unless x rounded up to 10^15
-		exp++
+		m, exp = 1e14, exp+1
 	}
-	for m%1e4 == 0 {
-		m, k = m/1e4, k-4
+	// m·10 is 16 digits d0…d15 with d0 ≠ 0, and |v| = d0.d1…d15·10^exp;
+	// n of them are significant.
+	hi, lo, n := spread8(uint32(m/1e7)), uint64(0), 0
+	if r := m % 1e7; r != 0 {
+		lo = spread8(uint32(r * 10))
+		n = 16 - bits.LeadingZeros64(lo)>>3
+	} else { // at most eight significant digits, as most reports' figures
+		n = 8 - bits.LeadingZeros64(hi)>>3
 	}
-	for m%10 == 0 {
-		m, k = m/10, k-1
+	hi, lo = hi|ascii, lo|ascii
+	dst = slices.Grow(dst, 32)
+	i := len(dst)
+	b := dst[i : i+32]
+	j := 0
+	if v < 0 {
+		b[0], j = '-', 1
 	}
-	// m·10^-k right to left: frac digits after the point, none if frac ≤ 0.
-	var buf [24]byte
-	i, frac := len(buf), k
-	if exp < -4 || exp >= 6 { // strconv's 'g' turns to d.ddde±XX here
-		frac += exp
+	if exp < 0 && exp >= -4 { // 0.000ddd
+		binary.LittleEndian.PutUint64(b[j:], 0x3030303030302e30) // "0.000000"
+		j += 1 - exp
+		putDigits(b[j:], hi, lo, 0)
+		return dst[:i+j+n]
+	}
+	sci := exp < -4 || exp >= 6 // strconv's 'g' turns to d.ddde±XX here
+	point := 1                  // the digits before the point
+	if !sci {
+		point = exp + 1
+	}
+	binary.LittleEndian.PutUint64(b[j:], hi)
+	b[j+point] = '.'
+	putDigits(b[j+point+1:], hi, lo, point)
+	if j += point; n > point {
+		j += n - point + 1
+	}
+	if sci {
 		sign := byte('+')
 		if exp < 0 {
 			sign, exp = '-', -exp
 		}
-		i -= 4
-		buf[i], buf[i+1], buf[i+2], buf[i+3] = 'e', sign, byte('0'+exp/10), byte('0'+exp%10)
+		b[j], b[j+1], b[j+2], b[j+3] = 'e', sign, byte('0'+exp/10), byte('0'+exp%10)
+		j += 4
 	}
-	for j := frac; j > 0; j-- {
-		i--
-		buf[i], m = byte('0'+m%10), m/10
+	return dst[:i+j]
+}
+
+// appendReportUint appends u in decimal, as strconv.AppendUint does.
+func appendReportUint(dst []byte, u uint64) []byte {
+	if u >= 1e16 {
+		return strconv.AppendUint(dst, u, 10)
 	}
-	if frac > 0 {
-		i--
-		buf[i] = '.'
+	hi, lo := spread8(uint32(u/1e8)), spread8(uint32(u%1e8))
+	lead := bits.TrailingZeros64(hi) >> 3 // zero digits before the first
+	if hi == 0 {
+		lead = min(8+bits.TrailingZeros64(lo)>>3, 15)
 	}
-	for j := frac; j < 0; j++ { // an integer's trailing zeros, at most five
-		i--
-		buf[i] = '0'
+	dst = slices.Grow(dst, 16)
+	i := len(dst)
+	putDigits(dst[i:i+16], hi|ascii, lo|ascii, lead)
+	return dst[:i+16-lead]
+}
+
+// spread8 lays u < 10^8 out as its eight decimal digit values, the
+// leading one in the low byte, so a little-endian store writes them in
+// reading order: 4+4 digits in two 32-bit lanes, then 2+2 in four
+// 16-bit lanes, then one a byte. Each step splits every lane v into
+// q = ⌊v/d⌋ and v − q·d one lane up, as v·2^w − q·(d·2^w − 1), with q
+// from a multiply by a reciprocal exact over the lane's range
+// (⌊v·10486/2^20⌋ = ⌊v/100⌋ for v < 10^4, ⌊v·103/2^10⌋ = ⌊v/10⌋ for
+// v < 100).
+func spread8(u uint32) uint64 {
+	x := uint64(u)<<32 - uint64(u/1e4)*(1e4<<32-1)
+	x = x<<16 - (x*10486>>20&0x0000007f0000007f)*(100<<16-1)
+	return x<<8 - (x*103>>10&0x000f000f000f000f)*(10<<8-1)
+}
+
+// putDigits stores the sixteen digit characters hi‖lo, the first skip
+// of them dropped, at b[0:16].
+func putDigits(b []byte, hi, lo uint64, skip int) {
+	if skip >= 8 {
+		hi, lo, skip = lo, 0, skip-8
 	}
-	for ; m >= 10; m /= 10 {
-		i--
-		buf[i] = byte('0' + m%10)
-	}
-	i--
-	buf[i] = byte('0' + m)
-	if v < 0 {
-		i--
-		buf[i] = '-'
-	}
-	return append(dst, buf[i:]...)
+	s := uint(skip*8) & 63
+	binary.LittleEndian.PutUint64(b, hi>>s|lo<<(63-s)<<1) // lo<<(64−s), 0 for s = 0
+	binary.LittleEndian.PutUint64(b[8:], lo>>s)
 }
 
 // DecodeReport parses an ASCII probe report produced by EncodeReport
@@ -359,7 +414,7 @@ func DecodeReportInto(dst *ServerStatus, data []byte, names Names) error {
 	if n := bytes.Count(data, []byte{'|'}); n != reportFieldCount {
 		return fmt.Errorf("status: report has %d fields, want %d", n, reportFieldCount)
 	}
-	sc := reportScanner{rest: data}
+	sc := reportScanner{b: data}
 	if v := sc.next(); string(v) != reportVersion {
 		return fmt.Errorf("status: unknown report version %q", v)
 	}
@@ -383,18 +438,20 @@ func DecodeReportInto(dst *ServerStatus, data []byte, names Names) error {
 // reportScanner walks the '|' fields of one report. The first number
 // that does not parse sticks in err and the fields after it are skipped.
 type reportScanner struct {
-	rest []byte
-	n    int // fields returned so far
-	err  error
+	b   []byte
+	i   int // where the next field starts
+	n   int // fields read so far
+	err error
 }
 
 // next returns the next field; the caller has counted the separators.
 func (sc *reportScanner) next() []byte {
 	sc.n++
-	v := sc.rest
+	v := sc.b[sc.i:]
 	if j := bytes.IndexByte(v, '|'); j >= 0 {
-		v, sc.rest = v[:j], v[j+1:]
+		v = v[:j]
 	}
+	sc.i += len(v) + 1
 	return v
 }
 
@@ -402,11 +459,12 @@ func (sc *reportScanner) float(dst *float64) {
 	if sc.err != nil {
 		return
 	}
-	v := sc.next()
-	var ok bool
-	if *dst, ok = shortFloat(v); ok {
+	if f, end, ok := scanFloat(sc.b, sc.i); ok {
+		*dst, sc.i = f, end+1
+		sc.n++
 		return
 	}
+	v := sc.next()
 	// A number's string never leaves ParseFloat, so a short one is
 	// converted on the stack.
 	var err error
@@ -415,68 +473,13 @@ func (sc *reportScanner) float(dst *float64) {
 	}
 }
 
-// shortFloat converts a field of at most 16 bytes shaped
-// [-]digits[.digits][(e|E)[±]digits] whose digits form an m < 2^52 and
-// whose value m·10^e is in strconv's exact window (|e| ≤ 22, or e ≤ 37
-// with m·10^(e−22) ≤ 1e15): one correctly rounded multiply or divide of
-// exact operands, so ParseFloat's bits. It declines the rest, errors
-// included; the length bound keeps 17-digit /proc rates off the scan.
-func shortFloat(b []byte) (float64, bool) {
-	if len(b) > 16 {
-		return 0, false
-	}
-	sign := 1.0
-	if len(b) > 0 && b[0] == '-' {
-		sign, b = -1, b[1:]
-	}
-	m, n, b := digitRun(0, b)
-	exp := 0
-	if len(b) > 0 && b[0] == '.' {
-		m, exp, b = digitRun(m, b[1:])
-		n, exp = n+exp, -exp
-	}
-	if n == 0 || m >= 1<<52 {
-		return 0, false
-	}
-	if len(b) > 0 && (b[0] == 'e' || b[0] == 'E') {
-		b = b[1:]
-		eneg := len(b) > 0 && b[0] == '-'
-		if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
-			b = b[1:]
-		}
-		e, ne, rest := digitRun(0, b)
-		if ne == 0 || e > 99 { // past 99, m·10^e is out of the window
-			return 0, false
-		}
-		if b = rest; eneg {
-			exp -= int(e)
-		} else {
-			exp += int(e)
-		}
-	}
-	f := sign * float64(m) // exact, −0 included
-	switch {
-	case len(b) != 0 || exp < -22 || exp > 37:
-		return 0, false
-	case exp < 0:
-		return f / pow10[-exp], true
-	case exp > 22:
-		f, exp = f*pow10[exp-22], 22
-	}
-	return f * pow10[exp], exp == 0 || f <= 1e15 && f >= -1e15
-}
-
-// digitRun appends b's leading decimal digits to m: m, their count, the rest.
-func digitRun(m uint64, b []byte) (uint64, int, []byte) {
-	i := 0
-	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		m = m*10 + uint64(b[i]-'0')
-	}
-	return m, i, b[i:]
-}
-
 func (sc *reportScanner) uint(dst *uint64) {
 	if sc.err != nil {
+		return
+	}
+	if u, n, end, c := digitRun(sc.b, sc.i, 0, 0); n > 0 && c == '|' {
+		*dst, sc.i = u, end+1
+		sc.n++
 		return
 	}
 	v := sc.next()
@@ -484,6 +487,108 @@ func (sc *reportScanner) uint(dst *uint64) {
 	if *dst, err = strconv.ParseUint(string(v), 10, 64); err != nil {
 		sc.err = fmt.Errorf("status: bad uint field %d %q: %v", sc.n-1, v, err)
 	}
+}
+
+// scanFloat converts the field at b[i:], up to the next '|' or the end
+// of b, if it is shaped [-]digits[.digits][(e|E)[±]digits] with digits
+// that form an m < 2^52 and a value m·10^e in strconv's exact window
+// (|e| ≤ 22, or e ≤ 37 with m·10^(e−22) ≤ 1e15): one correctly rounded
+// multiply or divide of exact operands, so ParseFloat's bits. It returns
+// the value and where the field ends, and declines the rest, errors
+// included.
+func scanFloat(b []byte, i int) (float64, int, bool) {
+	sign := 1.0
+	if i < len(b) && b[i] == '-' {
+		sign, i = -1, i+1
+	}
+	// The integer and the fraction each start with one word in place; a
+	// run of eight goes on through digitRun.
+	n, m, c := eightDigits(load8(b, i))
+	if i += n; n == 8 {
+		m, n, i, c = digitRun(b, i, m, n)
+	}
+	exp := 0
+	if c == '.' {
+		k, v, next := eightDigits(load8(b, i+1))
+		m, n, i, c, exp = m*pow10u[k]+v, n+k, i+1+k, next, -k
+		if k == 8 {
+			var all int
+			m, all, i, c = digitRun(b, i, m, n)
+			n, exp = all, exp-(all-n)
+		}
+	}
+	if n == 0 || n > 16 || m >= 1<<52 {
+		return 0, 0, false
+	}
+	if c == 'e' || c == 'E' {
+		w := load8(b, i+1) // the sign, if any, and the digits
+		eneg := byte(w) == '-'
+		if i++; eneg || byte(w) == '+' {
+			w, i = w>>8, i+1
+		}
+		k, e, next := eightDigits(w)
+		if k == 0 || k == 8 || e > 99 { // past 99, m·10^e is out of the window
+			return 0, 0, false
+		}
+		if i, c = i+k, next; eneg {
+			exp -= int(e)
+		} else {
+			exp += int(e)
+		}
+	}
+	f := sign * float64(int64(m)) // exact, −0 included
+	switch {
+	case c != '|' || exp < -22 || exp > 37:
+		return 0, 0, false
+	case exp < 0:
+		return f / pow10[-exp], i, true
+	case exp > 22:
+		f, exp = f*pow10[exp-22], 22
+	}
+	return f * pow10[exp], i, exp == 0 || f <= 1e15 && f >= -1e15
+}
+
+// digitRun appends the decimal digits at b[i:] to m, which holds n of
+// them, eight bytes at a time: m, the digit count, the index after the
+// run and the byte there, '|' at the end of b. Past 16 digits it
+// returns a count of 0 and a byte of 0, which no caller accepts.
+func digitRun(b []byte, i int, m uint64, n int) (uint64, int, int, byte) {
+	for {
+		k, v, c := eightDigits(load8(b, i))
+		if n += k; n > 16 {
+			return 0, 0, i, 0
+		}
+		if m, i = m*pow10u[k]+v, i+k; k < 8 {
+			return m, n, i, c
+		}
+	}
+}
+
+// load8 reads b[i:i+8] little-endian, '|' standing in past the end.
+func load8(b []byte, i int) uint64 {
+	if i+8 <= len(b) {
+		return binary.LittleEndian.Uint64(b[i:])
+	}
+	w := [8]byte{'|', '|', '|', '|', '|', '|', '|', '|'}
+	copy(w[:], b[i:])
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// eightDigits returns the length k of the run of ASCII digits that w's
+// bytes start with, in reading order, the run's value and the byte after
+// it (of no meaning after eight digits). A byte is not a digit when it
+// is under '0' (the subtraction borrows into its high bit) or over '9'
+// (the sum carries into it); a lane's carry or borrow reaches only the
+// lanes after it, past the run's end. The run, shifted to the top with
+// zero digits before it, is summed by three multiplies: pairs, then
+// pairs of pairs at ×100, then the two halves at ×10^4.
+func eightDigits(w uint64) (int, uint64, byte) {
+	// s is 8·k; two shifts by h make one by 64 − 8·k, which may be 64.
+	s := uint(bits.TrailingZeros64(((w+0x4646464646464646)|(w-ascii))&0x8080808080808080)) &^ 7
+	h := (32 - s>>1) & 63
+	v := (w - ascii) << h << h
+	v = v*10 + v>>8
+	return int(s >> 3), ((v&0x000000ff000000ff)*(100+1000000<<32) + (v>>16&0x000000ff000000ff)*(1+10000<<32)) >> 32, byte(w >> (s & 63))
 }
 
 // appendEscaped appends s with the report's '|' separator protected

@@ -3,7 +3,8 @@
 # writes them to BENCH_*.json at the repository root: req/s for the UDP
 # storm in each serving preset and the sharded-vs-sequential ratio
 # (BENCH_wizard.json), the status-epoch wire bytes and allocations of
-# full snapshots versus deltas (BENCH_transport.json), selection and
+# full snapshots versus deltas and the probe-report codec's ns per float
+# against strconv's (BENCH_transport.json), selection and
 # snapshot-rebuild cost at 10k to 1M hosts (BENCH_select.json), and the
 # overload plane's goodput and tail sojourn under a 4x storm
 # (BENCH_overload.json). Per-component costs on the 11-host rig are
@@ -112,6 +113,46 @@ with open("BENCH_transport.json", "w") as f:
     json.dump(doc, f, indent=2, sort_keys=True)
     f.write("\n")
 print("wrote BENCH_transport.json")
+EOF
+
+echo "== go test -bench ReportCodec (benchtime=$benchtime, count=3, cpu=1) =="
+# The probe-report codec (status.AppendReport, DecodeReportInto) in ns per
+# float. Each row also times strconv alone on the same reports, a pass
+# at a time right after the codec's (strconv-ns/float), so both sides of
+# a run's ratio see one host speed; the ratio kept is the median of the
+# three runs, the rows are best-of-three like the wizard block. Adds a
+# codec section to BENCH_transport.json, the status-wire file: run it
+# after the TransportEpoch block, which rewrites that file.
+go test -run=NONE -bench='ReportCodec' \
+	-benchtime="$benchtime" -count=3 -cpu=1 ./internal/status/ | tee "$out"
+
+python3 - "$out" <<'EOF'
+import json, re, statistics, sys
+
+rows, ratios = {}, {}
+for line in open(sys.argv[1]):
+    m = re.match(r'^BenchmarkReportCodec/(\w+)/(\w+)(?:-\d+)?\s.*?([\d.]+) ns/float.*?([\d.]+) strconv-ns/float', line)
+    if not m:
+        continue
+    way, shape, ours, base = m.group(1), m.group(2), float(m.group(3)), float(m.group(4))
+    for name, ns in ((f"{way}/{shape}", ours), (f"strconv-{way}/{shape}", base)):
+        rows[name] = min(ns, rows.get(name, ns))
+    ratios.setdefault(f"{way}_{shape}", []).append(ours / base)
+
+with open("BENCH_transport.json") as f:
+    doc = json.load(f)
+doc["codec"] = {
+    "ns_per_float": rows,
+    # The codec's time over strconv's (AppendFloat/AppendUint into a
+    # reused buffer; IndexByte plus ParseFloat/ParseUint): bench_schema.py
+    # gates the short shapes (4dp, fleet) and holds the /proc shapes,
+    # strconv's fallback rows, to strconv's cost.
+    "vs_strconv": {k: round(statistics.median(v), 3) for k, v in ratios.items()},
+}
+with open("BENCH_transport.json", "w") as f:
+    json.dump(doc, f, indent=2, sort_keys=True)
+    f.write("\n")
+print("added the codec section to BENCH_transport.json")
 EOF
 
 echo "== go test -bench SelectScale, SysViewRebuild (benchtime=$benchtime, count=3) =="
