@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smartsock/internal/obs"
@@ -55,8 +54,9 @@ type Set struct {
 	sysD status.SysDelta
 	secD status.SecDelta
 	// tally is what Outrun's declines since the last catch-up would have
-	// saved (ns), asked the database version at its last call.
-	tally, asked atomic.Uint64
+	// saved (ns), asked the database version at its last call; mu guards
+	// both, like everything above.
+	tally, asked uint64
 
 	applyLatency *obs.Histogram // index_apply_delta: per-sync delta apply time
 	resyncs      *obs.Counter   // index_resyncs: full rebuilds
@@ -92,7 +92,7 @@ func (s *Set) SyncFor(snap *store.SysSnapshot, fields []string) bool {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tally.Store(0)
+	s.tally = 0
 	if s.synced {
 		start := time.Now()
 		ver, epoch, ok := s.db.ChangedSinceAt(s.ver, &s.sysD, nil, &s.secD)
@@ -177,15 +177,15 @@ const (
 // stream whose every epoch costs more to apply than to filter, nothing
 // — it never pays.
 func (s *Set) Outrun(rows int) bool {
-	s.mu.RLock()
-	base := s.ver
-	s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	ver, filter := s.db.Ver(), uint64(rows)*FilterRow
-	since := catchUp(ver-s.asked.Swap(ver), rows)
-	if s.tally.Load()+filter >= catchUp(ver-base, rows) {
+	since := catchUp(ver-s.asked, rows)
+	s.asked = ver
+	if s.tally+filter >= catchUp(ver-s.ver, rows) {
 		return false
 	}
-	s.tally.Add(filter - min(filter, since))
+	s.tally += filter - min(filter, since)
 	return true
 }
 

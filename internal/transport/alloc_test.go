@@ -42,9 +42,7 @@ func allocHarness(t *testing.T, fleetSize int, compat bool) (*store.DB, []status
 	recv.Compat = compat
 	conn := memConn{new(bytes.Buffer)}
 	var sess pushSession
-	var e epochBuf
-	var m mirrorState
-	lag := recv.lagFor("alloc-test")
+	s := source{lag: recv.lagFor("alloc-test")}
 	epoch := func() {
 		// The pin measures the steady delta path; keep the periodic full
 		// resync (every resyncEvery epochs) from ever coming due, so it
@@ -54,13 +52,11 @@ func allocHarness(t *testing.T, fleetSize int, compat bool) (*store.DB, []status
 			t.Fatal(err)
 		}
 		for conn.Len() > 0 {
-			if err := recv.readEpoch(conn, &e, m); err != nil {
+			if err := recv.readEpoch(conn, &s); err != nil {
 				t.Fatal(err)
 			}
-			if err := recv.applyEpoch(&m, m.ver, lag, &e.st); err != nil {
-				t.Fatal(err)
-			}
-			e.release()
+			recv.applyEpoch(&s)
+			s.release()
 		}
 	}
 	// Prime the stream: the first epoch is always a full snapshot, and

@@ -84,9 +84,7 @@ func BenchmarkTransportEpoch(b *testing.B) {
 			recv.Compat = tc.compat
 			conn := memConn{new(bytes.Buffer)}
 			var sess pushSession
-			var eb epochBuf
-			var m mirrorState
-			lag := recv.lagFor("bench")
+			s := source{lag: recv.lagFor("bench")}
 			var wire int64
 			epoch := func(e int) {
 				if err := tx.pushEpoch(conn, &sess); err != nil {
@@ -94,13 +92,11 @@ func BenchmarkTransportEpoch(b *testing.B) {
 				}
 				wire += int64(conn.Len())
 				for conn.Len() > 0 {
-					if err := recv.readEpoch(conn, &eb, m); err != nil {
+					if err := recv.readEpoch(conn, &s); err != nil {
 						b.Fatal(err)
 					}
-					if err := recv.applyEpoch(&m, m.ver, lag, &eb.st); err != nil {
-						b.Fatal(err)
-					}
-					eb.release()
+					recv.applyEpoch(&s)
+					s.release()
 				}
 			}
 			// Prime the stream: the first epoch is always a full

@@ -475,58 +475,13 @@ func TestDistributedPullIsIncremental(t *testing.T) {
 	}
 }
 
-func TestStalePullReplyCannotClobberFresherRecords(t *testing.T) {
-	dst := store.New()
-	reg := obs.NewRegistry()
-	recv, err := NewReceiverObs(dst, "127.0.0.1:0", nil, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst.PutSys(status.ServerStatus{Host: "x", Load1: 5})
-	recv.pullVers["tx-a"] = mirrorState{ver: 10, synced: true}
-
-	// A full reply carrying version 5 — older than the version already
-	// mirrored from this transmitter — must be discarded, not merged.
-	stale := &staged{
-		got: 1<<status.TypeSystem | markFrame,
-		sys: []status.ServerStatus{{Host: "x", Load1: 1}},
-		top: 5,
-	}
-	if err := recv.applyPull("tx-a", 0, stale); err != nil {
-		t.Fatal(err)
-	}
-	if r, _ := dst.GetSys("x"); r.Status.Load1 != 5 {
-		t.Errorf("stale full reply clobbered fresher record: Load1 = %v", r.Status.Load1)
-	}
-	if st := recv.pullVers["tx-a"]; st.ver != 10 {
-		t.Errorf("stale reply moved mirrored version to %d", st.ver)
-	}
-
-	// A delta computed against a base we no longer mirror is dropped
-	// and the transmitter state reset so the next pull resyncs.
-	mismatched := &staged{got: 1<<status.TypeSysDelta | markFrame, top: 12}
-	mismatched.sysV.Changed = []status.ServerStatus{{Host: "x", Load1: 0}}
-	if err := recv.applyPull("tx-a", 7, mismatched); err != nil {
-		t.Fatal(err)
-	}
-	if r, _ := dst.GetSys("x"); r.Status.Load1 != 5 {
-		t.Errorf("mismatched delta applied: Load1 = %v", r.Status.Load1)
-	}
-	if st := recv.pullVers["tx-a"]; st.synced {
-		t.Error("mismatched delta left transmitter state synced")
-	}
-	if got := count(t, reg, "transport_recv_resyncs"); got != 1 {
-		t.Errorf("resyncs = %d, want 1", got)
-	}
-}
-
 // A passive transmitter that restarts resets its version counter: the
 // receiver's next pull still requests the old (large) base, the source
 // refuses the diff and answers with a full snapshot carrying a smaller
-// version. That snapshot must be adopted — with pullVers rebased onto
-// the new counter — not discarded as stale, or the mirror would never
-// update from that transmitter again and its hosts would expire from
-// the wizard's view.
+// version. That snapshot must be adopted — the mirrored version
+// rebased onto the new counter — not discarded as stale, or the mirror
+// would never update from that transmitter again and its hosts would
+// expire from the wizard's view.
 func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 	src1 := store.New()
 	for _, h := range []string{"a", "b", "c", "d"} {
@@ -603,8 +558,8 @@ func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 		t.Errorf("restart adoption: resyncs = %d, want 1", got)
 	}
 
-	// pullVers must now track the new incarnation's counter, so the
-	// mirror keeps updating incrementally.
+	// The mirrored version must now track the new incarnation's counter,
+	// so the mirror keeps updating incrementally.
 	src2.PutSys(status.ServerStatus{Host: "e", Load1: 2})
 	if err := recv.PullFrom(addrs, time.Second); err != nil {
 		t.Fatal(err)
@@ -618,8 +573,8 @@ func TestPullAdoptsFullReplyFromRestartedTransmitter(t *testing.T) {
 }
 
 // A snap mark running ahead of the delta frames' NewVer would rebase
-// pullVers past changes the reply never carried, silently skipping
-// them on every later pull; staging must reject the mismatch.
+// the mirrored version past changes the reply never carried, silently
+// skipping them on every later pull; staging must reject the mismatch.
 func TestPullRejectsSnapMarkAheadOfDelta(t *testing.T) {
 	recv, err := NewReceiverObs(store.New(), "127.0.0.1:0", nil, nil)
 	if err != nil {

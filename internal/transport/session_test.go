@@ -7,6 +7,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -379,6 +380,117 @@ func TestPullSessionSerialisesConcurrentPulls(t *testing.T) {
 	}
 	if got := dials.Load(); got != 1 {
 		t.Errorf("%d pulls dialed %d times, want 1", pullers*rounds+1, got)
+	}
+}
+
+// A pull reply whose delta does not continue the version the session
+// mirrors is a gap, as on a push stream: counted as a resync, nothing of
+// it applied, the kept connection dropped, and the base forgotten, so the
+// next pull asks for everything (base 0, the empty payload).
+func TestPullSessionForgetsItsBaseOnVersionGap(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	snapshot := func(load float64, ver uint64) []status.Frame {
+		return []status.Frame{
+			{Type: status.TypeSystem, Data: status.MarshalSystemBatch([]status.ServerStatus{{Host: "a", Load1: load}})},
+			{Type: status.TypeSnapMark, Data: status.AppendSnapMark(nil, ver)},
+		}
+	}
+	gap := &status.SysDelta{BaseVer: 15, NewVer: 16, Changed: []status.ServerStatus{{Host: "a", Load1: 7}}}
+	// The transmitter's script: on the first connection a snapshot at 10,
+	// then the delta at [15, 16]; on the second a snapshot at 20. It
+	// reports every request's payload, and how the first connection ended.
+	replies := [][][]status.Frame{
+		{snapshot(1, 10), {
+			{Type: status.TypeSysDelta, Data: status.AppendSysDelta(nil, gap)},
+			{Type: status.TypeSnapMark, Data: status.AppendSnapMark(nil, 16)},
+		}},
+		{snapshot(3, 20)},
+	}
+	asked := make(chan []byte, 3)
+	firstEnded := make(chan error, 1)
+	serve := func(c net.Conn, script [][]status.Frame, first bool) {
+		defer c.Close()
+		if c.SetDeadline(time.Now().Add(5*time.Second)) != nil {
+			return
+		}
+		for _, reply := range script {
+			f, err := status.ReadFrame(c)
+			if err != nil {
+				return
+			}
+			asked <- f.Data
+			for _, f := range reply {
+				// The receiver may drop the connection at the gapped
+				// delta, before the mark is written: what ends the
+				// connection is read below.
+				_ = status.WriteFrame(c, f)
+			}
+		}
+		if first {
+			_, err := status.ReadFrame(c)
+			firstEnded <- err
+		}
+	}
+	go func() {
+		for i, script := range replies {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			serve(c, script, i == 0)
+		}
+	}()
+	recv, dst, reg, dials := countingReceiver(t, false, func() string { return ln.Addr().String() })
+	load := func() float64 {
+		r, _ := dst.GetSys("a")
+		return r.Status.Load1
+	}
+	if err := recv.PullFrom([]string{"tx"}, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-asked; len(got) != 0 {
+		t.Fatalf("first request carried %x, want the empty payload", got)
+	}
+
+	if err := recv.PullFrom([]string{"tx"}, 2*time.Second); !errors.Is(err, errResync) {
+		t.Fatalf("pull whose reply skips versions 11–15: %v, want %v", err, errResync)
+	}
+	if got, err := status.ParsePullRequest(<-asked); err != nil || got != 10 {
+		t.Fatalf("second request asked from %d (%v), want 10", got, err)
+	}
+	if got := count(t, reg, "transport_recv_resyncs"); got != 1 {
+		t.Errorf("transport_recv_resyncs = %d after a version gap, want 1", got)
+	}
+	if got := load(); got != 1 {
+		t.Errorf("the gapped delta reached the mirror: Load1 = %v, want 1", got)
+	}
+	if kept := keptConns(recv); kept != 0 {
+		t.Errorf("%d connections kept after a version gap, want 0", kept)
+	}
+	select {
+	case err := <-firstEnded:
+		if err == nil {
+			t.Error("the receiver sent another request on the gapped connection")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the gapped connection is still open")
+	}
+
+	if err := recv.PullFrom([]string{"tx"}, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-asked; len(got) != 0 {
+		t.Errorf("the pull after a gap carried %x, want the empty payload (base 0)", got)
+	}
+	if got := load(); got != 3 {
+		t.Errorf("the snapshot after a gap was not applied: Load1 = %v, want 3", got)
+	}
+	if got := dials.Load(); got != 2 {
+		t.Errorf("%d dials, want 2: the gap drops the kept connection", got)
 	}
 }
 

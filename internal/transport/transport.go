@@ -425,18 +425,10 @@ type Receiver struct {
 	catchup *obs.Histogram
 
 	// reg (possibly nil) mints the per-source lag gauges below lazily:
-	// sources appear as they connect or get pulled.
+	// sources appear as they connect or get a pull session.
 	reg   *obs.Registry
 	lagMu sync.Mutex
 	lags  map[string]*sourceLag
-
-	// pullMu guards pullVers — what is mirrored of each pulled address,
-	// kept between pulls — and serialises the application of pull
-	// replies, so two concurrent pulls from the same transmitter cannot
-	// interleave an older reply over a newer one. Network reads happen
-	// outside it.
-	pullMu   sync.Mutex
-	pullVers map[string]mirrorState
 
 	// sessMu guards sessions, closed and every session's conn field (a
 	// field write or read, never I/O).
@@ -461,8 +453,8 @@ type Receiver struct {
 // sourceLag is the epoch-lag pair for one transmitter: the newest
 // version a complete epoch of its has announced (head) against the
 // version actually applied to the mirror. The registered
-// transport_epoch_lag gauge is their difference — zero in steady state,
-// positive while a source's epochs are being discarded.
+// transport_epoch_lag gauge is their difference, which applyEpoch keeps
+// at zero: every complete epoch lands.
 type sourceLag struct {
 	head    *obs.Gauge
 	applied *obs.Gauge
@@ -500,8 +492,7 @@ func sourceHost(addr string) string {
 
 // mirrorState is how far the mirror follows one transmitter: the
 // version of that transmitter's database it holds, once a full snapshot
-// has anchored it. A push stream keeps one per connection, the pull path
-// one per address between pulls.
+// has anchored it.
 type mirrorState struct {
 	ver    uint64
 	synced bool
@@ -531,7 +522,6 @@ func NewReceiverObs(db *store.DB, addr string, logger *log.Logger, reg *obs.Regi
 		catchup:  reg.Histogram("transport_epoch_catchup", obs.LagBuckets),
 		reg:      reg,
 		lags:     make(map[string]*sourceLag),
-		pullVers: make(map[string]mirrorState),
 		sessions: make(map[string]*pullSession),
 	}, nil
 }
@@ -588,24 +578,30 @@ type staged struct {
 // table and the closing mark.
 const maxEpochFrames = 4
 
-// epochBuf is what reading epochs off one connection fills and reuses,
-// so a steady delta stream decodes without per-frame allocation. bufs
-// holds one buffer per frame of an epoch, not one for all: the staged
-// delta views alias the buffer they were parsed from, and nothing is
-// applied before the whole epoch is staged.
-type epochBuf struct {
-	bufs [maxEpochFrames][]byte
-	st   staged
+// source is everything the receiver mirrors of one transmitter, and its
+// one owner: a push connection's handler holds one for the connection's
+// life, a pull session one for its address's. bufs and st are what
+// reading an epoch fills and reuses, so a steady delta stream decodes
+// without per-frame allocation — a buffer per frame of an epoch, not one
+// for all: the staged delta views alias the buffer they were parsed
+// from, and nothing is applied before the whole epoch is staged. mirror
+// is what the epochs applied so far have brought the mirror to, lag its
+// gauges.
+type source struct {
+	bufs   [maxEpochFrames][]byte
+	st     staged
+	mirror mirrorState
+	lag    *sourceLag
 }
 
 // release ends an epoch. The batch records now belong to the mirror; the
 // buffers and views stay for the next epoch unless a full snapshot grew
 // them: see keepBytes.
-func (e *epochBuf) release() {
-	e.st.sys, e.st.net, e.st.sec = nil, nil, nil
-	for _, b := range e.bufs {
+func (s *source) release() {
+	s.st.sys, s.st.net, s.st.sec = nil, nil, nil
+	for _, b := range s.bufs {
 		if cap(b) > keepBytes {
-			*e = epochBuf{}
+			s.bufs, s.st = [maxEpochFrames][]byte{}, staged{}
 			return
 		}
 	}
@@ -620,16 +616,9 @@ func (r *Receiver) Run(ctx context.Context) error {
 	// the receiver is done, kept pull connections included.
 	defer r.Close()
 	return loop.Serve(ctx, r.ln, func(_ context.Context, c net.Conn) {
-		var e epochBuf
-		var m mirrorState
-		lag := r.lagFor(sourceHost(c.RemoteAddr().String()))
+		s := source{lag: r.lagFor(sourceHost(c.RemoteAddr().String()))}
 		for {
-			err := r.readEpoch(c, &e, m)
-			if err == nil {
-				err = r.applyEpoch(&m, m.ver, lag, &e.st)
-				e.release()
-			}
-			if err != nil {
+			if err := r.readEpoch(c, &s); err != nil {
 				// io.EOF before a header byte is the transmitter closing
 				// cleanly between frames, and net.ErrClosed is our own
 				// shutdown; readEpoch has counted anything torn.
@@ -638,13 +627,15 @@ func (r *Receiver) Run(ctx context.Context) error {
 				}
 				return
 			}
+			r.applyEpoch(&s)
+			s.release()
 		}
 	})
 }
 
-// errResync marks a delta continuity violation: a push connection must
-// close so the transmitter's reconnect delivers a full snapshot, a pull
-// source forgets its base so the next pull asks for one.
+// errResync marks a delta continuity violation: the source has forgotten
+// its base, a push connection must close so the transmitter's reconnect
+// delivers a full snapshot, and a pull session's next pull asks for one.
 var errResync = errors.New("transport: delta continuity broken, forcing resync")
 
 // stage decodes one frame into st. It is the only place that knows the
@@ -691,18 +682,18 @@ func (r *Receiver) stage(f status.Frame, st *staged) (err error) {
 }
 
 // readEpoch reads the frames of one epoch from src and stages them in
-// e.st, for a mirror at m. An epoch is complete at its closing snap
-// mark; a thesis epoch, having none, at one batch frame of each table.
-// A delta frame that does not continue m is refused as it arrives — a
-// gap does not wait for a mark — and a stream that ends inside a frame
-// is counted as torn; one that ends between frames (io.EOF) or by our
+// s.st. An epoch is complete at its closing snap mark; a thesis epoch,
+// having none, at one batch frame of each table. A delta frame that does
+// not continue s.mirror is refused as it arrives — a gap does not wait
+// for a mark — and s forgets its base; a stream that ends inside a frame
+// is counted as torn, one that ends between frames (io.EOF) or by our
 // own shutdown is not, and either way nothing of the epoch is applied.
-func (r *Receiver) readEpoch(src io.Reader, e *epochBuf, m mirrorState) error {
+func (r *Receiver) readEpoch(src io.Reader, s *source) error {
 	done := markFrame
 	if r.Compat {
 		done = batchFrames
 	}
-	st := &e.st
+	st, m := &s.st, s.mirror
 	st.got, st.base, st.top = 0, 0, 0
 	for i := 0; st.got&done != done; i++ {
 		if i == maxEpochFrames {
@@ -710,7 +701,7 @@ func (r *Receiver) readEpoch(src io.Reader, e *epochBuf, m mirrorState) error {
 		}
 		var f status.Frame
 		var err error
-		f, e.bufs[i], err = status.ReadFrameInto(src, e.bufs[i])
+		f, s.bufs[i], err = status.ReadFrameInto(src, s.bufs[i])
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				r.torn.Add(1)
@@ -722,6 +713,7 @@ func (r *Receiver) readEpoch(src io.Reader, e *epochBuf, m mirrorState) error {
 		}
 		if st.got&deltaFrames != 0 && (!m.synced || m.ver != st.base) {
 			r.resyncs.Add(1)
+			s.mirror = mirrorState{}
 			return fmt.Errorf("%w: at %d, %v frame covers [%d, %d]", errResync, m.ver, f.Type, st.base, st.top)
 		}
 		if r.Compat && st.got&^batchFrames != 0 {
@@ -734,37 +726,31 @@ func (r *Receiver) readEpoch(src io.Reader, e *epochBuf, m mirrorState) error {
 	return nil
 }
 
-// applyEpoch lands one complete staged epoch in the mirror and moves m,
-// what is mirrored of its source, and the source's lag gauges with it.
-// base is the version the epoch was asked from (on a push stream, what
-// the connection mirrored before it). A full snapshot is merged record
-// by record, so it cannot wipe another transmitter's hosts; a delta is
-// applied only if it continues m — otherwise m is reset and errResync
-// returned; a bare mark says nothing moved.
-func (r *Receiver) applyEpoch(m *mirrorState, base uint64, lag *sourceLag, st *staged) error {
-	// The mark announced the transmitter's head; applied only follows
-	// below if the epoch actually lands, so a discarded one leaves the
-	// gap visible as transport_epoch_lag.
-	lag.head.Set(int64(st.top))
+// applyEpoch lands the complete epoch staged in s in the mirror, and
+// moves s.mirror and the source's lag gauges with it. A full snapshot is
+// merged record by record, so it cannot wipe another transmitter's
+// hosts; a delta continues s.mirror, or readEpoch would have refused it;
+// a bare mark says nothing moved.
+func (r *Receiver) applyEpoch(s *source) {
+	st, m := &s.st, &s.mirror
+	// A complete epoch always lands, so the head its mark announced is
+	// what is applied; an epoch readEpoch refused never gets here, and
+	// counts in transport_recv_resyncs.
+	s.lag.head.Set(int64(st.top))
+	s.lag.applied.Set(int64(st.top))
 	switch {
 	case r.Compat:
 		// A thesis epoch has neither versions nor tombstones (top is 0):
 		// all it can say is what the tables now hold, whole.
 		r.db.Load(st.sys, st.net, st.sec)
 	case st.got&batchFrames != 0:
-		if m.synced && m.ver >= st.top && m.ver != base {
-			// A concurrent pull already moved this transmitter's mirror
-			// past the base this reply was computed against; an older
-			// full reply must not roll fresher records back.
-			return nil
-		}
 		if m.synced && m.ver > st.top {
-			// A full snapshot below the base it was asked from, and
-			// nothing interleaved: the transmitter restarted and its
-			// version counter reset — adopt the snapshot and its new,
-			// smaller version. Discarding it would pin the mirror to a
-			// base the source can never serve again, freezing this
-			// transmitter out of the wizard's view until its hosts expire.
+			// A full snapshot below the version mirrored, which is the one
+			// it was asked from: the transmitter restarted and its version
+			// counter reset — adopt the snapshot and its new, smaller
+			// version. Discarding it would pin the mirror to a base the
+			// source can never serve again, freezing this transmitter out
+			// of the wizard's view until its hosts expire.
 			r.resyncs.Add(1)
 		}
 		// Merge upserts but never deletes, so hosts the transmitter
@@ -773,27 +759,16 @@ func (r *Receiver) applyEpoch(m *mirrorState, base uint64, lag *sourceLag, st *s
 		// them out; see DESIGN.md "status distribution" for the trade-off.
 		r.db.Merge(st.sys, st.net, st.sec)
 	case st.got&deltaFrames != 0:
-		if !m.synced || m.ver != st.base {
-			// Not the m readEpoch checked against: a concurrent pull
-			// interleaved.
-			r.resyncs.Add(1)
-			*m = mirrorState{}
-			return errResync
-		}
 		r.applyDeltas(st)
 	default:
-		// The transmitter had nothing newer: what is mirrored stands,
-		// head and applied agree.
-		lag.applied.Set(int64(st.top))
-		return nil
+		// The transmitter had nothing newer: what is mirrored stands.
+		return
 	}
 	if m.synced && st.top > m.ver {
 		r.catchup.Observe(int64(st.top - m.ver))
 	}
 	*m = mirrorState{ver: st.top, synced: true}
-	lag.applied.Set(int64(st.top))
 	r.admitted(bits.OnesCount16(uint16(st.got &^ markFrame)))
-	return nil
 }
 
 // applyDeltas merges the delta frames staged in st into the mirror.
@@ -850,21 +825,21 @@ func (r *Receiver) PullFrom(transmitters []string, timeout time.Duration) error 
 }
 
 // pullSession is what the receiver keeps per passive transmitter between
-// pulls: the connection — ServePassive answers any number of requests on
-// one — and every buffer a pull fills, so a steady pull dials nothing and
-// allocates next to nothing. mu serialises the pulls of one transmitter,
-// network round trip included: a connection carries one exchange at a
-// time, and the second of two concurrent pulls asks from the base the
-// first one reached.
+// pulls: the connection (ServePassive answers any number of requests on
+// one), every buffer a pull fills, so that a steady pull dials nothing
+// and allocates next to nothing, and what is mirrored of the transmitter.
+// mu serialises the pulls of one transmitter, request to apply: a
+// connection carries one exchange at a time, and the second of two
+// concurrent pulls asks from the base the first one reached.
 type pullSession struct {
 	mu sync.Mutex
 	// conn is nil when no connection is kept. Only the holder of mu
 	// writes it, and under Receiver.sessMu as well, so Close can reach
 	// the connection of a pull in flight.
-	conn     net.Conn
-	br       *bufio.Reader // over conn
-	req      []byte        // the request frame
-	epochBuf               // the reply
+	conn   net.Conn
+	br     *bufio.Reader // over conn
+	req    []byte        // the request frame
+	source               // the reply, the mirror's version, the lag gauges
 }
 
 var (
@@ -876,7 +851,8 @@ var (
 	errStale = errors.New("transport: kept pull connection is stale")
 )
 
-// session returns the pull session of one transmitter address.
+// session returns the pull session of one transmitter address; a new
+// one mints the address's lag gauges.
 func (r *Receiver) session(addr string) (*pullSession, error) {
 	r.sessMu.Lock()
 	defer r.sessMu.Unlock()
@@ -885,7 +861,7 @@ func (r *Receiver) session(addr string) (*pullSession, error) {
 	}
 	s := r.sessions[addr]
 	if s == nil {
-		s = &pullSession{br: bufio.NewReader(nil)}
+		s = &pullSession{br: bufio.NewReader(nil), source: source{lag: r.lagFor(addr)}}
 		r.sessions[addr] = s
 	}
 	return s, nil
@@ -965,28 +941,17 @@ func (r *Receiver) pullOne(addr string, timeout time.Duration, union *staged) er
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.release()
-	// Thesis replies are never applied by version, so nothing is mirrored
-	// and a thesis request carries no base (0 encodes as the empty
-	// payload): every thesis reply is the whole database.
-	r.pullMu.Lock()
-	asked := r.pullVers[addr]
-	r.pullMu.Unlock()
 	for reused := s.conn != nil; ; reused = false {
 		if s.conn == nil {
 			if err := r.connect(s, addr, timeout); err != nil {
 				return err
 			}
 		}
-		err := r.roundTrip(s, asked, timeout, reused)
+		err := r.roundTrip(s, timeout, reused)
 		if err == nil {
 			break
 		}
 		r.drop(s)
-		if errors.Is(err, errResync) {
-			r.pullMu.Lock()
-			delete(r.pullVers, addr)
-			r.pullMu.Unlock()
-		}
 		if !errors.Is(err, errStale) {
 			return err
 		}
@@ -997,15 +962,19 @@ func (r *Receiver) pullOne(addr string, timeout time.Duration, union *staged) er
 		union.sec = append(union.sec, s.st.sec...)
 		return nil
 	}
-	return r.applyPull(addr, asked.ver, &s.st)
+	r.applyEpoch(&s.source)
+	return nil
 }
 
-// roundTrip sends one request on the session's connection and stages the
+// roundTrip sends one request on the session's connection — from the
+// version the session mirrors: thesis replies are never applied by
+// version, so a thesis request carries no base (0 encodes as the empty
+// payload) and every thesis reply is the whole database — and stages the
 // complete reply, one epoch, in s.st. On a reused connection, failing to
 // send the request, or finding the stream ended or reset before one reply
 // byte arrived, is errStale and not counted as torn; everything else
 // fails as it would on a fresh connection.
-func (r *Receiver) roundTrip(s *pullSession, asked mirrorState, timeout time.Duration, reused bool) error {
+func (r *Receiver) roundTrip(s *pullSession, timeout time.Duration, reused bool) error {
 	stale := func(err error) error {
 		if reused {
 			return fmt.Errorf("%w: %v", errStale, err)
@@ -1016,7 +985,7 @@ func (r *Receiver) roundTrip(s *pullSession, asked mirrorState, timeout time.Dur
 		return stale(err)
 	}
 	var err error
-	if s.req, err = status.AppendFrame(s.req[:0], status.TypeRequest, status.AppendPullRequest, asked.ver); err != nil {
+	if s.req, err = status.AppendFrame(s.req[:0], status.TypeRequest, status.AppendPullRequest, s.mirror.ver); err != nil {
 		return err
 	}
 	if _, err := s.conn.Write(s.req); err != nil {
@@ -1029,27 +998,7 @@ func (r *Receiver) roundTrip(s *pullSession, asked mirrorState, timeout time.Dur
 			return stale(err)
 		}
 	}
-	return r.readEpoch(s.br, &s.epochBuf, asked)
-}
-
-// applyPull lands one complete staged reply against what is mirrored of
-// addr now. Doing so under pullMu makes it safe against concurrent pulls
-// of the same transmitter: a reply computed against a base another pull
-// has already moved past is discarded rather than applied out of order
-// (a delta also resets the source, and the pull still succeeds), and a
-// full reply older than what is already mirrored cannot clobber the
-// fresher records.
-func (r *Receiver) applyPull(addr string, base uint64, reply *staged) error {
-	lag := r.lagFor(addr)
-	r.pullMu.Lock()
-	defer r.pullMu.Unlock()
-	m := r.pullVers[addr]
-	err := r.applyEpoch(&m, base, lag, reply)
-	r.pullVers[addr] = m
-	if errors.Is(err, errResync) {
-		return nil
-	}
-	return err
+	return r.readEpoch(s.br, &s.source)
 }
 
 // dialPull opens a pull connection through the configured hook.

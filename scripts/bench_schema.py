@@ -267,13 +267,13 @@ SIZE_SCHEMA = {
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 19906,
+    "total": 19855,
     ".": 712,
     "internal/core": 1155,
     "internal/index": 611,
     "internal/store": 1162,
     "internal/status": 1349,
-    "internal/transport": 1073,
+    "internal/transport": 1022,
     "internal/monitor": 256,
     "internal/probe": 217,
     "internal/reqlang": 1939,
