@@ -277,3 +277,58 @@ func TestRateLimitSeesOneSourcePerClient(t *testing.T) {
 		t.Error("20 back-to-back requests from one Client were never rate-limited (a bucket of 8 at 4/s)")
 	}
 }
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestRequestServersAllocatesOnlyItsAnswer: against a wizard that
+// allocates nothing itself, a steady-state RequestServers allocates
+// only the answer its caller keeps — the names' one string and their
+// slice. The request bytes and the reply buffer are pooled, the reply
+// is decoded in place and the resend backoff is never built.
+func TestRequestServersAllocatesOnlyItsAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the program's under the race detector")
+	}
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	servers := []string{"alpha:9000", "beta:9000"}
+	answer, err := proto.MarshalReply(&proto.Reply{Servers: servers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			n, from, err := conn.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				return
+			}
+			if n >= 5 {
+				copy(answer[1:5], buf[1:5]) // echo the sequence number
+				_, _ = conn.WriteToUDPAddrPort(answer, from)
+			}
+		}
+	}()
+	client, err := smartsock.NewClient(conn.LocalAddr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.ReleaseIdle()
+	ctx := context.Background()
+	var got []string
+	allocs := testing.AllocsPerRun(200, func() {
+		if got, err = client.RequestServers(ctx, "host_cpu_free > 0.5", 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(got) != 2 || got[0] != servers[0] || got[1] != servers[1] {
+		t.Fatalf("RequestServers = %v, want %v", got, servers)
+	}
+	if allocs > 2 {
+		t.Errorf("a steady-state RequestServers allocates %v objects, want at most 2 (the names and their slice)", allocs)
+	}
+}

@@ -6,8 +6,11 @@
 // the socket is idle. The syscalls run with MSG_DONTWAIT; EAGAIN
 // hands control back to the poller, everything else surfaces as an
 // *os.SyscallError. Scratch arrays (mmsghdrs, iovecs, sockaddr
-// buffers) are sized once at Wrap time and reused for the life of
-// the Conn, so a batched read or write allocates nothing.
+// buffers) and the two syscall callbacks are built once at Wrap time
+// and reused for the life of the Conn; a callback's inputs and
+// outputs are sysState fields, not captured locals that would move
+// to the heap. A batched write plus read allocates nothing:
+// TestBatchedRoundTripAllocatesNothing pins it.
 
 package netbatch
 
@@ -36,17 +39,26 @@ type mmsghdr struct {
 	_    [4]byte
 }
 
-// sysState is the per-Conn scratch for the batched syscalls.
+// sysState is the per-Conn scratch for the batched syscalls. recv and
+// send are its methods, stored once as method values; each reads its
+// input and leaves its result in the fields beside its vector, owned
+// like the arrays by the Conn's one goroutine.
 type sysState struct {
-	rc        syscall.RawConn
-	rvec      []mmsghdr
-	riov      []syscall.Iovec
-	rname     []syscall.RawSockaddrInet6
-	wvec      []mmsghdr
-	wiov      []syscall.Iovec
-	wname     []syscall.RawSockaddrInet6
-	family    int  // AF_INET or AF_INET6, fixed at bind time
-	connected bool // dialled socket: sends must not name a peer
+	rc           syscall.RawConn
+	rvec         []mmsghdr
+	riov         []syscall.Iovec
+	rname        []syscall.RawSockaddrInet6
+	recvFn       func(fd uintptr) bool
+	rn, rgot     int // recvmmsg over rvec[:rn] received rgot
+	rerrno       syscall.Errno
+	wvec         []mmsghdr
+	wiov         []syscall.Iovec
+	wname        []syscall.RawSockaddrInet6
+	sendFn       func(fd uintptr) bool
+	wk, wn, wgot int // sendmmsg over wvec[wk:wn] sent wgot
+	werrno       syscall.Errno
+	family       int  // AF_INET or AF_INET6, fixed at bind time
+	connected    bool // dialled socket: sends must not name a peer
 }
 
 // initRaw arms the batched path: grabs the RawConn, probes the socket
@@ -89,7 +101,37 @@ func (c *Conn) initRaw() error {
 		family:    family,
 		connected: connected,
 	}
+	c.sys.recvFn, c.sys.sendFn = c.sys.recv, c.sys.send
+	for i := 0; i < b; i++ { // the headers' fixed pointers
+		c.sys.rvec[i].hdr.Name = (*byte)(unsafe.Pointer(&c.sys.rname[i]))
+		c.sys.rvec[i].hdr.Iov, c.sys.rvec[i].hdr.Iovlen = &c.sys.riov[i], 1
+		c.sys.wvec[i].hdr.Iov, c.sys.wvec[i].hdr.Iovlen = &c.sys.wiov[i], 1
+	}
 	return nil
+}
+
+// recv is the RawConn.Read callback: one recvmmsg over rvec[:rn].
+func (s *sysState) recv(fd uintptr) bool {
+	r, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+		uintptr(unsafe.Pointer(&s.rvec[0])), uintptr(s.rn),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN || e == syscall.EINTR {
+		return false // park on the poller until readable
+	}
+	s.rgot, s.rerrno = int(r), e
+	return true
+}
+
+// send is the RawConn.Write callback: one sendmmsg over wvec[wk:wn].
+func (s *sysState) send(fd uintptr) bool {
+	r, _, e := syscall.Syscall6(sysSENDMMSG, fd,
+		uintptr(unsafe.Pointer(&s.wvec[s.wk])), uintptr(s.wn-s.wk),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN || e == syscall.EINTR {
+		return false // wait for the send buffer to drain
+	}
+	s.wgot, s.werrno = int(r), e
+	return true
 }
 
 // readBatchRaw receives up to min(len(ms), batch) datagrams with one
@@ -100,42 +142,20 @@ func (c *Conn) readBatchRaw(ms []Message) (int, error) {
 		n = c.batch
 	}
 	for i := 0; i < n; i++ {
-		buf := ms[i].Buf[:cap(ms[i].Buf)]
-		ms[i].Buf = buf
-		if len(buf) > 0 {
-			c.sys.riov[i].Base = &buf[0]
-		} else {
-			c.sys.riov[i].Base = nil
-		}
-		c.sys.riov[i].SetLen(len(buf))
-		h := &c.sys.rvec[i].hdr
-		h.Name = (*byte)(unsafe.Pointer(&c.sys.rname[i]))
-		h.Namelen = uint32(unsafe.Sizeof(c.sys.rname[i]))
-		h.Iov = &c.sys.riov[i]
-		h.Iovlen = 1
-		h.Control = nil
-		h.Controllen = 0
-		h.Flags = 0
+		ms[i].Buf = ms[i].Buf[:cap(ms[i].Buf)]
+		c.sys.riov[i].Base = unsafe.SliceData(ms[i].Buf)
+		c.sys.riov[i].SetLen(len(ms[i].Buf))
+		c.sys.rvec[i].hdr.Namelen = uint32(unsafe.Sizeof(c.sys.rname[i]))
 	}
-	var got int
-	var errno syscall.Errno
-	err := c.sys.rc.Read(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-			uintptr(unsafe.Pointer(&c.sys.rvec[0])), uintptr(n),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN || e == syscall.EINTR {
-			return false // park on the poller until readable
-		}
-		got, errno = int(r), e
-		return true
-	})
-	if err != nil {
+	c.sys.rn = n
+	if err := c.sys.rc.Read(c.sys.recvFn); err != nil {
 		return 0, err // poller-level: closed socket or deadline
 	}
-	if errno != 0 {
-		return 0, os.NewSyscallError("recvmmsg", errno)
+	if c.sys.rerrno != 0 {
+		return 0, os.NewSyscallError("recvmmsg", c.sys.rerrno)
 	}
 	c.m.rxSys.Inc()
+	got := c.sys.rgot
 	for i := 0; i < got; i++ {
 		ms[i].Buf = ms[i].Buf[:c.sys.rvec[i].nlen]
 		ms[i].Addr = decodeSockaddr(&c.sys.rname[i])
@@ -156,11 +176,7 @@ func (c *Conn) writeBatchRaw(ms []Message) (int, error) {
 		}
 		for i := 0; i < n; i++ {
 			m := &ms[off+i]
-			if len(m.Buf) > 0 {
-				c.sys.wiov[i].Base = &m.Buf[0]
-			} else {
-				c.sys.wiov[i].Base = nil
-			}
+			c.sys.wiov[i].Base = unsafe.SliceData(m.Buf)
 			c.sys.wiov[i].SetLen(len(m.Buf))
 			h := &c.sys.wvec[i].hdr
 			if c.sys.connected || !m.Addr.IsValid() {
@@ -170,46 +186,27 @@ func (c *Conn) writeBatchRaw(ms []Message) (int, error) {
 				h.Namelen = encodeSockaddr(&c.sys.wname[i], c.sys.family, m.Addr)
 				h.Name = (*byte)(unsafe.Pointer(&c.sys.wname[i]))
 			}
-			h.Iov = &c.sys.wiov[i]
-			h.Iovlen = 1
-			h.Control = nil
-			h.Controllen = 0
-			h.Flags = 0
-			c.sys.wvec[i].nlen = 0
 		}
-		k := 0
-		for k < n {
-			var wrote int
-			var errno syscall.Errno
-			err := c.sys.rc.Write(func(fd uintptr) bool {
-				r, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-					uintptr(unsafe.Pointer(&c.sys.wvec[k])), uintptr(n-k),
-					syscall.MSG_DONTWAIT, 0, 0)
-				if e == syscall.EAGAIN || e == syscall.EINTR {
-					return false // wait for the send buffer to drain
-				}
-				wrote, errno = int(r), e
-				return true
-			})
-			if err != nil {
+		for c.sys.wk, c.sys.wn = 0, n; c.sys.wk < n; {
+			if err := c.sys.rc.Write(c.sys.sendFn); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 				return sent, firstErr
 			}
-			if errno != 0 {
+			if c.sys.werrno != 0 {
 				// sendmmsg reports an error only when the *first*
 				// pending datagram fails; skip it and keep the rest
 				// moving — a transient ENOBUFS must not wedge the loop.
 				if firstErr == nil {
-					firstErr = os.NewSyscallError("sendmmsg", errno)
+					firstErr = os.NewSyscallError("sendmmsg", c.sys.werrno)
 				}
-				k++
+				c.sys.wk++
 				continue
 			}
 			c.m.txSys.Inc()
-			sent += wrote
-			k += wrote
+			sent += c.sys.wgot
+			c.sys.wk += c.sys.wgot
 		}
 		off += n
 	}

@@ -378,3 +378,43 @@ func TestHandoffTransfersBuffer(t *testing.T) {
 		t.Fatalf("ring slot address not cleared: %v", ring.Addr)
 	}
 }
+
+// TestBatchedRoundTripAllocatesNothing: a WriteBatch from one batched
+// endpoint plus the ReadBatch that takes its datagrams on another
+// allocates nothing — the syscall callbacks are built at Wrap time, not
+// per call as closures whose captured results escape.
+func TestBatchedRoundTripAllocatesNothing(t *testing.T) {
+	a, b := listen(t), listen(t)
+	tx := wrap(t, a, Options{Batch: 32}, false)
+	rx := wrap(t, b, Options{Batch: 32}, false)
+	if !tx.Batched() || !rx.Batched() {
+		t.Skip("no batched syscalls on this platform")
+	}
+	if err := b.SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	out := NewBatch(4, 32)
+	for i := range out {
+		out[i].Buf = append(out[i].Buf[:0], fmt.Sprintf("ping-%d", i)...)
+		out[i].Addr = mustAddrPort(t, b.LocalAddr())
+	}
+	in := NewBatch(32, 2048)
+	var sent, got int
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		if sent, err = tx.WriteBatch(out); err != nil || sent != len(out) {
+			return
+		}
+		for got = 0; got < sent && err == nil; {
+			var n int
+			n, err = rx.ReadBatch(in)
+			got += n
+		}
+	})
+	if err != nil || sent != len(out) || got != sent {
+		t.Fatalf("round: sent %d, received %d, err %v", sent, got, err)
+	}
+	if allocs != 0 {
+		t.Errorf("a batched write+read round allocates %v objects, want 0", allocs)
+	}
+}

@@ -8,6 +8,7 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -93,7 +94,13 @@ func RetryAfter(errText string) (time.Duration, bool) {
 
 // MarshalRequest encodes a request datagram.
 func MarshalRequest(r *Request) []byte {
-	b := make([]byte, 0, 16+len(r.Detail))
+	return AppendRequest(make([]byte, 0, 13+len(r.Detail)), r)
+}
+
+// AppendRequest encodes a request datagram onto b and returns the
+// extended slice; the bytes are MarshalRequest's. The client appends
+// into a pooled buffer so an exchange encodes without allocating.
+func AppendRequest(b []byte, r *Request) []byte {
 	b = append(b, msgRequest)
 	b = binary.BigEndian.AppendUint32(b, r.Seq)
 	b = binary.BigEndian.AppendUint16(b, r.ServerNum)
@@ -180,38 +187,56 @@ func AppendReply(b []byte, r *Reply) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalReply decodes a reply datagram.
+// UnmarshalReply decodes a reply datagram into a new Reply.
 func UnmarshalReply(b []byte) (*Reply, error) {
+	r := new(Reply)
+	if err := ParseReply(b, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// ParseReply decodes a reply datagram into r, which it leaves alone on
+// error. Unlike ParseRequest it copies what it keeps, so r outlives b:
+// Err when it is non-empty, and one string of the names, which
+// Servers (a fresh slice) cuts at the newlines. A reply of n names
+// therefore costs two allocations, an error-only reply one, an empty
+// reply none.
+func ParseReply(b []byte, r *Reply) error {
 	if len(b) < 9 {
-		return nil, fmt.Errorf("proto: reply datagram too short (%d bytes)", len(b))
+		return fmt.Errorf("proto: reply datagram too short (%d bytes)", len(b))
 	}
 	if b[0] != msgReply {
-		return nil, fmt.Errorf("proto: not a reply datagram (tag 0x%02x)", b[0])
+		return fmt.Errorf("proto: not a reply datagram (tag 0x%02x)", b[0])
 	}
-	r := &Reply{Seq: binary.BigEndian.Uint32(b[1:])}
+	seq := binary.BigEndian.Uint32(b[1:])
 	n := int(binary.BigEndian.Uint16(b[5:]))
 	if n > MaxServers {
-		return nil, fmt.Errorf("proto: reply claims %d servers, limit is %d", n, MaxServers)
+		return fmt.Errorf("proto: reply claims %d servers, limit is %d", n, MaxServers)
 	}
 	errLen := int(binary.BigEndian.Uint16(b[7:]))
 	b = b[9:]
 	if len(b) < errLen {
-		return nil, fmt.Errorf("proto: truncated reply error text")
+		return fmt.Errorf("proto: truncated reply error text")
 	}
-	r.Err = string(b[:errLen])
-	if strings.ContainsAny(r.Err, "\n") {
-		return nil, fmt.Errorf("proto: error text contains newline")
+	if bytes.IndexByte(b[:errLen], '\n') >= 0 {
+		return fmt.Errorf("proto: error text contains newline")
 	}
-	b = b[errLen:]
-	if n == 0 {
-		if len(b) != 0 {
-			return nil, fmt.Errorf("proto: trailing bytes in empty reply")
+	tail := b[errLen:]
+	if n == 0 && len(tail) != 0 {
+		return fmt.Errorf("proto: trailing bytes in empty reply")
+	}
+	if k := bytes.Count(tail, []byte{'\n'}) + 1; n > 0 && k != n {
+		return fmt.Errorf("proto: reply claims %d servers, carries %d", n, k)
+	}
+	r.Seq, r.Err, r.Servers = seq, string(b[:errLen]), nil
+	if n > 0 {
+		names := string(tail)
+		r.Servers = make([]string, n)
+		for i := range n - 1 {
+			r.Servers[i], names, _ = strings.Cut(names, "\n")
 		}
-		return r, nil
+		r.Servers[n-1] = names
 	}
-	r.Servers = strings.Split(string(b), "\n")
-	if len(r.Servers) != n {
-		return nil, fmt.Errorf("proto: reply claims %d servers, carries %d", n, len(r.Servers))
-	}
-	return r, nil
+	return nil
 }

@@ -158,6 +158,37 @@ func TestUnmarshalReplyRejectsCountMismatch(t *testing.T) {
 	}
 }
 
+// TestParseReplyAllocations pins what a decode keeps: one string for
+// all n names and their slice, the error text alone, or nothing.
+func TestParseReplyAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply Reply
+		want  float64
+	}{
+		{"names", Reply{Seq: 1, Servers: []string{"alpha:1", "beta:2", "gamma:3"}}, 2},
+		{"error only", Reply{Seq: 2, Err: "no qualified server"}, 1},
+		{"empty", Reply{Seq: 3}, 0},
+	} {
+		b, err := MarshalReply(&tc.reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r Reply
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := ParseReply(b, &r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !reflect.DeepEqual(r, tc.reply) {
+			t.Errorf("%s: decoded %+v, want %+v", tc.name, r, tc.reply)
+		}
+		if allocs != tc.want {
+			t.Errorf("%s: ParseReply allocates %v objects, want %v", tc.name, allocs, tc.want)
+		}
+	}
+}
+
 func TestOverloadedErrRoundTrip(t *testing.T) {
 	cases := []struct {
 		in   time.Duration

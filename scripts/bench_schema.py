@@ -262,13 +262,19 @@ SIZE_SCHEMA = {
 # word-at-a-time digit paths (two 8-digit words per float to write, an
 # 8-byte scan per digit run to read) moved status up by 105 lines and
 # total by 108 with the 3 of the overload queue's sub-100µs sojourn
-# bounds in obs (which has no ceiling of its own).
+# bounds in obs (which has no ceiling of its own); a request round trip
+# that allocates only its answer lowered netbatch to 622 (the headers'
+# fixed pointers are set once at Wrap, which pays for the two stored
+# syscall callbacks) and "." to 708 (slices.Contains for containsAddr,
+# which pays for the in-place reply decode), and moved total up by the
+# 18 lines the in-place reply decoder and AppendRequest add to proto
+# (which has no ceiling of its own) net of those.
 # A PR that grows one of these past its ceiling deletes elsewhere in the
 # same PR, or moves the ceiling here and says why in its CHANGES.md
 # entry; a PR that shrinks one lowers the ceiling to the new size.
 SIZE_CEILINGS = {
-    "total": 19855,
-    ".": 712,
+    "total": 19873,
+    ".": 708,
     "internal/core": 1155,
     "internal/index": 611,
     "internal/store": 1162,
@@ -283,7 +289,7 @@ SIZE_CEILINGS = {
     "internal/overload": 493,
     "internal/netmon": 158,
     "internal/loop": 133,
-    "internal/netbatch": 625,
+    "internal/netbatch": 622,
     "internal/secmon": 137,
     "internal/taskdiv": 133,
     "internal/shaper": 193,

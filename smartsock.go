@@ -152,14 +152,14 @@ func (c *Client) RequestServers(ctx context.Context, requirement string, n int, 
 	for _, o := range opts {
 		opt |= o
 	}
-	req := &proto.Request{
+	req := proto.Request{
 		Seq:       randomSeq(),
 		ServerNum: uint16(n),
 		Option:    opt,
 		Detail:    requirement,
 	}
-	reply, err := c.exchange(ctx, req)
-	if err != nil {
+	var reply proto.Reply
+	if err := c.exchange(ctx, &req, &reply); err != nil {
 		return nil, err
 	}
 	if reply.Err != "" {
@@ -168,27 +168,30 @@ func (c *Client) RequestServers(ctx context.Context, requirement string, n int, 
 	return reply.Servers, nil
 }
 
-// replyBufs recycles the reply buffers of roundTrip: 64 KB each, so any
-// legal datagram fits. UnmarshalReply copies what it keeps.
-var replyBufs = sync.Pool{New: func() any { b := make([]byte, 64*1024); return &b }}
+// exchangeBuf holds one exchange's datagrams: the request bytes and a
+// 64 KB reply buffer, so any legal datagram fits.
+type exchangeBuf struct{ req, reply []byte }
+
+// exchangeBufs recycles the buffers of roundTrip; ParseReply copies
+// what it keeps, so a successful exchange allocates only the answer.
+var exchangeBufs = sync.Pool{New: func() any { return &exchangeBuf{reply: make([]byte, 64*1024)} }}
 
 // exchange performs the UDP request/reply (§3.6.2 steps 2–3) on the
-// kept wizard socket. A successful exchange puts the socket back; every
-// other ending closes it, so an error — an ICMP refusal included —
-// never reaches the next exchange.
-func (c *Client) exchange(ctx context.Context, req *proto.Request) (*proto.Reply, error) {
+// kept wizard socket, decoding the answer into reply. A successful
+// exchange puts the socket back; every other ending closes it, so an
+// error — an ICMP refusal included — never reaches the next exchange.
+func (c *Client) exchange(ctx context.Context, req *proto.Request, reply *proto.Reply) error {
 	conn, err := c.take()
 	if err != nil {
-		return nil, fmt.Errorf("smartsock: dial wizard: %w", err)
+		return fmt.Errorf("smartsock: dial wizard: %w", err)
 	}
-	reply, err := c.roundTrip(ctx, conn, req)
-	if err != nil {
+	if err := c.roundTrip(ctx, conn, req, reply); err != nil {
 		// The socket is discarded; the exchange's error is the one to report.
 		_ = conn.Close()
-		return nil, err
+		return err
 	}
 	c.keep(conn)
-	return reply, nil
+	return nil
 }
 
 // take empties the slot, or dials a new wizard socket when it is empty.
@@ -226,31 +229,34 @@ func (c *Client) release() {
 // roundTrip sends req on conn and waits for the reply with its sequence
 // number, skipping any other datagram (a late duplicate on the kept
 // socket included). Resends back off with jitter so a fleet of clients
-// retrying a lost wizard does not resynchronise into request storms.
-func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *proto.Request) (*proto.Reply, error) {
-	msg := proto.MarshalRequest(req)
-	bufp := replyBufs.Get().(*[]byte)
-	defer replyBufs.Put(bufp)
-	buf := *bufp
-	bo := &retry.Backoff{Base: 50 * time.Millisecond, Max: c.cfg.Timeout}
+// retrying a lost wizard does not resynchronise into request storms;
+// the backoff is built at the first resend.
+func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *proto.Request, reply *proto.Reply) error {
+	eb := exchangeBufs.Get().(*exchangeBuf)
+	defer exchangeBufs.Put(eb)
+	eb.req = proto.AppendRequest(eb.req[:0], req)
+	var bo *retry.Backoff
 	var lastErr error
 	var floor time.Duration // retry-after hint from an overloaded reply
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
+			if bo == nil {
+				bo = &retry.Backoff{Base: 50 * time.Millisecond, Max: c.cfg.Timeout}
+			}
 			timer := time.NewTimer(bo.NextAtLeast(floor))
 			floor = 0
 			select {
 			case <-ctx.Done():
 				timer.Stop()
-				return nil, ctx.Err()
+				return ctx.Err()
 			case <-timer.C:
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		if _, err := conn.Write(msg); err != nil {
-			return nil, fmt.Errorf("smartsock: send request: %w", err)
+		if _, err := conn.Write(eb.req); err != nil {
+			return fmt.Errorf("smartsock: send request: %w", err)
 		}
 		deadline := time.Now().Add(c.cfg.Timeout)
 		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -258,15 +264,14 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *proto.Reques
 		}
 		for {
 			if err := conn.SetReadDeadline(deadline); err != nil {
-				return nil, fmt.Errorf("smartsock: arm reply deadline: %w", err)
+				return fmt.Errorf("smartsock: arm reply deadline: %w", err)
 			}
-			n, err := conn.Read(buf)
+			n, err := conn.Read(eb.reply)
 			if err != nil {
 				lastErr = fmt.Errorf("smartsock: wizard did not answer: %w", err)
 				break // resend
 			}
-			reply, err := proto.UnmarshalReply(buf[:n])
-			if err != nil {
+			if err := proto.ParseReply(eb.reply[:n], reply); err != nil {
 				lastErr = err
 				continue // garbage datagram; keep listening
 			}
@@ -281,10 +286,10 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *proto.Reques
 				floor = after
 				break // resend
 			}
-			return reply, nil
+			return nil
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // SocketSet is the bundle of connected sockets Connect returns — the
@@ -362,7 +367,7 @@ func (c *Client) Connect(ctx context.Context, requirement string, n int, opts ..
 			if set.Len() == n {
 				return
 			}
-			if containsAddr(set.addrs, addr) || containsAddr(failed, addr) {
+			if slices.Contains(set.addrs, addr) || slices.Contains(failed, addr) {
 				continue
 			}
 			conn, err := c.dialServer(ctx, addr)
@@ -411,15 +416,6 @@ func denyHosts(requirement string, failed []string) string {
 		}
 	}
 	return out
-}
-
-func containsAddr(list []string, addr string) bool {
-	for _, a := range list {
-		if a == addr {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *Client) dialServer(ctx context.Context, addr string) (net.Conn, error) {
